@@ -1,11 +1,13 @@
 package main
 
-// boot.go builds the daemon's checker, constraint set and durability store
-// from the command line — separated from main so the boot policy is testable:
-// a data directory with a snapshot boots warm (snapshot + WAL replay, CSV
-// flags ignored), a fresh or absent data directory boots cold from CSV, and
-// a damaged data directory refuses to start rather than silently falling
-// back to a CSV rebuild that would shadow durable state.
+// boot.go turns the command line into the daemon's service.Backend: mode →
+// Backend, whichever form the flags select (bootBackend). For the
+// single-kernel forms it builds the checker, constraint set and durability
+// store — separated from main so the boot policy is testable: a data
+// directory with a snapshot boots warm (snapshot + WAL replay, CSV flags
+// ignored), a fresh or absent data directory boots cold from CSV, and a
+// damaged data directory refuses to start rather than silently falling back
+// to a CSV rebuild that would shadow durable state.
 
 import (
 	"context"
@@ -39,7 +41,54 @@ type bootConfig struct {
 	// CSV files; CSV and constraints flags are not required.
 	follow string
 
+	// The sharded slice of the command line (see shardboot.go).
+	shards      int
+	shardKey    string
+	shardMode   string
+	shardBounds string
+	coordinator bool
+	workerURLs  string
+
+	// svc carries the service-level flags. The HTTP edge reads its share in
+	// every mode; the rest configures the single-kernel server, and of it
+	// the sharded forms take only QueueDepth.
+	svc service.Options
+
 	logf func(format string, args ...any)
+}
+
+// bootBackend assembles whichever daemon form the flags select and returns
+// it as the Backend the HTTP edge serves, plus its shutdown hook.
+func bootBackend(cfg bootConfig) (service.Backend, func(), error) {
+	if cfg.shards > 0 || cfg.coordinator || cfg.workerURLs != "" {
+		coord, err := bootSharded(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return coord.Backend(), coord.Close, nil
+	}
+	res, err := boot(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	closeStore := func() {
+		if res.st != nil {
+			if err := res.st.Close(); err != nil {
+				cfg.logf("closing data directory: %v", err)
+			}
+		}
+	}
+	opts := cfg.svc
+	opts.Store, opts.InitialEpoch = res.st, res.initialEpoch
+	srv, err := service.New(res.chk, res.constraints, opts)
+	if err != nil {
+		closeStore()
+		return nil, nil, err
+	}
+	for _, name := range srv.Constraints() {
+		cfg.logf("constraint %s registered", name)
+	}
+	return srv, func() { srv.Close(); closeStore() }, nil
 }
 
 // bootResult is the assembled server state.

@@ -150,7 +150,7 @@ func main() {
 		}
 	}
 
-	bcfg := bootConfig{
+	cfg := bootConfig{
 		tables:          tables,
 		shared:          shared,
 		constraintsPath: *constraintsPath,
@@ -161,38 +161,13 @@ func main() {
 		fsyncInterval:   *fsyncInterval,
 		retain:          *retain,
 		follow:          *follow,
-		logf:            log.Printf,
-	}
-
-	var handler http.Handler
-	var shutdown func()
-	if *shards > 0 || *coordinatorMode || *workerURLs != "" {
-		h, closeCoord, err := bootSharded(shardBootConfig{
-			bootConfig:  bcfg,
-			shards:      *shards,
-			key:         *shardKey,
-			mode:        *shardMode,
-			bounds:      *shardBounds,
-			coordinator: *coordinatorMode,
-			workerURLs:  *workerURLs,
-			queue:       *queue,
-			timeout:     *timeout,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		handler, shutdown = h, closeCoord
-	} else {
-		res, err := boot(bcfg)
-		if err != nil {
-			fatal(err)
-		}
-
-		var followerOpts *service.FollowerOptions
-		if *follow != "" {
-			followerOpts = &service.FollowerOptions{URL: *follow, MaxLag: *maxLag, PollWait: *pollWait}
-		}
-		srv, err := service.New(res.chk, res.constraints, service.Options{
+		shards:          *shards,
+		shardKey:        *shardKey,
+		shardMode:       *shardMode,
+		shardBounds:     *shardBounds,
+		coordinator:     *coordinatorMode,
+		workerURLs:      *workerURLs,
+		svc: service.Options{
 			QueueDepth:           *queue,
 			MaxBatch:             *maxBatch,
 			DefaultTimeout:       *timeout,
@@ -200,32 +175,26 @@ func main() {
 			Replicas:             *replicas,
 			MaxBodyBytes:         *maxBody,
 			SlowRequest:          *slowReq,
-			Store:                res.st,
 			SnapshotEveryBatches: *snapshotEvery,
 			SnapshotWALBytes:     *snapshotBytes,
-			InitialEpoch:         res.initialEpoch,
 			Reorder:              *reorder,
 			ReorderGrowth:        *reorderGrowth,
 			ReorderMinNodes:      *reorderMinNodes,
 			WriteTimeout:         *writeTimeout,
-			Follower:             followerOpts,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		for _, name := range srv.Constraints() {
-			log.Printf("constraint %s registered", name)
-		}
-		handler = srv.Handler()
-		shutdown = func() {
-			srv.Close()
-			if res.st != nil {
-				if err := res.st.Close(); err != nil {
-					log.Printf("closing data directory: %v", err)
-				}
-			}
-		}
+		},
+		logf: log.Printf,
 	}
+	if *follow != "" {
+		cfg.svc.Follower = &service.FollowerOptions{URL: *follow, MaxLag: *maxLag, PollWait: *pollWait}
+	}
+
+	// Every mode is the same daemon from here on: a Backend behind the one
+	// HTTP edge, which reads -max-body, -slow-request and -timeout.
+	backend, shutdown, err := bootBackend(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	handler := service.NewHandler(backend, cfg.svc)
 	if *pprofOn {
 		// The service mux only routes its own endpoints, so pprof mounts on a
 		// wrapper mux rather than http.DefaultServeMux (which other packages

@@ -18,54 +18,38 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/shard"
 )
 
-// shardBootConfig is the sharded slice of the command line.
-type shardBootConfig struct {
-	bootConfig
-
-	shards      int
-	key         string
-	mode        string
-	bounds      string
-	coordinator bool
-	workerURLs  string
-
-	queue   int
-	timeout time.Duration
-}
-
-// bootSharded builds the coordinator for either sharded form and returns
-// its HTTP handler plus a shutdown hook.
-func bootSharded(cfg shardBootConfig) (http.Handler, func(), error) {
+// bootSharded builds the coordinator for either sharded form.
+//
+//cv:owner worker
+func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	if cfg.dataDir != "" || cfg.follow != "" {
-		return nil, nil, errors.New("sharded modes boot cold from CSV: -data-dir and -follow belong on the shard workers, not the coordinator")
+		return nil, errors.New("sharded modes boot cold from CSV: -data-dir and -follow belong on the shard workers, not the coordinator")
 	}
 	if cfg.coordinator && cfg.workerURLs == "" {
-		return nil, nil, errors.New("-coordinator requires -worker-urls (comma-separated shard worker base URLs, in shard order)")
+		return nil, errors.New("-coordinator requires -worker-urls (comma-separated shard worker base URLs, in shard order)")
 	}
 	if !cfg.coordinator && cfg.workerURLs != "" {
-		return nil, nil, errors.New("-worker-urls requires -coordinator")
+		return nil, errors.New("-worker-urls requires -coordinator")
 	}
-	if cfg.key == "" {
-		return nil, nil, errors.New("sharded modes require -shard-key TABLE.COLUMN")
+	if cfg.shardKey == "" {
+		return nil, errors.New("sharded modes require -shard-key TABLE.COLUMN")
 	}
-	key, err := shard.ParseKey(cfg.key)
+	key, err := shard.ParseKey(cfg.shardKey)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mode, err := shard.ParseMode(cfg.mode)
+	mode, err := shard.ParseMode(cfg.shardMode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var bounds []string
-	if cfg.bounds != "" {
-		for _, b := range strings.Split(cfg.bounds, ",") {
+	if cfg.shardBounds != "" {
+		for _, b := range strings.Split(cfg.shardBounds, ",") {
 			bounds = append(bounds, strings.TrimSpace(b))
 		}
 	}
@@ -79,50 +63,40 @@ func bootSharded(cfg shardBootConfig) (http.Handler, func(), error) {
 			}
 		}
 		if len(urls) == 0 {
-			return nil, nil, errors.New("-worker-urls names no workers")
+			return nil, errors.New("-worker-urls names no workers")
 		}
 		if n > 0 && n != len(urls) {
-			return nil, nil, fmt.Errorf("-shards %d disagrees with %d -worker-urls entries", n, len(urls))
+			return nil, fmt.Errorf("-shards %d disagrees with %d -worker-urls entries", n, len(urls))
 		}
 		n = len(urls)
 	}
 	if n <= 0 {
-		return nil, nil, errors.New("-shards must be positive")
+		return nil, errors.New("-shards must be positive")
 	}
 
-	cat, constraints, err := loadCatalog(cfg.bootConfig)
+	cat, constraints, err := loadCatalog(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	part, err := shard.NewPartitioner(cat, key, n, mode, bounds)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	opts := shard.Options{
-		NodeBudget:     cfg.budget,
-		Method:         cfg.method,
-		QueueDepth:     cfg.queue,
-		DefaultTimeout: cfg.timeout,
-		Logf:           cfg.logf,
+		NodeBudget: cfg.budget,
+		Method:     cfg.method,
+		QueueDepth: cfg.svc.QueueDepth,
+		Logf:       cfg.logf,
 	}
 
-	var coord *shard.Coordinator
 	if cfg.coordinator {
 		workers := make([]shard.Worker, n)
 		for i, u := range urls {
 			workers[i] = shard.NewHTTPWorker(i, u, nil)
 		}
-		coord, err = shard.NewCoordinator(cat, constraints, part, workers, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.logf("coordinator over %d HTTP shard workers, key %s (%s)", n, cfg.key, cfg.mode)
-	} else {
-		coord, err = shard.NewInProcess(cat, constraints, part, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.logf("coordinator over %d in-process shards, key %s (%s)", n, cfg.key, cfg.mode)
+		cfg.logf("coordinator over %d HTTP shard workers, key %s (%s)", n, cfg.shardKey, cfg.shardMode)
+		return shard.NewCoordinator(cat, constraints, part, workers, opts)
 	}
-	return coord.Handler(), coord.Close, nil
+	cfg.logf("coordinator over %d in-process shards, key %s (%s)", n, cfg.shardKey, cfg.shardMode)
+	return shard.NewInProcess(cat, constraints, part, opts)
 }

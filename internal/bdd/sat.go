@@ -173,39 +173,26 @@ func (k *Kernel) AllSat(f Ref, visit func([]Literal) bool) {
 // NodeCount returns the number of BDD nodes reachable from f, excluding the
 // terminals. This is the size measure used throughout the paper's
 // experiments ("BDD node count").
-func (k *Kernel) NodeCount(f Ref) int {
-	if f == Invalid || k.isTerminal(f) {
-		return 0
-	}
-	seen := map[Ref]bool{f: true}
-	stack := []Ref{f}
-	count := 0
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		lo, hi := k.low[g], k.high[g]
-		if !k.isTerminal(lo) && !seen[lo] {
-			seen[lo] = true
-			stack = append(stack, lo)
-		}
-		if !k.isTerminal(hi) && !seen[hi] {
-			seen[hi] = true
-			stack = append(stack, hi)
-		}
-	}
-	return count
-}
+func (k *Kernel) NodeCount(f Ref) int { return k.SharedNodeCount(f) }
 
 // SharedNodeCount returns the number of distinct nodes reachable from any of
 // the given roots, excluding terminals. It measures the footprint of a set
 // of indices under the shared-node implementation the paper highlights.
 func (k *Kernel) SharedNodeCount(roots ...Ref) int {
-	seen := make(map[Ref]bool)
+	// The visited set is a bitset over the node table, not a map: a server
+	// recounts its indices after every update round, and a map the size of a
+	// 10⁵-node index is megabytes of garbage each time.
+	seen := make([]uint64, len(k.low)/64+1)
+	firstVisit := func(g Ref) bool {
+		if g == Invalid || k.isTerminal(g) || seen[g>>6]&(1<<(g&63)) != 0 {
+			return false
+		}
+		seen[g>>6] |= 1 << (g & 63)
+		return true
+	}
 	var stack []Ref
 	for _, f := range roots {
-		if f != Invalid && !k.isTerminal(f) && !seen[f] {
-			seen[f] = true
+		if firstVisit(f) {
 			stack = append(stack, f)
 		}
 	}
@@ -214,13 +201,10 @@ func (k *Kernel) SharedNodeCount(roots ...Ref) int {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		lo, hi := k.low[g], k.high[g]
-		if !k.isTerminal(lo) && !seen[lo] {
-			seen[lo] = true
+		if lo := k.low[g]; firstVisit(lo) {
 			stack = append(stack, lo)
 		}
-		if !k.isTerminal(hi) && !seen[hi] {
-			seen[hi] = true
+		if hi := k.high[g]; firstVisit(hi) {
 			stack = append(stack, hi)
 		}
 	}

@@ -73,16 +73,8 @@ func (s *Server) checkAtEpoch(ctx context.Context, epoch uint64, cts []logic.Con
 	if e.err != nil {
 		return nil, e.err
 	}
-	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}
-	results := make([]core.Result, 0, len(cts))
-	for _, ct := range cts {
-		if err := ctx.Err(); err != nil {
-			results = append(results, core.Result{Constraint: ct, Err: err})
-			continue
-		}
-		results = append(results, e.chk.CheckOneOpts(ct, opts))
-	}
-	return results, nil
+	// Untraced: the caller brackets the whole historical read in one span.
+	return s.evalAll(ctx, e.chk, cts, core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}, nil), nil
 }
 
 // historyEntry returns the cache entry for epoch, creating (and FIFO-evicting)

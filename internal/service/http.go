@@ -1,13 +1,13 @@
 package service
 
-// http.go is the JSON wire surface of the daemon: POST /check, POST
-// /witnesses, POST /update for tuple batches, GET /healthz, GET /statsz
-// with live checker/kernel/queue counters, and GET /metricsz in Prometheus
-// text exposition. Handlers run on the HTTP server's goroutines; they only
-// decode, submit to the admission queues and encode — all kernel work
-// happens in the worker. Bodies are capped by Options.MaxBodyBytes (413
-// beyond it), decoding is strict (unknown fields and trailing data are 400s
-// naming the offence), and `?trace=1` on the POST endpoints returns the
+// http.go is the JSON wire surface of the daemon, in every form it boots
+// in: POST /check, POST /witnesses, POST /update for tuple batches, GET
+// /healthz, GET /statsz and GET /metricsz in Prometheus text exposition,
+// served by one edge over a Backend (backend.go). Handlers run on the HTTP
+// server's goroutines; they only decode, call the Backend and encode — all
+// kernel work happens behind it. Bodies are capped by Options.MaxBodyBytes
+// (413 beyond it), decoding is strict (unknown fields and trailing data are
+// 400s naming the offence), and `?trace=1` on the POST endpoints returns the
 // request's per-stage spans.
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -240,34 +239,71 @@ type HealthResponse struct {
 	UptimeMS int64  `json:"uptime_ms"`
 }
 
-// Handler returns the daemon's HTTP routes.
-func (s *Server) Handler() http.Handler {
+// edge is the daemon's one HTTP/JSON surface. It owns everything a request
+// meets before and after the Backend: strict decode under the body cap, the
+// request deadline, the error envelope and its status, ?trace=1 spans, and
+// the per-endpoint latency, response-class and slow-request metrics.
+type edge struct {
+	b       Backend
+	opts    Options
+	started time.Time
+
+	// reqDur is end-to-end request latency by endpoint; endpoints without an
+	// entry (healthz, statsz, metricsz, snapshot, wal) are not timed.
+	reqDur map[string]*obs.Histogram
+	slow   *obs.Counter
+	// resp counts responses by status class; index status/100 (2, 4, 5).
+	// Other classes are unregistered and dropped.
+	resp [6]*obs.Counter
+}
+
+// NewHandler returns the daemon's HTTP routes over b. Of opts it reads only
+// the edge-level fields — MaxBodyBytes, DefaultTimeout, SlowRequest, SlowLog
+// — and it registers the edge's metric families into b.Metrics(), so build
+// one handler per Backend.
+func NewHandler(b Backend, opts Options) http.Handler {
+	h := &edge{b: b, opts: opts.withDefaults(), started: time.Now(), reqDur: map[string]*obs.Histogram{}}
+	reg := b.Metrics()
+	for _, ep := range []string{"check", "witnesses", "update"} {
+		h.reqDur[ep] = reg.Histogram("cv_request_duration_seconds", `endpoint="`+ep+`"`,
+			"End-to-end request latency in seconds, by endpoint.")
+	}
+	h.slow = reg.Counter("cv_slow_requests_total", "", "Requests at or above the slow-request threshold.")
+	for _, class := range []int{2, 4, 5} {
+		h.resp[class] = reg.Counter("cv_http_responses_total", fmt.Sprintf(`class="%dxx"`, class),
+			"HTTP responses sent, by status class.")
+	}
+
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /check", s.handleCheck)
-	mux.HandleFunc("POST /witnesses", s.handleWitnesses)
-	mux.HandleFunc("POST /update", s.handleUpdate)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.HandleFunc("GET /metricsz", s.handleMetricsz)
-	if s.st != nil {
+	mux.HandleFunc("POST /check", h.handleCheck)
+	mux.HandleFunc("POST /witnesses", h.handleWitnesses)
+	mux.HandleFunc("POST /update", h.handleUpdate)
+	mux.HandleFunc("GET /healthz", h.handleHealthz)
+	mux.HandleFunc("GET /statsz", h.handleStatsz)
+	mux.HandleFunc("GET /metricsz", h.handleMetricsz)
+	if s, ok := b.(*Server); ok && s.st != nil {
 		// Replication endpoints: any server with a durability store can feed
 		// a follower (followers included, so replicas can chain).
-		mux.HandleFunc("GET /snapshot/{epoch}", s.handleSnapshotFetch)
-		mux.HandleFunc("GET /wal", s.handleWALTail)
+		mux.HandleFunc("GET /snapshot/{epoch}", func(w http.ResponseWriter, r *http.Request) { s.handleSnapshotFetch(h, w, r) })
+		mux.HandleFunc("GET /wal", func(w http.ResponseWriter, r *http.Request) { s.handleWALTail(h, w, r) })
 	}
 	return mux
 }
+
+// Handler returns the daemon's HTTP routes over this server, with the edge
+// configured from the server's own options.
+func (s *Server) Handler() http.Handler { return NewHandler(s, s.opts) }
 
 // traceFor arms a trace for the request: always when the client asked with
 // ?trace=1 (the spans go back in the response), and silently when the
 // slow-request log is on (the spans feed the log line if the request
 // crosses the threshold). wantTrace reports the explicit ask.
-func (s *Server) traceFor(r *http.Request) (tr *obs.Trace, wantTrace bool) {
+func (h *edge) traceFor(r *http.Request) (tr *obs.Trace, wantTrace bool) {
 	switch r.URL.Query().Get("trace") {
 	case "1", "true":
 		wantTrace = true
 	}
-	if wantTrace || s.opts.SlowRequest > 0 {
+	if wantTrace || h.opts.SlowRequest > 0 {
 		tr = obs.NewTrace()
 	}
 	return tr, wantTrace
@@ -275,14 +311,14 @@ func (s *Server) traceFor(r *http.Request) (tr *obs.Trace, wantTrace bool) {
 
 // finishRequest observes the endpoint's latency histogram and emits the
 // slow-request log line when the total crosses the threshold.
-func (s *Server) finishRequest(endpoint string, start time.Time, tr *obs.Trace) {
+func (h *edge) finishRequest(endpoint string, start time.Time, tr *obs.Trace) {
 	d := time.Since(start)
-	if h := s.metrics.endpointHist(endpoint); h != nil {
-		h.Observe(d)
+	if hist := h.reqDur[endpoint]; hist != nil {
+		hist.Observe(d)
 	}
-	if s.opts.SlowRequest > 0 && d >= s.opts.SlowRequest {
-		s.metrics.slowRequests.Inc()
-		s.opts.SlowLog.Printf("slow request: endpoint=%s total=%v %s",
+	if h.opts.SlowRequest > 0 && d >= h.opts.SlowRequest {
+		h.slow.Inc()
+		h.opts.SlowLog.Printf("slow request: endpoint=%s total=%v %s",
 			endpoint, d.Round(time.Microsecond), tr.Summary())
 	}
 }
@@ -312,8 +348,8 @@ func toWireTrace(tr *obs.Trace, wantTrace bool) *TraceInfo {
 
 // requestContext derives the job context: the client's context bounded by
 // the requested (or default) timeout.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.opts.DefaultTimeout
+func (h *edge) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+	d := h.opts.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
@@ -321,314 +357,132 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 }
 
 //cv:owner any
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	s.nChecks.Add(1)
+func (h *edge) handleCheck(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	tr, wantTrace := s.traceFor(r)
-	defer s.finishRequest("check", start, tr)
+	tr, wantTrace := h.traceFor(r)
+	defer h.finishRequest("check", start, tr)
 	var req CheckRequest
-	if !s.decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
-	cts, err := s.resolve(req.Constraints, req.Text)
+	cts, err := h.b.Resolve(req.Constraints, req.Text)
 	if err != nil {
-		s.httpError(w, err)
+		h.httpError(w, err)
 		return
 	}
-	epoch, live, err := s.epochParam(r)
-	if err != nil {
-		s.httpError(w, err)
-		return
+	// ?epoch=N pins the read; absent or zero reads the live state. What a
+	// non-zero pin means (current, historical, unavailable) is the Backend's
+	// call.
+	var pin uint64
+	if raw := r.URL.Query().Get("epoch"); raw != "" {
+		if pin, err = parseUintParam("epoch", raw); err != nil {
+			h.httpError(w, err)
+			return
+		}
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := h.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	var results []core.Result
-	if live {
-		if serr := s.stalenessErr(); serr != nil {
-			s.httpError(w, serr)
-			return
-		}
-		rep, serr := s.submitCheck(ctx, cts, req.NodeBudget, 0, tr)
-		if serr != nil {
-			s.httpError(w, serr)
-			return
-		}
-		results = rep.results
-	} else {
-		histStart := tr.Begin()
-		results, err = s.checkAtEpoch(ctx, epoch, cts, req.NodeBudget)
-		tr.Span("epoch_check", histStart)
-		if err != nil {
-			s.httpError(w, err)
-			return
-		}
+	results, epoch, err := h.b.Check(ctx, cts, req.NodeBudget, pin, tr)
+	if err != nil {
+		h.httpError(w, err)
+		return
 	}
-	resp := CheckResponse{Results: make([]CheckResult, len(results)), Epoch: epoch}
-	for i, res := range results {
-		resp.Results[i] = toWireResult(res)
-	}
-	resp.Trace = toWireTrace(tr, wantTrace)
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// epochParam interprets ?epoch=N. Absent, zero, or equal to the current
-// epoch selects the live read path; a smaller value selects the historical
-// path; a larger one is rejected (ErrFutureEpoch). The reported epoch is
-// zero when the server runs without a durability store.
-func (s *Server) epochParam(r *http.Request) (epoch uint64, live bool, err error) {
-	raw := r.URL.Query().Get("epoch")
-	cur := uint64(0)
-	if s.st != nil {
-		cur = s.epoch.Load()
-	}
-	if raw == "" {
-		return cur, true, nil
-	}
-	n, perr := parseUintParam("epoch", raw)
-	if perr != nil {
-		return 0, false, perr
-	}
-	if n == 0 || n == cur {
-		return cur, true, nil
-	}
-	if s.st == nil {
-		return 0, false, ErrNoHistory
-	}
-	if n > cur {
-		return 0, false, fmt.Errorf("%w: requested %d, current is %d", ErrFutureEpoch, n, cur)
-	}
-	return n, false, nil
-}
-
-func toWireResult(res core.Result) CheckResult {
-	out := CheckResult{
-		Name:       res.Constraint.Name,
-		Violated:   res.Violated,
-		Method:     string(res.Method),
-		FellBack:   res.FellBack,
-		DurationNS: res.Duration.Nanoseconds(),
-	}
-	if res.FallbackReason != nil {
-		out.FallbackReason = res.FallbackReason.Error()
-	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-		out.Method = ""
-	}
-	return out
+	h.writeJSON(w, http.StatusOK, CheckResponse{Results: results, Epoch: epoch, Trace: toWireTrace(tr, wantTrace)})
 }
 
 //cv:owner any
-func (s *Server) handleWitnesses(w http.ResponseWriter, r *http.Request) {
-	s.nWitnesses.Add(1)
+func (h *edge) handleWitnesses(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	tr, wantTrace := s.traceFor(r)
-	defer s.finishRequest("witnesses", start, tr)
+	tr, wantTrace := h.traceFor(r)
+	defer h.finishRequest("witnesses", start, tr)
 	var req WitnessRequest
-	if !s.decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
+		return
+	}
+	if req.Constraint == "" && req.Text == "" {
+		h.httpError(w, errBadRequest("one of \"constraint\" or \"text\" is required"))
 		return
 	}
 	var names []string
 	if req.Constraint != "" {
 		names = []string{req.Constraint}
 	}
-	if req.Constraint == "" && req.Text == "" {
-		s.httpError(w, errBadRequest("one of \"constraint\" or \"text\" is required"))
-		return
-	}
-	cts, err := s.resolve(names, req.Text)
+	cts, err := h.b.Resolve(names, req.Text)
 	if err != nil {
-		s.httpError(w, err)
+		h.httpError(w, err)
 		return
 	}
 	if len(cts) != 1 {
-		s.httpError(w, errBadRequest("witness extraction takes exactly one constraint"))
+		h.httpError(w, errBadRequest("witness extraction takes exactly one constraint"))
 		return
 	}
 	limit := req.Limit
 	if limit <= 0 {
-		limit = 10
+		limit = DefaultWitnessLimit
 	}
-	if serr := s.stalenessErr(); serr != nil {
-		s.httpError(w, serr)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := h.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	rep, err := s.submitCheck(ctx, cts, req.NodeBudget, limit, tr)
+	ws, method, err := h.b.Witnesses(ctx, cts[0], limit, req.NodeBudget, tr)
 	if err != nil {
-		s.httpError(w, err)
+		h.httpError(w, err)
 		return
 	}
-	resp := WitnessResponse{
-		Constraint: cts[0].Name,
-		Method:     string(rep.witnessMethod),
-		Witnesses:  make([]Witness, len(rep.witnesses)),
-	}
-	for i, ws := range rep.witnesses {
-		resp.Witnesses[i] = Witness{Vars: ws.Vars, Values: ws.Values}
+	resp := WitnessResponse{Constraint: cts[0].Name, Method: method, Witnesses: make([]Witness, len(ws))}
+	for i, wit := range ws {
+		resp.Witnesses[i] = Witness{Vars: wit.Vars, Values: wit.Values}
 	}
 	resp.Trace = toWireTrace(tr, wantTrace)
-	s.writeJSON(w, http.StatusOK, resp)
+	h.writeJSON(w, http.StatusOK, resp)
 }
 
 //cv:owner any
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	s.nUpdateJobs.Add(1)
+func (h *edge) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	tr, wantTrace := s.traceFor(r)
-	defer s.finishRequest("update", start, tr)
-	if s.follow != nil {
-		// A follower's state is defined by the leader's log; accepting a
-		// local write would fork it. 421 names the right destination.
-		w.Header().Set(HeaderLeader, s.follow.URL)
-		s.writeJSON(w, http.StatusMisdirectedRequest, map[string]string{
-			"error":  "read-only follower: send updates to the leader",
-			"leader": s.follow.URL,
-		})
-		return
-	}
+	tr, wantTrace := h.traceFor(r)
+	defer h.finishRequest("update", start, tr)
 	var req UpdateRequest
-	if !s.decode(w, r, &req) {
+	if !h.decode(w, r, &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
-		s.httpError(w, errBadRequest("empty update batch"))
+		h.httpError(w, errBadRequest("empty update batch"))
 		return
 	}
-	ups := make([]core.Update, len(req.Updates))
-	for i, u := range req.Updates {
-		ups[i] = core.Update{Table: u.Table, Op: core.UpdateOp(u.Op), Values: u.Values}
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel := h.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	applied, err := s.submitUpdate(ctx, ups, tr)
-	if err != nil {
-		status := statusFor(err)
-		s.writeJSON(w, status, UpdateResponse{Applied: applied, Error: err.Error()})
-		return
+	applied, err := h.b.Update(ctx, fromWireUpdates(req.Updates), tr)
+	var nl *NotLeaderError
+	switch {
+	case errors.As(err, &nl):
+		// 421 names the right destination, in a header and in the envelope.
+		w.Header().Set(HeaderLeader, nl.Leader)
+		h.writeJSON(w, http.StatusMisdirectedRequest, map[string]string{"error": err.Error(), "leader": nl.Leader})
+	case err != nil:
+		h.writeJSON(w, statusFor(err), UpdateResponse{Applied: applied, Error: err.Error()})
+	default:
+		h.writeJSON(w, http.StatusOK, UpdateResponse{Applied: applied, Trace: toWireTrace(tr, wantTrace)})
 	}
-	s.writeJSON(w, http.StatusOK, UpdateResponse{Applied: applied, Trace: toWireTrace(tr, wantTrace)})
 }
 
 //cv:owner any
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
-		Status:   "ok",
-		UptimeMS: time.Since(s.started).Milliseconds(),
-	})
+func (h *edge) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h.writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", UptimeMS: time.Since(h.started).Milliseconds()})
 }
 
-// handleMetricsz serves the Prometheus text exposition: the request/stage
-// histograms plus gauge callbacks over the worker-published snapshot and the
-// replica pool's per-worker stats. No live kernel is touched.
+//cv:owner any
+func (h *edge) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	h.writeJSON(w, http.StatusOK, h.b.Statsz())
+}
+
+// handleMetricsz serves the Prometheus text exposition. Every gauge callback
+// a Backend registers reads atomically published state only; no live kernel
+// is touched from a scrape.
 //
 //cv:owner any
-func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	s.metrics.observeResponse(http.StatusOK)
+func (h *edge) handleMetricsz(w http.ResponseWriter, r *http.Request) {
+	h.observeResponse(http.StatusOK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.reg.WritePrometheus(w)
-}
-
-//cv:owner any
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	snap := s.snap.Load()
-	cs := snap.checker
-	primary := KernelStats{
-		LiveNodes:      snap.kernel.Live,
-		PeakNodes:      snap.kernel.Peak,
-		Capacity:       snap.kernel.Capacity,
-		Vars:           snap.kernel.Vars,
-		Budget:         snap.kernel.Budget,
-		GCRuns:         snap.kernel.GCRuns,
-		Ops:            snap.kernel.Ops,
-		CacheHits:      snap.kernel.CacheHits,
-		CacheEntries:   snap.kernel.CacheEntries,
-		NodesAllocated: snap.kernel.Allocs,
-	}
-	agg := primary
-	repl := ReplicationStats{
-		ReplicaChecks:    s.nReplicaChecks.Load(),
-		ReplicaWitnesses: s.nReplicaWitness.Load(),
-		Reroutes:         s.nReroutes.Load(),
-	}
-	if s.pool != nil {
-		repl.Replicas = s.pool.Size()
-		repl.Epoch = s.pool.Epoch()
-		repl.Swaps = s.pool.Swaps()
-		for _, ws := range s.pool.Stats() {
-			wk := KernelStats{
-				LiveNodes:      ws.Kernel.Live,
-				PeakNodes:      ws.Kernel.Peak,
-				Capacity:       ws.Kernel.Capacity,
-				Vars:           ws.Kernel.Vars,
-				Budget:         ws.Kernel.Budget,
-				GCRuns:         ws.Kernel.GCRuns,
-				Ops:            ws.Kernel.Ops,
-				CacheHits:      ws.Kernel.CacheHits,
-				CacheEntries:   ws.Kernel.CacheEntries,
-				NodesAllocated: ws.Kernel.Allocs,
-			}
-			repl.Workers = append(repl.Workers, ReplicaWorkerStats{
-				Worker: ws.Worker, Epoch: ws.Epoch, Jobs: ws.Jobs, Kernel: wk,
-			})
-			agg.LiveNodes += wk.LiveNodes
-			agg.PeakNodes += wk.PeakNodes
-			agg.Capacity += wk.Capacity
-			agg.GCRuns += wk.GCRuns
-			agg.Ops += wk.Ops
-			agg.CacheHits += wk.CacheHits
-			agg.CacheEntries += wk.CacheEntries
-			agg.NodesAllocated += wk.NodesAllocated
-			cs.BDDChecks += ws.Checker.BDDChecks
-			cs.FDFastPath += ws.Checker.FDFastPath
-			cs.SQLFallbacks += ws.Checker.SQLFallbacks
-			cs.Errors += ws.Checker.Errors
-		}
-	}
-	decided := cs.BDDChecks + cs.FDFastPath + cs.SQLFallbacks
-	rate := 0.0
-	if decided > 0 {
-		rate = float64(cs.SQLFallbacks) / float64(decided)
-	}
-	resp := StatszResponse{
-		UptimeMS: time.Since(s.started).Milliseconds(),
-		Queue: QueueStats{
-			ChecksDepth:  len(s.checks),
-			ChecksCap:    cap(s.checks),
-			UpdatesDepth: len(s.updates),
-			UpdatesCap:   cap(s.updates),
-		},
-		Requests: RequestStats{
-			Checks:          s.nChecks.Load(),
-			Witnesses:       s.nWitnesses.Load(),
-			UpdateJobs:      s.nUpdateJobs.Load(),
-			UpdateTuples:    s.nUpdateTuples.Load(),
-			UpdateBatches:   s.nBatches.Load(),
-			DeadlineRejects: s.nDeadlineRejects.Load(),
-			QueueRejects:    s.nQueueRejects.Load(),
-		},
-		Checker: CheckerStats{
-			BDDChecks:    cs.BDDChecks,
-			FDFastPath:   cs.FDFastPath,
-			SQLFallbacks: cs.SQLFallbacks,
-			Errors:       cs.Errors,
-			FallbackRate: rate,
-		},
-		Kernel:        agg,
-		PrimaryKernel: primary,
-		Replication:   repl,
-		Indices:       snap.indices,
-		Tables:        snap.tables,
-		Constraints:   s.Constraints(),
-	}
-	if s.st != nil {
-		resp.Epoch = s.epoch.Load()
-		st := s.st.Status()
-		resp.Durability = &st
-	}
-	resp.Follower = s.followerStats()
-	s.writeJSON(w, http.StatusOK, resp)
+	_ = h.b.Metrics().WritePrometheus(w)
 }
 
 // plumbing
@@ -638,19 +492,19 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // naming the field, and trailing data after the document is a 400 — a
 // concatenated second document would otherwise be silently dropped, masking
 // client framing bugs.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+func (h *edge) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	body := r.Body
-	if s.opts.MaxBodyBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	if h.opts.MaxBodyBytes > 0 {
+		body = http.MaxBytesReader(w, r.Body, h.opts.MaxBodyBytes)
 	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		s.httpError(w, decodeError(err))
+		h.httpError(w, decodeError(err))
 		return false
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		s.httpError(w, errBadRequest("trailing data after JSON body"))
+		h.httpError(w, errBadRequest("trailing data after JSON body"))
 		return false
 	}
 	return true
@@ -695,11 +549,17 @@ func parseUintParam(name, raw string) (uint64, error) {
 	return n, nil
 }
 
+// statusFor maps a Backend error to its HTTP status. An error that knows
+// its own status (shard.WorkerError: 502) says so through HTTPStatus, ahead
+// of whatever sentinel it wraps.
 func statusFor(err error) int {
 	var mbe *http.MaxBytesError
+	var own interface{ HTTPStatus() int }
 	switch {
 	case errors.As(err, &mbe):
 		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &own):
+		return own.HTTPStatus()
 	case errors.Is(err, ErrBusy), errors.Is(err, ErrShuttingDown), errors.Is(err, ErrStale):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -714,12 +574,19 @@ func statusFor(err error) int {
 	}
 }
 
-func (s *Server) httpError(w http.ResponseWriter, err error) {
-	s.writeJSON(w, statusFor(err), map[string]string{"error": err.Error()})
+func (h *edge) httpError(w http.ResponseWriter, err error) {
+	h.writeJSON(w, statusFor(err), map[string]string{"error": err.Error()})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	s.metrics.observeResponse(status)
+// observeResponse counts one HTTP response by status class.
+func (h *edge) observeResponse(status int) {
+	if c := h.resp[status/100%6]; c != nil {
+		c.Inc()
+	}
+}
+
+func (h *edge) writeJSON(w http.ResponseWriter, status int, v any) {
+	h.observeResponse(status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -2,8 +2,9 @@ package service
 
 // metrics.go builds the server's /metricsz surface: one obs.Registry wired
 // to the counters the server already keeps (request atomics, the worker's
-// published snapshot, the replica pool's per-worker stats) plus the latency
-// histograms observed on the request path. Construction happens once in New;
+// published snapshot, the replica pool's per-worker stats) plus the stage
+// latency histograms observed on the request path (the per-endpoint totals
+// are the HTTP edge's, http.go). Construction happens once in New;
 // every gauge callback reads only atomically-published state (s.snap,
 // pool.Stats()), never a live kernel, so scrapes are safe from any
 // goroutine.
@@ -12,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -21,9 +23,6 @@ import (
 // callbacks and have no field here.
 type serverMetrics struct {
 	reg *obs.Registry
-
-	// End-to-end request latency by endpoint, observed in the HTTP layer.
-	reqCheck, reqWitnesses, reqUpdate *obs.Histogram
 
 	// Per-stage latency, observed by the worker (and the replica dispatch
 	// path for queue_wait/eval).
@@ -40,32 +39,6 @@ type serverMetrics struct {
 
 	// Replica-pool job latency, observed inside internal/replica.
 	replicaQueueWait, replicaRun *obs.Histogram
-
-	slowRequests *obs.Counter
-	// HTTP responses by status class; index status/100 (2, 4, 5). Other
-	// classes are unregistered and dropped.
-	resp [6]*obs.Counter
-}
-
-// observeResponse counts one HTTP response by status class.
-func (m *serverMetrics) observeResponse(status int) {
-	if c := m.resp[status/100%6]; c != nil {
-		c.Inc()
-	}
-}
-
-// endpointHist returns the request-duration histogram for an endpoint name,
-// or nil for endpoints without one (healthz, statsz, metricsz).
-func (m *serverMetrics) endpointHist(endpoint string) *obs.Histogram {
-	switch endpoint {
-	case "check":
-		return m.reqCheck
-	case "witnesses":
-		return m.reqWitnesses
-	case "update":
-		return m.reqUpdate
-	}
-	return nil
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -87,11 +60,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterFunc("cv_update_tuples_total", "", "Tuples applied through the incremental maintenance path.", s.nUpdateTuples.Load)
 	r.CounterFunc("cv_update_batches_total", "", "Coalesced update batches applied by the worker.", s.nBatches.Load)
 
-	const durHelp = "End-to-end request latency in seconds, by endpoint."
-	m.reqCheck = r.Histogram("cv_request_duration_seconds", `endpoint="check"`, durHelp)
-	m.reqWitnesses = r.Histogram("cv_request_duration_seconds", `endpoint="witnesses"`, durHelp)
-	m.reqUpdate = r.Histogram("cv_request_duration_seconds", `endpoint="update"`, durHelp)
-
 	const stageHelp = "Per-stage request latency in seconds."
 	m.stQueueWait = r.Histogram("cv_stage_duration_seconds", `stage="queue_wait"`, stageHelp)
 	m.stEval = r.Histogram("cv_stage_duration_seconds", `stage="eval"`, stageHelp)
@@ -100,57 +68,32 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.stApply = r.Histogram("cv_stage_duration_seconds", `stage="apply"`, stageHelp)
 	m.stFreeze = r.Histogram("cv_stage_duration_seconds", `stage="freeze"`, stageHelp)
 
-	m.slowRequests = r.Counter("cv_slow_requests_total", "", "Requests at or above the slow-request threshold.")
-
 	// Dynamic-reordering metrics. Count and nodes-saved mirror the primary
 	// kernel's counters through the worker-published snapshot; the duration
 	// histogram is the sift pause observed by the worker.
-	kernelCounter := func(pick func(kernelView) uint64) func() uint64 {
-		return func() uint64 {
-			if snap := s.snap.Load(); snap != nil {
-				return pick(snap.kernel)
-			}
-			return 0
-		}
+	snapCounter := func(pick func(*snapshot) uint64) func() uint64 {
+		return func() uint64 { return pick(s.snap.Load()) }
 	}
 	r.CounterFunc("cv_reorder_count", "", "Completed dynamic variable-reordering (sifting) runs.",
-		kernelCounter(func(kv kernelView) uint64 { return uint64(kv.Reorders) }))
+		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.kernel.Reorders) }))
 	r.CounterFunc("cv_reorder_nodes_saved", "", "Cumulative live-node reduction achieved by reordering runs.",
-		kernelCounter(func(kv kernelView) uint64 { return kv.ReorderSaved }))
+		snapCounter(func(sn *snapshot) uint64 { return sn.kernel.ReorderSaved }))
 	m.stReorder = r.Histogram("cv_reorder_duration_seconds", "", "Write-path pause taken by one reordering run, in seconds.")
-
-	const respHelp = "HTTP responses sent, by status class."
-	m.resp[2] = r.Counter("cv_http_responses_total", `class="2xx"`, respHelp)
-	m.resp[4] = r.Counter("cv_http_responses_total", `class="4xx"`, respHelp)
-	m.resp[5] = r.Counter("cv_http_responses_total", `class="5xx"`, respHelp)
 
 	// Checker decision counters, read from the worker-published snapshot.
 	const decHelp = "Constraint validations decided, by method."
-	decision := func(pick func(*snapshot) int) func() uint64 {
-		return func() uint64 {
-			if snap := s.snap.Load(); snap != nil {
-				return uint64(pick(snap))
-			}
-			return 0
-		}
-	}
 	r.CounterFunc("cv_checker_decisions_total", `method="bdd"`, decHelp,
-		decision(func(sn *snapshot) int { return sn.checker.BDDChecks }))
+		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.BDDChecks) }))
 	r.CounterFunc("cv_checker_decisions_total", `method="fd"`, decHelp,
-		decision(func(sn *snapshot) int { return sn.checker.FDFastPath }))
+		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.FDFastPath) }))
 	r.CounterFunc("cv_checker_decisions_total", `method="sql"`, decHelp,
-		decision(func(sn *snapshot) int { return sn.checker.SQLFallbacks }))
+		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.SQLFallbacks) }))
 	r.CounterFunc("cv_checker_errors_total", "", "Constraint validations that failed outright.",
-		decision(func(sn *snapshot) int { return sn.checker.Errors }))
+		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.Errors) }))
 
 	// Primary-kernel counters, from the same snapshot. Scrapes must never
 	// touch the live kernel: it belongs to the worker goroutine.
-	registerKernel(r, `kernel="primary"`, func() (kernelView, bool) {
-		if snap := s.snap.Load(); snap != nil {
-			return snap.kernel, true
-		}
-		return kernelView{}, false
-	})
+	registerKernel(r, `kernel="primary"`, func() bdd.Stats { return s.snap.Load().kernel })
 
 	const qHelp = "Admission queue depth (jobs waiting)."
 	const qcHelp = "Admission queue capacity."
@@ -177,9 +120,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		// of workers per pool the per-scrape cost is negligible.
 		for i := 0; i < pool.Size(); i++ {
 			i := i
-			registerKernel(r, `kernel="replica-`+strconv.Itoa(i)+`"`, func() (kernelView, bool) {
-				return kernelViewOf(pool.Stats()[i].Kernel), true
-			})
+			registerKernel(r, `kernel="replica-`+strconv.Itoa(i)+`"`, func() bdd.Stats { return pool.Stats()[i].Kernel })
 		}
 	}
 
@@ -235,56 +176,44 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 // registerKernel registers one kernel's gauge and counter families under the
 // given kernel label. view must be safe to call from any goroutine.
-func registerKernel(r *obs.Registry, labels string, view func() (kernelView, bool)) {
-	gauge := func(pick func(kernelView) float64) func() float64 {
-		return func() float64 {
-			if kv, ok := view(); ok {
-				return pick(kv)
-			}
-			return 0
-		}
+func registerKernel(r *obs.Registry, labels string, view func() bdd.Stats) {
+	gauge := func(pick func(bdd.Stats) int) func() float64 {
+		return func() float64 { return float64(pick(view())) }
 	}
-	counter := func(pick func(kernelView) uint64) func() uint64 {
-		return func() uint64 {
-			if kv, ok := view(); ok {
-				return pick(kv)
-			}
-			return 0
-		}
+	counter := func(pick func(bdd.Stats) uint64) func() uint64 {
+		return func() uint64 { return pick(view()) }
 	}
 	r.GaugeFunc("cv_kernel_live_nodes", labels, "Live BDD nodes, including terminals.",
-		gauge(func(kv kernelView) float64 { return float64(kv.Live) }))
+		gauge(func(ks bdd.Stats) int { return ks.Live }))
 	r.GaugeFunc("cv_kernel_peak_nodes", labels, "Peak live BDD nodes observed.",
-		gauge(func(kv kernelView) float64 { return float64(kv.Peak) }))
+		gauge(func(ks bdd.Stats) int { return ks.Peak }))
 	r.GaugeFunc("cv_kernel_capacity_nodes", labels, "Allocated node-table slots.",
-		gauge(func(kv kernelView) float64 { return float64(kv.Capacity) }))
+		gauge(func(ks bdd.Stats) int { return ks.Capacity }))
 	r.GaugeFunc("cv_kernel_cache_entries", labels, "Per-operation cache entries.",
-		gauge(func(kv kernelView) float64 { return float64(kv.CacheEntries) }))
+		gauge(func(ks bdd.Stats) int { return ks.CacheEntries }))
 	r.CounterFunc("cv_kernel_gc_runs_total", labels, "Completed kernel garbage collections.",
-		counter(func(kv kernelView) uint64 { return uint64(kv.GCRuns) }))
+		counter(func(ks bdd.Stats) uint64 { return uint64(ks.GCRuns) }))
 	r.CounterFunc("cv_kernel_ops_total", labels, "Recursive apply steps executed.",
-		counter(func(kv kernelView) uint64 { return kv.Ops }))
+		counter(func(ks bdd.Stats) uint64 { return ks.Ops }))
 	r.CounterFunc("cv_kernel_cache_hits_total", labels, "Operation-cache hits.",
-		counter(func(kv kernelView) uint64 { return kv.CacheHits }))
+		counter(func(ks bdd.Stats) uint64 { return ks.CacheHits }))
 	r.CounterFunc("cv_kernel_nodes_allocated_total", labels, "Nodes allocated since kernel creation (monotonic).",
-		counter(func(kv kernelView) uint64 { return kv.Allocs }))
+		counter(func(ks bdd.Stats) uint64 { return ks.Allocs }))
 	// The three operation caches are sized independently; a per-op hit rate
 	// says which one is earning its memory. Lifetime ratio, 0 until traffic.
 	const hitHelp = "Operation-cache hit rate since kernel creation, by operation."
-	rate := func(pick func(kernelView) (hits, lookups uint64)) func() float64 {
+	rate := func(pick func(bdd.Stats) (hits, lookups uint64)) func() float64 {
 		return func() float64 {
-			if kv, ok := view(); ok {
-				if hits, lookups := pick(kv); lookups > 0 {
-					return float64(hits) / float64(lookups)
-				}
+			if hits, lookups := pick(view()); lookups > 0 {
+				return float64(hits) / float64(lookups)
 			}
 			return 0
 		}
 	}
 	r.GaugeFunc("cv_kernel_cache_hit_rate", labels+`,op="apply"`, hitHelp,
-		rate(func(kv kernelView) (uint64, uint64) { return kv.ApplyHits, kv.ApplyLookups }))
+		rate(func(ks bdd.Stats) (uint64, uint64) { return ks.ApplyHits, ks.ApplyLookups }))
 	r.GaugeFunc("cv_kernel_cache_hit_rate", labels+`,op="quant"`, hitHelp,
-		rate(func(kv kernelView) (uint64, uint64) { return kv.QuantHits, kv.QuantLookups }))
+		rate(func(ks bdd.Stats) (uint64, uint64) { return ks.QuantHits, ks.QuantLookups }))
 	r.GaugeFunc("cv_kernel_cache_hit_rate", labels+`,op="replace"`, hitHelp,
-		rate(func(kv kernelView) (uint64, uint64) { return kv.ReplaceHits, kv.ReplaceLookups }))
+		rate(func(ks bdd.Stats) (uint64, uint64) { return ks.ReplaceHits, ks.ReplaceLookups }))
 }

@@ -114,27 +114,27 @@ func (e *epochSignal) bump() {
 // download (POSIX keeps the unlinked file readable through the handle).
 //
 //cv:owner any
-func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshotFetch(h *edge, w http.ResponseWriter, r *http.Request) {
 	s.nSnapshotServes.Add(1)
 	start := time.Now()
-	defer s.finishRequest("snapshot", start, nil)
+	defer h.finishRequest("snapshot", start, nil)
 	raw := r.PathValue("epoch")
 	var epoch uint64 // 0 = latest
 	if raw != "latest" {
 		n, err := parseUintParam("snapshot epoch", raw)
 		if err != nil {
-			s.httpError(w, err)
+			h.httpError(w, err)
 			return
 		}
 		epoch = n
 	}
 	rc, entry, err := s.st.OpenSnapshot(epoch)
 	if err != nil {
-		s.httpError(w, err)
+		h.httpError(w, err)
 		return
 	}
 	defer rc.Close()
-	s.metrics.observeResponse(http.StatusOK)
+	h.observeResponse(http.StatusOK)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(entry.Bytes, 10))
 	w.Header().Set(HeaderSnapshotEpoch, strconv.FormatUint(entry.Epoch, 10))
@@ -151,29 +151,29 @@ func (s *Server) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 // siblings still in flight).
 //
 //cv:owner any
-func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWALTail(h *edge, w http.ResponseWriter, r *http.Request) {
 	s.nWALServes.Add(1)
 	start := time.Now()
-	defer s.finishRequest("wal", start, nil)
+	defer h.finishRequest("wal", start, nil)
 	q := r.URL.Query()
 	if q.Get("from") == "" {
-		s.httpError(w, errBadRequest("wal tailing requires ?from=<last applied epoch>"))
+		h.httpError(w, errBadRequest("wal tailing requires ?from=<last applied epoch>"))
 		return
 	}
 	from, err := parseUintParam("from", q.Get("from"))
 	if err != nil {
-		s.httpError(w, err)
+		h.httpError(w, err)
 		return
 	}
 	if from == 0 {
-		s.httpError(w, errBadRequest("wal tailing requires ?from=<last applied epoch>"))
+		h.httpError(w, errBadRequest("wal tailing requires ?from=<last applied epoch>"))
 		return
 	}
 	var wait time.Duration
 	if rawWait := q.Get("wait_ms"); rawWait != "" {
 		ms, err := parseUintParam("wait_ms", rawWait)
 		if err != nil {
-			s.httpError(w, err)
+			h.httpError(w, err)
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
@@ -190,21 +190,21 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	for {
 		cur := s.epoch.Load()
 		if from > cur {
-			s.httpError(w, errBadRequest(fmt.Sprintf("from epoch %d is ahead of the leader's %d", from, cur)))
+			h.httpError(w, errBadRequest(fmt.Sprintf("from epoch %d is ahead of the leader's %d", from, cur)))
 			return
 		}
 		if from < s.st.LastSnapshotEpoch() {
 			// Epochs in (from, snapshot] were truncated out of the log; only
 			// the snapshot covers them now. 410 tells the follower to
 			// re-bootstrap (the same status pruned ?epoch reads get).
-			s.httpError(w, fmt.Errorf("%w: epochs after %d are only available via /snapshot (oldest logged is past %d)",
+			h.httpError(w, fmt.Errorf("%w: epochs after %d are only available via /snapshot (oldest logged is past %d)",
 				store.ErrEpochNotRetained, from, s.st.LastSnapshotEpoch()))
 			return
 		}
 		sig := s.epochSig.wait() // arm before reading: no lost wakeups
 		bs, _, err := tail.Poll()
 		if err != nil {
-			s.httpError(w, err)
+			h.httpError(w, err)
 			return
 		}
 		pending = append(pending, bs...)
@@ -225,18 +225,18 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		}
 		pending = rest
 		if len(send) > 0 || wait <= 0 {
-			s.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur, Batches: send})
+			h.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur, Batches: send})
 			return
 		}
 		select {
 		case <-sig:
 		case <-deadline.C:
-			s.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur})
+			h.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur})
 			return
 		case <-r.Context().Done():
 			return
 		case <-s.quit:
-			s.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur})
+			h.writeJSON(w, http.StatusOK, WALTailResponse{From: from, Epoch: cur})
 			return
 		}
 	}

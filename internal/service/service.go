@@ -161,11 +161,10 @@ func (o Options) withDefaults() Options {
 
 // Server owns a checker and serializes all kernel work through one worker.
 type Server struct {
-	chk      *core.Checker
-	registry map[string]logic.Constraint
-	names    []string // registry order
-	opts     Options
-	started  time.Time
+	*Registry // the named constraints served; Resolve and Constraints
+	chk       *core.Checker
+	opts      Options
+	started   time.Time
 
 	checks  chan *checkJob
 	updates chan *updateJob
@@ -258,44 +257,10 @@ type Server struct {
 // lock-free by /statsz. Indices are recounted only when updates run (node
 // counting walks the index BDDs).
 type snapshot struct {
-	kernel  kernelView
+	kernel  bdd.Stats // plain data: safe to hand to any goroutine
 	checker core.Stats
 	indices []IndexStats
 	tables  []TableStats
-}
-
-type kernelView struct {
-	Live, Peak, Capacity, Vars, Budget, GCRuns int
-	Ops, CacheHits, Allocs                     uint64
-	CacheEntries                               int
-
-	// Per-operation cache traffic, for the op-labelled hit-rate gauges.
-	ApplyLookups, ApplyHits     uint64
-	QuantLookups, QuantHits     uint64
-	ReplaceLookups, ReplaceHits uint64
-
-	// Dynamic-reordering counters.
-	Reorders     int
-	ReorderSaved uint64
-}
-
-// kernelViewOf converts a kernel snapshot into the lock-free view published
-// for /statsz and the gauge callbacks.
-func kernelViewOf(ks bdd.Stats) kernelView {
-	return kernelView{
-		Live: ks.Live, Peak: ks.Peak, Capacity: ks.Capacity,
-		Vars: ks.Vars, Budget: ks.Budget, GCRuns: ks.GCRuns,
-		Ops: ks.Ops, CacheHits: ks.CacheHits, Allocs: ks.Allocs,
-		CacheEntries:   ks.CacheEntries,
-		ApplyLookups:   ks.ApplyLookups,
-		ApplyHits:      ks.ApplyHits,
-		QuantLookups:   ks.QuantLookups,
-		QuantHits:      ks.QuantHits,
-		ReplaceLookups: ks.ReplaceLookups,
-		ReplaceHits:    ks.ReplaceHits,
-		Reorders:       ks.Reorders,
-		ReorderSaved:   ks.ReorderSaved,
-	}
 }
 
 // IndexStats describes one logical index for /statsz.
@@ -320,20 +285,17 @@ type TableStats struct {
 //
 //cv:owner worker
 func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Server, error) {
+	reg, err := NewRegistry(constraints)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
+		Registry: reg,
 		chk:      chk,
-		registry: make(map[string]logic.Constraint, len(constraints)),
 		opts:     opts.withDefaults(),
 		started:  time.Now(),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	for _, ct := range constraints {
-		if _, dup := s.registry[ct.Name]; dup {
-			return nil, fmt.Errorf("service: duplicate constraint %q", ct.Name)
-		}
-		s.registry[ct.Name] = ct
-		s.names = append(s.names, ct.Name)
 	}
 	s.checks = make(chan *checkJob, s.opts.QueueDepth)
 	s.updates = make(chan *updateJob, s.opts.QueueDepth)
@@ -375,6 +337,9 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 			}
 		}
 	}
+	// The first snapshot goes out before the metrics exist: their callbacks
+	// read it unconditionally. Safe: the worker has not started yet.
+	s.publish(true)
 	s.metrics = newServerMetrics(s) // after pool setup: per-replica gauges
 	if s.pool != nil {
 		s.pool.SetMetrics(&replica.Metrics{
@@ -382,7 +347,6 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 			Run:       s.metrics.replicaRun,
 		})
 	}
-	s.publish(true) // safe: the worker has not started yet
 	if s.follow != nil {
 		// The follower starts at the recovered epoch; until the first poll
 		// answers, assume the leader is there.
@@ -410,9 +374,6 @@ func (s *Server) Close() {
 		s.pool.Close()
 	}
 }
-
-// Constraints lists the registered constraint names in registry order.
-func (s *Server) Constraints() []string { return append([]string(nil), s.names...) }
 
 // jobs
 
@@ -641,23 +602,28 @@ func (s *Server) runCheck(j *checkJob) {
 	if j.witnessLimit > 0 {
 		rep = s.runWitnesses(j.cts[0], j.witnessLimit, opts, j.trace)
 	} else {
-		results := make([]core.Result, 0, len(j.cts))
-		for _, ct := range j.cts {
-			if err := j.ctx.Err(); err != nil {
-				// The deadline blew mid-request; the remaining constraints
-				// report the context error instead of burning more kernel time.
-				results = append(results, core.Result{Constraint: ct, Err: err})
-				continue
-			}
-			evalStart := j.trace.Begin()
-			res := s.chk.CheckOneOpts(ct, opts)
-			s.observeResult(res, evalStart, j.trace)
-			results = append(results, res)
-		}
-		rep = checkReply{results: results}
+		rep = checkReply{results: s.evalAll(j.ctx, s.chk, j.cts, opts, j.trace)}
 	}
 	s.publish(false)
 	j.reply <- rep
+}
+
+// evalAll validates cts in order on chk — the primary's checker, a replica's
+// or a historical epoch's, whichever the calling goroutine owns. Once the
+// deadline blows, the remaining constraints report the context error
+// instead of burning more kernel time.
+func (s *Server) evalAll(ctx context.Context, chk *core.Checker, cts []logic.Constraint, opts core.CheckOptions, tr *obs.Trace) []core.Result {
+	results := make([]core.Result, len(cts))
+	for i, ct := range cts {
+		if err := ctx.Err(); err != nil {
+			results[i] = core.Result{Constraint: ct, Err: err}
+			continue
+		}
+		evalStart := tr.Begin()
+		results[i] = chk.CheckOneOpts(ct, opts)
+		s.observeResult(results[i], evalStart, tr)
+	}
+	return results
 }
 
 // observeResult feeds one validation's timings into the stage histograms and
@@ -748,7 +714,7 @@ func (s *Server) refuseQueued() {
 // index BDDs; check jobs publish light snapshots and reuse the last counts.
 func (s *Server) publish(full bool) {
 	snap := &snapshot{
-		kernel:  kernelViewOf(s.chk.KernelStats()),
+		kernel:  s.chk.KernelStats(),
 		checker: s.chk.Stats(),
 	}
 	for _, t := range s.chk.Catalog().Tables() {
@@ -773,32 +739,6 @@ func (s *Server) publish(full bool) {
 
 // submission (called from handler goroutines)
 
-// resolve maps a request's constraint names (and optional inline
-// declarations) to constraints; with neither, the whole registry is checked.
-func (s *Server) resolve(names []string, text string) ([]logic.Constraint, error) {
-	var cts []logic.Constraint
-	for _, name := range names {
-		ct, ok := s.registry[name]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownConstraint, name)
-		}
-		cts = append(cts, ct)
-	}
-	if text != "" {
-		parsed, err := logic.ParseConstraints(text)
-		if err != nil {
-			return nil, err
-		}
-		cts = append(cts, parsed...)
-	}
-	if len(cts) == 0 {
-		for _, name := range s.names {
-			cts = append(cts, s.registry[name])
-		}
-	}
-	return cts, nil
-}
-
 // submitCheck serves a check (or witness) job: on the replicated read path
 // when the pool is healthy, behind the primary worker otherwise.
 func (s *Server) submitCheck(ctx context.Context, cts []logic.Constraint, budget, witnessLimit int, tr *obs.Trace) (checkReply, error) {
@@ -822,21 +762,12 @@ func (s *Server) submitCheck(ctx context.Context, cts []logic.Constraint, budget
 // position. ok is false when the pool could not take the job at all (closed
 // or failed materialization); the caller then retries on the primary.
 func (s *Server) replicaCheck(ctx context.Context, cts []logic.Constraint, budget int, tr *obs.Trace) (checkReply, bool) {
-	results := make([]core.Result, len(cts))
+	var results []core.Result
 	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget), NoSQLFallback: true}
 	submitted := tr.Begin()
 	err := s.pool.Do(ctx, func(chk *core.Checker, _ uint64) {
 		tr.Span("queue_wait", submitted)
-		for i, ct := range cts {
-			if cerr := ctx.Err(); cerr != nil {
-				results[i] = core.Result{Constraint: ct, Err: cerr}
-				continue
-			}
-			evalStart := tr.Begin()
-			res := chk.CheckOneOpts(ct, opts)
-			s.observeResult(res, evalStart, tr)
-			results[i] = res
-		}
+		results = s.evalAll(ctx, chk, cts, opts, tr)
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

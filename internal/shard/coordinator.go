@@ -30,6 +30,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/service"
 )
 
 // Options tunes the coordinator and its in-process workers.
@@ -40,8 +41,8 @@ type Options struct {
 	Method core.OrderingMethod
 	// QueueDepth bounds each worker's admission queue (default 64).
 	QueueDepth int
-	// DefaultTimeout bounds HTTP-layer requests with no explicit deadline
-	// (default 30s).
+	// DefaultTimeout bounds requests with no explicit deadline when the
+	// coordinator is served through Handler (the edge's default when zero).
 	DefaultTimeout time.Duration
 	// RandomSeed seeds randomized ordering heuristics.
 	RandomSeed int64
@@ -53,9 +54,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -65,14 +63,13 @@ func (o Options) withDefaults() Options {
 // Coordinator owns the shard workers, the residual checker and the
 // constraint registry, and merges scatter-gather results.
 type Coordinator struct {
-	opts     Options
-	part     *Partitioner
-	workers  []Worker
-	residual *core.Checker
-	resolver logic.Resolver
-
-	constraints []logic.Constraint
-	plans       map[string]Plan // registered constraints, by name
+	*service.Registry // the registered constraints; Resolve and Constraints
+	opts              Options
+	part              *Partitioner
+	workers           []Worker
+	residual          *core.Checker
+	resolver          logic.Resolver
+	plans             map[string]Plan // registered constraints, by name
 
 	jobs  chan *job // serializes updates + residual reads
 	quit  chan struct{}
@@ -91,20 +88,28 @@ type Coordinator struct {
 	nResidualChecks atomic.Uint64
 	nWorkerFailures atomic.Uint64
 
-	metricsInit sync.Once
-	metrics     *obs.Registry
+	metrics *obs.Registry
+}
+
+// job is one unit of work for the writer goroutine.
+type job struct {
+	run  func(chk *core.Checker)
+	err  error // set by the loop when the job is rejected, not run
+	done chan struct{}
 }
 
 // NewInProcess splits the catalog into part.Shards() partitions, builds one
 // in-process worker per shard, and assembles the coordinator around them.
 // The catalog becomes coordinator-owned: it backs the residual checker and
 // must not be mutated by the caller afterwards.
+//
+//cv:owner worker
 func NewInProcess(cat *relation.Catalog, cts []logic.Constraint, part *Partitioner, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	parts := part.Split(cat)
 	workers := make([]Worker, len(parts))
 	for i, pc := range parts {
-		w, err := newProcWorker(i, pc, opts)
+		w, err := newServerWorker(i, pc, opts)
 		if err != nil {
 			for _, built := range workers[:i] {
 				built.Close()
@@ -119,22 +124,28 @@ func NewInProcess(cat *relation.Catalog, cts []logic.Constraint, part *Partition
 // NewCoordinator assembles a coordinator over caller-supplied workers (the
 // multi-process path hands in HTTPWorkers). The catalog is the full,
 // unsharded state backing the residual checker.
+//
+//cv:owner worker
 func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partitioner, workers []Worker, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if len(workers) != part.Shards() {
 		return nil, fmt.Errorf("shard: %d workers for %d shards", len(workers), part.Shards())
 	}
+	reg, err := service.NewRegistry(cts)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
-		opts:        opts,
-		part:        part,
-		workers:     workers,
-		residual:    core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed}),
-		constraints: cts,
-		plans:       make(map[string]Plan, len(cts)),
-		jobs:        make(chan *job, opts.QueueDepth),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
-		start:       time.Now(),
+		Registry: reg,
+		opts:     opts,
+		part:     part,
+		workers:  workers,
+		residual: core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed}),
+		plans:    make(map[string]Plan, len(cts)),
+		jobs:     make(chan *job, opts.QueueDepth),
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
+		start:    time.Now(),
 	}
 	c.resolver = logic.CatalogResolver{Catalog: cat}
 	c.epoch.Store(1)
@@ -164,13 +175,18 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 	for _, ct := range cts {
 		opts.Logf("plan %s: %s", ct.Name, c.plans[ct.Name])
 	}
+	c.metrics = c.buildMetrics()
 
 	go c.loop()
 	return c, nil
 }
 
 // loop is the coordinator's writer goroutine: updates and residual reads in
-// arrival order.
+// arrival order. It stays apart from the service worker's loop on purpose:
+// an update job here is route → scatter to the shards → mirror into the
+// residual, one serialised unit, not a coalescable batch.
+//
+//cv:owner worker
 func (c *Coordinator) loop() {
 	defer close(c.done)
 	for {
@@ -191,7 +207,7 @@ func (c *Coordinator) refuseQueued() {
 	for {
 		select {
 		case j := <-c.jobs:
-			j.err = ErrShuttingDown
+			j.err = service.ErrShuttingDown
 			close(j.done)
 		default:
 			return
@@ -199,50 +215,55 @@ func (c *Coordinator) refuseQueued() {
 	}
 }
 
+// submit queues one job for the writer goroutine and waits for it, with the
+// service's backpressure contract: a full queue blocks until the caller's
+// deadline, then fails with service.ErrBusy.
 func (c *Coordinator) submit(ctx context.Context, run func(chk *core.Checker)) error {
 	j := &job{run: run, done: make(chan struct{})}
 	select {
 	case c.jobs <- j:
-	default:
+	case <-ctx.Done():
+		return fmt.Errorf("%w (%v)", service.ErrBusy, ctx.Err())
+	case <-c.quit:
+		return service.ErrShuttingDown
+	}
+	select {
+	case <-j.done:
+	case <-c.done:
+		// The writer has exited. A job it ran or refused has done closed by
+		// now; one that slipped into the queue behind its last drain never
+		// will.
 		select {
-		case c.jobs <- j:
-		case <-ctx.Done():
-			return ErrBusy
-		case <-c.quit:
-			return ErrShuttingDown
+		case <-j.done:
+		default:
+			return service.ErrShuttingDown
 		}
 	}
-	<-j.done
 	return j.err
+}
+
+// closedErr refuses requests after Close. HTTP workers outlive the
+// coordinator, so without it a fan-out would still answer.
+func (c *Coordinator) closedErr() error {
+	select {
+	case <-c.quit:
+		return service.ErrShuttingDown
+	default:
+		return nil
+	}
 }
 
 // Epoch returns the coordinator's epoch: 1 + applied update batches.
 func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
 
-// Partitioner exposes the partition function (for routing diagnostics).
-func (c *Coordinator) Partitioner() *Partitioner { return c.part }
-
 // Workers returns the worker set (for status surfaces).
 func (c *Coordinator) Workers() []Worker { return c.workers }
-
-// Plans returns the registered constraints' classification, by name.
-func (c *Coordinator) Plans() map[string]Plan {
-	out := make(map[string]Plan, len(c.plans))
-	for k, v := range c.plans {
-		out[k] = v
-	}
-	return out
-}
 
 // PlanFor classifies one constraint, preferring the cached registry plan
 // when the name matches a registered constraint.
 func (c *Coordinator) PlanFor(ct logic.Constraint) Plan {
-	if p, ok := c.plans[ct.Name]; ok {
-		for _, reg := range c.constraints {
-			if reg.Name == ct.Name && reg.String() == ct.String() {
-				return p
-			}
-		}
+	if reg, ok := c.Lookup(ct.Name); ok && reg.String() == ct.String() {
+		return c.plans[ct.Name]
 	}
 	return c.part.Decompose(ct, c.resolver)
 }
@@ -251,9 +272,14 @@ func (c *Coordinator) PlanFor(ct logic.Constraint) Plan {
 // single-shard ones to their owner, residual ones to the coordinator's own
 // checker; the merged outcomes land in input order. Any worker transport
 // failure fails the whole call.
+//
+//cv:owner any
 func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget int, tr *obs.Trace) ([]CheckOutcome, error) {
+	if err := c.closedErr(); err != nil {
+		return nil, err
+	}
 	c.nChecks.Add(uint64(len(cts)))
-	planStart := time.Now()
+	planStart := tr.Begin()
 	plans := make([]Plan, len(cts))
 	perWorker := make([][]int, len(c.workers)) // constraint indices per worker
 	var residualIdx []int
@@ -273,9 +299,7 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 			residualIdx = append(residualIdx, i)
 		}
 	}
-	if tr != nil {
-		tr.Span("plan", planStart)
-	}
+	tr.Span("plan", planStart)
 
 	// Scatter. gathered[s][k] answers perWorker[s][k]; errs[s] is shard s's
 	// transport failure, slot len(workers) the residual's.
@@ -290,7 +314,7 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 		wg.Add(1)
 		go func(s int, idxs []int) {
 			defer wg.Done()
-			t0 := time.Now()
+			t0 := tr.Begin()
 			batch := make([]logic.Constraint, len(idxs))
 			for k, i := range idxs {
 				batch[k] = cts[i]
@@ -302,26 +326,24 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 				return
 			}
 			gathered[s] = out
-			if tr != nil {
-				tr.Span(fmt.Sprintf("shard%d", s), t0)
-			}
+			tr.Span(fmt.Sprintf("shard%d", s), t0)
 		}(s, idxs)
 	}
 	if len(residualIdx) > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
+			t0 := tr.Begin()
 			errs[len(c.workers)] = c.submit(ctx, func(chk *core.Checker) {
-				residualOut = make([]CheckOutcome, len(residualIdx))
+				sub := make([]logic.Constraint, len(residualIdx))
+				results := make([]service.CheckResult, len(residualIdx))
 				for k, i := range residualIdx {
-					res := chk.CheckOneOpts(cts[i], core.CheckOptions{NodeBudget: budget})
-					residualOut[k] = outcomeFromResult(cts[i].Name, res)
+					sub[k] = cts[i]
+					results[k] = service.ResultOf(chk.CheckOneOpts(cts[i], core.CheckOptions{NodeBudget: budget}))
 				}
+				residualOut = outcomesOf(sub, results)
 			})
-			if tr != nil {
-				tr.Span("residual", t0)
-			}
+			tr.Span("residual", t0)
 		}()
 	}
 	wg.Wait()
@@ -332,7 +354,7 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 	}
 
 	// Gather: merge according to each plan.
-	mergeStart := time.Now()
+	mergeStart := tr.Begin()
 	out := make([]CheckOutcome, len(cts))
 	for s, idxs := range perWorker {
 		for k, i := range idxs {
@@ -351,9 +373,7 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 	for k, i := range residualIdx {
 		out[i] = residualOut[k]
 	}
-	if tr != nil {
-		tr.Span("merge", mergeStart)
-	}
+	tr.Span("merge", mergeStart)
 	return out, nil
 }
 
@@ -391,7 +411,12 @@ func wrapWorkerErr(w Worker, err error) error {
 // violating binding to the shard owning its anchor value; everything else
 // (residual plans, existence mode) goes to the residual checker, which
 // reproduces the single-kernel server's behavior including its errors.
+//
+//cv:owner any
 func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) ([]core.Witness, string, error) {
+	if err := c.closedErr(); err != nil {
+		return nil, "", err
+	}
 	c.nWitnesses.Add(1)
 	plan := c.PlanFor(ct)
 	if plan.Mode != logic.CheckValidity || plan.Kind == PlanResidual {
@@ -399,13 +424,11 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 			ws   []core.Witness
 			werr error
 		)
-		t0 := time.Now()
+		t0 := tr.Begin()
 		err := c.submit(ctx, func(chk *core.Checker) {
 			ws, werr = chk.ViolationWitnessesOpts(ct, limit, core.CheckOptions{NodeBudget: budget})
 		})
-		if tr != nil {
-			tr.Span("residual", t0)
-		}
+		tr.Span("residual", t0)
 		if err != nil {
 			return nil, "", err
 		}
@@ -424,7 +447,7 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 		wg.Add(1)
 		go func(k int, w Worker) {
 			defer wg.Done()
-			t0 := time.Now()
+			t0 := tr.Begin()
 			ws, err := w.Witnesses(ctx, ct, limit, budget)
 			if err != nil {
 				c.nWorkerFailures.Add(1)
@@ -432,9 +455,7 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 				return
 			}
 			perShard[k] = ws
-			if tr != nil {
-				tr.Span(fmt.Sprintf("shard%d", w.Shard()), t0)
-			}
+			tr.Span(fmt.Sprintf("shard%d", w.Shard()), t0)
 		}(k, w)
 	}
 	wg.Wait()
@@ -444,7 +465,7 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 		}
 	}
 
-	t0 := time.Now()
+	t0 := tr.Begin()
 	seen := map[string]bool{}
 	var merged []core.Witness
 	for _, ws := range perShard {
@@ -466,9 +487,7 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 	if limit > 0 && len(merged) > limit {
 		merged = merged[:limit]
 	}
-	if tr != nil {
-		tr.Span("merge", t0)
-	}
+	tr.Span("merge", t0)
 	return merged, "shard", nil
 }
 
@@ -477,6 +496,8 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 // epoch. The whole batch is pre-validated for routing before any shard sees
 // a tuple, so routing errors are atomic; a mid-batch apply error on a shard
 // is not (the error names the shard, and the epoch does not advance).
+//
+//cv:owner any
 func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, uint64, error) {
 	var (
 		applied int
@@ -484,7 +505,7 @@ func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Tra
 		uerr    error
 	)
 	err := c.submit(ctx, func(chk *core.Checker) {
-		t0 := time.Now()
+		t0 := tr.Begin()
 		// Route first: a bad tuple (unknown table, wrong arity, bad op)
 		// fails the batch before any shard mutates.
 		perShard := make([][]core.Update, len(c.workers))
@@ -502,12 +523,10 @@ func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Tra
 				perShard[s] = append(perShard[s], u)
 			}
 		}
-		if tr != nil {
-			tr.Span("route", t0)
-		}
+		tr.Span("route", t0)
 
 		// Scatter to the owning shards in parallel.
-		t0 = time.Now()
+		t0 = tr.Begin()
 		errs := make([]error, len(c.workers))
 		var wg sync.WaitGroup
 		for s, batch := range perShard {
@@ -524,9 +543,7 @@ func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Tra
 			}(s, batch)
 		}
 		wg.Wait()
-		if tr != nil {
-			tr.Span("scatter", t0)
-		}
+		tr.Span("scatter", t0)
 		for _, err := range errs {
 			if err != nil {
 				uerr = err
@@ -536,14 +553,12 @@ func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Tra
 
 		// Mirror into the residual checker. Shards accepted the batch, so a
 		// failure here means coordinator state diverged — surfaced loudly.
-		t0 = time.Now()
+		t0 = tr.Begin()
 		if n, err := chk.Apply(ups); err != nil {
 			uerr = fmt.Errorf("shard: residual apply diverged after %d/%d tuples: %w", n, len(ups), err)
 			return
 		}
-		if tr != nil {
-			tr.Span("residual_apply", t0)
-		}
+		tr.Span("residual_apply", t0)
 		applied = len(ups)
 		epoch = c.epoch.Add(1)
 		c.nUpdateBatches.Add(1)

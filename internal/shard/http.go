@@ -1,18 +1,15 @@
-// http.go is the coordinator's HTTP surface. It speaks the same wire types
-// as the single-kernel service (internal/service), so clients and the
-// smoke tooling need no dialect switch: POST /check, /witnesses, /update,
-// GET /healthz, /statsz (with a shard block), /metricsz (cv_shard_* rollup).
-// Pinned-epoch reads are refused — the coordinator has no historical store.
+// http.go is the coordinator's side of the shared HTTP edge
+// (internal/service): the adapter that makes a Coordinator a service.Backend
+// — so /check, /witnesses, /update, /healthz and /metricsz are the service's
+// handlers, with its decode, limits, envelopes and metrics — and the
+// coordinator's own /statsz document. Pinned-epoch reads are refused: the
+// coordinator has no historical store.
 package shard
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -20,8 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 )
-
-const maxBodyBytes = 8 << 20
 
 // CoordStatsz is the coordinator's /statsz document.
 type CoordStatsz struct {
@@ -55,268 +50,9 @@ type CoordRequestStats struct {
 	WorkerFailures uint64 `json:"worker_failures"`
 }
 
-// Handler returns the coordinator's HTTP routes.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /check", c.handleCheck)
-	mux.HandleFunc("POST /witnesses", c.handleWitnesses)
-	mux.HandleFunc("POST /update", c.handleUpdate)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /statsz", c.handleStatsz)
-	mux.HandleFunc("GET /metricsz", c.handleMetricsz)
-	return mux
-}
-
-// resolve maps request names to registered constraints and parses ad-hoc
-// text, names first — the same contract as the single-kernel service,
-// including the default: no names and no text selects every registered
-// constraint.
-func (c *Coordinator) resolve(names []string, text string) ([]logic.Constraint, error) {
-	if len(names) == 0 && text == "" {
-		if len(c.constraints) == 0 {
-			return nil, errBadRequest("no constraints requested and none registered")
-		}
-		return append([]logic.Constraint(nil), c.constraints...), nil
-	}
-	var out []logic.Constraint
-	for _, name := range names {
-		found := false
-		for _, ct := range c.constraints {
-			if ct.Name == name {
-				out = append(out, ct)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, errBadRequest(fmt.Sprintf("unknown constraint %q", name))
-		}
-	}
-	if text != "" {
-		cts, err := logic.ParseConstraints(text)
-		if err != nil {
-			return nil, errBadRequest(err.Error())
-		}
-		out = append(out, cts...)
-	}
-	if len(out) == 0 {
-		return nil, errBadRequest("no constraints requested")
-	}
-	return out, nil
-}
-
-type badRequestError string
-
-func errBadRequest(msg string) error    { return badRequestError(msg) }
-func (e badRequestError) Error() string { return string(e) }
-
-func statusFor(err error) int {
-	var we *WorkerError
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		return http.StatusRequestEntityTooLarge
-	case errors.As(err, &we):
-		return http.StatusBadGateway
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrShuttingDown):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func (c *Coordinator) httpError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusFor(err), map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
-}
-
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			c.httpError(w, err)
-		} else {
-			c.httpError(w, errBadRequest("bad request body: "+strings.TrimPrefix(err.Error(), "json: ")))
-		}
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		c.httpError(w, errBadRequest("trailing data after JSON body"))
-		return false
-	}
-	return true
-}
-
-// traceFor starts a trace when the request asks for one with ?trace=1.
-func traceFor(r *http.Request) *obs.Trace {
-	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-		return obs.NewTrace()
-	}
-	return nil
-}
-
-func toWireTrace(tr *obs.Trace) *service.TraceInfo {
-	if tr == nil {
-		return nil
-	}
-	spans := tr.Spans()
-	info := &service.TraceInfo{TotalNS: tr.Total().Nanoseconds(), Spans: make([]service.TraceSpan, len(spans))}
-	for i, sp := range spans {
-		info.Spans[i] = service.TraceSpan{
-			Name:       sp.Name,
-			StartNS:    sp.Start.Nanoseconds(),
-			DurationNS: sp.Duration.Nanoseconds(),
-		}
-	}
-	return info
-}
-
-func (c *Coordinator) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := c.opts.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// rejectEpochParam refuses ?epoch= pins: the coordinator serves only the
-// current epoch.
-func (c *Coordinator) rejectEpochParam(w http.ResponseWriter, r *http.Request) bool {
-	if r.URL.Query().Has("epoch") {
-		c.httpError(w, errBadRequest("the coordinator does not serve pinned-epoch reads"))
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) handleCheck(w http.ResponseWriter, r *http.Request) {
-	tr := traceFor(r)
-	var req service.CheckRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if !c.rejectEpochParam(w, r) {
-		return
-	}
-	cts, err := c.resolve(req.Constraints, req.Text)
-	if err != nil {
-		c.httpError(w, err)
-		return
-	}
-	ctx, cancel := c.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	outcomes, err := c.Check(ctx, cts, req.NodeBudget, tr)
-	if err != nil {
-		c.httpError(w, err)
-		return
-	}
-	resp := service.CheckResponse{
-		Results: make([]service.CheckResult, len(outcomes)),
-		Epoch:   c.Epoch(),
-		Trace:   toWireTrace(tr),
-	}
-	for i, o := range outcomes {
-		resp.Results[i] = service.CheckResult{
-			Name:           o.Name,
-			Violated:       o.Violated,
-			Method:         o.Method,
-			FellBack:       o.FellBack,
-			FallbackReason: o.FallbackReason,
-			DurationNS:     o.DurationNS,
-			Error:          o.Err,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleWitnesses(w http.ResponseWriter, r *http.Request) {
-	tr := traceFor(r)
-	var req service.WitnessRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if !c.rejectEpochParam(w, r) {
-		return
-	}
-	var names []string
-	if req.Constraint != "" {
-		names = []string{req.Constraint}
-	}
-	cts, err := c.resolve(names, req.Text)
-	if err != nil {
-		c.httpError(w, err)
-		return
-	}
-	if len(cts) != 1 {
-		c.httpError(w, errBadRequest("witnesses wants exactly one constraint"))
-		return
-	}
-	limit := req.Limit
-	if limit == 0 {
-		limit = 10
-	}
-	ctx, cancel := c.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	ws, method, err := c.Witnesses(ctx, cts[0], limit, req.NodeBudget, tr)
-	if err != nil {
-		c.httpError(w, err)
-		return
-	}
-	resp := service.WitnessResponse{
-		Constraint: cts[0].Name,
-		Method:     method,
-		Witnesses:  make([]service.Witness, len(ws)),
-		Trace:      toWireTrace(tr),
-	}
-	for i, wit := range ws {
-		resp.Witnesses[i] = service.Witness{Vars: wit.Vars, Values: wit.Values}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	tr := traceFor(r)
-	var req service.UpdateRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if len(req.Updates) == 0 {
-		c.httpError(w, errBadRequest("empty update batch"))
-		return
-	}
-	ups := make([]core.Update, len(req.Updates))
-	for i, u := range req.Updates {
-		ups[i] = core.Update{Table: u.Table, Op: core.UpdateOp(u.Op), Values: u.Values}
-	}
-	ctx, cancel := c.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	applied, _, err := c.Update(ctx, ups, tr)
-	if err != nil {
-		c.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, service.UpdateResponse{Applied: applied, Trace: toWireTrace(tr)})
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, service.HealthResponse{
-		Status:   "ok",
-		UptimeMS: time.Since(c.start).Milliseconds(),
-	})
-}
-
-func (c *Coordinator) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+// Statsz assembles the /statsz document from atomics and worker Status
+// snapshots.
+func (c *Coordinator) Statsz() any {
 	stats := CoordStatsz{
 		UptimeMS: time.Since(c.start).Milliseconds(),
 		Epoch:    c.Epoch(),
@@ -342,10 +78,49 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	for name, plan := range c.plans {
 		stats.Plans[name] = plan.String()
 	}
-	writeJSON(w, http.StatusOK, stats)
+	return stats
 }
 
-func (c *Coordinator) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = c.Metrics().WritePrometheus(w)
+// coordBackend bends the coordinator's Go API — kept as it is for the
+// difftest, experiment and benchmark harnesses — to service.Backend.
+// Resolve, Witnesses, Statsz and Metrics are the coordinator's own.
+type coordBackend struct{ *Coordinator }
+
+// Backend returns the coordinator as the shared edge sees it.
+func (c *Coordinator) Backend() service.Backend { return coordBackend{c} }
+
+// Handler returns the coordinator's HTTP routes: the shared edge over
+// Backend, with the coordinator's default request timeout.
+func (c *Coordinator) Handler() http.Handler {
+	return service.NewHandler(c.Backend(), service.Options{DefaultTimeout: c.opts.DefaultTimeout})
+}
+
+//cv:owner any
+func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, budget int, pin uint64, tr *obs.Trace) ([]service.CheckResult, uint64, error) {
+	if pin != 0 {
+		return nil, 0, fmt.Errorf("%w (the coordinator serves only the current epoch)", service.ErrNoHistory)
+	}
+	outs, err := b.Coordinator.Check(ctx, cts, budget, tr)
+	if err != nil {
+		return nil, 0, err
+	}
+	results := make([]service.CheckResult, len(outs))
+	for i, o := range outs {
+		results[i] = service.CheckResult{
+			Name:           o.Name,
+			Violated:       o.Violated,
+			Method:         o.Method,
+			FellBack:       o.FellBack,
+			FallbackReason: o.FallbackReason,
+			DurationNS:     o.DurationNS,
+			Error:          o.Err,
+		}
+	}
+	return results, b.Epoch(), nil
+}
+
+//cv:owner any
+func (b coordBackend) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, error) {
+	applied, _, err := b.Coordinator.Update(ctx, ups, tr)
+	return applied, err
 }

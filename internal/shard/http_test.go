@@ -201,37 +201,8 @@ func TestCoordinatorHTTPEdge(t *testing.T) {
 		}
 	})
 
-	t.Run("epoch_pin_rejected", func(t *testing.T) {
-		resp, body := postJSON(t, hs.URL+"/check?epoch=3", service.CheckRequest{Constraints: []string{"state_fd"}})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %s: %s", resp.Status, body)
-		}
-		var env struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(body, &env); err != nil || env.Error == "" {
-			t.Fatalf("no JSON error envelope: %s", body)
-		}
-	})
-
-	t.Run("unknown_constraint", func(t *testing.T) {
-		resp, _ := postJSON(t, hs.URL+"/check", service.CheckRequest{Constraints: []string{"nope"}})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %s", resp.Status)
-		}
-	})
-
-	t.Run("trailing_garbage_rejected", func(t *testing.T) {
-		resp, err := http.Post(hs.URL+"/check", "application/json",
-			strings.NewReader(`{"constraints":["state_fd"]} extra`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %s", resp.Status)
-		}
-	})
+	// Pinned epochs, unknown constraints and trailing garbage are rows of
+	// TestEdgeConformance, which holds all three daemon forms to them.
 
 	t.Run("healthz", func(t *testing.T) {
 		resp, err := http.Get(hs.URL + "/healthz")

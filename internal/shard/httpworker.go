@@ -23,24 +23,6 @@ import (
 	"repro/internal/store"
 )
 
-// WorkerError is a transport-level failure against one shard worker: the
-// coordinator could not obtain a verdict, so the whole request degrades to
-// a partial-result error rather than a silently incomplete merge.
-type WorkerError struct {
-	Shard int
-	URL   string
-	Err   error
-}
-
-func (e *WorkerError) Error() string {
-	if e.URL == "" {
-		return fmt.Sprintf("shard %d: %v", e.Shard, e.Err)
-	}
-	return fmt.Sprintf("shard %d (%s): %v", e.Shard, e.URL, e.Err)
-}
-
-func (e *WorkerError) Unwrap() error { return e.Err }
-
 // HTTPWorker drives one remote cvserved daemon as a shard worker.
 type HTTPWorker struct {
 	shard int
@@ -135,20 +117,8 @@ func (w *HTTPWorker) Check(ctx context.Context, cts []logic.Constraint, budget i
 	if resp.Epoch > 0 {
 		w.epoch.Store(resp.Epoch)
 	}
-	out := make([]CheckOutcome, len(resp.Results))
-	for i, r := range resp.Results {
-		out[i] = CheckOutcome{
-			Name:           cts[i].Name,
-			Violated:       r.Violated,
-			Method:         r.Method,
-			FellBack:       r.FellBack,
-			FallbackReason: r.FallbackReason,
-			DurationNS:     r.DurationNS,
-			Err:            r.Error,
-		}
-	}
 	w.checks.Add(uint64(len(cts)))
-	return out, nil
+	return outcomesOf(cts, resp.Results), nil
 }
 
 func (w *HTTPWorker) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int) ([]core.Witness, error) {

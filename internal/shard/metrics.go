@@ -1,8 +1,8 @@
 // metrics.go builds the coordinator's /metricsz rollup: per-shard gauges
 // labeled shard="N" plus coordinator-level counters. Every callback reads
-// only atomics (worker Status snapshots and coordinator counters), so a
-// scrape never touches a live kernel — the same safety rule the service
-// registry follows.
+// only atomics and published snapshots (worker Status, coordinator
+// counters), so a scrape never touches a live kernel — the same safety rule
+// the service registry follows.
 package shard
 
 import (
@@ -12,11 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics lazily builds and returns the coordinator's registry.
-func (c *Coordinator) Metrics() *obs.Registry {
-	c.metricsInit.Do(func() { c.metrics = c.buildMetrics() })
-	return c.metrics
-}
+// Metrics returns the coordinator's registry, built once in NewCoordinator.
+func (c *Coordinator) Metrics() *obs.Registry { return c.metrics }
 
 func (c *Coordinator) buildMetrics() *obs.Registry {
 	r := obs.NewRegistry()

@@ -21,15 +21,6 @@ import (
 	"repro/internal/relation"
 )
 
-// Errors surfaced by workers and the coordinator.
-var (
-	// ErrBusy reports a full admission queue: the caller's deadline expired
-	// before a worker slot opened.
-	ErrBusy = errors.New("shard: worker queue full")
-	// ErrShuttingDown reports a request that arrived during shutdown.
-	ErrShuttingDown = errors.New("shard: shutting down")
-)
-
 // Mode selects the partitioning function.
 type Mode int
 

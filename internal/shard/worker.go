@@ -1,19 +1,23 @@
 // worker.go is the shard execution layer: the Worker interface the
-// coordinator fans out to, and the in-process implementation — one goroutine
-// owning one core.Checker over one shard's partition, fed through a bounded
-// admission queue with the same backpressure contract as internal/service
-// (enqueue blocks until the caller's deadline, then ErrBusy).
+// coordinator fans out to, and the in-process implementation — a headless
+// service.Server over one shard's partition, driven by Go calls where
+// HTTPWorker drives the same server over the wire. Both sharded forms
+// therefore run one worker: the service's single kernel-owning goroutine
+// behind its bounded admission queues, with its backpressure contract
+// (enqueue blocks until the caller's deadline, then service.ErrBusy) and its
+// BDD→SQL witness drill-down.
 package shard
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"net/http"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/service"
 )
 
 // CheckOutcome is one constraint's verdict from one worker, or the
@@ -31,26 +35,28 @@ type CheckOutcome struct {
 }
 
 // WorkerStatus is a point-in-time snapshot of one worker, safe to read from
-// metrics callbacks (all sources are atomics).
+// metrics callbacks (all sources are atomics or published snapshots).
 type WorkerStatus struct {
 	Shard     int    `json:"shard"`
 	URL       string `json:"url,omitempty"`
 	InProcess bool   `json:"in_process"`
 	// Up is false for an HTTP worker whose last request failed.
 	Up bool `json:"up"`
-	// Epoch is the worker's own epoch: update batches it has applied (plus
+	// Epoch is the worker's own epoch: update rounds it has applied (plus
 	// one), or the epoch its server last reported.
 	Epoch   uint64 `json:"epoch"`
 	Checks  uint64 `json:"checks"`
 	Updates uint64 `json:"updates"`
 	// Errors counts failed requests against this worker.
 	Errors uint64 `json:"errors"`
-	// QueueDepth/QueueCap describe the admission queue (in-process only).
+	// QueueDepth/QueueCap describe the admission queues (in-process only).
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap,omitempty"`
-	// KernelLiveNodes is the shard kernel's live-node count as of its last
-	// completed job (in-process only).
-	KernelLiveNodes int64 `json:"kernel_live_nodes,omitempty"`
+	// KernelLiveNodes, KernelOps and KernelNodesAllocated are the shard
+	// kernel's counters as of its last completed job (in-process only).
+	KernelLiveNodes      int64  `json:"kernel_live_nodes,omitempty"`
+	KernelOps            uint64 `json:"kernel_ops,omitempty"`
+	KernelNodesAllocated uint64 `json:"kernel_nodes_allocated,omitempty"`
 }
 
 // Worker is one shard's execution endpoint. Implementations serialize their
@@ -64,198 +70,124 @@ type Worker interface {
 	Close()
 }
 
-// outcomeFromResult flattens a core.Result into the wire-friendly outcome.
-func outcomeFromResult(name string, res core.Result) CheckOutcome {
-	o := CheckOutcome{
-		Name:       name,
-		Violated:   res.Violated,
-		Method:     string(res.Method),
-		FellBack:   res.FellBack,
-		DurationNS: res.Duration.Nanoseconds(),
-	}
-	if res.FallbackReason != nil {
-		o.FallbackReason = res.FallbackReason.Error()
-	}
-	if res.Err != nil {
-		o.Err = res.Err.Error()
-	}
-	return o
+// WorkerError is a transport-level failure against one shard worker: the
+// coordinator could not obtain a verdict, so the whole request degrades to
+// a partial-result error rather than a silently incomplete merge.
+type WorkerError struct {
+	Shard int
+	URL   string
+	Err   error
 }
 
-// job is one unit of work for a checker-owning goroutine.
-type job struct {
-	run  func(chk *core.Checker)
-	err  error // set by the loop when the job is rejected, not run
-	done chan struct{}
+func (e *WorkerError) Error() string {
+	if e.URL == "" {
+		return fmt.Sprintf("shard %d: %v", e.Shard, e.Err)
+	}
+	return fmt.Sprintf("shard %d (%s): %v", e.Shard, e.URL, e.Err)
 }
 
-// procWorker is the in-process Worker: a goroutine owning a core.Checker
-// over one shard's catalog partition.
-type procWorker struct {
+func (e *WorkerError) Unwrap() error { return e.Err }
+
+// HTTPStatus tells the shared edge a failed shard is a bad gateway, whatever
+// sentinel the failure wraps.
+func (e *WorkerError) HTTPStatus() int { return http.StatusBadGateway }
+
+// outcomesOf relabels a worker server's wire results with the coordinator's
+// constraint names (ad-hoc text travels under whatever name it parsed to).
+func outcomesOf(cts []logic.Constraint, results []service.CheckResult) []CheckOutcome {
+	out := make([]CheckOutcome, len(results))
+	for i, r := range results {
+		out[i] = CheckOutcome{
+			Name:           cts[i].Name,
+			Violated:       r.Violated,
+			Method:         r.Method,
+			FellBack:       r.FellBack,
+			FallbackReason: r.FallbackReason,
+			DurationNS:     r.DurationNS,
+			Err:            r.Error,
+		}
+	}
+	return out
+}
+
+// serverWorker is the in-process Worker: the Go-call twin of HTTPWorker.
+type serverWorker struct {
 	shard int
-	chk   *core.Checker
-	jobs  chan *job
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
+	srv   *service.Server
 
-	epoch     atomic.Uint64
-	checks    atomic.Uint64
-	updates   atomic.Uint64
-	failures  atomic.Uint64
-	liveNodes atomic.Int64
+	checks, updates, failures atomic.Uint64
 }
 
-// newProcWorker builds the shard's checker, indexes every table under its
-// own name (matching the single-kernel daemon's cold boot), and starts the
-// worker goroutine.
-func newProcWorker(shard int, cat *relation.Catalog, opts Options) (*procWorker, error) {
-	chk := core.New(cat, core.Options{
-		NodeBudget: opts.NodeBudget,
-		RandomSeed: opts.RandomSeed,
-	})
+// newServerWorker builds the shard's checker, indexes every table under its
+// own name (matching the single-kernel daemon's cold boot), and starts a
+// headless server over it: no registry (constraints arrive with each call)
+// and no read replicas (the shards are the parallelism).
+func newServerWorker(shard int, cat *relation.Catalog, opts Options) (*serverWorker, error) {
+	chk := core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed})
 	for _, t := range cat.Tables() {
 		if _, err := chk.BuildIndex(t.Name(), t.Name(), nil, opts.Method); err != nil {
 			return nil, fmt.Errorf("shard %d: index %s: %w", shard, t.Name(), err)
 		}
 	}
-	w := &procWorker{
-		shard: shard,
-		chk:   chk,
-		jobs:  make(chan *job, opts.QueueDepth),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	w.epoch.Store(1)
-	w.liveNodes.Store(int64(chk.KernelStats().Live))
-	go w.loop()
-	return w, nil
-}
-
-func (w *procWorker) loop() {
-	defer close(w.done)
-	for {
-		select {
-		case j := <-w.jobs:
-			j.run(w.chk)
-			w.liveNodes.Store(int64(w.chk.KernelStats().Live))
-			close(j.done)
-		case <-w.quit:
-			w.refuseQueued()
-			return
-		}
-	}
-}
-
-// refuseQueued rejects everything still queued so no submitter hangs on a
-// dead worker.
-func (w *procWorker) refuseQueued() {
-	for {
-		select {
-		case j := <-w.jobs:
-			j.err = ErrShuttingDown
-			close(j.done)
-		default:
-			return
-		}
-	}
-}
-
-// submit enqueues one job and waits for it. A full queue blocks until the
-// caller's deadline, then fails with ErrBusy — the service layer's
-// backpressure contract.
-func (w *procWorker) submit(ctx context.Context, run func(chk *core.Checker)) error {
-	j := &job{run: run, done: make(chan struct{})}
-	select {
-	case w.jobs <- j:
-	default:
-		select {
-		case w.jobs <- j:
-		case <-ctx.Done():
-			w.failures.Add(1)
-			return ErrBusy
-		case <-w.quit:
-			return ErrShuttingDown
-		}
-	}
-	<-j.done
-	if j.err != nil {
-		w.failures.Add(1)
-	}
-	return j.err
-}
-
-func (w *procWorker) Shard() int { return w.shard }
-
-func (w *procWorker) Check(ctx context.Context, cts []logic.Constraint, budget int) ([]CheckOutcome, error) {
-	var out []CheckOutcome
-	err := w.submit(ctx, func(chk *core.Checker) {
-		out = make([]CheckOutcome, len(cts))
-		for i, ct := range cts {
-			res := chk.CheckOneOpts(ct, core.CheckOptions{NodeBudget: budget})
-			out[i] = outcomeFromResult(ct.Name, res)
-		}
-		w.checks.Add(uint64(len(cts)))
-	})
+	srv, err := service.New(chk, nil, service.Options{Replicas: -1, QueueDepth: opts.QueueDepth})
 	if err != nil {
+		return nil, fmt.Errorf("shard %d: %w", shard, err)
+	}
+	return &serverWorker{shard: shard, srv: srv}, nil
+}
+
+func (w *serverWorker) Shard() int { return w.shard }
+
+//cv:owner any
+func (w *serverWorker) Check(ctx context.Context, cts []logic.Constraint, budget int) ([]CheckOutcome, error) {
+	results, _, err := w.srv.Check(ctx, cts, budget, 0, nil)
+	if err != nil {
+		w.failures.Add(1)
 		return nil, err
 	}
-	return out, nil
+	w.checks.Add(uint64(len(cts)))
+	return outcomesOf(cts, results), nil
 }
 
-func (w *procWorker) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int) ([]core.Witness, error) {
-	var (
-		ws   []core.Witness
-		werr error
-	)
-	err := w.submit(ctx, func(chk *core.Checker) {
-		ws, werr = chk.ViolationWitnessesOpts(ct, limit, core.CheckOptions{NodeBudget: budget})
-		w.checks.Add(1)
-	})
+//cv:owner any
+func (w *serverWorker) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int) ([]core.Witness, error) {
+	ws, _, err := w.srv.Witnesses(ctx, ct, limit, budget, nil)
 	if err != nil {
+		w.failures.Add(1)
 		return nil, err
 	}
-	return ws, werr
+	w.checks.Add(1)
+	return ws, nil
 }
 
-func (w *procWorker) Update(ctx context.Context, ups []core.Update) (int, error) {
-	var (
-		applied int
-		aerr    error
-	)
-	err := w.submit(ctx, func(chk *core.Checker) {
-		applied, aerr = chk.Apply(ups)
-		if aerr == nil {
-			w.epoch.Add(1)
-			w.updates.Add(uint64(len(ups)))
-		}
-	})
+//cv:owner any
+func (w *serverWorker) Update(ctx context.Context, ups []core.Update) (int, error) {
+	applied, err := w.srv.Update(ctx, ups, nil)
 	if err != nil {
-		return 0, err
-	}
-	if aerr != nil {
 		w.failures.Add(1)
-		return applied, fmt.Errorf("shard %d: %w", w.shard, aerr)
+		return applied, err
 	}
+	w.updates.Add(uint64(len(ups)))
 	return applied, nil
 }
 
-func (w *procWorker) Status() WorkerStatus {
+// Status reads the server's published snapshot; no live kernel is touched.
+func (w *serverWorker) Status() WorkerStatus {
+	st := w.srv.Stats()
 	return WorkerStatus{
-		Shard:           w.shard,
-		InProcess:       true,
-		Up:              true,
-		Epoch:           w.epoch.Load(),
-		Checks:          w.checks.Load(),
-		Updates:         w.updates.Load(),
-		Errors:          w.failures.Load(),
-		QueueDepth:      len(w.jobs),
-		QueueCap:        cap(w.jobs),
-		KernelLiveNodes: w.liveNodes.Load(),
+		Shard:                w.shard,
+		InProcess:            true,
+		Up:                   true,
+		Epoch:                w.srv.CurrentEpoch(),
+		Checks:               w.checks.Load(),
+		Updates:              w.updates.Load(),
+		Errors:               w.failures.Load(),
+		QueueDepth:           st.Queue.ChecksDepth + st.Queue.UpdatesDepth,
+		QueueCap:             st.Queue.ChecksCap,
+		KernelLiveNodes:      int64(st.PrimaryKernel.LiveNodes),
+		KernelOps:            st.PrimaryKernel.Ops,
+		KernelNodesAllocated: st.PrimaryKernel.NodesAllocated,
 	}
 }
 
-func (w *procWorker) Close() {
-	w.once.Do(func() { close(w.quit) })
-	<-w.done
-}
+func (w *serverWorker) Close() { w.srv.Close() }

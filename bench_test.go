@@ -5,7 +5,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/ordering"
 	"repro/internal/relation"
-	"repro/internal/replica"
 	"repro/internal/sqlengine"
 )
 
@@ -453,98 +451,6 @@ func BenchmarkThresholdFill(b *testing.B) {
 					clause := k.Xor(k.Xor(k.Var(rng.Intn(nVars)), k.Var(rng.Intn(nVars))), k.Var(rng.Intn(nVars)))
 					f = k.And(f, clause)
 				}
-			}
-		})
-	}
-}
-
-// ---- parallel read path: replicated kernels ----------------------------
-
-type parallelFixture struct {
-	v  *replica.Version
-	ct logic.Constraint
-}
-
-// parallelCheck freezes the Figure 5(a) membership workload into one
-// immutable version all pool sizes share: every sub-benchmark adopts the
-// same indices, so only the replica count varies.
-var parallelCheck = sync.OnceValue(func() *parallelFixture {
-	fx := customers()
-	chk := core.New(fx.cat, core.Options{NodeBudget: 8_000_000})
-	if _, err := chk.BuildIndex("CA", "CUST", []string{"city", "areacode"}, core.OrderProbConverge); err != nil {
-		panic(err)
-	}
-	if fx.cat.Table("CONS") == nil {
-		rng := rand.New(rand.NewSource(4))
-		if _, err := datagen.MembershipConstraints(fx.cat, "CONS", fx.data, 10000, rng); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := chk.BuildIndex("CONS", "CONS", nil, core.OrderSchema); err != nil {
-		panic(err)
-	}
-	f, err := logic.Parse(`forall c, a: CA(c, a) and (exists x: CONS(c, x)) => CONS(c, a)`)
-	if err != nil {
-		panic(err)
-	}
-	v, err := replica.NewVersion(chk, 1)
-	if err != nil {
-		panic(err)
-	}
-	return &parallelFixture{v: v, ct: logic.Constraint{Name: "membership", F: f}}
-})
-
-// BenchmarkParallelCheck measures read throughput through the replicated
-// kernel pool at 1/2/4/8 replicas. On a multi-core runner checks/sec should
-// scale close to linearly until the pool size reaches the core count; on a
-// single core all sizes collapse to the same rate (replication adds no
-// locking to lose).
-func BenchmarkParallelCheck(b *testing.B) {
-	fx := parallelCheck()
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("replicas-%d", n), func(b *testing.B) {
-			pool, err := replica.New(n, fx.v)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Close()
-			// Materialize every worker's replica and warm its operation
-			// caches outside the timed region: n jobs meeting at a barrier
-			// land on n distinct workers, and each serves the constraint
-			// once cold. The timed region then measures the steady state a
-			// long-lived pool settles into between version swaps.
-			var ready, warm sync.WaitGroup
-			ready.Add(n)
-			for i := 0; i < n; i++ {
-				warm.Add(1)
-				go func() {
-					defer warm.Done()
-					if err := pool.Do(context.Background(), func(chk *core.Checker, _ uint64) {
-						ready.Done()
-						ready.Wait()
-						chk.CheckOneOpts(fx.ct, core.CheckOptions{NoSQLFallback: true})
-					}); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			warm.Wait()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					err := pool.Do(context.Background(), func(chk *core.Checker, _ uint64) {
-						if res := chk.CheckOneOpts(fx.ct, core.CheckOptions{NoSQLFallback: true}); res.Err != nil || res.FellBack {
-							b.Errorf("%+v", res)
-						}
-					})
-					if err != nil {
-						b.Error(err)
-					}
-				}
-			})
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "checks/sec")
 			}
 		})
 	}

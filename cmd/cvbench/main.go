@@ -1,12 +1,13 @@
 // Command cvbench regenerates the paper's evaluation: every figure and
 // table of §5, printed as text tables with the paper's reported numbers for
-// comparison.
+// comparison, plus the kernel-only reorder study that extends §3. It measures
+// kernels in-process; the service is measured by bench/ against a cvserved.
 //
 // Usage:
 //
-//	cvbench [-exp all|fig2a|fig2bc|fig3|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|table1|threshold|parallel|reorder|shard]
-//	        [-full] [-seed N] [-json rows.jsonl] [-parallel N]
+//	cvbench [-exp all|NAME[,NAME...]] [-full] [-seed N] [-json rows.jsonl]
 //
+// cvbench -h lists the experiment names; an unknown one is an error (exit 2).
 // By default reduced workload sizes keep the whole run in laptop-minutes;
 // -full selects the paper-scale parameters (400k-tuple relations, all 120
 // orderings, 10^7-node threshold fills). -json additionally writes one JSON
@@ -26,10 +27,14 @@ import (
 	"repro/internal/experiments"
 )
 
-var all = []struct {
+type experiment struct {
 	name string
 	run  func(experiments.Config) error
-}{
+}
+
+// all is the one list of experiments, in the order "all" runs them; the -exp
+// help and the unknown-name error are built from it.
+var all = []experiment{
 	{"fig2a", experiments.Fig2a},
 	{"fig2bc", experiments.Fig2bc},
 	{"fig3", experiments.Fig3},
@@ -41,20 +46,56 @@ var all = []struct {
 	{"fig6c", experiments.Fig6c},
 	{"table1", experiments.Table1},
 	{"threshold", experiments.Threshold},
-	{"parallel", experiments.Parallel},
 	{"reorder", experiments.Reorder},
-	{"shard", experiments.Shard},
+}
+
+// expNames joins "all" and every experiment name with sep.
+func expNames(sep string) string {
+	names := []string{"all"}
+	for _, e := range all {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, sep)
+}
+
+// selectExperiments resolves a -exp value to the experiments it names, in
+// table order. Any name that is neither "all" nor in the table fails the
+// whole selection, so a typo or a retired experiment cannot pass silently.
+func selectExperiments(spec string) ([]experiment, error) {
+	valid := map[string]bool{"all": true}
+	for _, e := range all {
+		valid[e.name] = true
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if !valid[name] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, expNames(", "))
+		}
+		want[name] = true
+	}
+	var selected []experiment
+	for _, e := range all {
+		if want["all"] || want[e.name] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (comma separated), or 'all'")
+	exp := flag.String("exp", "all", "experiments to run, comma separated: "+expNames("|"))
 	full := flag.Bool("full", false, "paper-scale workloads")
 	seed := flag.Int64("seed", 1, "base random seed")
 	jsonPath := flag.String("json", "", "write benchmark rows as JSON Lines to this file ('-' = stdout)")
-	parallel := flag.Int("parallel", 0, "max replica pool size for the parallel experiment (0 = 8)")
 	flag.Parse()
 
-	cfg := experiments.Config{Out: os.Stdout, Full: *full, Seed: *seed, Parallel: *parallel}
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cvbench:", err)
+		os.Exit(2)
+	}
+	cfg := experiments.Config{Out: os.Stdout, Full: *full, Seed: *seed}
 	var jsonEnc *json.Encoder
 	if *jsonPath != "" {
 		var w io.Writer = os.Stdout
@@ -75,16 +116,7 @@ func main() {
 			}
 		}
 	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	ran := 0
-	for _, e := range all {
-		if !want["all"] && !want[e.name] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
 		if err := e.run(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "cvbench: %s: %v\n", e.name, err)
@@ -97,9 +129,5 @@ func main() {
 			})
 		}
 		fmt.Printf("[%s completed in %v]\n\n", e.name, elapsed.Round(time.Millisecond))
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "cvbench: no experiment matches %q\n", *exp)
-		os.Exit(2)
 	}
 }

@@ -13,12 +13,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/ordering"
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -36,20 +36,25 @@ type BenchRow struct {
 	Nodes      int            `json:"nodes,omitempty"`
 	// P50NS/P95NS/P99NS are per-operation latency quantiles, present for
 	// measurements that time each operation individually (fig4 updates,
-	// parallel checks). Quantiles come from a log2-bucket histogram
-	// (internal/obs), so each is the enclosing power-of-two upper bound —
-	// an over-estimate by at most 2x.
+	// reorder checks). Each is one of the recorded samples (see percentile).
 	P50NS int64 `json:"p50_ns,omitempty"`
 	P95NS int64 `json:"p95_ns,omitempty"`
 	P99NS int64 `json:"p99_ns,omitempty"`
 }
 
-// withPercentiles fills the row's latency quantiles from h.
-func (r BenchRow) withPercentiles(h *obs.Histogram) BenchRow {
-	s := h.Snapshot()
-	r.P50NS = s.Quantile(0.50).Nanoseconds()
-	r.P95NS = s.Quantile(0.95).Nanoseconds()
-	r.P99NS = s.Quantile(0.99).Nanoseconds()
+// percentile returns the pct-th percentile (1..100) of a non-empty ascending
+// sample by nearest rank: the smallest sample with at least pct% of the
+// samples at or below it.
+func percentile(sorted []time.Duration, pct int) time.Duration {
+	return sorted[(pct*len(sorted)+99)/100-1]
+}
+
+// withPercentiles sorts samples in place and fills the row's quantiles.
+func (r BenchRow) withPercentiles(samples []time.Duration) BenchRow {
+	slices.Sort(samples)
+	r.P50NS = percentile(samples, 50).Nanoseconds()
+	r.P95NS = percentile(samples, 95).Nanoseconds()
+	r.P99NS = percentile(samples, 99).Nanoseconds()
 	return r
 }
 
@@ -63,11 +68,8 @@ type Config struct {
 	// Seed is the base random seed.
 	Seed int64
 	// Record, when non-nil, receives a BenchRow for every timed measurement
-	// of the instrumented experiments (fig4, table1, threshold, parallel).
+	// of the instrumented experiments (fig4, table1, threshold, reorder).
 	Record func(BenchRow)
-	// Parallel caps the replica sweep of the parallel experiment: pool sizes
-	// double from 1 up to this bound (0 = 8).
-	Parallel int
 }
 
 func (c Config) record(row BenchRow) {
@@ -358,7 +360,7 @@ func Fig4(cfg Config) error {
 			// (delete + reinsert keeps the index unchanged at the end).
 			const updates = 2000
 			rng := cfg.rng(int64(n + i))
-			var hist obs.Histogram
+			samples := make([]time.Duration, 0, updates)
 			start = time.Now()
 			for u := 0; u < updates; u++ {
 				row := data.Table.Row(rng.Intn(data.Table.Len()))
@@ -371,7 +373,7 @@ func Fig4(cfg Config) error {
 				}
 				// One observation per delete+insert pair, halved to match the
 				// per-operation mean the paper reports.
-				hist.Observe(time.Since(pairStart) / 2)
+				samples = append(samples, time.Since(pairStart)/2)
 			}
 			update[i] = time.Since(start) / (2 * updates)
 			cfg.record(BenchRow{
@@ -383,7 +385,7 @@ func Fig4(cfg Config) error {
 				Experiment: "fig4", Name: "update",
 				Params:  map[string]any{"index": spec.name, "tuples": n},
 				NsPerOp: update[i].Nanoseconds(), Nodes: nodes[i],
-			}.withPercentiles(&hist))
+			}.withPercentiles(samples))
 		}
 		fmt.Fprintf(w, "%-9d | %12v %12v | %12v %12v | %10d %10d\n",
 			n, build[0].Round(time.Millisecond), build[1].Round(time.Millisecond),

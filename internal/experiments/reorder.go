@@ -17,7 +17,6 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/logic"
-	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -103,43 +102,38 @@ func Reorder(cfg Config) error {
 	// regime a freshly replicated kernel is in right after adopting a new
 	// epoch, where evaluation cost tracks the live size of the index.
 	head := 0
-	churn := func(hist *obs.Histogram) error {
-		row := fresh()
-		if err := chk.InsertTuple("R", row...); err != nil {
-			return err
-		}
-		pool = append(pool, row)
-		if err := chk.DeleteTuple("R", pool[head]...); err != nil {
-			return err
-		}
-		head++
-		chk.Store().Kernel().ClearCaches()
-		for _, ct := range cts {
-			res := chk.CheckOne(ct)
-			if res.Err != nil {
-				return fmt.Errorf("reorder: %s: %w", ct.Name, res.Err)
-			}
-			if res.FellBack {
-				return fmt.Errorf("reorder: %s fell back: %v", ct.Name, res.FallbackReason)
-			}
-			if (ct.Name == "key_pair") == res.Violated {
-				return fmt.Errorf("reorder: %s verdict flipped (violated=%v)", ct.Name, res.Violated)
-			}
-			hist.Observe(res.Duration)
-		}
-		return nil
-	}
-	phase := func(hist *obs.Histogram) error {
+	phase := func() ([]time.Duration, error) {
+		samples := make([]time.Duration, 0, rounds*len(cts))
 		for r := 0; r < rounds; r++ {
-			if err := churn(hist); err != nil {
-				return err
+			row := fresh()
+			if err := chk.InsertTuple("R", row...); err != nil {
+				return nil, err
+			}
+			pool = append(pool, row)
+			if err := chk.DeleteTuple("R", pool[head]...); err != nil {
+				return nil, err
+			}
+			head++
+			chk.Store().Kernel().ClearCaches()
+			for _, ct := range cts {
+				res := chk.CheckOne(ct)
+				if res.Err != nil {
+					return nil, fmt.Errorf("reorder: %s: %w", ct.Name, res.Err)
+				}
+				if res.FellBack {
+					return nil, fmt.Errorf("reorder: %s fell back: %v", ct.Name, res.FallbackReason)
+				}
+				if (ct.Name == "key_pair") == res.Violated {
+					return nil, fmt.Errorf("reorder: %s verdict flipped (violated=%v)", ct.Name, res.Violated)
+				}
+				samples = append(samples, res.Duration)
 			}
 		}
-		return nil
+		return samples, nil
 	}
 
-	var before, after obs.Histogram
-	if err := phase(&before); err != nil {
+	before, err := phase()
+	if err != nil {
 		return err
 	}
 	chk.Store().Kernel().GC()
@@ -153,33 +147,39 @@ func Reorder(cfg Config) error {
 	}
 	liveAfter := chk.KernelStats().Live
 
-	if err := phase(&after); err != nil {
+	after, err := phase()
+	if err != nil {
 		return err
+	}
+
+	// checkRow summarises one phase's samples (sorted by withPercentiles).
+	checkRow := func(name, order string, live int, samples []time.Duration) BenchRow {
+		r := BenchRow{
+			Experiment: "reorder", Name: name,
+			Params: map[string]any{"tuples": tuples, "rounds": rounds, "order": order},
+			Nodes:  live,
+		}.withPercentiles(samples)
+		r.NsPerOp = r.P50NS
+		r.Params["slowest_ns"] = samples[len(samples)-1].Nanoseconds()
+		return r
 	}
 
 	drop := 100 * (1 - float64(liveAfter)/float64(liveBefore))
 	fmt.Fprintf(w, "=== Reorder: sifting a pessimal schema order (%d tuples, %d check rounds) ===\n", tuples, rounds)
 	fmt.Fprintf(w, "index build (schema order): %v\n", buildTime.Round(time.Millisecond))
 	fmt.Fprintf(w, "%-14s %12s %12s %12s %12s\n", "phase", "live nodes", "p50", "p95", "p99")
-	bs, as := before.Snapshot(), after.Snapshot()
-	fmt.Fprintf(w, "%-14s %12d %12v %12v %12v\n", "schema order", liveBefore,
-		bs.Quantile(0.50), bs.Quantile(0.95), bs.Quantile(0.99))
-	fmt.Fprintf(w, "%-14s %12d %12v %12v %12v\n", "sifted", liveAfter,
-		as.Quantile(0.50), as.Quantile(0.95), as.Quantile(0.99))
+	for _, r := range []BenchRow{
+		checkRow("check_before", "schema", liveBefore, before),
+		checkRow("check_after", "sifted", liveAfter, after),
+	} {
+		fmt.Fprintf(w, "%-14s %12d %12v %12v %12v\n", r.Params["order"], r.Nodes,
+			time.Duration(r.P50NS), time.Duration(r.P95NS), time.Duration(r.P99NS))
+		cfg.record(r)
+	}
 	fmt.Fprintf(w, "sift pause: %v (%d -> %d nodes, %.1f%% drop, %d swaps over %d blocks)\n",
 		pause.Round(time.Millisecond), st.Before, st.After, drop, st.Swaps, st.Blocks)
 	fmt.Fprintln(w, "expectation: >= 20% live-node drop and a lower p95 under the sifted order")
 
-	cfg.record(BenchRow{
-		Experiment: "reorder", Name: "check_before",
-		Params:  map[string]any{"tuples": tuples, "rounds": rounds, "order": "schema"},
-		NsPerOp: bs.Quantile(0.50).Nanoseconds(), Nodes: liveBefore,
-	}.withPercentiles(&before))
-	cfg.record(BenchRow{
-		Experiment: "reorder", Name: "check_after",
-		Params:  map[string]any{"tuples": tuples, "rounds": rounds, "order": "sifted"},
-		NsPerOp: as.Quantile(0.50).Nanoseconds(), Nodes: liveAfter,
-	}.withPercentiles(&after))
 	cfg.record(BenchRow{
 		Experiment: "reorder", Name: "sift",
 		Params: map[string]any{

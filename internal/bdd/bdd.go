@@ -151,6 +151,13 @@ type Kernel struct {
 	fixedCache   bool   // Config.CacheSize pinned all three cache sizes
 	tempRoots    []Ref  // GC roots for in-flight computations (TempKeep)
 
+	// Restrict's memo: restrictMemo[g] is the running call's result for node
+	// g iff bit g of restrictSeen is set. Both grow to the largest Ref a call
+	// has visited — the index being restricted, not the whole table — and
+	// are kept across calls; starting a call clears the bitmap only.
+	restrictMemo []Ref
+	restrictSeen []uint64
+
 	replaceMaps []replaceMap // interned variable substitutions
 	groups      [][]int      // variable groups that sift as units (reorder.go)
 
@@ -290,15 +297,13 @@ func ceilPow2(n int) int {
 
 func (k *Kernel) resetGCTrigger() {
 	// Collections clear the operation caches, so collecting too eagerly
-	// costs recomputation; with a budget in place, let the table run up to
-	// three quarters of it before collecting.
+	// costs recomputation: let the table double (plus a constant, so a small
+	// kernel is left alone) before collecting again. The trigger follows the
+	// live set, not the budget — the node table never shrinks, so garbage a
+	// kernel is allowed to pile up is memory it keeps for good.
 	k.gcTrigger = k.live*2 + 65536
-	if k.budget > 0 {
-		if t := k.budget * 3 / 4; t > k.gcTrigger {
-			k.gcTrigger = t
-		} else if k.gcTrigger > k.budget {
-			k.gcTrigger = k.budget
-		}
+	if k.budget > 0 && k.gcTrigger > k.budget {
+		k.gcTrigger = k.budget
 	}
 }
 

@@ -324,21 +324,47 @@ func TestRestrict(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		e := randExpr(rng, nv, 10)
 		f := e.build(k)
-		x := rng.Intn(nv)
-		val := rng.Intn(2) == 1
-		r := k.Restrict(f, []bdd.Literal{{Var: x, Value: val}})
+		// One to three variables; the lowest one is where the walk stops.
+		fixed := map[int]bool{}
+		var lits []bdd.Literal
+		for _, x := range rng.Perm(nv)[:1+rng.Intn(3)] {
+			fixed[x] = rng.Intn(2) == 1
+			lits = append(lits, bdd.Literal{Var: x, Value: fixed[x]})
+		}
+		r := k.Restrict(f, lits)
 		for _, a := range assignments(nv) {
-			a[x] = val
+			for x, val := range fixed {
+				a[x] = val
+			}
 			if k.Eval(r, a) != e.eval(a) {
 				t.Fatalf("Restrict mismatch at trial %d", trial)
 			}
 		}
-		// A restricted BDD must not depend on the restricted variable.
+		// A restricted BDD must not depend on the restricted variables.
 		for _, v := range k.Support(r) {
-			if v == x {
+			if _, ok := fixed[v]; ok {
 				t.Fatal("restricted variable still in support")
 			}
 		}
+	}
+}
+
+// TestRestrictReusesItsMemo: the memo belongs to the kernel, so a call on a
+// warmed kernel allocates its level table and nothing that grows with the
+// BDD it walks.
+func TestRestrictReusesItsMemo(t *testing.T) {
+	const nv = 24
+	rng := rand.New(rand.NewSource(23))
+	k := bdd.New(bdd.Config{Vars: nv})
+	f := k.Protect(randomMinterms(k, rng, nv, 400))
+	lits := []bdd.Literal{{Var: nv - 1, Value: true}, {Var: 3, Value: false}}
+	want := k.Protect(k.Restrict(f, lits))
+	if allocs := testing.AllocsPerRun(10, func() {
+		if k.Restrict(f, lits) != want {
+			t.Fatal("Restrict is not a function of its arguments")
+		}
+	}); allocs > 1 {
+		t.Fatalf("Restrict allocates %.0f objects per call on a warmed kernel, want at most 1", allocs)
 	}
 }
 

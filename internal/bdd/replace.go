@@ -173,57 +173,70 @@ func (k *Kernel) replaceRec(f Ref, id int32) Ref {
 
 // Restrict returns the cofactor of f with the variables of assignment fixed
 // to the given values. The assignment is a list of (variable, value) pairs.
+// Its steps are not part of Stats().Ops.
 func (k *Kernel) Restrict(f Ref, assignment []Literal) Ref {
 	k.gcIfNeeded(f)
 	if len(assignment) == 0 {
 		return f
 	}
-	val := make([]int8, k.numVars) // indexed by level; -1 unset is encoded as 0; use +1/+2
+	val := make([]int8, k.numVars) // indexed by level: 0 unset, 1 false, 2 true
+	last := uint32(0)              // lowest restricted level; nothing below it changes
 	for _, lit := range assignment {
 		k.checkVar(lit.Var)
+		level := k.var2level[lit.Var]
 		if lit.Value {
-			val[k.var2level[lit.Var]] = 2
+			val[level] = 2
 		} else {
-			val[k.var2level[lit.Var]] = 1
+			val[level] = 1
+		}
+		if level > last {
+			last = level
 		}
 	}
-	memo := make(map[Ref]Ref)
-	var rec func(Ref) Ref
-	rec = func(g Ref) Ref {
-		if k.err != nil || g == Invalid {
-			return Invalid
-		}
-		if k.isTerminal(g) {
-			return g
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		level, lowIn, highIn := k.level[g], k.low[g], k.high[g]
-		var res Ref
-		switch val[level] {
-		case 2:
-			res = rec(highIn)
-		case 1:
-			res = rec(lowIn)
-		default:
-			low := rec(lowIn)
-			if low == Invalid {
-				return Invalid
-			}
-			high := rec(highIn)
-			if high == Invalid {
-				return Invalid
-			}
-			res = k.makeNode(level, low, high)
-		}
-		if res == Invalid {
-			return Invalid
-		}
-		memo[g] = res
-		return res
+	clear(k.restrictSeen)
+	return k.restrictRec(f, val, last)
+}
+
+func (k *Kernel) restrictRec(g Ref, val []int8, last uint32) Ref {
+	if k.err != nil || g == Invalid {
+		return Invalid
 	}
-	return rec(f)
+	if k.isTerminal(g) || k.level[g] > last {
+		return g
+	}
+	word, bit := int(g>>6), uint64(1)<<(g&63)
+	if word < len(k.restrictSeen) && k.restrictSeen[word]&bit != 0 {
+		return k.restrictMemo[g]
+	}
+	level, lowIn, highIn := k.level[g], k.low[g], k.high[g]
+	var res Ref
+	switch val[level] {
+	case 2:
+		res = k.restrictRec(highIn, val, last)
+	case 1:
+		res = k.restrictRec(lowIn, val, last)
+	default:
+		low := k.restrictRec(lowIn, val, last)
+		if low == Invalid {
+			return Invalid
+		}
+		high := k.restrictRec(highIn, val, last)
+		if high == Invalid {
+			return Invalid
+		}
+		res = k.makeNode(level, low, high)
+	}
+	if res == Invalid {
+		return Invalid
+	}
+	if word >= len(k.restrictSeen) {
+		words := word + 1 + word/4 // headroom, so a rising Ref does not regrow per node
+		k.restrictSeen = append(k.restrictSeen, make([]uint64, words-len(k.restrictSeen))...)
+		k.restrictMemo = append(k.restrictMemo, make([]Ref, words*64-len(k.restrictMemo))...)
+	}
+	k.restrictSeen[word] |= bit
+	k.restrictMemo[g] = res
+	return res
 }
 
 // Literal is a variable with a truth value, used by Restrict, Minterm and

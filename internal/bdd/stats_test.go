@@ -2,6 +2,7 @@ package bdd_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bdd"
@@ -108,5 +109,53 @@ func TestSetBudgetAbortsAndRestores(t *testing.T) {
 	k.SetBudget(-5)
 	if k.Budget() != 0 {
 		t.Fatalf("Budget() after SetBudget(-5) = %d, want 0", k.Budget())
+	}
+}
+
+// randomMinterms ORs together n random minterms over nv variables.
+func randomMinterms(k *bdd.Kernel, rng *rand.Rand, nv, n int) bdd.Ref {
+	mark := k.TempMark()
+	defer k.TempRelease(mark)
+	f := bdd.False
+	lits := make([]bdd.Literal, nv)
+	for i := 0; i < n; i++ {
+		for v := range lits {
+			lits[v] = bdd.Literal{Var: v, Value: rng.Intn(2) == 1}
+		}
+		f = k.Or(k.TempKeep(f), k.Minterm(lits))
+	}
+	return f
+}
+
+// TestGCTriggerFollowsLiveSet: a budgeted kernel collects once its garbage
+// outgrows its live set, long before the table reaches the budget — the
+// table never shrinks, so whatever the trigger lets pile up is resident for
+// the life of the kernel.
+func TestGCTriggerFollowsLiveSet(t *testing.T) {
+	const nv, budget = 40, 1_000_000
+	rng := rand.New(rand.NewSource(5))
+	k := bdd.New(bdd.Config{Vars: nv, NodeBudget: budget})
+	pinned := k.Protect(randomMinterms(k, rng, nv, 400))
+	defer k.Unprotect(pinned)
+	k.GC()
+	base := k.Stats()
+	if base.Live < 9_000 || base.Live > 12_000 {
+		t.Fatalf("fixture pins %d nodes, want about 10k", base.Live)
+	}
+	for k.Stats().Allocs-base.Allocs < 500_000 {
+		randomMinterms(k, rng, nv, 300)
+	}
+	if err := k.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s := k.Stats()
+	if s.GCRuns == base.GCRuns {
+		t.Fatalf("500k garbage nodes on %d live ones and no collection", base.Live)
+	}
+	if limit := budget / 4; s.Peak > limit || s.Capacity > limit {
+		t.Fatalf("Peak %d, Capacity %d: want both under %d, the trigger follows the live set and not the budget", s.Peak, s.Capacity, limit)
+	}
+	if g := randomMinterms(k, rand.New(rand.NewSource(5)), nv, 400); g != pinned {
+		t.Fatal("pinned function did not survive the collections")
 	}
 }

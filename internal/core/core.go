@@ -345,10 +345,10 @@ func (c *Checker) checkOne(ct logic.Constraint, opts CheckOptions) (res Result) 
 	}
 	start := time.Now()
 	res = Result{Constraint: ct, Method: MethodBDD}
-	out, err := c.ev.Eval(ct)
+	holds, err := c.ev.Holds(ct)
 	if err == nil {
 		c.stats.BDDChecks++
-		res.Violated = !out.Holds
+		res.Violated = !holds
 		res.Duration = time.Since(start)
 		return res
 	}

@@ -170,3 +170,70 @@ func TestExistentialConstraintHasNoWitnesses(t *testing.T) {
 		t.Fatalf("existence constraint should be violated: %+v", res)
 	}
 }
+
+// TestVerdictAgreesWithWitnesses: CheckOne decides on a projection of the
+// index — it never binds a column the constraint uses once — while
+// ViolationWitnesses runs the full evaluation. The two must agree on whether
+// anything is violated, and a witness must still bind every variable of the
+// stripped ∀-block, the anonymous ones included.
+func TestVerdictAgreesWithWitnesses(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	sources := []struct {
+		src  string
+		vars string // the witness variables, sorted
+	}{
+		{`forall d, s: EMP(_, d, s) => s in {"s0", "s1"}`, "_anon1 d s"},
+		{`forall s: EMP(_, _, s) => s != "s2"`, "_anon1 _anon2 s"},
+		{`forall e, d, s: EMP(e, d, s) and d = "d0" => s != "s1"`, "d e s"},
+		{`forall e, d, s: EMP(e, d, s) => d in {"d0", "d1", "d2"}`, "d e s"},
+	}
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 40; trial++ {
+		cat := relation.NewCatalog()
+		emp, err := cat.CreateTable("EMP", []relation.Column{
+			{Name: "id", Domain: "id"},
+			{Name: "dept", Domain: "dept"},
+			{Name: "site", Domain: "site"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nDept, nSite := 2+rng.Intn(3), 2+rng.Intn(2)
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			emp.Insert(fmt.Sprintf("e%02d", i), fmt.Sprintf("d%d", rng.Intn(nDept)), fmt.Sprintf("s%d", rng.Intn(nSite)))
+		}
+		chk := core.New(cat, core.Options{})
+		if _, err := chk.BuildIndex("EMP", "EMP", nil, core.OrderProbConverge); err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range sources {
+			f, err := logic.Parse(q.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := logic.Constraint{Name: fmt.Sprintf("c%d", qi), F: f}
+			res := chk.CheckOne(ct)
+			if res.Err != nil || res.Method != core.MethodBDD {
+				t.Fatalf("trial %d c%d: %+v", trial, qi, res)
+			}
+			ws, err := chk.ViolationWitnesses(ct, 100)
+			if err != nil {
+				t.Fatalf("trial %d c%d: witnesses: %v", trial, qi, err)
+			}
+			if res.Violated != (len(ws) > 0) {
+				t.Fatalf("trial %d c%d: CheckOne says violated=%v, ViolationWitnesses finds %d", trial, qi, res.Violated, len(ws))
+			}
+			verdicts[res.Violated]++
+			for _, w := range ws {
+				vars := append([]string(nil), w.Vars...)
+				sort.Strings(vars)
+				if got := strings.Join(vars, " "); got != q.vars || len(w.Values) != len(w.Vars) {
+					t.Fatalf("trial %d c%d: witness binds %q (%d values), want %q", trial, qi, got, len(w.Values), q.vars)
+				}
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("%d violated, %d satisfied: the fixture decides nothing", verdicts[true], verdicts[false])
+	}
+}

@@ -50,6 +50,7 @@ func TestDifferentialSoak(t *testing.T) {
 	ShardSoak = *shardSoak
 	defer func() { ForceReorder = false; FollowerSoak = false; ShardSoak = 0 }()
 	pairs := 0
+	RuleCoverage = logic.VerdictStats{}
 	for i := 0; i < *soakSeeds; i++ {
 		rng := rand.New(rand.NewSource(soakBase + int64(i)))
 		c := GenerateCase(RNGChooser{Rand: rng})
@@ -69,6 +70,8 @@ func TestDifferentialSoak(t *testing.T) {
 		pairs += len(c.Constraints)
 	}
 	t.Logf("soak: %d cases, %d (constraint, catalog) pairs, zero mismatches", *soakSeeds, pairs)
+	t.Logf("soak: universal early projection fired in %d of %d primary validity verdicts",
+		RuleCoverage.Projected, RuleCoverage.Validity)
 	if *soakSeeds >= 63 && pairs < 500 {
 		t.Fatalf("soak covered only %d (constraint, catalog) pairs, want >= 500", pairs)
 	}

@@ -49,6 +49,12 @@ var DebugChecks bool
 // suite's -reorder flag sets it.
 var ForceReorder bool
 
+// RuleCoverage accumulates, across RunCase calls, the primary evaluator's
+// verdict counts: how many validity verdicts the cases asked for and how many
+// of them took the universal early projection rule, whose only oracle is
+// this harness. TestDifferentialSoak logs it.
+var RuleCoverage logic.VerdictStats
+
 // Mismatch describes one oracle disagreement. It is a test failure in
 // waiting: the shrinker minimizes the case around it and the corpus writer
 // persists it.
@@ -103,6 +109,11 @@ func RunCase(c *Case) (*Mismatch, error) {
 	if DebugChecks {
 		primary.Store().Kernel().SetDebugChecks(true)
 	}
+	defer func() {
+		vs := primary.Evaluator().VerdictStats()
+		RuleCoverage.Validity += vs.Validity
+		RuleCoverage.Projected += vs.Projected
+	}()
 	for _, ts := range c.Tables {
 		// The index carries the table's name: the evaluator resolves a
 		// predicate to the index of the same name, and nil cols means the

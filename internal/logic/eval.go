@@ -45,7 +45,10 @@ type EvalOptions struct {
 	CanonicalBlocks bool
 	// EarlyProject existentially projects out, at the predicate, columns
 	// bound to single-occurrence existential variables (the on-the-fly
-	// projection the paper's indices over column subsets correspond to).
+	// projection the paper's indices over column subsets correspond to) and,
+	// when only the verdict is wanted (Holds), the universal dual: columns
+	// bound to single-occurrence variables of the stripped ∀-block at a
+	// negated predicate.
 	EarlyProject bool
 }
 
@@ -74,11 +77,36 @@ type Evaluator struct {
 	// batch of updates (the monitoring workload) then skips the
 	// restrict/rename work for unchanged tables.
 	predCache map[string]predCacheEntry
+	// predOrder lists predCache's keys oldest first, for eviction, and
+	// predVersion records per predicate name the table version its entries
+	// were bound at. Every entry pins a BDD, so both bounds matter to a
+	// long-lived evaluator: entries of a moved table can never hit again,
+	// and ad-hoc constraints bring constants that never recur.
+	predOrder   []string
+	predVersion map[string]uint64
+	verdicts    VerdictStats
 }
 
+// maxPredCache bounds predCache. It is sized for registries of a few
+// thousand constraints re-checked in full (each contributes its verdict and
+// its witness form); past it the oldest entry goes first.
+const maxPredCache = 4096
+
+// VerdictStats counts an evaluator's Holds calls, so a test suite can see
+// how much of its traffic exercises the universal early projection rule.
+type VerdictStats struct {
+	// Validity counts the calls decided as validity checks (a leading
+	// ∀-block was stripped); Projected those among them in which the rule
+	// projected at least one variable.
+	Validity, Projected int
+}
+
+// VerdictStats returns the counts of Holds calls so far.
+func (ev *Evaluator) VerdictStats() VerdictStats { return ev.verdicts }
+
 type predCacheEntry struct {
-	version uint64
-	ref     bdd.Ref
+	pred string // the predicate name, predVersion's key
+	ref  bdd.Ref
 }
 
 type scratchKey struct {
@@ -97,6 +125,7 @@ func NewEvaluator(store *index.Store, res Resolver, opts EvalOptions) *Evaluator
 		replaceMaps: make(map[string]bdd.ReplaceMap),
 		eqCache:     make(map[[2]*fdd.Domain]bdd.Ref),
 		predCache:   make(map[string]predCacheEntry),
+		predVersion: make(map[string]uint64),
 	}
 }
 
@@ -129,14 +158,38 @@ type Outcome struct {
 // node budget; in both cases the caller should fall back to SQL processing
 // (the kernel's error state is already cleared).
 func (ev *Evaluator) Eval(c Constraint) (*Outcome, error) {
+	return ev.evaluate(c, false)
+}
+
+// Holds decides a constraint like Eval, with the same errors, for callers
+// that read nothing but the verdict. Not having to bind every stripped
+// variable — a violation witness must, a verdict need not — lets a validity
+// check project the ∀-variables it uses once out of their predicate (see
+// markUniversal) instead of carrying every column of the index through the
+// negation and the final guard.
+func (ev *Evaluator) Holds(c Constraint) (bool, error) {
+	out, err := ev.evaluate(c, true)
+	if err != nil {
+		return false, err
+	}
+	return out.Holds, nil
+}
+
+func (ev *Evaluator) evaluate(c Constraint, verdictOnly bool) (*Outcome, error) {
 	an, err := Analyze(c.F, ev.res)
 	if err != nil {
 		return nil, err
 	}
 	rw := Rewrite(an.F, ev.opts.Rewrite)
-	env, err := ev.newEnv(an, rw)
+	env, err := ev.newEnv(an, rw, verdictOnly)
 	if err != nil {
 		return nil, err
+	}
+	if verdictOnly && rw.Mode == CheckValidity {
+		ev.verdicts.Validity++
+		if len(env.universal) > 0 {
+			ev.verdicts.Projected++
+		}
 	}
 	// Intermediates held in local variables during the evaluation are
 	// pushed onto the kernel's temp-root stack so garbage collection at
@@ -158,8 +211,15 @@ func (ev *Evaluator) Eval(c Constraint) (*Outcome, error) {
 	}
 	// The stripped leading quantifiers range over the finite domains, not
 	// over all bit patterns of the blocks, so the final test is relativized
-	// with the domain guard of the stripped variables.
-	guard, err := ev.domGuard(env, rw.Stripped)
+	// with the domain guard of the stripped variables — those still free in
+	// root, that is: one projected at its atom was quantified there.
+	var guarded []string
+	for _, v := range rw.Stripped {
+		if !env.universal[v] {
+			guarded = append(guarded, v)
+		}
+	}
+	guard, err := ev.domGuard(env, guarded)
 	if err != nil {
 		ev.Recover()
 		return nil, err
@@ -200,7 +260,8 @@ func (ev *Evaluator) Recover() {
 // evalEnv carries the per-evaluation state.
 type evalEnv struct {
 	an *Analysis
-	// blocks assigns every variable of the rewritten body a block.
+	// blocks assigns every variable of the rewritten body a block, except
+	// the universal ones below, which need none.
 	blocks map[string]*fdd.Domain
 	// occurrences counts free+pred occurrences of each variable in the body.
 	occurrences map[string]int
@@ -209,6 +270,20 @@ type evalEnv struct {
 	// projected out at the predicate: pushing ∃y past a Not flips its
 	// meaning, and past another quantifier swaps quantifier order.
 	projectable map[string]bool
+	// universal holds the stripped ∀-variables a verdict-only validity check
+	// projects out at their negated atom (see markUniversal); nil otherwise.
+	universal map[string]bool
+}
+
+// projects reports whether the early projection rule removes variable v at
+// an atom of the given polarity instead of binding it to a block: the
+// existential rule applies at positive atoms only, its universal dual at
+// negated ones only.
+func (ev *Evaluator) projects(env *evalEnv, v string, negated bool) bool {
+	if negated {
+		return env.universal[v]
+	}
+	return ev.opts.EarlyProject && env.occurrences[v] == 1 && env.projectable[v]
 }
 
 // newEnv walks the rewritten body, assigns a scratch block to every
@@ -216,7 +291,7 @@ type evalEnv struct {
 // projection rule needs. Blocks for the variables of each predicate are
 // assigned in the canonical (index block) order of first use, which makes
 // the rename map monotone in the common case.
-func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten) (*evalEnv, error) {
+func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*evalEnv, error) {
 	env := &evalEnv{
 		an:          an,
 		blocks:      make(map[string]*fdd.Domain),
@@ -225,12 +300,20 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten) (*evalEnv, error) {
 	}
 	markProjectable(rw.Body, nil, env.projectable)
 	collectEnvInfo(rw.Body, env)
+	if verdictOnly && ev.opts.EarlyProject && rw.Mode == CheckValidity && len(rw.Stripped) > 0 {
+		env.universal = make(map[string]bool)
+		free := make(map[string]bool, len(rw.Stripped))
+		for _, v := range rw.Stripped {
+			free[v] = true
+		}
+		markUniversal(rw.Body, free, env)
+	}
 	if ev.opts.CanonicalBlocks {
 		ev.claimCanonicalBlocks(rw.Body, env)
 	}
 	counters := make(map[scratchKey]int)
 	assign := func(v string) error {
-		if _, done := env.blocks[v]; done {
+		if _, done := env.blocks[v]; done || env.universal[v] {
 			return nil
 		}
 		rd := an.Domain(v)
@@ -355,6 +438,49 @@ func markProjectable(f Formula, candidates map[string]bool, out map[string]bool)
 	}
 }
 
+// markUniversal is the universal dual of markProjectable, for evaluations
+// that only decide validity. free is the stripped leading ∀-block. A free
+// variable x that occurs exactly once in the body, as an argument of a
+// negated atom ¬P(x,ȳ) reached from the root through ∧/∨ only, can be
+// quantified at that atom:
+//
+//	∀x (¬P(x,ȳ) ∨ φ(ȳ)) ≡ ¬∃x P(x,ȳ) ∨ φ(ȳ)
+//
+// ∀ distributes over ∧, and over an ∨ whose other operand does not mention
+// x; the stripped ∀s commute among themselves, so several variables of one
+// atom go together; P holds in-domain codes only, so ∃ over the block is ∃
+// over the domain. Any Quant on the path is a barrier (∀x does not cross an
+// ∃, and the body's own quantifiers are evaluated as they stand). Crossing
+// an ∧ turns ∀x ψ(ȳ) into ψ(ȳ) for the operand without x, which is only
+// sound over a non-empty domain: a variable with an empty domain keeps the
+// full evaluation and its vacuous verdict. A variable repeated within the
+// atom or also compared elsewhere has two occurrences and stays; positive
+// atoms are the existential rule's business.
+func markUniversal(f Formula, free map[string]bool, env *evalEnv) {
+	switch g := f.(type) {
+	case Not:
+		p, ok := g.F.(Pred)
+		if !ok {
+			return
+		}
+		for _, a := range p.Args {
+			v, ok := a.(Var)
+			if !ok || !free[v.Name] || env.occurrences[v.Name] != 1 {
+				continue
+			}
+			if d := env.an.Domain(v.Name); d != nil && d.Size() > 0 {
+				env.universal[v.Name] = true
+			}
+		}
+	case And:
+		markUniversal(g.L, free, env)
+		markUniversal(g.R, free, env)
+	case Or:
+		markUniversal(g.L, free, env)
+		markUniversal(g.R, free, env)
+	}
+}
+
 func walkCompare(l, r Term, assign func(string) error, record func(error)) {
 	for _, t := range []Term{l, r} {
 		if v, ok := t.(Var); ok {
@@ -453,7 +579,9 @@ func (ev *Evaluator) claimCanonicalBlocks(body Formula, env *evalEnv) {
 			if _, done := env.blocks[v.Name]; done {
 				continue
 			}
-			if ev.opts.EarlyProject && env.occurrences[v.Name] == 1 && env.projectable[v.Name] {
+			// This walk does not track polarity, and need not: a variable
+			// either rule projects has this one occurrence.
+			if ev.projects(env, v.Name, false) || ev.projects(env, v.Name, true) {
 				continue // will be projected at the predicate instead
 			}
 			b := doms[i]
@@ -724,21 +852,42 @@ func (ev *Evaluator) evalPred(p Pred, env *evalEnv, negated bool) (bdd.Ref, erro
 	if ix == nil || !sameCols(ix.Columns(), binding.Cols) {
 		return bdd.Invalid, fmt.Errorf("%w: %s", ErrNoIndex, p.Table)
 	}
+	if v := binding.Table.Version(); ev.predVersion[p.Table] != v {
+		ev.dropPreds(p.Table)
+		ev.predVersion[p.Table] = v
+	}
 	key := ev.predKey(p, ix, env, negated)
-	version := binding.Table.Version()
-	if e, ok := ev.predCache[key]; ok && e.version == version {
+	if e, ok := ev.predCache[key]; ok {
 		return e.ref, nil
 	}
 	f, err := ev.evalPredUncached(p, ix, binding, env, negated)
 	if err != nil {
 		return bdd.Invalid, err
 	}
-	k.Protect(f)
-	if old, ok := ev.predCache[key]; ok {
-		k.Unprotect(old.ref)
+	if len(ev.predCache) >= maxPredCache {
+		oldest := ev.predOrder[0]
+		ev.predOrder = ev.predOrder[1:]
+		k.Unprotect(ev.predCache[oldest].ref)
+		delete(ev.predCache, oldest)
 	}
-	ev.predCache[key] = predCacheEntry{version: version, ref: f}
+	ev.predCache[key] = predCacheEntry{pred: p.Table, ref: k.Protect(f)}
+	ev.predOrder = append(ev.predOrder, key)
 	return f, nil
+}
+
+// dropPreds unpins and forgets every cached binding of the named predicate.
+func (ev *Evaluator) dropPreds(pred string) {
+	k := ev.store.Kernel()
+	kept := ev.predOrder[:0]
+	for _, key := range ev.predOrder {
+		if e := ev.predCache[key]; e.pred == pred {
+			k.Unprotect(e.ref)
+			delete(ev.predCache, key)
+			continue
+		}
+		kept = append(kept, key)
+	}
+	ev.predOrder = kept
 }
 
 // predKey identifies a bound predicate occurrence: the index (by its first
@@ -760,8 +909,7 @@ func (ev *Evaluator) predKey(p Pred, ix *index.Index, env *evalEnv, negated bool
 				continue
 			}
 			seen[a.Name] = i
-			if ev.opts.EarlyProject && !negated &&
-				env.occurrences[a.Name] == 1 && env.projectable[a.Name] {
+			if ev.projects(env, a.Name, negated) {
 				sb.WriteString("|p")
 			} else {
 				fmt.Fprintf(&sb, "|v%d", env.blocks[a.Name].Vars()[0])
@@ -817,7 +965,7 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 		}
 	}
 
-	// 3. Early projection of single-occurrence existential variables.
+	// 3. Early projection of single-occurrence variables.
 	names := make([]string, 0, len(firstPos))
 	for name := range firstPos {
 		names = append(names, name)
@@ -828,11 +976,10 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 	for _, name := range names {
 		i := firstPos[name]
 		// A single-occurrence variable whose existential binder reaches this
-		// atom through ∧/∨ only can be projected out here instead of being
-		// renamed and quantified later. negated is always false for such
-		// atoms (Not is a barrier), but the check keeps the invariant local.
-		if ev.opts.EarlyProject && !negated &&
-			env.occurrences[name] == 1 && env.projectable[name] {
+		// atom through ∧/∨ only — or, under a negation, whose stripped ∀
+		// does — can be projected out here instead of being renamed and
+		// quantified later.
+		if ev.projects(env, name, negated) {
 			projected = append(projected, doms[i])
 			continue
 		}

@@ -101,11 +101,19 @@ type Stats struct {
 // new index versions arrive via Publish and are picked up by each worker
 // between requests.
 type Pool struct {
-	latest  atomic.Pointer[Version]
-	jobs    chan job
+	latest atomic.Pointer[Version]
+	// idle queues the workers with nothing to do, longest idle first, and
+	// work[i] hands worker i its next job. A worker rejoins idle before it
+	// reports its job done, so which worker serves a caller's next job
+	// follows from the order jobs finished in, not from when the scheduler
+	// next runs the worker's goroutine: what a check costs depends on what
+	// its replica's caches hold, and a caller that submits one job at a time
+	// must meet the same sequence of replicas on every run.
+	idle    chan int
+	work    []chan job
 	workers int
 
-	mu     sync.RWMutex // guards send-vs-close on jobs
+	mu     sync.RWMutex // guards send-vs-close on work
 	closed bool
 	wg     sync.WaitGroup
 
@@ -148,12 +156,15 @@ func New(n int, v *Version) (*Pool, error) {
 		return nil, errors.New("replica: pool needs an initial version")
 	}
 	p := &Pool{
-		jobs:    make(chan job, 2*n),
+		idle:    make(chan int, n),
+		work:    make([]chan job, n),
 		workers: n,
 		stats:   make([]atomic.Pointer[Stats], n),
 	}
 	p.latest.Store(v)
 	for i := 0; i < n; i++ {
+		p.work[i] = make(chan job, 1) // an idle worker's channel always has room
+		p.idle <- i
 		p.stats[i].Store(&Stats{Worker: i})
 		p.wg.Add(1)
 		go p.worker(i)
@@ -203,11 +214,13 @@ func (p *Pool) Do(ctx context.Context, fn func(chk *core.Checker, epoch uint64))
 		p.mu.RUnlock()
 		return ErrClosed
 	}
-	// The read lock is held across the (possibly blocking) send so Close
-	// cannot close the channel under a pending send: workers keep draining
-	// until Close gets the write lock, so the send always completes.
+	// The read lock is held across the (possibly blocking) wait for a worker
+	// and the hand-off so Close cannot close the worker's channel under a
+	// pending send: workers keep finishing jobs until Close gets the write
+	// lock, so an idle one always turns up.
 	select {
-	case p.jobs <- jb:
+	case w := <-p.idle:
+		p.work[w] <- jb
 		p.mu.RUnlock()
 	case <-ctx.Done():
 		p.mu.RUnlock()
@@ -225,7 +238,9 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	close(p.jobs)
+	for _, ch := range p.work {
+		close(ch)
+	}
 	p.mu.Unlock()
 	p.wg.Wait()
 }
@@ -236,7 +251,7 @@ func (p *Pool) worker(i int) {
 	var chk *core.Checker
 	var jobs uint64
 	var retired core.Stats // counters of checkers discarded by swaps
-	for jb := range p.jobs {
+	for jb := range p.work[i] {
 		m := p.metrics.Load()
 		var picked time.Time
 		if m != nil {
@@ -249,6 +264,7 @@ func (p *Pool) worker(i int) {
 			next, err := latest.newReplica()
 			if err != nil && chk == nil {
 				// No fallback version to serve: fail this job.
+				p.idle <- i
 				jb.err <- err
 				continue
 			}
@@ -271,6 +287,7 @@ func (p *Pool) worker(i int) {
 			Worker: i, Epoch: cur.epoch, Jobs: jobs,
 			Kernel: chk.KernelStats(), Checker: addStats(retired, chk.Stats()),
 		})
+		p.idle <- i
 		jb.err <- nil
 	}
 }

@@ -244,8 +244,8 @@ func TestDoRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Occupy the single worker, then submit with a canceled context: Do
-	// must return promptly — either the job slipped into the queue (nil
-	// after release) or submission observed the cancellation.
+	// must return promptly — either the worker came free first (nil) or
+	// submission observed the cancellation.
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -277,9 +277,42 @@ func TestDoRespectsContext(t *testing.T) {
 			canceled++
 		}
 	}
-	// The queue holds 2 entries for a 1-worker pool, so with 8 canceled
-	// submissions against a blocked worker some must take the ctx branch.
+	// Nothing queues in front of a busy worker, so of 8 canceled
+	// submissions against a blocked one some must take the ctx branch.
 	if canceled == 0 {
-		t.Log("no submission observed the canceled context (queue drained fast); still no deadlock")
+		t.Log("no submission observed the canceled context (the worker came free fast); still no deadlock")
+	}
+}
+
+// TestDoMeetsWorkersInTurn: a caller that submits one job at a time meets
+// the workers in a fixed rotation, whatever the scheduler does to their
+// goroutines between jobs. A check's cost depends on what its replica's
+// caches hold, so the kernel step counts of a sequential client — the
+// benchmark's gated metric — repeat only if the rotation does.
+func TestDoMeetsWorkersInTurn(t *testing.T) {
+	primary, _ := newPrimary(t)
+	v, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	pool, err := replica.New(workers, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var served []*core.Checker
+	for i := 0; i < 200*workers; i++ {
+		if err := pool.Do(context.Background(), func(chk *core.Checker, _ uint64) { served = append(served, chk) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, chk := range served {
+		if i >= workers && chk != served[i-workers] {
+			t.Fatalf("job %d ran on a different replica than job %d: the rotation slipped", i, i-workers)
+		}
+		if i > 0 && i < workers && chk == served[i-1] {
+			t.Fatalf("jobs %d and %d ran on one replica with %d idle", i-1, i, workers-1)
+		}
 	}
 }

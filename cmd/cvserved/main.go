@@ -48,6 +48,15 @@
 //	GET  /statsz
 //	GET  /metricsz   (Prometheus text exposition)
 //
+// Replies are compact JSON, one document per line, e.g. for /check
+//
+//	{"results":[{"name":"nj_codes","violated":true,"method":"bdd","duration_ns":412873}],"epoch":7}
+//
+// where epoch (present with -data-dir) is the epoch of the index version the
+// results were decided on. A registered constraint re-checked while no table
+// has changed is answered from the server's verdict memo: same verdict,
+// duration_ns 0, no kernel work.
+//
 // Appending ?trace=1 to the POST endpoints returns per-stage spans with BDD
 // kernel deltas. -pprof additionally serves net/http/pprof under
 // /debug/pprof/.

@@ -39,6 +39,12 @@ var followerSoak = flag.Bool("follower", false, "cross-check a WAL-shipped follo
 // verdicts plus witness sets must match the primary at every step.
 var shardSoak = flag.Int("shards", 0, "cross-check an in-process sharded coordinator with this many shards at every soak step (0 = off)")
 
+// -service adds the serving stack as a comparison target: every soak case is
+// also served by a service.Server with two read replicas that is fed every
+// update batch, and two consecutive checks of its registry — the second out
+// of the verdict memo — must match the primary's verdicts at every step.
+var serviceSoak = flag.Bool("service", false, "cross-check a service.Server, and its verdict memo, at every soak step")
+
 // soakBase is the fixed seed base: case i derives from soakBase+i, so every
 // run (and every CI run) replays the identical case sequence.
 const soakBase = int64(0xD1FF)
@@ -48,7 +54,8 @@ func TestDifferentialSoak(t *testing.T) {
 	ForceReorder = *reorderSoak
 	FollowerSoak = *followerSoak
 	ShardSoak = *shardSoak
-	defer func() { ForceReorder = false; FollowerSoak = false; ShardSoak = 0 }()
+	ServiceSoak = *serviceSoak
+	defer func() { ForceReorder = false; FollowerSoak = false; ShardSoak = 0; ServiceSoak = false }()
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
 	for i := 0; i < *soakSeeds; i++ {

@@ -156,6 +156,16 @@ func RunCase(c *Case) (*Mismatch, error) {
 			return mm, err
 		}
 	}
+	var svcO *serviceOracle
+	if ServiceSoak {
+		if svcO, err = newServiceOracle(c, cts, method); err != nil {
+			return nil, err
+		}
+		defer svcO.close()
+		if mm, err := svcO.check(primary, 0); mm != nil || err != nil {
+			return mm, err
+		}
+	}
 	for i, batch := range c.Updates {
 		if _, err := primary.Apply(batch); err != nil {
 			return nil, fmt.Errorf("difftest: applying batch %d: %w", i+1, err)
@@ -184,6 +194,14 @@ func RunCase(c *Case) (*Mismatch, error) {
 				return nil, fmt.Errorf("difftest: shard coordinator applying batch %d: %w", i+1, err)
 			}
 			if mm, err := shardO.check(primary, i+1); mm != nil || err != nil {
+				return mm, err
+			}
+		}
+		if svcO != nil {
+			if err := svcO.apply(batch); err != nil {
+				return nil, fmt.Errorf("difftest: server applying batch %d: %w", i+1, err)
+			}
+			if mm, err := svcO.check(primary, i+1); mm != nil || err != nil {
 				return mm, err
 			}
 		}

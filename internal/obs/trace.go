@@ -27,6 +27,9 @@ type Span struct {
 	// Kernel is the BDD-kernel counter movement attributed to the stage;
 	// nil for stages that touch no kernel.
 	Kernel *bdd.Delta
+	// Hits and Misses count the lookups a cache stage ("memo") answered and
+	// left to evaluation; zero for every other stage.
+	Hits, Misses int
 }
 
 // Trace accumulates the spans of one request. Create one with NewTrace;
@@ -77,6 +80,16 @@ func (t *Trace) SpanKernel(name string, start time.Time, d bdd.Delta) {
 	t.add(sp)
 }
 
+// Lookups records a cache-lookup stage that started at start and ends now,
+// with how many lookups it answered and how many it left to evaluation.
+// No-op on a nil trace.
+func (t *Trace) Lookups(name string, start time.Time, hits, misses int) {
+	if t == nil {
+		return
+	}
+	t.add(Span{Name: name, Start: start.Sub(t.t0), Duration: time.Since(start), Hits: hits, Misses: misses})
+}
+
 // Record adds a stage with an explicitly measured duration, for call sites
 // that already timed the work (e.g. splitting a result's SQL share out of
 // its total) and must not read the clock again. A nil kd leaves the span
@@ -125,7 +138,8 @@ func (t *Trace) Total() time.Duration {
 }
 
 // Summary renders the spans on one line for the slow-request log:
-// "queue_wait=1.2ms eval:nj_codes=25ms[+1204n]". Nil-safe.
+// "queue_wait=1.2ms memo=3µs[1/2] eval:nj_codes=25ms[+1204n]" (memo: hits
+// of lookups). Nil-safe.
 func (t *Trace) Summary() string {
 	if t == nil {
 		return ""
@@ -140,6 +154,9 @@ func (t *Trace) Summary() string {
 		fmt.Fprintf(&b, "%s=%v", sp.Name, sp.Duration.Round(time.Microsecond))
 		if sp.Kernel != nil {
 			fmt.Fprintf(&b, "[+%dn]", sp.Kernel.NodesAllocated)
+		}
+		if lookups := sp.Hits + sp.Misses; lookups > 0 {
+			fmt.Fprintf(&b, "[%d/%d]", sp.Hits, lookups)
 		}
 	}
 	return b.String()

@@ -18,7 +18,11 @@
 //   - Pool workers each own one replica checker built from the current
 //     Version. A worker notices a newer Version between requests and swaps
 //     by rebuilding its checker from the new frozen snapshot; in-flight
-//     work always finishes on the version it started with.
+//     work always finishes on the version it started with. A worker
+//     remembers which publication its checker came from, not the Version:
+//     once every reference to a retired Version is gone its frozen kernel —
+//     a copy of the whole index — is garbage, however long a worker that
+//     adopted it sits idle.
 //   - A Version is never mutated after construction: its catalog is a
 //     frozen clone and its kernel is only read (bdd.CopyTo does not touch
 //     the source), so any number of workers may adopt from it concurrently.
@@ -35,6 +39,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // ErrClosed is returned by Do after the pool has been closed.
@@ -66,6 +71,10 @@ func NewVersion(primary *core.Checker, epoch uint64) (*Version, error) {
 
 // Epoch returns the version's epoch.
 func (v *Version) Epoch() uint64 { return v.epoch }
+
+// Catalog returns the version's frozen catalog: the tables, at the table
+// versions, every replica of this version reads. It is never mutated.
+func (v *Version) Catalog() *relation.Catalog { return v.frozen.Catalog() }
 
 // newReplica builds a worker-private checker from the frozen snapshot: it
 // shares the immutable catalog (checks only read it) but owns a fresh
@@ -101,7 +110,12 @@ type Stats struct {
 // new index versions arrive via Publish and are picked up by each worker
 // between requests.
 type Pool struct {
-	latest atomic.Pointer[Version]
+	// latest is the newest publication. published numbers them: a worker
+	// compares the number, not the epoch (a follower re-bootstrap can
+	// republish an epoch it already served) and not the *Version (holding
+	// it would pin the retired version's kernel).
+	latest    atomic.Pointer[publication]
+	published atomic.Uint64
 	// idle queues the workers with nothing to do, longest idle first, and
 	// work[i] hands worker i its next job. A worker rejoins idle before it
 	// reports its job done, so which worker serves a caller's next job
@@ -140,6 +154,12 @@ type Metrics struct {
 // serves traffic; jobs already in flight may be recorded partially.
 func (p *Pool) SetMetrics(m *Metrics) { p.metrics.Store(m) }
 
+// publication is one Publish: the version and its number in publish order.
+type publication struct {
+	v   *Version
+	seq uint64
+}
+
 type job struct {
 	fn        func(chk *core.Checker, epoch uint64)
 	submitted time.Time // zero when the pool is uninstrumented
@@ -161,7 +181,7 @@ func New(n int, v *Version) (*Pool, error) {
 		workers: n,
 		stats:   make([]atomic.Pointer[Stats], n),
 	}
-	p.latest.Store(v)
+	p.Publish(v)
 	for i := 0; i < n; i++ {
 		p.work[i] = make(chan job, 1) // an idle worker's channel always has room
 		p.idle <- i
@@ -175,8 +195,12 @@ func New(n int, v *Version) (*Pool, error) {
 // Size returns the number of workers.
 func (p *Pool) Size() int { return p.workers }
 
+// Latest returns the newest published version: what a job submitted now
+// would be served on, or a later one.
+func (p *Pool) Latest() *Version { return p.latest.Load().v }
+
 // Epoch returns the epoch of the latest published version.
-func (p *Pool) Epoch() uint64 { return p.latest.Load().Epoch() }
+func (p *Pool) Epoch() uint64 { return p.Latest().Epoch() }
 
 // Swaps returns how many version handoffs workers have completed (the
 // initial materialization of each worker counts as one).
@@ -186,7 +210,9 @@ func (p *Pool) Swaps() uint64 { return p.swaps.Load() }
 // next request; in-flight requests finish on the version they started with.
 // Publish never blocks and is safe to call concurrently with Do, though
 // versions must be produced by a single owner to keep epochs monotonic.
-func (p *Pool) Publish(v *Version) { p.latest.Store(v) }
+func (p *Pool) Publish(v *Version) {
+	p.latest.Store(&publication{v: v, seq: p.published.Add(1)})
+}
 
 // Stats returns the latest per-worker counters, in worker order.
 func (p *Pool) Stats() []Stats {
@@ -247,7 +273,9 @@ func (p *Pool) Close() {
 
 func (p *Pool) worker(i int) {
 	defer p.wg.Done()
-	var cur *Version
+	// serving is the number of the publication chk was built from (zero
+	// before the first) and epoch that version's epoch.
+	var serving, epoch uint64
 	var chk *core.Checker
 	var jobs uint64
 	var retired core.Stats // counters of checkers discarded by swaps
@@ -260,8 +288,8 @@ func (p *Pool) worker(i int) {
 				m.QueueWait.Observe(picked.Sub(jb.submitted))
 			}
 		}
-		if latest := p.latest.Load(); cur != latest {
-			next, err := latest.newReplica()
+		if pub := p.latest.Load(); pub.seq != serving {
+			next, err := pub.v.newReplica()
 			if err != nil && chk == nil {
 				// No fallback version to serve: fail this job.
 				p.idle <- i
@@ -272,19 +300,19 @@ func (p *Pool) worker(i int) {
 				if chk != nil {
 					retired = addStats(retired, chk.Stats())
 				}
-				cur, chk = latest, next
+				serving, epoch, chk = pub.seq, pub.v.epoch, next
 				p.swaps.Add(1)
 			}
 			// On error with a previous version in hand, keep serving it;
 			// the next publish retries the swap.
 		}
-		jb.fn(chk, cur.epoch)
+		jb.fn(chk, epoch)
 		if m != nil && m.Run != nil {
 			m.Run.Observe(time.Since(picked))
 		}
 		jobs++
 		p.stats[i].Store(&Stats{
-			Worker: i, Epoch: cur.epoch, Jobs: jobs,
+			Worker: i, Epoch: epoch, Jobs: jobs,
 			Kernel: chk.KernelStats(), Checker: addStats(retired, chk.Stats()),
 		})
 		p.idle <- i

@@ -3,9 +3,11 @@ package replica_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/logic"
@@ -315,4 +317,58 @@ func TestDoMeetsWorkersInTurn(t *testing.T) {
 			t.Fatalf("jobs %d and %d ran on one replica with %d idle", i-1, i, workers-1)
 		}
 	}
+}
+
+// TestIdleWorkerDoesNotPinRetiredVersion: a worker holds the replica it built
+// from a version, never the version. When most checks are answered without a
+// replica only one worker adopts each new epoch; the others sit on the
+// previous one, and had they kept its Version alive each would carry a
+// second, frozen copy of the whole index.
+func TestIdleWorkerDoesNotPinRetiredVersion(t *testing.T) {
+	primary, _ := newPrimary(t)
+	v1, err := replica.NewVersion(primary, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := replica.New(2, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	nop := func(*core.Checker, uint64) {}
+	for i := 0; i < 2; i++ { // sequential jobs meet the workers in turn: both materialise v1
+		if err := pool.Do(context.Background(), nop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(v1, func(*replica.Version) { close(collected) })
+	v1 = nil
+
+	v2, err := replica.NewVersion(primary, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Publish(v2)
+	if err := pool.Do(context.Background(), nop); err != nil {
+		t.Fatal(err)
+	}
+	var behind int
+	for _, ws := range pool.Stats() {
+		if ws.Epoch == 1 {
+			behind++
+		}
+	}
+	if behind != 1 {
+		t.Fatalf("want one worker still serving epoch 1 after one job, got %d: %+v", behind, pool.Stats())
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("epoch 1's Version survives its retirement: something still holds it")
 }

@@ -47,6 +47,20 @@ var (
 // nRows random CUST rows and nRows/2 SUPP rows, plus its constraint set.
 func buildFixture(t testing.TB, rng *rand.Rand, nRows int) (*core.Checker, []logic.Constraint) {
 	t.Helper()
+	cust := make([][]string, nRows)
+	for i := range cust {
+		cust[i] = []string{cities[rng.Intn(len(cities))], codes[rng.Intn(len(codes))], states[rng.Intn(len(states))]}
+	}
+	supp := make([][]string, nRows/2)
+	for i := range supp {
+		supp[i] = []string{cities[rng.Intn(len(cities))], states[rng.Intn(len(states))]}
+	}
+	return buildFixtureRows(t, cust, supp)
+}
+
+// buildFixtureRows is buildFixture over the given rows.
+func buildFixtureRows(t testing.TB, custRows, suppRows [][]string) (*core.Checker, []logic.Constraint) {
+	t.Helper()
 	cat := relation.NewCatalog()
 	cust, err := cat.CreateTable("CUST", []relation.Column{
 		{Name: "city"}, {Name: "areacode"}, {Name: "state"},
@@ -60,11 +74,11 @@ func buildFixture(t testing.TB, rng *rand.Rand, nRows int) (*core.Checker, []log
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nRows; i++ {
-		cust.Insert(cities[rng.Intn(len(cities))], codes[rng.Intn(len(codes))], states[rng.Intn(len(states))])
+	for _, row := range custRows {
+		cust.Insert(row...)
 	}
-	for i := 0; i < nRows/2; i++ {
-		supp.Insert(cities[rng.Intn(len(cities))], states[rng.Intn(len(states))])
+	for _, row := range suppRows {
+		supp.Insert(row...)
 	}
 	chk := core.New(cat, core.Options{})
 	for _, name := range []string{"CUST", "SUPP"} {
@@ -107,12 +121,18 @@ func (n *node) stop() {
 // pruning pressure a scenario wants.
 func startLeader(t *testing.T, rng *rand.Rand, snapshotEvery, retain int) *node {
 	t.Helper()
+	chk, cts := buildFixture(t, rng, 250)
+	return startLeaderOn(t, chk, cts, snapshotEvery, retain)
+}
+
+// startLeaderOn is startLeader over a checker the scenario built itself.
+func startLeaderOn(t *testing.T, chk *core.Checker, cts []logic.Constraint, snapshotEvery, retain int) *node {
+	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{Fsync: store.FsyncOff, Retain: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chk, cts := buildFixture(t, rng, 250)
 	if err := st.WriteSnapshot(chk, store.RenderConstraints(cts), 1); err != nil {
 		st.Close()
 		t.Fatal(err)
@@ -343,12 +363,12 @@ func fetchWitnesses(t *testing.T, base, constraint string) []core.Witness {
 // an honest Content-Length), "truncate" promises the full length but cuts
 // the stream halfway. Everything else — and /wal always — passes through.
 type faultProxy struct {
-	hs     *httptest.Server
-	target string
+	hs *httptest.Server
 
-	mu   sync.Mutex
-	mode string // "", "flip" or "truncate"
-	left int    // corruptions remaining; negative means every time
+	mu     sync.Mutex
+	target string
+	mode   string // "", "flip" or "truncate"
+	left   int    // corruptions remaining; negative means every time
 }
 
 func newFaultProxy(t *testing.T, target string) *faultProxy {
@@ -359,6 +379,14 @@ func newFaultProxy(t *testing.T, target string) *faultProxy {
 }
 
 func (p *faultProxy) URL() string { return p.hs.URL }
+
+// retarget points the proxy at another leader: what a follower meets when
+// the address it tails is handed to a different database.
+func (p *faultProxy) retarget(target string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.target = target
+}
 
 // corrupt arms the proxy: the next n snapshot responses (all of them when
 // n < 0) are damaged with mode. corrupt("", 0) disarms it.
@@ -385,7 +413,10 @@ func (p *faultProxy) takeFault(path string) string {
 }
 
 func (p *faultProxy) serve(w http.ResponseWriter, r *http.Request) {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, p.target+r.URL.RequestURI(), r.Body)
+	p.mu.Lock()
+	target := p.target
+	p.mu.Unlock()
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

@@ -191,6 +191,78 @@ func TestLeaderPruneForces410Rebootstrap(t *testing.T) {
 	assertSameAnswers(t, leader.URL(), fol2.URL())
 }
 
+// TestRebootstrapOntoOtherDataDropsMemoisedVerdicts retargets a tailing
+// follower at a leader over different data whose log starts past the
+// follower's position: the 410 forces a re-bootstrap that replaces the
+// follower's catalog wholesale. The two datasets have the same row counts, so
+// the recovered tables carry the same version counters the old ones did —
+// the verdict memo's key — while every verdict differs: whatever the follower
+// memoised about the first database must not answer for the second.
+func TestRebootstrapOntoOtherDataDropsMemoisedVerdicts(t *testing.T) {
+	const nRows = 250
+	dirty := startLeader(t, rand.New(rand.NewSource(6)), 1000, 4)
+
+	cleanCust := [][]string{
+		{"Toronto", "416", "Ontario"}, {"Toronto", "647", "Ontario"}, {"Oshawa", "905", "Ontario"},
+		{"Newark", "973", "NJ"}, {"Trenton", "201", "NJ"}, {"Buffalo", "716", "NY"}, {"Albany", "518", "NY"},
+	}
+	cleanSupp := [][]string{{"Toronto", "Ontario"}, {"Newark", "NJ"}, {"Buffalo", "NY"}}
+	cust := make([][]string, nRows)
+	for i := range cust {
+		cust[i] = cleanCust[i%len(cleanCust)]
+	}
+	supp := make([][]string, nRows/2)
+	for i := range supp {
+		supp[i] = cleanSupp[i%len(cleanSupp)]
+	}
+	chk, cts := buildFixtureRows(t, cust, supp)
+	clean := startLeaderOn(t, chk, cts, 1, 1)
+	// One batch that leaves the rows as they were, sealed as the epoch-2
+	// snapshot: nothing at or below epoch 1 is left to tail.
+	row := service.UpdateTuple{Table: "CUST", Op: "insert", Values: cleanCust[0]}
+	gone := row
+	gone.Op = "delete"
+	if st := postJSON(t, clean.URL(), "/update", service.UpdateRequest{Updates: []service.UpdateTuple{row, gone}}, nil); st != http.StatusOK {
+		t.Fatalf("/update on the clean leader: status %d", st)
+	}
+
+	proxy := newFaultProxy(t, dirty.URL())
+	fol := startFollower(t, proxy.URL(), t.TempDir(), service.FollowerOptions{})
+	waitFor(t, "follower to tail the first leader", 20*time.Second, func() (bool, string) {
+		fs := getStatsz(t, fol.URL()).Follower
+		return fs != nil && fs.State == "tailing", "not tailing"
+	})
+	assertSameAnswers(t, dirty.URL(), fol.URL())
+	var cr service.CheckResponse
+	if st := postJSON(t, fol.URL(), "/check", service.CheckRequest{}, &cr); st != http.StatusOK {
+		t.Fatalf("follower /check: status %d", st)
+	}
+	violated := 0
+	for _, r := range cr.Results {
+		if r.Violated {
+			violated++
+		}
+	}
+	if hits := getStatsz(t, fol.URL()).Checker.MemoHits; violated == 0 || hits < uint64(len(cr.Results)) {
+		t.Fatalf("scenario is vacuous: %d violated verdicts, %d memo hits on the first database", violated, hits)
+	}
+
+	proxy.retarget(clean.URL())
+	waitFor(t, "follower to re-bootstrap onto the second leader", 20*time.Second, func() (bool, string) {
+		st := getStatsz(t, fol.URL())
+		return st.Follower.Rebootstraps > 0 && st.Epoch == 2 && st.Follower.State == "tailing", st.Follower.State
+	})
+	if st := postJSON(t, fol.URL(), "/check", service.CheckRequest{}, &cr); st != http.StatusOK {
+		t.Fatalf("follower /check: status %d", st)
+	}
+	for _, r := range cr.Results {
+		if r.Violated || r.Error != "" {
+			t.Errorf("%s on the clean database: %+v", r.Name, r)
+		}
+	}
+	assertSameAnswers(t, clean.URL(), fol.URL())
+}
+
 // TestMaxLagStalenessRefusal pins the staleness contract with a stub leader
 // that reports a far-future epoch while handing out batches the follower
 // cannot apply (and no snapshot to re-bootstrap from): live reads must be

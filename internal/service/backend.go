@@ -23,11 +23,14 @@ import (
 // method runs on handler goroutines and must be safe for concurrent use.
 type Backend interface {
 	// Resolve maps a request's constraint names and inline declarations to
-	// constraints (see Registry.Resolve).
-	Resolve(names []string, text string) ([]logic.Constraint, error)
-	// Check validates cts and reports the epoch the verdicts hold at. pin is
-	// the request's ?epoch=N; zero reads the live state.
-	Check(ctx context.Context, cts []logic.Constraint, budget int, pin uint64, tr *obs.Trace) ([]CheckResult, uint64, error)
+	// constraints, and says how many of them, from the front, are the
+	// registry's own (see Registry.Resolve).
+	Resolve(names []string, text string) (cts []logic.Constraint, registered int, err error)
+	// Check validates cts and reports the epoch the verdicts hold at.
+	// registered is Resolve's count for cts, zero for constraints that did not
+	// come through it. pin is the request's ?epoch=N; zero reads the live
+	// state.
+	Check(ctx context.Context, cts []logic.Constraint, registered, budget int, pin uint64, tr *obs.Trace) ([]CheckResult, uint64, error)
 	// Witnesses enumerates up to limit (positive) violating bindings of ct
 	// and names the method that produced them.
 	Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) ([]core.Witness, string, error)
@@ -82,20 +85,24 @@ func (r *Registry) Lookup(name string) (logic.Constraint, bool) {
 
 // Resolve maps a request's constraint names (and optional inline
 // declarations) to constraints, names first; with neither, the whole
-// registry is selected.
-func (r *Registry) Resolve(names []string, text string) ([]logic.Constraint, error) {
-	var cts []logic.Constraint
+// registry is selected. The leading registered entries of cts are the
+// registry's own constraints; the rest are the request's declarations, which
+// may carry a registered name over another body (a coordinator sends its
+// workers decomposed formulas under the names both were booted with). Only
+// here is the difference known, so it travels with cts from here.
+func (r *Registry) Resolve(names []string, text string) (cts []logic.Constraint, registered int, err error) {
 	for _, name := range names {
 		ct, ok := r.byName[name]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownConstraint, name)
+			return nil, 0, fmt.Errorf("%w: %q", ErrUnknownConstraint, name)
 		}
 		cts = append(cts, ct)
 	}
+	registered = len(cts)
 	if text != "" {
 		parsed, err := logic.ParseConstraints(text)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		cts = append(cts, parsed...)
 	}
@@ -103,32 +110,34 @@ func (r *Registry) Resolve(names []string, text string) ([]logic.Constraint, err
 		for _, name := range r.names {
 			cts = append(cts, r.byName[name])
 		}
+		registered = len(cts)
 	}
-	return cts, nil
+	return cts, registered, nil
 }
 
-// Check implements Backend: a live read goes to the replica pool or the
-// primary worker; a pin below the current epoch is answered from the
-// durability store (history.go), which also rejects pins it cannot serve.
+// Check implements Backend: a live read goes to the verdict memo, the
+// replica pool or the primary worker, and is labelled with the epoch of the
+// version that answered it; any other pin is answered from the durability
+// store (history.go), which also rejects pins it cannot serve.
 //
 //cv:owner any
-func (s *Server) Check(ctx context.Context, cts []logic.Constraint, budget int, pin uint64, tr *obs.Trace) ([]CheckResult, uint64, error) {
+func (s *Server) Check(ctx context.Context, cts []logic.Constraint, registered, budget int, pin uint64, tr *obs.Trace) ([]CheckResult, uint64, error) {
 	s.nChecks.Add(1)
-	epoch := uint64(0) // stays zero without a durability store
-	if s.st != nil {
-		epoch = s.epoch.Load()
-	}
 	var results []core.Result
-	if pin == 0 || pin == epoch {
+	var epoch uint64
+	if pin == 0 || (s.st != nil && pin == s.epoch.Load()) {
 		if err := s.stalenessErr(); err != nil {
 			return nil, 0, err
 		}
-		rep, err := s.submitCheck(ctx, cts, budget, 0, tr)
+		rep, err := s.submitCheck(ctx, checkSpec{cts: cts, registered: registered, budget: budget}, tr)
 		if err != nil {
 			return nil, 0, err
 		}
-		results = rep.results
-	} else {
+		results, epoch = rep.results, rep.epoch
+	}
+	if pin != 0 && pin != epoch {
+		// A pin below the current epoch — or the current one, overtaken by an
+		// update before the live read was dispatched — is history.
 		histStart := tr.Begin()
 		var err error
 		results, err = s.checkAtEpoch(ctx, pin, cts, budget)
@@ -137,6 +146,9 @@ func (s *Server) Check(ctx context.Context, cts []logic.Constraint, budget int, 
 			return nil, 0, err
 		}
 		epoch = pin
+	}
+	if s.st == nil {
+		epoch = 0 // epochs name durable states, and there are none
 	}
 	out := make([]CheckResult, len(results))
 	for i, res := range results {
@@ -175,7 +187,7 @@ func (s *Server) Witnesses(ctx context.Context, ct logic.Constraint, limit, budg
 	if err := s.stalenessErr(); err != nil {
 		return nil, "", err
 	}
-	rep, err := s.submitCheck(ctx, []logic.Constraint{ct}, budget, limit, tr)
+	rep, err := s.submitCheck(ctx, checkSpec{cts: []logic.Constraint{ct}, budget: budget, witnessLimit: limit}, tr)
 	if err != nil {
 		return nil, "", err
 	}
@@ -280,6 +292,8 @@ func (s *Server) Stats() StatszResponse {
 			SQLFallbacks: cs.SQLFallbacks,
 			Errors:       cs.Errors,
 			FallbackRate: rate,
+			MemoHits:     s.memo.hits.Load(),
+			MemoMisses:   s.memo.misses.Load(),
 		},
 		Kernel:        agg,
 		PrimaryKernel: primary,

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/logic"
-	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -23,45 +22,8 @@ import (
 // boot does.
 func newDurableServer(t *testing.T, st *store.Store, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
-	cat := relation.NewCatalog()
-	cust, err := cat.CreateTable("CUST", []relation.Column{
-		{Name: "city"}, {Name: "areacode"}, {Name: "state"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range [][]string{
-		{"Toronto", "416", "Ontario"},
-		{"Toronto", "647", "Ontario"},
-		{"Oshawa", "905", "Ontario"},
-		{"Newark", "973", "NJ"},
-		{"Newark", "416", "NJ"},
-	} {
-		cust.Insert(row...)
-	}
-	chk := core.New(cat, core.Options{})
-	if _, err := chk.BuildIndex("CUST", "CUST", nil, core.OrderProbConverge); err != nil {
-		t.Fatal(err)
-	}
-	cts, err := logic.ParseConstraints(testRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(chk, store.RenderConstraints(cts), 1); err != nil {
-		t.Fatal(err)
-	}
 	opts.Store = st
-	opts.InitialEpoch = 1
-	srv, err := service.New(chk, cts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return newFixtureServer(t, testRules, opts)
 }
 
 // reopenServer recovers the checker and constraints from the data directory

@@ -433,6 +433,10 @@ func (s *Server) reloadFromStore() replResult {
 	if err != nil {
 		return replResult{err: fmt.Errorf("service: rebuilding from installed snapshot: %w", err)}
 	}
+	// The recovered catalog's version counters start over, possibly at an
+	// epoch already served: no memoised verdict, and no check in flight on
+	// the old catalog, may meet the new one.
+	s.memo.suspend()
 	s.chk = chk
 	s.batchesSinceSnap = 0
 	epoch := info.LastEpoch
@@ -440,6 +444,7 @@ func (s *Server) reloadFromStore() replResult {
 		epoch = 1
 	}
 	s.publishVersion(epoch)
+	s.memo.resume()
 	s.publish(true)
 	s.epoch.Store(epoch)
 	s.epochSig.bump()

@@ -74,7 +74,10 @@ func (s *Server) checkAtEpoch(ctx context.Context, epoch uint64, cts []logic.Con
 		return nil, e.err
 	}
 	// Untraced: the caller brackets the whole historical read in one span.
-	return s.evalAll(ctx, e.chk, cts, core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}, nil), nil
+	// The zero pass keeps the read away from the verdict memo: this checker
+	// was rebuilt from snapshot + WAL, and its table-version counters say
+	// nothing about the live ones.
+	return s.evalAll(ctx, e.chk, cts, memoPass{}, core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}, nil), nil
 }
 
 // historyEntry returns the cache entry for epoch, creating (and FIFO-evicting)

@@ -53,9 +53,10 @@ type CheckResult struct {
 // CheckResponse is the /check reply.
 type CheckResponse struct {
 	Results []CheckResult `json:"results"`
-	// Epoch is the epoch the results were evaluated at: the requested
-	// ?epoch=N for a historical read, the current epoch otherwise. Zero when
-	// the server runs without a durability store.
+	// Epoch is the epoch every result holds at: the requested ?epoch=N for a
+	// historical read, otherwise the epoch of the version that answered — a
+	// follow-up ?epoch= read of it returns the same verdicts. Zero when the
+	// server runs without a durability store.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Trace carries the request's per-stage spans when ?trace=1.
 	Trace *TraceInfo `json:"trace,omitempty"`
@@ -77,6 +78,10 @@ type TraceSpan struct {
 	// Kernel is the BDD-kernel counter movement the stage caused; absent for
 	// stages that touched no kernel.
 	Kernel *KernelDelta `json:"kernel,omitempty"`
+	// Hits and Misses are the "memo" stage's: registered constraints answered
+	// from the verdict memo, and left to evaluation.
+	Hits   int `json:"hits,omitempty"`
+	Misses int `json:"misses,omitempty"`
 }
 
 // KernelDelta is the wire form of a stage's kernel counter movement.
@@ -214,6 +219,11 @@ type CheckerStats struct {
 	SQLFallbacks int     `json:"sql_fallbacks"`
 	Errors       int     `json:"errors"`
 	FallbackRate float64 `json:"fallback_rate"`
+	// MemoHits counts registered constraints answered from the verdict memo
+	// — none of the decisions above ran for them — and MemoMisses those a
+	// check looked up, did not find at its table versions, and evaluated.
+	MemoHits   uint64 `json:"memo_hits"`
+	MemoMisses uint64 `json:"memo_misses"`
 }
 
 // KernelStats reports the shared BDD kernel's counters.
@@ -332,7 +342,7 @@ func toWireTrace(tr *obs.Trace, wantTrace bool) *TraceInfo {
 	spans := tr.Spans()
 	out := &TraceInfo{TotalNS: tr.Total().Nanoseconds(), Spans: make([]TraceSpan, len(spans))}
 	for i, sp := range spans {
-		ws := TraceSpan{Name: sp.Name, StartNS: sp.Start.Nanoseconds(), DurationNS: sp.Duration.Nanoseconds()}
+		ws := TraceSpan{Name: sp.Name, StartNS: sp.Start.Nanoseconds(), DurationNS: sp.Duration.Nanoseconds(), Hits: sp.Hits, Misses: sp.Misses}
 		if sp.Kernel != nil {
 			ws.Kernel = &KernelDelta{
 				NodesAllocated: sp.Kernel.NodesAllocated,
@@ -365,7 +375,7 @@ func (h *edge) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !h.decode(w, r, &req) {
 		return
 	}
-	cts, err := h.b.Resolve(req.Constraints, req.Text)
+	cts, registered, err := h.b.Resolve(req.Constraints, req.Text)
 	if err != nil {
 		h.httpError(w, err)
 		return
@@ -382,7 +392,7 @@ func (h *edge) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	results, epoch, err := h.b.Check(ctx, cts, req.NodeBudget, pin, tr)
+	results, epoch, err := h.b.Check(ctx, cts, registered, req.NodeBudget, pin, tr)
 	if err != nil {
 		h.httpError(w, err)
 		return
@@ -407,7 +417,7 @@ func (h *edge) handleWitnesses(w http.ResponseWriter, r *http.Request) {
 	if req.Constraint != "" {
 		names = []string{req.Constraint}
 	}
-	cts, err := h.b.Resolve(names, req.Text)
+	cts, _, err := h.b.Resolve(names, req.Text)
 	if err != nil {
 		h.httpError(w, err)
 		return
@@ -589,7 +599,5 @@ func (h *edge) writeJSON(w http.ResponseWriter, status int, v any) {
 	h.observeResponse(status)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -91,6 +91,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.CounterFunc("cv_checker_errors_total", "", "Constraint validations that failed outright.",
 		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.Errors) }))
 
+	const memoHelp = "Registered-constraint verdicts looked up in the verdict memo, by result: hit (answered without evaluation) or miss (evaluated)."
+	r.CounterFunc("cv_verdict_memo_total", `result="hit"`, memoHelp, s.memo.hits.Load)
+	r.CounterFunc("cv_verdict_memo_total", `result="miss"`, memoHelp, s.memo.misses.Load)
+
 	// Primary-kernel counters, from the same snapshot. Scrapes must never
 	// touch the live kernel: it belongs to the worker goroutine.
 	registerKernel(r, `kernel="primary"`, func() bdd.Stats { return s.snap.Load().kernel })

@@ -141,7 +141,8 @@ func TestReplicaReroutesBudgetFallbackToPrimary(t *testing.T) {
 
 // TestReplicatedReadYourWrites pins the publish-before-ack guarantee on the
 // pool path: with two replicas, a check submitted after an update's 200 OK
-// must see the new epoch's data no matter which worker serves it.
+// must see the new epoch's data no matter which worker serves it — or, once
+// one has, the verdict memo in front of them.
 func TestReplicatedReadYourWrites(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Replicas: 2})
 	toggle := []string{"Toronto", "416", "NJ"} // violates toronto_ontario
@@ -156,7 +157,7 @@ func TestReplicatedReadYourWrites(t *testing.T) {
 		}}, &ur); st != http.StatusOK || ur.Applied != 1 {
 			t.Fatalf("round %d %s: status %d, %+v", i, op, st, ur)
 		}
-		// Both workers must observe the acked state, not just one.
+		// Every reader must observe the acked state, not just the first.
 		for rep := 0; rep < 4; rep++ {
 			var resp service.CheckResponse
 			if st := post(t, ts.URL+"/check", service.CheckRequest{

@@ -27,6 +27,13 @@
 // check, exactly as in the single-worker model. Checks that need the SQL
 // fallback (missing index, blown budget) are rerouted from the replica to
 // the primary worker, which sees the live tables.
+//
+// Verdict memo: a registered constraint's verdict is a fact about a database
+// state, so the server keeps the last one per constraint together with the
+// table versions it was decided on (memo.go). A check of registered
+// constraints against tables that have not moved since is answered from the
+// memo — on a healthy pool without queueing for a replica at all — and an
+// update invalidates by moving a table version, not by touching the memo.
 package service
 
 import (
@@ -221,6 +228,10 @@ type Server struct {
 	replicaOK atomic.Bool
 	epoch     atomic.Uint64
 
+	// memo holds registered constraints' verdicts per table-version vector,
+	// shared by the primary and every replica (memo.go).
+	memo *verdictMemo
+
 	// Durability. st is nil when no data directory is configured.
 	// constraintText is the rendered registry persisted in every snapshot;
 	// batchesSinceSnap is worker-owned trigger state. The history fields
@@ -296,6 +307,7 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 		started:  time.Now(),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
+		memo:     newVerdictMemo(),
 	}
 	s.checks = make(chan *checkJob, s.opts.QueueDepth)
 	s.updates = make(chan *updateJob, s.opts.QueueDepth)
@@ -377,14 +389,24 @@ func (s *Server) Close() {
 
 // jobs
 
-type checkJob struct {
-	ctx context.Context
+// checkSpec is what a check or witness request asks for, as every dispatch
+// path carries it.
+type checkSpec struct {
 	cts []logic.Constraint
+	// registered counts the leading entries of cts that are the registry's
+	// own (Registry.Resolve): only those are answered from, or stored in, the
+	// verdict memo.
+	registered int
 	// budget is the explicit per-request node cap (0 = none).
 	budget int
 	// witnessLimit, when positive, turns the job into witness extraction
 	// for cts[0].
 	witnessLimit int
+}
+
+type checkJob struct {
+	ctx context.Context
+	checkSpec
 	// submitted is the admission-queue entry time, for the queue_wait stage.
 	submitted time.Time
 	// trace collects the job's stage spans; nil when the request is untraced.
@@ -393,7 +415,9 @@ type checkJob struct {
 }
 
 type checkReply struct {
-	results       []core.Result
+	results []core.Result
+	// epoch is the epoch of the one version every result was decided on.
+	epoch         uint64
 	witnesses     []core.Witness
 	witnessMethod core.Method
 	err           error
@@ -602,19 +626,38 @@ func (s *Server) runCheck(j *checkJob) {
 	if j.witnessLimit > 0 {
 		rep = s.runWitnesses(j.cts[0], j.witnessLimit, opts, j.trace)
 	} else {
-		rep = checkReply{results: s.evalAll(j.ctx, s.chk, j.cts, opts, j.trace)}
+		// The worker owns the live catalog and the epoch counter: both are
+		// the state this job reads, and no reload can run under it.
+		pass := memoPass{registered: j.registered, gen: s.memo.generation()}
+		rep = checkReply{results: s.evalAll(j.ctx, s.chk, j.cts, pass, opts, j.trace), epoch: s.epoch.Load()}
 	}
 	s.publish(false)
 	j.reply <- rep
 }
 
 // evalAll validates cts in order on chk — the primary's checker, a replica's
-// or a historical epoch's, whichever the calling goroutine owns. Once the
-// deadline blows, the remaining constraints report the context error
-// instead of burning more kernel time.
-func (s *Server) evalAll(ctx context.Context, chk *core.Checker, cts []logic.Constraint, opts core.CheckOptions, tr *obs.Trace) []core.Result {
+// or a historical epoch's, whichever the calling goroutine owns. Registered
+// constraints the pass admits are first looked up in the verdict memo at
+// chk's own table versions, so hits and fresh evaluations hold at the same
+// state; what was evaluated is stored for the next check. Once the deadline
+// blows, the remaining constraints report the context error instead of
+// burning more kernel time.
+func (s *Server) evalAll(ctx context.Context, chk *core.Checker, cts []logic.Constraint, pass memoPass, opts core.CheckOptions, tr *obs.Trace) []core.Result {
 	results := make([]core.Result, len(cts))
+	var at []uint64
+	var hit []bool
+	hits := 0
+	if pass.registered > 0 {
+		memoStart := tr.Begin()
+		at = tableVersions(chk.Catalog())
+		hit, hits = s.memo.lookup(pass.gen, at, cts[:pass.registered], results)
+		s.memo.count(hits, pass.registered-hits)
+		tr.Lookups("memo", memoStart, hits, pass.registered-hits)
+	}
 	for i, ct := range cts {
+		if i < len(hit) && hit[i] {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			results[i] = core.Result{Constraint: ct, Err: err}
 			continue
@@ -622,6 +665,9 @@ func (s *Server) evalAll(ctx context.Context, chk *core.Checker, cts []logic.Con
 		evalStart := tr.Begin()
 		results[i] = chk.CheckOneOpts(ct, opts)
 		s.observeResult(results[i], evalStart, tr)
+	}
+	if hits < pass.registered {
+		s.memo.store(pass.gen, at, results[:pass.registered], hit)
 	}
 	return results
 }
@@ -739,21 +785,61 @@ func (s *Server) publish(full bool) {
 
 // submission (called from handler goroutines)
 
-// submitCheck serves a check (or witness) job: on the replicated read path
-// when the pool is healthy, behind the primary worker otherwise.
-func (s *Server) submitCheck(ctx context.Context, cts []logic.Constraint, budget, witnessLimit int, tr *obs.Trace) (checkReply, error) {
+// submitCheck serves a check (or witness) job: from the verdict memo or on
+// the replicated read path when the pool is healthy, behind the primary
+// worker otherwise.
+func (s *Server) submitCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (checkReply, error) {
 	if s.pool != nil && s.replicaOK.Load() {
-		if witnessLimit > 0 {
-			if rep, ok := s.replicaWitnesses(ctx, cts[0], witnessLimit, budget, tr); ok {
+		if spec.witnessLimit > 0 {
+			if rep, ok := s.replicaWitnesses(ctx, spec.cts[0], spec.witnessLimit, spec.budget, tr); ok {
 				s.nReplicaWitness.Add(1)
 				return rep, nil
 			}
-		} else if rep, ok := s.replicaCheck(ctx, cts, budget, tr); ok {
+		} else if rep, ok := s.memoCheck(ctx, spec, tr); ok {
+			s.nReplicaChecks.Add(1)
+			return rep, rep.err
+		} else if rep, ok := s.replicaCheck(ctx, spec, tr); ok {
 			s.nReplicaChecks.Add(1)
 			return rep, rep.err
 		}
 	}
-	return s.submitPrimaryCheck(ctx, cts, budget, witnessLimit, tr)
+	return s.submitPrimaryCheck(ctx, spec, tr)
+}
+
+// memoCheck answers a check of registered constraints without a replica when
+// the memo holds every verdict at the pool's latest version — the version a
+// job dispatched now would be served on, or an older one than that, never a
+// newer: an update is published before it is acknowledged, so the reply
+// reflects every acknowledged write. It is the healthy pool's front door
+// only: with the pool failed its latest version is stale, and the primary
+// path looks up against the live catalog inside runCheck. ok is false when
+// some verdict is missing; the job then goes to a replica, which looks up
+// again at the version it serves. A full hit is still a request: it is
+// refused after Close and past its deadline like any other.
+func (s *Server) memoCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (checkReply, bool) {
+	if spec.registered == 0 || spec.registered < len(spec.cts) {
+		return checkReply{}, false
+	}
+	select {
+	case <-s.quit:
+		return checkReply{err: ErrShuttingDown}, true
+	default:
+	}
+	if err := ctx.Err(); err != nil {
+		s.nDeadlineRejects.Add(1)
+		return checkReply{err: err}, true
+	}
+	memoStart := tr.Begin()
+	gen := s.memo.generation() // before Latest, as a replica job reads it before its worker picks a version
+	v := s.pool.Latest()
+	results := make([]core.Result, len(spec.cts))
+	_, hits := s.memo.lookup(gen, tableVersions(v.Catalog()), spec.cts, results)
+	if hits < len(spec.cts) {
+		return checkReply{}, false
+	}
+	s.memo.count(hits, 0)
+	tr.Lookups("memo", memoStart, hits, 0)
+	return checkReply{results: results, epoch: v.Epoch()}, true
 }
 
 // replicaCheck runs a check job on some replica worker. Constraints the
@@ -761,13 +847,17 @@ func (s *Server) submitCheck(ctx context.Context, cts []logic.Constraint, budget
 // live tables — are rerouted to the primary worker and merged back by
 // position. ok is false when the pool could not take the job at all (closed
 // or failed materialization); the caller then retries on the primary.
-func (s *Server) replicaCheck(ctx context.Context, cts []logic.Constraint, budget int, tr *obs.Trace) (checkReply, bool) {
+func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (checkReply, bool) {
 	var results []core.Result
-	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget), NoSQLFallback: true}
+	var epoch uint64
+	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, spec.budget), NoSQLFallback: true}
+	// The generation is read before a worker picks its version: a job that
+	// starts ahead of a follower reload cannot store into the memo after it.
+	pass := memoPass{registered: spec.registered, gen: s.memo.generation()}
 	submitted := tr.Begin()
-	err := s.pool.Do(ctx, func(chk *core.Checker, _ uint64) {
+	err := s.pool.Do(ctx, func(chk *core.Checker, served uint64) {
 		tr.Span("queue_wait", submitted)
-		results = s.evalAll(ctx, chk, cts, opts, tr)
+		results, epoch = s.evalAll(ctx, chk, spec.cts, pass, opts, tr), served
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -786,17 +876,24 @@ func (s *Server) replicaCheck(ctx context.Context, cts []logic.Constraint, budge
 		s.nReroutes.Add(uint64(len(reroute)))
 		sub := make([]logic.Constraint, len(reroute))
 		for j, i := range reroute {
-			sub[j] = cts[i]
+			sub[j] = spec.cts[i]
 		}
-		rep, err := s.submitPrimaryCheck(ctx, sub, budget, 0, tr)
+		rep, err := s.submitPrimaryCheck(ctx, checkSpec{cts: sub, budget: spec.budget}, tr)
 		if err != nil {
 			return checkReply{err: err}, true
+		}
+		if rep.epoch != epoch {
+			// An update landed between the replica's version and the
+			// primary's turn. One reply, one version: the primary, which is
+			// at the newer one, answers the lot.
+			rep, err = s.submitPrimaryCheck(ctx, spec, tr)
+			return checkReply{results: rep.results, epoch: rep.epoch, err: err}, true
 		}
 		for j, i := range reroute {
 			results[i] = rep.results[j]
 		}
 	}
-	return checkReply{results: results}, true
+	return checkReply{results: results, epoch: epoch}, true
 }
 
 // replicaWitnesses extracts witnesses on a replica. Only a definite BDD
@@ -827,15 +924,13 @@ func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limi
 
 // submitPrimaryCheck queues a check (or witness) job on the primary worker
 // and waits for its reply.
-func (s *Server) submitPrimaryCheck(ctx context.Context, cts []logic.Constraint, budget, witnessLimit int, tr *obs.Trace) (checkReply, error) {
+func (s *Server) submitPrimaryCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (checkReply, error) {
 	j := &checkJob{
-		ctx:          ctx,
-		cts:          cts,
-		budget:       budget,
-		witnessLimit: witnessLimit,
-		submitted:    time.Now(),
-		trace:        tr,
-		reply:        make(chan checkReply, 1),
+		ctx:       ctx,
+		checkSpec: spec,
+		submitted: time.Now(),
+		trace:     tr,
+		reply:     make(chan checkReply, 1),
 	}
 	select {
 	case s.checks <- j:

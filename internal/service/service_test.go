@@ -15,6 +15,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/relation"
 	"repro/internal/service"
+	"repro/internal/store"
 )
 
 const testRules = `
@@ -28,6 +29,14 @@ const testRules = `
 // one CUST table, one index, two constraints (nj_codes is violated by the
 // Newark/416 row, toronto_ontario holds).
 func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httptest.Server) {
+	t.Helper()
+	return newFixtureServer(t, testRules, opts)
+}
+
+// newFixtureServer serves the fixture table under the given registry. With
+// opts.Store set, the initial state is sealed as the epoch-1 snapshot the way
+// cvserved's cold boot does.
+func newFixtureServer(t *testing.T, rules string, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
 	cat := relation.NewCatalog()
 	cust, err := cat.CreateTable("CUST", []relation.Column{
@@ -49,9 +58,15 @@ func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httpte
 	if _, err := chk.BuildIndex("CUST", "CUST", nil, core.OrderProbConverge); err != nil {
 		t.Fatal(err)
 	}
-	cts, err := logic.ParseConstraints(testRules)
+	cts, err := logic.ParseConstraints(rules)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if opts.Store != nil {
+		if err := opts.Store.WriteSnapshot(chk, store.RenderConstraints(cts), 1); err != nil {
+			t.Fatal(err)
+		}
+		opts.InitialEpoch = 1
 	}
 	srv, err := service.New(chk, cts, opts)
 	if err != nil {

@@ -96,7 +96,7 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 //cv:owner any
-func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, budget int, pin uint64, tr *obs.Trace) ([]service.CheckResult, uint64, error) {
+func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, _, budget int, pin uint64, tr *obs.Trace) ([]service.CheckResult, uint64, error) {
 	if pin != 0 {
 		return nil, 0, fmt.Errorf("%w (the coordinator serves only the current epoch)", service.ErrNoHistory)
 	}

@@ -140,7 +140,8 @@ func (w *serverWorker) Shard() int { return w.shard }
 
 //cv:owner any
 func (w *serverWorker) Check(ctx context.Context, cts []logic.Constraint, budget int) ([]CheckOutcome, error) {
-	results, _, err := w.srv.Check(ctx, cts, budget, 0, nil)
+	// Constraints arrive with each call: none is the headless server's own.
+	results, _, err := w.srv.Check(ctx, cts, 0, budget, 0, nil)
 	if err != nil {
 		w.failures.Add(1)
 		return nil, err

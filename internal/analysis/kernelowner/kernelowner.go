@@ -61,6 +61,7 @@ var kernelMut = map[string]bool{
 	"SetDebugChecks": true,
 	"ClearCaches":    true,
 	"GC":             true,
+	"GCKeepMemo":     true,
 	"AddVars":        true,
 }
 
@@ -74,6 +75,7 @@ var checkerMut = map[string]bool{
 	"Reorder":           true,
 	"MaybeReorder":      true,
 	"AdoptIndices":      true,
+	"AdvanceIndices":    true,
 	"AdoptOwnedIndices": true,
 }
 

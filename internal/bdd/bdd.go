@@ -633,6 +633,10 @@ func (k *Kernel) SetDebugChecks(on bool) {
 	k.debugChecks = on
 }
 
+// DebugChecks reports whether runtime Ref validation is on, so that a kernel
+// derived from this one (a replica's) can be put in the same mode.
+func (k *Kernel) DebugChecks() bool { return k.debugChecks }
+
 // checkRef panics when f cannot be a live handle of this kernel. Invalid is
 // permitted: it is the documented abort value and propagates through every
 // operation by design.
@@ -646,61 +650,4 @@ func (k *Kernel) checkRef(f Ref) {
 	if k.level[f] == freedLevel {
 		panic(fmt.Sprintf("bdd: Ref %d names a node reclaimed by GC; missing Protect or TempKeep pin?", f))
 	}
-}
-
-// GC runs a mark-and-sweep garbage collection. Pinned nodes (Protect) and
-// the supplied extra roots survive; all other nodes are reclaimed and their
-// table slots recycled. All operation caches are invalidated.
-func (k *Kernel) GC(extraRoots ...Ref) {
-	marked := make([]bool, len(k.level))
-	marked[False] = true
-	marked[True] = true
-	var stack []Ref
-	push := func(f Ref) {
-		if f > True && !marked[f] {
-			marked[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for i := 2; i < len(k.level); i++ {
-		if k.refs[i] > 0 && k.level[i] != freedLevel {
-			push(Ref(i))
-		}
-	}
-	for _, r := range k.tempRoots {
-		push(r)
-	}
-	for _, r := range extraRoots {
-		push(r)
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		push(k.low[f])
-		push(k.high[f])
-	}
-	// Sweep: rebuild bucket chains from marked nodes, thread the rest onto
-	// the free list.
-	for i := range k.buckets {
-		k.buckets[i] = -1
-	}
-	k.free = -1
-	k.live = 2
-	mask := uint32(len(k.buckets) - 1)
-	for i := 2; i < len(k.level); i++ {
-		if marked[i] {
-			h := nodeHash(k.level[i], k.low[i], k.high[i]) & mask
-			k.next[i] = k.buckets[h]
-			k.buckets[h] = int32(i)
-			k.live++
-		} else {
-			k.next[i] = k.free
-			k.refs[i] = 0
-			k.level[i] = freedLevel
-			k.free = int32(i)
-		}
-	}
-	k.clearCaches()
-	k.gcCount++
-	k.resetGCTrigger()
 }

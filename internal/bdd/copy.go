@@ -66,9 +66,12 @@ func (k *Kernel) CopyTo(dst *Kernel, roots ...Ref) ([]Ref, error) {
 		}
 		dst.clearCaches()
 	}
-	memo := map[Ref]Ref{False: False, True: True}
-	mark := dst.TempMark()
-	defer dst.TempRelease(mark)
+	// memo[f] is the copy of source node f. It is dense — one slot per source
+	// table slot — because a per-call map was most of a copy's time. Zero
+	// means "not copied yet": the copy of a non-terminal is a non-terminal
+	// (distinct functions stay distinct under re-interning), never False.
+	// Nothing copied needs pinning on the way: makeNode never collects.
+	memo := make([]Ref, len(k.level))
 	// Recursion depth is bounded by the variable count: levels strictly
 	// increase downward, exactly as in Save's topological visit.
 	var copyNode func(Ref) (Ref, error)
@@ -76,7 +79,10 @@ func (k *Kernel) CopyTo(dst *Kernel, roots ...Ref) ([]Ref, error) {
 		if f == Invalid {
 			return Invalid, fmt.Errorf("bdd: CopyTo of Invalid ref")
 		}
-		if g, ok := memo[f]; ok {
+		if f <= True {
+			return f, nil
+		}
+		if g := memo[f]; g != False {
 			return g, nil
 		}
 		v := k.level2var[k.level[f]]
@@ -99,7 +105,6 @@ func (k *Kernel) CopyTo(dst *Kernel, roots ...Ref) ([]Ref, error) {
 		if g == Invalid {
 			return Invalid, dst.Err()
 		}
-		dst.TempKeep(g)
 		memo[f] = g
 		return g, nil
 	}

@@ -85,6 +85,24 @@ func (s Stats) DeltaSince(prev Stats) Delta {
 	}
 }
 
+// Since returns s with its monotonic counters (Ops, Allocs, the caches' hits
+// and lookups) reduced by base's and its gauges (Live, Peak, Capacity,
+// GCRuns, sizes) as they are: the view of a kernel whose counting starts at
+// base. A kernel that outlives the thing it is counted for — a replica's,
+// across index versions — is reported this way.
+func (s Stats) Since(base Stats) Stats {
+	s.Ops -= base.Ops
+	s.Allocs -= base.Allocs
+	s.CacheHits -= base.CacheHits
+	s.ApplyLookups -= base.ApplyLookups
+	s.ApplyHits -= base.ApplyHits
+	s.QuantLookups -= base.QuantLookups
+	s.QuantHits -= base.QuantHits
+	s.ReplaceLookups -= base.ReplaceLookups
+	s.ReplaceHits -= base.ReplaceHits
+	return s
+}
+
 // Add accumulates two deltas, for rolling consecutive stages into one.
 func (d Delta) Add(o Delta) Delta {
 	d.NodesAllocated += o.NodesAllocated

@@ -7,9 +7,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bdd"
 	"repro/internal/fdd"
+	"repro/internal/relation"
 )
 
 // BlockSnapshot describes one finite-domain block of an index: its name,
@@ -84,6 +86,67 @@ func (c *Checker) AdoptIndices(src *bdd.Kernel, snaps []IndexSnapshot) error {
 		return fmt.Errorf("core: adopting indices: %w", err)
 	}
 	return c.adoptSnapshots(snaps, copied)
+}
+
+// AdvanceIndices moves a checker that adopted an earlier snapshot of the same
+// indices to a newer one in place: the roots are transferred from src into
+// the kernel the checker already has — re-interning finds every node the two
+// snapshots share, so only the difference is allocated — and each index is
+// rebound to its new root and to its table in cat, the newer catalog. The
+// kernel, its operation caches and the evaluator's scratch blocks survive;
+// the evaluator's bound predicates do not (they were bound to the old roots).
+//
+// Everything that can fail is checked before anything is changed: the
+// snapshots must describe exactly the indices the checker holds (names,
+// tables, columns, block layout), src must place the block variables in the
+// same relative order as this kernel, and the copy must fit the node budget.
+// On error the checker still serves the snapshot it served before, with the
+// kernel's sticky error cleared; the caller builds a fresh checker instead.
+// src is only read.
+func (c *Checker) AdvanceIndices(cat *relation.Catalog, src *bdd.Kernel, snaps []IndexSnapshot) error {
+	k := c.store.Kernel()
+	held := c.SnapshotIndices()
+	if !slices.EqualFunc(held, snaps, sameGeometry) {
+		return fmt.Errorf("core: advancing indices: the snapshot's index geometry differs from the checker's")
+	}
+	var vars []int
+	roots := make([]bdd.Ref, len(snaps))
+	for i, s := range snaps {
+		if cat.Table(s.Table) == nil {
+			return fmt.Errorf("core: advancing index %q: unknown table %q", s.Name, s.Table)
+		}
+		for _, b := range s.Blocks {
+			vars = append(vars, b.Vars...)
+		}
+		roots[i] = s.Root
+	}
+	slices.SortFunc(vars, func(a, b int) int { return src.LevelOfVar(a) - src.LevelOfVar(b) })
+	for i := 1; i < len(vars); i++ {
+		if k.LevelOfVar(vars[i-1]) > k.LevelOfVar(vars[i]) {
+			return fmt.Errorf("core: advancing indices: the source's variable order moved")
+		}
+	}
+	copied, err := src.CopyTo(k, roots...)
+	if err != nil {
+		k.ClearErr()
+		return fmt.Errorf("core: advancing indices: %w", err)
+	}
+	for i, s := range snaps {
+		c.store.Index(s.Name).Rebind(cat.Table(s.Table), copied[i])
+		c.ev.ForgetPred(s.Name)
+	}
+	c.catalog = cat
+	return nil
+}
+
+// sameGeometry reports whether two snapshots describe the same index up to
+// its root: name, table, columns and the blocks' names, sizes and variables.
+func sameGeometry(a, b IndexSnapshot) bool {
+	return a.Name == b.Name && a.Table == b.Table &&
+		slices.Equal(a.Cols, b.Cols) && slices.Equal(a.Order, b.Order) &&
+		slices.EqualFunc(a.Blocks, b.Blocks, func(x, y BlockSnapshot) bool {
+			return x.Name == y.Name && x.Size == y.Size && slices.Equal(x.Vars, y.Vars)
+		})
 }
 
 // AdoptOwnedIndices registers snapshotted indices whose roots already live

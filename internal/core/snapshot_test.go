@@ -146,3 +146,90 @@ func TestNoSQLFallbackStopsBeforeSQL(t *testing.T) {
 		t.Fatal("SQL fallback must still find the violation")
 	}
 }
+
+// TestAdvanceIndices: a replica moves to a newer snapshot of the same indices
+// inside the kernel it has, and an advance that cannot be made changes
+// nothing — the replica answers for the snapshot it held, on a kernel with no
+// sticky error.
+func TestAdvanceIndices(t *testing.T) {
+	cat := buildCurriculum(t)
+	primary := newChecker(t, cat)
+	cts := curriculumConstraints(t)
+	replica := core.New(cat.Clone(), primary.Options())
+	if err := replica.AdoptIndices(primary.Store().Kernel(), primary.SnapshotIndices()); err != nil {
+		t.Fatal(err)
+	}
+	kernel := replica.Store().Kernel()
+	agree := func(t *testing.T, want []core.Result) {
+		t.Helper()
+		for i, res := range replica.Check(cts) {
+			if res.Err != nil || res.Method != core.MethodBDD || res.Violated != want[i].Violated {
+				t.Fatalf("%s: replica %+v, want violated=%v by bdd", cts[i].Name, res, want[i].Violated)
+			}
+		}
+		if err := kernel.Err(); err != nil {
+			t.Fatalf("kernel left with %v", err)
+		}
+	}
+	before := primary.Check(cts)
+	agree(t, before)
+	if !before[0].Violated {
+		t.Fatal("the curriculum constraint should start violated")
+	}
+
+	// s2 takes a Programming course: the violation goes away.
+	if err := primary.InsertTuple("TAKES", "s2", "cs101"); err != nil {
+		t.Fatal(err)
+	}
+	after := primary.Check(cts)
+	if after[0].Violated {
+		t.Fatal("the insert should repair the curriculum constraint")
+	}
+	frozen := cat.Clone()
+	snaps := primary.SnapshotIndices()
+
+	t.Run("geometry", func(t *testing.T) {
+		fewer := snaps[:len(snaps)-1]
+		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), fewer); err == nil {
+			t.Fatal("advanced onto a snapshot with an index missing")
+		}
+		renamed := append([]core.IndexSnapshot(nil), snaps...)
+		renamed[0].Blocks = append([]core.BlockSnapshot(nil), renamed[0].Blocks...)
+		renamed[0].Blocks[0].Vars = append([]int{renamed[0].Blocks[0].Vars[0] + 1}, renamed[0].Blocks[0].Vars[1:]...)
+		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), renamed); err == nil {
+			t.Fatal("advanced onto a snapshot whose blocks sit on other variables")
+		}
+		agree(t, before)
+	})
+
+	t.Run("budget", func(t *testing.T) {
+		kernel.GC()
+		kernel.SetBudget(kernel.Size()) // the delta needs at least one node
+		err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), snaps)
+		kernel.SetBudget(0)
+		if !errors.Is(err, bdd.ErrBudget) {
+			t.Fatalf("AdvanceIndices under an exhausted budget = %v, want ErrBudget", err)
+		}
+		if replica.Catalog() == frozen {
+			t.Fatal("a failed advance swapped the catalog")
+		}
+		agree(t, before)
+	})
+
+	t.Run("advance", func(t *testing.T) {
+		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), snaps); err != nil {
+			t.Fatal(err)
+		}
+		if replica.Store().Kernel() != kernel || replica.Catalog() != frozen {
+			t.Fatal("the advance did not keep the kernel and take the new catalog")
+		}
+		for _, s := range snaps {
+			if ix := replica.Store().Index(s.Name); ix.Table() != frozen.Table(s.Table) {
+				t.Fatalf("index %q still reads the old catalog's table", s.Name)
+			}
+		}
+		agree(t, after)
+		kernel.GCKeepMemo() // only the new roots are pinned now
+		agree(t, after)
+	})
+}

@@ -58,6 +58,7 @@ func TestDifferentialSoak(t *testing.T) {
 	defer func() { ForceReorder = false; FollowerSoak = false; ShardSoak = 0; ServiceSoak = false }()
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
+	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
 	for i := 0; i < *soakSeeds; i++ {
 		rng := rand.New(rand.NewSource(soakBase + int64(i)))
 		c := GenerateCase(RNGChooser{Rand: rng})
@@ -79,6 +80,11 @@ func TestDifferentialSoak(t *testing.T) {
 	t.Logf("soak: %d cases, %d (constraint, catalog) pairs, zero mismatches", *soakSeeds, pairs)
 	t.Logf("soak: universal early projection fired in %d of %d primary validity verdicts",
 		RuleCoverage.Projected, RuleCoverage.Validity)
+	t.Logf("soak: the replica followed its primary in place after %d batches and was rebuilt after %d",
+		ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt)
+	if *soakSeeds >= 63 && !*reorderSoak && ReplicaCoverage.Advanced == 0 {
+		t.Fatal("no replica ever advanced in place: the soak cross-checked rebuilt replicas only")
+	}
 	if *soakSeeds >= 63 && pairs < 500 {
 		t.Fatalf("soak covered only %d (constraint, catalog) pairs, want >= 500", pairs)
 	}

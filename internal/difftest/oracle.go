@@ -18,9 +18,12 @@ import (
 //     the live indices, node budget unlimited so nothing degrades to SQL;
 //   - sql: the sqlengine.Compile violation query on the same catalog — the
 //     baseline the paper's indices claim to replace exactly;
-//   - replica: a fresh checker adopting the primary's index roots through
-//     core.SnapshotIndices / bdd.CopyTo, checked with the SQL fallback
-//     disabled so only the copied BDDs decide.
+//   - replica: one long-lived checker that adopts the primary's index roots
+//     through core.SnapshotIndices / bdd.CopyTo and then follows the primary
+//     from batch to batch the way a pool worker follows publications — in
+//     place (core.AdvanceIndices plus the memo-keeping collection) when it
+//     can, rebuilt when it cannot (with -reorder: after every batch) —
+//     checked with the SQL fallback disabled so only the copied BDDs decide.
 //
 // Verdicts must agree three ways on every constraint; when the constraint is
 // a violated validity check, the witness sets must agree too (primary vs
@@ -28,7 +31,7 @@ import (
 // sides bind, since prenexing can fold deeper universals into the BDD's
 // leading block that the SQL compiler leaves quantified). Each update batch
 // is applied through the incremental maintenance path and the whole
-// comparison repeats against a freshly frozen replica.
+// comparison repeats once the replica has followed.
 
 // witnessLimit bounds witness enumeration; a truncated enumeration is not
 // compared (the two engines may truncate different subsets).
@@ -54,6 +57,12 @@ var ForceReorder bool
 // of them took the universal early projection rule, whose only oracle is
 // this harness. TestDifferentialSoak logs it.
 var RuleCoverage logic.VerdictStats
+
+// ReplicaCoverage accumulates, across RunCase calls, how the replica target
+// followed its primary: Advanced counts the batches after which it moved in
+// place, Rebuilt those after which a fresh replica had to be frozen.
+// TestDifferentialSoak logs it and fails a run that exercised only one.
+var ReplicaCoverage struct{ Advanced, Rebuilt int }
 
 // Mismatch describes one oracle disagreement. It is a test failure in
 // waiting: the shrinker minimizes the case around it and the corpus writer
@@ -133,7 +142,11 @@ func RunCase(c *Case) (*Mismatch, error) {
 	if ForceReorder {
 		primary.Reorder(bdd.ReorderOptions{})
 	}
-	if mm, err := checkAll(primary, cts, 0); mm != nil || err != nil {
+	rep, err := freeze(primary)
+	if err != nil {
+		return nil, err
+	}
+	if mm, err := checkAll(primary, rep, cts, 0); mm != nil || err != nil {
 		return mm, err
 	}
 	var fol *followerOracle
@@ -173,7 +186,10 @@ func RunCase(c *Case) (*Mismatch, error) {
 		if ForceReorder {
 			primary.Reorder(bdd.ReorderOptions{})
 		}
-		if mm, err := checkAll(primary, cts, i+1); mm != nil || err != nil {
+		if rep, err = follow(rep, primary); err != nil {
+			return nil, err
+		}
+		if mm, err := checkAll(primary, rep, cts, i+1); mm != nil || err != nil {
 			return mm, err
 		}
 		if fol != nil {
@@ -222,11 +238,21 @@ func freeze(primary *core.Checker) (*core.Checker, error) {
 	return rep, nil
 }
 
-func checkAll(primary *core.Checker, cts []logic.Constraint, step int) (*Mismatch, error) {
-	rep, err := freeze(primary)
-	if err != nil {
-		return nil, err
+// follow brings the replica to the primary's current state as a
+// replica.Pool worker adopts a publication: in place, ending with the
+// collection that keeps the operation caches, or by freezing another when the
+// replica cannot advance (the primary reordered).
+func follow(rep, primary *core.Checker) (*core.Checker, error) {
+	if rep.AdvanceIndices(primary.Catalog().Clone(), primary.Store().Kernel(), primary.SnapshotIndices()) == nil {
+		rep.Store().Kernel().GCKeepMemo()
+		ReplicaCoverage.Advanced++
+		return rep, nil
 	}
+	ReplicaCoverage.Rebuilt++
+	return freeze(primary)
+}
+
+func checkAll(primary, rep *core.Checker, cts []logic.Constraint, step int) (*Mismatch, error) {
 	for _, ct := range cts {
 		if mm, err := checkConstraint(primary, rep, ct, step); mm != nil || err != nil {
 			return mm, err

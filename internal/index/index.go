@@ -167,6 +167,18 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 	return ix, nil
 }
 
+// Rebind points an adopted index at a newer image of the same projection: t
+// is the table's counterpart in a newer catalog and root its BDD over the
+// same blocks, already transferred into this store's kernel. The new root is
+// pinned before the old one is released, so what they share never becomes
+// collectable in between.
+func (ix *Index) Rebind(t *relation.Table, root bdd.Ref) {
+	k := ix.store.kernel
+	k.Protect(root)
+	k.Unprotect(ix.root)
+	ix.table, ix.root = t, root
+}
+
 func (s *Store) protectedRoots() []bdd.Ref {
 	var roots []bdd.Ref
 	for _, ix := range s.indices {

@@ -875,6 +875,15 @@ func (ev *Evaluator) evalPred(p Pred, env *evalEnv, negated bool) (bdd.Ref, erro
 	return f, nil
 }
 
+// ForgetPred drops every cached binding of the named predicate, whatever
+// version they were bound at. A caller that moves the predicate's index to
+// another image of its table calls it: the table's version counter tells two
+// states of one catalog apart, not two catalogs.
+func (ev *Evaluator) ForgetPred(pred string) {
+	ev.dropPreds(pred)
+	delete(ev.predVersion, pred)
+}
+
 // dropPreds unpins and forgets every cached binding of the named predicate.
 func (ev *Evaluator) dropPreds(pred string) {
 	k := ev.store.Kernel()

@@ -12,17 +12,31 @@
 //   - The primary checker is owned exclusively by whoever applies writes
 //     (internal/service's worker goroutine). Replicas never see it.
 //   - After each write batch the primary's owner freezes a Version — an
-//     immutable snapshot (catalog clone + index copy into a fresh kernel) —
-//     and Publishes it. Building a Version reads the primary, so it must
+//     immutable snapshot (catalog clone + index copy into a fresh kernel
+//     that never runs an operation) — and Publishes it. Building a Version reads the primary, so it must
 //     happen on the owner's goroutine.
-//   - Pool workers each own one replica checker built from the current
-//     Version. A worker notices a newer Version between requests and swaps
-//     by rebuilding its checker from the new frozen snapshot; in-flight
-//     work always finishes on the version it started with. A worker
-//     remembers which publication its checker came from, not the Version:
-//     once every reference to a retired Version is gone its frozen kernel —
-//     a copy of the whole index — is garbage, however long a worker that
-//     adopted it sits idle.
+//   - Pool workers each own one replica checker. A worker notices a newer
+//     Version between requests and adopts it; in-flight work always
+//     finishes on the version it started with. A replica is a kernel, not
+//     an epoch: the worker advances the checker it has in place — the new
+//     roots are re-interned into its kernel, which finds every node the two
+//     versions share and allocates the batch's delta, the indices are
+//     rebound, and the kernel, its operation caches and the evaluator's
+//     scratch state live on — and ends the adoption with a collection that
+//     frees the replaced index paths but keeps every cache entry that is
+//     still about live nodes (bdd.Kernel.GCKeepMemo), so the first recheck
+//     after an update pays for the delta and not for cold projections of
+//     the whole index. A worker builds a fresh checker from the frozen
+//     snapshot only when it has none yet or cannot follow: the index
+//     geometry or the variable order moved, or the delta does not fit the
+//     node budget (Pool.Rebuilds counts these).
+//   - A worker remembers which publication its checker holds, not the
+//     Version, and an advanced checker reads the new version's catalog
+//     only: once every reference to a retired Version is gone its frozen
+//     kernel — a copy of the whole index — and its catalog are garbage,
+//     however long a worker that adopted it sits idle.
+//   - A worker's kernel counters are reported per epoch (Stats.Kernel): its
+//     kernel's own counters no longer restart when it adopts.
 //   - A Version is never mutated after construction: its catalog is a
 //     frozen clone and its kernel is only read (bdd.CopyTo does not touch
 //     the source), so any number of workers may adopt from it concurrently.
@@ -51,6 +65,7 @@ type Version struct {
 	epoch  uint64
 	frozen *core.Checker
 	snaps  []core.IndexSnapshot
+	opts   core.Options // the primary's: what a replica checker is created with
 }
 
 // NewVersion freezes the primary checker into an immutable snapshot tagged
@@ -61,12 +76,19 @@ type Version struct {
 // index root into a fresh kernel, so later writes to the primary cannot
 // reach it.
 func NewVersion(primary *core.Checker, epoch uint64) (*Version, error) {
-	frozen := core.New(primary.Catalog().Clone(), primary.Options())
+	opts := primary.Options()
+	// A frozen kernel is copied from and never runs an operation: left to
+	// size its caches by its node count it would grow an apply cache per
+	// epoch that nothing ever looks into.
+	frozenOpts := opts
+	frozenOpts.CacheSize = 1
+	frozen := core.New(primary.Catalog().Clone(), frozenOpts)
+	frozen.Store().Kernel().SetDebugChecks(primary.Store().Kernel().DebugChecks())
 	snaps := primary.SnapshotIndices()
 	if err := frozen.AdoptIndices(primary.Store().Kernel(), snaps); err != nil {
 		return nil, fmt.Errorf("replica: freezing epoch %d: %w", epoch, err)
 	}
-	return &Version{epoch: epoch, frozen: frozen, snaps: frozen.SnapshotIndices()}, nil
+	return &Version{epoch: epoch, frozen: frozen, snaps: frozen.SnapshotIndices(), opts: opts}, nil
 }
 
 // Epoch returns the version's epoch.
@@ -76,11 +98,26 @@ func (v *Version) Epoch() uint64 { return v.epoch }
 // versions, every replica of this version reads. It is never mutated.
 func (v *Version) Catalog() *relation.Catalog { return v.frozen.Catalog() }
 
+// materialize brings a worker to this version: onto the checker it holds,
+// advanced in place, when there is one and it can follow (the same indices
+// over the same blocks in the same variable order, and room in the budget for
+// the difference), into a freshly built one otherwise. It returns chk itself
+// in the first case; on error chk is untouched and still serves the version
+// it served.
+func (v *Version) materialize(chk *core.Checker) (*core.Checker, error) {
+	if chk != nil && chk.AdvanceIndices(v.frozen.Catalog(), v.frozen.Store().Kernel(), v.snaps) == nil {
+		return chk, nil
+	}
+	return v.newReplica()
+}
+
 // newReplica builds a worker-private checker from the frozen snapshot: it
 // shares the immutable catalog (checks only read it) but owns a fresh
 // kernel, caches and evaluator populated by one CopyTo walk.
 func (v *Version) newReplica() (*core.Checker, error) {
-	chk := core.New(v.frozen.Catalog(), v.frozen.Options())
+	chk := core.New(v.frozen.Catalog(), v.opts)
+	// A primary run under DebugChecks (the soaks) has its replicas checked too.
+	chk.Store().Kernel().SetDebugChecks(v.frozen.Store().Kernel().DebugChecks())
 	if err := chk.AdoptIndices(v.frozen.Store().Kernel(), v.snaps); err != nil {
 		return nil, fmt.Errorf("replica: materializing epoch %d: %w", v.epoch, err)
 	}
@@ -96,13 +133,18 @@ type Stats struct {
 	Epoch uint64
 	// Jobs counts requests served by this worker.
 	Jobs uint64
-	// Kernel snapshots the worker's private kernel counters.
+	// Kernel snapshots the worker's private kernel counters. The monotonic
+	// ones (Ops, Allocs, cache hits and lookups) count from the adoption of
+	// Epoch — a reader that saw Epoch move adds the whole count, one that did
+	// not adds the difference, whether the swap built a kernel or kept one —
+	// and the gauges (Live, Peak, Capacity, GCRuns, cache sizes) are the
+	// kernel's own.
 	Kernel bdd.Stats
 	// Checker accumulates the worker's decision counters across every
-	// version it has served (a swap rebuilds the checker; the retired
-	// checker's counters are folded in rather than lost). Replicas never run
-	// the SQL fallback, so SQLFallbacks stays zero here; rerouted
-	// constraints are counted by the primary.
+	// version it has served (a checker a rebuild discards has its counters
+	// folded in rather than lost). Replicas never run the SQL fallback, so
+	// SQLFallbacks stays zero here; rerouted constraints are counted by the
+	// primary.
 	Checker core.Stats
 }
 
@@ -131,8 +173,9 @@ type Pool struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	swaps atomic.Uint64
-	stats []atomic.Pointer[Stats]
+	swaps    atomic.Uint64
+	rebuilds atomic.Uint64
+	stats    []atomic.Pointer[Stats]
 
 	// metrics, when set, receives per-job latency observations. Written
 	// once before traffic (SetMetrics), read by Do and the workers.
@@ -162,7 +205,8 @@ type publication struct {
 
 type job struct {
 	fn        func(chk *core.Checker, epoch uint64)
-	submitted time.Time // zero when the pool is uninstrumented
+	trace     *obs.Trace // nil unless the request is traced
+	submitted time.Time  // zero when the pool is uninstrumented
 	err       chan error
 }
 
@@ -206,6 +250,14 @@ func (p *Pool) Epoch() uint64 { return p.Latest().Epoch() }
 // initial materialization of each worker counts as one).
 func (p *Pool) Swaps() uint64 { return p.swaps.Load() }
 
+// Rebuilds returns how many of those handoffs built a fresh checker instead
+// of advancing the worker's own: each worker's first, and every one after
+// which the worker could not follow in place (the primary reordered or
+// rebuilt an index, or the difference did not fit the node budget). A pool
+// whose Rebuilds keeps pace with its Swaps pays two cold projections of the
+// whole index per epoch.
+func (p *Pool) Rebuilds() uint64 { return p.rebuilds.Load() }
+
 // Publish hands a new version to the pool. Workers swap to it before their
 // next request; in-flight requests finish on the version they started with.
 // Publish never blocks and is safe to call concurrently with Do, though
@@ -231,7 +283,15 @@ func (p *Pool) Stats() []Stats {
 // Close, or the worker's materialization error if the replica could not be
 // built.
 func (p *Pool) Do(ctx context.Context, fn func(chk *core.Checker, epoch uint64)) error {
-	jb := job{fn: fn, err: make(chan error, 1)}
+	return p.DoTraced(ctx, nil, fn)
+}
+
+// DoTraced is Do for a traced request: when the worker has a version to
+// adopt before it can run fn, tr receives an "adopt" span carrying the
+// kernel's movement and, inside it, a "collect" span for the collection that
+// ends an in-place adoption. A nil tr records nothing.
+func (p *Pool) DoTraced(ctx context.Context, tr *obs.Trace, fn func(chk *core.Checker, epoch uint64)) error {
+	jb := job{fn: fn, trace: tr, err: make(chan error, 1)}
 	if p.metrics.Load() != nil {
 		jb.submitted = time.Now()
 	}
@@ -273,12 +333,14 @@ func (p *Pool) Close() {
 
 func (p *Pool) worker(i int) {
 	defer p.wg.Done()
-	// serving is the number of the publication chk was built from (zero
-	// before the first) and epoch that version's epoch.
+	// serving is the number of the publication chk holds (zero before the
+	// first), epoch that version's epoch and base the kernel's counters when
+	// chk adopted it.
 	var serving, epoch uint64
 	var chk *core.Checker
+	var base bdd.Stats
 	var jobs uint64
-	var retired core.Stats // counters of checkers discarded by swaps
+	var retired core.Stats // counters of checkers discarded by rebuilds
 	for jb := range p.work[i] {
 		m := p.metrics.Load()
 		var picked time.Time
@@ -289,7 +351,12 @@ func (p *Pool) worker(i int) {
 			}
 		}
 		if pub := p.latest.Load(); pub.seq != serving {
-			next, err := pub.v.newReplica()
+			adoptStart := jb.trace.Begin()
+			var before bdd.Stats // a rebuild's kernel starts from zero
+			if chk != nil {
+				before = chk.KernelStats()
+			}
+			next, err := pub.v.materialize(chk)
 			if err != nil && chk == nil {
 				// No fallback version to serve: fail this job.
 				p.idle <- i
@@ -297,11 +364,23 @@ func (p *Pool) worker(i int) {
 				continue
 			}
 			if err == nil {
-				if chk != nil {
-					retired = addStats(retired, chk.Stats())
+				if next != chk { // built, not advanced
+					if chk != nil {
+						retired = addStats(retired, chk.Stats())
+					}
+					before = bdd.Stats{}
+					p.rebuilds.Add(1)
+				} else {
+					// The kernel lives on, and so would every index path this
+					// version replaced: collect, keeping what the caches
+					// hold about the paths it did not.
+					collectStart := jb.trace.Begin()
+					next.Store().Kernel().GCKeepMemo()
+					jb.trace.Span("collect", collectStart)
 				}
-				serving, epoch, chk = pub.seq, pub.v.epoch, next
+				serving, epoch, chk, base = pub.seq, pub.v.epoch, next, before
 				p.swaps.Add(1)
+				jb.trace.SpanKernel("adopt", adoptStart, chk.KernelStats().DeltaSince(before))
 			}
 			// On error with a previous version in hand, keep serving it;
 			// the next publish retries the swap.
@@ -313,7 +392,7 @@ func (p *Pool) worker(i int) {
 		jobs++
 		p.stats[i].Store(&Stats{
 			Worker: i, Epoch: epoch, Jobs: jobs,
-			Kernel: chk.KernelStats(), Checker: addStats(retired, chk.Stats()),
+			Kernel: chk.KernelStats().Since(base), Checker: addStats(retired, chk.Stats()),
 		})
 		p.idle <- i
 		jb.err <- nil

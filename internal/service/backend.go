@@ -245,6 +245,7 @@ func (s *Server) Stats() StatszResponse {
 		repl.Replicas = s.pool.Size()
 		repl.Epoch = s.pool.Epoch()
 		repl.Swaps = s.pool.Swaps()
+		repl.Rebuilds = s.pool.Rebuilds()
 		for _, ws := range s.pool.Stats() {
 			wk := kernelStatsOf(ws.Kernel)
 			repl.Workers = append(repl.Workers, ReplicaWorkerStats{

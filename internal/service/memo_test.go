@@ -456,8 +456,14 @@ func TestMemoUnderConcurrentReadsAndWrites(t *testing.T) {
 				t.Fatal(err)
 			default:
 			}
-			if c := statsOf(t, ts.URL).Checker; c.MemoHits == 0 || c.MemoMisses == 0 {
+			stats := statsOf(t, ts.URL)
+			if c := stats.Checker; c.MemoHits == 0 || c.MemoMisses == 0 {
 				t.Fatalf("the run exercised only one side of the memo: %+v", c)
+			}
+			// On the pool path all of the above was served by replicas that
+			// moved from epoch to epoch inside the kernel they were built with.
+			if r := stats.Replication; path.replicas > 0 && (r.Rebuilds > uint64(r.Replicas) || r.Swaps <= r.Rebuilds) {
+				t.Fatalf("swaps %d, rebuilds %d over %d replicas: the workers did not advance in place", r.Swaps, r.Rebuilds, r.Replicas)
 			}
 		})
 	}

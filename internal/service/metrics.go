@@ -113,6 +113,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		r.GaugeFunc("cv_replica_epoch", "", "Latest published index version epoch.",
 			func() float64 { return float64(pool.Epoch()) })
 		r.CounterFunc("cv_replica_swaps_total", "", "Version handoffs completed by replica workers.", pool.Swaps)
+		r.CounterFunc("cv_replica_rebuilds_total", "", "Version handoffs that built a fresh replica instead of advancing the worker's own in place.", pool.Rebuilds)
 		r.CounterFunc("cv_replica_checks_total", "", "Check requests served on the replica pool.", s.nReplicaChecks.Load)
 		r.CounterFunc("cv_replica_witnesses_total", "", "Witness requests served on the replica pool.", s.nReplicaWitness.Load)
 		r.CounterFunc("cv_replica_reroutes_total", "", "Constraints rerouted from a replica to the primary for SQL fallback.", s.nReroutes.Load)

@@ -8,6 +8,7 @@ package service_test
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -283,4 +284,94 @@ func TestConcurrentReplicatedChecksAndUpdates(t *testing.T) {
 	}
 	t.Logf("epoch %d, swaps %d, replica checks %d, witnesses %d, reroutes %d",
 		repl.Epoch, repl.Swaps, repl.ReplicaChecks, repl.ReplicaWitnesses, repl.Reroutes)
+}
+
+// TestAdoptionIsTracedAndCountedPerEpoch: the job during which a worker
+// adopts a version carries an "adopt" span, with the collection that ends an
+// in-place adoption as a "collect" span inside it; /statsz says how many
+// adoptions built a replica; and a worker's kernel counters still count from
+// its adoption, so the harness's rule — a worker whose epoch moved between
+// two reads of /statsz contributes its whole count — adds up to exactly the
+// kernel steps the traced replies report, although the kernel and its own
+// counter now outlive the epoch.
+func TestAdoptionIsTracedAndCountedPerEpoch(t *testing.T) {
+	_, ts := newTestServer(t, service.Options{Replicas: 2})
+	// Ad-hoc text is never memoised: every check reaches a replica's kernel.
+	const adhoc = `constraint codes: forall c, a: CUST(c, a, "NJ") => a in {"201", "973", "908"}.
+constraint one_state: forall c, a, s1, s2: CUST(c, a, s1) and CUST(c, _, s2) => s1 = s2.`
+
+	type mark struct{ epoch, ops uint64 }
+	marks := map[int]mark{}
+	var metered uint64
+	read := func() service.ReplicationStats {
+		repl := statsOf(t, ts.URL).Replication
+		for _, w := range repl.Workers {
+			if prev := marks[w.Worker]; w.Epoch != prev.epoch {
+				metered += w.Kernel.Ops
+			} else {
+				metered += w.Kernel.Ops - prev.ops
+			}
+			marks[w.Worker] = mark{w.Epoch, w.Kernel.Ops}
+		}
+		return repl
+	}
+	var traced uint64
+	check := func() map[string][]service.TraceSpan {
+		t.Helper()
+		var resp service.CheckResponse
+		if st := post(t, ts.URL+"/check?trace=1", service.CheckRequest{Text: adhoc}, &resp); st != http.StatusOK || resp.Trace == nil {
+			t.Fatalf("traced check: status %d, %+v", st, resp)
+		}
+		for _, sp := range resp.Trace.Spans {
+			if sp.Kernel != nil && strings.HasPrefix(sp.Name, "eval:") {
+				traced += sp.Kernel.Ops
+			}
+		}
+		return spansByName(resp.Trace)
+	}
+	inside := func(inner, outer service.TraceSpan) bool {
+		return inner.StartNS >= outer.StartNS && inner.StartNS+inner.DurationNS <= outer.StartNS+outer.DurationNS
+	}
+
+	read()
+	first := check()
+	if len(first["adopt"]) != 1 || len(first["collect"]) != 0 {
+		t.Fatalf("a worker's first job builds its replica: want an adopt span and no collect span, got %+v", first)
+	}
+	for round := 0; round < 6; round++ {
+		op := "insert"
+		if round%2 == 1 {
+			op = "delete"
+		}
+		if st, ur := update(t, ts.URL, service.UpdateTuple{Table: "CUST", Op: op, Values: []string{"Toronto", "416", "NJ"}}); st != http.StatusOK || ur.Applied != 1 {
+			t.Fatalf("update: status %d, %+v", st, ur)
+		}
+		read()
+		for j := 0; j <= round%3; j++ { // one, two or three checks: not every worker adopts every epoch
+			spans := check()
+			if round == 0 || j > 1 {
+				continue // the second worker's first job, or a worker already at this epoch
+			}
+			if len(spans["adopt"]) != 1 || len(spans["collect"]) != 1 || len(spans["queue_wait"]) != 1 {
+				t.Fatalf("round %d check %d: want one adopt, one collect and one queue_wait span, got %+v", round, j, spans)
+			}
+			adopt, collect, wait := spans["adopt"][0], spans["collect"][0], spans["queue_wait"][0]
+			if !inside(collect, adopt) || !inside(adopt, wait) {
+				t.Fatalf("collect %+v should lie inside adopt %+v inside queue_wait %+v", collect, adopt, wait)
+			}
+			if adopt.Kernel == nil || adopt.Kernel.GCRuns != 1 {
+				t.Fatalf("the adopt span should carry the kernel's movement, its collection included: %+v", adopt.Kernel)
+			}
+		}
+	}
+	repl := read()
+	if traced == 0 || metered != traced {
+		t.Fatalf("/statsz read by the harness's rule moved by %d kernel steps; the traced replies report %d", metered, traced)
+	}
+	if repl.Rebuilds != 2 || repl.Swaps <= repl.Rebuilds {
+		t.Fatalf("swaps %d, rebuilds %d: want one rebuild per worker and in-place handoffs after", repl.Swaps, repl.Rebuilds)
+	}
+	if body := scrapeMetrics(t, ts.URL); !strings.Contains(body, "cv_replica_rebuilds_total 2") {
+		t.Fatalf("/metricsz does not report the two rebuilds:\n%s", body)
+	}
 }

@@ -855,7 +855,7 @@ func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace
 	// starts ahead of a follower reload cannot store into the memo after it.
 	pass := memoPass{registered: spec.registered, gen: s.memo.generation()}
 	submitted := tr.Begin()
-	err := s.pool.Do(ctx, func(chk *core.Checker, served uint64) {
+	err := s.pool.DoTraced(ctx, tr, func(chk *core.Checker, served uint64) {
 		tr.Span("queue_wait", submitted)
 		results, epoch = s.evalAll(ctx, chk, spec.cts, pass, opts, tr), served
 	})
@@ -905,7 +905,7 @@ func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limi
 	var werr error
 	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}
 	submitted := tr.Begin()
-	err := s.pool.Do(ctx, func(chk *core.Checker, _ uint64) {
+	err := s.pool.DoTraced(ctx, tr, func(chk *core.Checker, _ uint64) {
 		tr.Span("queue_wait", submitted)
 		k := chk.Store().Kernel()
 		enumStart := time.Now()

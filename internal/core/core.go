@@ -517,10 +517,13 @@ type Witness struct {
 // ViolationWitnesses extracts up to limit violating bindings from the BDD
 // evaluation of a violated constraint (the paper proposes identifying the
 // violated constraints fast, then drilling into tuples; the violation BDD
-// gives the drill-down for free). It returns ErrNoIndex/ErrBudget like
+// gives the drill-down for free). The violation set comes from
+// logic.Evaluator.Violations, which starts from the verdict and joins it
+// back to the columns the verdict projected away. A nil error with no
+// witnesses means the constraint holds. It returns ErrNoIndex/ErrBudget like
 // Eval; callers then use ViolatingRows.
 func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness, error) {
-	out, err := c.ev.Eval(ct)
+	out, err := c.ev.Violations(ct)
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +537,6 @@ func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness,
 	if err != nil {
 		return nil, err
 	}
-	k := c.store.Kernel()
 	blocks := make([]*fdd.Domain, len(out.Stripped))
 	valueDoms := make([]*relation.Domain, len(out.Stripped))
 	varNames := make([]string, len(out.Stripped))
@@ -543,62 +545,70 @@ func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness,
 		valueDoms[i] = an.Domain(v)
 		varNames[i] = logic.BaseName(v)
 	}
+	return decodeWitnesses(c.store.Kernel(), out.Violations, blocks, valueDoms, varNames, limit), nil
+}
+
+// decodeWitnesses enumerates up to limit satisfying bindings of viol over
+// blocks, each block's value decoded through its value domain: every AllSat
+// path, with its don't-care bits expanded block by block, low values first,
+// skipping a block's slots past its size. The bits a path fixes sit in one
+// slice indexed by kernel variable, set for the path and cleared after it,
+// so a path costs no allocation; a witness costs its Values slice.
+func decodeWitnesses(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDoms []*relation.Domain, varNames []string, limit int) []Witness {
+	const free = -1
+	fixed := make([]int8, k.NumVars())
+	for i := range fixed {
+		fixed[i] = free
+	}
+	vals := make([]int, len(blocks))
 	var witnesses []Witness
-	k.AllSat(out.Violations, func(path []bdd.Literal) bool {
-		fixed := make(map[int]bool, len(path))
+	var expand func(bi int) bool
+	// walk assigns bit j onward of block bi, v holding the bits above j.
+	var walk func(bi, j, v int) bool
+	expand = func(bi int) bool {
+		if bi < len(blocks) {
+			return walk(bi, 0, 0)
+		}
+		w := Witness{Vars: varNames, Values: make([]string, len(blocks))}
+		for i, d := range valueDoms {
+			if d != nil && vals[i] < d.Size() {
+				w.Values[i] = d.Value(int32(vals[i]))
+			} else {
+				w.Values[i] = fmt.Sprintf("#%d", vals[i])
+			}
+		}
+		witnesses = append(witnesses, w)
+		return len(witnesses) < limit
+	}
+	walk = func(bi, j, v int) bool {
+		b := blocks[bi]
+		vars := b.Vars()
+		if j == len(vars) {
+			if v >= b.Size() {
+				return true // out-of-domain slot, skip
+			}
+			vals[bi] = v
+			return expand(bi + 1)
+		}
+		if bit := fixed[vars[j]]; bit != free {
+			return walk(bi, j+1, v<<1|int(bit))
+		}
+		return walk(bi, j+1, v<<1) && walk(bi, j+1, v<<1|1)
+	}
+	k.AllSat(viol, func(path []bdd.Literal) bool {
 		for _, l := range path {
-			fixed[l.Var] = l.Value
+			fixed[l.Var] = 0
+			if l.Value {
+				fixed[l.Var] = 1
+			}
 		}
-		// Expand don't-care bits block by block, bounded by limit.
-		vals := make([]int, len(blocks))
-		var expand func(bi int) bool
-		expand = func(bi int) bool {
-			if bi == len(blocks) {
-				w := Witness{Vars: varNames, Values: make([]string, len(blocks))}
-				for i, d := range valueDoms {
-					if d != nil && vals[i] < d.Size() {
-						w.Values[i] = d.Value(int32(vals[i]))
-					} else {
-						w.Values[i] = fmt.Sprintf("#%d", vals[i])
-					}
-				}
-				witnesses = append(witnesses, w)
-				return len(witnesses) < limit
-			}
-			b := blocks[bi]
-			// Collect the fixed bits and the positions (bit weights) of the
-			// free bits of this block on the current path.
-			base := 0
-			var freeWeights []int
-			for j, bit := range b.Vars() {
-				weight := b.Bits() - 1 - j
-				if val, ok := fixed[bit]; ok {
-					if val {
-						base |= 1 << weight
-					}
-				} else {
-					freeWeights = append(freeWeights, weight)
-				}
-			}
-			var enum func(v int, free []int) bool
-			enum = func(v int, free []int) bool {
-				if len(free) == 0 {
-					if v >= b.Size() {
-						return true // out-of-domain slot, skip
-					}
-					vals[bi] = v
-					return expand(bi + 1)
-				}
-				if !enum(v, free[1:]) {
-					return false
-				}
-				return enum(v|1<<free[0], free[1:])
-			}
-			return enum(base, freeWeights)
+		more := expand(0)
+		for _, l := range path {
+			fixed[l.Var] = free
 		}
-		return expand(0)
+		return more
 	})
-	return witnesses, nil
+	return witnesses
 }
 
 // ViolationWitnessesOpts extracts witnesses like ViolationWitnesses, under

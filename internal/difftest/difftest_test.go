@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -80,10 +81,18 @@ func TestDifferentialSoak(t *testing.T) {
 	t.Logf("soak: %d cases, %d (constraint, catalog) pairs, zero mismatches", *soakSeeds, pairs)
 	t.Logf("soak: universal early projection fired in %d of %d primary validity verdicts",
 		RuleCoverage.Projected, RuleCoverage.Validity)
+	var routes []string
+	for r, n := range RuleCoverage.Routes {
+		routes = append(routes, fmt.Sprintf("%d %v", n, logic.Route(r)))
+	}
+	t.Logf("soak: primary witness calls by route: %s", strings.Join(routes, ", "))
 	t.Logf("soak: the replica followed its primary in place after %d batches and was rebuilt after %d",
 		ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt)
 	if *soakSeeds >= 63 && !*reorderSoak && ReplicaCoverage.Advanced == 0 {
 		t.Fatal("no replica ever advanced in place: the soak cross-checked rebuilt replicas only")
+	}
+	if *soakSeeds >= 63 && RuleCoverage.Routes[logic.RouteExpanded] == 0 {
+		t.Fatal("no witness call expanded a projected violation set: the soak cross-checked full evaluations only")
 	}
 	if *soakSeeds >= 63 && pairs < 500 {
 		t.Fatalf("soak covered only %d (constraint, catalog) pairs, want >= 500", pairs)

@@ -53,9 +53,10 @@ var DebugChecks bool
 var ForceReorder bool
 
 // RuleCoverage accumulates, across RunCase calls, the primary evaluator's
-// verdict counts: how many validity verdicts the cases asked for and how many
-// of them took the universal early projection rule, whose only oracle is
-// this harness. TestDifferentialSoak logs it.
+// verdict counts: how many validity verdicts the cases asked for, how many
+// of them took the universal early projection rule, and the routes its
+// witness calls took — the rule and the expansion of its violation sets have
+// no other oracle than this harness. TestDifferentialSoak logs it.
 var RuleCoverage logic.VerdictStats
 
 // ReplicaCoverage accumulates, across RunCase calls, how the replica target
@@ -122,6 +123,9 @@ func RunCase(c *Case) (*Mismatch, error) {
 		vs := primary.Evaluator().VerdictStats()
 		RuleCoverage.Validity += vs.Validity
 		RuleCoverage.Projected += vs.Projected
+		for r, n := range vs.Routes {
+			RuleCoverage.Routes[r] += n
+		}
 	}()
 	for _, ts := range c.Tables {
 		// The index carries the table's name: the evaluator resolves a

@@ -84,7 +84,7 @@ type Evaluator struct {
 	// and ad-hoc constraints bring constants that never recur.
 	predOrder   []string
 	predVersion map[string]uint64
-	verdicts    VerdictStats
+	stats       VerdictStats
 }
 
 // maxPredCache bounds predCache. It is sized for registries of a few
@@ -92,17 +92,43 @@ type Evaluator struct {
 // its witness form); past it the oldest entry goes first.
 const maxPredCache = 4096
 
-// VerdictStats counts an evaluator's Holds calls, so a test suite can see
-// how much of its traffic exercises the universal early projection rule.
+// VerdictStats counts an evaluator's Holds and Violations calls, so a test
+// suite can see how much of its traffic exercises the universal early
+// projection rule and the witness expansion built on it.
 type VerdictStats struct {
-	// Validity counts the calls decided as validity checks (a leading
+	// Validity counts the Holds calls decided as validity checks (a leading
 	// ∀-block was stripped); Projected those among them in which the rule
 	// projected at least one variable.
 	Validity, Projected int
+	// Routes counts the Violations calls by the route they took.
+	Routes [NumRoutes]int
 }
 
-// VerdictStats returns the counts of Holds calls so far.
-func (ev *Evaluator) VerdictStats() VerdictStats { return ev.verdicts }
+// VerdictStats returns the counts of Holds and Violations calls so far.
+func (ev *Evaluator) VerdictStats() VerdictStats { return ev.stats }
+
+// Route names the way Violations arrived at a violation set.
+type Route int
+
+const (
+	// RouteHolds: the verdict pass found no violation; nothing else ran.
+	RouteHolds Route = iota
+	// RouteUnprojected: the verdict pass projected no variable, so its
+	// violation set already binds every stripped variable.
+	RouteUnprojected
+	// RouteExpanded: the verdict pass's violation set, joined back to the
+	// negated atoms its projected variables came from.
+	RouteExpanded
+	// RouteFull: a shape outside the expansion rule, or an existence check,
+	// evaluated in full as Eval evaluates it.
+	RouteFull
+	// NumRoutes is the number of routes.
+	NumRoutes
+)
+
+func (r Route) String() string {
+	return [...]string{"holds", "unprojected", "expanded", "full"}[r]
+}
 
 type predCacheEntry struct {
 	pred string // the predicate name, predVersion's key
@@ -138,11 +164,6 @@ type Outcome struct {
 	Holds bool
 	// Mode is the check that decided Holds (validity or satisfiability).
 	Mode CheckMode
-	// Root is the BDD of the rewritten body over the blocks of the
-	// stripped leading quantifier block. For a CheckValidity outcome the
-	// satisfying assignments of ¬Root are exactly the variable bindings
-	// witnessing violations.
-	Root bdd.Ref
 	// Stripped lists the variables of the dropped leading quantifier, and
 	// Blocks maps them (and all other variables) to their blocks.
 	Stripped []string
@@ -158,7 +179,14 @@ type Outcome struct {
 // node budget; in both cases the caller should fall back to SQL processing
 // (the kernel's error state is already cleared).
 func (ev *Evaluator) Eval(c Constraint) (*Outcome, error) {
-	return ev.evaluate(c, false)
+	an, rw, err := ev.compile(c)
+	if err != nil {
+		return nil, err
+	}
+	k := ev.store.Kernel()
+	defer k.TempRelease(k.TempMark())
+	out, _, err := ev.evaluate(an, rw, false)
+	return out, err
 }
 
 // Holds decides a constraint like Eval, with the same errors, for callers
@@ -168,44 +196,167 @@ func (ev *Evaluator) Eval(c Constraint) (*Outcome, error) {
 // markUniversal) instead of carrying every column of the index through the
 // negation and the final guard.
 func (ev *Evaluator) Holds(c Constraint) (bool, error) {
-	out, err := ev.evaluate(c, true)
+	an, rw, err := ev.compile(c)
 	if err != nil {
 		return false, err
+	}
+	k := ev.store.Kernel()
+	defer k.TempRelease(k.TempMark())
+	out, env, err := ev.evaluate(an, rw, true)
+	if err != nil {
+		return false, err
+	}
+	if rw.Mode == CheckValidity {
+		ev.stats.Validity++
+		if len(env.universal) > 0 {
+			ev.stats.Projected++
+		}
 	}
 	return out.Holds, nil
 }
 
-func (ev *Evaluator) evaluate(c Constraint, verdictOnly bool) (*Outcome, error) {
-	an, err := Analyze(c.F, ev.res)
+// Violations evaluates a constraint for its violation set, with Eval's
+// errors and an Outcome whose Violations binds every stripped variable, as
+// Eval's does. It starts from the verdict pass Holds runs, universal early
+// projection included, whose violation set V binds the stripped variables
+// that were not projected, and goes on by the shape of the rewritten body:
+//
+//   - V is empty: the constraint holds and nothing else runs;
+//   - nothing was projected: V is the violation set;
+//   - every projected variable sits in a negated atom that is a top-level
+//     disjunct of the body, reached from the root through ∨ only: the set is
+//     V ∧ P₁ ∧ … ∧ Pₙ, the Pᵢ being those atoms bound in full. A body
+//     B ≡ ¬P(x̄,ȳ) ∨ ψ(ȳ) has ¬B ≡ P ∧ ¬ψ and V ≡ ∃x̄ (P ∧ ¬ψ), so
+//     ¬B ≡ P ∧ V; P holds in-domain codes only, so x̄ needs no guard; the x̄ᵢ
+//     of several such disjuncts are disjoint, so ∃ distributes over them;
+//   - any other shape, and an existence check, is evaluated in full.
+//
+// The expansion is a semi-join of the small set V with the index it was
+// projected from, where the full evaluation negates and disjoins every
+// column of the index.
+func (ev *Evaluator) Violations(c Constraint) (*Outcome, error) {
+	an, rw, err := ev.compile(c)
 	if err != nil {
 		return nil, err
 	}
-	rw := Rewrite(an.F, ev.opts.Rewrite)
-	env, err := ev.newEnv(an, rw, verdictOnly)
+	k := ev.store.Kernel()
+	defer k.TempRelease(k.TempMark())
+	out, env, err := ev.evaluate(an, rw, true)
 	if err != nil {
 		return nil, err
 	}
-	if verdictOnly && rw.Mode == CheckValidity {
-		ev.verdicts.Validity++
-		if len(env.universal) > 0 {
-			ev.verdicts.Projected++
+	route := RouteFull // outside a validity check nothing is projected, so the verdict pass was the full one
+	switch {
+	case rw.Mode != CheckValidity:
+	case out.Holds:
+		route = RouteHolds
+	case len(env.universal) == 0:
+		route = RouteUnprojected
+	case !env.conjunctAtom:
+		route = RouteExpanded
+		err = ev.expand(out, env)
+	default:
+		out, _, err = ev.evaluate(an, rw, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ev.stats.Routes[route]++
+	return out, nil
+}
+
+// expand joins the verdict pass's violation set back to the negated atoms
+// its projected variables came from (see Violations). The atoms are bound on
+// an extension of the verdict pass's own environment: a fresh one could give
+// the named variables other blocks, and a conjunction over different blocks
+// is a product, not a join.
+func (ev *Evaluator) expand(out *Outcome, env *evalEnv) error {
+	k := ev.store.Kernel()
+	ext := ev.bindProjected(env)
+	viol := k.TempKeep(out.Violations)
+	for _, p := range env.projectedAtoms {
+		f, err := ev.evalPred(p, ext, true)
+		if err == nil {
+			if viol = k.And(viol, f); viol == bdd.Invalid {
+				err = ev.kerr()
+			}
+		}
+		if err != nil {
+			ev.Recover()
+			return err
+		}
+		k.TempKeep(viol)
+	}
+	out.Violations, out.Blocks = viol, ext.blocks
+	return nil
+}
+
+// bindProjected extends env so that the variables the verdict pass
+// projected have blocks too: each takes its atom's canonical block when no
+// variable holds it, else the first scratch block of its domain that none
+// holds. The extension projects nothing, so an atom bound on it binds every
+// argument.
+func (ev *Evaluator) bindProjected(env *evalEnv) *evalEnv {
+	ext := *env
+	ext.universal = nil
+	ext.blocks = make(map[string]*fdd.Domain, len(env.blocks)+len(env.universal))
+	held := make(map[*fdd.Domain]bool, len(env.blocks)+len(env.universal))
+	for v, b := range env.blocks {
+		ext.blocks[v] = b
+		held[b] = true
+	}
+	for _, p := range env.projectedAtoms {
+		doms := ev.store.Index(p.Table).Domains()
+		for i, arg := range p.Args {
+			v, ok := arg.(Var)
+			if !ok || !env.universal[v.Name] {
+				continue
+			}
+			rd := env.an.Domain(v.Name)
+			key := scratchKey{domain: rd.Name(), bits: bitsFor(rd.Size())}
+			b := doms[i]
+			if held[b] || b.Bits() != key.bits {
+				j := 0
+				for j < len(ev.scratch[key]) && held[ev.scratch[key][j]] {
+					j++
+				}
+				b = ev.scratchBlock(key, j)
+			}
+			ext.blocks[v.Name] = b
+			held[b] = true
 		}
 	}
-	// Intermediates held in local variables during the evaluation are
-	// pushed onto the kernel's temp-root stack so garbage collection at
-	// operation boundaries cannot reclaim them; release them wholesale when
-	// the evaluation finishes.
-	kk := ev.store.Kernel()
-	defer kk.TempRelease(kk.TempMark())
+	return &ext
+}
+
+// compile analyzes and rewrites a constraint.
+func (ev *Evaluator) compile(c Constraint) (*Analysis, Rewritten, error) {
+	an, err := Analyze(c.F, ev.res)
+	if err != nil {
+		return nil, Rewritten{}, err
+	}
+	return an, Rewrite(an.F, ev.opts.Rewrite), nil
+}
+
+// evaluate runs one evaluation pass and returns its outcome and environment.
+// Intermediates held in local variables are pushed onto the kernel's
+// temp-root stack so garbage collection at operation boundaries cannot
+// reclaim them; the caller releases them wholesale when it is done with the
+// outcome.
+func (ev *Evaluator) evaluate(an *Analysis, rw Rewritten, verdictOnly bool) (*Outcome, *evalEnv, error) {
+	env, err := ev.newEnv(an, rw, verdictOnly)
+	if err != nil {
+		return nil, nil, err
+	}
+	k := ev.store.Kernel()
 	root, err := ev.eval(rw.Body, env, false)
 	if err != nil {
 		ev.Recover()
-		return nil, err
+		return nil, nil, err
 	}
-	kk.TempKeep(root)
+	k.TempKeep(root)
 	out := &Outcome{
 		Mode:     rw.Mode,
-		Root:     root,
 		Stripped: rw.Stripped,
 		Blocks:   env.blocks,
 	}
@@ -222,15 +373,14 @@ func (ev *Evaluator) evaluate(c Constraint, verdictOnly bool) (*Outcome, error) 
 	guard, err := ev.domGuard(env, guarded)
 	if err != nil {
 		ev.Recover()
-		return nil, err
+		return nil, nil, err
 	}
-	k := ev.store.Kernel()
 	if rw.Mode == CheckValidity {
 		viol := k.Diff(guard, root)
 		if viol == bdd.Invalid {
 			err := ev.kerr()
 			ev.Recover()
-			return nil, err
+			return nil, nil, err
 		}
 		out.Violations = viol
 		out.Holds = viol == bdd.False
@@ -239,11 +389,11 @@ func (ev *Evaluator) evaluate(c Constraint, verdictOnly bool) (*Outcome, error) 
 		if wit == bdd.Invalid {
 			err := ev.kerr()
 			ev.Recover()
-			return nil, err
+			return nil, nil, err
 		}
 		out.Holds = wit != bdd.False
 	}
-	return out, nil
+	return out, env, nil
 }
 
 // Recover clears a sticky kernel error and collects the garbage the aborted
@@ -273,6 +423,11 @@ type evalEnv struct {
 	// universal holds the stripped ∀-variables a verdict-only validity check
 	// projects out at their negated atom (see markUniversal); nil otherwise.
 	universal map[string]bool
+	// projectedAtoms lists the negated atoms universal's variables occur in,
+	// and conjunctAtom reports whether the path to one of them crossed an ∧:
+	// Violations can expand the verdict's violation set only when none did.
+	projectedAtoms []Pred
+	conjunctAtom   bool
 }
 
 // projects reports whether the early projection rule removes variable v at
@@ -306,7 +461,7 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 		for _, v := range rw.Stripped {
 			free[v] = true
 		}
-		markUniversal(rw.Body, free, env)
+		markUniversal(rw.Body, free, env, false)
 	}
 	if ev.opts.CanonicalBlocks {
 		ev.claimCanonicalBlocks(rw.Body, env)
@@ -321,15 +476,8 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 			return fmt.Errorf("logic: variable %s has no domain", v)
 		}
 		key := scratchKey{domain: rd.Name(), bits: bitsFor(rd.Size())}
-		i := counters[key]
+		env.blocks[v] = ev.scratchBlock(key, counters[key])
 		counters[key]++
-		pool := ev.scratch[key]
-		if i == len(pool) {
-			name := fmt.Sprintf("$%s/%d#%d", key.domain, key.bits, i)
-			pool = append(pool, ev.store.Space().NewDomain(name, 1<<key.bits))
-			ev.scratch[key] = pool
-		}
-		env.blocks[v] = pool[i]
 		return nil
 	}
 	var firstErr error
@@ -398,6 +546,18 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 	return env, firstErr
 }
 
+// scratchBlock returns the i-th scratch block of key, allocating it when the
+// pool holds exactly i.
+func (ev *Evaluator) scratchBlock(key scratchKey, i int) *fdd.Domain {
+	pool := ev.scratch[key]
+	if i == len(pool) {
+		name := fmt.Sprintf("$%s/%d#%d", key.domain, key.bits, i)
+		pool = append(pool, ev.store.Space().NewDomain(name, 1<<key.bits))
+		ev.scratch[key] = pool
+	}
+	return pool[i]
+}
+
 // markProjectable records which variables reach a predicate from their
 // existential binder through ∧/∨ only. candidates is the set of variables
 // whose binder is directly above on such a path; Not and Quant nodes reset
@@ -455,14 +615,17 @@ func markProjectable(f Formula, candidates map[string]bool, out map[string]bool)
 // sound over a non-empty domain: a variable with an empty domain keeps the
 // full evaluation and its vacuous verdict. A variable repeated within the
 // atom or also compared elsewhere has two occurrences and stays; positive
-// atoms are the existential rule's business.
-func markUniversal(f Formula, free map[string]bool, env *evalEnv) {
+// atoms are the existential rule's business. crossedAnd reports whether the
+// path from the root to f crossed an ∧; the atoms that received a variable,
+// and whether any of them sat below an ∧, are recorded for Violations.
+func markUniversal(f Formula, free map[string]bool, env *evalEnv, crossedAnd bool) {
 	switch g := f.(type) {
 	case Not:
 		p, ok := g.F.(Pred)
 		if !ok {
 			return
 		}
+		marked := false
 		for _, a := range p.Args {
 			v, ok := a.(Var)
 			if !ok || !free[v.Name] || env.occurrences[v.Name] != 1 {
@@ -470,14 +633,19 @@ func markUniversal(f Formula, free map[string]bool, env *evalEnv) {
 			}
 			if d := env.an.Domain(v.Name); d != nil && d.Size() > 0 {
 				env.universal[v.Name] = true
+				marked = true
 			}
 		}
+		if marked {
+			env.projectedAtoms = append(env.projectedAtoms, p)
+			env.conjunctAtom = env.conjunctAtom || crossedAnd
+		}
 	case And:
-		markUniversal(g.L, free, env)
-		markUniversal(g.R, free, env)
+		markUniversal(g.L, free, env, true)
+		markUniversal(g.R, free, env, true)
 	case Or:
-		markUniversal(g.L, free, env)
-		markUniversal(g.R, free, env)
+		markUniversal(g.L, free, env, crossedAnd)
+		markUniversal(g.R, free, env, crossedAnd)
 	}
 }
 

@@ -3,20 +3,24 @@ package logic_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/logic"
+	"repro/internal/ordering"
 	"repro/internal/relation"
 )
 
-// eval_test.go pins the evaluator's two entry points against each other:
-// Holds may project stripped ∀-variables at their atom (markUniversal), Eval
-// never does, and the verdicts must agree on every shape the rule's side
-// conditions distinguish. Agreement with the SQL engine and the brute-force
-// referee is internal/difftest's job.
+// eval_test.go pins the evaluator's entry points against each other: Holds
+// may project stripped ∀-variables at their atom (markUniversal), Eval never
+// does, and the verdicts must agree on every shape the rule's side
+// conditions distinguish; Violations starts from Holds' pass, and its
+// violation sets must be Eval's. Agreement with the SQL engine and the
+// brute-force referee is internal/difftest's job.
 
 // evalFixture is a small random catalog with an index per table:
 //
@@ -87,23 +91,29 @@ func (fx *evalFixture) evaluator(opts logic.EvalOptions) *logic.Evaluator {
 }
 
 // ruleShapes lists one constraint per side condition of the universal
-// projection rule, and whether the rule fires on it.
+// projection rule, whether the rule fires on it, and the route Violations
+// takes when the constraint is violated and the rule is on.
 var ruleShapes = []struct {
 	name, src string
 	fires     bool
+	route     logic.Route
 }{
-	{"wildcard in the antecedent", `forall b, c: R(_, b, c) => S(b, c)`, true},
-	{"once-used named variables", `forall a, b, c: R(a, b, c) => c in {"C_0", "C_1"}`, true},
-	{"every column projected", `forall a, b, c: not R(a, b, c)`, true},
-	{"across an and", `forall a, b, c, b2, c2: (R(a, b, c) => c != "C_1") and (S(b2, c2) => b2 != "B_1")`, true},
-	{"across an and, empty table", `forall a, b, b2, c: not E(a, b) and (S(b2, c) => c in {"C_0", "C_1"})`, true},
-	{"two atoms, one variable each", `forall a, b, c, a2: R(a, b, c) and P(a2, a2, c) => b = "B_0"`, true},
-	{"variable repeated in one atom", `forall a, c: P(a, a, c) => c = "C_1"`, false},
-	{"variable also in a comparison", `forall b, c: S(b, c) and b in {"B_0"} => c != "C_2"`, false},
-	{"positive atom", `forall a, b, c: R(a, b, c) or S(b, c)`, false},
-	{"atom under an inner exists", `forall b: exists c: not S(b, c)`, false},
-	{"atom under an inner forall", `forall a: exists b: forall c: not R(a, b, c)`, false},
-	{"existence check", `exists b, c: not S(b, c)`, false},
+	{"wildcard in the antecedent", `forall b, c: R(_, b, c) => S(b, c)`, true, logic.RouteExpanded},
+	{"once-used named variables", `forall a, b, c: R(a, b, c) => c in {"C_0", "C_1"}`, true, logic.RouteExpanded},
+	{"every column projected", `forall a, b, c: not R(a, b, c)`, true, logic.RouteExpanded},
+	{"across an and", `forall a, b, c, b2, c2: (R(a, b, c) => c != "C_1") and (S(b2, c2) => b2 != "B_1")`, true, logic.RouteFull},
+	{"across an and, empty table", `forall a, b, b2, c: not E(a, b) and (S(b2, c) => c in {"C_0", "C_1"})`, true, logic.RouteFull},
+	{"two atoms, one variable each", `forall a, b, c, a2: R(a, b, c) and P(a2, a2, c) => b = "B_0"`, true, logic.RouteExpanded},
+	// The second atom's named variable takes the canonical block the first
+	// atom's wildcard would claim in an evaluation that projects nothing, so
+	// the expansion must bind on the verdict's own blocks.
+	{"two atoms of one table", `forall a, b, c: R(_, b, c) and R(a, _, c) => (b = "B_0" or a = "A_0")`, true, logic.RouteExpanded},
+	{"variable repeated in one atom", `forall a, c: P(a, a, c) => c = "C_1"`, false, logic.RouteUnprojected},
+	{"variable also in a comparison", `forall b, c: S(b, c) and b in {"B_0"} => c != "C_2"`, false, logic.RouteUnprojected},
+	{"positive atom", `forall a, b, c: R(a, b, c) or S(b, c)`, false, logic.RouteUnprojected},
+	{"atom under an inner exists", `forall b: exists c: not S(b, c)`, false, logic.RouteUnprojected},
+	{"atom under an inner forall", `forall a: exists b: forall c: not R(a, b, c)`, false, logic.RouteUnprojected},
+	{"existence check", `exists b, c: not S(b, c)`, false, logic.RouteFull},
 }
 
 func TestHoldsAgreesWithEval(t *testing.T) {
@@ -146,16 +156,141 @@ func TestHoldsAgreesWithEval(t *testing.T) {
 	}
 }
 
-// customersFixture indexes a datagen.Customers relation in schema order.
-func customersFixture(t *testing.T, tuples int) (*evalFixture, *datagen.CustomerData) {
+// TestViolationsAgreeWithEval: Violations starts from the verdict pass and
+// expands its violation set only where the body's shape allows it. On every
+// shape, with the projection rule on and off, its violation set must decode
+// to Eval's, and it must take the route the shape calls for.
+func TestViolationsAgreeWithEval(t *testing.T) {
+	ruleOff := logic.DefaultEvalOptions()
+	ruleOff.EarlyProject = false
+	var taken [logic.NumRoutes]int
+	for _, shape := range ruleShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			f, err := logic.Parse(shape.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := logic.Constraint{Name: "c", F: f}
+			rng := rand.New(rand.NewSource(41))
+			for trial := 0; trial < 40; trial++ {
+				fx := newEvalFixture(t, rng)
+				an, err := logic.Analyze(f, logic.CatalogResolver{Catalog: fx.cat})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, opts := range []logic.EvalOptions{logic.DefaultEvalOptions(), ruleOff} {
+					ev := fx.evaluator(opts)
+					got, err := ev.Violations(ct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ev.Eval(ct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Mode != want.Mode || got.Holds != want.Holds {
+						t.Fatalf("trial %d (EarlyProject=%v): Violations says mode %v holds %v, Eval %v %v",
+							trial, opts.EarlyProject, got.Mode, got.Holds, want.Mode, want.Holds)
+					}
+					if want.Mode == logic.CheckValidity && want.Holds && got.Violations != bdd.False {
+						t.Fatalf("trial %d (EarlyProject=%v): the constraint holds, but Violations has a violation set", trial, opts.EarlyProject)
+					}
+					if want.Mode == logic.CheckValidity && !want.Holds {
+						gs, ws := violationSet(t, fx, an, got), violationSet(t, fx, an, want)
+						if len(gs) != len(ws) {
+							t.Fatalf("trial %d (EarlyProject=%v): Violations decodes %d bindings, Eval %d", trial, opts.EarlyProject, len(gs), len(ws))
+						}
+						for w := range ws {
+							if !gs[w] {
+								t.Fatalf("trial %d (EarlyProject=%v): Violations misses %s", trial, opts.EarlyProject, w)
+							}
+						}
+					}
+					route := shape.route
+					switch {
+					case want.Mode != logic.CheckValidity:
+						route = logic.RouteFull
+					case want.Holds:
+						route = logic.RouteHolds
+					case !opts.EarlyProject:
+						route = logic.RouteUnprojected
+					}
+					if routes := ev.VerdictStats().Routes; routes[route] != 1 {
+						t.Fatalf("trial %d (EarlyProject=%v): routes taken %v, want one %v", trial, opts.EarlyProject, routes, route)
+					}
+					taken[route]++
+				}
+			}
+		})
+	}
+	for r, n := range taken {
+		if n == 0 {
+			t.Errorf("no call took route %v", logic.Route(r))
+		}
+	}
+}
+
+// violationSet decodes an outcome's violation set into one "v=value,…" key
+// per in-domain binding of the stripped variables it holds, and fails the
+// test if the set holds anything else, an out-of-domain slot say.
+func violationSet(t *testing.T, fx *evalFixture, an *logic.Analysis, out *logic.Outcome) map[string]bool {
+	t.Helper()
+	k := fx.store.Kernel()
+	set := map[string]bool{}
+	asn := make([]bool, k.NumVars())
+	parts := make([]string, len(out.Stripped))
+	var walk func(i int)
+	walk = func(i int) {
+		if i == len(out.Stripped) {
+			if k.Eval(out.Violations, asn) {
+				set[strings.Join(parts, ",")] = true
+			}
+			return
+		}
+		v := out.Stripped[i]
+		d := an.Domain(v)
+		for code := 0; code < d.Size(); code++ {
+			for _, l := range out.Blocks[v].Lits(code) {
+				asn[l.Var] = l.Value
+			}
+			parts[i] = v + "=" + d.Value(int32(code))
+			walk(i + 1)
+		}
+	}
+	walk(0)
+	if n := k.SatCountWithin(out.Violations, strippedVars(out)); n != float64(len(set)) {
+		t.Fatalf("the violation set holds %v bindings, %d of them in-domain", n, len(set))
+	}
+	return set
+}
+
+// strippedVars lists the kernel variables of an outcome's stripped blocks in
+// ascending order, the support a violation set is counted within.
+func strippedVars(out *logic.Outcome) []int {
+	var vars []int
+	for _, v := range out.Stripped {
+		vars = append(vars, out.Blocks[v].Vars()...)
+	}
+	sort.Ints(vars)
+	return vars
+}
+
+// customersFixture indexes a datagen.Customers relation, in schema order or,
+// with prob, in the probabilistic-convergence order cvserved's default
+// -order prob picks.
+func customersFixture(t *testing.T, tuples int, prob bool) (*evalFixture, *datagen.CustomerData) {
 	t.Helper()
 	cat := relation.NewCatalog()
 	data, err := datagen.Customers(cat, "CUST", datagen.CustomerSpec{Tuples: tuples, NoiseRate: 0.001}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var order []int
+	if prob {
+		order = ordering.ProbConverge(data.Table, nil)
+	}
 	fx := &evalFixture{cat: cat, store: index.NewStore(index.Options{})}
-	if _, err := fx.store.Build("CUST", data.Table, []int{0, 1, 2, 3, 4}, nil); err != nil {
+	if _, err := fx.store.Build("CUST", data.Table, []int{0, 1, 2, 3, 4}, order); err != nil {
 		t.Fatal(err)
 	}
 	return fx, data
@@ -165,25 +300,32 @@ func quoted(vals []string) string {
 	return `{"` + strings.Join(vals, `", "`) + `"}`
 }
 
+// citiesStates is the paper's own constraint shape over the five cities
+// from first on: their tuples carry one of their states. With violate, the
+// fifth city's state is left out of the list, so its tuples violate.
+func citiesStates(t *testing.T, data *datagen.CustomerData, first int, violate bool) logic.Constraint {
+	t.Helper()
+	var cities, states []string
+	for c := first; c < first+5; c++ {
+		cities = append(cities, datagen.CityName(c))
+		if !violate || data.CityState[c] != data.CityState[first+4] {
+			states = append(states, datagen.StateName(data.CityState[c]))
+		}
+	}
+	f, err := logic.Parse(fmt.Sprintf(`forall c, s: CUST(_, _, c, s, _) and c in %s => s in %s`, quoted(cities), quoted(states)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logic.Constraint{Name: "cs", F: f}
+}
+
 // TestVerdictWalksOnlyNamedColumns: the paper's own constraint shape names
 // two of CUST's five columns. Once the (city, state) projection is memoized,
 // a verdict over fresh constants costs a fraction of the full evaluation,
 // which negates and disjoins the whole index.
 func TestVerdictWalksOnlyNamedColumns(t *testing.T) {
-	fx, data := customersFixture(t, 5000)
+	fx, data := customersFixture(t, 5000, false)
 	ev := fx.evaluator(logic.DefaultEvalOptions())
-	citiesImplyStates := func(first int) logic.Constraint {
-		var cities, states []string
-		for c := first; c < first+5; c++ {
-			cities = append(cities, datagen.CityName(c))
-			states = append(states, datagen.StateName(data.CityState[c]))
-		}
-		f, err := logic.Parse(fmt.Sprintf(`forall c, s: CUST(_, _, c, s, _) and c in %s => s in %s`, quoted(cities), quoted(states)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return logic.Constraint{Name: "cs", F: f}
-	}
 	k := fx.store.Kernel()
 	ops := func(eval func(logic.Constraint) bool, ct logic.Constraint) (bool, uint64) {
 		before := k.Stats().Ops
@@ -205,10 +347,10 @@ func TestVerdictWalksOnlyNamedColumns(t *testing.T) {
 		return out.Holds
 	}
 	// Warm both paths on one set of constants, measure on another.
-	holds(citiesImplyStates(0))
-	full(citiesImplyStates(0))
-	hv, hOps := ops(holds, citiesImplyStates(5))
-	fv, fOps := ops(full, citiesImplyStates(5))
+	holds(citiesStates(t, data, 0, false))
+	full(citiesStates(t, data, 0, false))
+	hv, hOps := ops(holds, citiesStates(t, data, 5, false))
+	fv, fOps := ops(full, citiesStates(t, data, 5, false))
 	if hv != fv {
 		t.Fatalf("Holds = %v, Eval = %v", hv, fv)
 	}
@@ -218,11 +360,50 @@ func TestVerdictWalksOnlyNamedColumns(t *testing.T) {
 	}
 }
 
+// TestViolationsExpandOnlyTheViolations: the wildcards of the paper's
+// constraint shape are projected by the verdict pass, and Violations joins
+// the verdict's few violating (city, state) pairs back to the index instead
+// of negating it, so once the projection is memoized a violation set over
+// fresh constants costs a fraction of the full evaluation's — and is the
+// same set.
+func TestViolationsExpandOnlyTheViolations(t *testing.T) {
+	fx, data := customersFixture(t, 5000, true)
+	ev := fx.evaluator(logic.DefaultEvalOptions())
+	k := fx.store.Kernel()
+	measure := func(eval func(logic.Constraint) (*logic.Outcome, error), ct logic.Constraint) (float64, uint64) {
+		before := k.Stats().Ops
+		out, err := eval(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := k.Stats().Ops - before
+		if out.Holds {
+			t.Fatalf("%v holds: the fixture decides nothing", ct.F)
+		}
+		return k.SatCountWithin(out.Violations, strippedVars(out)), ops
+	}
+	// Warm both paths on one set of constants, measure on another.
+	measure(ev.Violations, citiesStates(t, data, 0, true))
+	measure(ev.Eval, citiesStates(t, data, 0, true))
+	vn, vOps := measure(ev.Violations, citiesStates(t, data, 5, true))
+	fn, fOps := measure(ev.Eval, citiesStates(t, data, 5, true))
+	if routes := ev.VerdictStats().Routes; routes[logic.RouteExpanded] != 2 {
+		t.Fatalf("routes taken %v, want two expansions", routes)
+	}
+	if vn != fn {
+		t.Fatalf("Violations finds %v violating bindings, Eval %v", vn, fn)
+	}
+	t.Logf("warmed expansion: %d kernel steps for %v bindings; full evaluation: %d", vOps, vn, fOps)
+	if vOps*10 >= fOps {
+		t.Fatalf("a warmed expansion costs %d kernel steps, the full evaluation %d: want under a tenth", vOps, fOps)
+	}
+}
+
 // TestPredCacheIsBounded: every cached predicate binding pins a BDD. Ad-hoc
 // constraints bring constants that never recur, so the cache must stop
 // growing at its cap, and a table's bindings must go when its version moves.
 func TestPredCacheIsBounded(t *testing.T) {
-	fx, data := customersFixture(t, 5000)
+	fx, data := customersFixture(t, 5000, false)
 	ev := fx.evaluator(logic.DefaultEvalOptions())
 	k := fx.store.Kernel()
 	tab := data.Table

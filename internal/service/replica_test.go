@@ -92,6 +92,48 @@ func TestStatszReportsReplication(t *testing.T) {
 	}
 }
 
+// TestWitnessesOfAHoldingConstraintStayOnTheBDD: no witnesses and no error is
+// the BDD's definite answer that the constraint holds. A replica serves it
+// in one pool job, and neither form re-asks the primary or the SQL engine.
+func TestWitnessesOfAHoldingConstraintStayOnTheBDD(t *testing.T) {
+	for _, replicas := range []int{2, -1} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			_, ts := newTestServer(t, service.Options{Replicas: replicas})
+			const sqlRuns = `cv_stage_duration_seconds_count{stage="sql"}`
+			poolJobs := func() (primaryOps, jobs uint64) {
+				var stats service.StatszResponse
+				if st := get(t, ts.URL+"/statsz", &stats); st != http.StatusOK {
+					t.Fatalf("statsz status %d", st)
+				}
+				for _, w := range stats.Replication.Workers {
+					jobs += w.Jobs
+				}
+				return stats.PrimaryKernel.Ops, jobs
+			}
+			opsBefore, jobsBefore := poolJobs()
+			sqlBefore := metricValue(t, ts.URL, sqlRuns)
+			var resp service.WitnessResponse
+			if st := post(t, ts.URL+"/witnesses", service.WitnessRequest{Constraint: "toronto_ontario"}, &resp); st != http.StatusOK {
+				t.Fatalf("status %d", st)
+			}
+			if resp.Method != "bdd" || len(resp.Witnesses) != 0 {
+				t.Fatalf("a holding constraint drew method %q and %d witnesses, want bdd and none", resp.Method, len(resp.Witnesses))
+			}
+			if sql := metricValue(t, ts.URL, sqlRuns); sql != sqlBefore {
+				t.Fatalf("the SQL stage ran %v times for the request, want none", sql-sqlBefore)
+			}
+			if replicas < 0 {
+				return
+			}
+			opsAfter, jobsAfter := poolJobs()
+			if jobsAfter != jobsBefore+1 || opsAfter != opsBefore {
+				t.Fatalf("the request took %d pool jobs and %d primary kernel steps, want one job and no primary work",
+					jobsAfter-jobsBefore, opsAfter-opsBefore)
+			}
+		})
+	}
+}
+
 func TestReplicationDisabled(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{Replicas: -1})
 	var resp service.CheckResponse

@@ -687,9 +687,10 @@ func (s *Server) observeResult(res core.Result, evalStart time.Time, tr *obs.Tra
 }
 
 // runWitnesses extracts violating bindings from the BDD evaluation, falling
-// back to the compiled SQL violation query when the BDD path yields nothing
-// (missing index, budget, or an existence-mode constraint) — the same
-// two-step drill-down cvcheck performs.
+// back to the compiled SQL violation query when the BDD path fails (missing
+// index, budget, or an existence-mode constraint) — the same two-step
+// drill-down cvcheck performs. No witnesses and no error is the BDD's
+// definite answer that the constraint holds.
 func (s *Server) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOptions, tr *obs.Trace) checkReply {
 	k := s.chk.Store().Kernel()
 	enumStart := time.Now()
@@ -699,7 +700,7 @@ func (s *Server) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOpt
 	s.metrics.stWitness.Observe(enumD)
 	delta := k.Stats().DeltaSince(before)
 	tr.Record("witness_enum", enumStart, enumD, &delta)
-	if err == nil && len(ws) > 0 {
+	if err == nil {
 		return checkReply{witnesses: ws, witnessMethod: core.MethodBDD}
 	}
 	sqlStart := time.Now()
@@ -708,10 +709,7 @@ func (s *Server) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOpt
 	s.metrics.stSQL.Observe(sqlD)
 	tr.Record("sql:"+ct.Name, sqlStart, sqlD, nil)
 	if rerr != nil {
-		if err != nil {
-			return checkReply{err: err}
-		}
-		return checkReply{err: rerr}
+		return checkReply{err: err}
 	}
 	for i := 0; i < rows.Len() && i < limit; i++ {
 		ws = append(ws, core.Witness{Vars: rows.Vars, Values: rows.Decode(i)})
@@ -896,10 +894,10 @@ func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace
 	return checkReply{results: results, epoch: epoch}, true
 }
 
-// replicaWitnesses extracts witnesses on a replica. Only a definite BDD
-// answer with at least one witness is served from the replica; everything
-// else (budget blown, missing index, or zero witnesses, which the primary
-// double-checks against the live tables via SQL) routes to the primary.
+// replicaWitnesses extracts witnesses on a replica. A definite BDD answer —
+// witnesses, or none because the constraint holds — is served from the
+// replica; a BDD error (budget blown, missing index, existence mode) routes
+// to the primary, which alone can run the SQL fallback on the live tables.
 func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) (checkReply, bool) {
 	var ws []core.Witness
 	var werr error
@@ -916,7 +914,7 @@ func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limi
 		delta := k.Stats().DeltaSince(before)
 		tr.Record("witness_enum", enumStart, enumD, &delta)
 	})
-	if err != nil || werr != nil || len(ws) == 0 {
+	if err != nil || werr != nil {
 		return checkReply{}, false
 	}
 	return checkReply{witnesses: ws, witnessMethod: core.MethodBDD}, true

@@ -6,15 +6,16 @@
 //	sentinelcmp  errors.Is for wrapped sentinel errors, never == / !=
 //	tempmark     TempMark/TempRelease paired on all paths; Protect balanced
 //	kernelmix    no bdd.Ref crosses kernels except through CopyTo
-//	stickyerr    allocating kernel ops are followed by an error consult
 //	kernelowner  structural kernel/checker mutation stays on the owner goroutine
 //	ackorder     WAL append and epoch publish happen before the ack, never after
 //	lockorder    mutex acquisition order is globally acyclic
-//	ctxleak      spawned goroutine loops observe ctx.Done or a quit channel
+//
+// Each analyzer must flag a fault seeded into a real function of this module
+// (faults_test.go), or it does not belong in the suite.
 //
 // cvlint is usable two ways:
 //
-//	cvlint [flags] [packages]      standalone: drives `go vet -vettool` on
+//	cvlint [packages]              standalone: drives `go vet -vettool` on
 //	                               the given packages (default ./...)
 //	go vet -vettool=$(which cvlint) ./...
 //	                               as a vet tool, the canonical CI form
@@ -28,12 +29,6 @@
 // or above the line (several analyzers may be named, comma-separated):
 //
 //	//lint:ignore tempmark kernel dies with this function; pin is intentional
-//
-// Standalone flags (cmd/go forwards no tool flags, so these tunnel to the
-// vet-tool invocations through the environment):
-//
-//	-json            emit diagnostics as JSON lines (CVLINT_JSON=1)
-//	-analyzers=a,b   run only the named analyzers (CVLINT_ANALYZERS)
 package main
 
 import (
@@ -45,12 +40,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/ackorder"
-	"repro/internal/analysis/ctxleak"
 	"repro/internal/analysis/kernelmix"
 	"repro/internal/analysis/kernelowner"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/sentinelcmp"
-	"repro/internal/analysis/stickyerr"
 	"repro/internal/analysis/tempmark"
 	"repro/internal/analysis/unitchecker"
 )
@@ -60,11 +53,9 @@ var suite = []*analysis.Analyzer{
 	sentinelcmp.Analyzer,
 	tempmark.Analyzer,
 	kernelmix.Analyzer,
-	stickyerr.Analyzer,
 	kernelowner.Analyzer,
 	ackorder.Analyzer,
 	lockorder.Analyzer,
-	ctxleak.Analyzer,
 }
 
 func main() {
@@ -89,35 +80,19 @@ func usage() {
 	for _, a := range suite {
 		fmt.Printf("  %-12s %s\n", a.Name, a.Doc)
 	}
-	fmt.Printf("\nUsage:\n  cvlint [flags] [packages]    (default ./...)\n  go vet -vettool=$(which cvlint) [packages]\n")
-	fmt.Printf("\nFlags (standalone form only):\n  -json            emit diagnostics as JSON lines\n  -analyzers=a,b   run only the named analyzers\n")
+	fmt.Printf("\nUsage:\n  cvlint [packages]    (default ./...)\n  go vet -vettool=$(which cvlint) [packages]\n")
 }
 
 // standalone re-executes cvlint through `go vet -vettool=self`: cmd/go
 // loads, compiles and describes each package, then calls back into the
-// unitchecker protocol above with full type information. Output and
-// analyzer-selection flags tunnel through the environment, because cmd/go
-// does not forward tool flags to the vettool.
-func standalone(args []string) int {
-	env := os.Environ()
-	var pkgs []string
-	for i := 0; i < len(args); i++ {
-		switch arg := args[i]; {
-		case arg == "-json" || arg == "--json":
-			env = append(env, "CVLINT_JSON=1")
-		case strings.HasPrefix(arg, "-analyzers=") || strings.HasPrefix(arg, "--analyzers="):
-			sel := arg[strings.Index(arg, "=")+1:]
-			if _, err := unitchecker.Select(suite, sel); err != nil {
-				fmt.Fprintf(os.Stderr, "cvlint: %v\n", err)
-				return 2
-			}
-			env = append(env, "CVLINT_ANALYZERS="+sel)
-		case strings.HasPrefix(arg, "-"):
+// unitchecker protocol above with full type information. cvlint has no
+// flags of its own.
+func standalone(pkgs []string) int {
+	for _, arg := range pkgs {
+		if strings.HasPrefix(arg, "-") {
 			fmt.Fprintf(os.Stderr, "cvlint: unknown flag %s\n", arg)
 			usage()
 			return 2
-		default:
-			pkgs = append(pkgs, arg)
 		}
 	}
 	self, err := os.Executable()
@@ -129,7 +104,6 @@ func standalone(args []string) int {
 		pkgs = []string{"./..."}
 	}
 	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, pkgs...)...)
-	cmd.Env = env
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
 	cmd.Stdin = os.Stdin

@@ -79,10 +79,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string // name of the reporting analyzer
-	// Suppressed marks a finding covered by a justified //lint:ignore
-	// directive. Suppressed findings do not fail a vet run but are retained
-	// so machine consumers (cvlint -json) can surface them.
-	Suppressed bool
 }
 
 // Report emits a diagnostic.
@@ -103,30 +99,13 @@ func (p *Pass) Stdlib(path string) bool {
 }
 
 // Run applies every analyzer to the package described by (fset, files, pkg,
-// info), applies //lint:ignore suppressions, and returns the surviving
-// diagnostics sorted by position. Suppression directives that are malformed
-// (no justification) are themselves returned as diagnostics, so a vet run
+// info), drops the findings that //lint:ignore directives suppress, and
+// returns the rest sorted by position, with the PackageFacts the analyzers
+// exported for this package. imported carries the facts of the package's
+// dependencies (nil is fine). Suppression directives that are malformed (no
+// justification) are themselves returned as diagnostics, so a vet run
 // cannot go quiet on the back of an unexplained ignore.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, isStd func(string) bool, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunWithFacts(fset, files, pkg, info, isStd, nil, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	var live []Diagnostic
-	for _, d := range diags {
-		if !d.Suppressed {
-			live = append(live, d)
-		}
-	}
-	return live, nil
-}
-
-// RunWithFacts is Run for fact-aware drivers: imported carries the facts of
-// the package's dependencies (nil is fine), and the returned PackageFacts
-// collects everything the analyzers exported for this package. Unlike Run,
-// suppressed diagnostics are returned too, marked with Suppressed, so the
-// caller decides whether to drop or surface them.
-func RunWithFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, isStd func(string) bool, imported map[string]PackageFacts, analyzers []*Analyzer) ([]Diagnostic, PackageFacts, error) {
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, isStd func(string) bool, imported map[string]PackageFacts, analyzers []*Analyzer) ([]Diagnostic, PackageFacts, error) {
 	var diags []Diagnostic
 	exported := PackageFacts{}
 	for _, a := range analyzers {

@@ -114,20 +114,13 @@ func runOne(t *testing.T, a *analysis.Analyzer, dir string) {
 
 	// Fixtures are single packages: interprocedural cases exercise the
 	// package-local call graph and in-package summaries, so no imported
-	// facts are supplied. Suppressed findings are dropped, as in a plain
-	// vet run — a fixture line carrying a justified //lint:ignore expects
-	// no diagnostic.
-	diags, _, err := analysis.RunWithFacts(fset, files, pkg, info, exp.isStd, nil, []*analysis.Analyzer{a})
+	// facts are supplied. A fixture line carrying a justified //lint:ignore
+	// expects no diagnostic.
+	diags, _, err := analysis.Run(fset, files, pkg, info, exp.isStd, nil, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
-	var live []analysis.Diagnostic
-	for _, d := range diags {
-		if !d.Suppressed {
-			live = append(live, d)
-		}
-	}
-	checkWants(t, fset, files, live)
+	checkWants(t, fset, files, diags)
 }
 
 // want is one expectation parsed from a // want comment.

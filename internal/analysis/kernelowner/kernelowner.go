@@ -18,7 +18,9 @@
 // calling it — directly, through same-package calls (the package-local call
 // graph), or through imported calls (function-summary facts carried by the
 // vet fact protocol). A `//cv:owner any` function whose summary is non-empty
-// is reported, with the call chain to the offending primitive.
+// is reported, with the call chain to the offending primitive. The function
+// literal of a `go` statement is an `any` root too, whatever its enclosing
+// function's owner: the goroutine it starts runs beside its spawner.
 //
 // Mutations of locally created checkers and kernels are exempt: a value
 // whose access path roots at a plain local initialized from an
@@ -118,7 +120,6 @@ const (
 // funcScope is the per-function context: unified parameters and the local
 // alias map (k := s.chk records k as an alias of parameter s).
 type funcScope struct {
-	node   *analysis.FuncNode
 	params map[types.Object]int
 	alias  map[types.Object]class
 }
@@ -132,7 +133,17 @@ func run(pass *analysis.Pass) error {
 	for _, n := range g.Funcs {
 		sc := newFuncScope(info, n)
 		scopes[n] = sc
-		summaries[n] = directFact(pass, sc)
+		summaries[n] = directFact(pass, sc, n.Decl.Body)
+	}
+	calleeFact := func(cs analysis.CallSite) *Fact {
+		if cs.Local != nil {
+			return summaries[cs.Local]
+		}
+		var imported Fact
+		if pass.ImportObjectFact(cs.Callee, &imported) {
+			return &imported
+		}
+		return nil
 	}
 
 	// Propagate through the package-local call graph to a fixed point:
@@ -140,50 +151,8 @@ func run(pass *analysis.Pass) error {
 	for changed, rounds := true, 0; changed && rounds <= len(g.Funcs)+1; rounds++ {
 		changed = false
 		for _, n := range g.Funcs {
-			sc := scopes[n]
-			sum := summaries[n]
-			for _, cs := range n.Calls {
-				var calleeFact *Fact
-				if cs.Local != nil {
-					calleeFact = summaries[cs.Local]
-				} else {
-					var imported Fact
-					if pass.ImportObjectFact(cs.Callee, &imported) {
-						calleeFact = &imported
-					}
-				}
-				if calleeFact.empty() {
-					continue
-				}
-				via := analysis.FuncKey(cs.Callee)
-				if calleeFact.Via != "" {
-					via += " → " + calleeFact.Via
-				}
-				if calleeFact.Global && !sum.Global {
-					sum.Global, sum.Via, changed = true, via, true
-				}
-				args := analysis.CallArgs(info, cs.Call, cs.Callee)
-				for _, p := range calleeFact.Params {
-					if p >= len(args) {
-						continue
-					}
-					switch c := sc.rootClass(info, args[p]); c.kind {
-					case classParam:
-						if sum.addParam(c.param) {
-							changed = true
-							if sum.Via == "" {
-								sum.Via = via
-							}
-						}
-					case classGlobal:
-						if !sum.Global {
-							sum.Global, changed = true, true
-							if sum.Via == "" {
-								sum.Via = via
-							}
-						}
-					}
-				}
+			if addCalls(info, scopes[n], summaries[n], n.Calls, calleeFact) {
+				changed = true
 			}
 		}
 	}
@@ -195,6 +164,31 @@ func run(pass *analysis.Pass) error {
 				return err
 			}
 		}
+		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+			gs, ok := node.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			lit, ok := analysis.Unparen(gs.Call.Fun).(*ast.FuncLit)
+			if !ok {
+				return true
+			}
+			var inLit []analysis.CallSite
+			for _, cs := range n.Calls {
+				if cs.Call.Pos() >= lit.Pos() && cs.Call.End() <= lit.End() {
+					inLit = append(inLit, cs)
+				}
+			}
+			litSum := directFact(pass, scopes[n], lit.Body)
+			addCalls(info, scopes[n], litSum, inLit, calleeFact)
+			if !litSum.empty() {
+				pass.Reportf(gs.Pos(),
+					"goroutine started here runs beside %s but can mutate kernel/checker state via %s; "+
+						"structural mutations are reserved to //cv:owner worker (the write-worker loop and boot)",
+					n.Decl.Name.Name, litSum.Via)
+			}
+			return true
+		})
 		switch n.Owner {
 		case "":
 			continue
@@ -216,11 +210,52 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// addCalls folds the callees' summaries into sum for the given call sites of
+// sc's function and reports whether sum grew.
+func addCalls(info *types.Info, sc *funcScope, sum *Fact, calls []analysis.CallSite, calleeFact func(analysis.CallSite) *Fact) bool {
+	changed := false
+	for _, cs := range calls {
+		cf := calleeFact(cs)
+		if cf.empty() {
+			continue
+		}
+		via := analysis.FuncKey(cs.Callee)
+		if cf.Via != "" {
+			via += " → " + cf.Via
+		}
+		if cf.Global && !sum.Global {
+			sum.Global, sum.Via, changed = true, via, true
+		}
+		args := analysis.CallArgs(info, cs.Call, cs.Callee)
+		for _, p := range cf.Params {
+			if p >= len(args) {
+				continue
+			}
+			switch c := sc.rootClass(info, args[p]); c.kind {
+			case classParam:
+				if sum.addParam(c.param) {
+					changed = true
+					if sum.Via == "" {
+						sum.Via = via
+					}
+				}
+			case classGlobal:
+				if !sum.Global {
+					sum.Global, changed = true, true
+					if sum.Via == "" {
+						sum.Via = via
+					}
+				}
+			}
+		}
+	}
+	return changed
+}
+
 // newFuncScope indexes the unified parameters and records local aliases of
 // externally rooted values, in lexical order.
 func newFuncScope(info *types.Info, n *analysis.FuncNode) *funcScope {
 	sc := &funcScope{
-		node:   n,
 		params: map[types.Object]int{},
 		alias:  map[types.Object]class{},
 	}
@@ -298,10 +333,11 @@ func (sc *funcScope) rootClass(info *types.Info, e ast.Expr) class {
 	return class{kind: classFresh}
 }
 
-// directFact scans one function body (nested literals included — their own
-// parameters classify as fresh, which exempts pool callbacks operating on
-// private replica checkers) for direct mutation sites.
-func directFact(pass *analysis.Pass, sc *funcScope) *Fact {
+// directFact scans body, a function body of sc's declaration (nested
+// literals included — their own parameters classify as fresh, which exempts
+// pool callbacks operating on private replica checkers), for direct mutation
+// sites.
+func directFact(pass *analysis.Pass, sc *funcScope, body *ast.BlockStmt) *Fact {
 	info := pass.TypesInfo
 	sum := &Fact{}
 	record := func(target ast.Expr, desc string) {
@@ -319,7 +355,7 @@ func directFact(pass *analysis.Pass, sc *funcScope) *Fact {
 			}
 		}
 	}
-	ast.Inspect(sc.node.Decl.Body, func(node ast.Node) bool {
+	ast.Inspect(body, func(node ast.Node) bool {
 		switch n := node.(type) {
 		case *ast.CallExpr:
 			if recv, name, ok := analysis.KernelMethod(info, n); ok {

@@ -24,7 +24,6 @@ type directive struct {
 	pos       token.Pos
 	line      int
 	file      string
-	used      bool
 }
 
 // parseDirectives extracts every lint:ignore directive from the files.
@@ -45,7 +44,6 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []*directive {
 					pos:       c.Pos(),
 					line:      p.Line,
 					file:      p.Filename,
-					used:      false,
 				})
 			}
 		}
@@ -94,31 +92,20 @@ func (d *directive) covers(name string, file string, line int) bool {
 	return false
 }
 
-// applySuppressions marks diagnostics covered by a well-formed directive as
-// Suppressed (callers drop or surface them as their output mode requires) and
+// applySuppressions drops diagnostics covered by a well-formed directive and
 // appends a diagnostic for each malformed (justification-free) directive.
 func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
 	ds := parseDirectives(fset, files)
 	if len(ds) == 0 {
 		return diags
 	}
-	for i := range diags {
-		p := fset.Position(diags[i].Pos)
-		for _, d := range ds {
-			if !d.covers(diags[i].Analyzer, p.Filename, p.Line) {
-				continue
-			}
-			if d.just == "" {
-				// An unjustified directive suppresses nothing; the
-				// directive diagnostic below explains why the finding
-				// is still live.
-				continue
-			}
-			d.used = true
-			diags[i].Suppressed = true
-			break
+	live := diags[:0]
+	for _, diag := range diags {
+		if !suppressed(fset, ds, diag) {
+			live = append(live, diag)
 		}
 	}
+	diags = live
 	for _, d := range ds {
 		if d.just == "" {
 			diags = append(diags, Diagnostic{
@@ -129,4 +116,17 @@ func applySuppressions(fset *token.FileSet, files []*ast.File, diags []Diagnosti
 		}
 	}
 	return diags
+}
+
+// suppressed reports whether a justified directive covers diag. An
+// unjustified directive suppresses nothing; its own diagnostic explains why
+// the finding is still live.
+func suppressed(fset *token.FileSet, ds []*directive, diag Diagnostic) bool {
+	p := fset.Position(diag.Pos)
+	for _, d := range ds {
+		if d.just != "" && d.covers(diag.Analyzer, p.Filename, p.Line) {
+			return true
+		}
+	}
+	return false
 }

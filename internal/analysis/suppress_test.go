@@ -45,7 +45,7 @@ func TestSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	diags, err := Run(fset, []*ast.File{f}, nil, nil, nil, []*Analyzer{testAnalyzer})
+	diags, _, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{testAnalyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -116,7 +116,7 @@ func f() {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	diags, err := Run(fset, []*ast.File{f}, nil, nil, nil, []*Analyzer{testAnalyzer, secondAnalyzer})
+	diags, _, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{testAnalyzer, secondAnalyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -145,13 +145,13 @@ func f() {
 	}
 }
 
-// TestRunWithFactsKeepsSuppressed: the fact-aware entry point retains
-// suppressed findings, marked, for -json consumers.
-func TestRunWithFactsKeepsSuppressed(t *testing.T) {
+// TestRunDropsSuppressedKeepsFacts: a suppressed finding is gone from Run's
+// result, while the facts the reporting analyzer exported survive.
+func TestRunDropsSuppressedKeepsFacts(t *testing.T) {
 	const src = `package p
 
 func f() {
-	_ = 1 //lint:ignore testcheck kept but marked
+	_ = 1 //lint:ignore factcheck the fact matters here, not the finding
 }
 `
 	fset := token.NewFileSet()
@@ -159,11 +159,24 @@ func f() {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	diags, _, err := RunWithFacts(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{testAnalyzer})
+	factAnalyzer := &Analyzer{
+		Name: "factcheck",
+		Doc:  "reports every integer literal and exports a fact for f",
+		Run: func(pass *Pass) error {
+			if err := testAnalyzer.Run(pass); err != nil {
+				return err
+			}
+			return pass.ExportFact("f", true)
+		},
+	}
+	diags, facts, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{factAnalyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if len(diags) != 1 || !diags[0].Suppressed {
-		t.Fatalf("want one suppressed diagnostic, got %+v", diags)
+	if len(diags) != 0 {
+		t.Fatalf("want no diagnostics, got %+v", diags)
+	}
+	if got := string(facts["factcheck"]["f"]); got != "true" {
+		t.Fatalf("exported fact: got %q, want %q", got, "true")
 	}
 }

@@ -58,7 +58,7 @@ func goodAlias(st *store, f, g bdd.Ref) bdd.Ref {
 // before Reorder stays usable on the same kernel afterwards.
 func goodReorderSameKernel(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	r := k.And(f, g)
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	return k.Not(r)
 }
 
@@ -66,7 +66,7 @@ func goodReorderSameKernel(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 // a foreign Ref onto it.
 func badCrossAfterReorder(k1, k2 *bdd.Kernel, f bdd.Ref) bdd.Ref {
 	r := k1.Not(f)
-	k2.Reorder(bdd.ReorderOptions{})
+	k2.Reorder()
 	return k2.Not(r) // want `Ref minted by kernel "k1" passed to method Not of kernel "k2"`
 }
 

@@ -20,7 +20,7 @@ var globalKernel *bdd.Kernel
 func (s *server) run(ups []core.Update) {
 	// The kernel owner mutates freely.
 	s.chk.Apply(ups)
-	s.k.Reorder(bdd.ReorderOptions{})
+	s.k.Reorder()
 }
 
 //cv:owner any
@@ -97,7 +97,7 @@ func (s *server) handleFreshFromArgCall(opts core.Options) {
 	// Argument-taking calls construct fresh values; the mutation does not
 	// root at s.
 	chk := materializeFor(s, opts)
-	chk.Reorder(bdd.ReorderOptions{})
+	chk.Reorder()
 }
 
 func materializeFor(s *server, opts core.Options) *core.Checker {
@@ -106,4 +106,27 @@ func materializeFor(s *server, opts core.Options) *core.Checker {
 
 //cv:owner writer
 func (s *server) handleTypo() { // want `malformed //cv:owner directive "writer"`
+}
+
+// closer is dynamic dispatch: a goroutine that reaches a worker only through
+// it is not followed.
+type closer interface{ Close() }
+
+//cv:owner worker
+func (s *server) publish(ups []core.Update, opts core.Options, w closer) {
+	// A goroutine runs beside the worker that spawned it, so its literal is
+	// an `any` root: captured state must stay read-only.
+	go func() { // want `goroutine started here runs beside publish but can mutate kernel/checker state via \(\*Kernel\)\.ClearCaches`
+		s.k.ClearCaches()
+	}()
+	go func() { // want `via \(\*server\)\.applyAll → \(\*Checker\)\.Apply`
+		s.applyAll(ups)
+	}()
+	go func() {
+		// A checker the goroutine builds itself is private to it.
+		chk := materialize(opts)
+		chk.Apply(ups)
+		_ = s.chk.Stats()
+	}()
+	go func() { w.Close() }()
 }

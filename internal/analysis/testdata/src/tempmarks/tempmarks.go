@@ -126,7 +126,7 @@ func goodReorderInsideMark(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	mark := k.TempMark()
 	defer k.TempRelease(mark)
 	h := k.TempKeep(k.And(f, g))
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	return k.Or(h, f)
 }
 
@@ -196,7 +196,7 @@ func leakIgnored(k *bdd.Kernel, f bdd.Ref) {
 func leakReorderEarlyReturn(k *bdd.Kernel, f bdd.Ref) bdd.Ref {
 	mark := k.TempMark()
 	h := k.TempKeep(k.Not(f))
-	if st := k.Reorder(bdd.ReorderOptions{}); st.After == st.Before {
+	if st := k.Reorder(); st.After == st.Before {
 		return h // want `function exits without TempRelease\(mark\)`
 	}
 	k.TempRelease(mark)

@@ -23,12 +23,6 @@ func IsKernelPtr(t types.Type) bool {
 // IsRef reports whether t is bdd.Ref.
 func IsRef(t types.Type) bool { return isNamed(t, "bdd", "Ref") }
 
-// IsRefSlice reports whether t is []bdd.Ref.
-func IsRefSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	return ok && IsRef(s.Elem())
-}
-
 func isNamed(t types.Type, pkgName, typeName string) bool {
 	n, ok := t.(*types.Named)
 	if !ok {

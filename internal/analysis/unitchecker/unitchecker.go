@@ -23,12 +23,6 @@
 // package boundaries. Standard-library units are skipped outright: the
 // cvlint analyzers neither report on nor summarize std code, and skipping
 // keeps `go vet -vettool=cvlint std-importing-package` cheap.
-//
-// Two environment variables tunnel options through cmd/go, which forwards no
-// tool flags:
-//
-//	CVLINT_JSON=1            emit diagnostics as JSON lines (analysis.WriteJSON)
-//	CVLINT_ANALYZERS=a,b     run only the named analyzers (unknown names fail)
 package unitchecker
 
 import (
@@ -113,12 +107,6 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer) {
 	if err != nil {
 		fatal(err)
 	}
-	if sel := os.Getenv("CVLINT_ANALYZERS"); sel != "" {
-		analyzers, err = Select(analyzers, sel)
-		if err != nil {
-			fatal(err)
-		}
-	}
 	if cfg.Standard[cfg.ImportPath] || isStdUnit(cfg) {
 		// The suite's contracts only cover this module's declarations;
 		// skipping std units keeps dependency-mode runs instant and, more
@@ -141,25 +129,10 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer) {
 		// belong to the run that names this unit directly.
 		return
 	}
-	live := 0
 	for _, d := range diags {
-		if !d.Suppressed {
-			live++
-		}
+		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-	if os.Getenv("CVLINT_JSON") != "" {
-		if err := analysis.WriteJSON(os.Stderr, fset, diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-	if live > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }
@@ -173,39 +146,6 @@ func isStdUnit(cfg *Config) bool {
 	}
 	root := filepath.Join(build.Default.GOROOT, "src") + string(filepath.Separator)
 	return strings.HasPrefix(cfg.GoFiles[0], root)
-}
-
-// Select filters the suite down to a comma-separated analyzer list, failing
-// on names the suite does not contain.
-func Select(all []*analysis.Analyzer, csv string) ([]*analysis.Analyzer, error) {
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, names(all))
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected from %q", csv)
-	}
-	return out, nil
-}
-
-func names(all []*analysis.Analyzer) string {
-	var ns []string
-	for _, a := range all {
-		ns = append(ns, a.Name)
-	}
-	return strings.Join(ns, ", ")
 }
 
 // writeVetx persists the unit's exported facts where cmd/go asked for them.
@@ -242,8 +182,8 @@ func readConfig(filename string) (*Config, error) {
 }
 
 // analyze parses and type-checks the unit, then runs the analyzers with the
-// dependency facts cmd/go collected, returning diagnostics (suppressed ones
-// included, marked) and the facts this unit exports.
+// dependency facts cmd/go collected, returning diagnostics and the facts
+// this unit exports.
 func analyze(fset *token.FileSet, cfg *Config, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, analysis.PackageFacts, error) {
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
@@ -276,7 +216,7 @@ func analyze(fset *token.FileSet, cfg *Config, analyzers []*analysis.Analyzer) (
 	if err != nil {
 		return nil, nil, err
 	}
-	return analysis.RunWithFacts(fset, files, pkg, info, isStd, imported, analyzers)
+	return analysis.Run(fset, files, pkg, info, isStd, imported, analyzers)
 }
 
 // readImportedFacts loads the facts files of the unit's dependencies. A

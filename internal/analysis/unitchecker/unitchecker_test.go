@@ -3,8 +3,8 @@ package unitchecker
 // Error-path coverage for the vet-tool protocol driver: the happy path is
 // exercised end to end by the analyzers' analysistest suites and by CI's
 // `go vet -vettool=cvlint` run, but the failure modes — a config whose
-// export data is missing, an import map that cannot resolve, an analyzer
-// selection naming nothing — only ever fire in the field, which is exactly
+// export data is missing, an import map that cannot resolve, a facts file
+// that is corrupt — only ever fire in the field, which is exactly
 // where they must not be discovered first.
 
 import (
@@ -95,24 +95,6 @@ func TestReadConfigErrors(t *testing.T) {
 	}
 	if _, err := readConfig(empty); err == nil || !strings.Contains(err.Error(), "no Go files") {
 		t.Errorf("config without Go files: got %v", err)
-	}
-}
-
-// TestSelect: the CVLINT_ANALYZERS filter keeps known names and fails loudly
-// on unknown or empty selections.
-func TestSelect(t *testing.T) {
-	suite := []*analysis.Analyzer{
-		{Name: "alpha"}, {Name: "beta"},
-	}
-	got, err := Select(suite, "beta, alpha")
-	if err != nil || len(got) != 2 || got[0].Name != "beta" || got[1].Name != "alpha" {
-		t.Errorf("Select(beta, alpha): got %v, %v", got, err)
-	}
-	if _, err := Select(suite, "gamma"); err == nil || !strings.Contains(err.Error(), `unknown analyzer "gamma"`) {
-		t.Errorf("unknown analyzer: got %v", err)
-	}
-	if _, err := Select(suite, ", ,"); err == nil || !strings.Contains(err.Error(), "no analyzers selected") {
-		t.Errorf("empty selection: got %v", err)
 	}
 }
 

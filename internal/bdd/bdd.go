@@ -26,12 +26,12 @@
 //
 // Several usage contracts of this API are not expressible in Go's type
 // system — Refs must stay with the Kernel that minted them (kernelmix),
-// TempMark/TempRelease and Protect/Unprotect must balance (tempmark), the
-// sticky Err must be consulted at the end of an allocation chain
-// (stickyerr), and the sentinel errors below may arrive wrapped
-// (sentinelcmp). cmd/cvlint checks all four statically; Config.DebugChecks
-// validates the first at run time. See DESIGN.md, section "Static
-// contracts".
+// TempMark/TempRelease and Protect/Unprotect must balance (tempmark), and
+// the sentinel errors below may arrive wrapped (sentinelcmp). cmd/cvlint
+// checks all three statically; Config.DebugChecks validates the first at run
+// time. The sticky Err must be consulted at the end of an allocation chain;
+// core's budget sweep test checks that at run time. See DESIGN.md, section
+// "Static contracts".
 package bdd
 
 import (
@@ -95,8 +95,6 @@ type Config struct {
 	// with their lookup counts), up to per-cache maxima — small kernels
 	// stay cheap to create, large workloads still get large caches.
 	CacheSize int
-	// InitialNodes sizes the initial node table. Zero selects a default.
-	InitialNodes int
 	// DebugChecks enables runtime validation of every Ref entering a kernel
 	// operation: out-of-table handles (a Ref minted by a different kernel)
 	// and handles to GC-freed nodes (a missing Protect/TempKeep pin) panic
@@ -228,7 +226,7 @@ const (
 	defaultMaxCacheSize   = 1 << 18
 	initialCacheSize      = 1 << 12
 	initialSmallCacheSize = 1 << 10
-	defaultInitialNodes   = 1 << 12
+	initialNodes          = 1 << 12
 	minBuckets            = 1 << 10
 )
 
@@ -247,10 +245,6 @@ func New(cfg Config) *Kernel {
 		maxCache = applySize
 		fixed = true
 	}
-	initial := cfg.InitialNodes
-	if initial < 16 {
-		initial = defaultInitialNodes
-	}
 	k := &Kernel{
 		numVars:      cfg.Vars,
 		budget:       cfg.NodeBudget,
@@ -265,11 +259,11 @@ func New(cfg Config) *Kernel {
 		fixedCache:   fixed,
 		free:         -1,
 	}
-	k.level = append(make([]uint32, 0, initial), terminalLevel, terminalLevel)
-	k.low = append(make([]Ref, 0, initial), False, False)
-	k.high = append(make([]Ref, 0, initial), True, True)
-	k.next = append(make([]int32, 0, initial), -1, -1)
-	k.refs = append(make([]int32, 0, initial), 1, 1) // terminals are permanently pinned
+	k.level = append(make([]uint32, 0, initialNodes), terminalLevel, terminalLevel)
+	k.low = append(make([]Ref, 0, initialNodes), False, False)
+	k.high = append(make([]Ref, 0, initialNodes), True, True)
+	k.next = append(make([]int32, 0, initialNodes), -1, -1)
+	k.refs = append(make([]int32, 0, initialNodes), 1, 1) // terminals are permanently pinned
 	k.live = 2
 	k.peak = 2
 	k.buckets = make([]int32, minBuckets)

@@ -26,17 +26,10 @@ import (
 // within-block bit order that LessConst and the relation builders rely on
 // is never disturbed — only whole blocks change their relative positions.
 
-// ReorderOptions tunes a Reorder run.
-type ReorderOptions struct {
-	// MaxGrowth bounds the transient node-table growth while sifting one
-	// block: the walk down/up the order aborts once live nodes exceed
-	// MaxGrowth × the count at the start of that block's sift. Values ≤ 1
-	// select the default of 1.2.
-	MaxGrowth float64
-	// MaxBlocks, when positive, caps how many blocks are sifted (most
-	// populous first). Zero sifts every block.
-	MaxBlocks int
-}
+// siftMaxGrowth bounds the transient node-table growth while sifting one
+// block: the walk down or up the order stops once live nodes exceed
+// siftMaxGrowth × the count at the start of that block's sift.
+const siftMaxGrowth = 1.2
 
 // ReorderStats reports what a Reorder run did.
 type ReorderStats struct {
@@ -86,20 +79,15 @@ func (k *Kernel) Groups() [][]int {
 // caches are invalidated and interned ReplaceMaps are re-derived for the
 // new order (a map whose monotonicity the new order breaks stays interned
 // but reports ErrOrder from Replace until a compatible order returns).
-func (k *Kernel) Reorder(opt ReorderOptions) ReorderStats {
+func (k *Kernel) Reorder() ReorderStats {
 	if k.err != nil || k.numVars < 2 {
 		return ReorderStats{Before: k.live, After: k.live}
-	}
-	maxGrowth := opt.MaxGrowth
-	if maxGrowth <= 1 {
-		maxGrowth = 1.2
 	}
 	k.GC()
 	before := k.live
 	s := newReorderSession(k)
 	blocks := s.buildBlocks()
-	// Sift the most populous blocks first: they are where the savings are,
-	// and MaxBlocks then spends its budget well.
+	// Sift the most populous blocks first: they are where the savings are.
 	type blockPop struct{ id, pop int }
 	pops := make([]blockPop, 0, len(blocks))
 	for _, b := range blocks {
@@ -112,16 +100,11 @@ func (k *Kernel) Reorder(opt ReorderOptions) ReorderStats {
 		}
 	}
 	sort.Slice(pops, func(i, j int) bool { return pops[i].pop > pops[j].pop })
-	sifted := 0
 	for _, bp := range pops {
-		if opt.MaxBlocks > 0 && sifted >= opt.MaxBlocks {
-			break
-		}
-		s.siftBlock(blocks, findBlock(blocks, bp.id), maxGrowth)
-		sifted++
+		s.siftBlock(blocks, findBlock(blocks, bp.id))
 	}
 	k.finishReorder(before - k.live)
-	return ReorderStats{Before: before, After: k.live, Swaps: s.swaps, Blocks: sifted}
+	return ReorderStats{Before: before, After: k.live, Swaps: s.swaps, Blocks: len(pops)}
 }
 
 // SetOrder moves the variables into the exact given order: order[l] is the
@@ -497,9 +480,9 @@ func (s *reorderSession) swapBlocks(blocks []rblock, i int) {
 // Rudell-style. The walk aborts early in either direction once live nodes
 // exceed the growth bound; the block still lands on the best position
 // visited.
-func (s *reorderSession) siftBlock(blocks []rblock, pos int, maxGrowth float64) {
+func (s *reorderSession) siftBlock(blocks []rblock, pos int) {
 	k := s.k
-	bound := int(float64(k.live) * maxGrowth)
+	bound := int(float64(k.live) * siftMaxGrowth)
 	best := k.live
 	bestPos := pos
 	p := pos

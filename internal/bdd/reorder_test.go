@@ -60,7 +60,7 @@ func TestReorderPreservesSemanticsRandom(t *testing.T) {
 		g := k.Protect(randomFormula(k, rng, nvars, 30))
 		ttF := truthTable(k, f, nvars)
 		ttG := truthTable(k, g, nvars)
-		stats := k.Reorder(bdd.ReorderOptions{})
+		stats := k.Reorder()
 		if stats.After != k.Size() {
 			t.Fatalf("seed %d: stats.After = %d, Size = %d", seed, stats.After, k.Size())
 		}
@@ -148,7 +148,7 @@ func TestReorderShrinksComparator(t *testing.T) {
 	k.TempRelease(mark)
 	k.Protect(f) // ownership: pin lives until the test kernel is dropped
 	sizeBefore := k.NodeCount(f)
-	stats := k.Reorder(bdd.ReorderOptions{})
+	stats := k.Reorder()
 	sizeAfter := k.NodeCount(f)
 	if sizeAfter*2 > sizeBefore {
 		t.Fatalf("sifting only got %d -> %d nodes; want at least 2x reduction", sizeBefore, sizeAfter)
@@ -188,7 +188,7 @@ func TestReorderPreservesPinsAndCanonicity(t *testing.T) {
 	f := k.Protect(randomFormula(k, rng, nvars, 20))
 	g := k.Protect(randomFormula(k, rng, nvars, 20))
 	conj := k.Protect(k.And(f, g))
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	if again := k.And(f, g); again != conj {
 		t.Fatalf("And(f,g) = %d after reorder, want the pinned %d (canonicity broken)", again, conj)
 	}
@@ -227,7 +227,7 @@ func TestGroupSiftingKeepsBlocksContiguous(t *testing.T) {
 		}
 		tt[m] = k.Eval(f, val)
 	}
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	for gi, g := range groups {
 		minL, maxL := nvars, -1
 		prev := -1
@@ -266,7 +266,7 @@ func TestReorderReclaimsGarbageAndKeepsStampedSlots(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	sizeWithGarbage := k.Size()
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	if k.Size() >= sizeWithGarbage {
 		t.Fatalf("reorder did not reclaim garbage: %d -> %d", sizeWithGarbage, k.Size())
 	}
@@ -318,7 +318,7 @@ func TestSaveLoadCarriesVariableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := bdd.New(bdd.Config{Vars: nvars})
 	f := k.Protect(randomFormula(k, rng, nvars, 30))
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	tt := truthTable(k, f, nvars)
 	order := k.VarOrder()
 
@@ -417,7 +417,7 @@ func TestCopyToNarrowerPristineDestination(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: nvars + scratch})
 	f := k.Protect(randomFormula(k, rng, nvars, 25)) // touches only 0..nvars-1
 	k.Protect(k.And(k.Var(nvars), k.Var(nvars+1)))   // scratch structure too
-	k.Reorder(bdd.ReorderOptions{})
+	k.Reorder()
 	tt := truthTable(k, f, nvars)
 
 	dst := bdd.New(bdd.Config{Vars: nvars})
@@ -484,7 +484,7 @@ func TestReplaceMapTracksReorder(t *testing.T) {
 func TestReorderTrivialKernels(t *testing.T) {
 	for _, vars := range []int{0, 1} {
 		k := bdd.New(bdd.Config{Vars: vars})
-		stats := k.Reorder(bdd.ReorderOptions{})
+		stats := k.Reorder()
 		if stats.Swaps != 0 {
 			t.Fatalf("vars=%d: unexpected swaps %d", vars, stats.Swaps)
 		}
@@ -500,7 +500,7 @@ func TestReorderTrivialKernels(t *testing.T) {
 	_ = k.And(k.Var(0), k.Var(2))
 	if k.Err() != nil {
 		before := k.Size()
-		stats := k.Reorder(bdd.ReorderOptions{})
+		stats := k.Reorder()
 		if stats.Swaps != 0 || k.Size() != before {
 			t.Fatal("Reorder ran on a kernel with a sticky error")
 		}
@@ -513,8 +513,8 @@ func TestReorderUnderDebugChecks(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: nvars, DebugChecks: true})
 	f := k.Protect(randomFormula(k, rng, nvars, 40))
 	tt := truthTable(k, f, nvars)
-	k.Reorder(bdd.ReorderOptions{})
-	k.Reorder(bdd.ReorderOptions{}) // idempotent second run
+	k.Reorder()
+	k.Reorder() // idempotent second run
 	after := truthTable(k, f, nvars)
 	for m := range tt {
 		if tt[m] != after[m] {
@@ -533,7 +533,7 @@ func TestReorderStatsAccumulate(t *testing.T) {
 	}
 	k.TempRelease(mark)
 	k.Protect(f) // ownership: pin lives until the test kernel is dropped
-	st := k.Reorder(bdd.ReorderOptions{})
+	st := k.Reorder()
 	ks := k.Stats()
 	if ks.Reorders != 1 {
 		t.Fatalf("Stats.Reorders = %d, want 1", ks.Reorders)
@@ -546,22 +546,35 @@ func TestReorderStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestReorderMaxBlocksAndGrowth(t *testing.T) {
-	const n = 6
-	k := bdd.New(bdd.Config{Vars: 2 * n})
-	mark := k.TempMark()
-	f := k.TempKeep(bdd.True)
+// TestReorderGrowthBoundCutsWalks: on an interleaved comparator every move
+// of a variable away from its partner grows the diagram, and an unbounded
+// walk that carries x0 to the bottom of the order doubles every level below
+// its partner. The growth bound stops each walk early, so the node table
+// never holds much more than the comparator itself.
+func TestReorderGrowthBoundCutsWalks(t *testing.T) {
+	const n = 10
+	src := bdd.New(bdd.Config{Vars: 2 * n})
+	f := bdd.True
 	for i := 0; i < n; i++ {
-		f = k.TempKeep(k.And(f, k.Biimp(k.Var(i), k.Var(n+i))))
+		f = src.And(f, src.Biimp(src.Var(2*i), src.Var(2*i+1)))
 	}
-	k.TempRelease(mark)
-	k.Protect(f)
-	tt := truthTable(k, f, 2*n)
-	st := k.Reorder(bdd.ReorderOptions{MaxBlocks: 3, MaxGrowth: 1.05})
-	if st.Blocks > 3 {
-		t.Fatalf("sifted %d blocks with MaxBlocks=3", st.Blocks)
+	// A fresh copy holds the comparator and nothing else, so its peak
+	// measures the sift alone.
+	k := bdd.New(bdd.Config{Vars: 2 * n})
+	copied, err := src.CopyTo(k, f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := truthTable(k, f, 2*n)
+	g := k.Protect(copied[0]) // ownership: pin lives until the test kernel is dropped
+	tt := truthTable(k, g, 2*n)
+	st := k.Reorder()
+	if st.Blocks != 2*n {
+		t.Fatalf("sifted %d blocks, want %d", st.Blocks, 2*n)
+	}
+	if peak := k.Stats().Peak; float64(peak) > 1.5*float64(st.Before) {
+		t.Fatalf("sifting a %d-node comparator peaked at %d nodes: the growth bound did not stop a walk", st.Before, peak)
+	}
+	after := truthTable(k, g, 2*n)
 	for m := range tt {
 		if tt[m] != after[m] {
 			t.Fatalf("semantics differ at row %d", m)

@@ -22,8 +22,8 @@ const ReorderMinNodesDefault = 4096
 // the kernel's report. All index roots, evaluator caches and outstanding
 // Refs stay valid; only the internal variable order (and therefore node
 // counts and traversal costs) changes.
-func (c *Checker) Reorder(opt bdd.ReorderOptions) bdd.ReorderStats {
-	st := c.store.Kernel().Reorder(opt)
+func (c *Checker) Reorder() bdd.ReorderStats {
+	st := c.store.Kernel().Reorder()
 	c.reorderBaseline = st.After
 	return st
 }
@@ -32,13 +32,12 @@ func (c *Checker) Reorder(opt bdd.ReorderOptions) bdd.ReorderStats {
 // live-node count has grown past growth × the post-reorder baseline (the
 // live count right after the previous sift, or the first call's
 // observation) and is at least minNodes. Zero growth or minNodes select the
-// defaults. It reports whether a sift ran; callers wanting the trigger
-// without the cost budget of a full pass can bound it with opt.MaxBlocks.
+// defaults. It reports whether a sift ran.
 //
 // The check is two integer comparisons plus, when the raw count trips the
 // threshold, one GC to discount collectable garbage — cheap enough to call
 // after every update batch.
-func (c *Checker) MaybeReorder(growth float64, minNodes int, opt bdd.ReorderOptions) (bdd.ReorderStats, bool) {
+func (c *Checker) MaybeReorder(growth float64, minNodes int) (bdd.ReorderStats, bool) {
 	if growth <= 1 {
 		growth = ReorderGrowthDefault
 	}
@@ -71,5 +70,5 @@ func (c *Checker) MaybeReorder(growth float64, minNodes int, opt bdd.ReorderOpti
 		c.reorderBaseline = min(c.reorderBaseline, live)
 		return bdd.ReorderStats{}, false
 	}
-	return c.Reorder(opt), true
+	return c.Reorder(), true
 }

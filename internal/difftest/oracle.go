@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/sqlengine"
@@ -144,7 +143,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 		cts[i] = logic.Constraint{Name: cs.Name, F: f}
 	}
 	if ForceReorder {
-		primary.Reorder(bdd.ReorderOptions{})
+		primary.Reorder()
 	}
 	rep, err := freeze(primary)
 	if err != nil {
@@ -188,7 +187,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 			return nil, fmt.Errorf("difftest: applying batch %d: %w", i+1, err)
 		}
 		if ForceReorder {
-			primary.Reorder(bdd.ReorderOptions{})
+			primary.Reorder()
 		}
 		if rep, err = follow(rep, primary); err != nil {
 			return nil, err

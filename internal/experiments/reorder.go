@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/relation"
@@ -140,7 +139,7 @@ func Reorder(cfg Config) error {
 	liveBefore := chk.KernelStats().Live
 
 	siftStart := time.Now()
-	st := chk.Reorder(bdd.ReorderOptions{})
+	st := chk.Reorder()
 	pause := time.Since(siftStart)
 	if err := chk.Store().Kernel().Err(); err != nil {
 		return err

@@ -345,7 +345,7 @@ func TestWorkerRebuildsWhenItCannotAdvance(t *testing.T) {
 		o := newOrders(t, core.Options{}, core.OrderSchema)
 		pool, kernel := start(t, o)
 		before := blockOrder(o.chk, "ORD")
-		o.chk.Reorder(bdd.ReorderOptions{})
+		o.chk.Reorder()
 		if slices.Equal(before, blockOrder(o.chk, "ORD")) {
 			t.Fatalf("sifting left the block order at %v: the test needs a relation the schema order is bad for", before)
 		}

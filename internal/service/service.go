@@ -536,7 +536,7 @@ func (s *Server) applyBatch(batch []*updateJob) {
 	// sift runs, so reads see no downtime, only old- or new-epoch answers.
 	if s.opts.Reorder {
 		reorderStart := time.Now()
-		if st, ran := s.chk.MaybeReorder(s.opts.ReorderGrowth, s.opts.ReorderMinNodes, bdd.ReorderOptions{}); ran {
+		if st, ran := s.chk.MaybeReorder(s.opts.ReorderGrowth, s.opts.ReorderMinNodes); ran {
 			d := time.Since(reorderStart)
 			s.metrics.stReorder.Observe(d)
 			for _, u := range batch {

@@ -38,23 +38,7 @@ func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httpte
 // cvserved's cold boot does.
 func newFixtureServer(t *testing.T, rules string, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
-	cat := relation.NewCatalog()
-	cust, err := cat.CreateTable("CUST", []relation.Column{
-		{Name: "city"}, {Name: "areacode"}, {Name: "state"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range [][]string{
-		{"Toronto", "416", "Ontario"},
-		{"Toronto", "647", "Ontario"},
-		{"Oshawa", "905", "Ontario"},
-		{"Newark", "973", "NJ"},
-		{"Newark", "416", "NJ"},
-	} {
-		cust.Insert(row...)
-	}
-	chk := core.New(cat, core.Options{})
+	chk := core.New(fixtureCatalog(t), core.Options{})
 	if _, err := chk.BuildIndex("CUST", "CUST", nil, core.OrderProbConverge); err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +62,28 @@ func newFixtureServer(t *testing.T, rules string, opts service.Options) (*servic
 		srv.Close()
 	})
 	return srv, ts
+}
+
+// fixtureCatalog is the five-row CUST table of the cvcheck fixture.
+func fixtureCatalog(t *testing.T) *relation.Catalog {
+	t.Helper()
+	cat := relation.NewCatalog()
+	cust, err := cat.CreateTable("CUST", []relation.Column{
+		{Name: "city"}, {Name: "areacode"}, {Name: "state"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]string{
+		{"Toronto", "416", "Ontario"},
+		{"Toronto", "647", "Ontario"},
+		{"Oshawa", "905", "Ontario"},
+		{"Newark", "973", "NJ"},
+		{"Newark", "416", "NJ"},
+	} {
+		cust.Insert(row...)
+	}
+	return cat
 }
 
 // post sends body as JSON and decodes the reply into out, returning the

@@ -31,10 +31,8 @@ type bootConfig struct {
 	method          core.OrderingMethod
 	budget          int
 
-	dataDir       string
-	fsync         store.FsyncPolicy
-	fsyncInterval time.Duration
-	retain        int
+	dataDir   string
+	storeOpts store.Options
 
 	// follow is the leader's base URL in follower mode. An empty data
 	// directory then bootstraps from the leader's newest snapshot instead of
@@ -50,8 +48,7 @@ type bootConfig struct {
 	workerURLs  string
 
 	// svc carries the service-level flags. The HTTP edge reads its share in
-	// every mode; the rest configures the single-kernel server, and of it
-	// the sharded forms take only QueueDepth.
+	// every mode; the rest configures the single-kernel server only.
 	svc service.Options
 
 	logf func(format string, args ...any)
@@ -115,11 +112,7 @@ func boot(cfg bootConfig) (*bootResult, error) {
 	if cfg.dataDir == "" {
 		return bootCold(cfg, nil)
 	}
-	st, err := store.Open(cfg.dataDir, store.Options{
-		Fsync:         cfg.fsync,
-		FsyncInterval: cfg.fsyncInterval,
-		Retain:        cfg.retain,
-	})
+	st, err := store.Open(cfg.dataDir, cfg.storeOpts)
 	if err != nil {
 		return nil, fmt.Errorf("opening data directory %s: %w", cfg.dataDir, err)
 	}

@@ -10,7 +10,7 @@
 //	         -table CUST=cust.csv -table CONS=cons.csv \
 //	         -share city,areacode \
 //	         -constraints rules.txt [-order prob] [-budget 1000000] \
-//	         [-queue 64] [-timeout 30s] [-nodes-per-sec 0] [-replicas 0] \
+//	         [-timeout 30s] [-replicas 0] \
 //	         [-data-dir /var/lib/cv -fsync batch -snapshot-every 64 -retain 4]
 //
 // With -data-dir, every acknowledged update batch is WAL-logged before its
@@ -67,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -81,121 +82,37 @@ import (
 	"repro/internal/store"
 )
 
+// The http.Server timeouts. The daemon holds client connections open across
+// slow BDD evaluations, so they must exist: a default http.Server never
+// times a client out, and one slow-written request per connection pins a
+// goroutine and its buffers forever.
+const (
+	readHeaderTimeout = 10 * time.Second // slowloris guard
+	readTimeout       = time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 type tableFlag struct {
 	name, path string
 }
 
+// serveConfig is what the HTTP server around the Backend needs from the
+// flags.
+type serveConfig struct {
+	addr  string
+	pprof bool
+}
+
 func main() {
-	var tables []tableFlag
-	flag.Func("table", "NAME=path.csv (repeatable)", func(s string) error {
-		name, path, ok := strings.Cut(s, "=")
-		if !ok {
-			return fmt.Errorf("want NAME=path.csv, got %q", s)
-		}
-		tables = append(tables, tableFlag{name, path})
-		return nil
-	})
-	addr := flag.String("addr", ":8080", "listen address")
-	share := flag.String("share", "", "comma-separated column names shared across tables")
-	constraintsPath := flag.String("constraints", "", "constraints file (required)")
-	orderFlag := flag.String("order", "prob", "variable ordering: prob|maxinf|random|schema")
-	budget := flag.Int("budget", core.DefaultNodeBudget, "BDD node budget (negative = unlimited)")
-	queue := flag.Int("queue", 0, "admission queue depth per request kind (0 = default)")
-	maxBatch := flag.Int("max-batch", 0, "max update tuples coalesced per index-maintenance batch (0 = default)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	nodesPerSec := flag.Int("nodes-per-sec", 0, "map request deadlines to BDD node budgets at this rate (0 = off)")
-	replicas := flag.Int("replicas", 0, "replicated read-pool size for /check and /witnesses (0 = GOMAXPROCS, negative = disabled)")
-	maxBody := flag.Int64("max-body", 0, "request body cap in bytes, rejected with 413 beyond it (0 = 8 MiB default, negative = uncapped)")
-	slowReq := flag.Duration("slow-request", 0, "log requests slower than this with per-stage spans (0 = off)")
-	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	dataDir := flag.String("data-dir", "", "durability directory: WAL + epoch snapshots; warm restart prefers it over CSV")
-	fsyncFlag := flag.String("fsync", "batch", "WAL fsync policy: batch|interval|off")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "max time between fsyncs with -fsync interval")
-	snapshotEvery := flag.Int("snapshot-every", 0, "write a snapshot after this many update batches (0 = default 64 when -data-dir is set)")
-	snapshotBytes := flag.Int64("snapshot-bytes", 0, "write a snapshot when the WAL reaches this size (0 = off)")
-	retain := flag.Int("retain", 0, "snapshots retained for ?epoch=N reads (0 = default 4)")
-	follow := flag.String("follow", "", "leader base URL: run as a read-only follower replicating its snapshot + WAL (requires -data-dir)")
-	maxLag := flag.Uint64("max-lag", 0, "refuse live reads with 503 when more than this many epochs behind the leader (0 = serve at any staleness)")
-	pollWait := flag.Duration("poll-wait", 0, "leader /wal long-poll duration (0 = default 10s)")
-	reorder := flag.Bool("reorder", false, "sift the BDD variable order between update batches when the kernel grows")
-	reorderGrowth := flag.Float64("reorder-growth", 0, "reorder when live nodes exceed this factor of the post-reorder baseline (0 = default 2.0)")
-	reorderMinNodes := flag.Int("reorder-min-nodes", 0, "never reorder kernels smaller than this many live nodes (0 = default 4096)")
-	shards := flag.Int("shards", 0, "partition the catalog across this many in-process shard kernels behind a scatter-gather coordinator (requires -shard-key)")
-	shardKey := flag.String("shard-key", "", "TABLE.COLUMN whose values partition the catalog; tables sharing the column's domain co-partition, others broadcast")
-	shardMode := flag.String("shard-mode", "hash", "partitioning function: hash|range")
-	shardBounds := flag.String("shard-bounds", "", "comma-separated sorted split points for -shard-mode range (N-1 bounds for N shards)")
-	coordinatorMode := flag.Bool("coordinator", false, "serve as a scatter-gather coordinator over external shard workers (requires -worker-urls)")
-	workerURLs := flag.String("worker-urls", "", "comma-separated shard worker base URLs in shard order, e.g. http://s0:8080,http://s1:8080")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-	readTimeout := flag.Duration("read-timeout", time.Minute, "http.Server ReadTimeout")
-	writeTimeout := flag.Duration("write-timeout", 2*time.Minute, "http.Server WriteTimeout")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout")
-	flag.Parse()
-
-	// Without a data directory the CSV flags are mandatory; with one, a warm
-	// restart needs neither (boot validates the cold-start combination). A
-	// follower bootstraps from the leader, so it only needs the data
-	// directory its replicated state lives in.
-	if *follow != "" && *dataDir == "" {
-		fatal(errors.New("-follow requires -data-dir (the follower's replicated state lives there)"))
+	cfg, sc, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	if *follow == "" && *dataDir == "" && (len(tables) == 0 || *constraintsPath == "") {
-		flag.Usage()
-		os.Exit(2)
-	}
-	method, err := core.ParseOrderingMethod(*orderFlag)
 	if err != nil {
 		fatal(err)
 	}
-	fsync, err := store.ParseFsyncPolicy(*fsyncFlag)
-	if err != nil {
-		fatal(err)
-	}
-
-	shared := map[string]string{}
-	if *share != "" {
-		for _, col := range strings.Split(*share, ",") {
-			shared[strings.TrimSpace(col)] = strings.TrimSpace(col)
-		}
-	}
-
-	cfg := bootConfig{
-		tables:          tables,
-		shared:          shared,
-		constraintsPath: *constraintsPath,
-		method:          method,
-		budget:          *budget,
-		dataDir:         *dataDir,
-		fsync:           fsync,
-		fsyncInterval:   *fsyncInterval,
-		retain:          *retain,
-		follow:          *follow,
-		shards:          *shards,
-		shardKey:        *shardKey,
-		shardMode:       *shardMode,
-		shardBounds:     *shardBounds,
-		coordinator:     *coordinatorMode,
-		workerURLs:      *workerURLs,
-		svc: service.Options{
-			QueueDepth:           *queue,
-			MaxBatch:             *maxBatch,
-			DefaultTimeout:       *timeout,
-			NodesPerSecond:       *nodesPerSec,
-			Replicas:             *replicas,
-			MaxBodyBytes:         *maxBody,
-			SlowRequest:          *slowReq,
-			SnapshotEveryBatches: *snapshotEvery,
-			SnapshotWALBytes:     *snapshotBytes,
-			Reorder:              *reorder,
-			ReorderGrowth:        *reorderGrowth,
-			ReorderMinNodes:      *reorderMinNodes,
-			WriteTimeout:         *writeTimeout,
-		},
-		logf: log.Printf,
-	}
-	if *follow != "" {
-		cfg.svc.Follower = &service.FollowerOptions{URL: *follow, MaxLag: *maxLag, PollWait: *pollWait}
-	}
+	cfg.logf = log.Printf
 
 	// Every mode is the same daemon from here on: a Backend behind the one
 	// HTTP edge, which reads -max-body, -slow-request and -timeout.
@@ -204,7 +121,7 @@ func main() {
 		fatal(err)
 	}
 	handler := service.NewHandler(backend, cfg.svc)
-	if *pprofOn {
+	if sc.pprof {
 		// The service mux only routes its own endpoints, so pprof mounts on a
 		// wrapper mux rather than http.DefaultServeMux (which other packages
 		// could pollute).
@@ -219,17 +136,13 @@ func main() {
 		log.Printf("pprof enabled under /debug/pprof/")
 	}
 
-	// The daemon holds client connections open across slow BDD evaluations,
-	// so the server timeouts must exist (a default http.Server never times a
-	// client out — one slow-written request per connection pins a goroutine
-	// and its buffers forever).
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              sc.addr,
 		Handler:           handler,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -243,11 +156,103 @@ func main() {
 		}
 	}()
 
-	log.Printf("cvserved listening on %s", *addr)
+	log.Printf("cvserved listening on %s", sc.addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
 	shutdown()
+}
+
+// parseArgs turns the command line into the boot configuration and the
+// listener settings. Usage and parse errors go to stderr.
+func parseArgs(args []string, stderr io.Writer) (bootConfig, serveConfig, error) {
+	fs, finish := newFlagSet(stderr)
+	if err := fs.Parse(args); err != nil {
+		return bootConfig{}, serveConfig{}, err
+	}
+	return finish()
+}
+
+// newFlagSet declares the daemon's flags on a fresh FlagSet. finish, called
+// once the set has parsed, checks the values and assembles them.
+func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, serveConfig, error)) {
+	fs = flag.NewFlagSet("cvserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg bootConfig
+	var sc serveConfig
+	var follower service.FollowerOptions
+	fs.Func("table", "NAME=path.csv (repeatable)", func(s string) error {
+		name, path, ok := strings.Cut(s, "=")
+		if !ok {
+			return fmt.Errorf("want NAME=path.csv, got %q", s)
+		}
+		cfg.tables = append(cfg.tables, tableFlag{name, path})
+		return nil
+	})
+	fs.StringVar(&sc.addr, "addr", ":8080", "listen address")
+	share := fs.String("share", "", "comma-separated column names shared across tables")
+	fs.StringVar(&cfg.constraintsPath, "constraints", "", "constraints file (required)")
+	order := fs.String("order", "prob", "variable ordering: prob|maxinf|random|schema")
+	fs.IntVar(&cfg.budget, "budget", core.DefaultNodeBudget, "BDD node budget (negative = unlimited)")
+	fs.DurationVar(&cfg.svc.DefaultTimeout, "timeout", 30*time.Second, "default per-request deadline")
+	fs.IntVar(&cfg.svc.Replicas, "replicas", 0, "replicated read-pool size for /check and /witnesses (0 = GOMAXPROCS, negative = disabled)")
+	fs.Int64Var(&cfg.svc.MaxBodyBytes, "max-body", 0, "request body cap in bytes, rejected with 413 beyond it (0 = 8 MiB default, negative = uncapped)")
+	fs.DurationVar(&cfg.svc.SlowRequest, "slow-request", 0, "log requests slower than this with per-stage spans (0 = off)")
+	fs.BoolVar(&sc.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: WAL + epoch snapshots; warm restart prefers it over CSV")
+	fsync := fs.String("fsync", "batch", "WAL fsync policy: batch|interval (at most one fsync per 100ms)|off")
+	fs.IntVar(&cfg.svc.SnapshotEveryBatches, "snapshot-every", 0, "write a snapshot after this many update batches (0 = default 64 when -data-dir is set)")
+	fs.IntVar(&cfg.storeOpts.Retain, "retain", 0, "snapshots retained for ?epoch=N reads (0 = default 4)")
+	fs.StringVar(&cfg.follow, "follow", "", "leader base URL: run as a read-only follower replicating its snapshot + WAL (requires -data-dir)")
+	fs.Uint64Var(&follower.MaxLag, "max-lag", 0, "refuse live reads with 503 when more than this many epochs behind the leader (0 = serve at any staleness)")
+	fs.DurationVar(&follower.PollWait, "poll-wait", 0, "leader /wal long-poll duration (0 = default 10s)")
+	fs.BoolVar(&cfg.svc.Reorder, "reorder", false, "sift the BDD variable order between update batches once live nodes double past the post-reorder baseline (kernels of 4096+ live nodes)")
+	fs.IntVar(&cfg.shards, "shards", 0, "partition the catalog across this many in-process shard kernels behind a scatter-gather coordinator (requires -shard-key)")
+	fs.StringVar(&cfg.shardKey, "shard-key", "", "TABLE.COLUMN whose values partition the catalog; tables sharing the column's domain co-partition, others broadcast")
+	fs.StringVar(&cfg.shardMode, "shard-mode", "hash", "partitioning function: hash|range")
+	fs.StringVar(&cfg.shardBounds, "shard-bounds", "", "comma-separated sorted split points for -shard-mode range (N-1 bounds for N shards)")
+	fs.BoolVar(&cfg.coordinator, "coordinator", false, "serve as a scatter-gather coordinator over external shard workers (requires -worker-urls)")
+	fs.StringVar(&cfg.workerURLs, "worker-urls", "", "comma-separated shard worker base URLs in shard order, e.g. http://s0:8080,http://s1:8080")
+
+	finish = func() (bootConfig, serveConfig, error) {
+		fail := func(err error) (bootConfig, serveConfig, error) { return bootConfig{}, serveConfig{}, err }
+		// Without a data directory the CSV flags are mandatory; with one, a
+		// warm restart needs neither (boot validates the cold-start
+		// combination). A follower bootstraps from the leader, so it only
+		// needs the data directory its replicated state lives in.
+		if cfg.follow != "" && cfg.dataDir == "" {
+			return fail(errors.New("-follow requires -data-dir (the follower's replicated state lives there)"))
+		}
+		if cfg.follow == "" && cfg.dataDir == "" && (len(cfg.tables) == 0 || cfg.constraintsPath == "") {
+			fs.Usage()
+			return fail(errors.New("-table and -constraints are required without -data-dir"))
+		}
+		// A daemon that never snapshots never truncates its WAL, and its
+		// every restart replays each batch it ever took.
+		if cfg.svc.SnapshotEveryBatches < 0 {
+			return fail(fmt.Errorf("-snapshot-every %d: want a positive batch count, or 0 for the default", cfg.svc.SnapshotEveryBatches))
+		}
+		var err error
+		if cfg.method, err = core.ParseOrderingMethod(*order); err != nil {
+			return fail(err)
+		}
+		if cfg.storeOpts.Fsync, err = store.ParseFsyncPolicy(*fsync); err != nil {
+			return fail(err)
+		}
+		cfg.shared = map[string]string{}
+		if *share != "" {
+			for _, col := range strings.Split(*share, ",") {
+				cfg.shared[strings.TrimSpace(col)] = strings.TrimSpace(col)
+			}
+		}
+		cfg.svc.WriteTimeout = writeTimeout
+		if cfg.follow != "" {
+			follower.URL = cfg.follow
+			cfg.svc.Follower = &follower
+		}
+		return cfg, sc, nil
+	}
+	return fs, finish
 }
 
 func fatal(err error) {

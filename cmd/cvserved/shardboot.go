@@ -85,7 +85,6 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	opts := shard.Options{
 		NodeBudget: cfg.budget,
 		Method:     cfg.method,
-		QueueDepth: cfg.svc.QueueDepth,
 		Logf:       cfg.logf,
 	}
 

@@ -2,8 +2,8 @@ package bdd
 
 // stats.go exposes the kernel's counters as an immutable snapshot, and the
 // node budget as a runtime-adjustable limit. Both exist for long-lived
-// deployments (cmd/cvserved): a service maps per-request deadlines onto
-// temporary budgets, and reports kernel health from snapshots taken at job
+// deployments (cmd/cvserved): a service caps a request's evaluation at its
+// own node budget, and reports kernel health from snapshots taken at job
 // boundaries.
 
 // Stats is a point-in-time copy of the kernel's counters. The value is plain
@@ -149,7 +149,8 @@ func (k *Kernel) Budget() int { return k.budget }
 // count makes the next allocating operation abort with ErrBudget — which
 // callers treat as the usual fall-back-to-SQL signal — while operations that
 // only touch existing nodes still succeed. A service lowers the budget
-// before evaluating a deadline-bounded request and restores it afterwards.
+// before evaluating a request that carries its own and restores it
+// afterwards.
 func (k *Kernel) SetBudget(n int) {
 	if n < 0 {
 		n = 0

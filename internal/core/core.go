@@ -93,8 +93,6 @@ type Options struct {
 	NodeBudget int
 	// CacheSize is the kernel operation-cache size (entries per cache).
 	CacheSize int
-	// Eval selects the evaluation strategy; DefaultEvalOptions when zero.
-	Eval logic.EvalOptions
 	// RandomSeed seeds OrderRandom index builds.
 	RandomSeed int64
 	// NoFDFastPath disables the specialized functional-dependency check
@@ -188,10 +186,6 @@ func New(catalog *relation.Catalog, opts Options) *Checker {
 		budget = 0 // unlimited
 	}
 	store := index.NewStore(index.Options{NodeBudget: budget, CacheSize: opts.CacheSize})
-	zero := logic.EvalOptions{}
-	if opts.Eval == zero {
-		opts.Eval = logic.DefaultEvalOptions()
-	}
 	c := &Checker{
 		catalog:       catalog,
 		store:         store,
@@ -199,7 +193,7 @@ func New(catalog *relation.Catalog, opts Options) *Checker {
 		rng:           rand.New(rand.NewSource(opts.RandomSeed + 1)),
 		indexRegistry: make(map[string][]string),
 	}
-	c.ev = logic.NewEvaluator(store, resolver{c}, opts.Eval)
+	c.ev = logic.NewEvaluator(store, resolver{c})
 	return c
 }
 
@@ -399,7 +393,7 @@ type CheckOptions struct {
 	// duration of this call. It never raises the budget above the
 	// checker-wide limit; a cap below the nodes already live makes BDD
 	// evaluation abort immediately and the call degrade to the SQL fallback.
-	// A long-lived service maps per-request deadlines onto this cap.
+	// A long-lived service passes each request's node_budget here.
 	NodeBudget int
 	// NoSQLFallback, when set, stops a check that needs the SQL fallback
 	// (missing index or exceeded budget) before the table scan: the Result
@@ -551,11 +545,14 @@ func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness,
 // decodeWitnesses enumerates up to limit satisfying bindings of viol over
 // blocks, each block's value decoded through its value domain: every AllSat
 // path, with its don't-care bits expanded block by block, low values first,
-// skipping a block's slots past its size. The bits a path fixes sit in one
-// slice indexed by kernel variable, set for the path and cleared after it,
-// so a path costs no allocation; a witness costs its Values slice.
+// skipping a block's slots past its value domain's size (the block's own
+// size when it has none). An index block's size is its domain's at build
+// time; values interned since then sit past it. The bits a path fixes sit
+// in one slice indexed by kernel variable, set for the path and cleared
+// after it, so a path costs no allocation; a witness costs its Values slice.
 func decodeWitnesses(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDoms []*relation.Domain, varNames []string, limit int) []Witness {
 	const free = -1
+	sizes := slotLimits(blocks, valueDoms)
 	fixed := make([]int8, k.NumVars())
 	for i := range fixed {
 		fixed[i] = free
@@ -571,7 +568,7 @@ func decodeWitnesses(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDom
 		}
 		w := Witness{Vars: varNames, Values: make([]string, len(blocks))}
 		for i, d := range valueDoms {
-			if d != nil && vals[i] < d.Size() {
+			if d != nil {
 				w.Values[i] = d.Value(int32(vals[i]))
 			} else {
 				w.Values[i] = fmt.Sprintf("#%d", vals[i])
@@ -581,10 +578,9 @@ func decodeWitnesses(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDom
 		return len(witnesses) < limit
 	}
 	walk = func(bi, j, v int) bool {
-		b := blocks[bi]
-		vars := b.Vars()
+		vars := blocks[bi].Vars()
 		if j == len(vars) {
-			if v >= b.Size() {
+			if v >= sizes[bi] {
 				return true // out-of-domain slot, skip
 			}
 			vals[bi] = v
@@ -609,6 +605,19 @@ func decodeWitnesses(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDom
 		return more
 	})
 	return witnesses
+}
+
+// slotLimits returns, per block, the number of its slots that hold values:
+// its value domain's size, or the block's own without one.
+func slotLimits(blocks []*fdd.Domain, valueDoms []*relation.Domain) []int {
+	sizes := make([]int, len(blocks))
+	for i, b := range blocks {
+		sizes[i] = b.Size()
+		if d := valueDoms[i]; d != nil {
+			sizes[i] = d.Size()
+		}
+	}
+	return sizes
 }
 
 // ViolationWitnessesOpts extracts witnesses like ViolationWitnesses, under

@@ -19,6 +19,7 @@ import (
 // reference: a map of fixed bits per path and closures per path and block.
 func referenceDecode(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDoms []*relation.Domain, varNames []string, limit int) []Witness {
 	var witnesses []Witness
+	sizes := slotLimits(blocks, valueDoms)
 	k.AllSat(viol, func(path []bdd.Literal) bool {
 		fixed := make(map[int]bool, len(path))
 		for _, l := range path {
@@ -30,7 +31,7 @@ func referenceDecode(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDom
 			if bi == len(blocks) {
 				w := Witness{Vars: varNames, Values: make([]string, len(blocks))}
 				for i, d := range valueDoms {
-					if d != nil && vals[i] < d.Size() {
+					if d != nil {
 						w.Values[i] = d.Value(int32(vals[i]))
 					} else {
 						w.Values[i] = fmt.Sprintf("#%d", vals[i])
@@ -55,7 +56,7 @@ func referenceDecode(k *bdd.Kernel, viol bdd.Ref, blocks []*fdd.Domain, valueDom
 			var enum func(v int, free []int) bool
 			enum = func(v int, free []int) bool {
 				if len(free) == 0 {
-					if v >= b.Size() {
+					if v >= sizes[bi] {
 						return true
 					}
 					vals[bi] = v
@@ -123,9 +124,11 @@ func (fx *decodeFixture) random(rng *rand.Rand, cubes int) bdd.Ref {
 }
 
 func TestDecodeWitnessesMatchesReference(t *testing.T) {
-	// Block sizes leave slots past the end, which are skipped, and some value
-	// domains are smaller than their block or missing, rendering "#n".
-	fx := newDecodeFixture([][2]int{{5, 5}, {3, 2}, {8, 6}, {6, 0}})
+	// Value domains smaller than their block leave slots past the end, which
+	// are skipped; one larger than its block (values interned after the
+	// block was sized) reaches into its spare slots; a block without one
+	// renders "#n" up to its own size.
+	fx := newDecodeFixture([][2]int{{5, 5}, {3, 2}, {3, 4}, {8, 6}, {6, 0}})
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		f := fx.random(rng, 1+rng.Intn(6))

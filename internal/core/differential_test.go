@@ -12,7 +12,7 @@ import (
 )
 
 // differential_test.go cross-checks the three constraint evaluation paths —
-// BDD logical indices (under every optimization configuration), the SQL
+// BDD logical indices (under every variable-ordering method), the SQL
 // baseline engine, and a brute-force model checker — on hundreds of random
 // databases and random well-typed constraints. Any disagreement is a bug in
 // one of the engines.
@@ -143,6 +143,54 @@ func (g *diffGen) formula(depth int) logic.Formula {
 	}
 }
 
+// alternating nests two quantifiers of opposite kinds above a connective of
+// two literals over the inner variable. The pipeline strips only the
+// leading block, so the inner quantifier stays in the body above both
+// operands, where the evaluator takes AppEx/AppAll with relativized
+// operands; a random formula tree puts a quantifier there only rarely.
+func (g *diffGen) alternating() logic.Formula {
+	outer, inner := diffVarNames[g.rng.Intn(len(diffVarNames))], diffVarNames[g.rng.Intn(len(diffVarNames))]
+	literal := func() logic.Formula {
+		a := g.atom()
+		for !mentions(a, inner) {
+			a = g.atom()
+		}
+		// A negated atom holds on a block's spare slots, so only the
+		// domain guard keeps them out of the quantifier's range.
+		if g.rng.Intn(2) == 0 {
+			return logic.Not{F: a}
+		}
+		return a
+	}
+	var body logic.Formula = logic.Or{L: literal(), R: literal()}
+	if g.rng.Intn(2) == 0 {
+		body = logic.And{L: literal(), R: literal()}
+	}
+	all := g.rng.Intn(2) == 0
+	return logic.Quant{All: all, Vars: []string{outer}, F: logic.Quant{All: !all, Vars: []string{inner}, F: body}}
+}
+
+// mentions reports whether atom a has variable v as an argument.
+func mentions(a logic.Formula, v string) bool {
+	var terms []logic.Term
+	switch g := a.(type) {
+	case logic.Pred:
+		terms = g.Args
+	case logic.Eq:
+		terms = []logic.Term{g.L, g.R}
+	case logic.Neq:
+		terms = []logic.Term{g.L, g.R}
+	case logic.In:
+		terms = []logic.Term{g.T}
+	}
+	for _, t := range terms {
+		if x, ok := t.(logic.Var); ok && x.Name == v {
+			return true
+		}
+	}
+	return false
+}
+
 // bruteCheck decides a closed, analyzed constraint by direct model checking
 // over the active domains.
 func bruteCheck(an *logic.Analysis, cat *relation.Catalog) bool {
@@ -260,13 +308,10 @@ func domOfTerm(an *logic.Analysis, l, r logic.Term) *relation.Domain {
 
 func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	evalConfigs := []logic.EvalOptions{
-		logic.DefaultEvalOptions(),
-		{Rewrite: logic.RewriteOptions{Prenex: true, PushForall: true}, UseAppQuant: false, RenameJoin: true, EarlyProject: false},
-		{Rewrite: logic.RewriteOptions{Prenex: true, PushForall: false}, UseAppQuant: true, RenameJoin: false, EarlyProject: true},
-		{Rewrite: logic.RewriteOptions{Prenex: false, PushForall: false}, UseAppQuant: false, RenameJoin: false, EarlyProject: false},
-		{Rewrite: logic.RewriteOptions{Prenex: false, PushForall: true}, UseAppQuant: true, RenameJoin: true, EarlyProject: true},
-	}
+	// One checker per ordering method: the index layout decides which
+	// binding (canonical block, rename, bridge, re-encoding) each predicate
+	// takes.
+	methods := []core.OrderingMethod{core.OrderSchema, core.OrderProbConverge, core.OrderMaxInfGain, core.OrderRandom}
 	trials := 150
 	if testing.Short() {
 		trials = 30
@@ -275,9 +320,8 @@ func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 		schema := newDiffSchema(rng)
 		gen := &diffGen{rng: rng, cat: schema.cat}
 		var checkers []*core.Checker
-		for ci, opts := range evalConfigs {
-			chk := core.New(schema.cat, core.Options{Eval: opts, RandomSeed: int64(trial)})
-			method := core.OrderingMethod(ci % 4) // vary ordering methods too
+		for _, method := range methods {
+			chk := core.New(schema.cat, core.Options{RandomSeed: int64(trial)})
 			for _, tbl := range schema.tables {
 				if _, err := chk.BuildIndex(tbl.Name(), tbl.Name(), nil, method); err != nil {
 					t.Fatalf("trial %d: BuildIndex(%s): %v", trial, tbl.Name(), err)
@@ -285,14 +329,18 @@ func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 			}
 			checkers = append(checkers, chk)
 		}
-		for q := 0; q < 6; q++ {
+		for q := 0; q < 12; q++ {
 			// Generate until the formula passes analysis (the generator can
 			// produce range-unbounded variables, which Analyze rejects by
 			// design).
 			var f logic.Formula
 			var an *logic.Analysis
 			for {
-				f = gen.formula(3)
+				if q < 6 {
+					f = gen.formula(3)
+				} else {
+					f = gen.alternating()
+				}
 				var err error
 				an, err = logic.Analyze(f, logic.CatalogResolver{Catalog: schema.cat})
 				if err == nil {
@@ -316,18 +364,18 @@ func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 					trial, q, violated, want, f, query.SQL())
 			}
 
-			// BDD paths under every optimization configuration.
+			// The BDD path under every ordering method.
 			for ci, chk := range checkers {
 				res := chk.CheckOne(ct)
 				if res.Err != nil {
-					t.Fatalf("trial %d q%d cfg%d: %v\nformula: %s", trial, q, ci, res.Err, f)
+					t.Fatalf("trial %d q%d %v: %v\nformula: %s", trial, q, methods[ci], res.Err, f)
 				}
 				if res.FellBack {
-					t.Fatalf("trial %d q%d cfg%d: unexpected fallback: %v", trial, q, ci, res.FallbackReason)
+					t.Fatalf("trial %d q%d %v: unexpected fallback: %v", trial, q, methods[ci], res.FallbackReason)
 				}
 				if res.Violated == want {
-					t.Fatalf("trial %d q%d cfg%d (%+v): BDD says violated=%v, brute force says holds=%v\nformula: %s",
-						trial, q, ci, evalConfigs[ci], res.Violated, want, f)
+					t.Fatalf("trial %d q%d %v: BDD says violated=%v, brute force says holds=%v\nformula: %s",
+						trial, q, methods[ci], res.Violated, want, f)
 				}
 			}
 		}

@@ -146,6 +146,44 @@ func TestWitnessLimitRespected(t *testing.T) {
 	}
 }
 
+// TestWitnessesOfValuesInternedAfterTheBuild: an index block is sized to its
+// domain when the index is built, and an insert may intern a new value into
+// one of the block's spare slots. A violation by that tuple is a violation
+// like any other: its witness must be decoded, not skipped as slack.
+func TestWitnessesOfValuesInternedAfterTheBuild(t *testing.T) {
+	cat := relation.NewCatalog()
+	emp, err := cat.CreateTable("EMP", []relation.Column{{Name: "id", Domain: "id"}, {Name: "dept", Domain: "dept"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][2]string{{"e0", "d0"}, {"e1", "d0"}, {"e2", "d1"}} {
+		emp.Insert(row[0], row[1])
+	}
+	chk := core.New(cat, core.Options{})
+	if _, err := chk.BuildIndex("EMP", "EMP", nil, core.OrderSchema); err != nil {
+		t.Fatal(err)
+	}
+	// Three ids fill three of the id block's four slots; e3 takes the fourth.
+	if err := chk.InsertTuple("EMP", "e3", "d1"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := logic.Parse(`forall e, d: EMP(e, d) and d = "d1" => e = "e2"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := logic.Constraint{Name: "only_e2", F: f}
+	if res := chk.CheckOne(ct); res.Err != nil || !res.Violated {
+		t.Fatalf("CheckOne: %+v, want violated", res)
+	}
+	ws, err := chk.ViolationWitnesses(ct, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := witnessSet(t, ws); len(got) != 1 || !got["d=d1,e=e3"] {
+		t.Fatalf("witnesses %v, want the one binding e=e3, d=d1", ws)
+	}
+}
+
 func TestExistentialConstraintHasNoWitnesses(t *testing.T) {
 	cat := relation.NewCatalog()
 	tbl, err := cat.CreateTable("T", []relation.Column{{Name: "a", Domain: "a"}})

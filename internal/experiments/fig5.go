@@ -100,7 +100,7 @@ func runFig5aVariant(base *relation.Table, pairCols []int, cons *relation.Table)
 	if _, err := store.Build("CONS", cons, []int{0, 1}, nil); err != nil {
 		return out, err
 	}
-	ev := logic.NewEvaluator(store, res, logic.DefaultEvalOptions())
+	ev := logic.NewEvaluator(store, res)
 	if _, err := ev.Eval(ct); err != nil {
 		return out, err
 	}

@@ -24,50 +24,16 @@ import (
 // caller is expected to validate the constraint with SQL instead.
 var ErrNoIndex = errors.New("logic: no logical index for predicate")
 
-// EvalOptions selects the evaluation strategy. The defaults enable every
-// optimization the paper recommends; the ablation benchmarks switch them
-// off individually.
-type EvalOptions struct {
-	// Rewrite configures the §4.4 pipeline.
-	Rewrite RewriteOptions
-	// UseAppQuant evaluates ∃x(a op b) and ∀x(a op b) with the combined
-	// AppEx/AppAll operations instead of materializing (a op b) first.
-	UseAppQuant bool
-	// RenameJoin binds predicate arguments by renaming index blocks onto
-	// variable blocks. When false the evaluator uses the naive strategy of
-	// §4.2: conjoin equality BDDs between index blocks and variable blocks
-	// and quantify the index blocks out.
-	RenameJoin bool
-	// CanonicalBlocks assigns constraint variables the index's own blocks
-	// where possible (largest tables first), so the biggest BDDs need no
-	// rename at all — the paper operates directly on the index BDDs the
-	// same way.
-	CanonicalBlocks bool
-	// EarlyProject existentially projects out, at the predicate, columns
-	// bound to single-occurrence existential variables (the on-the-fly
-	// projection the paper's indices over column subsets correspond to) and,
-	// when only the verdict is wanted (Holds), the universal dual: columns
-	// bound to single-occurrence variables of the stripped ∀-block at a
-	// negated predicate.
-	EarlyProject bool
-}
-
-// DefaultEvalOptions enables the full optimized strategy.
-func DefaultEvalOptions() EvalOptions {
-	return EvalOptions{
-		Rewrite:         DefaultRewriteOptions(),
-		UseAppQuant:     true,
-		RenameJoin:      true,
-		EarlyProject:    true,
-		CanonicalBlocks: true,
-	}
-}
-
-// Evaluator checks constraints against the indices of a Store.
+// Evaluator checks constraints against the indices of a Store. It has one
+// strategy, the one the paper settles on: the full §4.4 rewrite, variables
+// on the indices' own blocks where they can take them (largest tables
+// first), §4.2 rename binding, AppEx/AppAll for quantified connectives
+// (§4.3), and early projection of single-occurrence variables at their
+// atom. The paper measures the alternatives only as the Figure 6
+// ablations, which internal/experiments runs on the kernel directly.
 type Evaluator struct {
 	store *index.Store
 	res   Resolver
-	opts  EvalOptions
 
 	scratch     map[scratchKey][]*fdd.Domain
 	replaceMaps map[string]bdd.ReplaceMap
@@ -142,11 +108,10 @@ type scratchKey struct {
 
 // NewEvaluator creates an evaluator using the given index store and
 // predicate resolver.
-func NewEvaluator(store *index.Store, res Resolver, opts EvalOptions) *Evaluator {
+func NewEvaluator(store *index.Store, res Resolver) *Evaluator {
 	return &Evaluator{
 		store:       store,
 		res:         res,
-		opts:        opts,
 		scratch:     make(map[scratchKey][]*fdd.Domain),
 		replaceMaps: make(map[string]bdd.ReplaceMap),
 		eqCache:     make(map[[2]*fdd.Domain]bdd.Ref),
@@ -154,9 +119,6 @@ func NewEvaluator(store *index.Store, res Resolver, opts EvalOptions) *Evaluator
 		predVersion: make(map[string]uint64),
 	}
 }
-
-// Options returns the evaluator's options.
-func (ev *Evaluator) Options() EvalOptions { return ev.opts }
 
 // Outcome is the result of evaluating one constraint with BDDs.
 type Outcome struct {
@@ -335,7 +297,7 @@ func (ev *Evaluator) compile(c Constraint) (*Analysis, Rewritten, error) {
 	if err != nil {
 		return nil, Rewritten{}, err
 	}
-	return an, Rewrite(an.F, ev.opts.Rewrite), nil
+	return an, Rewrite(an.F, DefaultRewriteOptions()), nil
 }
 
 // evaluate runs one evaluation pass and returns its outcome and environment.
@@ -438,7 +400,7 @@ func (ev *Evaluator) projects(env *evalEnv, v string, negated bool) bool {
 	if negated {
 		return env.universal[v]
 	}
-	return ev.opts.EarlyProject && env.occurrences[v] == 1 && env.projectable[v]
+	return env.occurrences[v] == 1 && env.projectable[v]
 }
 
 // newEnv walks the rewritten body, assigns a scratch block to every
@@ -455,7 +417,7 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 	}
 	markProjectable(rw.Body, nil, env.projectable)
 	collectEnvInfo(rw.Body, env)
-	if verdictOnly && ev.opts.EarlyProject && rw.Mode == CheckValidity && len(rw.Stripped) > 0 {
+	if verdictOnly && rw.Mode == CheckValidity && len(rw.Stripped) > 0 {
 		env.universal = make(map[string]bool)
 		free := make(map[string]bool, len(rw.Stripped))
 		for _, v := range rw.Stripped {
@@ -463,9 +425,7 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 		}
 		markUniversal(rw.Body, free, env, false)
 	}
-	if ev.opts.CanonicalBlocks {
-		ev.claimCanonicalBlocks(rw.Body, env)
-	}
+	ev.claimIndexBlocks(rw.Body, env)
 	counters := make(map[scratchKey]int)
 	assign := func(v string) error {
 		if _, done := env.blocks[v]; done || env.universal[v] {
@@ -694,13 +654,13 @@ func collectEnvInfo(f Formula, env *evalEnv) {
 	}
 }
 
-// claimCanonicalBlocks assigns variables the canonical blocks of the
+// claimIndexBlocks assigns variables the canonical blocks of the
 // indices they scan, biggest tables first, so that the largest predicate
 // BDDs are used in place with no renaming. A canonical block is claimable
 // by the first variable to ask for it, provided the variable is not going
 // to be projected away at the predicate and the block width matches the
 // variable's current domain.
-func (ev *Evaluator) claimCanonicalBlocks(body Formula, env *evalEnv) {
+func (ev *Evaluator) claimIndexBlocks(body Formula, env *evalEnv) {
 	type occ struct {
 		p      Pred
 		ix     *index.Index
@@ -865,21 +825,6 @@ func (ev *Evaluator) eval(f Formula, env *evalEnv, negated bool) (bdd.Ref, error
 			return res, nil
 		}
 		return bdd.Invalid, ev.kerr()
-	case Implies:
-		// Only reachable when the rewrite pipeline is fully disabled.
-		l, err := ev.eval(g.L, env, negated)
-		if err != nil {
-			return bdd.Invalid, err
-		}
-		k.TempKeep(l)
-		r, err := ev.eval(g.R, env, negated)
-		if err != nil {
-			return bdd.Invalid, err
-		}
-		if res := k.Imp(l, r); res != bdd.Invalid {
-			return res, nil
-		}
-		return bdd.Invalid, ev.kerr()
 	case Quant:
 		return ev.evalQuant(g, env, negated)
 	default:
@@ -929,39 +874,37 @@ func (ev *Evaluator) evalQuant(q Quant, env *evalEnv, negated bool) (bdd.Ref, er
 	// (guard⇒(a∧b) ≡ (guard⇒a)∧(guard⇒b), guard⇒(a∨b) ≡ (guard⇒a)∨(guard⇒b),
 	// and dually for ∧ with guard conjunction on either operand), so the
 	// combined AppEx/AppAll operations still apply.
-	if ev.opts.UseAppQuant {
-		var op bdd.ApplyOp
-		var l, r Formula
-		switch body := q.F.(type) {
-		case And:
-			op, l, r = bdd.OpAnd, body.L, body.R
-		case Or:
-			op, l, r = bdd.OpOr, body.L, body.R
+	var op bdd.ApplyOp
+	var l, r Formula
+	switch body := q.F.(type) {
+	case And:
+		op, l, r = bdd.OpAnd, body.L, body.R
+	case Or:
+		op, l, r = bdd.OpOr, body.L, body.R
+	}
+	if l != nil {
+		lb, err := ev.eval(l, env, negated)
+		if err != nil {
+			return bdd.Invalid, err
 		}
-		if l != nil {
-			lb, err := ev.eval(l, env, negated)
-			if err != nil {
-				return bdd.Invalid, err
-			}
-			k.TempKeep(lb)
-			rb, err := ev.eval(r, env, negated)
-			if err != nil {
-				return bdd.Invalid, err
-			}
-			k.TempKeep(rb)
-			var res bdd.Ref
-			if q.All {
-				res = k.AppAll(k.TempKeep(k.Imp(guard, lb)), k.Imp(guard, rb), op, cube)
-			} else if op == bdd.OpAnd {
-				res = k.AppEx(k.And(guard, lb), rb, op, cube)
-			} else {
-				res = k.AppEx(k.TempKeep(k.And(guard, lb)), k.And(guard, rb), op, cube)
-			}
-			if res != bdd.Invalid {
-				return res, nil
-			}
-			return bdd.Invalid, ev.kerr()
+		k.TempKeep(lb)
+		rb, err := ev.eval(r, env, negated)
+		if err != nil {
+			return bdd.Invalid, err
 		}
+		k.TempKeep(rb)
+		var res bdd.Ref
+		if q.All {
+			res = k.AppAll(k.TempKeep(k.Imp(guard, lb)), k.Imp(guard, rb), op, cube)
+		} else if op == bdd.OpAnd {
+			res = k.AppEx(k.And(guard, lb), rb, op, cube)
+		} else {
+			res = k.AppEx(k.TempKeep(k.And(guard, lb)), k.And(guard, rb), op, cube)
+		}
+		if res != bdd.Invalid {
+			return res, nil
+		}
+		return bdd.Invalid, ev.kerr()
 	}
 	body, err := ev.eval(q.F, env, negated)
 	if err != nil {
@@ -1211,71 +1154,39 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 	}
 
 	// 4. Bind the remaining canonical blocks to the variable blocks.
-	if ev.opts.RenameJoin {
-		g, err := ev.renameBlocks(p, f, from, to)
+	g, err := ev.renameBlocks(p, f, from, to)
+	if err == nil {
+		return g, nil
+	}
+	if !errors.Is(err, bdd.ErrOrder) {
+		return bdd.Invalid, err
+	}
+	// The combined rename is not order-safe for this block arrangement.
+	// The blocks are disjoint, so simultaneous substitution equals
+	// sequential per-block substitution: rename each block on its own
+	// (individual maps are often order-safe where the combined one is
+	// not), bridging a block with an equality BDD only when even its
+	// single rename fails. Bridging per block keeps the equality states
+	// of different blocks from multiplying. A very wide failing block
+	// would make even its own equality BDD exponential; that degrades
+	// to re-encoding the filtered relation.
+	for i := range from {
+		k.TempKeep(f)
+		g, err := ev.renameBlocks(p, f, from[i:i+1], to[i:i+1])
 		if err == nil {
-			return g, nil
+			f = g
+			continue
 		}
 		if !errors.Is(err, bdd.ErrOrder) {
 			return bdd.Invalid, err
 		}
-		// The combined rename is not order-safe for this block arrangement.
-		// The blocks are disjoint, so simultaneous substitution equals
-		// sequential per-block substitution: rename each block on its own
-		// (individual maps are often order-safe where the combined one is
-		// not), bridging a block with an equality BDD only when even its
-		// single rename fails. Bridging per block keeps the equality states
-		// of different blocks from multiplying. A very wide failing block
-		// would make even its own equality BDD exponential; that degrades
-		// to re-encoding the filtered relation.
-		for i := range from {
-			k.TempKeep(f)
-			g, err := ev.renameBlocks(p, f, from[i:i+1], to[i:i+1])
-			if err == nil {
-				f = g
-				continue
-			}
-			if !errors.Is(err, bdd.ErrOrder) {
-				return bdd.Invalid, err
-			}
-			if from[i].Bits() > maxBridgeBits {
-				return ev.rebuildPred(p, env, binding)
-			}
-			f = k.AppEx(f, ev.eqVarCached(from[i], to[i]), bdd.OpAnd, from[i].Cube())
-			if f == bdd.Invalid {
-				return bdd.Invalid, ev.kerr()
-			}
+		if from[i].Bits() > maxBridgeBits {
+			return ev.rebuildPred(p, env, binding)
 		}
-		return f, nil
-	}
-	// Naive strategy (§4.2 option 1, benchmarked as the ablation): conjoin
-	// every equality BDD, then quantify the canonical blocks out in one
-	// combined pass. Chained pairs cannot share one pass — quantifying a
-	// source block that doubles as another pair's target would discard that
-	// binding — so they bridge one pair at a time in vacate-first order.
-	if chained {
-		for i := range from {
-			k.TempKeep(f)
-			f = k.AppEx(f, ev.eqVarCached(from[i], to[i]), bdd.OpAnd, from[i].Cube())
-			if f == bdd.Invalid {
-				return bdd.Invalid, ev.kerr()
-			}
-		}
-		return f, nil
-	}
-	k.TempKeep(f)
-	bridge := bdd.True
-	for i := range from {
-		k.TempKeep(bridge)
-		bridge = k.And(bridge, ev.eqVarCached(from[i], to[i]))
-		if bridge == bdd.Invalid {
+		f = k.AppEx(f, ev.eqVarCached(from[i], to[i]), bdd.OpAnd, from[i].Cube())
+		if f == bdd.Invalid {
 			return bdd.Invalid, ev.kerr()
 		}
-	}
-	k.TempKeep(bridge)
-	f = k.AppEx(f, bridge, bdd.OpAnd, fdd.CubeOf(from...))
-	if f == bdd.Invalid {
-		return bdd.Invalid, ev.kerr()
 	}
 	return f, nil
 }

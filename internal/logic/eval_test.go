@@ -86,13 +86,13 @@ func newEvalFixture(t *testing.T, rng *rand.Rand) *evalFixture {
 	return fx
 }
 
-func (fx *evalFixture) evaluator(opts logic.EvalOptions) *logic.Evaluator {
-	return logic.NewEvaluator(fx.store, logic.CatalogResolver{Catalog: fx.cat}, opts)
+func (fx *evalFixture) evaluator() *logic.Evaluator {
+	return logic.NewEvaluator(fx.store, logic.CatalogResolver{Catalog: fx.cat})
 }
 
 // ruleShapes lists one constraint per side condition of the universal
 // projection rule, whether the rule fires on it, and the route Violations
-// takes when the constraint is violated and the rule is on.
+// takes when the constraint is violated.
 var ruleShapes = []struct {
 	name, src string
 	fires     bool
@@ -117,8 +117,6 @@ var ruleShapes = []struct {
 }
 
 func TestHoldsAgreesWithEval(t *testing.T) {
-	ruleOff := logic.DefaultEvalOptions()
-	ruleOff.EarlyProject = false
 	for _, shape := range ruleShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			f, err := logic.Parse(shape.src)
@@ -130,24 +128,22 @@ func TestHoldsAgreesWithEval(t *testing.T) {
 			verdicts := map[bool]int{}
 			for trial := 0; trial < 40; trial++ {
 				fx := newEvalFixture(t, rng)
-				for _, opts := range []logic.EvalOptions{logic.DefaultEvalOptions(), ruleOff} {
-					ev := fx.evaluator(opts)
-					out, err := ev.Eval(ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					holds, err := ev.Holds(ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if holds != out.Holds {
-						t.Fatalf("trial %d (EarlyProject=%v): Holds = %v, Eval = %v", trial, opts.EarlyProject, holds, out.Holds)
-					}
-					if got, want := ev.VerdictStats().Projected == 1, shape.fires && opts.EarlyProject; got != want {
-						t.Fatalf("trial %d (EarlyProject=%v): rule fired = %v, want %v", trial, opts.EarlyProject, got, want)
-					}
-					verdicts[holds]++
+				ev := fx.evaluator()
+				out, err := ev.Eval(ct)
+				if err != nil {
+					t.Fatal(err)
 				}
+				holds, err := ev.Holds(ct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if holds != out.Holds {
+					t.Fatalf("trial %d: Holds = %v, Eval = %v", trial, holds, out.Holds)
+				}
+				if got := ev.VerdictStats().Projected == 1; got != shape.fires {
+					t.Fatalf("trial %d: rule fired = %v, want %v", trial, got, shape.fires)
+				}
+				verdicts[holds]++
 			}
 			if verdicts[true] == 0 || verdicts[false] == 0 {
 				t.Fatalf("holds on %d evaluations, fails on %d: the fixture decides nothing", verdicts[true], verdicts[false])
@@ -158,11 +154,9 @@ func TestHoldsAgreesWithEval(t *testing.T) {
 
 // TestViolationsAgreeWithEval: Violations starts from the verdict pass and
 // expands its violation set only where the body's shape allows it. On every
-// shape, with the projection rule on and off, its violation set must decode
-// to Eval's, and it must take the route the shape calls for.
+// shape its violation set must decode to Eval's, and it must take the route
+// the shape calls for.
 func TestViolationsAgreeWithEval(t *testing.T) {
-	ruleOff := logic.DefaultEvalOptions()
-	ruleOff.EarlyProject = false
 	var taken [logic.NumRoutes]int
 	for _, shape := range ruleShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -178,48 +172,44 @@ func TestViolationsAgreeWithEval(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opts := range []logic.EvalOptions{logic.DefaultEvalOptions(), ruleOff} {
-					ev := fx.evaluator(opts)
-					got, err := ev.Violations(ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := ev.Eval(ct)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Mode != want.Mode || got.Holds != want.Holds {
-						t.Fatalf("trial %d (EarlyProject=%v): Violations says mode %v holds %v, Eval %v %v",
-							trial, opts.EarlyProject, got.Mode, got.Holds, want.Mode, want.Holds)
-					}
-					if want.Mode == logic.CheckValidity && want.Holds && got.Violations != bdd.False {
-						t.Fatalf("trial %d (EarlyProject=%v): the constraint holds, but Violations has a violation set", trial, opts.EarlyProject)
-					}
-					if want.Mode == logic.CheckValidity && !want.Holds {
-						gs, ws := violationSet(t, fx, an, got), violationSet(t, fx, an, want)
-						if len(gs) != len(ws) {
-							t.Fatalf("trial %d (EarlyProject=%v): Violations decodes %d bindings, Eval %d", trial, opts.EarlyProject, len(gs), len(ws))
-						}
-						for w := range ws {
-							if !gs[w] {
-								t.Fatalf("trial %d (EarlyProject=%v): Violations misses %s", trial, opts.EarlyProject, w)
-							}
-						}
-					}
-					route := shape.route
-					switch {
-					case want.Mode != logic.CheckValidity:
-						route = logic.RouteFull
-					case want.Holds:
-						route = logic.RouteHolds
-					case !opts.EarlyProject:
-						route = logic.RouteUnprojected
-					}
-					if routes := ev.VerdictStats().Routes; routes[route] != 1 {
-						t.Fatalf("trial %d (EarlyProject=%v): routes taken %v, want one %v", trial, opts.EarlyProject, routes, route)
-					}
-					taken[route]++
+				ev := fx.evaluator()
+				got, err := ev.Violations(ct)
+				if err != nil {
+					t.Fatal(err)
 				}
+				want, err := ev.Eval(ct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Mode != want.Mode || got.Holds != want.Holds {
+					t.Fatalf("trial %d: Violations says mode %v holds %v, Eval %v %v",
+						trial, got.Mode, got.Holds, want.Mode, want.Holds)
+				}
+				if want.Mode == logic.CheckValidity && want.Holds && got.Violations != bdd.False {
+					t.Fatalf("trial %d: the constraint holds, but Violations has a violation set", trial)
+				}
+				if want.Mode == logic.CheckValidity && !want.Holds {
+					gs, ws := violationSet(t, fx, an, got), violationSet(t, fx, an, want)
+					if len(gs) != len(ws) {
+						t.Fatalf("trial %d: Violations decodes %d bindings, Eval %d", trial, len(gs), len(ws))
+					}
+					for w := range ws {
+						if !gs[w] {
+							t.Fatalf("trial %d: Violations misses %s", trial, w)
+						}
+					}
+				}
+				route := shape.route
+				switch {
+				case want.Mode != logic.CheckValidity:
+					route = logic.RouteFull
+				case want.Holds:
+					route = logic.RouteHolds
+				}
+				if routes := ev.VerdictStats().Routes; routes[route] != 1 {
+					t.Fatalf("trial %d: routes taken %v, want one %v", trial, routes, route)
+				}
+				taken[route]++
 			}
 		})
 	}
@@ -325,7 +315,7 @@ func citiesStates(t *testing.T, data *datagen.CustomerData, first int, violate b
 // which negates and disjoins the whole index.
 func TestVerdictWalksOnlyNamedColumns(t *testing.T) {
 	fx, data := customersFixture(t, 5000, false)
-	ev := fx.evaluator(logic.DefaultEvalOptions())
+	ev := fx.evaluator()
 	k := fx.store.Kernel()
 	ops := func(eval func(logic.Constraint) bool, ct logic.Constraint) (bool, uint64) {
 		before := k.Stats().Ops
@@ -368,7 +358,7 @@ func TestVerdictWalksOnlyNamedColumns(t *testing.T) {
 // same set.
 func TestViolationsExpandOnlyTheViolations(t *testing.T) {
 	fx, data := customersFixture(t, 5000, true)
-	ev := fx.evaluator(logic.DefaultEvalOptions())
+	ev := fx.evaluator()
 	k := fx.store.Kernel()
 	measure := func(eval func(logic.Constraint) (*logic.Outcome, error), ct logic.Constraint) (float64, uint64) {
 		before := k.Stats().Ops
@@ -404,7 +394,7 @@ func TestViolationsExpandOnlyTheViolations(t *testing.T) {
 // growing at its cap, and a table's bindings must go when its version moves.
 func TestPredCacheIsBounded(t *testing.T) {
 	fx, data := customersFixture(t, 5000, false)
-	ev := fx.evaluator(logic.DefaultEvalOptions())
+	ev := fx.evaluator()
 	k := fx.store.Kernel()
 	tab := data.Table
 	// One constraint per distinct (number, zipcode) pair of the relation:

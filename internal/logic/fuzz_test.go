@@ -10,8 +10,9 @@ import (
 
 // seedParseCorpus seeds the fuzzer with every grammar production the
 // repository actually exercises: hand-picked edge cases, the constraint
-// strings from the package's own tests, and every raw-string literal in the
-// examples (which embed their constraint programs as backtick literals).
+// strings from the package's own tests, and every raw-string literal in
+// core's runnable examples (which embed their constraint programs as
+// backtick literals).
 func seedParseCorpus(f *testing.F) {
 	for _, seed := range []string{
 		// Edge cases.
@@ -36,21 +37,21 @@ func seedParseCorpus(f *testing.F) {
 		`forall x: P(x, y) and (exists z: Q(z, w))`,
 		`P(x) and (forall x: Q(x))`,
 		`x = "a\"b"`,
+		// The paper's §5.2 constraint classes over the customer indices.
+		`forall a, c: NCS(a, c, "NJ") => a in {"201", "973", "908"}`,
+		`forall c, s1, s2: NCS(_, c, s1) and NCS(_, c, s2) => s1 = s2`,
+		`forall c, s, z: CSZ(c, s, z) => exists s2: NCS(_, c, s2) and s2 = s`,
 	} {
 		f.Add(seed)
 	}
 	// Example programs: every backtick literal is either a constraint file
 	// or a single formula; either way it is a grammar-shaped seed.
-	paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "*", "main.go"))
-	rawLit := regexp.MustCompile("(?s)`[^`]*`")
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		for _, lit := range rawLit.FindAllString(string(src), -1) {
-			f.Add(lit[1 : len(lit)-1])
-		}
+	src, err := os.ReadFile(filepath.Join("..", "core", "example_test.go"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, lit := range regexp.MustCompile("(?s)`[^`]*`").FindAllString(string(src), -1) {
+		f.Add(lit[1 : len(lit)-1])
 	}
 }
 

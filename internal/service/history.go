@@ -43,7 +43,7 @@ func (s *Server) CurrentEpoch() uint64 { return s.epoch.Load() }
 // checkAtEpoch evaluates cts against the database image at the given past
 // epoch. The image is restored from the newest retained snapshot at or
 // before the epoch plus WAL replay, cached for subsequent requests, and
-// evaluated under the request's deadline-derived node budget.
+// evaluated under the request's node budget.
 func (s *Server) checkAtEpoch(ctx context.Context, epoch uint64, cts []logic.Constraint, budget int) ([]core.Result, error) {
 	if s.st == nil {
 		return nil, ErrNoHistory
@@ -77,7 +77,7 @@ func (s *Server) checkAtEpoch(ctx context.Context, epoch uint64, cts []logic.Con
 	// The zero pass keeps the read away from the verdict memo: this checker
 	// was rebuilt from snapshot + WAL, and its table-version counters say
 	// nothing about the live ones.
-	return s.evalAll(ctx, e.chk, cts, memoPass{}, core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}, nil), nil
+	return s.evalAll(ctx, e.chk, cts, memoPass{}, core.CheckOptions{NodeBudget: budget}, nil), nil
 }
 
 // historyEntry returns the cache entry for epoch, creating (and FIFO-evicting)

@@ -13,9 +13,8 @@
 // check runs — so checks always observe a consistent database and an
 // acknowledged update is visible to every subsequently submitted check.
 //
-// Per-request deadlines map onto node budgets (Options.NodesPerSecond): a
-// request with little time left gets a small budget, and a check that blows
-// it degrades gracefully to the SQL fallback exactly as core.CheckOne does.
+// A request may carry its own node budget: a check that blows it degrades
+// gracefully to the SQL fallback exactly as core.CheckOne does.
 //
 // Parallel read path: with Options.Replicas ≥ 1 (the default is
 // GOMAXPROCS), /check and /witnesses are served by a pool of replicated
@@ -70,17 +69,9 @@ type Options struct {
 	// QueueDepth bounds each admission queue (checks and updates
 	// separately); 64 when zero.
 	QueueDepth int
-	// MaxBatch bounds how many queued update jobs one coalescing round
-	// applies before re-checking for other work; 256 when zero.
-	MaxBatch int
 	// DefaultTimeout applies to requests that carry no deadline of their
 	// own; 30s when zero.
 	DefaultTimeout time.Duration
-	// NodesPerSecond converts a request's remaining deadline into a node
-	// budget for its BDD evaluation. Zero disables the mapping; requests
-	// then run under the checker-wide budget (or their explicit per-request
-	// budget).
-	NodesPerSecond int
 	// Replicas sizes the replicated-kernel read pool serving /check and
 	// /witnesses. Zero selects GOMAXPROCS; a negative value disables
 	// replication, serializing reads behind the primary worker.
@@ -107,12 +98,9 @@ type Options struct {
 	// restart, recovered) by the caller before New.
 	Store *store.Store
 	// SnapshotEveryBatches triggers a snapshot after that many coalesced
-	// update rounds; when both triggers are zero and a Store is set, 64 is
-	// used. Negative disables the count trigger.
+	// update rounds; 64 when zero and a Store is set. Negative disables
+	// snapshots, so the WAL is never truncated.
 	SnapshotEveryBatches int
-	// SnapshotWALBytes triggers a snapshot when the WAL reaches this size.
-	// Zero or negative disables the size trigger.
-	SnapshotWALBytes int64
 	// InitialEpoch seeds the epoch counter — the recovered epoch on warm
 	// restart, so epochs keep rising monotonically across process lives.
 	// Zero means a fresh start (epoch 1).
@@ -141,12 +129,13 @@ type Options struct {
 // Options.MaxBodyBytes is zero.
 const DefaultMaxBodyBytes = 8 << 20
 
+// maxBatch bounds how many queued update jobs one coalescing round applies
+// before the worker looks for other work.
+const maxBatch = 256
+
 func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 30 * time.Second
@@ -160,7 +149,7 @@ func (o Options) withDefaults() Options {
 	if o.SlowLog == nil {
 		o.SlowLog = log.Default()
 	}
-	if o.Store != nil && o.SnapshotEveryBatches == 0 && o.SnapshotWALBytes <= 0 {
+	if o.Store != nil && o.SnapshotEveryBatches == 0 {
 		o.SnapshotEveryBatches = 64
 	}
 	return o
@@ -468,10 +457,10 @@ func (s *Server) run() {
 }
 
 // gatherUpdates drains further queued update jobs behind first, bounded by
-// MaxBatch.
+// maxBatch.
 func (s *Server) gatherUpdates(first *updateJob) []*updateJob {
 	batch := []*updateJob{first}
-	for len(batch) < s.opts.MaxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case u := <-s.updates:
 			batch = append(batch, u)
@@ -583,20 +572,15 @@ func (s *Server) publishVersion(epoch uint64) {
 	s.replicaOK.Store(true)
 }
 
-// maybeSnapshot writes a snapshot when a trigger fires: enough coalesced
-// rounds since the last one, or enough WAL bytes. Worker-only; a failed
-// snapshot is logged and counted but does not fail updates (the WAL still
-// covers them).
+// maybeSnapshot writes a snapshot once enough coalesced rounds have passed
+// since the last one. Worker-only; a failed snapshot is logged and counted
+// but does not fail updates (the WAL still covers them).
 func (s *Server) maybeSnapshot(epoch uint64) {
 	if s.st == nil {
 		return
 	}
 	s.batchesSinceSnap++
-	trigger := s.opts.SnapshotEveryBatches > 0 && s.batchesSinceSnap >= s.opts.SnapshotEveryBatches
-	if s.opts.SnapshotWALBytes > 0 && s.st.WALSize() >= s.opts.SnapshotWALBytes {
-		trigger = true
-	}
-	if !trigger {
+	if s.opts.SnapshotEveryBatches <= 0 || s.batchesSinceSnap < s.opts.SnapshotEveryBatches {
 		return
 	}
 	if err := s.st.WriteSnapshot(s.chk, s.constraintText, epoch); err != nil {
@@ -607,8 +591,7 @@ func (s *Server) maybeSnapshot(epoch uint64) {
 	s.batchesSinceSnap = 0
 }
 
-// runCheck serves one check or witness job under its deadline-derived
-// budget. The stats snapshot is refreshed before the reply goes out, so a
+// runCheck serves one check or witness job under its node budget. The stats snapshot is refreshed before the reply goes out, so a
 // client that has its answer reads its own effects from /statsz.
 func (s *Server) runCheck(j *checkJob) {
 	if !j.submitted.IsZero() {
@@ -621,7 +604,7 @@ func (s *Server) runCheck(j *checkJob) {
 		j.reply <- checkReply{err: err}
 		return
 	}
-	opts := core.CheckOptions{NodeBudget: s.budgetFor(j.ctx, j.budget)}
+	opts := core.CheckOptions{NodeBudget: j.budget}
 	var rep checkReply
 	if j.witnessLimit > 0 {
 		rep = s.runWitnesses(j.cts[0], j.witnessLimit, opts, j.trace)
@@ -715,25 +698,6 @@ func (s *Server) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOpt
 		ws = append(ws, core.Witness{Vars: rows.Vars, Values: rows.Decode(i)})
 	}
 	return checkReply{witnesses: ws, witnessMethod: core.MethodSQL}
-}
-
-// budgetFor combines the request's explicit node cap with the cap derived
-// from its remaining deadline. It only reads immutable options, so both the
-// worker and the replica dispatch path (handler goroutines) may call it.
-func (s *Server) budgetFor(ctx context.Context, explicit int) int {
-	b := explicit
-	if s.opts.NodesPerSecond > 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			d := int(time.Until(dl).Seconds() * float64(s.opts.NodesPerSecond))
-			if d < 1 {
-				d = 1 // expired deadlines were rejected earlier; keep the cap positive
-			}
-			if b <= 0 || d < b {
-				b = d
-			}
-		}
-	}
-	return b
 }
 
 // refuseQueued acknowledges every queued job with ErrShuttingDown so no
@@ -848,7 +812,7 @@ func (s *Server) memoCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (
 func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace) (checkReply, bool) {
 	var results []core.Result
 	var epoch uint64
-	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, spec.budget), NoSQLFallback: true}
+	opts := core.CheckOptions{NodeBudget: spec.budget, NoSQLFallback: true}
 	// The generation is read before a worker picks its version: a job that
 	// starts ahead of a follower reload cannot store into the memo after it.
 	pass := memoPass{registered: spec.registered, gen: s.memo.generation()}
@@ -901,7 +865,7 @@ func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace
 func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) (checkReply, bool) {
 	var ws []core.Witness
 	var werr error
-	opts := core.CheckOptions{NodeBudget: s.budgetFor(ctx, budget)}
+	opts := core.CheckOptions{NodeBudget: budget}
 	submitted := tr.Begin()
 	err := s.pool.DoTraced(ctx, tr, func(chk *core.Checker, _ uint64) {
 		tr.Span("queue_wait", submitted)

@@ -243,24 +243,6 @@ func TestNodeBudgetDegradesToSQLFallback(t *testing.T) {
 	}
 }
 
-func TestDeadlineMapsToNodeBudget(t *testing.T) {
-	// One node per second: a 1s deadline yields a budget of at most one
-	// node, far below the live index, so the check degrades to SQL.
-	_, ts := newTestServer(t, service.Options{NodesPerSecond: 1})
-	var resp service.CheckResponse
-	st := post(t, ts.URL+"/check", service.CheckRequest{
-		Constraints: []string{"nj_codes"},
-		TimeoutMS:   1000,
-	}, &resp)
-	if st != http.StatusOK {
-		t.Fatalf("status %d", st)
-	}
-	r := resultsByName(t, resp)["nj_codes"]
-	if !r.FellBack || r.Method != "sql" || !r.Violated {
-		t.Fatalf("want SQL fallback from deadline-derived budget, got %+v", r)
-	}
-}
-
 func TestWitnesses(t *testing.T) {
 	_, ts := newTestServer(t, service.Options{})
 	var resp service.WitnessResponse

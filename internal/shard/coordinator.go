@@ -39,8 +39,6 @@ type Options struct {
 	NodeBudget int
 	// Method picks the variable-ordering heuristic for shard indices.
 	Method core.OrderingMethod
-	// QueueDepth bounds each worker's admission queue (default 64).
-	QueueDepth int
 	// DefaultTimeout bounds requests with no explicit deadline when the
 	// coordinator is served through Handler (the edge's default when zero).
 	DefaultTimeout time.Duration
@@ -50,10 +48,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// queueDepth bounds the writer goroutine's queue of updates and residual
+// reads; each in-process worker's own queues keep service's default.
+const queueDepth = 64
+
 func (o Options) withDefaults() Options {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -142,7 +141,7 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 		workers:  workers,
 		residual: core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed}),
 		plans:    make(map[string]Plan, len(cts)),
-		jobs:     make(chan *job, opts.QueueDepth),
+		jobs:     make(chan *job, queueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		start:    time.Now(),

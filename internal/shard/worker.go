@@ -129,7 +129,7 @@ func newServerWorker(shard int, cat *relation.Catalog, opts Options) (*serverWor
 			return nil, fmt.Errorf("shard %d: index %s: %w", shard, t.Name(), err)
 		}
 	}
-	srv, err := service.New(chk, nil, service.Options{Replicas: -1, QueueDepth: opts.QueueDepth})
+	srv, err := service.New(chk, nil, service.Options{Replicas: -1})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", shard, err)
 	}

@@ -112,15 +112,29 @@ func BenchmarkFig4bUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(3))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row := fx.data.Table.Row(rng.Intn(fx.data.Table.Len()))
-				if err := ix.Delete(row, false); err != nil {
+			// The index reads the table's bag semantics from the table, so
+			// the table moves too, off the clock: its delete is a scan. One
+			// untimed pair first lets the index count the table's rows.
+			t := fx.data.Table
+			pair := func() {
+				row := t.Row(rng.Intn(t.Len()))
+				b.StopTimer()
+				t.DeleteCodes(row)
+				b.StartTimer()
+				if err := ix.Delete(row); err != nil {
 					b.Fatal(err)
 				}
+				b.StopTimer()
+				t.InsertCodes(row)
+				b.StartTimer()
 				if err := ix.Insert(row); err != nil {
 					b.Fatal(err)
 				}
+			}
+			pair()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pair()
 			}
 		})
 	}

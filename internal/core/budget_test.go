@@ -17,11 +17,14 @@ import (
 // check or an update batch, not at its first allocation. Every check runs
 // under per-call budgets from live+1 to live+60 000 nodes, and every
 // 200-insert Apply batch under a checker-wide budget from live+50 to
-// live+20 000. A verdict must equal an unlimited checker's, whether the BDD
-// or the SQL fallback decided it, an aborted check must end as a clean SQL
-// fallback, and an aborted Apply must report ErrBudget. This is the runtime
-// guard of the kernel's sticky error: a caller that drops an Invalid check
-// ends up with a wrong verdict, an error, or a panic here.
+// live+20 000. Before each batch an unbudgeted check of a constant-free
+// constraint leaves the index a projection to maintain, so a batch can abort
+// in that projection's upkeep as well as in the index's own. A verdict must
+// equal an unlimited checker's, whether the BDD or the SQL fallback decided
+// it, an aborted check must end as a clean SQL fallback, and an aborted Apply
+// must report ErrBudget. This is the runtime guard of the kernel's sticky
+// error: a caller that drops an Invalid check ends up with a wrong verdict,
+// an error, or a panic here.
 func TestBudgetSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cat := relation.NewCatalog()
@@ -36,6 +39,8 @@ func TestBudgetSweep(t *testing.T) {
 		    forall a, s1, s2: CUST(a, _, _, s1, _) and CUST(a, _, _, s2, _) => s1 = s2.
 		constraint city0_zip:
 		    forall a, n, s, z: CUST(a, n, "city00000", s, z) => z in {"Z00000", "Z10894"}.
+		constraint cities_states:
+		    forall c, s: CUST(_, _, c, s, _) and c in {"city00000", "city00001", "city00002"} => s in {"S00", "S01", "S02"}.
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +94,9 @@ func TestBudgetSweep(t *testing.T) {
 			}
 			vals[3] = datagen.StateName(rng.Intn(datagen.NumStates))
 			batch[i] = core.Update{Table: "CUST", Op: core.UpdateInsert, Values: vals}
+		}
+		if res := chk.CheckOne(cts[len(cts)-1]); res.Err != nil || res.FellBack {
+			t.Fatalf("round %d: unbudgeted %s: %+v", round, res.Constraint.Name, res)
 		}
 		prev := k.Budget()
 		k.SetBudget(k.Size() + slack)

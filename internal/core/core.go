@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -432,7 +433,10 @@ func (c *Checker) withBudget(budget int, f func()) {
 // dependent columns, count the distinct projected tuples, project the
 // dependent away, count again — the FD holds iff the two counts coincide.
 // This is the Figure 5(b) strategy ("projection of suitable attributes to
-// construct new BDDs and manipulation of the resulting BDDs").
+// construct new BDDs and manipulation of the resulting BDDs"). The pairs are
+// the index's maintained projection onto the determinant and the dependent,
+// so only the first check after the index was built or rebound pays for
+// them; the groups are projected from the pairs on every check.
 func (c *Checker) tryFDFastPath(ct logic.Constraint) (Result, bool) {
 	fd, ok := logic.DetectFD(ct.F)
 	if !ok {
@@ -447,34 +451,23 @@ func (c *Checker) tryFDFastPath(ct logic.Constraint) (Result, bool) {
 	mark := k.TempMark()
 	defer k.TempRelease(mark)
 	doms := ix.Domains()
-	keep := make(map[int]bool, len(fd.Determinant)+1)
-	for _, i := range fd.Determinant {
-		keep[i] = true
-	}
-	keep[fd.Dependent] = true
-	var drop []*fdd.Domain
+	keep := append([]int{fd.Dependent}, fd.Determinant...)
+	slices.Sort(keep)
+	keep = slices.Compact(keep)
 	var pairVars, detVars []int
-	for i, d := range doms {
-		if !keep[i] {
-			drop = append(drop, d)
-			continue
-		}
-		pairVars = append(pairVars, d.Vars()...)
+	for _, i := range keep {
+		pairVars = append(pairVars, doms[i].Vars()...)
 		if i != fd.Dependent {
-			detVars = append(detVars, d.Vars()...)
+			detVars = append(detVars, doms[i].Vars()...)
 		}
 	}
 	sort.Ints(pairVars)
 	sort.Ints(detVars)
-	pairsBDD := ix.Root()
-	if len(drop) > 0 {
-		pairsBDD = fdd.Exists(pairsBDD, drop...)
-		if pairsBDD == bdd.Invalid {
-			c.ev.Recover()
-			return Result{}, false // budget hit; let the generic path decide
-		}
+	pairsBDD := ix.Projection(keep)
+	if pairsBDD == bdd.Invalid {
+		c.ev.Recover()
+		return Result{}, false // budget hit; let the generic path decide
 	}
-	k.TempKeep(pairsBDD)
 	groupsBDD := fdd.Exists(pairsBDD, doms[fd.Dependent])
 	if groupsBDD == bdd.Invalid {
 		c.ev.Recover()
@@ -703,8 +696,8 @@ func (c *Checker) InsertTuple(table string, vals ...string) error {
 }
 
 // DeleteTuple deletes from the table and updates every index over it,
-// respecting bag semantics (the index keeps the tuple while duplicates
-// remain).
+// respecting bag semantics (an index keeps the tuple while another row
+// carries it).
 func (c *Checker) DeleteTuple(table string, vals ...string) error {
 	t := c.catalog.Table(table)
 	if t == nil {
@@ -724,27 +717,7 @@ func (c *Checker) DeleteTuple(table string, vals ...string) error {
 	if !t.DeleteCodes(row) {
 		return fmt.Errorf("core: tuple not found in %s", table)
 	}
-	return c.updateIndices(t, func(ix *index.Index) error {
-		still := projectionPresent(t, ix.Columns(), row)
-		return ix.Delete(row, still)
-	})
-}
-
-func projectionPresent(t *relation.Table, cols []int, row []int32) bool {
-	for i := 0; i < t.Len(); i++ {
-		r := t.Row(i)
-		same := true
-		for _, c := range cols {
-			if r[c] != row[c] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
+	return c.updateIndices(t, func(ix *index.Index) error { return ix.Delete(row) })
 }
 
 func (c *Checker) updateIndices(t *relation.Table, update func(*index.Index) error) error {

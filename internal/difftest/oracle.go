@@ -64,6 +64,12 @@ var RuleCoverage logic.VerdictStats
 // TestDifferentialSoak logs it and fails a run that exercised only one.
 var ReplicaCoverage struct{ Advanced, Rebuilt int }
 
+// ProjectionCoverage accumulates, across RunCase calls, how many of the
+// primary's projection reads a projection answered that index maintenance
+// had carried across at least one update batch (index.Store.MaintainedReads).
+// TestDifferentialSoak logs it and fails a run in which none did.
+var ProjectionCoverage int
+
 // Mismatch describes one oracle disagreement. It is a test failure in
 // waiting: the shrinker minimizes the case around it and the corpus writer
 // persists it.
@@ -125,6 +131,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 		for r, n := range vs.Routes {
 			RuleCoverage.Routes[r] += n
 		}
+		ProjectionCoverage += primary.Store().MaintainedReads()
 	}()
 	for _, ts := range c.Tables {
 		// The index carries the table's name: the evaluator resolves a

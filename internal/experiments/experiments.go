@@ -357,25 +357,38 @@ func Fig4(cfg Config) error {
 			build[i] = time.Since(start)
 			nodes[i] = ix.NodeCount()
 			// Average insert+delete cost over a sample of existing rows
-			// (delete + reinsert keeps the index unchanged at the end).
+			// (delete + reinsert keeps the index unchanged at the end). The
+			// index reads the table's bag semantics from the table, so the
+			// table moves too, off the clock: its delete is a scan. One
+			// untimed pair first lets the index count the table's rows.
 			const updates = 2000
 			rng := cfg.rng(int64(n + i))
 			samples := make([]time.Duration, 0, updates)
-			start = time.Now()
-			for u := 0; u < updates; u++ {
-				row := data.Table.Row(rng.Intn(data.Table.Len()))
-				pairStart := time.Now()
-				if err := ix.Delete(row, false); err != nil {
+			var total time.Duration
+			for u := -1; u < updates; u++ {
+				t := data.Table
+				row := t.Row(rng.Intn(t.Len()))
+				t.DeleteCodes(row)
+				delStart := time.Now()
+				if err := ix.Delete(row); err != nil {
 					return err
 				}
+				pair := time.Since(delStart)
+				t.InsertCodes(row)
+				insStart := time.Now()
 				if err := ix.Insert(row); err != nil {
 					return err
 				}
+				pair += time.Since(insStart)
+				if u < 0 {
+					continue
+				}
 				// One observation per delete+insert pair, halved to match the
 				// per-operation mean the paper reports.
-				samples = append(samples, time.Since(pairStart)/2)
+				samples = append(samples, pair/2)
+				total += pair
 			}
-			update[i] = time.Since(start) / (2 * updates)
+			update[i] = total / (2 * updates)
 			cfg.record(BenchRow{
 				Experiment: "fig4", Name: "build",
 				Params:  map[string]any{"index": spec.name, "tuples": n},

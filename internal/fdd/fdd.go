@@ -317,14 +317,6 @@ func Tuple(doms []*Domain, vals []int) []bdd.Literal {
 	return lits
 }
 
-// Minterm returns the BDD of the single tuple doms = vals.
-func Minterm(doms []*Domain, vals []int) bdd.Ref {
-	if len(doms) == 0 {
-		panic("fdd: Minterm with no domains")
-	}
-	return doms[0].space.k.Minterm(Tuple(doms, vals))
-}
-
 // Relation builds the characteristic function of the given rows over the
 // blocks doms in one bottom-up pass: rows are encoded as bit strings in
 // variable order, sorted, and the BDD is built by prefix splitting. The

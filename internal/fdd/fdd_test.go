@@ -144,7 +144,7 @@ func TestMintermAndValueRoundTrip(t *testing.T) {
 	k, s := newSpace()
 	doms := []*fdd.Domain{s.NewDomain("a", 10), s.NewDomain("b", 100), s.NewDomain("c", 3)}
 	vals := []int{7, 93, 2}
-	m := fdd.Minterm(doms, vals)
+	m := k.Minterm(fdd.Tuple(doms, vals))
 	lits, ok := k.AnySat(m)
 	if !ok {
 		t.Fatal("minterm unsatisfiable")
@@ -177,7 +177,7 @@ func TestRelationMatchesPerTupleOr(t *testing.T) {
 	}
 	inc := bdd.False
 	for _, row := range rows {
-		inc = k.Or(inc, fdd.Minterm(doms, row))
+		inc = k.Or(inc, k.Minterm(fdd.Tuple(doms, row)))
 	}
 	if bulk != inc {
 		t.Fatal("bulk relation != OR of minterms")
@@ -294,7 +294,7 @@ func TestRelationUnderBudgetAborts(t *testing.T) {
 func TestInterleavedDomainValueDecode(t *testing.T) {
 	k, s := newSpace()
 	ds := s.NewInterleavedDomains([]string{"x", "y", "z"}, 100)
-	m := fdd.Minterm(ds, []int{42, 7, 99})
+	m := k.Minterm(fdd.Tuple(ds, []int{42, 7, 99}))
 	lits, _ := k.AnySat(m)
 	a := make([]bool, k.NumVars())
 	for _, l := range lits {

@@ -150,7 +150,7 @@ func TestQuickInsertDeleteRoundTrip(t *testing.T) {
 		if fresh == nil {
 			return true
 		}
-		m := fdd.Minterm(doms, fresh)
+		m := k.Minterm(fdd.Tuple(doms, fresh))
 		g := k.Or(f, m)
 		back := k.Diff(g, m)
 		return back == f

@@ -7,10 +7,19 @@
 // physically shared ("shared node implementation", §2.2), and one node
 // budget covers the sum of all indices plus any intermediate results of
 // constraint evaluation.
+//
+// An index also keeps the existential projections onto column subsets that
+// its callers ask for (Index.Projection) and maintains them with the index
+// itself, by the counting algorithm of incremental view maintenance (Gupta,
+// Mumick & Subrahmanian, SIGMOD 1993): a projection counts the table rows
+// behind each of its tuples, and its BDD changes only when a count moves
+// between zero and one.
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bdd"
@@ -33,6 +42,9 @@ type Store struct {
 	kernel  *bdd.Kernel
 	space   *fdd.Space
 	indices map[string]*Index
+	// maintainedReads counts the Projection calls answered by a projection
+	// that Insert or Delete had moved since it was computed.
+	maintainedReads int
 }
 
 // NewStore creates an empty index store.
@@ -55,6 +67,11 @@ func (s *Store) Space() *fdd.Space { return s.space }
 // Index returns the index named name, or nil.
 func (s *Store) Index(name string) *Index { return s.indices[name] }
 
+// MaintainedReads counts the Projection calls, over every index of the store,
+// that a projection maintained by at least one Insert or Delete answered: the
+// reads that maintenance saved a recomputation.
+func (s *Store) MaintainedReads() int { return s.maintainedReads }
+
 // Names lists the store's index names in sorted order, for stats reporting.
 func (s *Store) Names() []string {
 	out := make([]string, 0, len(s.indices))
@@ -75,6 +92,65 @@ type Index struct {
 	doms  []*fdd.Domain // parallel to cols
 	order []int         // positions into cols, the block layout order used
 	root  bdd.Ref
+	// projections are the maintained projections callers asked for, in the
+	// order they were first asked for, so maintenance is deterministic.
+	projections []*projection
+	// rows counts the table's rows by their indexed codes, so that Delete
+	// knows whether another row still holds a deleted row's tuple; counted
+	// on the first Delete.
+	rows counts
+}
+
+// projection is the index existentially projected onto some of its columns.
+type projection struct {
+	keep  []int         // positions into the index's columns, ascending
+	doms  []*fdd.Domain // the blocks at keep
+	root  bdd.Ref       // pinned
+	rows  counts        // the table's rows by their codes at keep
+	moved bool          // Insert or Delete has moved it since it was computed
+	idle  int           // rows Insert and Delete applied since the last read
+}
+
+// counts counts the rows of an index's table by their codes at some of the
+// table's columns: how many rows carry each combination of codes there. A
+// key is the codes' uvarints, so no two combinations share one.
+type counts struct {
+	cols []int            // table columns, in key order
+	n    map[string]int32 // nil until the first move
+	key  []byte           // scratch for the key of the row being moved
+}
+
+// move records that row entered (delta 1) or left (delta -1) ix's table,
+// which already holds the change, and returns how many of the table's rows
+// now carry row's codes. The first move counts the table's rows instead,
+// leaving out those whose codes overflow the index's blocks: the index never
+// took them (Insert refused them).
+func (c *counts) move(ix *Index, row []int32, delta int32) int32 {
+	if c.n == nil {
+		c.n = make(map[string]int32)
+		for _, r := range ix.table.Rows() {
+			if ix.overflow(r) < 0 {
+				c.n[string(c.keyOf(r))]++
+			}
+		}
+		return c.n[string(c.keyOf(row))]
+	}
+	k := c.keyOf(row)
+	n := c.n[string(k)] + delta
+	if n == 0 {
+		delete(c.n, string(k))
+	} else {
+		c.n[string(k)] = n
+	}
+	return n
+}
+
+func (c *counts) keyOf(row []int32) []byte {
+	c.key = c.key[:0]
+	for _, col := range c.cols {
+		c.key = binary.AppendUvarint(c.key, uint64(row[col]))
+	}
+	return c.key
 }
 
 // Build constructs an index named name over the given columns of t. order
@@ -98,7 +174,7 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 	if len(order) != len(cols) {
 		return nil, fmt.Errorf("index: %q: order has %d entries for %d columns", name, len(order), len(cols))
 	}
-	ix := &Index{store: s, table: t, name: name, cols: cols, order: order}
+	ix := &Index{store: s, table: t, name: name, cols: cols, order: order, rows: counts{cols: cols}}
 	// Allocate blocks in layout order; record them in schema order.
 	ix.doms = make([]*fdd.Domain, len(cols))
 	seen := make([]bool, len(cols))
@@ -161,7 +237,7 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 	if root == bdd.Invalid {
 		return nil, fmt.Errorf("index: %q: adopting an Invalid root", name)
 	}
-	ix := &Index{store: s, table: t, name: name, cols: cols, doms: doms, order: order, root: root}
+	ix := &Index{store: s, table: t, name: name, cols: cols, doms: doms, order: order, root: root, rows: counts{cols: cols}}
 	s.kernel.Protect(root)
 	s.indices[name] = ix
 	return ix, nil
@@ -171,12 +247,23 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 // is the table's counterpart in a newer catalog and root its BDD over the
 // same blocks, already transferred into this store's kernel. The new root is
 // pinned before the old one is released, so what they share never becomes
-// collectable in between.
+// collectable in between. The projections of the old image are forgotten;
+// the next Projection call computes them afresh.
 func (ix *Index) Rebind(t *relation.Table, root bdd.Ref) {
 	k := ix.store.kernel
 	k.Protect(root)
 	k.Unprotect(ix.root)
 	ix.table, ix.root = t, root
+	ix.forget()
+}
+
+// forget unpins and drops every projection and the row count: what is
+// derived from the root and the table, and rebuilt from them on demand.
+func (ix *Index) forget() {
+	for _, p := range ix.projections {
+		ix.store.kernel.Unprotect(p.root)
+	}
+	ix.projections, ix.rows.n = nil, nil
 }
 
 func (s *Store) protectedRoots() []bdd.Ref {
@@ -196,6 +283,7 @@ func (s *Store) Drop(name string) {
 		return
 	}
 	s.kernel.Unprotect(ix.root)
+	ix.forget()
 	delete(s.indices, name)
 }
 
@@ -233,62 +321,176 @@ func (ix *Index) Domains() []*fdd.Domain { return ix.doms }
 func (ix *Index) NodeCount() int { return ix.store.kernel.NodeCount(ix.root) }
 
 func (ix *Index) project(row []int32) ([]int, error) {
+	if j := ix.overflow(row); j >= 0 {
+		return nil, fmt.Errorf("index: %q: value code %d overflows the %d-bit block of column %d; rebuild the index",
+			ix.name, row[ix.cols[j]], ix.doms[j].Bits(), ix.cols[j])
+	}
 	proj := make([]int, len(ix.cols))
 	for j, c := range ix.cols {
-		v := int(row[c])
-		if v >= 1<<ix.doms[j].Bits() {
-			return nil, fmt.Errorf("index: %q: value code %d overflows the %d-bit block of column %d; rebuild the index",
-				ix.name, v, ix.doms[j].Bits(), c)
-		}
-		proj[j] = v
+		proj[j] = int(row[c])
 	}
 	return proj, nil
 }
 
-// Insert adds the encoded table row to the index. Codes that no longer fit
-// the blocks allocated at build time (the column dictionary grew past a
-// power of two) are reported as an error; the caller must rebuild.
-func (ix *Index) Insert(row []int32) error {
+// overflow returns the first position into the index's columns whose code in
+// row does not fit its block, or -1 when every code fits.
+func (ix *Index) overflow(row []int32) int {
+	for j, c := range ix.cols {
+		if int(row[c]) >= 1<<ix.doms[j].Bits() {
+			return j
+		}
+	}
+	return -1
+}
+
+// Insert adds a row of the table to the index and to its projections; the
+// table must already hold it. Codes that no longer fit the blocks allocated
+// at build time (the column dictionary grew past a power of two) are
+// reported as an error; the caller must rebuild.
+func (ix *Index) Insert(row []int32) error { return ix.update(row, 1) }
+
+// Delete removes a row of the table from the index and from its
+// projections; the table must no longer hold it. The index has set semantics
+// while tables are bags, so the row's tuple leaves the index only when no
+// other row of the table carries it, which the index answers from its own
+// count of the table's rows by their indexed codes, built on the first
+// Delete.
+func (ix *Index) Delete(row []int32) error { return ix.update(row, -1) }
+
+// update applies a row that entered (delta 1) or left (delta -1) the table
+// to the root, then to every projection. On error the projections and the
+// row count are forgotten: they may no longer match the root and the table,
+// and their next use rebuilds them.
+func (ix *Index) update(row []int32, delta int32) error {
 	proj, err := ix.project(row)
+	if err == nil {
+		err = ix.updateRoot(row, proj, delta)
+	}
 	if err != nil {
+		ix.forget()
 		return err
 	}
-	k := ix.store.kernel
-	newRoot := k.Or(ix.root, fdd.Minterm(ix.doms, proj))
-	if newRoot == bdd.Invalid {
-		err := k.Err()
-		k.ClearErr()
-		return fmt.Errorf("index: inserting into %q: %w", ix.name, err)
-	}
-	k.Protect(newRoot)
-	k.Unprotect(ix.root)
-	ix.root = newRoot
+	ix.maintain(row, proj, delta)
 	return nil
 }
 
-// Delete removes the encoded row from the index. Because the index has set
-// semantics while tables are bags, stillPresent must be true when another
-// table row with the same indexed projection remains; the deletion is then
-// a no-op on the index.
-func (ix *Index) Delete(row []int32, stillPresent bool) error {
-	if stillPresent {
-		return nil
-	}
-	proj, err := ix.project(row)
-	if err != nil {
-		return err
-	}
+func (ix *Index) updateRoot(row []int32, proj []int, delta int32) error {
 	k := ix.store.kernel
-	newRoot := k.Diff(ix.root, fdd.Minterm(ix.doms, proj))
-	if newRoot == bdd.Invalid {
+	verb := "inserting into"
+	var next bdd.Ref
+	if delta > 0 {
+		if ix.rows.n != nil { // counted since the first Delete
+			ix.rows.move(ix, row, delta)
+		}
+		next = k.Or(ix.root, ix.minterm(ix.doms, proj))
+	} else {
+		verb = "deleting from"
+		if ix.rows.move(ix, row, delta) > 0 {
+			return nil // another row of the table still carries the tuple
+		}
+		next = k.Diff(ix.root, ix.minterm(ix.doms, proj))
+	}
+	if next == bdd.Invalid {
 		err := k.Err()
 		k.ClearErr()
-		return fmt.Errorf("index: deleting from %q: %w", ix.name, err)
+		return fmt.Errorf("index: %s %q: %w", verb, ix.name, err)
 	}
-	k.Protect(newRoot)
+	k.Protect(next)
 	k.Unprotect(ix.root)
-	ix.root = newRoot
+	ix.root = next
 	return nil
+}
+
+// maintain moves every projection by a row that entered (delta 1) or left
+// (delta -1) the table, proj being the row's indexed codes: only a count
+// that moves between zero and one adds or removes the row's projected tuple.
+// A projection whose update exceeds the node budget is forgotten and the
+// kernel's error cleared, so the update goes on; the next Projection call
+// computes that projection afresh. So is a projection that no read has used
+// for more updates than the table has rows: its upkeep since then has cost
+// more count moves than the recount that rebuilding it takes, and an unread
+// projection would otherwise stay pinned, and charge every update, forever.
+func (ix *Index) maintain(row []int32, proj []int, delta int32) {
+	k := ix.store.kernel
+	kept := ix.projections[:0]
+	for _, p := range ix.projections {
+		if p.idle++; p.idle > ix.table.Len() {
+			k.Unprotect(p.root)
+			continue
+		}
+		p.moved = true
+		next := p.root
+		switch n := p.rows.move(ix, row, delta); {
+		case delta > 0 && n == 1:
+			next = k.Or(p.root, ix.minterm(p.doms, p.codes(proj)))
+		case delta < 0 && n == 0:
+			next = k.Diff(p.root, ix.minterm(p.doms, p.codes(proj)))
+		}
+		if next == bdd.Invalid {
+			k.ClearErr()
+			k.Unprotect(p.root)
+			continue
+		}
+		k.Protect(next)
+		k.Unprotect(p.root)
+		p.root = next
+		kept = append(kept, p)
+	}
+	ix.projections = kept
+}
+
+// codes picks the projection's codes out of an indexed row's.
+func (p *projection) codes(proj []int) []int {
+	vals := make([]int, len(p.keep))
+	for j, pos := range p.keep {
+		vals[j] = proj[pos]
+	}
+	return vals
+}
+
+// minterm is the BDD of the tuple vals over doms: True over no blocks.
+func (ix *Index) minterm(doms []*fdd.Domain, vals []int) bdd.Ref {
+	return ix.store.kernel.Minterm(fdd.Tuple(doms, vals))
+}
+
+// Projection returns the index existentially projected onto the columns at
+// the kept positions (positions into Columns(), ascending). The first call
+// for a column set computes it with fdd.Exists and pins it; Insert and
+// Delete maintain it from then on, so later calls do no kernel work until
+// Rebind or Drop forgets it, or it goes unread for more updates than the
+// table has rows (see maintain). Keeping every column returns Root(); keeping
+// none returns True or False, whether the table has a row. When the first
+// computation exceeds the node budget, Projection returns bdd.Invalid with
+// the kernel's error set, as the kernel's own operations do.
+func (ix *Index) Projection(keep []int) bdd.Ref {
+	if len(keep) == len(ix.cols) {
+		return ix.root
+	}
+	for _, p := range ix.projections {
+		if slices.Equal(p.keep, keep) {
+			if p.moved {
+				ix.store.maintainedReads++
+			}
+			p.idle = 0
+			return p.root
+		}
+	}
+	p := &projection{keep: slices.Clone(keep)}
+	var drop []*fdd.Domain
+	for j, d := range ix.doms {
+		if slices.Contains(keep, j) {
+			p.doms = append(p.doms, d)
+			p.rows.cols = append(p.rows.cols, ix.cols[j])
+		} else {
+			drop = append(drop, d)
+		}
+	}
+	if p.root = fdd.Exists(ix.root, drop...); p.root == bdd.Invalid {
+		return bdd.Invalid
+	}
+	ix.store.kernel.Protect(p.root)
+	ix.projections = append(ix.projections, p)
+	return p.root
 }
 
 // Contains reports whether the indexed projection of the encoded row is in

@@ -2,10 +2,13 @@ package index_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/fdd"
 	"repro/internal/index"
 	"repro/internal/relation"
 )
@@ -95,7 +98,8 @@ func TestInsertDeleteMaintenance(t *testing.T) {
 	if !ix.Contains(row) {
 		t.Fatal("inserted row missing")
 	}
-	if err := ix.Delete(row, false); err != nil {
+	tbl.DeleteCodes(row)
+	if err := ix.Delete(row); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Contains(row) {
@@ -105,12 +109,18 @@ func TestInsertDeleteMaintenance(t *testing.T) {
 	if ix.Root() != before {
 		t.Fatal("insert+delete did not round-trip to the identical BDD")
 	}
-	// Bag semantics: stillPresent suppresses the delete.
-	if err := ix.Delete(tbl.Row(0), true); err != nil {
+	// Bag semantics: deleting one of two equal rows keeps the tuple.
+	dup := append([]int32(nil), tbl.Row(0)...)
+	tbl.InsertCodes(dup)
+	if err := ix.Insert(dup); err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Contains(tbl.Row(0)) {
-		t.Fatal("delete with stillPresent removed the tuple")
+	tbl.DeleteCodes(dup)
+	if err := ix.Delete(dup); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Contains(dup) {
+		t.Fatal("deleting one of two equal rows removed the tuple")
 	}
 }
 
@@ -136,11 +146,13 @@ func TestInsertDeleteRandomizedAgainstRebuild(t *testing.T) {
 		a, b := int32(rng.Intn(16)), int32(rng.Intn(16))
 		row := []int32{a, b}
 		if present[[2]int32{a, b}] {
-			if err := ix.Delete(row, false); err != nil {
+			tbl.DeleteCodes(row)
+			if err := ix.Delete(row); err != nil {
 				t.Fatal(err)
 			}
 			delete(present, [2]int32{a, b})
 		} else {
+			tbl.InsertCodes(row)
 			if err := ix.Insert(row); err != nil {
 				t.Fatal(err)
 			}
@@ -149,6 +161,110 @@ func TestInsertDeleteRandomizedAgainstRebuild(t *testing.T) {
 		if got := store.Kernel().SatCount(ix.Root()); got != float64(len(present)) {
 			t.Fatalf("step %d: index has %v tuples, want %d", step, got, len(present))
 		}
+	}
+}
+
+// TestProjectionMaintained runs random inserts and deletes, duplicate rows
+// included, over a small table with a projection onto every column subset,
+// the empty one too: after every step each maintained projection must be the
+// projection of the index computed afresh. After Rebind a projection is
+// computed afresh, not carried over. The wide table's codes take one, two
+// and three bytes in the keys of the index's counts.
+func TestProjectionMaintained(t *testing.T) {
+	t.Run("narrow", func(t *testing.T) { testProjectionMaintained(t, 3, 4, []int32{0, 1, 2}) })
+	t.Run("wide", func(t *testing.T) { testProjectionMaintained(t, 5, 1<<14+1, []int32{0, 128, 1 << 14}) })
+}
+
+// testProjectionMaintained draws the rows' codes from vals, each below
+// dictSize: column j uses the first 2 + j%2 of them.
+func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
+	cat := relation.NewCatalog()
+	var schema []relation.Column
+	all := make([]int, ncols)
+	for j := range all {
+		all[j] = j
+		schema = append(schema, relation.Column{Name: fmt.Sprint("c", j)})
+		for v := 0; v < dictSize; v++ {
+			cat.Domain(fmt.Sprint("c", j)).Intern(fmt.Sprint(v))
+		}
+	}
+	tbl, err := cat.CreateTable("R", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := index.NewStore(index.Options{})
+	ix, err := store.Build("R", tbl, all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := store.Kernel()
+	var subsets [][]int // every subset of the positions, ascending
+	for mask := 0; mask < 1<<ncols; mask++ {
+		var keep []int
+		for j := 0; j < ncols; j++ {
+			if mask&(1<<j) != 0 {
+				keep = append(keep, j)
+			}
+		}
+		subsets = append(subsets, keep)
+	}
+	check := func(step int) {
+		t.Helper()
+		for _, keep := range subsets {
+			var drop []*fdd.Domain
+			for j, d := range ix.Domains() {
+				if !slices.Contains(keep, j) {
+					drop = append(drop, d)
+				}
+			}
+			if got, want := ix.Projection(keep), fdd.Exists(ix.Root(), drop...); got != want {
+				t.Fatalf("step %d: projection onto %v is %d, the index projected afresh %d", step, keep, got, want)
+			}
+		}
+	}
+	check(0)
+	rng := rand.New(rand.NewSource(5))
+	for step := 1; step <= 400; step++ {
+		// Deletes pick a live row, so the table runs through empty and through
+		// rows held two and three times.
+		if tbl.Len() > 0 && rng.Intn(2) == 0 {
+			row := append([]int32(nil), tbl.Row(rng.Intn(tbl.Len()))...)
+			tbl.DeleteCodes(row)
+			if err := ix.Delete(row); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			row := make([]int32, ncols)
+			for j := range row {
+				row[j] = vals[rng.Intn(2+j%2)]
+			}
+			tbl.InsertCodes(row)
+			if err := ix.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.GC() // only the pins keep the projections alive
+		check(step)
+	}
+	if store.MaintainedReads() == 0 {
+		t.Fatal("no Projection call read a maintained projection")
+	}
+
+	// Rebind to a copy of the table without its rows: every projection must
+	// follow the new root, none may survive from the old image.
+	empty := cat.Clone().Table("R")
+	for empty.Len() > 0 {
+		empty.DeleteCodes(empty.Row(0))
+	}
+	ix.Rebind(empty, bdd.False)
+	reads := store.MaintainedReads()
+	for _, keep := range subsets {
+		if got := ix.Projection(keep); got != bdd.False {
+			t.Fatalf("after Rebind to an empty table, the projection onto %v is %d, want False", keep, got)
+		}
+	}
+	if store.MaintainedReads() != reads {
+		t.Fatal("a projection maintained before Rebind answered after it")
 	}
 }
 
@@ -243,5 +359,185 @@ func TestValueOverflowReported(t *testing.T) {
 	row := tbl.Insert("v3")
 	if err := ix.Insert(row); err == nil {
 		t.Fatal("overflowing code accepted; index now silently wrong")
+	}
+}
+
+// TestOverflowedRowIsNotCounted keeps serving after a refused Insert, as the
+// service does after a partial batch: the table holds a row whose code
+// overflows its block, and the index does not. Neither the index's count of
+// rows nor a projection's may count that row. Its codes (a0, b2) would pack
+// into the key of the real row (a1, b0), and it shares a0 with the real row
+// (a0, b1), so deleting either real row must take it out of the index and of
+// every projection.
+func TestOverflowedRowIsNotCounted(t *testing.T) {
+	cat := relation.NewCatalog()
+	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.Domain("b").Intern("b0")
+	tbl.Insert("a0", "b1")
+	tbl.Insert("a1", "b0")
+	store := index.NewStore(index.Options{})
+	ix, err := store.Build("R", tbl, []int{0, 1}, nil) // 1-bit blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	subsets := [][]int{{}, {0}, {1}}
+	check := func(when string) {
+		t.Helper()
+		for _, keep := range subsets {
+			var drop []*fdd.Domain
+			for j, d := range ix.Domains() {
+				if !slices.Contains(keep, j) {
+					drop = append(drop, d)
+				}
+			}
+			if got, want := ix.Projection(keep), fdd.Exists(ix.Root(), drop...); got != want {
+				t.Fatalf("%s: projection onto %v is %d, the index projected afresh %d", when, keep, got, want)
+			}
+		}
+	}
+	check("built")
+	over := tbl.Insert("a0", "b2") // codes (0, 2)
+	if err := ix.Insert(over); err == nil {
+		t.Fatal("overflowing code accepted")
+	}
+	check("after the refused insert")
+	for _, row := range [][]int32{{1, 0}, {0, 1}} {
+		tbl.DeleteCodes(row)
+		if err := ix.Delete(row); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Contains(row) {
+			t.Fatalf("deleting %v left it in the index", row)
+		}
+		check(fmt.Sprintf("after deleting %v", row))
+	}
+	if ix.Root() != bdd.False {
+		t.Fatal("the index still holds a tuple once every real row is gone")
+	}
+}
+
+// TestUnreadProjectionIsForgotten: a projection that no read asks for over
+// more updates than the table has rows is unpinned and dropped, so it stops
+// charging updates; its next read computes it afresh. One that is read in
+// between is kept.
+func TestUnreadProjectionIsForgotten(t *testing.T) {
+	cat := relation.NewCatalog()
+	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		cat.Domain("b").Intern(fmt.Sprint("b", i))
+	}
+	for i := 0; i < 6; i++ {
+		tbl.Insert(fmt.Sprint("a", i), fmt.Sprint("b", i))
+	}
+	store := index.NewStore(index.Options{})
+	ix, err := store.Build("R", tbl, []int{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := store.Kernel()
+	keep := []int{1} // six of b's eight values: not True, so it has nodes
+	// churn deletes and reinserts row 0 n times: 2n updates, 6 rows after.
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			row := append([]int32(nil), tbl.Row(0)...)
+			tbl.DeleteCodes(row)
+			if err := ix.Delete(row); err != nil {
+				t.Fatal(err)
+			}
+			tbl.InsertCodes(row)
+			if err := ix.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ix.Projection(keep)
+	reads := store.MaintainedReads()
+	for i := 1; i <= 2; i++ {
+		churn(3) // 6 updates since the last read: not more than the 6 rows
+		ix.Projection(keep)
+		if store.MaintainedReads() != reads+i {
+			t.Fatalf("read %d: a projection read after as many updates as rows was not kept", i)
+		}
+	}
+	k.GC()
+	withProjection := k.Size()
+	churn(4) // 8 updates
+	k.GC()
+	if k.Size() >= withProjection {
+		t.Fatalf("%d live nodes after the projection went unread, %d before: it is still pinned", k.Size(), withProjection)
+	}
+	ix.Projection(keep)
+	if store.MaintainedReads() != reads+2 {
+		t.Fatal("a projection unread for more updates than rows was kept")
+	}
+}
+
+// TestProjectionBudgetAbortKeepsTheUpdate runs inserts under node budgets so
+// tight that some abort in the upkeep of a projection after the index itself
+// took the row: the Insert must succeed and leave the kernel's error clear,
+// and the projection must be forgotten, then computed afresh on its next
+// read. An Insert that aborts on the index's own root must report ErrBudget.
+func TestProjectionBudgetAbortKeepsTheUpdate(t *testing.T) {
+	cat := relation.NewCatalog()
+	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}, {Name: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		for _, col := range []string{"a", "b", "c"} {
+			cat.Domain(col).Intern(fmt.Sprint(col, i))
+		}
+	}
+	store := index.NewStore(index.Options{})
+	ix, err := store.Build("R", tbl, []int{0, 1, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := store.Kernel()
+	keep := []int{0, 2}
+	rng := rand.New(rand.NewSource(9))
+	projectionAborts, rootAborts := 0, 0
+	for i := 0; i < 300; i++ {
+		ix.Projection(keep) // computed afresh after an abort dropped it
+		row := []int32{int32(rng.Intn(16)), int32(rng.Intn(16)), int32(rng.Intn(16))}
+		tbl.InsertCodes(row)
+		k.SetBudget(k.Size() + 1 + rng.Intn(24))
+		err := ix.Insert(row)
+		k.SetBudget(0)
+		if k.Err() != nil {
+			t.Fatalf("insert %d left the kernel's error set: %v", i, k.Err())
+		}
+		if err != nil {
+			if !errors.Is(err, bdd.ErrBudget) {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			rootAborts++
+			// The table holds the row and the index does not: insert it
+			// again, unbudgeted, as a caller that retries would.
+			tbl.InsertCodes(row)
+			if err := ix.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		} else if !ix.Contains(row) {
+			t.Fatalf("insert %d succeeded without reaching the index", i)
+		}
+		reads := store.MaintainedReads()
+		got := ix.Projection(keep)
+		if err == nil && store.MaintainedReads() == reads {
+			projectionAborts++ // the row reached the index, the projection was dropped
+		}
+		if want := fdd.Exists(ix.Root(), ix.Domains()[1]); got != want {
+			t.Fatalf("insert %d: the projection is %d, the index projected afresh %d", i, got, want)
+		}
+	}
+	t.Logf("%d inserts aborted in a projection's upkeep, %d on the index root", projectionAborts, rootAborts)
+	if projectionAborts == 0 || rootAborts == 0 {
+		t.Fatal("the budgets missed one of the two cases")
 	}
 }

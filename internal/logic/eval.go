@@ -41,7 +41,9 @@ type Evaluator struct {
 	// predCache memoizes fully bound predicate BDDs across evaluations,
 	// invalidated by table version. Re-validating a constraint set after a
 	// batch of updates (the monitoring workload) then skips the
-	// restrict/rename work for unchanged tables.
+	// restrict/rename work for unchanged tables. A binding that is the index's
+	// root or one of its maintained projections (index.Index.Projection) is
+	// not cached: the index pins it and keeps it current across updates.
 	predCache map[string]predCacheEntry
 	// predOrder lists predCache's keys oldest first, for eviction, and
 	// predVersion records per predicate name the table version its entries
@@ -955,7 +957,9 @@ func (ev *Evaluator) evalEq(l, r Term, env *evalEnv) (bdd.Ref, error) {
 }
 
 // evalPred binds one predicate occurrence against its logical index,
-// memoizing the bound BDD per table version.
+// memoizing the bound BDD per table version — unless the binding is the
+// index's root or one of its maintained projections, which the index pins
+// and keeps current itself.
 func (ev *Evaluator) evalPred(p Pred, env *evalEnv, negated bool) (bdd.Ref, error) {
 	k := ev.store.Kernel()
 	ix := ev.store.Index(p.Table)
@@ -971,9 +975,9 @@ func (ev *Evaluator) evalPred(p Pred, env *evalEnv, negated bool) (bdd.Ref, erro
 	if e, ok := ev.predCache[key]; ok {
 		return e.ref, nil
 	}
-	f, err := ev.evalPredUncached(p, ix, binding, env, negated)
-	if err != nil {
-		return bdd.Invalid, err
+	f, indexOwned, err := ev.evalPredUncached(p, ix, binding, env, negated)
+	if err != nil || indexOwned {
+		return f, err
 	}
 	if len(ev.predCache) >= maxPredCache {
 		oldest := ev.predOrder[0]
@@ -1039,11 +1043,15 @@ func (ev *Evaluator) predKey(p Pred, ix *index.Index, env *evalEnv, negated bool
 	return sb.String()
 }
 
-func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBinding, env *evalEnv, negated bool) (bdd.Ref, error) {
+// evalPredUncached binds a predicate occurrence. indexOwned reports that the
+// result is the index's root or one of its maintained projections, which the
+// index pins and keeps current, so the caller must not cache it.
+func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBinding, env *evalEnv, negated bool) (f bdd.Ref, indexOwned bool, err error) {
 	k := ev.store.Kernel()
 	doms := ix.Domains()
 
-	// 1. Restrict constant arguments.
+	// 1. Constant arguments become a restriction, repeated variables pairs
+	// of argument positions to equate.
 	var lits []bdd.Literal
 	firstPos := make(map[string]int)
 	var dupPairs [][2]int // (first, duplicate) argument positions
@@ -1052,7 +1060,7 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 		case Const:
 			code, ok := binding.Table.ColumnDomain(binding.Cols[i]).Code(a.Value)
 			if !ok {
-				return bdd.False, nil // value never seen: no tuple matches
+				return bdd.False, false, nil // value never seen: no tuple matches
 			}
 			lits = append(lits, doms[i].Lits(int(code))...)
 		case Var:
@@ -1063,54 +1071,60 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 			}
 		}
 	}
-	f := ix.Root()
-	if len(lits) > 0 {
-		f = k.Restrict(f, lits)
-		if f == bdd.Invalid {
-			return bdd.Invalid, ev.kerr()
-		}
-	}
 
-	// 2. Repeated variables: equate the duplicate canonical blocks with the
-	// first occurrence, then project the duplicates away.
-	for _, d := range dupPairs {
-		k.TempKeep(f)
-		eq := fdd.EqVar(doms[d[0]], doms[d[1]])
-		if eq == bdd.Invalid {
-			return bdd.Invalid, ev.kerr()
-		}
-		f = k.AppEx(f, eq, bdd.OpAnd, doms[d[1]].Cube())
-		if f == bdd.Invalid {
-			return bdd.Invalid, ev.kerr()
-		}
-	}
-
-	// 3. Early projection of single-occurrence variables.
+	// 2. Early projection of single-occurrence variables: a variable whose
+	// existential binder reaches this atom through ∧/∨ only — or, under a
+	// negation, whose stripped ∀ does — is projected out here instead of
+	// being renamed and quantified later. The others are kept and bound.
 	names := make([]string, 0, len(firstPos))
 	for name := range firstPos {
 		names = append(names, name)
 	}
 	sort.Slice(names, func(i, j int) bool { return firstPos[names[i]] < firstPos[names[j]] })
-	var from, to []*fdd.Domain
-	var projected []*fdd.Domain
+	var from, to, projected []*fdd.Domain
+	var kept []int // ascending, as names is
 	for _, name := range names {
 		i := firstPos[name]
-		// A single-occurrence variable whose existential binder reaches this
-		// atom through ∧/∨ only — or, under a negation, whose stripped ∀
-		// does — can be projected out here instead of being renamed and
-		// quantified later.
 		if ev.projects(env, name, negated) {
 			projected = append(projected, doms[i])
 			continue
 		}
+		kept = append(kept, i)
 		from = append(from, doms[i])
 		to = append(to, env.blocks[name])
 	}
-	if len(projected) > 0 {
-		f = fdd.Exists(f, projected...)
-		if f == bdd.Invalid {
-			return bdd.Invalid, ev.kerr()
+
+	// 3. An atom with neither constants nor repeated variables reads the
+	// index's maintained projection onto its kept columns (the root itself
+	// when it projects nothing). Otherwise restrict the constants, equate
+	// each duplicate block with its first occurrence and project the
+	// duplicate away, then project the single-occurrence variables.
+	indexOwned = len(lits) == 0 && len(dupPairs) == 0
+	if indexOwned {
+		f = ix.Projection(kept)
+	} else {
+		f = ix.Root()
+		if len(lits) > 0 {
+			if f = k.Restrict(f, lits); f == bdd.Invalid {
+				return bdd.Invalid, false, ev.kerr()
+			}
 		}
+		for _, d := range dupPairs {
+			k.TempKeep(f)
+			eq := fdd.EqVar(doms[d[0]], doms[d[1]])
+			if eq == bdd.Invalid {
+				return bdd.Invalid, false, ev.kerr()
+			}
+			if f = k.AppEx(f, eq, bdd.OpAnd, doms[d[1]].Cube()); f == bdd.Invalid {
+				return bdd.Invalid, false, ev.kerr()
+			}
+		}
+		if len(projected) > 0 {
+			f = fdd.Exists(f, projected...)
+		}
+	}
+	if f == bdd.Invalid {
+		return bdd.Invalid, false, ev.kerr()
 	}
 	// Variables assigned this predicate's own canonical blocks need no
 	// binding at all; drop the identity pairs.
@@ -1123,8 +1137,17 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 	}
 	from, to = from[:w], to[:w]
 	if len(from) == 0 {
-		return f, nil
+		return f, indexOwned, nil
 	}
+	f, err = ev.bindBlocks(p, f, from, to, env, binding)
+	return f, false, err
+}
+
+// bindBlocks binds the remaining canonical blocks of a predicate's BDD to its
+// variables' blocks, down the binding ladder: the §4.2 rename of all blocks
+// at once, per-block renames, per-block equality bridges, re-encoding.
+func (ev *Evaluator) bindBlocks(p Pred, f bdd.Ref, from, to []*fdd.Domain, env *evalEnv, binding PredBinding) (bdd.Ref, error) {
+	k := ev.store.Kernel()
 
 	// The pairs can be *chained*: a variable that claimed one of this
 	// index's own canonical blocks makes that block the target of one pair
@@ -1153,7 +1176,6 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 		return ev.rebuildPred(p, env, binding)
 	}
 
-	// 4. Bind the remaining canonical blocks to the variable blocks.
 	g, err := ev.renameBlocks(p, f, from, to)
 	if err == nil {
 		return g, nil

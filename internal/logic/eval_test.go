@@ -445,7 +445,7 @@ func TestPredCacheIsBounded(t *testing.T) {
 	if !tab.DeleteCodes(row) {
 		t.Fatal("fixture row not found")
 	}
-	if err := ix.Delete(row, false); err != nil {
+	if err := ix.Delete(row); err != nil {
 		t.Fatal(err)
 	}
 	tab.InsertCodes(row)

@@ -313,6 +313,7 @@ func BenchmarkFig6aJoinRewrite(b *testing.B) {
 	k := fx.k
 	b.Run("naive-equality", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			mark := k.TempMark()
 			eq := k.TempKeep(fdd.EqVar(fx.joinL[0], fx.joinR[0]))
@@ -326,6 +327,7 @@ func BenchmarkFig6aJoinRewrite(b *testing.B) {
 	})
 	b.Run("optimized-rename", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			mark := k.TempMark()
 			renamed := k.TempKeep(k.Replace(fx.r2, fx.replaceMap))
@@ -342,6 +344,7 @@ func BenchmarkFig6bExistsPullUp(b *testing.B) {
 	k := fx.k
 	b.Run("ExP-or-ExQ", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			mark := k.TempMark()
 			l := k.TempKeep(k.Exists(fx.p, fx.bottomCube))
@@ -353,6 +356,7 @@ func BenchmarkFig6bExistsPullUp(b *testing.B) {
 	})
 	b.Run("AppEx-or", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			if k.AppEx(fx.p, fx.q, bdd.OpOr, fx.bottomCube) == bdd.Invalid {
 				b.Fatal(k.Err())
@@ -366,6 +370,7 @@ func BenchmarkFig6cForallPushDown(b *testing.B) {
 	k := fx.k
 	b.Run("AppAll-and", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			if k.AppAll(fx.p, fx.q, bdd.OpAnd, fx.topCube) == bdd.Invalid {
 				b.Fatal(k.Err())
@@ -374,6 +379,7 @@ func BenchmarkFig6cForallPushDown(b *testing.B) {
 	})
 	b.Run("FAP-and-FAQ", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			k.ClearCaches()
 			k.GC()
 			mark := k.TempMark()
 			l := k.TempKeep(k.Forall(fx.p, fx.topCube))
@@ -476,6 +482,7 @@ func BenchmarkKernelApply(b *testing.B) {
 	fx := fig6()
 	k := fx.k
 	for i := 0; i < b.N; i++ {
+		k.ClearCaches()
 		k.GC()
 		if k.And(fx.p, fx.q) == bdd.Invalid {
 			b.Fatal(k.Err())

@@ -63,7 +63,6 @@ var kernelMut = map[string]bool{
 	"SetDebugChecks": true,
 	"ClearCaches":    true,
 	"GC":             true,
-	"GCKeepMemo":     true,
 	"AddVars":        true,
 }
 

@@ -144,7 +144,7 @@ type Kernel struct {
 	applyMask    uint32
 	quantMask    uint32
 	replaceMask  uint32
-	cacheEpoch   uint32 // entries from older epochs are invalid (cheap GC-time flush)
+	cacheEpoch   uint32 // entries from older epochs are invalid (O(1) flush, see ClearCaches)
 	maxCache     int    // the apply cache stops doubling at this size
 	fixedCache   bool   // Config.CacheSize pinned all three cache sizes
 	tempRoots    []Ref  // GC roots for in-flight computations (TempKeep)
@@ -290,12 +290,18 @@ func ceilPow2(n int) int {
 }
 
 func (k *Kernel) resetGCTrigger() {
-	// Collections clear the operation caches, so collecting too eagerly
-	// costs recomputation: let the table double (plus a constant, so a small
-	// kernel is left alone) before collecting again. The trigger follows the
-	// live set, not the budget — the node table never shrinks, so garbage a
-	// kernel is allowed to pile up is memory it keeps for good.
+	// A collection walks the whole table and all three caches, and what the
+	// caches keep alive counts as live: let the table double (plus a
+	// constant, so a small kernel is left alone) before collecting again. The
+	// trigger follows the live set, not the budget — the node table never
+	// shrinks, so garbage a kernel is allowed to pile up is memory it keeps
+	// for good. Under DebugChecks it sits 64 nodes above the live set
+	// instead, so that tests and soaks exercise the automatic collection
+	// and its operand roots.
 	k.gcTrigger = k.live*2 + 65536
+	if k.debugChecks {
+		k.gcTrigger = k.live + 64
+	}
 	if k.budget > 0 && k.gcTrigger > k.budget {
 		k.gcTrigger = k.budget
 	}
@@ -587,20 +593,15 @@ func (k *Kernel) growBuckets() {
 	k.buckets = nb
 }
 
-// clearCaches invalidates every operation-cache entry by advancing the
-// epoch; entries are validated against the current epoch on lookup, so the
-// flush is O(1) instead of rewriting megabytes of cache memory.
-func (k *Kernel) clearCaches() {
-	k.cacheEpoch++
-}
-
-// ClearCaches drops every operation-cache entry (O(1): it advances the
-// cache epoch). Results are unaffected — only memoization is lost, so the
-// next operations pay full cost. Benchmarks use it to measure the
-// cold-cache regime a freshly replicated kernel is in right after adopting
-// a new version.
+// ClearCaches drops every operation-cache entry. Entries are validated
+// against the current epoch on lookup, so advancing it is an O(1) flush
+// instead of rewriting megabytes of cache memory. Results are unaffected —
+// only memoization is lost, so the next operations pay full cost, and the
+// next GC keeps nothing the caches knew about. A timed cold start calls
+// ClearCaches and then GC; the kernel calls it itself wherever the variable
+// order changes.
 func (k *Kernel) ClearCaches() {
-	k.clearCaches()
+	k.cacheEpoch++
 }
 
 // gcIfNeeded runs a mark-and-sweep collection when the table has grown past
@@ -617,7 +618,7 @@ func (k *Kernel) gcIfNeeded(operands ...Ref) {
 	if k.live < k.gcTrigger {
 		return
 	}
-	k.GC(operands...)
+	k.collect(operands...)
 }
 
 // SetDebugChecks switches runtime Ref validation (see Config.DebugChecks) on
@@ -625,6 +626,7 @@ func (k *Kernel) gcIfNeeded(operands ...Ref) {
 // freed before the switch are caught too.
 func (k *Kernel) SetDebugChecks(on bool) {
 	k.debugChecks = on
+	k.resetGCTrigger()
 }
 
 // DebugChecks reports whether runtime Ref validation is on, so that a kernel

@@ -639,17 +639,6 @@ func TestGCReclaimsGarbageAndKeepsProtected(t *testing.T) {
 	k.Unprotect(keep)
 }
 
-func TestGCExtraRoots(t *testing.T) {
-	k := bdd.New(bdd.Config{Vars: 8})
-	rng := rand.New(rand.NewSource(41))
-	f := randExpr(rng, 8, 15).build(k)
-	n := k.NodeCount(f)
-	k.GC(f) // unprotected but passed as an explicit root
-	if k.NodeCount(f) != n {
-		t.Fatal("extra root not preserved")
-	}
-}
-
 func TestOperationsAfterGCStayCorrect(t *testing.T) {
 	const nv = 8
 	k := bdd.New(bdd.Config{Vars: nv})

@@ -64,7 +64,7 @@ func (k *Kernel) CopyTo(dst *Kernel, roots ...Ref) ([]Ref, error) {
 		for i := range dst.replaceMaps {
 			dst.rebuildReplaceMap(&dst.replaceMaps[i])
 		}
-		dst.clearCaches()
+		dst.ClearCaches()
 	}
 	// memo[f] is the copy of source node f. It is dense — one slot per source
 	// table slot — because a per-call map was most of a copy's time. Zero

@@ -2,45 +2,52 @@ package bdd
 
 import "fmt"
 
-// gc.go holds the two collections. Both mark from the same roots and sweep
-// the same way; they differ in what happens to the operation caches. GC
-// forgets them all, which is right when the live set has churned (the
-// automatic collection at an operation boundary, a reorder). GCKeepMemo
-// treats them as ephemerons, which is right for a kernel whose live set is an
-// index that moved by a delta: what was memoised about the unchanged part is
-// still true and still wanted.
+// gc.go holds the collector. It marks from the pins, the temporary roots and
+// the pending operation's operands, then treats the operation caches as
+// ephemerons: what was memoised about live nodes is still true and still
+// wanted, so it stays. Which caches survive is the kernel's decision alone —
+// they are flushed only where the variable order changes (Reorder, SetOrder,
+// CopyTo and Load onto a pristine kernel) and by an explicit ClearCaches.
 
-// GC runs a mark-and-sweep garbage collection. Pinned nodes (Protect) and
-// the supplied extra roots survive; all other nodes are reclaimed and their
-// table slots recycled. All operation caches are invalidated.
-func (k *Kernel) GC(extraRoots ...Ref) {
-	c := k.markRoots(extraRoots)
-	c.drain()
-	k.sweep(c.marked)
-	k.clearCaches()
-}
+// GC runs a mark-and-sweep garbage collection between operations. Pinned
+// nodes (Protect) and the temporary roots (TempKeep) survive, and so does
+// every operation-cache entry whose operands do: it keeps its result (and a
+// quantification's cube, which the next caller rebuilds node by node and must
+// find in the same slots) alive — ephemeron semantics, run to a fixpoint,
+// since a result kept alive is the operand of further entries. Only entries
+// naming a node that ends up dead are invalidated: their slots are about to
+// be recycled for unrelated functions. The table afterwards holds the roots
+// plus what is memoised about them, so the garbage this retains is bounded by
+// the caches' sizes; ClearCaches first collects down to the roots alone.
+func (k *Kernel) GC() { k.collect() }
 
-// GCKeepMemo is GC for a kernel that is about to be asked what it was asked
-// before, run between operations (the roots are the pins and the temporary
-// roots): it keeps every operation-cache entry that is still about live
-// nodes. An entry whose operands are all marked stays and keeps its result
-// (and a quantification's cube, which the next caller rebuilds node by node
-// and must find in the same slots) alive — ephemeron semantics, run to a
-// fixpoint, since a result kept alive is the operand of further entries.
-// Only entries naming a node that ends up dead are invalidated: their slots
-// are about to be recycled for unrelated functions. The table afterwards
-// holds the roots plus what is memoised about them, so the garbage this
-// retains is bounded by the caches' sizes.
+// collect is GC with the pending operation's operands as extra roots.
 //
 // The fixpoint is the standard ephemeron worklist, linear in table plus
 // caches: one scan files each undecided entry under an operand that is not
 // marked yet, and marking a node re-examines the entries filed under it.
-func (k *Kernel) GCKeepMemo() {
-	c := k.markRoots(nil)
-	c.drain()
+func (k *Kernel) collect(operands ...Ref) {
 	entries := len(k.applyCache) + len(k.quantCache) + len(k.replaceCache)
-	c.waitNext = make([]int32, entries)
-	c.waitHead = make([]int32, len(k.level))
+	c := &collector{
+		k:        k,
+		marked:   make([]bool, len(k.level)),
+		waitHead: make([]int32, len(k.level)),
+		waitNext: make([]int32, entries),
+	}
+	c.marked[False] = true
+	c.marked[True] = true
+	for i := 2; i < len(k.level); i++ {
+		if k.refs[i] > 0 && k.level[i] != freedLevel {
+			c.push(Ref(i))
+		}
+	}
+	for _, r := range k.tempRoots {
+		c.push(r)
+	}
+	for _, r := range operands {
+		c.push(r)
+	}
+	c.drain()
 	for id := 0; id < entries; id++ {
 		c.examine(int32(id))
 		c.drain()
@@ -60,44 +67,23 @@ func (k *Kernel) GCKeepMemo() {
 			}
 			for _, r := range [...]Ref{f, g, res, cube} {
 				if k.level[r] == freedLevel {
-					panic(fmt.Sprintf("bdd: GCKeepMemo kept an operation-cache entry naming freed node %d", r))
+					panic(fmt.Sprintf("bdd: GC kept an operation-cache entry naming freed node %d", r))
 				}
 			}
 		}
 	}
 }
 
-// collector is the mark phase of one collection.
+// collector is the mark phase of one collection. Cache entries are numbered
+// across the three caches (see memoEntry); waitHead[f] starts the list of
+// entries that cannot be decided before node f is, waitNext links it. A link
+// is an entry's number plus one: zeroed memory is empty lists.
 type collector struct {
-	k      *Kernel
-	marked []bool
-	stack  []Ref // marked, children not yet visited
-	// Ephemeron bookkeeping, nil for a plain GC. Cache entries are numbered
-	// across the three caches (see memoEntry); waitHead[f] starts the list of
-	// entries that cannot be decided before node f is, waitNext links it.
-	// A link is an entry's number plus one: zeroed memory is empty lists.
+	k        *Kernel
+	marked   []bool
+	stack    []Ref // marked, children not yet visited
 	waitHead []int32
 	waitNext []int32
-}
-
-// markRoots starts a collection: the pinned nodes, the temporary roots and
-// extraRoots are marked and await drain.
-func (k *Kernel) markRoots(extraRoots []Ref) *collector {
-	c := &collector{k: k, marked: make([]bool, len(k.level))}
-	c.marked[False] = true
-	c.marked[True] = true
-	for i := 2; i < len(k.level); i++ {
-		if k.refs[i] > 0 && k.level[i] != freedLevel {
-			c.push(Ref(i))
-		}
-	}
-	for _, r := range k.tempRoots {
-		c.push(r)
-	}
-	for _, r := range extraRoots {
-		c.push(r)
-	}
-	return c
 }
 
 func (c *collector) push(f Ref) {
@@ -115,9 +101,6 @@ func (c *collector) drain() {
 		c.stack = c.stack[:len(c.stack)-1]
 		c.push(c.k.low[f])
 		c.push(c.k.high[f])
-		if c.waitHead == nil {
-			continue
-		}
 		for link := c.waitHead[f]; link != 0; {
 			id := link - 1
 			link = c.waitNext[id] // before examine refiles id under its other operand

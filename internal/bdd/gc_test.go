@@ -7,10 +7,12 @@ import (
 	"repro/internal/bdd"
 )
 
-// gc_test.go checks the memo-keeping collection: a model of 64-bit truth
-// tables shadows a register file of pinned BDDs through random operation
-// sequences with both collections mixed in, and after every GCKeepMemo the
-// surviving operation-cache entries are recomputed in a fresh kernel.
+// gc_test.go checks the collector: a model of 64-bit truth tables shadows a
+// register file of pinned BDDs through random operation sequences with
+// explicit collections and cache flushes mixed in, and after every GC the
+// surviving operation-cache entries are recomputed in a fresh kernel. The
+// kernels run under DebugChecks, whose low collection trigger makes the
+// automatic collection run between operations too.
 
 const (
 	opsVars = 6 // truth tables fit a uint64
@@ -25,7 +27,7 @@ type opsMachine struct {
 	shift bdd.ReplaceMap // variables 0..2 → 3..5
 	reg   [opsRegs]bdd.Ref
 	model [opsRegs]uint64
-	kept  int // cache entries that survived a GCKeepMemo, summed
+	kept  int // cache entries that survived a GC, summed
 }
 
 func newOpsMachine(t testing.TB) *opsMachine {
@@ -106,18 +108,18 @@ func (m *opsMachine) step(code, a, b, c byte) {
 		}
 		m.set(d, k.Replace(k.Exists(m.reg[x], k.Cube(3, 4, 5)), m.shift), table)
 	case 12:
-		k.GC()
-	case 13:
 		before := k.Size()
-		k.GCKeepMemo()
+		k.GC()
 		if k.Size() > before {
-			m.t.Fatalf("GCKeepMemo grew the table: %d -> %d live nodes", before, k.Size())
+			m.t.Fatalf("GC grew the table: %d -> %d live nodes", before, k.Size())
 		}
 		n, err := k.CheckMemo()
 		if err != nil {
-			m.t.Fatalf("after GCKeepMemo: %v", err)
+			m.t.Fatalf("after GC: %v", err)
 		}
 		m.kept += n
+	case 13:
+		k.ClearCaches()
 	}
 	for i, f := range m.reg {
 		asn := make([]bool, opsVars)
@@ -138,7 +140,7 @@ func (m *opsMachine) run(data []byte) {
 	}
 }
 
-func TestGCKeepMemoRandomSequences(t *testing.T) {
+func TestGCRandomSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	kept := 0
 	for seq := 0; seq < 60; seq++ {
@@ -149,13 +151,13 @@ func TestGCKeepMemoRandomSequences(t *testing.T) {
 		kept += m.kept
 	}
 	if kept == 0 {
-		t.Fatal("no operation-cache entry ever survived a GCKeepMemo: the property was checked on nothing")
+		t.Fatal("no operation-cache entry ever survived a GC: the property was checked on nothing")
 	}
 }
 
 // A live pair of operands keeps its memoised result alive and answers from
 // the cache afterwards; an entry with a dead operand is gone.
-func TestGCKeepMemoIsAnEphemeronTable(t *testing.T) {
+func TestGCIsAnEphemeronTable(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 8, DebugChecks: true})
 	build := func() (f, g bdd.Ref) {
 		f = k.Or(k.And(k.Var(0), k.Var(3)), k.And(k.Var(1), k.Var(5)))
@@ -167,13 +169,13 @@ func TestGCKeepMemoIsAnEphemeronTable(t *testing.T) {
 	k.Protect(g)
 	r := k.And(f, g)               // unpinned: only the cache knows it
 	q := k.Exists(r, k.Cube(3, 4)) // an entry whose operand only an entry keeps alive
-	k.GCKeepMemo()
+	k.GC()
 	if _, err := k.CheckMemo(); err != nil {
 		t.Fatal(err)
 	}
 	before := k.Stats()
 	if k.And(f, g) != r || k.Exists(r, k.Cube(3, 4)) != q {
-		t.Fatal("results moved across GCKeepMemo")
+		t.Fatal("results moved across GC")
 	}
 	if d := k.Stats().DeltaSince(before); d.NodesAllocated != 0 || d.Ops != 2 || d.CacheHits != 2 {
 		t.Fatalf("recomputing two memoised results cost %+v, want two cache hits and no nodes", d)
@@ -181,7 +183,7 @@ func TestGCKeepMemoIsAnEphemeronTable(t *testing.T) {
 
 	k.Unprotect(g)
 	live := k.Size()
-	k.GCKeepMemo()
+	k.GC()
 	if k.Size() >= live {
 		t.Fatalf("dropping g freed nothing: %d -> %d live nodes", live, k.Size())
 	}

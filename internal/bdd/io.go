@@ -177,7 +177,7 @@ func (k *Kernel) Load(r io.Reader) ([]Ref, error) {
 		for i := range k.replaceMaps {
 			k.rebuildReplaceMap(&k.replaceMaps[i])
 		}
-		k.clearCaches()
+		k.ClearCaches()
 	}
 	// levelMap sends a file level to the kernel level of the same variable.
 	// Interning is only sound if it is strictly increasing — the file's

@@ -17,9 +17,10 @@ import (
 // keeps its table index, with its fields rewritten in place. External pins
 // (Protect), temporary roots (TempKeep) and every node reachable from them
 // therefore stay valid across a Reorder — like GC, reordering is an
-// operation-boundary event, and like GC it invalidates the operation caches
-// and may reclaim unpinned, unreachable nodes (Reorder starts with a
-// collection so reference counts are exact).
+// operation-boundary event. Unlike GC it invalidates the operation caches,
+// and it may reclaim unpinned, unreachable nodes (Reorder clears the caches,
+// then collects, so every live node is reachable from a root and reference
+// counts are exact).
 //
 // Group sifting: variable groups registered with Group (the fdd layer
 // registers every finite-domain block) move as indivisible units, so the
@@ -83,6 +84,7 @@ func (k *Kernel) Reorder() ReorderStats {
 	if k.err != nil || k.numVars < 2 {
 		return ReorderStats{Before: k.live, After: k.live}
 	}
+	k.ClearCaches() // the sift rewrites the nodes they name; GC then keeps the roots alone
 	k.GC()
 	before := k.live
 	s := newReorderSession(k)
@@ -127,6 +129,7 @@ func (k *Kernel) SetOrder(order []int) error {
 		}
 		seen[v] = true
 	}
+	k.ClearCaches()
 	k.GC()
 	before := k.live
 	s := newReorderSession(k)
@@ -142,14 +145,13 @@ func (k *Kernel) SetOrder(order []int) error {
 }
 
 // finishReorder restores the kernel's derived state after the permutation
-// changed: level-indexed replacement tables, operation caches (their
-// entries describe rewritten nodes), the GC trigger, and the reorder
-// counters.
+// changed: level-indexed replacement tables, the GC trigger, and the reorder
+// counters. The operation caches were cleared before the opening
+// collection and the sift adds no entries.
 func (k *Kernel) finishReorder(saved int) {
 	for i := range k.replaceMaps {
 		k.rebuildReplaceMap(&k.replaceMaps[i])
 	}
-	k.clearCaches()
 	k.resetGCTrigger()
 	k.reorderRuns++
 	if saved > 0 {
@@ -174,9 +176,10 @@ type reorderSession struct {
 	swaps    int
 }
 
-// newReorderSession snapshots the live graph. The caller must have run GC
-// immediately before, so every table slot is either live or freedLevel-
-// stamped and every live node is reachable from a pin or temp root.
+// newReorderSession snapshots the live graph. The caller must have cleared
+// the caches and run GC immediately before, so every table slot is either
+// live or freedLevel-stamped and every live node is reachable from a pin or
+// temp root (not merely from an operation-cache entry).
 func newReorderSession(k *Kernel) *reorderSession {
 	n := len(k.level)
 	s := &reorderSession{

@@ -279,6 +279,32 @@ func TestReorderReclaimsGarbageAndKeepsStampedSlots(t *testing.T) {
 	k.And(garbage, pinned)
 }
 
+// Results memoised about pinned nodes survive GC, but not Reorder: it clears
+// the caches before its opening collection, so Before counts what the pins
+// need and the sift sees no node that only a cache entry keeps alive.
+func TestReorderBeforeCountsThePinsAlone(t *testing.T) {
+	const nvars = 8
+	k := bdd.New(bdd.Config{Vars: nvars})
+	rng := rand.New(rand.NewSource(3))
+	f := k.Protect(randomFormula(k, rng, nvars, 30))
+	defer k.Unprotect(f)
+	g := k.Protect(randomFormula(k, rng, nvars, 30))
+	defer k.Unprotect(g)
+	k.ClearCaches()
+	k.GC()
+	pins := k.Size()
+	if k.Xor(f, g) == bdd.Invalid || k.Exists(f, k.Cube(0, 1)) == bdd.Invalid {
+		t.Fatal(k.Err())
+	}
+	k.GC()
+	if k.Size() <= pins {
+		t.Fatalf("GC kept no memoised result about the pins: %d live, the pins need %d", k.Size(), pins)
+	}
+	if st := k.Reorder(); st.Before != pins {
+		t.Fatalf("Reorder counted %d live nodes before sifting, the pins need %d", st.Before, pins)
+	}
+}
+
 func TestQuantAndCubeAfterReorder(t *testing.T) {
 	const nvars = 6
 	k := bdd.New(bdd.Config{Vars: nvars})

@@ -35,8 +35,8 @@ func (c *Checker) Reorder() bdd.ReorderStats {
 // defaults. It reports whether a sift ran.
 //
 // The check is two integer comparisons plus, when the raw count trips the
-// threshold, one GC to discount collectable garbage — cheap enough to call
-// after every update batch.
+// threshold, a cache flush and one GC to discount collectable garbage —
+// cheap enough to call after every update batch.
 func (c *Checker) MaybeReorder(growth float64, minNodes int) (bdd.ReorderStats, bool) {
 	if growth <= 1 {
 		growth = ReorderGrowthDefault
@@ -63,7 +63,9 @@ func (c *Checker) MaybeReorder(growth float64, minNodes int) (bdd.ReorderStats, 
 		return bdd.ReorderStats{}, false
 	}
 	// The raw count trips the threshold, but it may be garbage from the
-	// update batch rather than real growth: collect first and re-measure.
+	// update batch rather than real growth: collect first and re-measure,
+	// without the caches, which would keep memoised results alive.
+	k.ClearCaches()
 	k.GC()
 	live = k.Stats().Live
 	if live < minNodes || float64(live) < growth*float64(c.reorderBaseline) {

@@ -229,7 +229,7 @@ func TestAdvanceIndices(t *testing.T) {
 			}
 		}
 		agree(t, after)
-		kernel.GCKeepMemo() // only the new roots are pinned now
+		kernel.GC() // only the new roots are pinned now
 		agree(t, after)
 	})
 }

@@ -61,6 +61,7 @@ func TestDifferentialSoak(t *testing.T) {
 	RuleCoverage = logic.VerdictStats{}
 	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
 	ProjectionCoverage = 0
+	GCCoverage = 0
 	for i := 0; i < *soakSeeds; i++ {
 		rng := rand.New(rand.NewSource(soakBase + int64(i)))
 		c := GenerateCase(RNGChooser{Rand: rng})
@@ -90,6 +91,7 @@ func TestDifferentialSoak(t *testing.T) {
 	t.Logf("soak: the replica followed its primary in place after %d batches and was rebuilt after %d",
 		ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt)
 	t.Logf("soak: %d primary projection reads hit a projection maintained across an update batch", ProjectionCoverage)
+	t.Logf("soak: the primary kernels ran %d collections", GCCoverage)
 	if *soakSeeds >= 63 && ProjectionCoverage == 0 {
 		t.Fatal("no projection read hit a maintained projection: the soak cross-checked recomputed projections only")
 	}

@@ -70,6 +70,12 @@ var ReplicaCoverage struct{ Advanced, Rebuilt int }
 // TestDifferentialSoak logs it and fails a run in which none did.
 var ProjectionCoverage int
 
+// GCCoverage accumulates, across RunCase calls, the collections the primary
+// kernel ran (bdd.Stats.GCRuns). Under DebugChecks the collection trigger
+// sits 64 nodes above the live set, so the automatic collection runs with the
+// pending operation's operands as roots; TestDifferentialSoak logs how often.
+var GCCoverage int
+
 // Mismatch describes one oracle disagreement. It is a test failure in
 // waiting: the shrinker minimizes the case around it and the corpus writer
 // persists it.
@@ -132,6 +138,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 			RuleCoverage.Routes[r] += n
 		}
 		ProjectionCoverage += primary.Store().MaintainedReads()
+		GCCoverage += primary.KernelStats().GCRuns
 	}()
 	for _, ts := range c.Tables {
 		// The index carries the table's name: the evaluator resolves a
@@ -249,12 +256,12 @@ func freeze(primary *core.Checker) (*core.Checker, error) {
 }
 
 // follow brings the replica to the primary's current state as a
-// replica.Pool worker adopts a publication: in place, ending with the
-// collection that keeps the operation caches, or by freezing another when the
+// replica.Pool worker adopts a publication: in place, ending with a
+// collection (which keeps the operation caches), or by freezing another when the
 // replica cannot advance (the primary reordered).
 func follow(rep, primary *core.Checker) (*core.Checker, error) {
 	if rep.AdvanceIndices(primary.Catalog().Clone(), primary.Store().Kernel(), primary.SnapshotIndices()) == nil {
-		rep.Store().Kernel().GCKeepMemo()
+		rep.Store().Kernel().GC()
 		ReplicaCoverage.Advanced++
 		return rep, nil
 	}

@@ -123,6 +123,7 @@ func Fig6a(cfg Config) error {
 
 			// Naive: R1 ∧ R2 ∧ (b = c), then ∃c. Flush caches first so the
 			// two strategies start cold.
+			k.ClearCaches()
 			k.GC()
 			start := time.Now()
 			eq := bdd.True
@@ -142,6 +143,7 @@ func Fig6a(cfg Config) error {
 			k.TempRelease(0)
 
 			// Optimized: rename R2's join block onto R1's, then ∧.
+			k.ClearCaches()
 			k.GC()
 			start = time.Now()
 			m, err := fdd.ReplaceMap(joinR, joinL)
@@ -234,6 +236,7 @@ func Fig6b(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		k.ClearCaches()
 		k.GC()
 		start := time.Now()
 		sep := k.Or(k.TempKeep(k.Exists(p, cube)), k.Exists(q, cube))
@@ -242,6 +245,7 @@ func Fig6b(cfg Config) error {
 		//lint:ignore tempmark the kernel is discarded at the end of this loop iteration, so the pin only needs to outlive the AppEx below
 		k.Protect(sep)
 
+		k.ClearCaches()
 		k.GC()
 		start = time.Now()
 		comb := k.AppEx(p, q, bdd.OpOr, cube)
@@ -270,12 +274,14 @@ func Fig6c(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		k.ClearCaches()
 		k.GC()
 		start := time.Now()
 		comb := k.AppAll(p, q, bdd.OpAnd, cube)
 		tComb := time.Since(start)
 		k.Protect(comb)
 
+		k.ClearCaches()
 		k.GC()
 		start = time.Now()
 		push := k.And(k.TempKeep(k.Forall(p, cube)), k.Forall(q, cube))

@@ -140,6 +140,7 @@ func Reorder(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	chk.Store().Kernel().ClearCaches()
 	chk.Store().Kernel().GC()
 	liveBefore := chk.KernelStats().Live
 

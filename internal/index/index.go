@@ -200,7 +200,7 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 	root, err := fdd.Relation(ix.doms, rows)
 	if err != nil {
 		s.kernel.ClearErr()
-		s.kernel.GC(s.protectedRoots()...)
+		s.kernel.GC()
 		return nil, fmt.Errorf("index: building %q: %w", name, err)
 	}
 	ix.root = root
@@ -264,14 +264,6 @@ func (ix *Index) forget() {
 		ix.store.kernel.Unprotect(p.root)
 	}
 	ix.projections, ix.rows.n = nil, nil
-}
-
-func (s *Store) protectedRoots() []bdd.Ref {
-	var roots []bdd.Ref
-	for _, ix := range s.indices {
-		roots = append(roots, ix.root)
-	}
-	return roots
 }
 
 // Drop removes the index and releases its nodes for collection. The block

@@ -22,11 +22,11 @@
 //     roots are re-interned into its kernel, which finds every node the two
 //     versions share and allocates the batch's delta, the indices are
 //     rebound, and the kernel, its operation caches and the evaluator's
-//     scratch state live on — and ends the adoption with a collection that
-//     frees the replaced index paths but keeps every cache entry that is
-//     still about live nodes (bdd.Kernel.GCKeepMemo), so the first recheck
-//     after an update pays for the delta and not for cold projections of
-//     the whole index. A worker builds a fresh checker from the frozen
+//     scratch state live on — and ends the adoption with a collection
+//     (bdd.Kernel.GC) that frees the replaced index paths but, like every
+//     collection, keeps each cache entry that is still about live nodes, so
+//     the first recheck after an update pays for the delta and not for cold
+//     projections of the whole index. A worker builds a fresh checker from the frozen
 //     snapshot only when it has none yet or cannot follow: the index
 //     geometry or the variable order moved, or the delta does not fit the
 //     node budget (Pool.Rebuilds counts these).
@@ -375,7 +375,7 @@ func (p *Pool) worker(i int) {
 					// version replaced: collect, keeping what the caches
 					// hold about the paths it did not.
 					collectStart := jb.trace.Begin()
-					next.Store().Kernel().GCKeepMemo()
+					next.Store().Kernel().GC()
 					jb.trace.Span("collect", collectStart)
 				}
 				serving, epoch, chk, base = pub.seq, pub.v.epoch, next, before

@@ -9,10 +9,10 @@ package main
 // reports at all. A row whose anchor no longer matches exactly once fails by
 // name, so the table cannot rot silently when the code it mutates moves.
 //
-// Known miss, deliberately not a row: kernelmix does not see
-// `k.And(copied[i], roots[i])` in core.AdvanceIndices, because roots is
-// filled from the snapshot struct's Root field, not from a kernel method, so
-// the Ref carries no minting kernel (DESIGN.md §8).
+// Known miss, deliberately not a row: kernelmix tags neither the Refs
+// Kernel.Import returns (a slice) nor an index's Root (a field read), so a
+// mix of the two in core.AdvanceIndices carries no minting kernel
+// (DESIGN.md §8).
 
 import (
 	"io/fs"
@@ -115,11 +115,11 @@ var seededFaults = []seededFault{
 		}},
 	},
 	{
-		name: "AdvanceIndices keeps a source Ref in its own kernel", analyzer: "kernelmix",
-		pkg: "./internal/core", file: "internal/core/snapshot.go",
+		name: "the replica oracle hands a primary Ref to the replica kernel", analyzer: "kernelmix",
+		pkg: "./internal/difftest", file: "internal/difftest/oracle.go",
 		edits: [][2]string{{
-			"\tcopied, err := src.CopyTo(k, roots...)\n",
-			"\tfirst := src.Var(0)\n\tk.TempKeep(first)\n\tcopied, err := src.CopyTo(k, roots...)\n",
+			"\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
+			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().TempKeep(first)\n\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
 		}},
 	},
 }

@@ -5,7 +5,7 @@
 //
 //	sentinelcmp  errors.Is for wrapped sentinel errors, never == / !=
 //	tempmark     TempMark/TempRelease paired on all paths; Protect balanced
-//	kernelmix    no bdd.Ref crosses kernels except through CopyTo
+//	kernelmix    no bdd.Ref crosses kernels; a bdd.Image carries none
 //	kernelowner  structural kernel/checker mutation stays on the owner goroutine
 //	ackorder     WAL append and epoch publish happen before the ack, never after
 //	lockorder    mutex acquisition order is globally acyclic

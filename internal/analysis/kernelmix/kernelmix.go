@@ -2,16 +2,16 @@
 //
 // A bdd.Ref is a plain int32 index into the node table of the kernel that
 // minted it; handed to a different kernel it silently denotes an unrelated
-// node (or walks off the table). Since the replica read pool (PR 2) gave the
-// process several kernels per request path — a primary plus N replicas, with
-// bdd.CopyTo as the only sanctioned bridge — mixing them up is a live
-// hazard that the type system cannot see: every Ref has the same type.
+// node (or walks off the table). The replica read pool gives the process
+// several kernels per request path — a primary plus N replicas — and the
+// only bridge between them is a bdd.Image, which carries no Ref: Export and
+// Import each speak to one kernel. Mixing Refs up is a live hazard that the
+// type system cannot see: every Ref has the same type.
 //
 // The analyzer runs a per-function forward dataflow in statement order: each
 // Ref-typed local is tagged with the kernel expression that minted it (a
-// direct kernel method call, a copy of a tagged value, or an element of a
-// CopyTo result slice, which is minted by the *destination* kernel). A
-// tagged Ref passed to a method of a provably different kernel is reported.
+// direct kernel method call or a copy of a tagged value). A tagged Ref passed
+// to a method of a provably different kernel is reported.
 // Two kernel expressions are "provably different" only when both normalize
 // to stable access paths (identifiers, field chains, call chains without
 // arguments) with distinct spellings rooted at distinct objects — unknown or
@@ -40,7 +40,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "kernelmix",
 	Doc: "flags bdd.Ref values minted by one kernel and passed to a method of another " +
-		"without going through CopyTo",
+		"(BDDs cross kernels as a bdd.Image, which carries none)",
 	Run: run,
 }
 
@@ -204,12 +204,10 @@ type tracker struct {
 	pass *analysis.Pass
 	mi   *mixIndex
 	sum  *summary // non-nil in summary mode: collect, do not report
-	// refOrigin tags Ref-typed locals; sliceOrigin tags []Ref locals whose
-	// elements all come from one kernel (CopyTo results); kernelAlias maps
-	// kernel-typed locals to the access path they alias (k := s.kernel), so
-	// aliased spellings of one kernel are never reported against each other.
+	// refOrigin tags Ref-typed locals; kernelAlias maps kernel-typed locals
+	// to the access path they alias (k := s.kernel), so aliased spellings of
+	// one kernel are never reported against each other.
 	refOrigin   map[types.Object]origin
-	sliceOrigin map[types.Object]origin
 	kernelAlias map[types.Object]origin
 }
 
@@ -218,7 +216,6 @@ func newTracker(pass *analysis.Pass, mi *mixIndex) *tracker {
 		pass:        pass,
 		mi:          mi,
 		refOrigin:   map[types.Object]origin{},
-		sliceOrigin: map[types.Object]origin{},
 		kernelAlias: map[types.Object]origin{},
 	}
 }
@@ -320,34 +317,12 @@ func (tr *tracker) exprOrigin(e ast.Expr) (origin, bool) {
 				}
 			}
 		}
-	case *ast.IndexExpr:
-		if id, ok := e.X.(*ast.Ident); ok {
-			if o, ok := tr.sliceOrigin[tr.info().ObjectOf(id)]; ok {
-				return o, true
-			}
-		}
 	}
 	return origin{}, false
 }
 
 // assign propagates kernel tags through the statement.
 func (tr *tracker) assign(as *ast.AssignStmt) {
-	// adopted, err := src.CopyTo(dst, roots...): the result slice is minted
-	// by dst — the one sanctioned way to move a Ref between kernels.
-	if len(as.Rhs) == 1 {
-		if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-			if _, name, isK := analysis.KernelMethod(tr.info(), call); isK && name == "CopyTo" && len(call.Args) >= 1 {
-				if dst, ok := tr.kernelKey(call.Args[0]); ok && len(as.Lhs) >= 1 {
-					if id, isID := as.Lhs[0].(*ast.Ident); isID {
-						if obj := tr.info().ObjectOf(id); obj != nil {
-							tr.sliceOrigin[obj] = dst
-						}
-					}
-				}
-				return
-			}
-		}
-	}
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -374,7 +349,6 @@ func (tr *tracker) assign(as *ast.AssignStmt) {
 		} else {
 			// Overwritten with something untracked: drop a stale tag.
 			delete(tr.refOrigin, obj)
-			delete(tr.sliceOrigin, obj)
 		}
 	}
 }
@@ -394,12 +368,6 @@ func (tr *tracker) checkCall(call *ast.CallExpr) {
 func (tr *tracker) checkKernelCall(call *ast.CallExpr, recv ast.Expr, name string) {
 	callee, ok := tr.kernelKey(recv)
 	if !ok {
-		return
-	}
-	if name == "CopyTo" {
-		// Roots belong to the source (receiver) kernel; the destination
-		// argument is a kernel, not a Ref. Both sides are exactly the
-		// adoption bridge this analyzer pushes mixed flows toward.
 		return
 	}
 	for _, a := range call.Args {
@@ -476,7 +444,7 @@ func (tr *tracker) compare(at ast.Expr, o, callee origin, sink string) {
 		return
 	}
 	tr.pass.Reportf(at.Pos(),
-		"Ref minted by kernel %q passed to %s of kernel %q; cross-kernel handles are only valid through CopyTo",
+		"Ref minted by kernel %q passed to %s of kernel %q; move BDDs between kernels as a bdd.Image (Export, Import)",
 		o.key, sink, callee.key)
 }
 

@@ -53,8 +53,7 @@ var Analyzer = &analysis.Analyzer{
 
 // kernelMut are the *bdd.Kernel methods that restructure shared kernel
 // state. Allocation during evaluation (And, MakeNode, ...) is excluded by
-// design; CopyTo is special-cased because it mutates its destination
-// argument, not its receiver.
+// design; Import is not, because it can adopt a variable order.
 var kernelMut = map[string]bool{
 	"Reorder":        true,
 	"SetOrder":       true,
@@ -64,20 +63,20 @@ var kernelMut = map[string]bool{
 	"ClearCaches":    true,
 	"GC":             true,
 	"AddVars":        true,
+	"Import":         true,
 }
 
 // checkerMut are the *core.Checker methods that mutate the database image or
 // its indexes.
 var checkerMut = map[string]bool{
-	"Apply":             true,
-	"InsertTuple":       true,
-	"DeleteTuple":       true,
-	"BuildIndex":        true,
-	"Reorder":           true,
-	"MaybeReorder":      true,
-	"AdoptIndices":      true,
-	"AdvanceIndices":    true,
-	"AdoptOwnedIndices": true,
+	"Apply":          true,
+	"InsertTuple":    true,
+	"DeleteTuple":    true,
+	"BuildIndex":     true,
+	"Reorder":        true,
+	"MaybeReorder":   true,
+	"AdoptIndices":   true,
+	"AdvanceIndices": true,
 }
 
 // Fact summarizes how calling a function can mutate kernel/checker state
@@ -357,12 +356,8 @@ func directFact(pass *analysis.Pass, sc *funcScope, body *ast.BlockStmt) *Fact {
 	ast.Inspect(body, func(node ast.Node) bool {
 		switch n := node.(type) {
 		case *ast.CallExpr:
-			if recv, name, ok := analysis.KernelMethod(info, n); ok {
-				if name == "CopyTo" && len(n.Args) >= 1 {
-					record(n.Args[0], "(*Kernel).CopyTo destination")
-				} else if kernelMut[name] {
-					record(recv, fmt.Sprintf("(*Kernel).%s", name))
-				}
+			if recv, name, ok := analysis.KernelMethod(info, n); ok && kernelMut[name] {
+				record(recv, fmt.Sprintf("(*Kernel).%s", name))
 			}
 			if recv, name, ok := analysis.CheckerMethod(info, n); ok && checkerMut[name] {
 				record(recv, fmt.Sprintf("(*Checker).%s", name))

@@ -1,5 +1,5 @@
 // Package kernelmixes exercises the kernelmix analyzer: Refs minted by one
-// kernel must not reach methods of another, except through CopyTo.
+// kernel must not reach methods of another; BDDs cross as a bdd.Image.
 package kernelmixes
 
 import "repro/internal/bdd"
@@ -33,12 +33,14 @@ func goodSameKernel(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	return k.Not(r)
 }
 
-// goodCopyTo is the sanctioned bridge: the result slice is minted by the
-// destination kernel, so using its elements on dst is fine, and passing the
-// source-minted root to CopyTo itself is fine too.
-func goodCopyTo(src, dst *bdd.Kernel, f bdd.Ref) bdd.Ref {
-	r := src.Not(f)
-	adopted, err := src.CopyTo(dst, r)
+// goodImage is the sanctioned bridge: the image carries no Ref, so the
+// export speaks to src alone and the import to dst alone.
+func goodImage(src, dst *bdd.Kernel, f bdd.Ref) bdd.Ref {
+	img, err := src.Export(src.Not(f))
+	if err != nil {
+		return bdd.Invalid
+	}
+	adopted, err := dst.Import(img)
 	if err != nil {
 		return bdd.Invalid
 	}

@@ -57,9 +57,9 @@ func (s *server) handleAlias() { // want `can mutate kernel/checker state via \(
 }
 
 //cv:owner any
-func (s *server) handleCopyToDst(src *bdd.Kernel, r bdd.Ref) { // want `can mutate kernel/checker state via \(\*Kernel\)\.CopyTo destination`
-	// CopyTo mutates its destination argument, not its receiver.
-	src.CopyTo(s.k, r)
+func (s *server) handleImport(img *bdd.Image) { // want `can mutate kernel/checker state via \(\*Kernel\)\.Import`
+	// Import can adopt the image's variable order.
+	s.k.Import(img)
 }
 
 //cv:owner any

@@ -23,7 +23,11 @@ func (k *Kernel) CheckMemo() (int, error) {
 				return nil, fmt.Errorf("names freed or foreign node %d", r)
 			}
 		}
-		return k.CopyTo(fresh, refs...)
+		img, err := k.Export(refs...)
+		if err != nil {
+			return nil, err
+		}
+		return fresh.Import(img)
 	}
 	checked := 0
 	for i := range k.applyCache {

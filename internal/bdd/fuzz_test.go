@@ -2,35 +2,39 @@ package bdd_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/bdd"
 )
 
-// FuzzLoad: the deserializer must reject arbitrary bytes gracefully — no
-// panics, no invalid refs — and accept everything Save produces.
+// FuzzLoad: ReadImage must reject arbitrary bytes gracefully — no panics,
+// every rejection wrapping ErrCorrupt — and whatever it accepts must import
+// without invalid refs.
 func FuzzLoad(f *testing.F) {
 	// Seed with a valid file.
 	k := bdd.New(bdd.Config{Vars: 8})
-	g := k.Or(k.And(k.Var(0), k.Var(3)), k.NVar(7))
-	var buf bytes.Buffer
-	if err := k.Save(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(save(f, k, k.Or(k.And(k.Var(0), k.Var(3)), k.NVar(7))))
 	f.Add([]byte{})
 	f.Add([]byte("\x00BDD1"))
 	f.Add([]byte("\x00BDD1\x08\x01\x00\x00\x01\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := bdd.ReadImage(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, bdd.ErrCorrupt) {
+				t.Fatalf("rejection %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
 		k := bdd.New(bdd.Config{Vars: 8, NodeBudget: 4096})
-		roots, err := k.Load(bytes.NewReader(data))
+		roots, err := k.Import(img)
 		if err != nil {
 			return
 		}
 		// Whatever loaded must be healthy: evaluable and countable.
 		for _, r := range roots {
 			if r == bdd.Invalid {
-				t.Fatal("Load returned Invalid without error")
+				t.Fatal("Import returned Invalid without error")
 			}
 			k.NodeCount(r)
 			k.SatCount(r)

@@ -7,7 +7,7 @@ import "fmt"
 // ephemerons: what was memoised about live nodes is still true and still
 // wanted, so it stays. Which caches survive is the kernel's decision alone —
 // they are flushed only where the variable order changes (Reorder, SetOrder,
-// CopyTo and Load onto a pristine kernel) and by an explicit ClearCaches.
+// Import onto a pristine kernel) and by an explicit ClearCaches.
 
 // GC runs a mark-and-sweep garbage collection between operations. Pinned
 // nodes (Protect) and the temporary roots (TempKeep) survive, and so does

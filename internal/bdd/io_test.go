@@ -2,13 +2,65 @@ package bdd_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/bdd"
 )
+
+// io_test.go checks the BDD2 byte format: Image.WriteTo and ReadImage round
+// trip through Import, and ReadImage rejects damaged bytes with ErrCorrupt.
+
+// save encodes roots of k the way a snapshot does: Export, then WriteTo.
+func save(t testing.TB, k *bdd.Kernel, roots ...bdd.Ref) []byte {
+	t.Helper()
+	img, err := k.Export(roots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := img.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// load decodes data and imports it into k.
+func load(k *bdd.Kernel, data []byte) ([]bdd.Ref, error) {
+	img, err := bdd.ReadImage(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return k.Import(img)
+}
+
+// TestWriteToMatchesTheFormat pins the BDD2 bytes: a fixed BDD on a
+// reordered kernel, with a duplicate and a terminal root, must encode to
+// exactly what Kernel.Save wrote before Image existed.
+func TestWriteToMatchesTheFormat(t *testing.T) {
+	const want = "0042444432060503010002040902000103000102030101020401000300050605000105010004080904070a0701"
+	k := bdd.New(bdd.Config{Vars: 6})
+	f := k.Protect(k.Or(k.And(k.Var(0), k.Var(3)), k.And(k.NVar(5), k.Var(1))))
+	g := k.Protect(k.Xor(k.Var(2), k.Var(4)))
+	if err := k.SetOrder([]int{5, 3, 1, 0, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(save(t, k, f, g, f, bdd.True)); got != want {
+		t.Fatalf("encoded\n%s\nwant\n%s", got, want)
+	}
+	// Decoding and re-encoding is the identity on the bytes.
+	data, _ := hex.DecodeString(want)
+	img, err := bdd.ReadImage(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := img.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("re-encoded %x, %v", buf.Bytes(), err)
+	}
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	const nv = 10
@@ -21,14 +73,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		exprs = append(exprs, e)
 		roots = append(roots, k.Protect(e.build(k)))
 	}
-	var buf bytes.Buffer
-	if err := k.Save(&buf, roots...); err != nil {
-		t.Fatal(err)
-	}
+	data := save(t, k, roots...)
 
 	// Load into a fresh kernel: functions must evaluate identically.
 	k2 := bdd.New(bdd.Config{Vars: nv})
-	loaded, err := k2.Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := load(k2, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +100,8 @@ func TestLoadSharesWithExistingNodes(t *testing.T) {
 	const nv = 6
 	k := bdd.New(bdd.Config{Vars: nv})
 	f := k.Protect(k.And(k.Var(0), k.Or(k.Var(2), k.NVar(4))))
-	var buf bytes.Buffer
-	if err := k.Save(&buf, f); err != nil {
-		t.Fatal(err)
-	}
 	// Loading into the same kernel re-interns to the identical Ref.
-	loaded, err := k.Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := load(k, save(t, k, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +118,11 @@ func TestLoadRejectsCorruptInput(t *testing.T) {
 		"\x00BDD1",                 // truncated after magic
 		"\x00BDD2\x04\x00\x00",     // wrong magic version
 		"\x00BDD1\x04\x01\xff\xff", // corrupt node fields
+		"\x00BDD1\x04\x02\x01\x00\x01\x01\x00\x02\x01\x03", // node not above its child
 	}
 	for _, src := range cases {
-		if _, err := k.Load(strings.NewReader(src)); err == nil {
-			t.Errorf("Load(%q) succeeded, want error", src)
+		if _, err := load(k, []byte(src)); err == nil {
+			t.Errorf("load(%q) succeeded, want error", src)
 		}
 	}
 }
@@ -88,23 +134,19 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 8})
 	f := k.Or(k.And(k.Var(0), k.Var(3)), k.And(k.NVar(5), k.Var(7)))
 	g := k.Xor(k.Var(1), k.Var(6))
-	var buf bytes.Buffer
-	if err := k.Save(&buf, f, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := save(t, k, f, g)
 	for n := 0; n < len(full); n++ {
 		k2 := bdd.New(bdd.Config{Vars: 8})
-		roots, err := k2.Load(bytes.NewReader(full[:n]))
+		roots, err := load(k2, full[:n])
 		if err == nil {
-			t.Fatalf("Load of %d/%d-byte prefix succeeded with %d roots", n, len(full), len(roots))
+			t.Fatalf("load of %d/%d-byte prefix succeeded with %d roots", n, len(full), len(roots))
 		}
 		if !errors.Is(err, bdd.ErrCorrupt) {
-			t.Fatalf("Load of %d-byte prefix: error %v does not wrap ErrCorrupt", n, err)
+			t.Fatalf("load of %d-byte prefix: error %v does not wrap ErrCorrupt", n, err)
 		}
 	}
-	if _, err := k.Load(bytes.NewReader(full)); err != nil {
-		t.Fatalf("Load of the full file failed: %v", err)
+	if _, err := load(k, full); err != nil {
+		t.Fatalf("load of the full file failed: %v", err)
 	}
 }
 
@@ -114,23 +156,19 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 func TestLoadSurvivesEveryByteCorruption(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 8})
 	f := k.Or(k.And(k.Var(0), k.Var(3)), k.NVar(7))
-	var buf bytes.Buffer
-	if err := k.Save(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := save(t, k, f)
 	for i := 0; i < len(full); i++ {
 		for _, flip := range []byte{0xff, 0x01, 0x80} {
 			mut := append([]byte(nil), full...)
 			mut[i] ^= flip
 			k2 := bdd.New(bdd.Config{Vars: 8, NodeBudget: 4096})
-			roots, err := k2.Load(bytes.NewReader(mut))
+			roots, err := load(k2, mut)
 			if err != nil {
 				continue
 			}
 			for _, r := range roots {
 				if r == bdd.Invalid {
-					t.Fatalf("byte %d ^ %#x: Load returned Invalid without error", i, flip)
+					t.Fatalf("byte %d ^ %#x: load returned Invalid without error", i, flip)
 				}
 				k2.NodeCount(r)
 				k2.SatCount(r)
@@ -140,7 +178,7 @@ func TestLoadSurvivesEveryByteCorruption(t *testing.T) {
 }
 
 // TestLoadBoundsAllocation feeds headers that declare huge node and root
-// counts with no data behind them: Load must fail on the missing bytes
+// counts with no data behind them: ReadImage must fail on the missing bytes
 // without allocating for the declared counts. The implausible-count guards
 // reject anything past 2^31 outright.
 func TestLoadBoundsAllocation(t *testing.T) {
@@ -156,10 +194,11 @@ func TestLoadBoundsAllocation(t *testing.T) {
 			0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)}, // vars > 2^31
 		{"huge root count", append([]byte("\x00BDD1\x08\x00"),
 			0xff, 0xff, 0xff, 0x07)}, // 0 nodes, root count ≈ 2^30, then EOF
+		{"version-1 var count", append([]byte("\x00BDD1"),
+			0x80, 0x80, 0x80, 0x01)}, // 2^21 identity levels no byte backs
 	}
 	for _, tc := range cases {
-		k := bdd.New(bdd.Config{Vars: 8})
-		if _, err := k.Load(bytes.NewReader(tc.data)); !errors.Is(err, bdd.ErrCorrupt) {
+		if _, err := bdd.ReadImage(bytes.NewReader(tc.data)); !errors.Is(err, bdd.ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
 		}
 	}
@@ -168,12 +207,8 @@ func TestLoadBoundsAllocation(t *testing.T) {
 func TestLoadRejectsTooManyVars(t *testing.T) {
 	big := bdd.New(bdd.Config{Vars: 12})
 	f := big.And(big.Var(0), big.Var(11))
-	var buf bytes.Buffer
-	if err := big.Save(&buf, f); err != nil {
-		t.Fatal(err)
-	}
 	small := bdd.New(bdd.Config{Vars: 4})
-	if _, err := small.Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := load(small, save(t, big, f)); err == nil {
 		t.Fatal("load into a smaller kernel must fail")
 	}
 }
@@ -182,12 +217,8 @@ func TestSaveSharedRootsOnce(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 6})
 	f := k.And(k.Var(0), k.Var(1))
 	g := k.Or(f, k.Var(2)) // shares f's nodes
-	var buf bytes.Buffer
-	if err := k.Save(&buf, f, g, f); err != nil {
-		t.Fatal(err)
-	}
 	k2 := bdd.New(bdd.Config{Vars: 6})
-	loaded, err := k2.Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := load(k2, save(t, k, f, g, f))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package bdd_test
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -348,14 +347,11 @@ func TestSaveLoadCarriesVariableOrder(t *testing.T) {
 	tt := truthTable(k, f, nvars)
 	order := k.VarOrder()
 
-	var buf bytes.Buffer
-	if err := k.Save(&buf, f); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	data := save(t, k, f)
 
 	// A pristine kernel adopts the saved order.
 	k2 := bdd.New(bdd.Config{Vars: nvars})
-	roots, err := k2.Load(bytes.NewReader(buf.Bytes()))
+	roots, err := load(k2, data)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -375,7 +371,7 @@ func TestSaveLoadCarriesVariableOrder(t *testing.T) {
 	// A pristine kernel with MORE variables also adopts it; the extra
 	// variables keep their identity levels below the loaded ones.
 	k3 := bdd.New(bdd.Config{Vars: nvars + 3})
-	if _, err := k3.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := load(k3, data); err != nil {
 		t.Fatalf("Load into wider kernel: %v", err)
 	}
 	for v := nvars; v < nvars+3; v++ {
@@ -390,12 +386,12 @@ func TestSaveLoadCarriesVariableOrder(t *testing.T) {
 	}
 	k4 := bdd.New(bdd.Config{Vars: nvars})
 	k4.Protect(k4.Var(0)) // populated, identity order
-	if _, err := k4.Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := load(k4, data); err == nil {
 		t.Fatal("Load of reordered file into populated identity-order kernel succeeded")
 	}
 }
 
-func TestCopyToCarriesVariableOrder(t *testing.T) {
+func TestImportCarriesVariableOrder(t *testing.T) {
 	const nvars = 8
 	rng := rand.New(rand.NewSource(6))
 	k := bdd.New(bdd.Config{Vars: nvars})
@@ -406,9 +402,9 @@ func TestCopyToCarriesVariableOrder(t *testing.T) {
 	tt := truthTable(k, f, nvars)
 
 	dst := bdd.New(bdd.Config{Vars: nvars})
-	out, err := k.CopyTo(dst, f)
+	out, err := transfer(k, dst, f)
 	if err != nil {
-		t.Fatalf("CopyTo: %v", err)
+		t.Fatalf("transfer: %v", err)
 	}
 	got := dst.VarOrder()
 	for l := range got {
@@ -419,7 +415,7 @@ func TestCopyToCarriesVariableOrder(t *testing.T) {
 	tt2 := truthTable(dst, out[0], nvars)
 	for m := range tt {
 		if tt[m] != tt2[m] {
-			t.Fatalf("copied BDD differs at row %d", m)
+			t.Fatalf("imported BDD differs at row %d", m)
 		}
 	}
 
@@ -427,17 +423,17 @@ func TestCopyToCarriesVariableOrder(t *testing.T) {
 	dst2 := bdd.New(bdd.Config{Vars: nvars})
 	dst2.Protect(dst2.And(dst2.Var(0), dst2.Var(1))) // pins identity order in place
 	chain := k.Protect(k.And(k.Var(0), k.And(k.Var(1), k.Var(2))))
-	if _, err := k.CopyTo(dst2, chain); err == nil {
-		t.Fatal("CopyTo between incompatible orders succeeded")
+	if _, err := transfer(k, dst2, chain); err == nil {
+		t.Fatal("import between incompatible orders succeeded")
 	}
 }
 
-// TestCopyToNarrowerPristineDestination: a source kernel keeps scratch
+// TestImportNarrowerPristineKernel: a source kernel keeps scratch
 // variables above the copied structure (the production evaluator does this),
 // the destination only allocates the copied variables. A pristine narrow
 // destination must adopt the rank-compressed source order and reproduce the
 // function; a variable the destination genuinely lacks must still error.
-func TestCopyToNarrowerPristineDestination(t *testing.T) {
+func TestImportNarrowerPristineKernel(t *testing.T) {
 	const nvars, scratch = 6, 4
 	rng := rand.New(rand.NewSource(16))
 	k := bdd.New(bdd.Config{Vars: nvars + scratch})
@@ -447,9 +443,9 @@ func TestCopyToNarrowerPristineDestination(t *testing.T) {
 	tt := truthTable(k, f, nvars)
 
 	dst := bdd.New(bdd.Config{Vars: nvars})
-	out, err := k.CopyTo(dst, f)
+	out, err := transfer(k, dst, f)
 	if err != nil {
-		t.Fatalf("CopyTo into narrower pristine kernel: %v", err)
+		t.Fatalf("import into narrower pristine kernel: %v", err)
 	}
 	// The adopted order must rank the shared variables as the source does.
 	srcRank := make([]int, 0, nvars)
@@ -464,14 +460,14 @@ func TestCopyToNarrowerPristineDestination(t *testing.T) {
 	tt2 := truthTable(dst, out[0], nvars)
 	for m := range tt {
 		if tt[m] != tt2[m] {
-			t.Fatalf("copied BDD differs at row %d", m)
+			t.Fatalf("imported BDD differs at row %d", m)
 		}
 	}
 
 	// A root that really uses a scratch variable cannot fit the narrow kernel.
 	g := k.Protect(k.Var(nvars + 2))
-	if _, err := k.CopyTo(bdd.New(bdd.Config{Vars: nvars}), g); err == nil {
-		t.Fatal("CopyTo of an out-of-range variable succeeded")
+	if _, err := transfer(k, bdd.New(bdd.Config{Vars: nvars}), g); err == nil {
+		t.Fatal("import of an out-of-range variable succeeded")
 	}
 }
 
@@ -587,7 +583,7 @@ func TestReorderGrowthBoundCutsWalks(t *testing.T) {
 	// A fresh copy holds the comparator and nothing else, so its peak
 	// measures the sift alone.
 	k := bdd.New(bdd.Config{Vars: 2 * n})
-	copied, err := src.CopyTo(k, f)
+	copied, err := transfer(src, k, f)
 	if err != nil {
 		t.Fatal(err)
 	}

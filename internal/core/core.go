@@ -92,8 +92,6 @@ type Options struct {
 	// NodeBudget bounds the shared BDD node table; DefaultNodeBudget when
 	// zero. Negative means unlimited.
 	NodeBudget int
-	// CacheSize is the kernel operation-cache size (entries per cache).
-	CacheSize int
 	// RandomSeed seeds OrderRandom index builds.
 	RandomSeed int64
 	// NoFDFastPath disables the specialized functional-dependency check
@@ -186,7 +184,7 @@ func New(catalog *relation.Catalog, opts Options) *Checker {
 	case budget < 0:
 		budget = 0 // unlimited
 	}
-	store := index.NewStore(index.Options{NodeBudget: budget, CacheSize: opts.CacheSize})
+	store := index.NewStore(index.Options{NodeBudget: budget})
 	c := &Checker{
 		catalog:       catalog,
 		store:         store,

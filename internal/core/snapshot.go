@@ -1,8 +1,9 @@
-// snapshot.go exports the checker's index geometry for replication: the
-// names, roots and variable blocks a second checker needs to reproduce the
-// primary's indices bit-for-bit inside its own kernel. Variable positions
-// determine the semantics of every encoded relation, so adoption must copy
-// the layout exactly rather than re-allocate blocks in discovery order.
+// snapshot.go exports the checker's indices for replication and persistence:
+// the names and variable blocks a second checker needs to reproduce the
+// primary's indices bit-for-bit inside its own kernel, and their roots as one
+// bdd.Image. Variable positions determine the semantics of every encoded
+// relation, so adoption must copy the layout exactly rather than re-allocate
+// blocks in discovery order.
 package core
 
 import (
@@ -23,26 +24,24 @@ type BlockSnapshot struct {
 	Vars []int
 }
 
-// IndexSnapshot describes one logical index: enough to re-register it over
-// another kernel after transferring Root with bdd.CopyTo, or to persist it
-// with bdd.Save and re-adopt after bdd.Load.
+// IndexSnapshot describes one logical index's geometry: enough to re-register
+// it over another kernel once its root has arrived there in a bdd.Image (see
+// ExportIndices).
 type IndexSnapshot struct {
 	Name   string
 	Table  string
 	Cols   []int
 	Order  []int
-	Root   bdd.Ref
 	Blocks []BlockSnapshot
 }
 
-// Options returns the options the checker was created with (Eval defaulted
-// as by New). A replica checker created with the same options reproduces
-// the primary's budget normalization and evaluation strategy.
+// Options returns the options the checker was created with. A replica
+// checker created with the same options reproduces the primary's budget
+// normalization.
 func (c *Checker) Options() Options { return c.opts }
 
-// SnapshotIndices captures every index of the checker in sorted name order.
-// The returned roots are Refs of this checker's kernel; they stay valid as
-// long as the indices are not dropped or rebuilt.
+// SnapshotIndices captures the geometry of every index of the checker in
+// sorted name order.
 func (c *Checker) SnapshotIndices() []IndexSnapshot {
 	names := c.store.Names()
 	out := make([]IndexSnapshot, 0, len(names))
@@ -53,7 +52,6 @@ func (c *Checker) SnapshotIndices() []IndexSnapshot {
 			Table: ix.Table().Name(),
 			Cols:  append([]int(nil), ix.Columns()...),
 			Order: append([]int(nil), ix.Order()...),
-			Root:  ix.Root(),
 		}
 		for _, d := range ix.Domains() {
 			snap.Blocks = append(snap.Blocks, BlockSnapshot{
@@ -67,126 +65,44 @@ func (c *Checker) SnapshotIndices() []IndexSnapshot {
 	return out
 }
 
-// AdoptIndices reproduces snapshotted indices inside this checker: it
-// raises the kernel's variable count to cover every block, re-registers the
-// blocks at their original positions, transfers all roots from src in one
-// CopyTo walk (so structure shared between indices stays shared), and
-// registers each index for incremental maintenance. The checker must be
-// fresh — no indices built yet — and its catalog must contain the
-// snapshotted tables. src is only read, so many replicas can adopt from one
-// frozen source concurrently.
-func (c *Checker) AdoptIndices(src *bdd.Kernel, snaps []IndexSnapshot) error {
-	c.raiseVarsFor(snaps)
+// ExportIndices captures every index: its geometry, as SnapshotIndices does,
+// and its root, in one image whose roots are parallel to the snapshots, so
+// structure shared between indices is exported once. The image belongs to no
+// kernel; later changes to this checker cannot reach it.
+func (c *Checker) ExportIndices() (*bdd.Image, []IndexSnapshot, error) {
+	snaps := c.SnapshotIndices()
 	roots := make([]bdd.Ref, len(snaps))
 	for i, s := range snaps {
-		roots[i] = s.Root
+		roots[i] = c.store.Index(s.Name).Root()
 	}
-	copied, err := src.CopyTo(c.store.Kernel(), roots...)
-	if err != nil {
-		return fmt.Errorf("core: adopting indices: %w", err)
-	}
-	return c.adoptSnapshots(snaps, copied)
+	img, err := c.store.Kernel().Export(roots...)
+	return img, snaps, err
 }
 
-// AdvanceIndices moves a checker that adopted an earlier snapshot of the same
-// indices to a newer one in place: the roots are transferred from src into
-// the kernel the checker already has — re-interning finds every node the two
-// snapshots share, so only the difference is allocated — and each index is
-// rebound to its new root and to its table in cat, the newer catalog. The
-// kernel, its operation caches and the evaluator's scratch blocks survive;
-// the evaluator's bound predicates do not (they were bound to the old roots).
-//
-// Everything that can fail is checked before anything is changed: the
-// snapshots must describe exactly the indices the checker holds (names,
-// tables, columns, block layout), src must place the block variables in the
-// same relative order as this kernel, and the copy must fit the node budget.
-// On error the checker still serves the snapshot it served before, with the
-// kernel's sticky error cleared; the caller builds a fresh checker instead.
-// src is only read.
-func (c *Checker) AdvanceIndices(cat *relation.Catalog, src *bdd.Kernel, snaps []IndexSnapshot) error {
-	k := c.store.Kernel()
-	held := c.SnapshotIndices()
-	if !slices.EqualFunc(held, snaps, sameGeometry) {
-		return fmt.Errorf("core: advancing indices: the snapshot's index geometry differs from the checker's")
-	}
-	var vars []int
-	roots := make([]bdd.Ref, len(snaps))
-	for i, s := range snaps {
-		if cat.Table(s.Table) == nil {
-			return fmt.Errorf("core: advancing index %q: unknown table %q", s.Name, s.Table)
-		}
-		for _, b := range s.Blocks {
-			vars = append(vars, b.Vars...)
-		}
-		roots[i] = s.Root
-	}
-	slices.SortFunc(vars, func(a, b int) int { return src.LevelOfVar(a) - src.LevelOfVar(b) })
-	for i := 1; i < len(vars); i++ {
-		if k.LevelOfVar(vars[i-1]) > k.LevelOfVar(vars[i]) {
-			return fmt.Errorf("core: advancing indices: the source's variable order moved")
-		}
-	}
-	copied, err := src.CopyTo(k, roots...)
-	if err != nil {
-		k.ClearErr()
-		return fmt.Errorf("core: advancing indices: %w", err)
-	}
-	for i, s := range snaps {
-		c.store.Index(s.Name).Rebind(cat.Table(s.Table), copied[i])
-		c.ev.ForgetPred(s.Name)
-	}
-	c.catalog = cat
-	return nil
-}
-
-// sameGeometry reports whether two snapshots describe the same index up to
-// its root: name, table, columns and the blocks' names, sizes and variables.
-func sameGeometry(a, b IndexSnapshot) bool {
-	return a.Name == b.Name && a.Table == b.Table &&
-		slices.Equal(a.Cols, b.Cols) && slices.Equal(a.Order, b.Order) &&
-		slices.EqualFunc(a.Blocks, b.Blocks, func(x, y BlockSnapshot) bool {
-			return x.Name == y.Name && x.Size == y.Size && slices.Equal(x.Vars, y.Vars)
-		})
-}
-
-// AdoptOwnedIndices registers snapshotted indices whose roots already live
-// in this checker's kernel — the durability layer's restore path, which
-// loads the roots with bdd.Load before re-registering blocks and indices.
-// Like AdoptIndices, the checker must be fresh and its catalog must contain
-// the snapshotted tables; the kernel's variable count is raised to cover
-// every block (the restore path raises it before Load, so this is a no-op
-// there).
-func (c *Checker) AdoptOwnedIndices(snaps []IndexSnapshot) error {
-	c.raiseVarsFor(snaps)
-	roots := make([]bdd.Ref, len(snaps))
-	for i, s := range snaps {
-		roots[i] = s.Root
-	}
-	return c.adoptSnapshots(snaps, roots)
-}
-
-// raiseVarsFor grows the kernel's variable count to cover every block of the
-// snapshots, so adopted blocks land at their original positions.
-func (c *Checker) raiseVarsFor(snaps []IndexSnapshot) {
+// AdoptIndices reproduces exported indices inside this checker: it raises
+// the kernel's variable count to cover every block, imports the image (one
+// walk, so structure shared between indices stays shared), re-registers the
+// blocks at their original positions, and registers each index for
+// incremental maintenance. The checker must be fresh — no indices built yet —
+// and its catalog must contain the snapshotted tables. img is only read, so
+// many replicas can adopt from one image concurrently.
+func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 	k := c.store.Kernel()
 	maxVar := -1
 	for _, s := range snaps {
 		for _, b := range s.Blocks {
 			for _, v := range b.Vars {
-				if v > maxVar {
-					maxVar = v
-				}
+				maxVar = max(maxVar, v)
 			}
 		}
 	}
 	if maxVar >= k.NumVars() {
 		k.AddVars(maxVar + 1 - k.NumVars())
 	}
-}
-
-// adoptSnapshots registers blocks and indices for snaps whose roots (parallel
-// slice, refs of this checker's kernel) have already been transferred.
-func (c *Checker) adoptSnapshots(snaps []IndexSnapshot, roots []bdd.Ref) error {
+	roots, err := importRoots(k, img, snaps)
+	if err != nil {
+		return fmt.Errorf("core: adopting indices: %w", err)
+	}
 	for i, s := range snaps {
 		t := c.catalog.Table(s.Table)
 		if t == nil {
@@ -203,4 +119,79 @@ func (c *Checker) adoptSnapshots(snaps []IndexSnapshot, roots []bdd.Ref) error {
 		c.indexRegistry[s.Table] = append(c.indexRegistry[s.Table], s.Name)
 	}
 	return nil
+}
+
+// AdvanceIndices moves a checker that adopted an earlier export of the same
+// indices to a newer one in place: the image is imported into the kernel the
+// checker already has — re-interning finds every node the two exports share,
+// so only the difference is allocated — and each index is rebound to its new
+// root and to its table in cat, the newer catalog. The kernel, its operation
+// caches and the evaluator's scratch blocks survive; the evaluator's bound
+// predicates do not (they were bound to the old roots).
+//
+// Everything that can fail is checked before any index is rebound: the
+// snapshots must describe exactly the indices the checker holds (names,
+// tables, columns, block layout), the image must place the block variables in
+// the same relative order as this kernel, and the import must fit the node
+// budget. On error the checker still serves the export it served before,
+// with the kernel's sticky error cleared; the caller builds a fresh checker
+// instead. img is only read.
+func (c *Checker) AdvanceIndices(cat *relation.Catalog, img *bdd.Image, snaps []IndexSnapshot) error {
+	k := c.store.Kernel()
+	held := c.SnapshotIndices()
+	if !slices.EqualFunc(held, snaps, sameGeometry) {
+		return fmt.Errorf("core: advancing indices: the snapshot's index geometry differs from the checker's")
+	}
+	var vars []int
+	for _, s := range snaps {
+		if cat.Table(s.Table) == nil {
+			return fmt.Errorf("core: advancing index %q: unknown table %q", s.Name, s.Table)
+		}
+		for _, b := range s.Blocks {
+			vars = append(vars, b.Vars...)
+		}
+	}
+	level := make([]int, k.NumVars())
+	for l, v := range img.VarOrder() {
+		if v < len(level) {
+			level[v] = l
+		}
+	}
+	slices.SortFunc(vars, func(a, b int) int { return level[a] - level[b] })
+	for i := 1; i < len(vars); i++ {
+		if k.LevelOfVar(vars[i-1]) > k.LevelOfVar(vars[i]) {
+			return fmt.Errorf("core: advancing indices: the source's variable order moved")
+		}
+	}
+	roots, err := importRoots(k, img, snaps)
+	if err != nil {
+		k.ClearErr()
+		return fmt.Errorf("core: advancing indices: %w", err)
+	}
+	for i, s := range snaps {
+		c.store.Index(s.Name).Rebind(cat.Table(s.Table), roots[i])
+		c.ev.ForgetPred(s.Name)
+	}
+	c.catalog = cat
+	return nil
+}
+
+// importRoots imports img into k and checks that it carries one root per
+// snapshot.
+func importRoots(k *bdd.Kernel, img *bdd.Image, snaps []IndexSnapshot) ([]bdd.Ref, error) {
+	roots, err := k.Import(img)
+	if err == nil && len(roots) != len(snaps) {
+		err = fmt.Errorf("the image carries %d roots for %d indices", len(roots), len(snaps))
+	}
+	return roots, err
+}
+
+// sameGeometry reports whether two snapshots describe the same index: name,
+// table, columns and the blocks' names, sizes and variables.
+func sameGeometry(a, b IndexSnapshot) bool {
+	return a.Name == b.Name && a.Table == b.Table &&
+		slices.Equal(a.Cols, b.Cols) && slices.Equal(a.Order, b.Order) &&
+		slices.EqualFunc(a.Blocks, b.Blocks, func(x, y BlockSnapshot) bool {
+			return x.Name == y.Name && x.Size == y.Size && slices.Equal(x.Vars, y.Vars)
+		})
 }

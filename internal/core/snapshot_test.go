@@ -10,10 +10,10 @@ import (
 	"repro/internal/logic"
 )
 
-// snapshot_test.go checks that SnapshotIndices carries everything needed to
-// reproduce a checker's indices elsewhere: adoption through the direct
-// CopyTo transfer and through a Save/Load roundtrip must both yield a
-// checker that decides every constraint identically, by the BDD path, on
+// snapshot_test.go checks that ExportIndices carries everything needed to
+// reproduce a checker's indices elsewhere: adoption of the image itself and
+// of the image after a WriteTo/ReadImage roundtrip must both yield a checker
+// that decides every constraint identically, by the BDD path, on
 // structurally identical indices.
 
 func curriculumConstraints(t *testing.T) []logic.Constraint {
@@ -38,7 +38,10 @@ func TestSnapshotIndicesRoundTrip(t *testing.T) {
 	cts := curriculumConstraints(t)
 	want := primary.Check(cts)
 
-	snaps := primary.SnapshotIndices()
+	img, snaps, err := primary.ExportIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(snaps) != 3 {
 		t.Fatalf("got %d snapshots, want 3", len(snaps))
 	}
@@ -84,35 +87,24 @@ func TestSnapshotIndicesRoundTrip(t *testing.T) {
 
 	t.Run("copyto", func(t *testing.T) {
 		replica := core.New(cat.Clone(), primary.Options())
-		if err := replica.AdoptIndices(primary.Store().Kernel(), snaps); err != nil {
+		if err := replica.AdoptIndices(img, snaps); err != nil {
 			t.Fatal(err)
 		}
 		check(t, replica)
 	})
 
 	t.Run("saveload", func(t *testing.T) {
-		// Persist the snapshot roots, reload them into an intermediate
-		// kernel with the same variable layout, then adopt from there.
-		roots := make([]bdd.Ref, len(snaps))
-		for i, s := range snaps {
-			roots[i] = s.Root
-		}
+		// Persist the image and adopt what reads back.
 		var buf bytes.Buffer
-		if err := primary.Store().Kernel().Save(&buf, roots...); err != nil {
+		if _, err := img.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		mid := bdd.New(bdd.Config{Vars: primary.Store().Kernel().NumVars()})
-		loaded, err := mid.Load(bytes.NewReader(buf.Bytes()))
+		loaded, err := bdd.ReadImage(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reSnaps := make([]core.IndexSnapshot, len(snaps))
-		for i, s := range snaps {
-			reSnaps[i] = s
-			reSnaps[i].Root = loaded[i]
-		}
 		replica := core.New(cat.Clone(), primary.Options())
-		if err := replica.AdoptIndices(mid, reSnaps); err != nil {
+		if err := replica.AdoptIndices(loaded, snaps); err != nil {
 			t.Fatal(err)
 		}
 		check(t, replica)
@@ -155,8 +147,12 @@ func TestAdvanceIndices(t *testing.T) {
 	cat := buildCurriculum(t)
 	primary := newChecker(t, cat)
 	cts := curriculumConstraints(t)
+	img, snaps, err := primary.ExportIndices()
+	if err != nil {
+		t.Fatal(err)
+	}
 	replica := core.New(cat.Clone(), primary.Options())
-	if err := replica.AdoptIndices(primary.Store().Kernel(), primary.SnapshotIndices()); err != nil {
+	if err := replica.AdoptIndices(img, snaps); err != nil {
 		t.Fatal(err)
 	}
 	kernel := replica.Store().Kernel()
@@ -186,17 +182,19 @@ func TestAdvanceIndices(t *testing.T) {
 		t.Fatal("the insert should repair the curriculum constraint")
 	}
 	frozen := cat.Clone()
-	snaps := primary.SnapshotIndices()
+	if img, snaps, err = primary.ExportIndices(); err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("geometry", func(t *testing.T) {
 		fewer := snaps[:len(snaps)-1]
-		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), fewer); err == nil {
+		if err := replica.AdvanceIndices(frozen, img, fewer); err == nil {
 			t.Fatal("advanced onto a snapshot with an index missing")
 		}
 		renamed := append([]core.IndexSnapshot(nil), snaps...)
 		renamed[0].Blocks = append([]core.BlockSnapshot(nil), renamed[0].Blocks...)
 		renamed[0].Blocks[0].Vars = append([]int{renamed[0].Blocks[0].Vars[0] + 1}, renamed[0].Blocks[0].Vars[1:]...)
-		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), renamed); err == nil {
+		if err := replica.AdvanceIndices(frozen, img, renamed); err == nil {
 			t.Fatal("advanced onto a snapshot whose blocks sit on other variables")
 		}
 		agree(t, before)
@@ -205,7 +203,7 @@ func TestAdvanceIndices(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
 		kernel.GC()
 		kernel.SetBudget(kernel.Size()) // the delta needs at least one node
-		err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), snaps)
+		err := replica.AdvanceIndices(frozen, img, snaps)
 		kernel.SetBudget(0)
 		if !errors.Is(err, bdd.ErrBudget) {
 			t.Fatalf("AdvanceIndices under an exhausted budget = %v, want ErrBudget", err)
@@ -217,7 +215,7 @@ func TestAdvanceIndices(t *testing.T) {
 	})
 
 	t.Run("advance", func(t *testing.T) {
-		if err := replica.AdvanceIndices(frozen, primary.Store().Kernel(), snaps); err != nil {
+		if err := replica.AdvanceIndices(frozen, img, snaps); err != nil {
 			t.Fatal(err)
 		}
 		if replica.Store().Kernel() != kernel || replica.Catalog() != frozen {

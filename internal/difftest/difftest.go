@@ -2,7 +2,7 @@
 // deterministic differential-testing harness that cross-checks the three
 // constraint-evaluation paths the system ships — the BDD evaluator on the
 // primary kernel, the sqlengine SQL baseline, and a read replica adopted via
-// core.SnapshotIndices/bdd.CopyTo — on randomly generated (constraint,
+// replica.NewVersion/Version.Materialize — on randomly generated (constraint,
 // catalog) pairs, including random incremental-update batches between
 // re-checks. Any verdict or witness-set disagreement is a bug in one of the
 // engines; the harness shrinks the failing pair greedily and emits it as a

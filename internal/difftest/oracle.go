@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/logic"
+	"repro/internal/replica"
 	"repro/internal/sqlengine"
 )
 
@@ -17,12 +18,13 @@ import (
 //     the live indices, node budget unlimited so nothing degrades to SQL;
 //   - sql: the sqlengine.Compile violation query on the same catalog — the
 //     baseline the paper's indices claim to replace exactly;
-//   - replica: one long-lived checker that adopts the primary's index roots
-//     through core.SnapshotIndices / bdd.CopyTo and then follows the primary
+//   - replica: one long-lived checker that adopts the primary's indices
+//     through the production freeze (replica.NewVersion exports them as a
+//     bdd.Image, Version.Materialize imports it) and then follows the primary
 //     from batch to batch the way a pool worker follows publications — in
 //     place (core.AdvanceIndices plus the memo-keeping collection) when it
 //     can, rebuilt when it cannot (with -reorder: after every batch) —
-//     checked with the SQL fallback disabled so only the copied BDDs decide.
+//     checked with the SQL fallback disabled so only the imported BDDs decide.
 //
 // Verdicts must agree three ways on every constraint; when the constraint is
 // a violated validity check, the witness sets must agree too (primary vs
@@ -37,7 +39,7 @@ import (
 const witnessLimit = 10000
 
 // DebugChecks makes the harness enable bdd.Kernel runtime Ref validation
-// (Config.DebugChecks) on the primary and on every frozen replica, so a soak
+// (Config.DebugChecks) on the primary and on every replica, so a soak
 // run doubles as a hunt for use-after-GC and cross-kernel handle bugs. The
 // difftest suite's -debugchecks flag sets it.
 var DebugChecks bool
@@ -60,7 +62,7 @@ var RuleCoverage logic.VerdictStats
 
 // ReplicaCoverage accumulates, across RunCase calls, how the replica target
 // followed its primary: Advanced counts the batches after which it moved in
-// place, Rebuilt those after which a fresh replica had to be frozen.
+// place, Rebuilt those after which a fresh replica had to be built.
 // TestDifferentialSoak logs it and fails a run that exercised only one.
 var ReplicaCoverage struct{ Advanced, Rebuilt int }
 
@@ -159,7 +161,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 	if ForceReorder {
 		primary.Reorder()
 	}
-	rep, err := freeze(primary)
+	rep, err := follow(nil, primary, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +205,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 		if ForceReorder {
 			primary.Reorder()
 		}
-		if rep, err = follow(rep, primary); err != nil {
+		if rep, err = follow(rep, primary, uint64(i)+2); err != nil {
 			return nil, err
 		}
 		if mm, err := checkAll(primary, rep, cts, i+1); mm != nil || err != nil {
@@ -242,31 +244,29 @@ func RunCase(c *Case) (*Mismatch, error) {
 	return nil, nil
 }
 
-// freeze snapshots the primary into a fresh read replica, the same pattern
-// internal/replica.NewVersion uses for the production read pool.
-func freeze(primary *core.Checker) (*core.Checker, error) {
-	rep := core.New(primary.Catalog().Clone(), primary.Options())
-	if DebugChecks {
-		rep.Store().Kernel().SetDebugChecks(true)
+// follow brings rep — nil before the first step — to the primary's current
+// state through the production freeze, replica.NewVersion and
+// Version.Materialize, the way a replica.Pool worker adopts a publication:
+// in place, ending with the worker's collection, or into a fresh replica
+// when rep cannot advance (the primary reordered).
+func follow(rep, primary *core.Checker, epoch uint64) (*core.Checker, error) {
+	v, err := replica.NewVersion(primary, epoch)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: %w", err)
 	}
-	if err := rep.AdoptIndices(primary.Store().Kernel(), primary.SnapshotIndices()); err != nil {
-		return nil, fmt.Errorf("difftest: freezing replica: %w", err)
+	next, err := v.Materialize(rep)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: %w", err)
 	}
-	return rep, nil
-}
-
-// follow brings the replica to the primary's current state as a
-// replica.Pool worker adopts a publication: in place, ending with a
-// collection (which keeps the operation caches), or by freezing another when the
-// replica cannot advance (the primary reordered).
-func follow(rep, primary *core.Checker) (*core.Checker, error) {
-	if rep.AdvanceIndices(primary.Catalog().Clone(), primary.Store().Kernel(), primary.SnapshotIndices()) == nil {
-		rep.Store().Kernel().GC()
+	switch {
+	case rep == nil:
+	case next == rep:
+		next.Store().Kernel().GC()
 		ReplicaCoverage.Advanced++
-		return rep, nil
+	default:
+		ReplicaCoverage.Rebuilt++
 	}
-	ReplicaCoverage.Rebuilt++
-	return freeze(primary)
+	return next, nil
 }
 
 func checkAll(primary, rep *core.Checker, cts []logic.Constraint, step int) (*Mismatch, error) {

@@ -33,8 +33,6 @@ type Options struct {
 	// all in-flight constraint evaluations. Zero means unlimited. The paper
 	// uses 10^6 nodes (§5.2, "Evaluating BDD overhead").
 	NodeBudget int
-	// CacheSize is the per-operation cache size of the kernel (entries).
-	CacheSize int
 }
 
 // Store owns the shared kernel and the logical indices built in it.
@@ -49,7 +47,7 @@ type Store struct {
 
 // NewStore creates an empty index store.
 func NewStore(opts Options) *Store {
-	k := bdd.New(bdd.Config{Vars: 0, NodeBudget: opts.NodeBudget, CacheSize: opts.CacheSize})
+	k := bdd.New(bdd.Config{Vars: 0, NodeBudget: opts.NodeBudget})
 	return &Store{
 		kernel:  k,
 		space:   fdd.NewSpace(k),
@@ -210,8 +208,8 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 }
 
 // Adopt registers an index whose BDD was built elsewhere: the replication
-// path copies a primary index root into a replica kernel with bdd.CopyTo
-// and adopts it here, together with blocks reproduced through
+// path imports a primary index root into a replica kernel with
+// bdd.Kernel.Import and adopts it here, together with blocks reproduced through
 // fdd.Space.AdoptDomain. doms is parallel to cols (schema order), order is
 // the block layout permutation exactly as in Build, and root must be a Ref
 // of this store's kernel. The root is protected like a built index's.

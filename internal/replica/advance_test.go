@@ -169,7 +169,7 @@ func (o *orders) imageOf(chk *core.Checker, opts core.CheckOptions) (image, erro
 			vars = append(vars, b.Vars...)
 		}
 		slices.Sort(vars)
-		im.counts = append(im.counts, chk.Store().Kernel().SatCountWithin(s.Root, vars))
+		im.counts = append(im.counts, chk.Store().Kernel().SatCountWithin(chk.Store().Index(s.Name).Root(), vars))
 	}
 	return im, nil
 }
@@ -494,7 +494,7 @@ func TestPerEpochCountersAddUpUnderTheMetersRule(t *testing.T) {
 }
 
 // Once every worker has advanced past a version, nothing of it — not its
-// frozen kernel, not its catalog, not a table or dictionary of it — is
+// image, not its catalog, not a table or dictionary of it — is
 // reachable from the pool: the advanced replicas read the new catalog only.
 func TestAdvancedReplicasReleaseTheVersionTheyLeft(t *testing.T) {
 	o := newOrders(t, core.Options{}, core.OrderProbConverge)

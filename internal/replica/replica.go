@@ -12,9 +12,10 @@
 //   - The primary checker is owned exclusively by whoever applies writes
 //     (internal/service's worker goroutine). Replicas never see it.
 //   - After each write batch the primary's owner freezes a Version — an
-//     immutable snapshot (catalog clone + index copy into a fresh kernel
-//     that never runs an operation) — and Publishes it. Building a Version reads the primary, so it must
-//     happen on the owner's goroutine.
+//     immutable snapshot (catalog clone + the index roots exported as one
+//     bdd.Image, a node list that belongs to no kernel) — and Publishes it.
+//     Building a Version reads the primary, so it must happen on the
+//     owner's goroutine.
 //   - Pool workers each own one replica checker. A worker notices a newer
 //     Version between requests and adopts it; in-flight work always
 //     finishes on the version it started with. A replica is a kernel, not
@@ -26,20 +27,20 @@
 //     (bdd.Kernel.GC) that frees the replaced index paths but, like every
 //     collection, keeps each cache entry that is still about live nodes, so
 //     the first recheck after an update pays for the delta and not for cold
-//     projections of the whole index. A worker builds a fresh checker from the frozen
-//     snapshot only when it has none yet or cannot follow: the index
+//     projections of the whole index. A worker builds a fresh checker from
+//     the image only when it has none yet or cannot follow: the index
 //     geometry or the variable order moved, or the delta does not fit the
 //     node budget (Pool.Rebuilds counts these).
 //   - A worker remembers which publication its checker holds, not the
 //     Version, and an advanced checker reads the new version's catalog
-//     only: once every reference to a retired Version is gone its frozen
-//     kernel — a copy of the whole index — and its catalog are garbage,
-//     however long a worker that adopted it sits idle.
+//     only: once every reference to a retired Version is gone its image —
+//     a copy of the whole index — and its catalog are garbage, however long
+//     a worker that adopted it sits idle.
 //   - A worker's kernel counters are reported per epoch (Stats.Kernel): its
 //     kernel's own counters no longer restart when it adopts.
 //   - A Version is never mutated after construction: its catalog is a
-//     frozen clone and its kernel is only read (bdd.CopyTo does not touch
-//     the source), so any number of workers may adopt from it concurrently.
+//     frozen clone and its image is only read (bdd.Kernel.Import does not
+//     touch it), so any number of workers may adopt from it concurrently.
 package replica
 
 import (
@@ -59,36 +60,34 @@ import (
 // ErrClosed is returned by Do after the pool has been closed.
 var ErrClosed = errors.New("replica: pool closed")
 
-// Version is one immutable snapshot of the primary's catalog and indices.
-// The zero epoch is never published; epochs increase with every handoff.
+// Version is one immutable snapshot of the primary's catalog and indices: a
+// catalog clone, the index roots as one bdd.Image and the index geometry to
+// re-register them by. It holds no kernel. The zero epoch is never published;
+// epochs increase with every handoff.
 type Version struct {
-	epoch  uint64
-	frozen *core.Checker
-	snaps  []core.IndexSnapshot
-	opts   core.Options // the primary's: what a replica checker is created with
+	epoch   uint64
+	catalog *relation.Catalog
+	img     *bdd.Image
+	snaps   []core.IndexSnapshot
+	opts    core.Options // the primary's: what a replica checker is created with
+	debug   bool         // the primary kernel's DebugChecks, which its replicas inherit
 }
 
 // NewVersion freezes the primary checker into an immutable snapshot tagged
 // with epoch. It must be called from the goroutine that owns the primary
 // (it reads the primary's catalog and kernel); the returned Version is safe
 // to share. The snapshot deep-clones the catalog metadata while sharing the
-// encoded row storage (rows are never mutated in place) and copies every
-// index root into a fresh kernel, so later writes to the primary cannot
-// reach it.
+// encoded row storage (rows are never mutated in place) and exports every
+// index root into an image, so later writes to the primary cannot reach it.
 func NewVersion(primary *core.Checker, epoch uint64) (*Version, error) {
-	opts := primary.Options()
-	// A frozen kernel is copied from and never runs an operation: left to
-	// size its caches by its node count it would grow an apply cache per
-	// epoch that nothing ever looks into.
-	frozenOpts := opts
-	frozenOpts.CacheSize = 1
-	frozen := core.New(primary.Catalog().Clone(), frozenOpts)
-	frozen.Store().Kernel().SetDebugChecks(primary.Store().Kernel().DebugChecks())
-	snaps := primary.SnapshotIndices()
-	if err := frozen.AdoptIndices(primary.Store().Kernel(), snaps); err != nil {
+	img, snaps, err := primary.ExportIndices()
+	if err != nil {
 		return nil, fmt.Errorf("replica: freezing epoch %d: %w", epoch, err)
 	}
-	return &Version{epoch: epoch, frozen: frozen, snaps: frozen.SnapshotIndices(), opts: opts}, nil
+	return &Version{
+		epoch: epoch, catalog: primary.Catalog().Clone(), img: img, snaps: snaps,
+		opts: primary.Options(), debug: primary.Store().Kernel().DebugChecks(),
+	}, nil
 }
 
 // Epoch returns the version's epoch.
@@ -96,29 +95,24 @@ func (v *Version) Epoch() uint64 { return v.epoch }
 
 // Catalog returns the version's frozen catalog: the tables, at the table
 // versions, every replica of this version reads. It is never mutated.
-func (v *Version) Catalog() *relation.Catalog { return v.frozen.Catalog() }
+func (v *Version) Catalog() *relation.Catalog { return v.catalog }
 
-// materialize brings a worker to this version: onto the checker it holds,
-// advanced in place, when there is one and it can follow (the same indices
-// over the same blocks in the same variable order, and room in the budget for
-// the difference), into a freshly built one otherwise. It returns chk itself
-// in the first case; on error chk is untouched and still serves the version
-// it served.
-func (v *Version) materialize(chk *core.Checker) (*core.Checker, error) {
-	if chk != nil && chk.AdvanceIndices(v.frozen.Catalog(), v.frozen.Store().Kernel(), v.snaps) == nil {
+// Materialize brings a replica checker to this version: chk itself, advanced
+// in place, when there is one and it can follow (the same indices over the
+// same blocks in the same variable order, and room in the budget for the
+// difference), a freshly built checker otherwise. It leaves the collection
+// that frees the replaced index paths to the caller. On error chk is
+// untouched and still serves the version it served.
+func (v *Version) Materialize(chk *core.Checker) (*core.Checker, error) {
+	if chk != nil && chk.AdvanceIndices(v.catalog, v.img, v.snaps) == nil {
 		return chk, nil
 	}
-	return v.newReplica()
-}
-
-// newReplica builds a worker-private checker from the frozen snapshot: it
-// shares the immutable catalog (checks only read it) but owns a fresh
-// kernel, caches and evaluator populated by one CopyTo walk.
-func (v *Version) newReplica() (*core.Checker, error) {
-	chk := core.New(v.frozen.Catalog(), v.opts)
+	// A fresh checker shares the immutable catalog (checks only read it) but
+	// owns its kernel, caches and evaluator, populated by one Import.
+	chk = core.New(v.catalog, v.opts)
 	// A primary run under DebugChecks (the soaks) has its replicas checked too.
-	chk.Store().Kernel().SetDebugChecks(v.frozen.Store().Kernel().DebugChecks())
-	if err := chk.AdoptIndices(v.frozen.Store().Kernel(), v.snaps); err != nil {
+	chk.Store().Kernel().SetDebugChecks(v.debug)
+	if err := chk.AdoptIndices(v.img, v.snaps); err != nil {
 		return nil, fmt.Errorf("replica: materializing epoch %d: %w", v.epoch, err)
 	}
 	return chk, nil
@@ -356,7 +350,7 @@ func (p *Pool) worker(i int) {
 			if chk != nil {
 				before = chk.KernelStats()
 			}
-			next, err := pub.v.materialize(chk)
+			next, err := pub.v.Materialize(chk)
 			if err != nil && chk == nil {
 				// No fallback version to serve: fail this job.
 				p.idle <- i

@@ -2,7 +2,7 @@ package store
 
 // snapshot.go serializes a whole core.Checker image — catalog schemas with
 // dictionary-encoded rows, every index's fdd block geometry, the index BDDs
-// themselves (one nested bdd.Save of all roots, so structure shared between
+// themselves (one nested bdd.Image of all roots, so structure shared between
 // indices stays shared on disk), and the constraint set — and restores it
 // into a fresh checker. A snapshot is self-contained: restoring needs only
 // the bytes and the core.Options the serving checker runs with.
@@ -21,8 +21,8 @@ package store
 //	          str name, str table, uvarint-counted cols and order lists,
 //	          uvarint nblocks, per block (str name, uvarint size,
 //	          uvarint-counted vars list)
-//	bdd:      uvarint byte length, then a bdd.Save stream of all index
-//	          roots in the indices-section order
+//	bdd:      uvarint byte length, then a bdd.Image (Image.WriteTo) of
+//	          all index roots in the indices-section order
 //	constraints: str (the rendered constraint text, "" when none)
 //
 // str = uvarint length + bytes. Domains serialize their dictionaries in
@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bdd"
@@ -155,11 +156,13 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 		}
 	}
 
-	snaps := chk.SnapshotIndices()
+	img, snaps, err := chk.ExportIndices()
+	if err != nil {
+		return fmt.Errorf("store: exporting index BDDs: %w", err)
+	}
 	if err := num(uint64(len(snaps))); err != nil {
 		return err
 	}
-	roots := make([]bdd.Ref, 0, len(snaps))
 	for _, s := range snaps {
 		if err := str(s.Name); err != nil {
 			return err
@@ -196,14 +199,13 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 				}
 			}
 		}
-		roots = append(roots, s.Root)
 	}
 
 	// The BDD section is length-prefixed so the container parser never has
-	// to trust bdd.Load's internal buffering to stop at the right byte.
+	// to trust bdd.ReadImage's internal buffering to stop at the right byte.
 	var bddBuf bytes.Buffer
-	if err := chk.Store().Kernel().Save(&bddBuf, roots...); err != nil {
-		return fmt.Errorf("store: saving index BDDs: %w", err)
+	if _, err := img.WriteTo(&bddBuf); err != nil {
+		return err
 	}
 	if err := num(uint64(bddBuf.Len())); err != nil {
 		return err
@@ -278,8 +280,8 @@ func boundedCap(n int) int {
 }
 
 // readSnapshot restores a checker image from r. opts are the core options
-// the restored checker runs with (budget, evaluation strategy); they are the
-// caller's runtime configuration, not part of the image. Returns the
+// the restored checker runs with (its node budget); they are the caller's
+// runtime configuration, not part of the image. Returns the
 // checker, the persisted constraint text, and the snapshot's epoch.
 func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64, error) {
 	p := &snapParser{br: bufio.NewReader(r)}
@@ -370,11 +372,14 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 		for j := 0; j < nBlocks && p.err == nil; j++ {
 			b := core.BlockSnapshot{Name: p.str("block name")}
 			size := p.num()
-			if p.err == nil && size > maxSnapCount {
+			if p.err == nil && (size < 1 || size > maxSnapCount) {
 				p.fail("implausible block size %d", size)
 			}
 			b.Size = int(size)
 			nVars := p.count("block var")
+			if p.err == nil && nVars != max(1, bits.Len64(size-1)) {
+				p.fail("block %s: %d variables for %d values", b.Name, nVars, size)
+			}
 			b.Vars = make([]int, 0, boundedCap(nVars))
 			for k := 0; k < nVars && p.err == nil; k++ {
 				v := p.num()
@@ -391,36 +396,36 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 		return nil, "", 0, p.err
 	}
 
-	chk := core.New(cat, opts)
-	k := chk.Store().Kernel()
-	if int(numVars) > k.NumVars() {
-		k.AddVars(int(numVars) - k.NumVars())
-	}
 	bddLen := p.num()
 	if p.err != nil {
 		return nil, "", 0, p.err
 	}
 	bddSection := io.LimitReader(p.br, int64(bddLen))
-	roots, err := k.Load(bddSection)
+	img, err := bdd.ReadImage(bddSection)
 	if err != nil {
-		if errors.Is(err, bdd.ErrCorrupt) {
-			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		return nil, "", 0, fmt.Errorf("store: loading index BDDs: %w", err)
+		return nil, "", 0, fmt.Errorf("%w: reading index BDDs: %w", ErrCorrupt, err)
 	}
-	// Load buffers internally and may leave section bytes unread; drain to
-	// the declared section end so the container cursor stays aligned.
+	// ReadImage buffers internally and may leave section bytes unread; drain
+	// to the declared section end so the container cursor stays aligned.
 	if _, err := io.Copy(io.Discard, bddSection); err != nil {
 		return nil, "", 0, fmt.Errorf("%w: draining BDD section: %v", ErrCorrupt, err)
 	}
-	if len(roots) != len(snaps) {
-		return nil, "", 0, fmt.Errorf("%w: snapshot lists %d indices but stores %d roots", ErrCorrupt, len(snaps), len(roots))
+	// The image orders the kernel's every variable, so its order backs the
+	// header's variable count with bytes before the kernel grows to it.
+	if n := len(img.VarOrder()); uint64(n) != numVars {
+		return nil, "", 0, fmt.Errorf("%w: the BDD section orders %d variables, the header declares %d", ErrCorrupt, n, numVars)
 	}
-	for i := range snaps {
-		snaps[i].Root = roots[i]
+	chk := core.New(cat, opts)
+	k := chk.Store().Kernel()
+	if int(numVars) > k.NumVars() {
+		k.AddVars(int(numVars) - k.NumVars())
 	}
-	if err := chk.AdoptOwnedIndices(snaps); err != nil {
-		return nil, "", 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := chk.AdoptIndices(img, snaps); err != nil {
+		// Only a budget too small for the indices is not the bytes' fault.
+		if !errors.Is(err, bdd.ErrBudget) {
+			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		return nil, "", 0, fmt.Errorf("store: restoring indices: %w", err)
 	}
 	constraints := p.str("constraint text")
 	if p.err != nil {

@@ -326,8 +326,12 @@ func TestCheckerAt(t *testing.T) {
 	}
 	states := map[uint64]*core.Checker{}
 	freeze := func(epoch uint64) {
+		img, snaps, err := chk.ExportIndices()
+		if err != nil {
+			t.Fatal(err)
+		}
 		frozen := core.New(chk.Catalog().Clone(), chk.Options())
-		if err := frozen.AdoptIndices(chk.Store().Kernel(), chk.SnapshotIndices()); err != nil {
+		if err := frozen.AdoptIndices(img, snaps); err != nil {
 			t.Fatal(err)
 		}
 		states[epoch] = frozen

@@ -111,7 +111,7 @@ func verifySnapshot(dir string, e *SnapshotEntry) error {
 	// Touch every index root so a dangling ref would surface here, not at
 	// first use after a recovery.
 	for _, snap := range chk.SnapshotIndices() {
-		chk.Store().Kernel().NodeCount(snap.Root)
+		chk.Store().Index(snap.Name).NodeCount()
 	}
 	return nil
 }

@@ -45,22 +45,22 @@ var seededFaults = []seededFault{
 		}},
 	},
 	{
-		name: "tryFDFastPath never releases its mark", analyzer: "tempmark",
-		pkg: "./internal/core", file: "internal/core/core.go",
+		name: "Among never releases its mark", analyzer: "tempmark",
+		pkg: "./internal/fdd", file: "internal/fdd/fdd.go",
 		edits: [][2]string{{
-			"\tmark := k.TempMark()\n\tdefer k.TempRelease(mark)\n\tdoms := ix.Domains()\n",
-			"\tmark := k.TempMark()\n\t_ = mark\n\tdoms := ix.Domains()\n",
+			"\tmark := k.TempMark()\n\tdefer k.TempRelease(mark)\n\tsorted := append([]int(nil), values...)\n",
+			"\tmark := k.TempMark()\n\t_ = mark\n\tsorted := append([]int(nil), values...)\n",
 		}},
 	},
 	{
-		name: "tryFDFastPath releases only on success", analyzer: "tempmark",
-		pkg: "./internal/core", file: "internal/core/core.go",
+		name: "randomRelationBDD releases only on success", analyzer: "tempmark",
+		pkg: "./internal/experiments", file: "internal/experiments/fig6.go",
 		edits: [][2]string{{
-			"\tdefer k.TempRelease(mark)\n\tdoms := ix.Domains()\n",
-			"\tdoms := ix.Domains()\n",
+			"\tmark := k.TempMark()\n\tdefer k.TempRelease(mark)\n\tf := bdd.False\n",
+			"\tmark := k.TempMark()\n\tf := bdd.False\n",
 		}, {
-			"\tgroups := k.SatCountWithin(groupsBDD, detVars)\n",
-			"\tgroups := k.SatCountWithin(groupsBDD, detVars)\n\tk.TempRelease(mark)\n",
+			"\t}\n\treturn f, nil\n}\n",
+			"\t}\n\tk.TempRelease(mark)\n\treturn f, nil\n}\n",
 		}},
 	},
 	{
@@ -101,6 +101,14 @@ var seededFaults = []seededFault{
 		edits: [][2]string{{
 			"\ts.pool.Publish(v)\n\ts.replicaOK.Store(true)\n",
 			"\ts.pool.Publish(v)\n\tgo func() { s.chk.Store().Kernel().ClearCaches() }()\n\ts.replicaOK.Store(true)\n",
+		}},
+	},
+	{
+		name: "publishVersion replays the replicas' demand from a goroutine", analyzer: "kernelowner",
+		pkg: "./internal/service", file: "internal/service/service.go",
+		edits: [][2]string{{
+			"\ts.chk.ReadProjections(s.pool.TakeDemand())\n",
+			"\tgo func() { s.chk.ReadProjections(s.pool.TakeDemand()) }()\n",
 		}},
 	},
 	{

@@ -77,6 +77,8 @@ var checkerMut = map[string]bool{
 	"MaybeReorder":   true,
 	"AdoptIndices":   true,
 	"AdvanceIndices": true,
+	// ReadProjections computes and pins projections on the indices.
+	"ReadProjections": true,
 }
 
 // Fact summarizes how calling a function can mutate kernel/checker state

@@ -431,10 +431,11 @@ func (c *Checker) withBudget(budget int, f func()) {
 // dependent columns, count the distinct projected tuples, project the
 // dependent away, count again — the FD holds iff the two counts coincide.
 // This is the Figure 5(b) strategy ("projection of suitable attributes to
-// construct new BDDs and manipulation of the resulting BDDs"). The pairs are
-// the index's maintained projection onto the determinant and the dependent,
-// so only the first check after the index was built or rebound pays for
-// them; the groups are projected from the pairs on every check.
+// construct new BDDs and manipulation of the resulting BDDs"). Both the pairs
+// and the groups are maintained projections of the index (Index.Projection):
+// only the first check after the index was built pays for them, and a
+// replica adopts them with the index, so its checks after an update cost two
+// reads and two counts.
 func (c *Checker) tryFDFastPath(ct logic.Constraint) (Result, bool) {
 	fd, ok := logic.DetectFD(ct.F)
 	if !ok {
@@ -445,17 +446,15 @@ func (c *Checker) tryFDFastPath(ct logic.Constraint) (Result, bool) {
 		return Result{}, false
 	}
 	start := time.Now()
-	k := c.store.Kernel()
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
 	doms := ix.Domains()
 	keep := append([]int{fd.Dependent}, fd.Determinant...)
 	slices.Sort(keep)
 	keep = slices.Compact(keep)
-	var pairVars, detVars []int
+	var det, pairVars, detVars []int
 	for _, i := range keep {
 		pairVars = append(pairVars, doms[i].Vars()...)
 		if i != fd.Dependent {
+			det = append(det, i)
 			detVars = append(detVars, doms[i].Vars()...)
 		}
 	}
@@ -466,12 +465,12 @@ func (c *Checker) tryFDFastPath(ct logic.Constraint) (Result, bool) {
 		c.ev.Recover()
 		return Result{}, false // budget hit; let the generic path decide
 	}
-	groupsBDD := fdd.Exists(pairsBDD, doms[fd.Dependent])
+	groupsBDD := ix.Projection(det)
 	if groupsBDD == bdd.Invalid {
 		c.ev.Recover()
 		return Result{}, false
 	}
-	k.TempKeep(groupsBDD)
+	k := c.store.Kernel()
 	pairs := k.SatCountWithin(pairsBDD, pairVars)
 	groups := k.SatCountWithin(groupsBDD, detVars)
 	return Result{

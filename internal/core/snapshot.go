@@ -1,9 +1,9 @@
 // snapshot.go exports the checker's indices for replication and persistence:
 // the names and variable blocks a second checker needs to reproduce the
-// primary's indices bit-for-bit inside its own kernel, and their roots as one
-// bdd.Image. Variable positions determine the semantics of every encoded
-// relation, so adoption must copy the layout exactly rather than re-allocate
-// blocks in discovery order.
+// primary's indices bit-for-bit inside its own kernel, and their roots and
+// their maintained projections' roots as one bdd.Image. Variable positions
+// determine the semantics of every encoded relation, so adoption must copy
+// the layout exactly rather than re-allocate blocks in discovery order.
 package core
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/fdd"
+	"repro/internal/index"
 	"repro/internal/relation"
 )
 
@@ -26,13 +27,16 @@ type BlockSnapshot struct {
 
 // IndexSnapshot describes one logical index's geometry: enough to re-register
 // it over another kernel once its root has arrived there in a bdd.Image (see
-// ExportIndices).
+// ExportIndices). Projections lists the kept positions of each projection the
+// index maintains, in the order their roots follow the index roots in the
+// image; they are not part of the geometry.
 type IndexSnapshot struct {
-	Name   string
-	Table  string
-	Cols   []int
-	Order  []int
-	Blocks []BlockSnapshot
+	Name        string
+	Table       string
+	Cols        []int
+	Order       []int
+	Blocks      []BlockSnapshot
+	Projections [][]int
 }
 
 // Options returns the options the checker was created with. A replica
@@ -40,8 +44,8 @@ type IndexSnapshot struct {
 // normalization.
 func (c *Checker) Options() Options { return c.opts }
 
-// SnapshotIndices captures the geometry of every index of the checker in
-// sorted name order.
+// SnapshotIndices captures the geometry of every index of the checker, and
+// the positions its maintained projections keep, in sorted name order.
 func (c *Checker) SnapshotIndices() []IndexSnapshot {
 	names := c.store.Names()
 	out := make([]IndexSnapshot, 0, len(names))
@@ -60,32 +64,49 @@ func (c *Checker) SnapshotIndices() []IndexSnapshot {
 				Vars: append([]int(nil), d.Vars()...),
 			})
 		}
+		for _, p := range ix.Projections() {
+			snap.Projections = append(snap.Projections, p.Keep)
+		}
 		out = append(out, snap)
 	}
 	return out
 }
 
-// ExportIndices captures every index: its geometry, as SnapshotIndices does,
-// and its root, in one image whose roots are parallel to the snapshots, so
-// structure shared between indices is exported once. The image belongs to no
-// kernel; later changes to this checker cannot reach it.
+// ExportIndices captures every index: its geometry and projection lists, as
+// SnapshotIndices does, its root and its maintained projections' roots, in
+// one image. The image's roots are the index roots, parallel to the
+// snapshots, then each index's projection roots in snapshot order, so
+// structure shared between indices and projections is exported once. The
+// image belongs to no kernel; later changes to this checker cannot reach it.
 func (c *Checker) ExportIndices() (*bdd.Image, []IndexSnapshot, error) {
 	snaps := c.SnapshotIndices()
 	roots := make([]bdd.Ref, len(snaps))
+	var projs []bdd.Ref
 	for i, s := range snaps {
-		roots[i] = c.store.Index(s.Name).Root()
+		ix := c.store.Index(s.Name)
+		roots[i] = ix.Root()
+		for _, p := range ix.Projections() {
+			projs = append(projs, p.Root)
+		}
 	}
-	img, err := c.store.Kernel().Export(roots...)
+	img, err := c.store.Kernel().Export(append(roots, projs...)...)
 	return img, snaps, err
 }
+
+// ReadProjections reads the demanded projections of the checker's indices on
+// behalf of the kernels that demanded them (index.Store.Replay): the next
+// export carries each one, and the checker maintains it while readers keep
+// demanding it.
+func (c *Checker) ReadProjections(ds []index.Demand) { c.store.Replay(ds) }
 
 // AdoptIndices reproduces exported indices inside this checker: it raises
 // the kernel's variable count to cover every block, imports the image (one
 // walk, so structure shared between indices stays shared), re-registers the
-// blocks at their original positions, and registers each index for
-// incremental maintenance. The checker must be fresh — no indices built yet —
-// and its catalog must contain the snapshotted tables. img is only read, so
-// many replicas can adopt from one image concurrently.
+// blocks at their original positions, and registers each index, with the
+// projections it maintained, for incremental maintenance. The checker must
+// be fresh — no indices built yet — and its catalog must contain the
+// snapshotted tables. img is only read, so many replicas can adopt from one
+// image concurrently.
 func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 	k := c.store.Kernel()
 	maxVar := -1
@@ -99,7 +120,7 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 	if maxVar >= k.NumVars() {
 		k.AddVars(maxVar + 1 - k.NumVars())
 	}
-	roots, err := importRoots(k, img, snaps)
+	roots, projs, err := importRoots(k, img, snaps)
 	if err != nil {
 		return fmt.Errorf("core: adopting indices: %w", err)
 	}
@@ -113,7 +134,7 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 			doms[j] = c.store.Space().AdoptDomain(b.Name, b.Size, b.Vars)
 		}
 		if _, err := c.store.Adopt(s.Name, t,
-			append([]int(nil), s.Cols...), append([]int(nil), s.Order...), doms, roots[i]); err != nil {
+			append([]int(nil), s.Cols...), append([]int(nil), s.Order...), doms, roots[i], projs[i]); err != nil {
 			return fmt.Errorf("core: adopting index %q: %w", s.Name, err)
 		}
 		c.indexRegistry[s.Table] = append(c.indexRegistry[s.Table], s.Name)
@@ -125,9 +146,9 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 // indices to a newer one in place: the image is imported into the kernel the
 // checker already has — re-interning finds every node the two exports share,
 // so only the difference is allocated — and each index is rebound to its new
-// root and to its table in cat, the newer catalog. The kernel, its operation
-// caches and the evaluator's scratch blocks survive; the evaluator's bound
-// predicates do not (they were bound to the old roots).
+// root, its new projections and its table in cat, the newer catalog. The
+// kernel, its operation caches and the evaluator's scratch blocks survive;
+// the evaluator's bound predicates do not (they were bound to the old roots).
 //
 // Everything that can fail is checked before any index is rebound: the
 // snapshots must describe exactly the indices the checker holds (names,
@@ -163,31 +184,52 @@ func (c *Checker) AdvanceIndices(cat *relation.Catalog, img *bdd.Image, snaps []
 			return fmt.Errorf("core: advancing indices: the source's variable order moved")
 		}
 	}
-	roots, err := importRoots(k, img, snaps)
+	roots, projs, err := importRoots(k, img, snaps)
 	if err != nil {
 		k.ClearErr()
 		return fmt.Errorf("core: advancing indices: %w", err)
 	}
 	for i, s := range snaps {
-		c.store.Index(s.Name).Rebind(cat.Table(s.Table), roots[i])
+		c.store.Index(s.Name).Rebind(cat.Table(s.Table), roots[i], projs[i])
 		c.ev.ForgetPred(s.Name)
 	}
 	c.catalog = cat
 	return nil
 }
 
-// importRoots imports img into k and checks that it carries one root per
-// snapshot.
-func importRoots(k *bdd.Kernel, img *bdd.Image, snaps []IndexSnapshot) ([]bdd.Ref, error) {
-	roots, err := k.Import(img)
-	if err == nil && len(roots) != len(snaps) {
-		err = fmt.Errorf("the image carries %d roots for %d indices", len(roots), len(snaps))
+// importRoots checks the snapshots' projection lists, imports img into k and
+// checks that it carries one root per snapshot and one per listed
+// projection. It returns the index roots, parallel to snaps, and each index's
+// projections.
+func importRoots(k *bdd.Kernel, img *bdd.Image, snaps []IndexSnapshot) ([]bdd.Ref, [][]index.Projected, error) {
+	want := len(snaps)
+	for _, s := range snaps {
+		if err := index.CheckKeeps(s.Projections, len(s.Cols)); err != nil {
+			return nil, nil, fmt.Errorf("index %q: %w", s.Name, err)
+		}
+		want += len(s.Projections)
 	}
-	return roots, err
+	refs, err := k.Import(img)
+	if err == nil && len(refs) != want {
+		err = fmt.Errorf("the image carries %d roots for %d indices and %d projections", len(refs), len(snaps), want-len(snaps))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	projs := make([][]index.Projected, len(snaps))
+	next := len(snaps)
+	for i, s := range snaps {
+		for _, keep := range s.Projections {
+			projs[i] = append(projs[i], index.Projected{Keep: keep, Root: refs[next]})
+			next++
+		}
+	}
+	return refs[:len(snaps)], projs, nil
 }
 
 // sameGeometry reports whether two snapshots describe the same index: name,
-// table, columns and the blocks' names, sizes and variables.
+// table, columns and the blocks' names, sizes and variables. The projection
+// lists may differ.
 func sameGeometry(a, b IndexSnapshot) bool {
 	return a.Name == b.Name && a.Table == b.Table &&
 		slices.Equal(a.Cols, b.Cols) && slices.Equal(a.Order, b.Order) &&

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/bdd"
@@ -196,6 +197,30 @@ func TestAdvanceIndices(t *testing.T) {
 		renamed[0].Blocks[0].Vars = append([]int{renamed[0].Blocks[0].Vars[0] + 1}, renamed[0].Blocks[0].Vars[1:]...)
 		if err := replica.AdvanceIndices(frozen, img, renamed); err == nil {
 			t.Fatal("advanced onto a snapshot whose blocks sit on other variables")
+		}
+		agree(t, before)
+	})
+
+	t.Run("projections", func(t *testing.T) {
+		with := slices.IndexFunc(snaps, func(s core.IndexSnapshot) bool { return len(s.Projections) > 0 })
+		if with < 0 {
+			t.Fatal("the primary's checks left no maintained projection to export")
+		}
+		tamper := func(projs [][]int) []core.IndexSnapshot {
+			out := slices.Clone(snaps)
+			out[with].Projections = projs
+			return out
+		}
+		s := snaps[with]
+		for name, projs := range map[string][][]int{
+			"a position past the columns": append(slices.Clone(s.Projections[1:]), []int{len(s.Cols)}),
+			"every column":                append(slices.Clone(s.Projections[1:]), s.Cols),
+			"a list twice":                append(slices.Clone(s.Projections), s.Projections[0]),
+			"a list missing":              s.Projections[1:],
+		} {
+			if err := replica.AdvanceIndices(frozen, img, tamper(projs)); err == nil {
+				t.Fatalf("advanced onto a snapshot listing %s", name)
+			}
 		}
 		agree(t, before)
 	})

@@ -60,7 +60,7 @@ func TestDifferentialSoak(t *testing.T) {
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
 	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
-	ProjectionCoverage = 0
+	ProjectionCoverage.Maintained, ProjectionCoverage.Adopted = 0, 0
 	GCCoverage = 0
 	for i := 0; i < *soakSeeds; i++ {
 		rng := rand.New(rand.NewSource(soakBase + int64(i)))
@@ -90,10 +90,14 @@ func TestDifferentialSoak(t *testing.T) {
 	t.Logf("soak: primary witness calls by route: %s", strings.Join(routes, ", "))
 	t.Logf("soak: the replica followed its primary in place after %d batches and was rebuilt after %d",
 		ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt)
-	t.Logf("soak: %d primary projection reads hit a projection maintained across an update batch", ProjectionCoverage)
+	t.Logf("soak: %d primary projection reads hit a projection maintained across an update batch", ProjectionCoverage.Maintained)
+	t.Logf("soak: %d replica projection reads hit a projection adopted from the primary's export", ProjectionCoverage.Adopted)
 	t.Logf("soak: the primary kernels ran %d collections", GCCoverage)
-	if *soakSeeds >= 63 && ProjectionCoverage == 0 {
+	if *soakSeeds >= 63 && ProjectionCoverage.Maintained == 0 {
 		t.Fatal("no projection read hit a maintained projection: the soak cross-checked recomputed projections only")
+	}
+	if *soakSeeds >= 63 && ProjectionCoverage.Adopted == 0 {
+		t.Fatal("no replica projection read hit an adopted projection: the soak cross-checked projections the replica computed itself only")
 	}
 	if *soakSeeds >= 63 && !*reorderSoak && ReplicaCoverage.Advanced == 0 {
 		t.Fatal("no replica ever advanced in place: the soak cross-checked rebuilt replicas only")

@@ -68,9 +68,12 @@ var ReplicaCoverage struct{ Advanced, Rebuilt int }
 
 // ProjectionCoverage accumulates, across RunCase calls, how many of the
 // primary's projection reads a projection answered that index maintenance
-// had carried across at least one update batch (index.Store.MaintainedReads).
-// TestDifferentialSoak logs it and fails a run in which none did.
-var ProjectionCoverage int
+// had carried across at least one update batch (Maintained,
+// index.Store.MaintainedReads), and how many of the replica's a projection
+// answered that it had adopted from the primary's export (Adopted,
+// index.Store.AdoptedReads). TestDifferentialSoak logs both and fails a run
+// in which either is zero.
+var ProjectionCoverage struct{ Maintained, Adopted int }
 
 // GCCoverage accumulates, across RunCase calls, the collections the primary
 // kernel ran (bdd.Stats.GCRuns). Under DebugChecks the collection trigger
@@ -139,7 +142,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 		for r, n := range vs.Routes {
 			RuleCoverage.Routes[r] += n
 		}
-		ProjectionCoverage += primary.Store().MaintainedReads()
+		ProjectionCoverage.Maintained += primary.Store().MaintainedReads()
 		GCCoverage += primary.KernelStats().GCRuns
 	}()
 	for _, ts := range c.Tables {
@@ -165,6 +168,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() { ProjectionCoverage.Adopted += rep.Store().AdoptedReads() }()
 	if mm, err := checkAll(primary, rep, cts, 0); mm != nil || err != nil {
 		return mm, err
 	}
@@ -265,6 +269,7 @@ func follow(rep, primary *core.Checker, epoch uint64) (*core.Checker, error) {
 		ReplicaCoverage.Advanced++
 	default:
 		ReplicaCoverage.Rebuilt++
+		ProjectionCoverage.Adopted += rep.Store().AdoptedReads()
 	}
 	return next, nil
 }

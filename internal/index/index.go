@@ -13,7 +13,11 @@
 // itself, by the counting algorithm of incremental view maintenance (Gupta,
 // Mumick & Subrahmanian, SIGMOD 1993): a projection counts the table rows
 // behind each of its tuples, and its BDD changes only when a count moves
-// between zero and one.
+// between zero and one. The maintained projections travel with the index:
+// Projections lists them for an export, and Adopt and Rebind take them in,
+// so a replica reads the projections its primary maintains. A Store logs the
+// projections its kernel reads (TakeDemand), so that a primary can read on
+// its replicas' behalf (Replay) and keep what they use.
 package index
 
 import (
@@ -41,8 +45,11 @@ type Store struct {
 	space   *fdd.Space
 	indices map[string]*Index
 	// maintainedReads counts the Projection calls answered by a projection
-	// that Insert or Delete had moved since it was computed.
-	maintainedReads int
+	// that Insert or Delete had moved since it was computed, adoptedReads
+	// those answered by a projection that Adopt or Rebind took in.
+	maintainedReads, adoptedReads int
+	// demand logs the projections Projection was asked for.
+	demand DemandSet
 }
 
 // NewStore creates an empty index store.
@@ -69,6 +76,85 @@ func (s *Store) Index(name string) *Index { return s.indices[name] }
 // that a projection maintained by at least one Insert or Delete answered: the
 // reads that maintenance saved a recomputation.
 func (s *Store) MaintainedReads() int { return s.maintainedReads }
+
+// AdoptedReads counts the Projection calls, over every index of the store,
+// that a projection taken in by Adopt or Rebind answered: the reads that
+// shipping the projections with the index saved a recomputation.
+func (s *Store) AdoptedReads() int { return s.adoptedReads }
+
+// TakeDemand returns the projections that Projection has been asked for
+// since the last TakeDemand, each once, and clears the log.
+func (s *Store) TakeDemand() []Demand { return s.demand.Take() }
+
+// Replay reads each demanded projection as Projection would, on behalf of
+// another kernel that read it: one the index maintains has its idle count
+// reset, a missing one is computed and maintained from then on. A demand
+// naming no index of the store, or positions the index does not have, is
+// skipped, and so is one whose computation exceeds the node budget (the
+// kernel's error is cleared). Replay logs no demand of its own and counts no
+// read.
+func (s *Store) Replay(ds []Demand) {
+	for _, d := range ds {
+		ix := s.indices[d.Index]
+		if ix == nil || CheckKeeps([][]int{d.Keep}, len(ix.cols)) != nil {
+			continue
+		}
+		if p := ix.lookup(d.Keep); p != nil {
+			p.idle = 0
+		} else if ix.compute(d.Keep) == bdd.Invalid {
+			s.kernel.ClearErr()
+		}
+	}
+}
+
+// Demand names a projection some kernel read: the index and the positions
+// into its columns that the projection keeps.
+type Demand struct {
+	Index string
+	Keep  []int
+}
+
+// DemandSet collects demands, each (index, positions) pair once. The zero
+// value is empty and ready to use.
+type DemandSet struct {
+	m   map[string]Demand
+	key []byte // scratch for the key of the demand being added
+}
+
+// Add records a demand for the projection of the named index onto keep.
+func (s *DemandSet) Add(index string, keep []int) {
+	s.key = append(s.key[:0], index...)
+	s.key = append(s.key, 0)
+	for _, pos := range keep {
+		s.key = binary.AppendUvarint(s.key, uint64(pos))
+	}
+	if _, ok := s.m[string(s.key)]; ok {
+		return
+	}
+	if s.m == nil {
+		s.m = make(map[string]Demand)
+	}
+	s.m[string(s.key)] = Demand{Index: index, Keep: slices.Clone(keep)}
+}
+
+// Take returns the recorded demands in key order, so their replay is
+// deterministic, and empties the set.
+func (s *DemandSet) Take() []Demand {
+	if len(s.m) == 0 {
+		return nil
+	}
+	keys := make([]string, 0, len(s.m))
+	for k := range s.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]Demand, len(keys))
+	for i, k := range keys {
+		out[i] = s.m[k]
+	}
+	s.m = nil
+	return out
+}
 
 // Names lists the store's index names in sorted order, for stats reporting.
 func (s *Store) Names() []string {
@@ -101,12 +187,43 @@ type Index struct {
 
 // projection is the index existentially projected onto some of its columns.
 type projection struct {
-	keep  []int         // positions into the index's columns, ascending
-	doms  []*fdd.Domain // the blocks at keep
-	root  bdd.Ref       // pinned
-	rows  counts        // the table's rows by their codes at keep
-	moved bool          // Insert or Delete has moved it since it was computed
-	idle  int           // rows Insert and Delete applied since the last read
+	keep    []int         // positions into the index's columns, ascending
+	doms    []*fdd.Domain // the blocks at keep
+	root    bdd.Ref       // pinned
+	rows    counts        // the table's rows by their codes at keep
+	moved   bool          // Insert or Delete has moved it since it was computed
+	adopted bool          // Adopt or Rebind took it in rather than computing it
+	idle    int           // rows Insert and Delete applied since the last read
+}
+
+// Projected is a maintained projection as it leaves or enters an index: the
+// positions into the index's columns it keeps, ascending, and its root.
+type Projected struct {
+	Keep []int
+	Root bdd.Ref
+}
+
+// CheckKeeps reports whether keeps can name the maintained projections of an
+// index of ncols columns: each list strictly ascending inside 0..ncols-1 and
+// shorter than ncols (keeping every column is the index itself), and no list
+// twice.
+func CheckKeeps(keeps [][]int, ncols int) error {
+	for i, keep := range keeps {
+		if len(keep) >= ncols {
+			return fmt.Errorf("index: a projection keeps %d of %d columns", len(keep), ncols)
+		}
+		for j, pos := range keep {
+			if pos < 0 || pos >= ncols || (j > 0 && keep[j-1] >= pos) {
+				return fmt.Errorf("index: projection positions %v are not ascending inside 0..%d", keep, ncols-1)
+			}
+		}
+		for _, prev := range keeps[:i] {
+			if slices.Equal(prev, keep) {
+				return fmt.Errorf("index: projection onto %v listed twice", keep)
+			}
+		}
+	}
+	return nil
 }
 
 // counts counts the rows of an index's table by their codes at some of the
@@ -212,8 +329,11 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 // bdd.Kernel.Import and adopts it here, together with blocks reproduced through
 // fdd.Space.AdoptDomain. doms is parallel to cols (schema order), order is
 // the block layout permutation exactly as in Build, and root must be a Ref
-// of this store's kernel. The root is protected like a built index's.
-func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, doms []*fdd.Domain, root bdd.Ref) (*Index, error) {
+// of this store's kernel. The root is protected like a built index's, and so
+// is each of projs, the projections of root the source index maintained:
+// they answer Projection from then on as if computed here. The caller checks
+// projs' positions (CheckKeeps) first.
+func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, doms []*fdd.Domain, root bdd.Ref, projs []Projected) (*Index, error) {
 	if _, dup := s.indices[name]; dup {
 		return nil, fmt.Errorf("index: %q already exists", name)
 	}
@@ -237,22 +357,51 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 	}
 	ix := &Index{store: s, table: t, name: name, cols: cols, doms: doms, order: order, root: root, rows: counts{cols: cols}}
 	s.kernel.Protect(root)
+	ix.adopt(projs)
 	s.indices[name] = ix
 	return ix, nil
 }
 
 // Rebind points an adopted index at a newer image of the same projection: t
-// is the table's counterpart in a newer catalog and root its BDD over the
-// same blocks, already transferred into this store's kernel. The new root is
-// pinned before the old one is released, so what they share never becomes
-// collectable in between. The projections of the old image are forgotten;
-// the next Projection call computes them afresh.
-func (ix *Index) Rebind(t *relation.Table, root bdd.Ref) {
+// is the table's counterpart in a newer catalog, root its BDD over the same
+// blocks and projs the projections of root the source index maintained (see
+// Adopt), all already transferred into this store's kernel. The new roots are
+// pinned before the old ones are released, so what they share never becomes
+// collectable in between. The old image's projections, and the row count,
+// are dropped: projs replaces them, and a projection not among projs is
+// computed afresh on its next read. The caller checks projs' positions
+// (CheckKeeps) first.
+func (ix *Index) Rebind(t *relation.Table, root bdd.Ref, projs []Projected) {
 	k := ix.store.kernel
 	k.Protect(root)
+	old := ix.projections
+	ix.projections = nil
+	ix.adopt(projs)
+	for _, p := range old {
+		k.Unprotect(p.root)
+	}
 	k.Unprotect(ix.root)
-	ix.table, ix.root = t, root
-	ix.forget()
+	ix.table, ix.root, ix.rows.n = t, root, nil
+}
+
+// adopt pins projs and appends them to the index's projections.
+func (ix *Index) adopt(projs []Projected) {
+	for _, pr := range projs {
+		p := ix.newProjection(pr.Keep)
+		p.root, p.adopted = pr.Root, true
+		ix.store.kernel.Protect(p.root)
+		ix.projections = append(ix.projections, p)
+	}
+}
+
+// Projections lists the index's maintained projections in the order they
+// were first asked for: what an export ships beside Root.
+func (ix *Index) Projections() []Projected {
+	out := make([]Projected, len(ix.projections))
+	for i, p := range ix.projections {
+		out[i] = Projected{Keep: slices.Clone(p.keep), Root: p.root}
+	}
+	return out
 }
 
 // forget unpins and drops every projection and the row count: what is
@@ -445,33 +594,51 @@ func (ix *Index) minterm(doms []*fdd.Domain, vals []int) bdd.Ref {
 
 // Projection returns the index existentially projected onto the columns at
 // the kept positions (positions into Columns(), ascending). The first call
-// for a column set computes it with fdd.Exists and pins it; Insert and
-// Delete maintain it from then on, so later calls do no kernel work until
-// Rebind or Drop forgets it, or it goes unread for more updates than the
-// table has rows (see maintain). Keeping every column returns Root(); keeping
-// none returns True or False, whether the table has a row. When the first
+// for a column set computes it with fdd.Exists and pins it, unless Adopt or
+// Rebind took it in; Insert and Delete maintain it from then on, so later
+// calls do no kernel work until Rebind or Drop forgets it, or it goes unread
+// for more updates than the table has rows (see maintain). Every call is
+// logged for TakeDemand. Keeping every column returns Root(); keeping none
+// returns True or False, whether the table has a row. When the first
 // computation exceeds the node budget, Projection returns bdd.Invalid with
 // the kernel's error set, as the kernel's own operations do.
 func (ix *Index) Projection(keep []int) bdd.Ref {
 	if len(keep) == len(ix.cols) {
 		return ix.root
 	}
+	ix.store.demand.Add(ix.name, keep)
+	p := ix.lookup(keep)
+	if p == nil {
+		return ix.compute(keep)
+	}
+	if p.moved {
+		ix.store.maintainedReads++
+	}
+	if p.adopted {
+		ix.store.adoptedReads++
+	}
+	p.idle = 0
+	return p.root
+}
+
+// lookup returns the projection onto keep that the index holds, or nil.
+func (ix *Index) lookup(keep []int) *projection {
 	for _, p := range ix.projections {
 		if slices.Equal(p.keep, keep) {
-			if p.moved {
-				ix.store.maintainedReads++
-			}
-			p.idle = 0
-			return p.root
+			return p
 		}
 	}
-	p := &projection{keep: slices.Clone(keep)}
+	return nil
+}
+
+// compute projects the root onto keep with fdd.Exists and holds the result
+// as a maintained projection. It returns bdd.Invalid, with the kernel's
+// error set, when the projection exceeds the node budget.
+func (ix *Index) compute(keep []int) bdd.Ref {
+	p := ix.newProjection(keep)
 	var drop []*fdd.Domain
 	for j, d := range ix.doms {
-		if slices.Contains(keep, j) {
-			p.doms = append(p.doms, d)
-			p.rows.cols = append(p.rows.cols, ix.cols[j])
-		} else {
+		if !slices.Contains(keep, j) {
 			drop = append(drop, d)
 		}
 	}
@@ -481,6 +648,17 @@ func (ix *Index) Projection(keep []int) bdd.Ref {
 	ix.store.kernel.Protect(p.root)
 	ix.projections = append(ix.projections, p)
 	return p.root
+}
+
+// newProjection is the projection onto keep without its root: its blocks
+// and the columns its row count keys on.
+func (ix *Index) newProjection(keep []int) *projection {
+	p := &projection{keep: slices.Clone(keep)}
+	for _, j := range keep {
+		p.doms = append(p.doms, ix.doms[j])
+		p.rows.cols = append(p.rows.cols, ix.cols[j])
+	}
+	return p
 }
 
 // Contains reports whether the indexed projection of the encoded row is in

@@ -256,7 +256,7 @@ func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
 	for empty.Len() > 0 {
 		empty.DeleteCodes(empty.Row(0))
 	}
-	ix.Rebind(empty, bdd.False)
+	ix.Rebind(empty, bdd.False, nil)
 	reads := store.MaintainedReads()
 	for _, keep := range subsets {
 		if got := ix.Projection(keep); got != bdd.False {

@@ -12,10 +12,17 @@
 //   - The primary checker is owned exclusively by whoever applies writes
 //     (internal/service's worker goroutine). Replicas never see it.
 //   - After each write batch the primary's owner freezes a Version — an
-//     immutable snapshot (catalog clone + the index roots exported as one
-//     bdd.Image, a node list that belongs to no kernel) — and Publishes it.
-//     Building a Version reads the primary, so it must happen on the
-//     owner's goroutine.
+//     immutable snapshot (catalog clone + the index roots and their
+//     maintained projections exported as one bdd.Image, a node list that
+//     belongs to no kernel) — and Publishes it. Building a Version reads the
+//     primary, so it must happen on the owner's goroutine.
+//   - Projections travel with the index: a replica adopts the projections
+//     the primary maintains instead of computing its own. Only the primary
+//     maintains, so it must learn what replicas read: a worker moves its
+//     kernel's projection reads (index.Store.TakeDemand) into the pool after
+//     each job, and the owner takes them (Pool.TakeDemand) and reads them on
+//     the primary (core.Checker.ReadProjections) before it freezes the next
+//     Version.
 //   - Pool workers each own one replica checker. A worker notices a newer
 //     Version between requests and adopts it; in-flight work always
 //     finishes on the version it started with. A replica is a kernel, not
@@ -26,8 +33,8 @@
 //     scratch state live on — and ends the adoption with a collection
 //     (bdd.Kernel.GC) that frees the replaced index paths but, like every
 //     collection, keeps each cache entry that is still about live nodes, so
-//     the first recheck after an update pays for the delta and not for cold
-//     projections of the whole index. A worker builds a fresh checker from
+//     the first recheck after an update pays for the delta; the projections
+//     it reads arrived with the version. A worker builds a fresh checker from
 //     the image only when it has none yet or cannot follow: the index
 //     geometry or the variable order moved, or the delta does not fit the
 //     node budget (Pool.Rebuilds counts these).
@@ -53,6 +60,7 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -61,9 +69,10 @@ import (
 var ErrClosed = errors.New("replica: pool closed")
 
 // Version is one immutable snapshot of the primary's catalog and indices: a
-// catalog clone, the index roots as one bdd.Image and the index geometry to
-// re-register them by. It holds no kernel. The zero epoch is never published;
-// epochs increase with every handoff.
+// catalog clone, the index roots and their maintained projections as one
+// bdd.Image, and the index geometry to re-register them by. It holds no
+// kernel. The zero epoch is never published; epochs increase with every
+// handoff.
 type Version struct {
 	epoch   uint64
 	catalog *relation.Catalog
@@ -78,7 +87,8 @@ type Version struct {
 // (it reads the primary's catalog and kernel); the returned Version is safe
 // to share. The snapshot deep-clones the catalog metadata while sharing the
 // encoded row storage (rows are never mutated in place) and exports every
-// index root into an image, so later writes to the primary cannot reach it.
+// index root and maintained projection into an image, so later writes to the
+// primary cannot reach it.
 func NewVersion(primary *core.Checker, epoch uint64) (*Version, error) {
 	img, snaps, err := primary.ExportIndices()
 	if err != nil {
@@ -171,6 +181,11 @@ type Pool struct {
 	rebuilds atomic.Uint64
 	stats    []atomic.Pointer[Stats]
 
+	// demand collects the projections the workers' kernels read, until the
+	// primary's owner takes them (TakeDemand).
+	demandMu sync.Mutex
+	demand   index.DemandSet
+
 	// metrics, when set, receives per-job latency observations. Written
 	// once before traffic (SetMetrics), read by Do and the workers.
 	metrics atomic.Pointer[Metrics]
@@ -248,9 +263,21 @@ func (p *Pool) Swaps() uint64 { return p.swaps.Load() }
 // of advancing the worker's own: each worker's first, and every one after
 // which the worker could not follow in place (the primary reordered or
 // rebuilt an index, or the difference did not fit the node budget). A pool
-// whose Rebuilds keeps pace with its Swaps pays two cold projections of the
-// whole index per epoch.
+// whose Rebuilds keeps pace with its Swaps imports the whole index into a
+// cold kernel per epoch.
 func (p *Pool) Rebuilds() uint64 { return p.rebuilds.Load() }
+
+// TakeDemand returns the projections the workers' kernels have read since
+// the last TakeDemand, each once and in a deterministic order, and clears
+// them. The primary's owner reads them on the primary before it freezes the
+// next version (core.Checker.ReadProjections), so that version carries them:
+// a replica that advances to it adopts the projections it reads instead of
+// recomputing them.
+func (p *Pool) TakeDemand() []index.Demand {
+	p.demandMu.Lock()
+	defer p.demandMu.Unlock()
+	return p.demand.Take()
+}
 
 // Publish hands a new version to the pool. Workers swap to it before their
 // next request; in-flight requests finish on the version they started with.
@@ -380,6 +407,15 @@ func (p *Pool) worker(i int) {
 			// the next publish retries the swap.
 		}
 		jb.fn(chk, epoch)
+		// The demand is in the pool before the job is reported done, so an
+		// update its caller sends next replays it.
+		if ds := chk.Store().TakeDemand(); len(ds) > 0 {
+			p.demandMu.Lock()
+			for _, d := range ds {
+				p.demand.Add(d.Index, d.Keep)
+			}
+			p.demandMu.Unlock()
+		}
 		if m != nil && m.Run != nil {
 			m.Run.Observe(time.Since(picked))
 		}

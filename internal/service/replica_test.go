@@ -417,3 +417,54 @@ constraint one_state: forall c, a, s1, s2: CUST(c, a, s1) and CUST(c, _, s2) => 
 		t.Fatalf("/metricsz does not report the two rebuilds:\n%s", body)
 	}
 }
+
+// TestStatszCountsTheProjectionsReplicasDemand: a replica's FD check reaches
+// the primary as demand at the next freeze, /statsz shows the primary
+// carrying the FD's projections, and the replica's first check after the
+// update reads them at no kernel step.
+func TestStatszCountsTheProjectionsReplicasDemand(t *testing.T) {
+	_, ts := newFixtureServer(t, `
+		constraint city_state:
+		    forall c, a, s, a2, s2: CUST(c, a, s) and CUST(c, a2, s2) => s = s2.
+	`, service.Options{Replicas: 1})
+	projections := func() int {
+		t.Helper()
+		var stats service.StatszResponse
+		if st := get(t, ts.URL+"/statsz", &stats); st != http.StatusOK || len(stats.Indices) != 1 {
+			t.Fatalf("statsz status %d, indices %+v", st, stats.Indices)
+		}
+		return stats.Indices[0].Projections
+	}
+	var resp service.CheckResponse
+	if st := post(t, ts.URL+"/check", service.CheckRequest{}, &resp); st != http.StatusOK {
+		t.Fatalf("check status %d", st)
+	}
+	if n := projections(); n != 0 {
+		t.Fatalf("before any freeze the primary carries %d projections, want 0", n)
+	}
+	var ur service.UpdateResponse
+	if st := post(t, ts.URL+"/update", service.UpdateRequest{Updates: []service.UpdateTuple{
+		{Table: "CUST", Op: "insert", Values: []string{"Oshawa", "905", "Ontario"}},
+	}}, &ur); st != http.StatusOK || ur.Applied != 1 {
+		t.Fatalf("update: status %d, %+v", st, ur)
+	}
+	if n := projections(); n != 2 {
+		t.Fatalf("after the replica's FD check and a freeze the primary carries %d projections, want the pairs and the groups", n)
+	}
+	if st := post(t, ts.URL+"/check?trace=1", service.CheckRequest{}, &resp); st != http.StatusOK || resp.Trace == nil {
+		t.Fatalf("traced check status %d", st)
+	}
+	evals := 0
+	for _, sp := range resp.Trace.Spans {
+		if sp.Name != "eval:city_state" {
+			continue
+		}
+		evals++
+		if sp.Kernel != nil && sp.Kernel.Ops != 0 {
+			t.Fatalf("the replica's FD check after the update took %d kernel steps, want 0", sp.Kernel.Ops)
+		}
+	}
+	if evals != 1 {
+		t.Fatalf("%d eval:city_state spans, want 1: %+v", evals, resp.Trace.Spans)
+	}
+}

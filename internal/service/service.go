@@ -269,6 +269,10 @@ type IndexStats struct {
 	Table string `json:"table"`
 	Cols  int    `json:"cols"`
 	Nodes int    `json:"nodes"`
+	// Projections counts the maintained projections the primary carries
+	// for the index: those its own checks read and those its replicas'
+	// reads demanded (replica.Pool.TakeDemand).
+	Projections int `json:"projections"`
 }
 
 // TableStats describes one base table for /statsz.
@@ -563,6 +567,8 @@ func (s *Server) publishVersion(epoch uint64) {
 	if s.pool == nil {
 		return
 	}
+	// The replicas' projection reads, replayed here, ride the version.
+	s.chk.ReadProjections(s.pool.TakeDemand())
 	v, err := replica.NewVersion(s.chk, epoch)
 	if err != nil {
 		s.replicaOK.Store(false)
@@ -735,10 +741,11 @@ func (s *Server) publish(full bool) {
 		for _, name := range store.Names() {
 			ix := store.Index(name)
 			snap.indices = append(snap.indices, IndexStats{
-				Name:  name,
-				Table: ix.Table().Name(),
-				Cols:  len(ix.Columns()),
-				Nodes: ix.NodeCount(),
+				Name:        name,
+				Table:       ix.Table().Name(),
+				Cols:        len(ix.Columns()),
+				Nodes:       ix.NodeCount(),
+				Projections: len(ix.Projections()),
 			})
 		}
 	}

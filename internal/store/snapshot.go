@@ -9,7 +9,7 @@ package store
 //
 // Layout after an 8-byte magic:
 //
-//	uvarint format version (currently 1)
+//	uvarint format version (currently 2; 1 is still read)
 //	uvarint epoch
 //	uvarint kernel variable count
 //	domains:  uvarint n, then per domain (sorted by name)
@@ -20,9 +20,13 @@ package store
 //	indices:  uvarint n, then per index (sorted by name)
 //	          str name, str table, uvarint-counted cols and order lists,
 //	          uvarint nblocks, per block (str name, uvarint size,
-//	          uvarint-counted vars list)
+//	          uvarint-counted vars list), then (format 2) uvarint nproj,
+//	          per maintained projection a uvarint-counted list of the
+//	          index column positions it keeps
 //	bdd:      uvarint byte length, then a bdd.Image (Image.WriteTo) of
-//	          all index roots in the indices-section order
+//	          all index roots in the indices-section order, then every
+//	          index's projection roots in the same order (format 1 has
+//	          no projections)
 //	constraints: str (the rendered constraint text, "" when none)
 //
 // str = uvarint length + bytes. Domains serialize their dictionaries in
@@ -37,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/bdd"
@@ -48,8 +53,9 @@ import (
 const (
 	snapMagic = "\x00CVSNAP1"
 	// snapFormatVersion is bumped on any incompatible layout change; a
-	// reader refuses files from a newer version.
-	snapFormatVersion = 1
+	// reader refuses files from a newer version. Version 2 added the
+	// projection lists.
+	snapFormatVersion = 2
 	// maxSnapString caps any single string or value in a snapshot.
 	maxSnapString = 1 << 26
 	// maxSnapCount caps any declared element count.
@@ -93,6 +99,17 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 		}
 		_, err := bw.WriteString(s)
 		return err
+	}
+	list := func(vs []int) error {
+		if err := num(uint64(len(vs))); err != nil {
+			return err
+		}
+		for _, v := range vs {
+			if err := num(uint64(v)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if err := num(snapFormatVersion); err != nil {
 		return err
@@ -170,14 +187,9 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 		if err := str(s.Table); err != nil {
 			return err
 		}
-		for _, list := range [][]int{s.Cols, s.Order} {
-			if err := num(uint64(len(list))); err != nil {
+		for _, l := range [][]int{s.Cols, s.Order} {
+			if err := list(l); err != nil {
 				return err
-			}
-			for _, v := range list {
-				if err := num(uint64(v)); err != nil {
-					return err
-				}
 			}
 		}
 		if err := num(uint64(len(s.Blocks))); err != nil {
@@ -190,13 +202,16 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 			if err := num(uint64(b.Size)); err != nil {
 				return err
 			}
-			if err := num(uint64(len(b.Vars))); err != nil {
+			if err := list(b.Vars); err != nil {
 				return err
 			}
-			for _, v := range b.Vars {
-				if err := num(uint64(v)); err != nil {
-					return err
-				}
+		}
+		if err := num(uint64(len(s.Projections))); err != nil {
+			return err
+		}
+		for _, keep := range s.Projections {
+			if err := list(keep); err != nil {
+				return err
 			}
 		}
 	}
@@ -253,21 +268,44 @@ func (p *snapParser) count(what string) int {
 	return int(v)
 }
 
+// str reads a length-prefixed string. The buffer grows with the bytes that
+// arrive, at most doubling, so a declared length costs memory only once the
+// input backs it.
 func (p *snapParser) str(what string) string {
-	n := p.num()
+	v := p.num()
 	if p.err != nil {
 		return ""
 	}
-	if n > maxSnapString {
-		p.fail("implausible %s length %d", what, n)
+	if v > maxSnapString {
+		p.fail("implausible %s length %d", what, v)
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(p.br, buf); err != nil {
-		p.fail("truncated %s: %v", what, err)
-		return ""
+	n := int(v)
+	buf := make([]byte, 0, boundedCap(n))
+	for len(buf) < n {
+		old := len(buf)
+		next := min(n, max(cap(buf), 2*old))
+		buf = slices.Grow(buf, next-old)[:next]
+		if _, err := io.ReadFull(p.br, buf[old:]); err != nil {
+			p.fail("truncated %s: %v", what, err)
+			return ""
+		}
 	}
 	return string(buf)
+}
+
+// list reads a uvarint-counted list of non-negative ints.
+func (p *snapParser) list(what string) []int {
+	n := p.count(what)
+	out := make([]int, 0, boundedCap(n))
+	for j := 0; j < n && p.err == nil; j++ {
+		v := p.num()
+		if p.err == nil && v > maxSnapCount {
+			p.fail("implausible %s value %d", what, v)
+		}
+		out = append(out, int(v))
+	}
+	return out
 }
 
 // boundedCap limits a pre-allocation driven by an untrusted count: slices
@@ -292,8 +330,12 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 	if string(magic) != snapMagic {
 		return nil, "", 0, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
 	}
-	if v := p.num(); p.err == nil && v != snapFormatVersion {
-		return nil, "", 0, fmt.Errorf("store: snapshot format version %d is newer than supported %d: %w", v, snapFormatVersion, ErrNewerFormat)
+	format := p.num()
+	if p.err == nil && format > snapFormatVersion {
+		return nil, "", 0, fmt.Errorf("store: snapshot format version %d is newer than supported %d: %w", format, snapFormatVersion, ErrNewerFormat)
+	}
+	if p.err == nil && format == 0 {
+		p.fail("format version 0")
 	}
 	epoch := p.num()
 	numVars := p.num()
@@ -356,18 +398,8 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 	snaps := make([]core.IndexSnapshot, 0, boundedCap(nIdx))
 	for i := 0; i < nIdx && p.err == nil; i++ {
 		s := core.IndexSnapshot{Name: p.str("index name"), Table: p.str("index table")}
-		for _, dst := range []*[]int{&s.Cols, &s.Order} {
-			n := p.count("index column")
-			list := make([]int, 0, boundedCap(n))
-			for j := 0; j < n && p.err == nil; j++ {
-				v := p.num()
-				if p.err == nil && v > maxSnapCount {
-					p.fail("implausible index column value %d", v)
-				}
-				list = append(list, int(v))
-			}
-			*dst = list
-		}
+		s.Cols = p.list("index column")
+		s.Order = p.list("index column")
 		nBlocks := p.count("block")
 		for j := 0; j < nBlocks && p.err == nil; j++ {
 			b := core.BlockSnapshot{Name: p.str("block name")}
@@ -389,6 +421,12 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 				b.Vars = append(b.Vars, int(v))
 			}
 			s.Blocks = append(s.Blocks, b)
+		}
+		if format >= 2 {
+			nProj := p.count("projection")
+			for j := 0; j < nProj && p.err == nil; j++ {
+				s.Projections = append(s.Projections, p.list("projection position"))
+			}
 		}
 		snaps = append(snaps, s)
 	}

@@ -390,6 +390,12 @@ func (p *byteParser) uvarint() uint64 {
 		p.err = fmt.Errorf("store: truncated varint at offset %d", p.off)
 		return 0
 	}
+	// A longer encoding than AppendUvarint's ends in a zero byte; refusing
+	// it keeps every decodable record the encoding of what it decodes to.
+	if n > 1 && p.data[p.off+n-1] == 0 {
+		p.err = fmt.Errorf("store: non-minimal varint at offset %d", p.off)
+		return 0
+	}
 	p.off += n
 	return v
 }

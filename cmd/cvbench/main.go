@@ -1,7 +1,7 @@
 // Command cvbench regenerates the paper's evaluation: every figure and
 // table of §5, printed as text tables with the paper's reported numbers for
-// comparison, plus the kernel-only reorder study that extends §3. It measures
-// kernels in-process; the service is measured by bench/ against a cvserved.
+// comparison. It measures kernels in-process; the service is measured by
+// bench/ against a cvserved.
 //
 // Usage:
 //
@@ -46,7 +46,6 @@ var all = []experiment{
 	{"fig6c", experiments.Fig6c},
 	{"table1", experiments.Table1},
 	{"threshold", experiments.Threshold},
-	{"reorder", experiments.Reorder},
 }
 
 // expNames joins "all" and every experiment name with sep.

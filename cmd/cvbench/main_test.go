@@ -15,6 +15,7 @@ func TestSelectExperiments(t *testing.T) {
 		{spec: "parallel", unknown: `"parallel"`},
 		{spec: "fig4,paralel", unknown: `"paralel"`},
 		{spec: "all,shard", unknown: `"shard"`},
+		{spec: "reorder", unknown: `"reorder"`}, // retired with dynamic reordering
 		{spec: "", unknown: `""`},
 	} {
 		got, err := selectExperiments(tc.spec)

@@ -77,7 +77,6 @@ func TestParseArgs(t *testing.T) {
 		{flag: "poll-wait", noBase: true, args: []string{"-follow", "http://l", "-data-dir", "d", "-poll-wait", "2s"}, want: func(p parsed) bool {
 			return p.cfg.svc.Follower.PollWait == 2*time.Second
 		}},
-		{flag: "reorder", args: []string{"-reorder"}, want: func(p parsed) bool { return p.cfg.svc.Reorder }},
 		{flag: "shards", args: []string{"-shards", "3"}, want: func(p parsed) bool { return p.cfg.shards == 3 }},
 		{flag: "shard-key", args: []string{"-shard-key", "CUST.city"}, want: func(p parsed) bool { return p.cfg.shardKey == "CUST.city" }},
 		{flag: "shard-mode", args: []string{"-shard-mode", "range"}, want: func(p parsed) bool { return p.cfg.shardMode == "range" }},
@@ -98,7 +97,7 @@ func TestParseArgs(t *testing.T) {
 	}
 	// Settings that are constants, not flags: each is an unknown flag.
 	for _, gone := range []string{"nodes-per-sec", "max-batch", "snapshot-bytes", "queue", "fsync-interval",
-		"reorder-growth", "reorder-min-nodes", "read-header-timeout", "read-timeout", "write-timeout", "idle-timeout"} {
+		"reorder", "reorder-growth", "reorder-min-nodes", "read-header-timeout", "read-timeout", "write-timeout", "idle-timeout"} {
 		rows = append(rows, argsRow{args: []string{"-" + gone, "1"}, err: "flag provided but not defined: -" + gone})
 	}
 

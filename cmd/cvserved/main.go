@@ -206,7 +206,6 @@ func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, 
 	fs.StringVar(&cfg.follow, "follow", "", "leader base URL: run as a read-only follower replicating its snapshot + WAL (requires -data-dir)")
 	fs.Uint64Var(&follower.MaxLag, "max-lag", 0, "refuse live reads with 503 when more than this many epochs behind the leader (0 = serve at any staleness)")
 	fs.DurationVar(&follower.PollWait, "poll-wait", 0, "leader /wal long-poll duration (0 = default 10s)")
-	fs.BoolVar(&cfg.svc.Reorder, "reorder", false, "sift the BDD variable order between update batches once live nodes double past the post-reorder baseline (kernels of 4096+ live nodes)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the catalog across this many in-process shard kernels behind a scatter-gather coordinator (requires -shard-key)")
 	fs.StringVar(&cfg.shardKey, "shard-key", "", "TABLE.COLUMN whose values partition the catalog; tables sharing the column's domain co-partition, others broadcast")
 	fs.StringVar(&cfg.shardMode, "shard-mode", "hash", "partitioning function: hash|range")

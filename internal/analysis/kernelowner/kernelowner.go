@@ -4,7 +4,7 @@
 // The service's correctness argument (DESIGN.md, "Static contracts") rests on
 // one goroutine — the write-worker loop, plus the boot path that runs before
 // it starts — performing every structural mutation of the primary
-// core.Checker / bdd.Kernel: Apply, index builds, reorders, snapshot
+// core.Checker / bdd.Kernel: Apply, index builds, collections, snapshot
 // adoption. HTTP handlers, the follower tail loop and replica readers run
 // concurrently with the worker and must stay read-only; the type system
 // cannot tell these call sites apart because the mutating methods hang off
@@ -53,11 +53,9 @@ var Analyzer = &analysis.Analyzer{
 
 // kernelMut are the *bdd.Kernel methods that restructure shared kernel
 // state. Allocation during evaluation (And, MakeNode, ...) is excluded by
-// design; Import is not, because it can adopt a variable order.
+// design; Import is not, because it is how a kernel takes over another's
+// indices (core's AdoptIndices and AdvanceIndices).
 var kernelMut = map[string]bool{
-	"Reorder":        true,
-	"SetOrder":       true,
-	"Group":          true,
 	"SetBudget":      true,
 	"SetDebugChecks": true,
 	"ClearCaches":    true,
@@ -73,8 +71,6 @@ var checkerMut = map[string]bool{
 	"InsertTuple":    true,
 	"DeleteTuple":    true,
 	"BuildIndex":     true,
-	"Reorder":        true,
-	"MaybeReorder":   true,
 	"AdoptIndices":   true,
 	"AdvanceIndices": true,
 	// ReadProjections computes and pins projections on the indices.

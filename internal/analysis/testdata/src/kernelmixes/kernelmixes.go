@@ -55,20 +55,20 @@ func goodAlias(st *store, f, g bdd.Ref) bdd.Ref {
 	return st.kernel.Not(r)
 }
 
-// goodReorderSameKernel: dynamic reordering preserves externally held Refs
-// (sifting rewires levels, never frees pinned nodes), so a Ref minted
-// before Reorder stays usable on the same kernel afterwards.
-func goodReorderSameKernel(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
+// goodClearCachesSameKernel: flushing the operation caches leaves every
+// Ref where it was, so a Ref minted before ClearCaches stays usable on the
+// same kernel afterwards.
+func goodClearCachesSameKernel(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	r := k.And(f, g)
-	k.Reorder()
+	k.ClearCaches()
 	return k.Not(r)
 }
 
-// badCrossAfterReorder: reordering the destination kernel does not launder
-// a foreign Ref onto it.
-func badCrossAfterReorder(k1, k2 *bdd.Kernel, f bdd.Ref) bdd.Ref {
+// badCrossAfterClearCaches: flushing the destination kernel's caches does
+// not launder a foreign Ref onto it.
+func badCrossAfterClearCaches(k1, k2 *bdd.Kernel, f bdd.Ref) bdd.Ref {
 	r := k1.Not(f)
-	k2.Reorder()
+	k2.ClearCaches()
 	return k2.Not(r) // want `Ref minted by kernel "k1" passed to method Not of kernel "k2"`
 }
 
@@ -113,11 +113,11 @@ func goodHelperRoundTrip(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	return consume(k, r)
 }
 
-// goodSetOrderSameKernel: an explicit order install is a same-kernel
+// goodAddVarsSameKernel: growing the variable set is a same-kernel
 // mutation; previously minted Refs remain valid on that kernel.
-func goodSetOrderSameKernel(k *bdd.Kernel, f bdd.Ref) bdd.Ref {
+func goodAddVarsSameKernel(k *bdd.Kernel, f bdd.Ref) bdd.Ref {
 	r := k.Not(f)
-	if err := k.SetOrder([]int{0}); err != nil {
+	if k.AddVars(1) < 0 {
 		return bdd.Invalid
 	}
 	return k.And(r, f)

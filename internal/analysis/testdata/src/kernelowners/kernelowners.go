@@ -20,7 +20,7 @@ var globalKernel *bdd.Kernel
 func (s *server) run(ups []core.Update) {
 	// The kernel owner mutates freely.
 	s.chk.Apply(ups)
-	s.k.Reorder()
+	s.k.GC()
 }
 
 //cv:owner any
@@ -47,7 +47,7 @@ func (s *server) handleDeep() { // want `can mutate kernel/checker state via \(\
 func (s *server) level1() { s.level2() }
 
 func (s *server) level2() {
-	s.k.SetOrder([]int{0})
+	s.k.AddVars(1)
 }
 
 //cv:owner any
@@ -58,7 +58,7 @@ func (s *server) handleAlias() { // want `can mutate kernel/checker state via \(
 
 //cv:owner any
 func (s *server) handleImport(img *bdd.Image) { // want `can mutate kernel/checker state via \(\*Kernel\)\.Import`
-	// Import can adopt the image's variable order.
+	// Import takes over another kernel's indices.
 	s.k.Import(img)
 }
 
@@ -97,7 +97,7 @@ func (s *server) handleFreshFromArgCall(opts core.Options) {
 	// Argument-taking calls construct fresh values; the mutation does not
 	// root at s.
 	chk := materializeFor(s, opts)
-	chk.Reorder()
+	chk.BuildIndex("T", "T", nil, core.OrderSchema)
 }
 
 func materializeFor(s *server, opts core.Options) *core.Checker {

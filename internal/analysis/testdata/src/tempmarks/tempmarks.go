@@ -119,14 +119,14 @@ func leakSwitchNoDefault(k *bdd.Kernel, f bdd.Ref, n int) {
 	}
 } // want `function exits without TempRelease\(mark\)`
 
-// goodReorderInsideMark: sifting between TempKeep and TempRelease is legal —
-// the temp set is part of the reorder's root set, so pinned intermediates
-// survive the sift and the deferred release still pairs the mark.
-func goodReorderInsideMark(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
+// goodGCInsideMark: collecting between TempKeep and TempRelease is legal —
+// the temp set is part of the collection's root set, so kept intermediates
+// survive it and the deferred release still pairs the mark.
+func goodGCInsideMark(k *bdd.Kernel, f, g bdd.Ref) bdd.Ref {
 	mark := k.TempMark()
 	defer k.TempRelease(mark)
 	h := k.TempKeep(k.And(f, g))
-	k.Reorder()
+	k.GC()
 	return k.Or(h, f)
 }
 
@@ -192,11 +192,13 @@ func leakIgnored(k *bdd.Kernel, f bdd.Ref) {
 	//lint:ignore tempmark,kernelmix the enclosing harness releases every mark between runs
 }
 
-// leakReorderEarlyReturn: bailing out on a no-op sift skips the release.
-func leakReorderEarlyReturn(k *bdd.Kernel, f bdd.Ref) bdd.Ref {
+// leakGCEarlyReturn: bailing out on a collection that freed nothing skips
+// the release.
+func leakGCEarlyReturn(k *bdd.Kernel, f bdd.Ref) bdd.Ref {
 	mark := k.TempMark()
 	h := k.TempKeep(k.Not(f))
-	if st := k.Reorder(); st.After == st.Before {
+	before := k.Size()
+	if k.GC(); k.Size() == before {
 		return h // want `function exits without TempRelease\(mark\)`
 	}
 	k.TempRelease(mark)

@@ -49,7 +49,8 @@ func (k *Kernel) Not(f Ref) Ref {
 func (k *Kernel) ITE(f, g, h Ref) Ref {
 	k.gcIfNeeded(f, g, h)
 	// Evaluated via two applies; adequate for the workloads in this
-	// reproduction, which use ITE only in tests.
+	// reproduction, which use ITE only in tests and to import bytes a
+	// sifting kernel wrote (image.go).
 	a := k.apply(opAnd, f, g)
 	nf := k.negate(f)
 	b := k.apply(opAnd, nf, h)

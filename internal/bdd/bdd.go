@@ -2,9 +2,8 @@
 // with a shared unique-node table, memoized boolean operations, variable
 // quantification, combined apply-quantify operations (the analogues of
 // BuDDy's bdd_appex and bdd_appall), ordered variable replacement, garbage
-// collection with external reference pinning, dynamic variable reordering
-// (Rudell sifting, see reorder.go), and a configurable node budget that
-// aborts operations whose intermediate results explode.
+// collection with external reference pinning, and a configurable node budget
+// that aborts operations whose intermediate results explode.
 //
 // The package is a from-scratch substitute for the BuDDy C library used by
 // the paper "Fast Identification of Relational Constraint Violations"
@@ -13,13 +12,11 @@
 // the same Ref, so validity and satisfiability tests are O(1) comparisons
 // against True and False.
 //
-// Levels and variables are distinct notions: a node's position in the
-// diagram is its level (level 0 at the top), while the boolean variable it
-// tests is looked up through a level↔variable permutation. A fresh kernel
-// starts with the identity permutation (variable i at level i); Reorder and
-// SetOrder change it. Everything variable-facing (Var, Literal, Support,
-// replacement pairs) speaks variables; the internal recursion and cubes
-// compare levels.
+// A variable is its level: variable i sits at position i of the diagram
+// (level 0 at the top), so the order is the order in which the variables
+// were allocated. The paper fixes that order when an index is built, with
+// its ordering heuristics (§3), and never reorders at run time (§2.2); the
+// finite-domain layer allocates blocks in the order those heuristics chose.
 //
 // Kernels are not safe for concurrent use; callers that share a Kernel
 // across goroutines must serialize access.
@@ -61,8 +58,8 @@ const (
 const terminalLevel = math.MaxUint32
 
 // freedLevel stamps the level field of swept nodes, so a free-list slot is
-// recognizable: garbage collection and reordering both rely on the stamp to
-// tell live slots from reclaimed ones, and DebugChecks uses it to catch a
+// recognizable: garbage collection relies on the stamp to tell live slots
+// from reclaimed ones, and DebugChecks uses it to catch a
 // stale Ref dereferencing a freed slot. It can never collide with a real
 // level or with terminalLevel. makeNode overwrites the stamp when the slot
 // is reused.
@@ -80,9 +77,7 @@ var ErrOrder = errors.New("bdd: replacement does not preserve variable order")
 
 // Config controls the construction of a Kernel.
 type Config struct {
-	// Vars is the number of boolean variables. A fresh kernel places
-	// variable i at level i (the identity order); Reorder and SetOrder can
-	// change the placement later.
+	// Vars is the number of boolean variables; variable i sits at level i.
 	Vars int
 	// NodeBudget, when positive, bounds the number of live nodes. An
 	// operation that needs to allocate past the budget is aborted: it
@@ -107,9 +102,7 @@ type Config struct {
 // Kernel owns a shared node table and the operation caches. All Refs handed
 // out by a Kernel remain valid while they are pinned (see Protect) or
 // reachable from a pinned Ref; unpinned, unreachable nodes may be reclaimed
-// by garbage collection between operations. Reordering (see reorder.go)
-// also preserves pinned Refs: a node keeps its index while its function is
-// rewritten in place.
+// by garbage collection between operations.
 //
 // The node table is struct-of-arrays: the level, low, high, chain and pin
 // fields of node i live in five parallel slices instead of one 20-byte
@@ -118,7 +111,7 @@ type Config struct {
 // the arrays keeps the traversed fields dense in cache.
 type Kernel struct {
 	// node table, struct-of-arrays; index 0 and 1 are the terminals
-	level []uint32 // variable level; terminalLevel for True/False, freedLevel for free slots
+	level []uint32 // tested variable, which is its level; terminalLevel for True/False, freedLevel for free slots
 	low   []Ref    // 0-successor
 	high  []Ref    // 1-successor
 	next  []int32  // unique-table hash chain; -1 terminates; free-list link for freed slots
@@ -128,10 +121,6 @@ type Kernel struct {
 	free    int32   // head of free list threaded through next; -1 empty
 	live    int     // number of live (non-free) nodes, including terminals
 	numVars int
-
-	// level↔variable permutation; identity until a reorder changes it
-	var2level []uint32 // var2level[v] is the level of variable v
-	level2var []uint32 // level2var[l] is the variable at level l
 
 	budget      int
 	gcTrigger   int // run GC when live exceeds this at an operation boundary
@@ -157,7 +146,6 @@ type Kernel struct {
 	restrictSeen []uint64
 
 	replaceMaps []replaceMap // interned variable substitutions
-	groups      [][]int      // variable groups that sift as units (reorder.go)
 
 	// statistics
 	gcCount        int
@@ -170,8 +158,6 @@ type Kernel struct {
 	quantHits      uint64
 	replaceLookups uint64
 	replaceHits    uint64
-	reorderRuns    int
-	reorderSaved   uint64 // cumulative live-node drop across reorders
 }
 
 type applyEntry struct {
@@ -193,19 +179,12 @@ type replaceEntry struct {
 }
 
 type replaceMap struct {
-	// pairs holds the registered variable substitution (source variable,
-	// target variable); the level-indexed form below is derived from it and
-	// rebuilt whenever the variable order or count changes.
-	pairs [][2]int
-	// dense per-level target level; identity where unchanged
+	// target[v] is the variable v is renamed to; identity where unchanged,
+	// and variables added after the map are past its end
 	target []uint32
-	// lastLevel is the largest level that is remapped; recursion can stop
+	// lastLevel is the largest variable that is remapped; recursion can stop
 	// once the current level exceeds it.
 	lastLevel uint32
-	// valid is false when the current variable order breaks the map's
-	// monotonicity, making a single linear pass impossible; Replace then
-	// reports ErrOrder.
-	valid bool
 }
 
 const (
@@ -270,12 +249,6 @@ func New(cfg Config) *Kernel {
 	for i := range k.buckets {
 		k.buckets[i] = -1
 	}
-	k.var2level = make([]uint32, cfg.Vars)
-	k.level2var = make([]uint32, cfg.Vars)
-	for i := 0; i < cfg.Vars; i++ {
-		k.var2level[i] = uint32(i)
-		k.level2var[i] = uint32(i)
-	}
 	k.resetGCTrigger()
 	k.cacheEpoch = 1 // zero-valued entries never match
 	return k
@@ -320,13 +293,6 @@ func (k *Kernel) AddVars(n int) int {
 	}
 	base := k.numVars
 	k.numVars += n
-	for i := base; i < k.numVars; i++ {
-		k.var2level = append(k.var2level, uint32(i))
-		k.level2var = append(k.level2var, uint32(i))
-	}
-	for i := range k.replaceMaps {
-		k.rebuildReplaceMap(&k.replaceMaps[i])
-	}
 	return base
 }
 
@@ -355,47 +321,13 @@ func (k *Kernel) OpCount() uint64 { return k.appliedCount }
 // caches.
 func (k *Kernel) CacheHits() uint64 { return k.applyHits + k.quantHits + k.replaceHits }
 
-// Level returns the level (position in the current variable order, 0 at the
-// top) of node f, or NumVars() for the terminals. Use VarOf for the boolean
-// variable f tests; the two coincide only under the identity order.
-func (k *Kernel) Level(f Ref) int {
-	if k.isTerminal(f) {
-		return k.numVars
-	}
-	return int(k.level[f])
-}
-
-// VarOf returns the boolean variable tested by node f, or NumVars() for the
-// terminals.
+// VarOf returns the boolean variable tested by node f, which is also its
+// level, or NumVars() for the terminals.
 func (k *Kernel) VarOf(f Ref) int {
 	if k.isTerminal(f) {
 		return k.numVars
 	}
-	return int(k.level2var[k.level[f]])
-}
-
-// LevelOfVar returns the level at which variable v is currently placed.
-func (k *Kernel) LevelOfVar(v int) int {
-	k.checkVar(v)
-	return int(k.var2level[v])
-}
-
-// VarAtLevel returns the variable currently placed at the given level.
-func (k *Kernel) VarAtLevel(level int) int {
-	if level < 0 || level >= k.numVars {
-		panic(fmt.Sprintf("bdd: level %d out of range [0,%d)", level, k.numVars))
-	}
-	return int(k.level2var[level])
-}
-
-// VarOrder returns the current variable order as a fresh slice: entry l is
-// the variable placed at level l.
-func (k *Kernel) VarOrder() []int {
-	out := make([]int, k.numVars)
-	for l, v := range k.level2var {
-		out[l] = int(v)
-	}
-	return out
+	return int(k.level[f])
 }
 
 // Low returns the 0-successor of f. f must not be a terminal.
@@ -412,13 +344,13 @@ func (k *Kernel) IsTerminal(f Ref) bool { return k.isTerminal(f) }
 // Var returns the BDD of the single-variable function x_i.
 func (k *Kernel) Var(i int) Ref {
 	k.checkVar(i)
-	return k.makeNode(k.var2level[i], False, True)
+	return k.makeNode(uint32(i), False, True)
 }
 
 // NVar returns the BDD of the negated single-variable function ¬x_i.
 func (k *Kernel) NVar(i int) Ref {
 	k.checkVar(i)
-	return k.makeNode(k.var2level[i], True, False)
+	return k.makeNode(uint32(i), True, False)
 }
 
 func (k *Kernel) checkVar(i int) {
@@ -485,11 +417,11 @@ func (k *Kernel) Unprotect(f Ref) {
 }
 
 // MakeNode returns the canonical node testing variable v with the given
-// cofactors. Both cofactors must be terminals or nodes at strictly greater
-// levels; MakeNode panics otherwise, because a violation would silently
-// break canonicity. It exists for bulk constructions (the finite-domain
-// layer's sorted-tuple relation builder) that assemble BDDs bottom-up
-// without going through apply.
+// cofactors. Both cofactors must be terminals or nodes testing strictly
+// greater variables; MakeNode panics otherwise, because a violation would
+// silently break canonicity. It exists for bulk constructions (the
+// finite-domain layer's sorted-tuple relation builder) that assemble BDDs
+// bottom-up without going through apply.
 func (k *Kernel) MakeNode(v uint32, low, high Ref) Ref {
 	if int(v) >= k.numVars {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", v, k.numVars))
@@ -497,11 +429,10 @@ func (k *Kernel) MakeNode(v uint32, low, high Ref) Ref {
 	if low == Invalid || high == Invalid {
 		return Invalid
 	}
-	level := k.var2level[v]
-	if uint32(k.Level(low)) <= level || uint32(k.Level(high)) <= level {
+	if uint32(k.VarOf(low)) <= v || uint32(k.VarOf(high)) <= v {
 		panic("bdd: MakeNode cofactor level violates the variable order")
 	}
-	return k.makeNode(level, low, high)
+	return k.makeNode(v, low, high)
 }
 
 // makeNode returns the canonical node (level, low, high), interning it if
@@ -598,8 +529,7 @@ func (k *Kernel) growBuckets() {
 // instead of rewriting megabytes of cache memory. Results are unaffected —
 // only memoization is lost, so the next operations pay full cost, and the
 // next GC keeps nothing the caches knew about. A timed cold start calls
-// ClearCaches and then GC; the kernel calls it itself wherever the variable
-// order changes.
+// ClearCaches and then GC.
 func (k *Kernel) ClearCaches() {
 	k.cacheEpoch++
 }

@@ -3,20 +3,13 @@ package bdd
 import "fmt"
 
 // CheckMemo recomputes every valid operation-cache entry in a fresh kernel
-// (same variables, same order, same replacement maps, empty caches) and
+// (same variables, same replacement maps, empty caches) and
 // reports the first entry that names a freed node or whose memoised result is
 // not the function the operation yields there. It also returns how many
 // entries it checked.
 func (k *Kernel) CheckMemo() (int, error) {
 	fresh := New(Config{Vars: k.numVars})
-	if err := fresh.SetOrder(k.VarOrder()); err != nil {
-		return 0, err
-	}
-	for _, rm := range k.replaceMaps {
-		if _, err := fresh.NewReplaceMap(rm.pairs); err != nil {
-			return 0, err
-		}
-	}
+	fresh.replaceMaps = k.replaceMaps // only read
 	cp := func(refs ...Ref) ([]Ref, error) {
 		for _, r := range refs {
 			if r < 0 || int(r) >= len(k.level) || k.level[r] == freedLevel {

@@ -5,9 +5,8 @@ import "fmt"
 // gc.go holds the collector. It marks from the pins, the temporary roots and
 // the pending operation's operands, then treats the operation caches as
 // ephemerons: what was memoised about live nodes is still true and still
-// wanted, so it stays. Which caches survive is the kernel's decision alone —
-// they are flushed only where the variable order changes (Reorder, SetOrder,
-// Import onto a pristine kernel) and by an explicit ClearCaches.
+// wanted, so it stays. The caches are flushed only by an explicit
+// ClearCaches.
 
 // GC runs a mark-and-sweep garbage collection between operations. Pinned
 // nodes (Protect) and the temporary roots (TempKeep) survive, and so does

@@ -17,10 +17,12 @@ import (
 // is a pure unique-table lookup.
 //
 // The byte format (BDD2) is the node list with varint-encoded fields: the
-// variable count, the exporter's level→variable permutation, the nodes
-// children first as (level, low id, high id), and the root ids. Version-1
-// files (written before reordering existed, always identity order) still
-// read.
+// variable count, a level→variable permutation, the nodes children first as
+// (level, low id, high id), and the root ids. A kernel's variable is its
+// level, so Export writes the identity permutation; a file whose permutation
+// is not the identity was written by a kernel that still sifted its order,
+// and Import rebuilds it node by node (see importSifted). Version-1 files
+// (no permutation, always identity order) still read.
 
 // ErrCorrupt is reported (wrapped) by ReadImage for input that is not a
 // well-formed BDD file: bad magic, truncation mid-structure, out-of-range
@@ -38,23 +40,26 @@ const (
 // Image is an immutable BDD node list that belongs to no kernel. Node i has
 // id i+2 (ids 0 and 1 are False and True), names the variable it tests
 // rather than a level, and comes after both its children. The image also
-// holds the exporter's variable order and its roots' ids. Nothing mutates
-// an Image after Export or ReadImage returns it, so any number of kernels
-// may import one concurrently.
+// holds the writer's variable order and its roots' ids. Nothing mutates an
+// Image after Export or ReadImage returns it, so any number of kernels may
+// import one concurrently.
 type Image struct {
-	order []uint32 // exporter's level→variable permutation
+	order []uint32 // the writer's level→variable permutation; the identity unless a sifted file was read
 	nodes []imageNode
 	roots []uint32
 }
 
 type imageNode struct{ v, low, high uint32 }
 
-// Export captures the subgraphs reachable from roots, with the current
-// variable order, as an Image whose roots keep their order. The walk is
-// post-order, low before high, so an Import calls makeNode in the order a
-// walk of the roots themselves would. k is only read.
+// Export captures the subgraphs reachable from roots as an Image whose
+// roots keep their order. The walk is post-order, low before high, so an
+// Import calls makeNode in the order a walk of the roots themselves would.
+// k is only read.
 func (k *Kernel) Export(roots ...Ref) (*Image, error) {
-	img := &Image{order: append([]uint32(nil), k.level2var...), roots: make([]uint32, len(roots))}
+	img := &Image{order: make([]uint32, k.numVars), roots: make([]uint32, len(roots))}
+	for v := range img.order {
+		img.order[v] = uint32(v)
+	}
 	// id[f] is f's image id, zero until f is visited: node ids start at 2. It
 	// is dense — one slot per table slot — because a map was most of a walk's
 	// time. Recursion depth is bounded by the variable count.
@@ -67,7 +72,7 @@ func (k *Kernel) Export(roots ...Ref) (*Image, error) {
 		if id[f] == 0 {
 			low := visit(k.low[f])
 			high := visit(k.high[f])
-			img.nodes = append(img.nodes, imageNode{v: k.level2var[k.level[f]], low: low, high: high})
+			img.nodes = append(img.nodes, imageNode{v: k.level[f], low: low, high: high})
 			id[f] = uint32(len(img.nodes) + 1)
 		}
 		return id[f]
@@ -81,83 +86,70 @@ func (k *Kernel) Export(roots ...Ref) (*Image, error) {
 	return img, nil
 }
 
-// VarOrder returns the exporter's variable order as a fresh slice: entry l
-// is the variable the exporter placed at level l.
-func (img *Image) VarOrder() []int {
-	out := make([]int, len(img.order))
-	for l, v := range img.order {
-		out[l] = int(v)
-	}
-	return out
-}
+// Vars returns the writer's variable count.
+func (img *Image) Vars() int { return len(img.order) }
 
 // Import re-interns img's nodes into k and returns the roots' Refs in image
 // order. Nodes are interned, so importing into a kernel that already holds
 // equal subfunctions shares them.
 //
-// Variable order: a pristine kernel (no nodes beyond the terminals, still on
-// the identity order) adopts the image's order first, so a replica or a warm
-// restart reproduces the ordering a reorder had found. Canonicity only needs
-// the RELATIVE order of the variables both sides have, so the image's order
-// is rank-compressed onto the kernel's levels: shared variables take levels
-// 0..n-1 in the image's order. A kernel at least as wide as the image
-// reproduces it exactly; a narrower one (the exporter kept scratch variables
-// above the exported blocks) adopts the projected order, and a node that does
-// use a variable the kernel lacks still fails below. Extra kernel variables
-// keep their identity levels ≥ n. A kernel that already holds nodes must
-// agree with the image on the relative order of every node and its children;
-// Import reports an error otherwise instead of corrupting canonicity.
-//
 // Importing counts against k's node budget; on budget exhaustion the sticky
 // error is returned and k is left with Err set, like any other aborted
 // operation.
 func (k *Kernel) Import(img *Image) ([]Ref, error) {
-	if n := min(k.numVars, len(img.order)); n > 0 && k.live == 2 && k.orderIsIdentity() {
-		lvl := uint32(0)
-		for _, v := range img.order {
-			if int(v) < n {
-				k.var2level[v], k.level2var[lvl] = lvl, v
-				lvl++
-			}
-		}
-		for i := range k.replaceMaps {
-			k.rebuildReplaceMap(&k.replaceMaps[i])
-		}
-		k.ClearCaches()
-	}
-	// Nothing interned needs pinning on the way: makeNode never collects.
-	refs := make([]Ref, 2, 2+len(img.nodes))
-	refs[0], refs[1] = False, True
 	for _, n := range img.nodes {
 		if int(n.v) >= k.numVars {
 			return nil, fmt.Errorf("bdd: Import needs variable %d, kernel has %d", n.v, k.numVars)
 		}
-		level := k.var2level[n.v]
-		low, high := refs[n.low], refs[n.high]
-		if uint32(k.Level(low)) <= level || uint32(k.Level(high)) <= level {
-			return nil, fmt.Errorf("bdd: Import: the image's variable order is incompatible with the kernel's")
+	}
+	for l, v := range img.order {
+		if int(v) != l {
+			return k.importSifted(img)
 		}
-		f := k.makeNode(level, low, high)
+	}
+	// Nothing interned needs pinning on the way: makeNode never collects.
+	// Every node is above its children: Export walks a kernel, and ReadImage
+	// checks it.
+	refs := make([]Ref, 2, 2+len(img.nodes))
+	refs[0], refs[1] = False, True
+	for _, n := range img.nodes {
+		f := k.makeNode(n.v, refs[n.low], refs[n.high])
 		if f == Invalid {
 			return nil, k.Err()
 		}
 		refs = append(refs, f)
 	}
+	return img.rootRefs(refs), nil
+}
+
+// importSifted is Import for bytes written by a kernel that had sifted its
+// variable order, which kernels no longer do: a node's children may test
+// variables above its own, so each node is rebuilt as ITE(Var(v), high, low)
+// rather than interned. Unlike makeNode, ITE may collect, so every Ref made
+// so far stays a temporary root until the roots are returned.
+func (k *Kernel) importSifted(img *Image) ([]Ref, error) {
+	mark := k.TempMark()
+	defer k.TempRelease(mark)
+	refs := make([]Ref, 2, 2+len(img.nodes))
+	refs[0], refs[1] = False, True
+	for _, n := range img.nodes {
+		f := k.ITE(k.Var(int(n.v)), refs[n.high], refs[n.low])
+		if f == Invalid {
+			return nil, k.Err()
+		}
+		refs = append(refs, k.TempKeep(f))
+	}
+	return img.rootRefs(refs), nil
+}
+
+// rootRefs maps the image's root ids through refs, the imported Ref of
+// every id.
+func (img *Image) rootRefs(refs []Ref) []Ref {
 	out := make([]Ref, len(img.roots))
 	for i, id := range img.roots {
 		out[i] = refs[id]
 	}
-	return out, nil
-}
-
-// orderIsIdentity reports whether variable i sits at level i for all i.
-func (k *Kernel) orderIsIdentity() bool {
-	for i, v := range k.level2var {
-		if int(v) != i {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // WriteTo writes img in the BDD2 format.

@@ -244,3 +244,31 @@ func TestImportRejectsNarrowKernel(t *testing.T) {
 		t.Fatal("import into a kernel with too few variables must fail")
 	}
 }
+
+// TestImportNarrowerPristineKernel: a source kernel keeps scratch variables
+// below the structure it exports (the production evaluator does this), and
+// the destination allocates only the exported blocks' variables. The
+// function imports into the narrower kernel intact; a root that really uses
+// a scratch variable does not fit it.
+func TestImportNarrowerPristineKernel(t *testing.T) {
+	const nv, scratch = 6, 4
+	rng := rand.New(rand.NewSource(16))
+	src := bdd.New(bdd.Config{Vars: nv + scratch})
+	e := randExpr(rng, nv, 25)
+	f := src.Protect(e.build(src))
+	src.Protect(src.And(src.Var(nv), src.Var(nv+1))) // scratch structure too
+	dst := bdd.New(bdd.Config{Vars: nv})
+	got, err := transfer(src, dst, f)
+	if err != nil {
+		t.Fatalf("import into a narrower kernel: %v", err)
+	}
+	for _, a := range assignments(nv) {
+		if dst.Eval(got[0], a) != e.eval(a) {
+			t.Fatalf("the imported function differs at %v", a)
+		}
+	}
+	g := src.Protect(src.Var(nv + 2))
+	if _, err := transfer(src, bdd.New(bdd.Config{Vars: nv}), g); err == nil {
+		t.Fatal("a root on a scratch variable imported into a kernel without it")
+	}
+}

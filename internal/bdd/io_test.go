@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bdd"
@@ -36,22 +37,24 @@ func load(k *bdd.Kernel, data []byte) ([]bdd.Ref, error) {
 	return k.Import(img)
 }
 
-// TestWriteToMatchesTheFormat pins the BDD2 bytes: a fixed BDD on a
-// reordered kernel, with a duplicate and a terminal root, must encode to
-// exactly what Kernel.Save wrote before Image existed.
+// TestWriteToMatchesTheFormat pins the BDD2 bytes WriteTo produces: a fixed
+// pair of functions, with a duplicate and a terminal root, encodes with the
+// identity order, and decoding and re-encoding is the identity on the bytes.
 func TestWriteToMatchesTheFormat(t *testing.T) {
-	const want = "0042444432060503010002040902000103000102030101020401000300050605000105010004080904070a0701"
+	const want = "0042444432060001020304050905010001000203000103020101040500030604000104010002080904070a0701"
 	k := bdd.New(bdd.Config{Vars: 6})
-	f := k.Protect(k.Or(k.And(k.Var(0), k.Var(3)), k.And(k.NVar(5), k.Var(1))))
-	g := k.Protect(k.Xor(k.Var(2), k.Var(4)))
-	if err := k.SetOrder([]int{5, 3, 1, 0, 2, 4}); err != nil {
-		t.Fatal(err)
-	}
+	f, g := goldenFunctions(k)
 	if got := hex.EncodeToString(save(t, k, f, g, f, bdd.True)); got != want {
 		t.Fatalf("encoded\n%s\nwant\n%s", got, want)
 	}
-	// Decoding and re-encoding is the identity on the bytes.
-	data, _ := hex.DecodeString(want)
+	reencodes(t, want)
+}
+
+// reencodes checks that the hex-encoded BDD2 bytes decode and re-encode to
+// themselves.
+func reencodes(t *testing.T, golden string) {
+	t.Helper()
+	data, _ := hex.DecodeString(golden)
 	img, err := bdd.ReadImage(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +62,85 @@ func TestWriteToMatchesTheFormat(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := img.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), data) {
 		t.Fatalf("re-encoded %x, %v", buf.Bytes(), err)
+	}
+}
+
+// goldenFunctions builds the two functions the golden files hold.
+func goldenFunctions(k *bdd.Kernel) (f, g bdd.Ref) {
+	f = k.Protect(k.Or(k.And(k.Var(0), k.Var(3)), k.And(k.NVar(5), k.Var(1))))
+	g = k.Protect(k.Xor(k.Var(2), k.Var(4)))
+	return f, g
+}
+
+// TestReadsSiftedBytes: the functions of TestWriteToMatchesTheFormat as a
+// kernel that had sifted its order to (5, 3, 1, 0, 2, 4) wrote them. Kernels
+// no longer sift, but data directories hold such bytes: imported into a
+// kernel whose variables are its levels, fresh or already holding the
+// functions, they are the same functions.
+func TestReadsSiftedBytes(t *testing.T) {
+	const sifted = "0042444432060503010002040902000103000102030101020401000300050605000105010004080904070a0701"
+	data, _ := hex.DecodeString(sifted)
+	held := bdd.New(bdd.Config{Vars: 6})
+	f, g := goldenFunctions(held)
+	want := []bdd.Ref{f, g, f, bdd.True}
+	fresh := bdd.New(bdd.Config{Vars: 6})
+	roots, err := load(fresh, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range roots {
+		for _, a := range assignments(6) {
+			if fresh.Eval(r, a) != held.Eval(want[i], a) {
+				t.Fatalf("root %d differs from the function written at %v", i, a)
+			}
+		}
+	}
+	if roots, err = load(held, data); err != nil || !slices.Equal(roots, want) {
+		t.Fatalf("into a kernel holding the functions: imported %v (%v), want the held refs %v", roots, err, want)
+	}
+	reencodes(t, sifted)
+}
+
+// TestReadsSiftedBytesAcrossCollections: a node list read under a permuted
+// order denotes the written function with level l's variable renamed to the
+// permutation's entry l. Rewriting an identity file's order field that way
+// gives sifted bytes of any size; importing them under DebugChecks collects
+// every 64 nodes, so an imported Ref the legacy path failed to keep would be
+// reported as freed or come back as a different function.
+func TestReadsSiftedBytesAcrossCollections(t *testing.T) {
+	const nv = 12
+	rng := rand.New(rand.NewSource(39))
+	src := bdd.New(bdd.Config{Vars: nv})
+	var exprs []*expr
+	var roots []bdd.Ref
+	for i := 0; i < 6; i++ {
+		e := randExpr(rng, nv, 40)
+		exprs = append(exprs, e)
+		roots = append(roots, src.Protect(e.build(src)))
+	}
+	data := save(t, src, roots...)
+	perm := rng.Perm(nv)
+	for l, v := range perm { // magic, one count byte, then one byte per level
+		data[len("\x00BDD2")+1+l] = byte(v)
+	}
+	k := bdd.New(bdd.Config{Vars: nv, DebugChecks: true})
+	got, err := load(k, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.GCCount() == 0 {
+		t.Fatal("the import never collected; the test exercises nothing")
+	}
+	written := make([]bool, nv)
+	for i, e := range exprs {
+		for _, a := range assignments(nv) {
+			for l, v := range perm {
+				written[l] = a[v]
+			}
+			if k.Eval(got[i], a) != e.eval(written) {
+				t.Fatalf("root %d differs from the written function renamed by %v", i, perm)
+			}
+		}
 	}
 }
 

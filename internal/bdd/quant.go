@@ -9,10 +9,7 @@ package bdd
 
 // Cube returns the conjunction of the positive literals of vars. Cube BDDs
 // identify variable sets for the quantification operations; being ordinary
-// BDDs they also serve as cache keys. The chain is built in level order
-// under the current variable order, so cubes — like every other Ref — do
-// not survive a Reorder unless pinned (pinned cubes are rewritten in place
-// and stay valid).
+// BDDs they also serve as cache keys.
 func (k *Kernel) Cube(vars ...int) Ref {
 	// Build bottom-up in descending level order so each step is a single
 	// makeNode.
@@ -22,7 +19,7 @@ func (k *Kernel) Cube(vars ...int) Ref {
 		k.checkVar(v)
 		if !seen[v] {
 			seen[v] = true
-			levels = append(levels, k.var2level[v])
+			levels = append(levels, uint32(v))
 		}
 	}
 	for i := 1; i < len(levels); i++ {
@@ -41,12 +38,11 @@ func (k *Kernel) Cube(vars ...int) Ref {
 }
 
 // CubeVars lists the variables of a cube previously produced by Cube, in
-// ascending level order (which is ascending variable order under the
-// identity order).
+// ascending order.
 func (k *Kernel) CubeVars(cube Ref) []int {
 	var vars []int
 	for cube != True && cube != False {
-		vars = append(vars, int(k.level2var[k.level[cube]]))
+		vars = append(vars, int(k.level[cube]))
 		cube = k.high[cube]
 	}
 	return vars

@@ -18,23 +18,21 @@ type ReplaceMap struct {
 
 // NewReplaceMap interns the substitution pairs[i][0] → pairs[i][1]. The
 // substitution must be injective (no duplicate sources or targets) and
-// monotone on its sources under the current variable order: if u is placed
-// above v and both are renamed then target(u) stays above target(v).
+// monotone on its sources: if u < v and both are renamed then
+// target(u) < target(v).
 // Monotonicity is necessary but not sufficient for a single linear pass —
 // whether the rename is order-safe also depends on the support of the BDD
 // it is applied to (a variable that keeps its level must not end up ordered
 // across a renamed one). Replace therefore performs a runtime check and
 // aborts with ErrOrder when the input violates it; callers then rebuild the
 // BDD in the target variables instead (the fdd layer does exactly that).
-//
-// The registered pairs are variable pairs; the level-indexed form used by
-// the recursion is derived from the current order and rebuilt after every
-// Reorder or AddVars. A reorder can break a map's monotonicity; Replace
-// then reports ErrOrder until an order that restores it is in effect.
 func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 	usedDst := make(map[int]bool, len(pairs))
 	usedSrc := make(map[int]bool, len(pairs))
-	stored := make([][2]int, 0, len(pairs))
+	rm := replaceMap{target: make([]uint32, k.numVars)}
+	for i := range rm.target {
+		rm.target[i] = uint32(i)
+	}
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
 		k.checkVar(src)
@@ -47,49 +45,20 @@ func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 		}
 		usedDst[dst] = true
 		usedSrc[src] = true
-		stored = append(stored, [2]int{src, dst})
+		rm.target[src] = uint32(dst)
+		rm.lastLevel = max(rm.lastLevel, uint32(src))
 	}
-	rm := replaceMap{pairs: stored}
-	k.rebuildReplaceMap(&rm)
-	if !rm.valid {
-		return ReplaceMap{}, ErrOrder
+	prev := int64(-1)
+	for v, t := range rm.target {
+		if usedSrc[v] {
+			if int64(t) <= prev {
+				return ReplaceMap{}, ErrOrder
+			}
+			prev = int64(t)
+		}
 	}
 	k.replaceMaps = append(k.replaceMaps, rm)
 	return ReplaceMap{id: int32(len(k.replaceMaps) - 1)}, nil
-}
-
-// rebuildReplaceMap derives the level-indexed target table of rm from its
-// variable pairs under the current order, and records whether the map is
-// monotone (sources in level order map to targets in level order).
-func (k *Kernel) rebuildReplaceMap(rm *replaceMap) {
-	target := make([]uint32, k.numVars)
-	for i := range target {
-		target[i] = uint32(i)
-	}
-	last := uint32(0)
-	srcLevels := make([]int, 0, len(rm.pairs))
-	for _, p := range rm.pairs {
-		sl := k.var2level[p[0]]
-		target[sl] = k.var2level[p[1]]
-		srcLevels = append(srcLevels, int(sl))
-		if sl > last {
-			last = sl
-		}
-	}
-	sort.Ints(srcLevels)
-	valid := true
-	prev := int64(-1)
-	for _, s := range srcLevels {
-		t := int64(target[s])
-		if t <= prev {
-			valid = false
-			break
-		}
-		prev = t
-	}
-	rm.target = target
-	rm.lastLevel = last
-	rm.valid = valid
 }
 
 // Replace applies the interned substitution m to f: every variable u with a
@@ -100,10 +69,6 @@ func (k *Kernel) Replace(f Ref, m ReplaceMap) Ref {
 	k.gcIfNeeded(f)
 	if int(m.id) >= len(k.replaceMaps) {
 		panic("bdd: replace map from a different kernel")
-	}
-	if !k.replaceMaps[m.id].valid {
-		k.err = ErrOrder
-		return Invalid
 	}
 	k.maybeGrowReplaceCache()
 	return k.replaceRec(f, m.id)
@@ -145,8 +110,8 @@ func (k *Kernel) replaceRec(f Ref, id int32) Ref {
 	}
 	level, lowIn, highIn := k.level[f], k.low[f], k.high[f]
 	newLevel := level
-	if int(level) < len(k.replaceMaps[id].target) {
-		newLevel = k.replaceMaps[id].target[level]
+	if int(level) < len(rm.target) {
+		newLevel = rm.target[level]
 	}
 	low := k.replaceRec(lowIn, id)
 	if low == Invalid {
@@ -159,7 +124,7 @@ func (k *Kernel) replaceRec(f Ref, id int32) Ref {
 	// Runtime order check: the renamed node must still be above both
 	// (renamed) children, otherwise a single pass cannot express this
 	// substitution on this BDD.
-	if uint32(k.Level(low)) <= newLevel || uint32(k.Level(high)) <= newLevel {
+	if uint32(k.VarOf(low)) <= newLevel || uint32(k.VarOf(high)) <= newLevel {
 		k.err = ErrOrder
 		return Invalid
 	}
@@ -179,19 +144,16 @@ func (k *Kernel) Restrict(f Ref, assignment []Literal) Ref {
 	if len(assignment) == 0 {
 		return f
 	}
-	val := make([]int8, k.numVars) // indexed by level: 0 unset, 1 false, 2 true
+	val := make([]int8, k.numVars) // indexed by variable: 0 unset, 1 false, 2 true
 	last := uint32(0)              // lowest restricted level; nothing below it changes
 	for _, lit := range assignment {
 		k.checkVar(lit.Var)
-		level := k.var2level[lit.Var]
 		if lit.Value {
-			val[level] = 2
+			val[lit.Var] = 2
 		} else {
-			val[level] = 1
+			val[lit.Var] = 1
 		}
-		if level > last {
-			last = level
-		}
+		last = max(last, uint32(lit.Var))
 	}
 	clear(k.restrictSeen)
 	return k.restrictRec(f, val, last)
@@ -255,11 +217,9 @@ func (k *Kernel) Minterm(lits []Literal) Ref {
 	for _, lit := range sorted {
 		k.checkVar(lit.Var)
 	}
-	// Sort by level so the bottom-up build sees descending levels; ties
-	// (duplicate variables) stay adjacent because a variable has one level.
-	sort.Slice(sorted, func(i, j int) bool {
-		return k.var2level[sorted[i].Var] < k.var2level[sorted[j].Var]
-	})
+	// Sort by variable so the bottom-up build sees descending levels;
+	// duplicate variables end up adjacent.
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Var < sorted[j].Var })
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].Var == sorted[i-1].Var {
 			if sorted[i].Value != sorted[i-1].Value {
@@ -273,9 +233,9 @@ func (k *Kernel) Minterm(lits []Literal) Ref {
 			continue
 		}
 		if sorted[i].Value {
-			acc = k.makeNode(k.var2level[sorted[i].Var], False, acc)
+			acc = k.makeNode(uint32(sorted[i].Var), False, acc)
 		} else {
-			acc = k.makeNode(k.var2level[sorted[i].Var], acc, False)
+			acc = k.makeNode(uint32(sorted[i].Var), acc, False)
 		}
 		if acc == Invalid {
 			return Invalid

@@ -3,7 +3,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // sat.go implements model counting, satisfying-assignment extraction and
@@ -17,7 +16,7 @@ func (k *Kernel) Eval(f Ref, value []bool) bool {
 		panic("bdd: Eval on Invalid ref")
 	}
 	for !k.isTerminal(f) {
-		if value[k.level2var[k.level[f]]] {
+		if value[k.level[f]] {
 			f = k.high[f]
 		} else {
 			f = k.low[f]
@@ -46,13 +45,13 @@ func (k *Kernel) SatCount(f Ref) float64 {
 			return c
 		}
 		level, lo, hi := int(k.level[g]), k.low[g], k.high[g]
-		low := rec(lo) * math.Exp2(float64(k.Level(lo)-level-1))
-		high := rec(hi) * math.Exp2(float64(k.Level(hi)-level-1))
+		low := rec(lo) * math.Exp2(float64(k.VarOf(lo)-level-1))
+		high := rec(hi) * math.Exp2(float64(k.VarOf(hi)-level-1))
 		c := low + high
 		memo[g] = c
 		return c
 	}
-	return rec(f) * math.Exp2(float64(k.Level(f)))
+	return rec(f) * math.Exp2(float64(k.VarOf(f)))
 }
 
 // SatCountWithin returns the number of satisfying assignments of f over the
@@ -64,21 +63,15 @@ func (k *Kernel) SatCountWithin(f Ref, vars []int) float64 {
 	if f == Invalid {
 		panic("bdd: SatCountWithin on Invalid ref")
 	}
-	// Rank the variables by their position in the current order: the
-	// recursion multiplies by 2^(gap) for the don't-care levels skipped
-	// between a node and its child, so ranks must follow levels.
-	levels := make([]int, len(vars))
+	// Rank the variables: the recursion multiplies by 2^(gap) for the
+	// don't-care variables skipped between a node and its child.
+	rank := make(map[int]int, len(vars))
 	for i, v := range vars {
 		if i > 0 && vars[i-1] >= v {
 			panic("bdd: SatCountWithin vars not sorted ascending")
 		}
 		k.checkVar(v)
-		levels[i] = int(k.var2level[v])
-	}
-	sort.Ints(levels)
-	rank := make(map[int]int, len(levels))
-	for i, l := range levels {
-		rank[l] = i
+		rank[v] = i
 	}
 	rankOf := func(g Ref) int {
 		if k.isTerminal(g) {
@@ -124,7 +117,7 @@ func (k *Kernel) AnySat(f Ref) ([]Literal, bool) {
 	}
 	var lits []Literal
 	for !k.isTerminal(f) {
-		v := int(k.level2var[k.level[f]])
+		v := int(k.level[f])
 		if k.high[f] != False {
 			lits = append(lits, Literal{Var: v, Value: true})
 			f = k.high[f]
@@ -154,7 +147,7 @@ func (k *Kernel) AllSat(f Ref, visit func([]Literal) bool) {
 		case True:
 			return visit(path)
 		}
-		v := int(k.level2var[k.level[g]])
+		v := int(k.level[g])
 		low, high := k.low[g], k.high[g]
 		path = append(path, Literal{Var: v, Value: false})
 		if !rec(low) {
@@ -226,7 +219,7 @@ func (k *Kernel) Support(f Ref) []int {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		inSupport[k.level2var[k.level[g]]] = true
+		inSupport[k.level[g]] = true
 		for _, c := range []Ref{k.low[g], k.high[g]} {
 			if !k.isTerminal(c) && !seen[c] {
 				seen[c] = true

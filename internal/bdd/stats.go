@@ -49,11 +49,6 @@ type Stats struct {
 	ReplaceLookups uint64
 	ReplaceHits    uint64
 	ReplaceEntries int
-
-	// Reorders counts completed dynamic-reordering runs; ReorderSaved is
-	// the cumulative live-node reduction they achieved.
-	Reorders     int
-	ReorderSaved uint64
 }
 
 // Delta is the movement of the kernel's monotonic counters between two
@@ -136,8 +131,6 @@ func (k *Kernel) Stats() Stats {
 		ReplaceLookups: k.replaceLookups,
 		ReplaceHits:    k.replaceHits,
 		ReplaceEntries: len(k.replaceCache),
-		Reorders:       k.reorderRuns,
-		ReorderSaved:   k.reorderSaved,
 	}
 }
 

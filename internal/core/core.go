@@ -149,10 +149,6 @@ type Checker struct {
 	// incremental maintenance.
 	indexRegistry map[string][]string
 	stats         Stats
-	// reorderBaseline is the live-node count right after the last reorder
-	// (or the first MaybeReorder observation); the growth trigger compares
-	// against it.
-	reorderBaseline int
 }
 
 // Stats counts how the checker decided constraints since creation.

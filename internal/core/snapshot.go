@@ -152,36 +152,19 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 //
 // Everything that can fail is checked before any index is rebound: the
 // snapshots must describe exactly the indices the checker holds (names,
-// tables, columns, block layout), the image must place the block variables in
-// the same relative order as this kernel, and the import must fit the node
-// budget. On error the checker still serves the export it served before,
-// with the kernel's sticky error cleared; the caller builds a fresh checker
-// instead. img is only read.
+// tables, columns, block layout), and the import must fit the node budget.
+// On error the checker still serves the export it served before, with the
+// kernel's sticky error cleared; the caller builds a fresh checker instead.
+// img is only read.
 func (c *Checker) AdvanceIndices(cat *relation.Catalog, img *bdd.Image, snaps []IndexSnapshot) error {
 	k := c.store.Kernel()
 	held := c.SnapshotIndices()
 	if !slices.EqualFunc(held, snaps, sameGeometry) {
 		return fmt.Errorf("core: advancing indices: the snapshot's index geometry differs from the checker's")
 	}
-	var vars []int
 	for _, s := range snaps {
 		if cat.Table(s.Table) == nil {
 			return fmt.Errorf("core: advancing index %q: unknown table %q", s.Name, s.Table)
-		}
-		for _, b := range s.Blocks {
-			vars = append(vars, b.Vars...)
-		}
-	}
-	level := make([]int, k.NumVars())
-	for l, v := range img.VarOrder() {
-		if v < len(level) {
-			level[v] = l
-		}
-	}
-	slices.SortFunc(vars, func(a, b int) int { return level[a] - level[b] })
-	for i := 1; i < len(vars); i++ {
-		if k.LevelOfVar(vars[i-1]) > k.LevelOfVar(vars[i]) {
-			return fmt.Errorf("core: advancing indices: the source's variable order moved")
 		}
 	}
 	roots, projs, err := importRoots(k, img, snaps)

@@ -23,11 +23,6 @@ var soakSeeds = flag.Int("seeds", 70, "number of seeded cases TestDifferentialSo
 // operation instead of surfacing as a downstream verdict mismatch.
 var debugChecks = flag.Bool("debugchecks", false, "enable kernel DebugChecks on every harness kernel")
 
-// -reorder forces a full sifting pass on the primary kernel after the
-// initial load and after every update batch of every soak case, so verdict
-// and witness identity is re-proven against freshly reordered kernels.
-var reorderSoak = flag.Bool("reorder", false, "force dynamic reordering between update batches in TestDifferentialSoak")
-
 // -follower adds a fourth comparison target to every soak case: a checker
 // recovered from a snapshot + WAL store fed the same update batches — the
 // artifacts a cvserved follower replicates — must match the primary's
@@ -52,11 +47,10 @@ const soakBase = int64(0xD1FF)
 
 func TestDifferentialSoak(t *testing.T) {
 	DebugChecks = *debugChecks
-	ForceReorder = *reorderSoak
 	FollowerSoak = *followerSoak
 	ShardSoak = *shardSoak
 	ServiceSoak = *serviceSoak
-	defer func() { ForceReorder = false; FollowerSoak = false; ShardSoak = 0; ServiceSoak = false }()
+	defer func() { FollowerSoak = false; ShardSoak = 0; ServiceSoak = false }()
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
 	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
@@ -99,7 +93,7 @@ func TestDifferentialSoak(t *testing.T) {
 	if *soakSeeds >= 63 && ProjectionCoverage.Adopted == 0 {
 		t.Fatal("no replica projection read hit an adopted projection: the soak cross-checked projections the replica computed itself only")
 	}
-	if *soakSeeds >= 63 && !*reorderSoak && ReplicaCoverage.Advanced == 0 {
+	if *soakSeeds >= 63 && ReplicaCoverage.Advanced == 0 {
 		t.Fatal("no replica ever advanced in place: the soak cross-checked rebuilt replicas only")
 	}
 	if *soakSeeds >= 63 && RuleCoverage.Routes[logic.RouteExpanded] == 0 {

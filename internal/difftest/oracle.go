@@ -23,8 +23,8 @@ import (
 //     bdd.Image, Version.Materialize imports it) and then follows the primary
 //     from batch to batch the way a pool worker follows publications — in
 //     place (core.AdvanceIndices plus the memo-keeping collection) when it
-//     can, rebuilt when it cannot (with -reorder: after every batch) —
-//     checked with the SQL fallback disabled so only the imported BDDs decide.
+//     can, rebuilt when it cannot — checked with the SQL fallback disabled
+//     so only the imported BDDs decide.
 //
 // Verdicts must agree three ways on every constraint; when the constraint is
 // a violated validity check, the witness sets must agree too (primary vs
@@ -43,15 +43,6 @@ const witnessLimit = 10000
 // run doubles as a hunt for use-after-GC and cross-kernel handle bugs. The
 // difftest suite's -debugchecks flag sets it.
 var DebugChecks bool
-
-// ForceReorder makes RunCase run a full sifting pass (core.Checker.Reorder)
-// on the primary kernel after the initial index build and again after every
-// update batch — far more often than the production growth trigger ever
-// would — so every three-way comparison, every replica freeze and every
-// witness enumeration runs against a freshly reordered kernel. Any verdict
-// or witness divergence then implicates the reordering engine. The difftest
-// suite's -reorder flag sets it.
-var ForceReorder bool
 
 // RuleCoverage accumulates, across RunCase calls, the primary evaluator's
 // verdict counts: how many validity verdicts the cases asked for, how many
@@ -161,9 +152,6 @@ func RunCase(c *Case) (*Mismatch, error) {
 		}
 		cts[i] = logic.Constraint{Name: cs.Name, F: f}
 	}
-	if ForceReorder {
-		primary.Reorder()
-	}
 	rep, err := follow(nil, primary, 1)
 	if err != nil {
 		return nil, err
@@ -205,9 +193,6 @@ func RunCase(c *Case) (*Mismatch, error) {
 	for i, batch := range c.Updates {
 		if _, err := primary.Apply(batch); err != nil {
 			return nil, fmt.Errorf("difftest: applying batch %d: %w", i+1, err)
-		}
-		if ForceReorder {
-			primary.Reorder()
 		}
 		if rep, err = follow(rep, primary, uint64(i)+2); err != nil {
 			return nil, err
@@ -252,7 +237,7 @@ func RunCase(c *Case) (*Mismatch, error) {
 // state through the production freeze, replica.NewVersion and
 // Version.Materialize, the way a replica.Pool worker adopts a publication:
 // in place, ending with the worker's collection, or into a fresh replica
-// when rep cannot advance (the primary reordered).
+// when rep cannot advance.
 func follow(rep, primary *core.Checker, epoch uint64) (*core.Checker, error) {
 	v, err := replica.NewVersion(primary, epoch)
 	if err != nil {

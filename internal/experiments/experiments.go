@@ -35,8 +35,8 @@ type BenchRow struct {
 	NsPerOp    int64          `json:"ns_per_op"`
 	Nodes      int            `json:"nodes,omitempty"`
 	// P50NS/P95NS/P99NS are per-operation latency quantiles, present for
-	// measurements that time each operation individually (fig4 updates,
-	// reorder checks). Each is one of the recorded samples (see percentile).
+	// measurements that time each operation individually (fig4 updates).
+	// Each is one of the recorded samples (see percentile).
 	P50NS int64 `json:"p50_ns,omitempty"`
 	P95NS int64 `json:"p95_ns,omitempty"`
 	P99NS int64 `json:"p99_ns,omitempty"`
@@ -68,7 +68,7 @@ type Config struct {
 	// Seed is the base random seed.
 	Seed int64
 	// Record, when non-nil, receives a BenchRow for every timed measurement
-	// of the instrumented experiments (fig4, table1, threshold, reorder).
+	// of the instrumented experiments (fig4, table1, threshold).
 	Record func(BenchRow)
 }
 

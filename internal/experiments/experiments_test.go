@@ -56,50 +56,3 @@ func TestTable1Experiment(t *testing.T) {
 	}
 	runExperiment(t, "table1", experiments.Table1, "Table 1")
 }
-
-func TestReorderExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiment")
-	}
-	var buf bytes.Buffer
-	var rows []experiments.BenchRow
-	cfg := experiments.Config{
-		Out: &buf, Seed: 7,
-		Record: func(r experiments.BenchRow) { rows = append(rows, r) },
-	}
-	if err := experiments.Reorder(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "sifting a pessimal schema order") {
-		t.Fatalf("missing header:\n%s", buf.String())
-	}
-	if len(rows) != 3 {
-		t.Fatalf("want check_before, check_after and sift rows, got %d: %+v", len(rows), rows)
-	}
-	byName := map[string]experiments.BenchRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-	before, after := byName["check_before"], byName["check_after"]
-	if before.Nodes == 0 || after.Nodes == 0 {
-		t.Fatalf("rows missing node counts: %+v", rows)
-	}
-	if float64(after.Nodes) > 0.8*float64(before.Nodes) {
-		t.Fatalf("sift saved only %d -> %d nodes, want >= 20%% drop", before.Nodes, after.Nodes)
-	}
-	// Quantiles are recorded samples, so they are ordered and none exceeds
-	// the slowest one.
-	for _, r := range []experiments.BenchRow{before, after} {
-		slowest, _ := r.Params["slowest_ns"].(int64)
-		if !(0 < r.P50NS && r.P50NS <= r.P95NS && r.P95NS <= r.P99NS && r.P99NS <= slowest) {
-			t.Fatalf("%s: want 0 < p50 <= p95 <= p99 <= slowest sample, got %d %d %d %d",
-				r.Name, r.P50NS, r.P95NS, r.P99NS, slowest)
-		}
-	}
-	if after.P95NS >= before.P95NS {
-		t.Fatalf("p95 did not improve: %dns before, %dns after", before.P95NS, after.P95NS)
-	}
-	if byName["sift"].NsPerOp <= 0 {
-		t.Fatalf("sift row missing pause time: %+v", byName["sift"])
-	}
-}

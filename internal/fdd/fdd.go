@@ -68,9 +68,9 @@ func bitsFor(size int) int {
 }
 
 // NewDomain allocates a block of ⌈log₂ size⌉ fresh boolean variables at the
-// bottom of the current variable order. The block is registered as a
-// reordering group, so dynamic reordering moves it as a unit and the
-// within-block bit order (most significant on top) is never disturbed.
+// bottom of the variable order, most significant bit on top. A kernel's
+// variable is its level, so the order blocks are allocated in is the order
+// the index keeps.
 func (s *Space) NewDomain(name string, size int) *Domain {
 	if size < 1 {
 		panic(fmt.Sprintf("fdd: domain %q has size %d", name, size))
@@ -81,7 +81,6 @@ func (s *Space) NewDomain(name string, size int) *Domain {
 	for i := range vars {
 		vars[i] = base + i
 	}
-	s.k.Group(vars...)
 	d := &Domain{space: s, name: name, size: size, vars: vars}
 	s.domains = append(s.domains, d)
 	return d
@@ -106,7 +105,6 @@ func (s *Space) AdoptDomain(name string, size int, vars []int) *Domain {
 			panic(fmt.Sprintf("fdd: domain %q adopts variable %d outside kernel range [0,%d)", name, v, s.k.NumVars()))
 		}
 	}
-	s.k.Group(vars...)
 	d := &Domain{space: s, name: name, size: size, vars: append([]int(nil), vars...)}
 	s.domains = append(s.domains, d)
 	return d
@@ -123,13 +121,6 @@ func (s *Space) NewInterleavedDomains(names []string, size int) []*Domain {
 	}
 	bits := bitsFor(size)
 	base := s.k.AddVars(bits * len(names))
-	// The whole interleaved cluster is one reordering group: its blocks
-	// overlap in the variable order, so they can only move together.
-	cluster := make([]int, bits*len(names))
-	for i := range cluster {
-		cluster[i] = base + i
-	}
-	s.k.Group(cluster...)
 	out := make([]*Domain, len(names))
 	for i, name := range names {
 		vars := make([]int, bits)
@@ -331,9 +322,8 @@ func Relation(doms []*Domain, rows [][]int) (bdd.Ref, error) {
 	if len(rows) == 0 {
 		return bdd.False, nil
 	}
-	// Columns of the bit matrix, in ascending level order (the bottom-up
-	// build needs the kernel's current variable order, not variable index
-	// order — the two differ after a reorder).
+	// Columns of the bit matrix, in ascending variable order: the bottom-up
+	// build needs them in level order.
 	type bitSrc struct {
 		variable int
 		dom      int
@@ -345,7 +335,7 @@ func Relation(doms []*Domain, rows [][]int) (bdd.Ref, error) {
 			cols = append(cols, bitSrc{variable: v, dom: di, shift: uint(len(d.vars) - 1 - bi)})
 		}
 	}
-	sort.Slice(cols, func(i, j int) bool { return k.LevelOfVar(cols[i].variable) < k.LevelOfVar(cols[j].variable) })
+	sort.Slice(cols, func(i, j int) bool { return cols[i].variable < cols[j].variable })
 	nbits := len(cols)
 	enc := make([][]byte, len(rows))
 	for r, row := range rows {

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // Domain is a named value dictionary shared by one or more table columns.
@@ -350,10 +351,11 @@ func (t *Table) Truncate() {
 	t.version++
 }
 
-// WriteCSV writes the table with a header row of column names.
+// WriteCSV writes the table with a header row of column names, as CSV that
+// ReadCSV reads back to the same header and rows.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.ColumnNames()); err != nil {
+	if err := writeRecord(cw, w, t.ColumnNames()); err != nil {
 		return err
 	}
 	rec := make([]string, len(t.cols))
@@ -361,7 +363,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		for c := range t.cols {
 			rec[c] = t.Value(r, c)
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := writeRecord(cw, w, rec); err != nil {
 			return err
 		}
 	}
@@ -369,14 +371,35 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// writeRecord writes rec through cw, except a lone empty field: csv.Writer
+// writes it as a blank line, which csv.Reader skips, so it goes to w quoted.
+func writeRecord(cw *csv.Writer, w io.Writer, rec []string) error {
+	if len(rec) != 1 || rec[0] != "" {
+		return cw.Write(rec)
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "\"\"\n")
+	return err
+}
+
 // ReadCSV creates a table named name from CSV data with a header row. Each
 // column's domain defaults to its header name prefixed with the table name
-// unless a name→domain override is given in domains.
+// unless a name→domain override is given in domains. The table is
+// registered only once every row has been read: on an error the catalog is
+// as it was, and a retry under the same name can succeed. A field holding
+// "\r\n" is refused: csv.Reader reads that pair inside quotes as "\n", so
+// no CSV that WriteCSV could write would read back to it.
 func (c *Catalog) ReadCSV(name string, r io.Reader, domains map[string]string) (*Table, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading %q header: %w", name, err)
+	}
+	if err := checkCSVFields(name, header); err != nil {
+		return nil, err
 	}
 	cols := make([]Column, len(header))
 	for i, h := range header {
@@ -386,10 +409,7 @@ func (c *Catalog) ReadCSV(name string, r io.Reader, domains map[string]string) (
 		}
 		cols[i] = Column{Name: h, Domain: dom}
 	}
-	t, err := c.CreateTable(name, cols)
-	if err != nil {
-		return nil, err
-	}
+	var recs [][]string
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -398,9 +418,28 @@ func (c *Catalog) ReadCSV(name string, r io.Reader, domains map[string]string) (
 		if err != nil {
 			return nil, fmt.Errorf("relation: reading %q: %w", name, err)
 		}
+		if err := checkCSVFields(name, rec); err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+	t, err := c.CreateTable(name, cols)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
 		t.Insert(rec...)
 	}
 	return t, nil
+}
+
+func checkCSVFields(name string, rec []string) error {
+	for _, f := range rec {
+		if strings.Contains(f, "\r\n") {
+			return fmt.Errorf("relation: reading %q: field %q holds a carriage return before a line feed", name, f)
+		}
+	}
+	return nil
 }
 
 // ReadCSVFile creates a table named name from the CSV file at path, like

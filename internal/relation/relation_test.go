@@ -2,6 +2,7 @@ package relation_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,6 +148,61 @@ func TestCSVRoundTrip(t *testing.T) {
 	if names[0] != "a" || names[1] != "b" {
 		t.Fatalf("header corrupted: %v", names)
 	}
+}
+
+// TestReadCSVFailureRegistersNothing: a malformed row after good ones fails
+// the read without leaving a half-loaded table behind, so a retry under the
+// same name succeeds.
+func TestReadCSVFailureRegistersNothing(t *testing.T) {
+	cat := relation.NewCatalog()
+	if _, err := cat.ReadCSV("T", strings.NewReader("a,b\nx,1\ny\n"), nil); err == nil {
+		t.Fatal("a row with one field too few was read")
+	}
+	if tbl := cat.Table("T"); tbl != nil {
+		t.Fatalf("the failed read registered a table of %d rows", tbl.Len())
+	}
+	tbl, err := cat.ReadCSV("T", strings.NewReader("a,b\nx,1\ny,2\n"), nil)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if tbl.Len() != 2 || len(cat.Tables()) != 1 {
+		t.Fatalf("retry read %d rows into a catalog of %d tables", tbl.Len(), len(cat.Tables()))
+	}
+}
+
+// FuzzReadCSV: ReadCSV takes arbitrary bytes without panicking, and a table
+// it accepts writes back to CSV that reads to the same header and rows.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("city,areacode,state\nToronto,416,Ontario\nNewark,973,NJ\n")
+	f.Add("a,b\nx,\"hello, world\"\ny,\"with \"\"quotes\"\"\"\n")
+	f.Add("a,b\nx,1\ny\n")
+	f.Add("a\n\"\"\n")
+	f.Add("\"\r\r\n\"")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, data string) {
+		tbl, err := relation.NewCatalog().ReadCSV("T", strings.NewReader(data), nil)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tbl.WriteCSV(&buf); err != nil {
+			t.Fatalf("writing an accepted table: %v", err)
+		}
+		back, err := relation.NewCatalog().ReadCSV("T", bytes.NewReader(buf.Bytes()), nil)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.String(), err)
+		}
+		if !slices.Equal(back.ColumnNames(), tbl.ColumnNames()) || back.Len() != tbl.Len() {
+			t.Fatalf("re-read header %q and %d rows, want %q and %d", back.ColumnNames(), back.Len(), tbl.ColumnNames(), tbl.Len())
+		}
+		for r := 0; r < tbl.Len(); r++ {
+			for c := range tbl.ColumnNames() {
+				if back.Value(r, c) != tbl.Value(r, c) {
+					t.Fatalf("row %d column %d re-read as %q, want %q", r, c, back.Value(r, c), tbl.Value(r, c))
+				}
+			}
+		}
+	})
 }
 
 func TestReadCSVDomainOverride(t *testing.T) {

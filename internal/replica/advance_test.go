@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
-	"repro/internal/fdd"
 	"repro/internal/logic"
 	"repro/internal/relation"
 	"repro/internal/replica"
@@ -291,18 +290,6 @@ func TestWorkerAdvancesItsReplicaInPlace(t *testing.T) {
 	}
 }
 
-// blockOrder lists an index's column blocks by the level of their first bit.
-func blockOrder(chk *core.Checker, index string) []string {
-	k := chk.Store().Kernel()
-	doms := slices.Clone(chk.Store().Index(index).Domains())
-	slices.SortFunc(doms, func(a, b *fdd.Domain) int { return k.LevelOfVar(a.Vars()[0]) - k.LevelOfVar(b.Vars()[0]) })
-	var names []string
-	for _, d := range doms {
-		names = append(names, d.Name())
-	}
-	return names
-}
-
 func TestWorkerRebuildsWhenItCannotAdvance(t *testing.T) {
 	// start serves epoch 1, then epoch 2 in place: the worker holds a replica
 	// that has advanced once when the obstacle arrives.
@@ -340,24 +327,6 @@ func TestWorkerRebuildsWhenItCannotAdvance(t *testing.T) {
 		}
 		return got.kernel
 	}
-
-	t.Run("primary reordered", func(t *testing.T) {
-		o := newOrders(t, core.Options{}, core.OrderSchema)
-		pool, kernel := start(t, o)
-		before := blockOrder(o.chk, "ORD")
-		o.chk.Reorder()
-		if slices.Equal(before, blockOrder(o.chk, "ORD")) {
-			t.Fatalf("sifting left the block order at %v: the test needs a relation the schema order is bad for", before)
-		}
-		o.batch(t, 8)
-		kernel = rebuilt(t, o, pool, o.chk, kernel)
-		// The rebuilt replica has the new order and advances again.
-		o.batch(t, 8)
-		publish(t, pool, o.chk, 4)
-		if got := o.serve(t, pool, 4); got.kernel != kernel || pool.Rebuilds() != 2 || !sameImage(got.image, o.primaryImage(t, o.chk)) {
-			t.Fatalf("the rebuilt replica did not advance in place (rebuilds %d), or advanced wrongly", pool.Rebuilds())
-		}
-	})
 
 	t.Run("index rebuilt with wider blocks", func(t *testing.T) {
 		o := newOrders(t, core.Options{}, core.OrderProbConverge)

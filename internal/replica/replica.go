@@ -36,8 +36,8 @@
 //     the first recheck after an update pays for the delta; the projections
 //     it reads arrived with the version. A worker builds a fresh checker from
 //     the image only when it has none yet or cannot follow: the index
-//     geometry or the variable order moved, or the delta does not fit the
-//     node budget (Pool.Rebuilds counts these).
+//     geometry moved, or the delta does not fit the node budget
+//     (Pool.Rebuilds counts these).
 //   - A worker remembers which publication its checker holds, not the
 //     Version, and an advanced checker reads the new version's catalog
 //     only: once every reference to a retired Version is gone its image —
@@ -109,8 +109,8 @@ func (v *Version) Catalog() *relation.Catalog { return v.catalog }
 
 // Materialize brings a replica checker to this version: chk itself, advanced
 // in place, when there is one and it can follow (the same indices over the
-// same blocks in the same variable order, and room in the budget for the
-// difference), a freshly built checker otherwise. It leaves the collection
+// same blocks, and room in the budget for the difference), a freshly built
+// checker otherwise. It leaves the collection
 // that frees the replaced index paths to the caller. On error chk is
 // untouched and still serves the version it served.
 func (v *Version) Materialize(chk *core.Checker) (*core.Checker, error) {
@@ -261,10 +261,10 @@ func (p *Pool) Swaps() uint64 { return p.swaps.Load() }
 
 // Rebuilds returns how many of those handoffs built a fresh checker instead
 // of advancing the worker's own: each worker's first, and every one after
-// which the worker could not follow in place (the primary reordered or
-// rebuilt an index, or the difference did not fit the node budget). A pool
-// whose Rebuilds keeps pace with its Swaps imports the whole index into a
-// cold kernel per epoch.
+// which the worker could not follow in place (the primary rebuilt an index,
+// or the difference did not fit the node budget). A pool whose Rebuilds
+// keeps pace with its Swaps imports the whole index into a cold kernel per
+// epoch.
 func (p *Pool) Rebuilds() uint64 { return p.rebuilds.Load() }
 
 // TakeDemand returns the projections the workers' kernels have read since

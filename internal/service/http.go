@@ -177,9 +177,9 @@ type ReplicationStats struct {
 	// Swaps counts completed version handoffs across all workers, and
 	// Rebuilds those among them that built a fresh replica instead of
 	// advancing the worker's own in place: one per worker at its first job,
-	// then one whenever a worker could not follow (the primary reordered or
-	// rebuilt an index, or the delta did not fit the node budget). Rebuilds
-	// rising with Swaps means every epoch costs every replica a cold kernel.
+	// then one whenever a worker could not follow (the primary rebuilt an
+	// index, or the delta did not fit the node budget). Rebuilds rising
+	// with Swaps means every epoch costs every replica a cold kernel.
 	Swaps    uint64 `json:"swaps"`
 	Rebuilds uint64 `json:"rebuilds"`
 	// ReplicaChecks and ReplicaWitnesses count requests served by the pool;

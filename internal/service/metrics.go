@@ -33,10 +33,6 @@ type serverMetrics struct {
 	stApply     *obs.Histogram
 	stFreeze    *obs.Histogram
 
-	// Dynamic-reordering pause time, observed by the worker around each
-	// sifting run.
-	stReorder *obs.Histogram
-
 	// Replica-pool job latency, observed inside internal/replica.
 	replicaQueueWait, replicaRun *obs.Histogram
 }
@@ -68,19 +64,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.stApply = r.Histogram("cv_stage_duration_seconds", `stage="apply"`, stageHelp)
 	m.stFreeze = r.Histogram("cv_stage_duration_seconds", `stage="freeze"`, stageHelp)
 
-	// Dynamic-reordering metrics. Count and nodes-saved mirror the primary
-	// kernel's counters through the worker-published snapshot; the duration
-	// histogram is the sift pause observed by the worker.
+	// Checker decision counters, read from the worker-published snapshot.
 	snapCounter := func(pick func(*snapshot) uint64) func() uint64 {
 		return func() uint64 { return pick(s.snap.Load()) }
 	}
-	r.CounterFunc("cv_reorder_count", "", "Completed dynamic variable-reordering (sifting) runs.",
-		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.kernel.Reorders) }))
-	r.CounterFunc("cv_reorder_nodes_saved", "", "Cumulative live-node reduction achieved by reordering runs.",
-		snapCounter(func(sn *snapshot) uint64 { return sn.kernel.ReorderSaved }))
-	m.stReorder = r.Histogram("cv_reorder_duration_seconds", "", "Write-path pause taken by one reordering run, in seconds.")
-
-	// Checker decision counters, read from the worker-published snapshot.
 	const decHelp = "Constraint validations decided, by method."
 	r.CounterFunc("cv_checker_decisions_total", `method="bdd"`, decHelp,
 		snapCounter(func(sn *snapshot) uint64 { return uint64(sn.checker.BDDChecks) }))

@@ -6,8 +6,10 @@ package service_test
 // with at least two replicas.
 
 import (
+	"bufio"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -467,4 +469,38 @@ func TestStatszCountsTheProjectionsReplicasDemand(t *testing.T) {
 	if evals != 1 {
 		t.Fatalf("%d eval:city_state spans, want 1: %+v", evals, resp.Trace.Spans)
 	}
+}
+
+// metricValue scrapes /metricsz and returns the summed value of the metric
+// samples whose name (with any label set) matches name.
+func metricValue(t *testing.T, baseURL, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	total, found := 0.0, false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, name) {
+			continue
+		}
+		rest := line[len(name):]
+		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
+			continue // a longer name sharing the prefix
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		total += v
+		found = true
+	}
+	if !found {
+		t.Fatalf("metric %s not found on /metricsz", name)
+	}
+	return total
 }

@@ -105,18 +105,6 @@ type Options struct {
 	// restart, so epochs keep rising monotonically across process lives.
 	// Zero means a fresh start (epoch 1).
 	InitialEpoch uint64
-	// Reorder enables dynamic variable reordering: between update batches the
-	// worker sifts the kernel's variable order when the live-node count has
-	// grown past ReorderGrowth × the post-reorder baseline, then publishes
-	// the compacted kernel as the round's epoch through the usual freeze
-	// path, so readers swap to it with zero downtime.
-	Reorder bool
-	// ReorderGrowth is the trigger factor; core.ReorderGrowthDefault when
-	// zero or below 1.
-	ReorderGrowth float64
-	// ReorderMinNodes is the live-node floor below which no sift runs;
-	// core.ReorderMinNodesDefault when zero.
-	ReorderMinNodes int
 	// Follower, when non-nil, runs the server as a read-only replica of
 	// another cvserved: it bootstraps from the leader's newest snapshot,
 	// tails the leader's WAL, applies each acknowledged epoch through the
@@ -521,23 +509,6 @@ func (s *Server) applyBatch(batch []*updateJob) {
 			}
 		}
 		replies[i] = updateReply{applied: applied, err: err}
-	}
-	// Between the batch and its freeze is the only safe point to reorganize
-	// the kernel: no check is running (the worker owns the kernel) and the
-	// compacted structure rides the very next epoch to replicas and
-	// snapshots. Readers keep answering on the previous version while the
-	// sift runs, so reads see no downtime, only old- or new-epoch answers.
-	if s.opts.Reorder {
-		reorderStart := time.Now()
-		if st, ran := s.chk.MaybeReorder(s.opts.ReorderGrowth, s.opts.ReorderMinNodes); ran {
-			d := time.Since(reorderStart)
-			s.metrics.stReorder.Observe(d)
-			for _, u := range batch {
-				u.trace.Record("reorder", reorderStart, d, nil)
-			}
-			s.opts.SlowLog.Printf("reorder (epoch %d): %d -> %d nodes, %d swaps, %v",
-				epoch, st.Before, st.After, st.Swaps, d)
-		}
 	}
 	// One freeze covers the whole coalesced round; every job in the batch
 	// waited on it, so each trace carries the span.

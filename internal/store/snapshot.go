@@ -450,7 +450,7 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 	}
 	// The image orders the kernel's every variable, so its order backs the
 	// header's variable count with bytes before the kernel grows to it.
-	if n := len(img.VarOrder()); uint64(n) != numVars {
+	if n := img.Vars(); uint64(n) != numVars {
 		return nil, "", 0, fmt.Errorf("%w: the BDD section orders %d variables, the header declares %d", ErrCorrupt, n, numVars)
 	}
 	chk := core.New(cat, opts)

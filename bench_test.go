@@ -315,26 +315,22 @@ func BenchmarkFig6aJoinRewrite(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.ClearCaches()
 			k.GC()
-			mark := k.TempMark()
-			eq := k.TempKeep(fdd.EqVar(fx.joinL[0], fx.joinR[0]))
-			step := k.TempKeep(k.And(fx.r1, fx.r2))
-			step = k.TempKeep(k.And(step, eq))
+			eq := fdd.EqVar(fx.joinL[0], fx.joinR[0])
+			step := k.And(fx.r1, fx.r2)
+			step = k.And(step, eq)
 			if fdd.Exists(step, fx.joinR...) == bdd.Invalid {
 				b.Fatal(k.Err())
 			}
-			k.TempRelease(mark)
 		}
 	})
 	b.Run("optimized-rename", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.ClearCaches()
 			k.GC()
-			mark := k.TempMark()
-			renamed := k.TempKeep(k.Replace(fx.r2, fx.replaceMap))
+			renamed := k.Replace(fx.r2, fx.replaceMap)
 			if k.And(fx.r1, renamed) == bdd.Invalid {
 				b.Fatal(k.Err())
 			}
-			k.TempRelease(mark)
 		}
 	})
 }
@@ -346,12 +342,10 @@ func BenchmarkFig6bExistsPullUp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.ClearCaches()
 			k.GC()
-			mark := k.TempMark()
-			l := k.TempKeep(k.Exists(fx.p, fx.bottomCube))
+			l := k.Exists(fx.p, fx.bottomCube)
 			if k.Or(l, k.Exists(fx.q, fx.bottomCube)) == bdd.Invalid {
 				b.Fatal(k.Err())
 			}
-			k.TempRelease(mark)
 		}
 	})
 	b.Run("AppEx-or", func(b *testing.B) {
@@ -381,12 +375,10 @@ func BenchmarkFig6cForallPushDown(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			k.ClearCaches()
 			k.GC()
-			mark := k.TempMark()
-			l := k.TempKeep(k.Forall(fx.p, fx.topCube))
+			l := k.Forall(fx.p, fx.topCube)
 			if k.And(l, k.Forall(fx.q, fx.topCube)) == bdd.Invalid {
 				b.Fatal(k.Err())
 			}
-			k.TempRelease(mark)
 		}
 	})
 }
@@ -467,9 +459,11 @@ func BenchmarkThresholdFill(b *testing.B) {
 				k := bdd.New(bdd.Config{Vars: nVars, NodeBudget: budget, CacheSize: 1 << 16})
 				f := bdd.True
 				for f != bdd.Invalid {
-					k.TempKeep(f)
 					clause := k.Xor(k.Xor(k.Var(rng.Intn(nVars)), k.Var(rng.Intn(nVars))), k.Var(rng.Intn(nVars)))
-					f = k.And(f, clause)
+					next := k.And(f, clause)
+					k.Unprotect(f)
+					f = k.Protect(next)
+					k.SafePoint()
 				}
 			}
 		})

@@ -45,22 +45,11 @@ var seededFaults = []seededFault{
 		}},
 	},
 	{
-		name: "Among never releases its mark", analyzer: "tempmark",
-		pkg: "./internal/fdd", file: "internal/fdd/fdd.go",
+		name: "an index update pins its new root but never stores it", analyzer: "protect",
+		pkg: "./internal/index", file: "internal/index/index.go",
 		edits: [][2]string{{
-			"\tmark := k.TempMark()\n\tdefer k.TempRelease(mark)\n\tsorted := append([]int(nil), values...)\n",
-			"\tmark := k.TempMark()\n\t_ = mark\n\tsorted := append([]int(nil), values...)\n",
-		}},
-	},
-	{
-		name: "randomRelationBDD releases only on success", analyzer: "tempmark",
-		pkg: "./internal/experiments", file: "internal/experiments/fig6.go",
-		edits: [][2]string{{
-			"\tmark := k.TempMark()\n\tdefer k.TempRelease(mark)\n\tf := bdd.False\n",
-			"\tmark := k.TempMark()\n\tf := bdd.False\n",
-		}, {
-			"\t}\n\treturn f, nil\n}\n",
-			"\t}\n\tk.TempRelease(mark)\n\treturn f, nil\n}\n",
+			"\tk.Protect(next)\n\tk.Unprotect(ix.root)\n\tix.root = next\n",
+			"\tk.Protect(next)\n\tk.Unprotect(ix.root)\n",
 		}},
 	},
 	{
@@ -127,7 +116,7 @@ var seededFaults = []seededFault{
 		pkg: "./internal/difftest", file: "internal/difftest/oracle.go",
 		edits: [][2]string{{
 			"\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
-			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().TempKeep(first)\n\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
+			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().Not(first)\n\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
 		}},
 	},
 }

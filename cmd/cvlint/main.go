@@ -4,7 +4,7 @@
 // express (see DESIGN.md, "Static contracts"):
 //
 //	sentinelcmp  errors.Is for wrapped sentinel errors, never == / !=
-//	tempmark     TempMark/TempRelease paired on all paths; Protect balanced
+//	protect      Protect balanced by Unprotect or a documented transfer
 //	kernelmix    no bdd.Ref crosses kernels; a bdd.Image carries none
 //	kernelowner  structural kernel/checker mutation stays on the owner goroutine
 //	ackorder     WAL append and epoch publish happen before the ack, never after
@@ -28,7 +28,7 @@
 // boundaries. Suppress a deliberate exception with a justified directive on
 // or above the line (several analyzers may be named, comma-separated):
 //
-//	//lint:ignore tempmark kernel dies with this function; pin is intentional
+//	//lint:ignore protect kernel dies with this function; pin is intentional
 package main
 
 import (
@@ -43,15 +43,15 @@ import (
 	"repro/internal/analysis/kernelmix"
 	"repro/internal/analysis/kernelowner"
 	"repro/internal/analysis/lockorder"
+	"repro/internal/analysis/protect"
 	"repro/internal/analysis/sentinelcmp"
-	"repro/internal/analysis/tempmark"
 	"repro/internal/analysis/unitchecker"
 )
 
 // Suite is the full cvlint analyzer set, in reporting order.
 var suite = []*analysis.Analyzer{
 	sentinelcmp.Analyzer,
-	tempmark.Analyzer,
+	protect.Analyzer,
 	kernelmix.Analyzer,
 	kernelowner.Analyzer,
 	ackorder.Analyzer,

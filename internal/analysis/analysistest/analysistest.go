@@ -12,7 +12,7 @@
 //
 // Expectations are trailing comments of the form
 //
-//	k.TempMark() // want `regexp`
+//	k.Protect(r) // want `regexp`
 //
 // where the backquoted (or double-quoted) argument is a regular expression
 // matched against analyzer diagnostics reported on that line. Multiple

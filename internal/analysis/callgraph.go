@@ -3,7 +3,7 @@ package analysis
 // Package-local call graph.
 //
 // The interprocedural analyzers (kernelowner, ackorder, lockorder, and the
-// summary passes of tempmark/kernelmix) need to know which functions a
+// summary pass of kernelmix) need to know which functions a
 // function calls. Within a package that is a syntactic question the AST
 // answers precisely for static calls; across packages the callee is only a
 // *types.Func, and its behavior arrives as a fact (see facts.go). Dynamic

@@ -60,6 +60,7 @@ var kernelMut = map[string]bool{
 	"SetDebugChecks": true,
 	"ClearCaches":    true,
 	"GC":             true,
+	"SafePoint":      true,
 	"AddVars":        true,
 	"Import":         true,
 }

@@ -63,6 +63,12 @@ func (s *server) handleImport(img *bdd.Image) { // want `can mutate kernel/check
 }
 
 //cv:owner any
+func (s *server) handleSafePoint() { // want `can mutate kernel/checker state via \(\*Kernel\)\.SafePoint`
+	// A safe point may collect the kernel.
+	s.k.SafePoint()
+}
+
+//cv:owner any
 func handleGlobal() { // want `can mutate kernel/checker state via \(\*Kernel\)\.ClearCaches`
 	globalKernel.ClearCaches()
 }

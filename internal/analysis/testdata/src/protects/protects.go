@@ -1,4 +1,4 @@
-// Package protects exercises the tempmark analyzer's Protect/Unprotect
+// Package protects exercises the protect analyzer's Protect/Unprotect
 // balance heuristic.
 package protects
 

@@ -5,49 +5,49 @@ package bdd
 
 // And returns f ∧ g.
 func (k *Kernel) And(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opAnd, f, g)
 }
 
 // Or returns f ∨ g.
 func (k *Kernel) Or(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opOr, f, g)
 }
 
 // Xor returns f ⊕ g.
 func (k *Kernel) Xor(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opXor, f, g)
 }
 
 // Diff returns f ∧ ¬g (set difference of the satisfying assignments).
 func (k *Kernel) Diff(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opDiff, f, g)
 }
 
 // Imp returns f ⇒ g, that is ¬f ∨ g.
 func (k *Kernel) Imp(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opImp, f, g)
 }
 
 // Biimp returns f ⇔ g.
 func (k *Kernel) Biimp(f, g Ref) Ref {
-	k.gcIfNeeded(f, g)
+	k.checkOperands(f, g)
 	return k.apply(opBiimp, f, g)
 }
 
 // Not returns ¬f.
 func (k *Kernel) Not(f Ref) Ref {
-	k.gcIfNeeded(f)
+	k.checkOperands(f)
 	return k.negate(f)
 }
 
 // ITE returns the if-then-else combination (f ∧ g) ∨ (¬f ∧ h).
 func (k *Kernel) ITE(f, g, h Ref) Ref {
-	k.gcIfNeeded(f, g, h)
+	k.checkOperands(f, g, h)
 	// Evaluated via two applies; adequate for the workloads in this
 	// reproduction, which use ITE only in tests and to import bytes a
 	// sifting kernel wrote (image.go).

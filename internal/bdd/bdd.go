@@ -5,6 +5,10 @@
 // collection with external reference pinning, and a configurable node budget
 // that aborts operations whose intermediate results explode.
 //
+// No kernel operation collects. A kernel collects only at a safe point —
+// SafePoint, or an explicit GC — where its owner holds nothing it has not
+// pinned with Protect; between safe points every Ref stays valid.
+//
 // The package is a from-scratch substitute for the BuDDy C library used by
 // the paper "Fast Identification of Relational Constraint Violations"
 // (ICDE 2007). Node canonicity (Bryant 1986) is maintained at all times:
@@ -23,12 +27,12 @@
 //
 // Several usage contracts of this API are not expressible in Go's type
 // system — Refs must stay with the Kernel that minted them (kernelmix),
-// TempMark/TempRelease and Protect/Unprotect must balance (tempmark), and
-// the sentinel errors below may arrive wrapped (sentinelcmp). cmd/cvlint
-// checks all three statically; Config.DebugChecks validates the first at run
-// time. The sticky Err must be consulted at the end of an allocation chain;
-// core's budget sweep test checks that at run time. See DESIGN.md, section
-// "Static contracts".
+// Protect and Unprotect must balance (protect), and the sentinel errors
+// below may arrive wrapped (sentinelcmp). cmd/cvlint checks all three
+// statically; Config.DebugChecks validates the first at run time. The sticky
+// Err must be consulted at the end of an allocation chain; core's budget
+// sweep test checks that at run time. See DESIGN.md, section "Static
+// contracts".
 package bdd
 
 import (
@@ -92,17 +96,18 @@ type Config struct {
 	CacheSize int
 	// DebugChecks enables runtime validation of every Ref entering a kernel
 	// operation: out-of-table handles (a Ref minted by a different kernel)
-	// and handles to GC-freed nodes (a missing Protect/TempKeep pin) panic
-	// at the operation boundary instead of silently denoting an unrelated
-	// node. See also SetDebugChecks. The mode costs a few comparisons per
-	// operation; it is meant for tests and soak runs, not production paths.
+	// and handles to GC-freed nodes (a missing Protect pin) panic at the
+	// operation boundary instead of silently denoting an unrelated node.
+	// Every SafePoint then collects, so a missing pin surfaces at the next
+	// operation. See also SetDebugChecks. The mode is meant for tests and
+	// soak runs, not production paths.
 	DebugChecks bool
 }
 
 // Kernel owns a shared node table and the operation caches. All Refs handed
-// out by a Kernel remain valid while they are pinned (see Protect) or
-// reachable from a pinned Ref; unpinned, unreachable nodes may be reclaimed
-// by garbage collection between operations.
+// out by a Kernel remain valid until the next collection, and across it while
+// they are pinned (see Protect) or reachable from a pinned Ref; collections
+// happen only at SafePoint and GC.
 //
 // The node table is struct-of-arrays: the level, low, high, chain and pin
 // fields of node i live in five parallel slices instead of one 20-byte
@@ -123,7 +128,8 @@ type Kernel struct {
 	numVars int
 
 	budget      int
-	gcTrigger   int // run GC when live exceeds this at an operation boundary
+	gcBase      int // live after the last collection: what the trigger follows
+	gcTrigger   int // SafePoint collects once live reaches this
 	err         error
 	debugChecks bool // validate Refs at operation boundaries (Config.DebugChecks)
 
@@ -136,7 +142,6 @@ type Kernel struct {
 	cacheEpoch   uint32 // entries from older epochs are invalid (O(1) flush, see ClearCaches)
 	maxCache     int    // the apply cache stops doubling at this size
 	fixedCache   bool   // Config.CacheSize pinned all three cache sizes
-	tempRoots    []Ref  // GC roots for in-flight computations (TempKeep)
 
 	// Restrict's memo: restrictMemo[g] is the running call's result for node
 	// g iff bit g of restrictSeen is set. Both grow to the largest Ref a call
@@ -245,6 +250,7 @@ func New(cfg Config) *Kernel {
 	k.refs = append(make([]int32, 0, initialNodes), 1, 1) // terminals are permanently pinned
 	k.live = 2
 	k.peak = 2
+	k.gcBase = 2
 	k.buckets = make([]int32, minBuckets)
 	for i := range k.buckets {
 		k.buckets[i] = -1
@@ -266,15 +272,10 @@ func (k *Kernel) resetGCTrigger() {
 	// A collection walks the whole table and all three caches, and what the
 	// caches keep alive counts as live: let the table double (plus a
 	// constant, so a small kernel is left alone) before collecting again. The
-	// trigger follows the live set, not the budget — the node table never
-	// shrinks, so garbage a kernel is allowed to pile up is memory it keeps
-	// for good. Under DebugChecks it sits 64 nodes above the live set
-	// instead, so that tests and soaks exercise the automatic collection
-	// and its operand roots.
-	k.gcTrigger = k.live*2 + 65536
-	if k.debugChecks {
-		k.gcTrigger = k.live + 64
-	}
+	// trigger follows the live set after the last collection, not the budget
+	// and not the garbage since — the node table never shrinks, so garbage a
+	// kernel is allowed to pile up is memory it keeps for good.
+	k.gcTrigger = k.gcBase*2 + 65536
 	if k.budget > 0 && k.gcTrigger > k.budget {
 		k.gcTrigger = k.budget
 	}
@@ -359,43 +360,11 @@ func (k *Kernel) checkVar(i int) {
 	}
 }
 
-// TempMark returns the current depth of the temporary-root stack, for a
-// later TempRelease. cmd/cvlint's tempmark analyzer verifies statically
-// that every TempMark is released on all exit paths.
-func (k *Kernel) TempMark() int { return len(k.tempRoots) }
-
-// TempKeep pushes f onto the temporary-root stack, protecting it from
-// garbage collection until the enclosing TempRelease. Computations that
-// hold intermediate Refs in local variables across further kernel
-// operations (an evaluator accumulating conjuncts, for example) must keep
-// them: garbage collection can trigger at any operation boundary, and only
-// pinned nodes, temp roots and the current operation's operands survive.
-func (k *Kernel) TempKeep(f Ref) Ref {
-	if f > True {
-		if k.debugChecks {
-			k.checkRef(f)
-		}
-		k.tempRoots = append(k.tempRoots, f)
-	}
-	return f
-}
-
-// TempRelease pops the temporary-root stack down to a mark previously
-// returned by TempMark.
-func (k *Kernel) TempRelease(mark int) {
-	if mark < 0 || mark > len(k.tempRoots) {
-		panic("bdd: invalid TempRelease mark")
-	}
-	k.tempRoots = k.tempRoots[:mark]
-}
-
 // Protect pins f (and, transitively, everything reachable from it) against
-// garbage collection. Each Protect must be balanced by an Unprotect. Refs
-// that are only held in caller data structures across unrelated kernel
-// operations must be protected; operands and results of the current
-// operation are safe without pinning, and short-lived intermediates should
-// use TempKeep/TempRelease. cmd/cvlint's tempmark analyzer flags pins that
-// are neither unprotected locally nor handed to a longer-lived owner.
+// garbage collection. Each Protect must be balanced by an Unprotect. A Ref
+// held across a safe point (SafePoint, GC) must be protected; between safe
+// points nothing needs pinning. cmd/cvlint's protect analyzer flags pins
+// that are neither unprotected locally nor handed to a longer-lived owner.
 func (k *Kernel) Protect(f Ref) Ref {
 	if f > True { // terminals and Invalid need no pinning
 		if k.debugChecks {
@@ -534,30 +503,20 @@ func (k *Kernel) ClearCaches() {
 	k.cacheEpoch++
 }
 
-// gcIfNeeded runs a mark-and-sweep collection when the table has grown past
-// the trigger. It is called only at operation boundaries; roots are the
-// pinned nodes plus the operands of the pending operation. Under DebugChecks
-// it doubles as the Ref-liveness checkpoint: every operand is validated
-// before it can be marked as a root or recursed into.
-func (k *Kernel) gcIfNeeded(operands ...Ref) {
+// checkOperands is the Ref-liveness checkpoint of DebugChecks: every
+// operand of an operation is validated before it is recursed into.
+func (k *Kernel) checkOperands(operands ...Ref) {
 	if k.debugChecks {
 		for _, f := range operands {
 			k.checkRef(f)
 		}
 	}
-	if k.live < k.gcTrigger {
-		return
-	}
-	k.collect(operands...)
 }
 
 // SetDebugChecks switches runtime Ref validation (see Config.DebugChecks) on
 // or off. Freed slots carry the freedLevel stamp at all times, so handles
 // freed before the switch are caught too.
-func (k *Kernel) SetDebugChecks(on bool) {
-	k.debugChecks = on
-	k.resetGCTrigger()
-}
+func (k *Kernel) SetDebugChecks(on bool) { k.debugChecks = on }
 
 // DebugChecks reports whether runtime Ref validation is on, so that a kernel
 // derived from this one (a replica's) can be put in the same mode.
@@ -574,6 +533,6 @@ func (k *Kernel) checkRef(f Ref) {
 		panic(fmt.Sprintf("bdd: Ref %d outside the node table (len %d); was it minted by a different kernel?", f, len(k.level)))
 	}
 	if k.level[f] == freedLevel {
-		panic(fmt.Sprintf("bdd: Ref %d names a node reclaimed by GC; missing Protect or TempKeep pin?", f))
+		panic(fmt.Sprintf("bdd: Ref %d names a node reclaimed by GC; missing Protect pin?", f))
 	}
 }

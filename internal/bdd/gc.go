@@ -2,30 +2,38 @@ package bdd
 
 import "fmt"
 
-// gc.go holds the collector. It marks from the pins, the temporary roots and
-// the pending operation's operands, then treats the operation caches as
-// ephemerons: what was memoised about live nodes is still true and still
-// wanted, so it stays. The caches are flushed only by an explicit
-// ClearCaches.
+// gc.go holds the collector. It marks from the pins, then treats the
+// operation caches as ephemerons: what was memoised about live nodes is still
+// true and still wanted, so it stays. The caches are flushed only by an
+// explicit ClearCaches. It runs only at safe points: no kernel operation
+// collects by itself.
 
-// GC runs a mark-and-sweep garbage collection between operations. Pinned
-// nodes (Protect) and the temporary roots (TempKeep) survive, and so does
-// every operation-cache entry whose operands do: it keeps its result (and a
-// quantification's cube, which the next caller rebuilds node by node and must
-// find in the same slots) alive — ephemeron semantics, run to a fixpoint,
-// since a result kept alive is the operand of further entries. Only entries
-// naming a node that ends up dead are invalidated: their slots are about to
-// be recycled for unrelated functions. The table afterwards holds the roots
-// plus what is memoised about them, so the garbage this retains is bounded by
-// the caches' sizes; ClearCaches first collects down to the roots alone.
-func (k *Kernel) GC() { k.collect() }
+// SafePoint collects when the table has grown past the trigger (see
+// resetGCTrigger), and under DebugChecks on every call. The caller declares
+// that it holds no Ref it has not pinned with Protect: a kernel's owner calls
+// it between operations — core.Checker on the way out of each of its
+// operations that run kernel work.
+func (k *Kernel) SafePoint() {
+	if k.debugChecks || k.live >= k.gcTrigger {
+		k.GC()
+	}
+}
 
-// collect is GC with the pending operation's operands as extra roots.
+// GC runs a mark-and-sweep garbage collection at a safe point. Pinned nodes
+// (Protect) survive, and so does every operation-cache entry whose operands
+// do: it keeps its result (and a quantification's cube, which the next caller
+// rebuilds node by node and must find in the same slots) alive — ephemeron
+// semantics, run to a fixpoint, since a result kept alive is the operand of
+// further entries. Only entries naming a node that ends up dead are
+// invalidated: their slots are about to be recycled for unrelated functions.
+// The table afterwards holds the roots plus what is memoised about them, so
+// the garbage this retains is bounded by the caches' sizes; ClearCaches first
+// collects down to the roots alone.
 //
 // The fixpoint is the standard ephemeron worklist, linear in table plus
 // caches: one scan files each undecided entry under an operand that is not
 // marked yet, and marking a node re-examines the entries filed under it.
-func (k *Kernel) collect(operands ...Ref) {
+func (k *Kernel) GC() {
 	entries := len(k.applyCache) + len(k.quantCache) + len(k.replaceCache)
 	c := &collector{
 		k:        k,
@@ -39,12 +47,6 @@ func (k *Kernel) collect(operands ...Ref) {
 		if k.refs[i] > 0 && k.level[i] != freedLevel {
 			c.push(Ref(i))
 		}
-	}
-	for _, r := range k.tempRoots {
-		c.push(r)
-	}
-	for _, r := range operands {
-		c.push(r)
 	}
 	c.drain()
 	for id := 0; id < entries; id++ {
@@ -186,5 +188,6 @@ func (k *Kernel) sweep(marked []bool) {
 		}
 	}
 	k.gcCount++
+	k.gcBase = k.live
 	k.resetGCTrigger()
 }

@@ -11,8 +11,8 @@ import (
 // register file of pinned BDDs through random operation sequences with
 // explicit collections and cache flushes mixed in, and after every GC the
 // surviving operation-cache entries are recomputed in a fresh kernel. The
-// kernels run under DebugChecks, whose low collection trigger makes the
-// automatic collection run between operations too.
+// kernels run under DebugChecks, so the safe point after every operation
+// collects too.
 
 const (
 	opsVars = 6 // truth tables fit a uint64
@@ -132,6 +132,7 @@ func (m *opsMachine) step(code, a, b, c byte) {
 			}
 		}
 	}
+	k.SafePoint()
 }
 
 func (m *opsMachine) run(data []byte) {

@@ -21,7 +21,7 @@ import (
 // (level, low id, high id), and the root ids. A kernel's variable is its
 // level, so Export writes the identity permutation; a file whose permutation
 // is not the identity was written by a kernel that still sifted its order,
-// and Import rebuilds it node by node (see importSifted). Version-1 files
+// and Import rebuilds it node by node. Version-1 files
 // (no permutation, always identity order) still read.
 
 // ErrCorrupt is reported (wrapped) by ReadImage for input that is not a
@@ -102,42 +102,29 @@ func (k *Kernel) Import(img *Image) ([]Ref, error) {
 			return nil, fmt.Errorf("bdd: Import needs variable %d, kernel has %d", n.v, k.numVars)
 		}
 	}
+	// Bytes written by a kernel that had sifted its variable order, which
+	// kernels no longer do, may have a node's children test variables above
+	// its own: such a node is rebuilt as ITE(Var(v), high, low) rather than
+	// interned. Otherwise every node is above its children: Export walks a
+	// kernel, and ReadImage checks it. No kernel operation collects, so
+	// nothing made on the way needs pinning.
+	sifted := false
 	for l, v := range img.order {
-		if int(v) != l {
-			return k.importSifted(img)
-		}
+		sifted = sifted || int(v) != l
 	}
-	// Nothing interned needs pinning on the way: makeNode never collects.
-	// Every node is above its children: Export walks a kernel, and ReadImage
-	// checks it.
 	refs := make([]Ref, 2, 2+len(img.nodes))
 	refs[0], refs[1] = False, True
 	for _, n := range img.nodes {
-		f := k.makeNode(n.v, refs[n.low], refs[n.high])
+		var f Ref
+		if sifted {
+			f = k.ITE(k.Var(int(n.v)), refs[n.high], refs[n.low])
+		} else {
+			f = k.makeNode(n.v, refs[n.low], refs[n.high])
+		}
 		if f == Invalid {
 			return nil, k.Err()
 		}
 		refs = append(refs, f)
-	}
-	return img.rootRefs(refs), nil
-}
-
-// importSifted is Import for bytes written by a kernel that had sifted its
-// variable order, which kernels no longer do: a node's children may test
-// variables above its own, so each node is rebuilt as ITE(Var(v), high, low)
-// rather than interned. Unlike makeNode, ITE may collect, so every Ref made
-// so far stays a temporary root until the roots are returned.
-func (k *Kernel) importSifted(img *Image) ([]Ref, error) {
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
-	refs := make([]Ref, 2, 2+len(img.nodes))
-	refs[0], refs[1] = False, True
-	for _, n := range img.nodes {
-		f := k.ITE(k.Var(int(n.v)), refs[n.high], refs[n.low])
-		if f == Invalid {
-			return nil, k.Err()
-		}
-		refs = append(refs, k.TempKeep(f))
 	}
 	return img.rootRefs(refs), nil
 }

@@ -225,7 +225,7 @@ func TestImportRespectsBudget(t *testing.T) {
 	// A parity chain has 2*nv internal nodes — far beyond a budget of 4.
 	f := src.Var(0)
 	for i := 1; i < nv; i++ {
-		f = src.TempKeep(src.Xor(f, src.Var(i)))
+		f = src.Xor(f, src.Var(i))
 	}
 	dst := bdd.New(bdd.Config{Vars: nv, NodeBudget: 4})
 	if _, err := transfer(src, dst, f); !errors.Is(err, bdd.ErrBudget) {

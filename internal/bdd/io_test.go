@@ -101,49 +101,6 @@ func TestReadsSiftedBytes(t *testing.T) {
 	reencodes(t, sifted)
 }
 
-// TestReadsSiftedBytesAcrossCollections: a node list read under a permuted
-// order denotes the written function with level l's variable renamed to the
-// permutation's entry l. Rewriting an identity file's order field that way
-// gives sifted bytes of any size; importing them under DebugChecks collects
-// every 64 nodes, so an imported Ref the legacy path failed to keep would be
-// reported as freed or come back as a different function.
-func TestReadsSiftedBytesAcrossCollections(t *testing.T) {
-	const nv = 12
-	rng := rand.New(rand.NewSource(39))
-	src := bdd.New(bdd.Config{Vars: nv})
-	var exprs []*expr
-	var roots []bdd.Ref
-	for i := 0; i < 6; i++ {
-		e := randExpr(rng, nv, 40)
-		exprs = append(exprs, e)
-		roots = append(roots, src.Protect(e.build(src)))
-	}
-	data := save(t, src, roots...)
-	perm := rng.Perm(nv)
-	for l, v := range perm { // magic, one count byte, then one byte per level
-		data[len("\x00BDD2")+1+l] = byte(v)
-	}
-	k := bdd.New(bdd.Config{Vars: nv, DebugChecks: true})
-	got, err := load(k, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.GCCount() == 0 {
-		t.Fatal("the import never collected; the test exercises nothing")
-	}
-	written := make([]bool, nv)
-	for i, e := range exprs {
-		for _, a := range assignments(nv) {
-			for l, v := range perm {
-				written[l] = a[v]
-			}
-			if k.Eval(got[i], a) != e.eval(written) {
-				t.Fatalf("root %d differs from the written function renamed by %v", i, perm)
-			}
-		}
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	const nv = 10
 	rng := rand.New(rand.NewSource(71))

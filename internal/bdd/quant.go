@@ -50,14 +50,14 @@ func (k *Kernel) CubeVars(cube Ref) []int {
 
 // Exists returns ∃vars(f), where vars is a cube.
 func (k *Kernel) Exists(f, cube Ref) Ref {
-	k.gcIfNeeded(f, cube)
+	k.checkOperands(f, cube)
 	k.maybeGrowQuantCache()
 	return k.quant(opExists, f, cube)
 }
 
 // Forall returns ∀vars(f), where vars is a cube.
 func (k *Kernel) Forall(f, cube Ref) Ref {
-	k.gcIfNeeded(f, cube)
+	k.checkOperands(f, cube)
 	k.maybeGrowQuantCache()
 	return k.quant(opForall, f, cube)
 }
@@ -65,7 +65,7 @@ func (k *Kernel) Forall(f, cube Ref) Ref {
 // AppEx returns ∃cube (f op g) in a single pass, the analogue of BuDDy's
 // bdd_appex. op must be one of OpAnd, OpOr, OpXor.
 func (k *Kernel) AppEx(f, g Ref, op ApplyOp, cube Ref) Ref {
-	k.gcIfNeeded(f, g, cube)
+	k.checkOperands(f, g, cube)
 	k.maybeGrowQuantCache()
 	return k.appQuant(opAppEx, uint32(op), f, g, cube)
 }
@@ -73,7 +73,7 @@ func (k *Kernel) AppEx(f, g Ref, op ApplyOp, cube Ref) Ref {
 // AppAll returns ∀cube (f op g) in a single pass, the analogue of BuDDy's
 // bdd_appall.
 func (k *Kernel) AppAll(f, g Ref, op ApplyOp, cube Ref) Ref {
-	k.gcIfNeeded(f, g, cube)
+	k.checkOperands(f, g, cube)
 	k.maybeGrowQuantCache()
 	return k.appQuant(opAppAll, uint32(op), f, g, cube)
 }

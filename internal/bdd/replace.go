@@ -66,7 +66,7 @@ func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 // f, which is why the paper's rename-based join rewrite beats conjunction
 // with equality BDDs.
 func (k *Kernel) Replace(f Ref, m ReplaceMap) Ref {
-	k.gcIfNeeded(f)
+	k.checkOperands(f)
 	if int(m.id) >= len(k.replaceMaps) {
 		panic("bdd: replace map from a different kernel")
 	}
@@ -140,7 +140,7 @@ func (k *Kernel) replaceRec(f Ref, id int32) Ref {
 // to the given values. The assignment is a list of (variable, value) pairs.
 // Its steps are not part of Stats().Ops.
 func (k *Kernel) Restrict(f Ref, assignment []Literal) Ref {
-	k.gcIfNeeded(f)
+	k.checkOperands(f)
 	if len(assignment) == 0 {
 		return f
 	}

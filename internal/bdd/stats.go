@@ -138,12 +138,13 @@ func (k *Kernel) Stats() Stats {
 func (k *Kernel) Budget() int { return k.budget }
 
 // SetBudget replaces the node budget (0 or negative means unlimited) and
-// recomputes the GC trigger. Lowering the budget below the current live
-// count makes the next allocating operation abort with ErrBudget — which
-// callers treat as the usual fall-back-to-SQL signal — while operations that
-// only touch existing nodes still succeed. A service lowers the budget
-// before evaluating a request that carries its own and restores it
-// afterwards.
+// re-caps the GC trigger, which stays based on the live count after the last
+// collection: garbage made since does not raise it. Lowering the budget below
+// the current live count makes the next allocating operation abort with
+// ErrBudget — which callers treat as the usual fall-back-to-SQL signal —
+// while operations that only touch existing nodes still succeed. A service
+// lowers the budget before evaluating a request that carries its own and
+// restores it afterwards.
 func (k *Kernel) SetBudget(n int) {
 	if n < 0 {
 		n = 0

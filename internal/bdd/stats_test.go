@@ -19,7 +19,6 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	f := bdd.True
 	for i := 0; i < 8; i++ {
-		k.TempKeep(f)
 		f = k.And(f, k.Var(i))
 	}
 	s1 := k.Stats()
@@ -27,7 +26,6 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatalf("after work: %+v (want growth and op counts)", s1)
 	}
 	// GC drops unreferenced nodes but never lowers the peak.
-	k.TempRelease(0)
 	k.GC()
 	s2 := k.Stats()
 	if s2.GCRuns != s1.GCRuns+1 {
@@ -46,7 +44,6 @@ func TestStatsDelta(t *testing.T) {
 	before := k.Stats()
 	f := bdd.True
 	for i := 0; i < 8; i++ {
-		k.TempKeep(f)
 		f = k.And(f, k.Var(i))
 	}
 	after := k.Stats()
@@ -62,7 +59,6 @@ func TestStatsDelta(t *testing.T) {
 	}
 	// Allocs stays monotonic across GC, so post-GC deltas cannot go
 	// negative the way Live-based accounting would.
-	k.TempRelease(0)
 	k.GC()
 	gcd := k.Stats().DeltaSince(after)
 	if gcd.GCRuns != 1 {
@@ -114,23 +110,21 @@ func TestSetBudgetAbortsAndRestores(t *testing.T) {
 
 // randomMinterms ORs together n random minterms over nv variables.
 func randomMinterms(k *bdd.Kernel, rng *rand.Rand, nv, n int) bdd.Ref {
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
 	f := bdd.False
 	lits := make([]bdd.Literal, nv)
 	for i := 0; i < n; i++ {
 		for v := range lits {
 			lits[v] = bdd.Literal{Var: v, Value: rng.Intn(2) == 1}
 		}
-		f = k.Or(k.TempKeep(f), k.Minterm(lits))
+		f = k.Or(f, k.Minterm(lits))
 	}
 	return f
 }
 
-// TestGCTriggerFollowsLiveSet: a budgeted kernel collects once its garbage
-// outgrows its live set, long before the table reaches the budget — the
-// table never shrinks, so whatever the trigger lets pile up is resident for
-// the life of the kernel.
+// TestGCTriggerFollowsLiveSet: a budgeted kernel's safe points collect once
+// its garbage outgrows its live set, long before the table reaches the
+// budget — the table never shrinks, so whatever the trigger lets pile up is
+// resident for the life of the kernel.
 func TestGCTriggerFollowsLiveSet(t *testing.T) {
 	const nv, budget = 40, 1_000_000
 	rng := rand.New(rand.NewSource(5))
@@ -142,8 +136,14 @@ func TestGCTriggerFollowsLiveSet(t *testing.T) {
 	if base.Live < 9_000 || base.Live > 12_000 {
 		t.Fatalf("fixture pins %d nodes, want about 10k", base.Live)
 	}
+	gcs := base.GCRuns
 	for k.Stats().Allocs-base.Allocs < 500_000 {
 		randomMinterms(k, rng, nv, 300)
+		if k.GCCount() != gcs {
+			t.Fatal("an operation collected: only safe points may")
+		}
+		k.SafePoint()
+		gcs = k.GCCount()
 	}
 	if err := k.Err(); err != nil {
 		t.Fatal(err)
@@ -157,5 +157,59 @@ func TestGCTriggerFollowsLiveSet(t *testing.T) {
 	}
 	if g := randomMinterms(k, rand.New(rand.NewSource(5)), nv, 400); g != pinned {
 		t.Fatal("pinned function did not survive the collections")
+	}
+}
+
+// TestSetBudgetKeepsTheTriggerBase: a service caps a request's budget and
+// restores it afterwards. The round trip re-caps the trigger but must not
+// re-base it on the live count of the moment, garbage included, or a stream
+// of such requests never reaches its trigger and grows until the budget
+// aborts an evaluation.
+func TestSetBudgetKeepsTheTriggerBase(t *testing.T) {
+	const nv, budget = 40, 1_000_000
+	rng := rand.New(rand.NewSource(7))
+	k := bdd.New(bdd.Config{Vars: nv, NodeBudget: budget})
+	pinned := k.Protect(randomMinterms(k, rng, nv, 400))
+	defer k.Unprotect(pinned)
+	k.GC()
+	for i := 0; i < 40; i++ {
+		k.SetBudget(budget / 2)
+		randomMinterms(k, rng, nv, 300)
+		k.SetBudget(budget)
+		k.SafePoint()
+	}
+	if err := k.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s := k.Stats()
+	if s.GCRuns < 3 {
+		t.Fatalf("%d collections in 40 rounds of garbage", s.GCRuns)
+	}
+	if limit := budget / 4; s.Peak > limit {
+		t.Fatalf("Peak %d, want under %d: the budget round trips re-based the trigger on garbage", s.Peak, limit)
+	}
+}
+
+// TestNoOperationCollects: a Ref held unpinned across many operations stays
+// valid until the next safe point — even under DebugChecks, where that safe
+// point collects whatever it finds.
+func TestNoOperationCollects(t *testing.T) {
+	const nv = 16
+	rng := rand.New(rand.NewSource(11))
+	k := bdd.New(bdd.Config{Vars: nv, DebugChecks: true})
+	held := k.Xor(k.Var(0), k.Var(nv-1))
+	n := k.NodeCount(held)
+	for i := 0; i < 100; i++ {
+		randomMinterms(k, rng, nv, 4)
+	}
+	if k.GCCount() != 0 {
+		t.Fatalf("%d collections inside operations", k.GCCount())
+	}
+	if k.Not(k.Not(held)) != held || k.NodeCount(held) != n {
+		t.Fatal("the unpinned Ref changed across the operations")
+	}
+	k.SafePoint()
+	if k.GCCount() != 1 {
+		t.Fatalf("a DebugChecks safe point ran %d collections, want 1", k.GCCount())
 	}
 }

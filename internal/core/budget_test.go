@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -123,5 +124,50 @@ func TestBudgetSweep(t *testing.T) {
 	if checkAborts < 100 || applyAborts < 5 {
 		t.Fatalf("the sweep aborted %d checks and %d Apply batches; it needs at least 100 and 5 to exercise the fallback",
 			checkAborts, applyAborts)
+	}
+}
+
+// TestGarbageIsNotChargedToARequestBudget: the garbage earlier checks leave
+// below the collection trigger is collected when a budgeted check starts,
+// not counted against its budget. A twin checker runs the same checks,
+// collects, and measures what the budgeted check allocates; the budget
+// admits exactly that, far less than the garbage.
+func TestGarbageIsNotChargedToARequestBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	cat := relation.NewCatalog()
+	if _, err := datagen.Customers(cat, "CUST", datagen.CustomerSpec{Tuples: 3000, NoiseRate: 0.02}, rng); err != nil {
+		t.Fatal(err)
+	}
+	var cts []logic.Constraint
+	for i := 0; i < 8; i++ {
+		ct, err := logic.ParseConstraints(fmt.Sprintf(`
+			constraint cs%d:
+			    forall c, s: CUST(_, _, c, s, _) and c in {"city%05d", "city%05d"} => s in {"S%02d"}.`, i, i, i+8, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, ct...)
+	}
+	chk, twin := core.New(cat, core.Options{}), core.New(cat.Clone(), core.Options{})
+	for _, c := range []*core.Checker{chk, twin} {
+		if _, err := c.BuildIndex("CUST", "CUST", nil, core.OrderProbConverge); err != nil {
+			t.Fatal(err)
+		}
+		for _, ct := range cts[1:] {
+			if res := c.CheckOne(ct); res.Err != nil || res.FellBack {
+				t.Fatalf("%s: %+v", ct.Name, res)
+			}
+		}
+	}
+	k, tk := chk.Store().Kernel(), twin.Store().Kernel()
+	tk.GC()
+	collected := tk.Size()
+	need := twin.CheckOne(cts[0]).Kernel.NodesAllocated
+	if garbage := k.Size() - collected; uint64(garbage) <= need {
+		t.Fatalf("the checks left %d garbage nodes, the budgeted one allocates %d: the fixture tests nothing", garbage, need)
+	}
+	res := chk.CheckOneOpts(cts[0], core.CheckOptions{NodeBudget: collected + int(need) + 1})
+	if res.FellBack || res.Err != nil {
+		t.Fatalf("a check that fits its budget on a collected kernel fell back: %+v", res)
 	}
 }

@@ -201,6 +201,11 @@ func (c *Checker) Store() *index.Store { return c.store }
 // Evaluator returns the BDD constraint evaluator.
 func (c *Checker) Evaluator() *logic.Evaluator { return c.ev }
 
+// safePoint ends every exported operation that runs kernel work: between
+// operations the checker holds no Ref it has not pinned, so its kernel may
+// collect there (bdd.Kernel.SafePoint), and nowhere else.
+func (c *Checker) safePoint() { c.store.Kernel().SafePoint() }
+
 // Resolver returns the checker's predicate resolver (index names first,
 // then table names), for use with logic.Analyze or sqlengine.Compile.
 func (c *Checker) Resolver() logic.Resolver { return resolver{c} }
@@ -227,6 +232,7 @@ func (r resolver) ResolvePred(name string, arity int) (*relation.Table, []int, e
 // with the given ordering method. The index name doubles as a predicate
 // name in constraints.
 func (c *Checker) BuildIndex(name, table string, cols []string, method OrderingMethod) (*index.Index, error) {
+	defer c.safePoint()
 	t := c.catalog.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("core: unknown table %q", table)
@@ -319,6 +325,7 @@ func projectionTable(cat *relation.Catalog, t *relation.Table, cols []int) (*rel
 // else through generic BDD evaluation, with SQL fallback on missing index
 // or exceeded node budget.
 func (c *Checker) CheckOne(ct logic.Constraint) Result {
+	defer c.safePoint()
 	return c.checkOne(ct, CheckOptions{})
 }
 
@@ -401,6 +408,7 @@ type CheckOptions struct {
 // CheckOneOpts validates a single constraint like CheckOne, under the
 // per-call options.
 func (c *Checker) CheckOneOpts(ct logic.Constraint, opts CheckOptions) (res Result) {
+	defer c.safePoint()
 	c.withBudget(opts.NodeBudget, func() { res = c.checkOne(ct, opts) })
 	return res
 }
@@ -419,6 +427,10 @@ func (c *Checker) withBudget(budget int, f func()) {
 	}
 	k.SetBudget(budget)
 	defer k.SetBudget(prev)
+	// The start of an operation is a safe point too: the garbage earlier
+	// operations left below the trigger is collected here, not charged to
+	// this call's budget.
+	k.SafePoint()
 	f()
 }
 
@@ -503,6 +515,11 @@ type Witness struct {
 // witnesses means the constraint holds. It returns ErrNoIndex/ErrBudget like
 // Eval; callers then use ViolatingRows.
 func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness, error) {
+	defer c.safePoint()
+	return c.violationWitnesses(ct, limit)
+}
+
+func (c *Checker) violationWitnesses(ct logic.Constraint, limit int) ([]Witness, error) {
 	out, err := c.ev.Violations(ct)
 	if err != nil {
 		return nil, err
@@ -609,7 +626,8 @@ func slotLimits(blocks []*fdd.Domain, valueDoms []*relation.Domain) []int {
 // ViolationWitnessesOpts extracts witnesses like ViolationWitnesses, under
 // the per-call options.
 func (c *Checker) ViolationWitnessesOpts(ct logic.Constraint, limit int, opts CheckOptions) (ws []Witness, err error) {
-	c.withBudget(opts.NodeBudget, func() { ws, err = c.ViolationWitnesses(ct, limit) })
+	defer c.safePoint()
+	c.withBudget(opts.NodeBudget, func() { ws, err = c.violationWitnesses(ct, limit) })
 	return ws, err
 }
 
@@ -656,7 +674,8 @@ type Update struct {
 // Apply applies a batch of updates through the incremental index maintenance
 // path, in order, stopping at the first error. It returns how many updates
 // were applied; on error the earlier updates of the batch remain applied
-// (tuple updates are independent, there is no transactional rollback).
+// (tuple updates are independent, there is no transactional rollback). Each
+// tuple update ends at a safe point, like InsertTuple and DeleteTuple.
 func (c *Checker) Apply(ups []Update) (int, error) {
 	for i, u := range ups {
 		var err error
@@ -677,6 +696,7 @@ func (c *Checker) Apply(ups []Update) (int, error) {
 
 // InsertTuple inserts into the table and updates every index over it.
 func (c *Checker) InsertTuple(table string, vals ...string) error {
+	defer c.safePoint()
 	t := c.catalog.Table(table)
 	if t == nil {
 		return fmt.Errorf("core: unknown table %q", table)
@@ -692,6 +712,7 @@ func (c *Checker) InsertTuple(table string, vals ...string) error {
 // respecting bag semantics (an index keeps the tuple while another row
 // carries it).
 func (c *Checker) DeleteTuple(table string, vals ...string) error {
+	defer c.safePoint()
 	t := c.catalog.Table(table)
 	if t == nil {
 		return fmt.Errorf("core: unknown table %q", table)

@@ -118,7 +118,7 @@ func (fx *decodeFixture) random(rng *rand.Rand, cubes int) bdd.Ref {
 				cube = k.And(cube, k.NVar(v))
 			}
 		}
-		f = k.TempKeep(k.Or(f, cube))
+		f = k.Or(f, cube)
 	}
 	return f
 }

@@ -97,7 +97,10 @@ func (c *Checker) ExportIndices() (*bdd.Image, []IndexSnapshot, error) {
 // behalf of the kernels that demanded them (index.Store.Replay): the next
 // export carries each one, and the checker maintains it while readers keep
 // demanding it.
-func (c *Checker) ReadProjections(ds []index.Demand) { c.store.Replay(ds) }
+func (c *Checker) ReadProjections(ds []index.Demand) {
+	defer c.safePoint()
+	c.store.Replay(ds)
+}
 
 // AdoptIndices reproduces exported indices inside this checker: it raises
 // the kernel's variable count to cover every block, imports the image (one
@@ -108,6 +111,7 @@ func (c *Checker) ReadProjections(ds []index.Demand) { c.store.Replay(ds) }
 // snapshotted tables. img is only read, so many replicas can adopt from one
 // image concurrently.
 func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
+	defer c.safePoint()
 	k := c.store.Kernel()
 	maxVar := -1
 	for _, s := range snaps {
@@ -157,6 +161,7 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 // kernel's sticky error cleared; the caller builds a fresh checker instead.
 // img is only read.
 func (c *Checker) AdvanceIndices(cat *relation.Catalog, img *bdd.Image, snaps []IndexSnapshot) error {
+	defer c.safePoint()
 	k := c.store.Kernel()
 	held := c.SnapshotIndices()
 	if !slices.EqualFunc(held, snaps, sameGeometry) {

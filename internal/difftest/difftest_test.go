@@ -87,6 +87,9 @@ func TestDifferentialSoak(t *testing.T) {
 	t.Logf("soak: %d primary projection reads hit a projection maintained across an update batch", ProjectionCoverage.Maintained)
 	t.Logf("soak: %d replica projection reads hit a projection adopted from the primary's export", ProjectionCoverage.Adopted)
 	t.Logf("soak: the primary kernels ran %d collections", GCCoverage)
+	if *debugChecks && GCCoverage == 0 {
+		t.Fatal("the primary kernels never collected under DebugChecks: the soak checked no pin")
+	}
 	if *soakSeeds >= 63 && ProjectionCoverage.Maintained == 0 {
 		t.Fatal("no projection read hit a maintained projection: the soak cross-checked recomputed projections only")
 	}

@@ -67,9 +67,9 @@ var ReplicaCoverage struct{ Advanced, Rebuilt int }
 var ProjectionCoverage struct{ Maintained, Adopted int }
 
 // GCCoverage accumulates, across RunCase calls, the collections the primary
-// kernel ran (bdd.Stats.GCRuns). Under DebugChecks the collection trigger
-// sits 64 nodes above the live set, so the automatic collection runs with the
-// pending operation's operands as roots; TestDifferentialSoak logs how often.
+// kernel ran (bdd.Stats.GCRuns). Under DebugChecks every safe point collects,
+// so a Ref the checker failed to pin is caught at its next use;
+// TestDifferentialSoak logs how often, and fails a DebugChecks run with none.
 var GCCoverage int
 
 // Mismatch describes one oracle disagreement. It is a test failure in

@@ -17,9 +17,8 @@ import (
 // the requested node count, by adding random tuples until the size target
 // is reached.
 func randomRelationBDD(k *bdd.Kernel, doms []*fdd.Domain, targetNodes int, rng *rand.Rand) (bdd.Ref, error) {
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
 	f := bdd.False
+	defer func() { k.Unprotect(f) }() // the caller pins what it keeps
 	batch := 4096
 	vals := make([]int, len(doms))
 	prev := -1
@@ -51,10 +50,11 @@ func randomRelationBDD(k *bdd.Kernel, doms []*fdd.Domain, targetNodes int, rng *
 		if nf == bdd.Invalid {
 			return bdd.Invalid, k.Err()
 		}
-		// Rolling temp root: only the newest accumulator stays pinned, so
+		// Only the newest accumulator is pinned across the safe point, so
 		// superseded versions can be collected.
-		k.TempRelease(mark)
-		f = k.TempKeep(nf)
+		k.Unprotect(f)
+		f = k.Protect(nf)
+		k.SafePoint()
 	}
 	return f, nil
 }
@@ -128,19 +128,15 @@ func Fig6a(cfg Config) error {
 			start := time.Now()
 			eq := bdd.True
 			for i := range joinL {
-				k.TempKeep(eq)
 				eq = k.And(eq, fdd.EqVar(joinL[i], joinR[i]))
 			}
-			k.TempKeep(eq)
-			step := k.TempKeep(k.And(r1, r2))
-			step = k.TempKeep(k.And(step, eq))
+			step := k.And(k.And(r1, r2), eq)
 			naiveRes := fdd.Exists(step, joinR...)
 			cells[ai][0] = time.Since(start)
 			if naiveRes == bdd.Invalid {
 				return k.Err()
 			}
 			k.Protect(naiveRes)
-			k.TempRelease(0)
 
 			// Optimized: rename R2's join block onto R1's, then ∧.
 			k.ClearCaches()
@@ -150,19 +146,14 @@ func Fig6a(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			renamed := k.TempKeep(k.Replace(r2, m))
-			renameRes := k.And(r1, renamed)
+			renameRes := k.And(r1, k.Replace(r2, m))
 			cells[ai][1] = time.Since(start)
 			if renameRes == bdd.Invalid {
 				return k.Err()
 			}
-			k.TempRelease(0)
 			k.Protect(renameRes)
 			// Same join result up to the projected-away c attributes.
-			l := k.TempKeep(fdd.Exists(naiveRes, joinL...))
-			r := fdd.Exists(renameRes, joinL...)
-			k.TempRelease(0)
-			if l != r {
+			if fdd.Exists(naiveRes, joinL...) != fdd.Exists(renameRes, joinL...) {
 				return fmt.Errorf("fig6a: strategies disagree at %d nodes, %d attrs", target, attrs)
 			}
 			k.Unprotect(naiveRes)
@@ -239,10 +230,9 @@ func Fig6b(cfg Config) error {
 		k.ClearCaches()
 		k.GC()
 		start := time.Now()
-		sep := k.Or(k.TempKeep(k.Exists(p, cube)), k.Exists(q, cube))
+		sep := k.Or(k.Exists(p, cube), k.Exists(q, cube))
 		tSep := time.Since(start)
-		k.TempRelease(0)
-		//lint:ignore tempmark the kernel is discarded at the end of this loop iteration, so the pin only needs to outlive the AppEx below
+		//lint:ignore protect the kernel is discarded at the end of this loop iteration, so the pin only needs to outlive the AppEx below
 		k.Protect(sep)
 
 		k.ClearCaches()
@@ -284,9 +274,8 @@ func Fig6c(cfg Config) error {
 		k.ClearCaches()
 		k.GC()
 		start = time.Now()
-		push := k.And(k.TempKeep(k.Forall(p, cube)), k.Forall(q, cube))
+		push := k.And(k.Forall(p, cube), k.Forall(q, cube))
 		tPush := time.Since(start)
-		k.TempRelease(0)
 		if push != comb {
 			return fmt.Errorf("fig6c: strategies disagree at %d nodes", target)
 		}

@@ -27,10 +27,9 @@ func fillBudget(budget int, rng *rand.Rand) (time.Duration, error) {
 		// One random XOR-of-3 clause; conjunctions of these blow up under
 		// any static ordering.
 		a, b, c := rng.Intn(nVars), rng.Intn(nVars), rng.Intn(nVars)
-		k.TempKeep(f)
 		clause := k.Xor(k.Xor(k.Var(a), k.Var(b)), k.Var(c))
-		f = k.And(f, clause)
-		if f == bdd.Invalid {
+		next := k.And(f, clause)
+		if next == bdd.Invalid {
 			// Errors surfacing from the kernel may wrap ErrBudget, so an
 			// identity comparison would misclassify them as fatal.
 			if errors.Is(k.Err(), bdd.ErrBudget) {
@@ -38,6 +37,10 @@ func fillBudget(budget int, rng *rand.Rand) (time.Duration, error) {
 			}
 			return 0, k.Err()
 		}
+		// Only the newest conjunction is pinned across the safe point.
+		k.Unprotect(f)
+		f = k.Protect(next)
+		k.SafePoint()
 		if i > 1<<20 {
 			return 0, fmt.Errorf("threshold: budget %d never reached", budget)
 		}

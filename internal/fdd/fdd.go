@@ -155,8 +155,6 @@ func (d *Domain) EqConst(v int) bdd.Ref {
 // Among returns the BDD of the predicate d ∈ values.
 func (d *Domain) Among(values []int) bdd.Ref {
 	k := d.space.k
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
 	sorted := append([]int(nil), values...)
 	sort.Ints(sorted)
 	// Recursive balanced OR keeps intermediate BDDs small and shares
@@ -170,8 +168,7 @@ func (d *Domain) Among(values []int) bdd.Ref {
 			return d.EqConst(sorted[lo])
 		}
 		mid := (lo + hi) / 2
-		left := k.TempKeep(build(lo, mid))
-		return k.Or(left, build(mid, hi))
+		return k.Or(build(lo, mid), build(mid, hi))
 	}
 	return build(0, len(sorted))
 }
@@ -259,11 +256,8 @@ func EqVar(d, e *Domain) bdd.Ref {
 			d.name, len(d.vars), e.name, len(e.vars)))
 	}
 	k := d.space.k
-	mark := k.TempMark()
-	defer k.TempRelease(mark)
 	acc := bdd.True
 	for i := len(d.vars) - 1; i >= 0; i-- {
-		k.TempKeep(acc) // survive garbage collection inside Biimp
 		bit := k.Biimp(k.Var(d.vars[i]), k.Var(e.vars[i]))
 		acc = k.And(acc, bit)
 	}

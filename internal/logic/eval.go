@@ -147,8 +147,6 @@ func (ev *Evaluator) Eval(c Constraint) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := ev.store.Kernel()
-	defer k.TempRelease(k.TempMark())
 	out, _, err := ev.evaluate(an, rw, false)
 	return out, err
 }
@@ -164,8 +162,6 @@ func (ev *Evaluator) Holds(c Constraint) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	k := ev.store.Kernel()
-	defer k.TempRelease(k.TempMark())
 	out, env, err := ev.evaluate(an, rw, true)
 	if err != nil {
 		return false, err
@@ -203,8 +199,6 @@ func (ev *Evaluator) Violations(c Constraint) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := ev.store.Kernel()
-	defer k.TempRelease(k.TempMark())
 	out, env, err := ev.evaluate(an, rw, true)
 	if err != nil {
 		return nil, err
@@ -237,7 +231,7 @@ func (ev *Evaluator) Violations(c Constraint) (*Outcome, error) {
 func (ev *Evaluator) expand(out *Outcome, env *evalEnv) error {
 	k := ev.store.Kernel()
 	ext := ev.bindProjected(env)
-	viol := k.TempKeep(out.Violations)
+	viol := out.Violations
 	for _, p := range env.projectedAtoms {
 		f, err := ev.evalPred(p, ext, true)
 		if err == nil {
@@ -249,7 +243,6 @@ func (ev *Evaluator) expand(out *Outcome, env *evalEnv) error {
 			ev.Recover()
 			return err
 		}
-		k.TempKeep(viol)
 	}
 	out.Violations, out.Blocks = viol, ext.blocks
 	return nil
@@ -303,10 +296,9 @@ func (ev *Evaluator) compile(c Constraint) (*Analysis, Rewritten, error) {
 }
 
 // evaluate runs one evaluation pass and returns its outcome and environment.
-// Intermediates held in local variables are pushed onto the kernel's
-// temp-root stack so garbage collection at operation boundaries cannot
-// reclaim them; the caller releases them wholesale when it is done with the
-// outcome.
+// No kernel operation collects, so intermediates held in local variables
+// need no pinning; the outcome's Refs stay valid until the kernel's owner
+// reaches a safe point.
 func (ev *Evaluator) evaluate(an *Analysis, rw Rewritten, verdictOnly bool) (*Outcome, *evalEnv, error) {
 	env, err := ev.newEnv(an, rw, verdictOnly)
 	if err != nil {
@@ -318,7 +310,6 @@ func (ev *Evaluator) evaluate(an *Analysis, rw Rewritten, verdictOnly bool) (*Ou
 		ev.Recover()
 		return nil, nil, err
 	}
-	k.TempKeep(root)
 	out := &Outcome{
 		Mode:     rw.Mode,
 		Stripped: rw.Stripped,
@@ -801,7 +792,6 @@ func (ev *Evaluator) eval(f Formula, env *evalEnv, negated bool) (bdd.Ref, error
 		if l == bdd.False {
 			return bdd.False, nil
 		}
-		k.TempKeep(l)
 		r, err := ev.eval(g.R, env, negated)
 		if err != nil {
 			return bdd.Invalid, err
@@ -818,7 +808,6 @@ func (ev *Evaluator) eval(f Formula, env *evalEnv, negated bool) (bdd.Ref, error
 		if l == bdd.True {
 			return bdd.True, nil
 		}
-		k.TempKeep(l)
 		r, err := ev.eval(g.R, env, negated)
 		if err != nil {
 			return bdd.Invalid, err
@@ -862,7 +851,7 @@ func (ev *Evaluator) evalQuant(q Quant, env *evalEnv, negated bool) (bdd.Ref, er
 	for _, v := range q.Vars {
 		vars = append(vars, env.blocks[v].Vars()...)
 	}
-	cube := k.TempKeep(k.Cube(vars...))
+	cube := k.Cube(vars...)
 	if cube == bdd.Invalid {
 		return bdd.Invalid, ev.kerr()
 	}
@@ -870,7 +859,6 @@ func (ev *Evaluator) evalQuant(q Quant, env *evalEnv, negated bool) (bdd.Ref, er
 	if err != nil {
 		return bdd.Invalid, err
 	}
-	k.TempKeep(guard)
 	// Relativize: ∀x φ over the finite domain is ∀x (guard ⇒ φ), and
 	// ∃x φ is ∃x (guard ∧ φ). Both guards distribute over ∧ and ∨
 	// (guard⇒(a∧b) ≡ (guard⇒a)∧(guard⇒b), guard⇒(a∨b) ≡ (guard⇒a)∨(guard⇒b),
@@ -889,19 +877,17 @@ func (ev *Evaluator) evalQuant(q Quant, env *evalEnv, negated bool) (bdd.Ref, er
 		if err != nil {
 			return bdd.Invalid, err
 		}
-		k.TempKeep(lb)
 		rb, err := ev.eval(r, env, negated)
 		if err != nil {
 			return bdd.Invalid, err
 		}
-		k.TempKeep(rb)
 		var res bdd.Ref
 		if q.All {
-			res = k.AppAll(k.TempKeep(k.Imp(guard, lb)), k.Imp(guard, rb), op, cube)
+			res = k.AppAll(k.Imp(guard, lb), k.Imp(guard, rb), op, cube)
 		} else if op == bdd.OpAnd {
 			res = k.AppEx(k.And(guard, lb), rb, op, cube)
 		} else {
-			res = k.AppEx(k.TempKeep(k.And(guard, lb)), k.And(guard, rb), op, cube)
+			res = k.AppEx(k.And(guard, lb), k.And(guard, rb), op, cube)
 		}
 		if res != bdd.Invalid {
 			return res, nil
@@ -1110,7 +1096,6 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 			}
 		}
 		for _, d := range dupPairs {
-			k.TempKeep(f)
 			eq := fdd.EqVar(doms[d[0]], doms[d[1]])
 			if eq == bdd.Invalid {
 				return bdd.Invalid, false, ev.kerr()
@@ -1193,7 +1178,6 @@ func (ev *Evaluator) bindBlocks(p Pred, f bdd.Ref, from, to []*fdd.Domain, env *
 	// would make even its own equality BDD exponential; that degrades
 	// to re-encoding the filtered relation.
 	for i := range from {
-		k.TempKeep(f)
 		g, err := ev.renameBlocks(p, f, from[i:i+1], to[i:i+1])
 		if err == nil {
 			f = g

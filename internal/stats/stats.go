@@ -10,13 +10,17 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/relation"
 )
 
 // groupCounts returns the multiplicity of each distinct projection of the
-// table onto attrs, and the number of distinct full tuples.
-func groupCounts(t *relation.Table, attrs []int) (map[string]int, int) {
+// table onto attrs, in ascending order, and the number of distinct full
+// tuples. The order makes a floating-point sum over the counts depend on the
+// counts alone, not on map iteration order, so near-ties between candidate
+// attributes break the same way in every run.
+func groupCounts(t *relation.Table, attrs []int) ([]int, int) {
 	full := make(map[string]bool, t.Len())
 	counts := make(map[string]int, 64)
 	var fullKey, key []byte
@@ -36,7 +40,12 @@ func groupCounts(t *relation.Table, attrs []int) (map[string]int, int) {
 		}
 		counts[string(key)]++
 	}
-	return counts, len(full)
+	sorted := make([]int, 0, len(counts))
+	for _, c := range counts {
+		sorted = append(sorted, c)
+	}
+	slices.Sort(sorted)
+	return sorted, len(full)
 }
 
 // Entropy returns H(attrs), the joint entropy in bits of the projection of t

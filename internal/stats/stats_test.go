@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,5 +112,28 @@ func TestPhiEmptyPrefix(t *testing.T) {
 	// φ(⟨⟩) = |R| / |dom product| = 2/4; Φ = −(1/2)·log(1/2) = 1/2.
 	if got := stats.Phi(tbl, nil, dom); !approx(got, 0.5) {
 		t.Fatalf("Φ(∅) = %v, want 0.5", got)
+	}
+}
+
+// TestMeasuresAreReproducible: the sums run over group counts in an order
+// fixed by the counts, so repeated calls agree to the bit, and an ordering
+// heuristic breaks near-ties the same way in every run.
+func TestMeasuresAreReproducible(t *testing.T) {
+	var rows [][]string
+	for i := 0; i < 400; i++ {
+		for j := 0; j <= i%13; j++ {
+			rows = append(rows, []string{fmt.Sprint(i), fmt.Sprint(j)})
+		}
+	}
+	tbl := table(t, rows)
+	h := stats.Entropy(tbl, []int{0})
+	phi := stats.Phi(tbl, []int{0}, []int{400, 13})
+	for i := 0; i < 50; i++ {
+		if got := stats.Entropy(tbl, []int{0}); math.Float64bits(got) != math.Float64bits(h) {
+			t.Fatalf("H(a) = %v, then %v", h, got)
+		}
+		if got := stats.Phi(tbl, []int{0}, []int{400, 13}); math.Float64bits(got) != math.Float64bits(phi) {
+			t.Fatalf("Φ(a) = %v, then %v", phi, got)
+		}
 	}
 }

@@ -48,8 +48,8 @@ var seededFaults = []seededFault{
 		name: "an index update pins its new root but never stores it", analyzer: "protect",
 		pkg: "./internal/index", file: "internal/index/index.go",
 		edits: [][2]string{{
-			"\tk.Protect(next)\n\tk.Unprotect(ix.root)\n\tix.root = next\n",
-			"\tk.Protect(next)\n\tk.Unprotect(ix.root)\n",
+			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n\t\tix.root = next\n",
+			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n",
 		}},
 	},
 	{

@@ -69,8 +69,6 @@ var kernelMut = map[string]bool{
 // its indexes.
 var checkerMut = map[string]bool{
 	"Apply":          true,
-	"InsertTuple":    true,
-	"DeleteTuple":    true,
 	"BuildIndex":     true,
 	"AdoptIndices":   true,
 	"AdvanceIndices": true,

@@ -671,78 +671,174 @@ type Update struct {
 	Values []string
 }
 
-// Apply applies a batch of updates through the incremental index maintenance
-// path, in order, stopping at the first error. It returns how many updates
-// were applied; on error the earlier updates of the batch remain applied
-// (tuple updates are independent, there is no transactional rollback). Each
-// tuple update ends at a safe point, like InsertTuple and DeleteTuple.
+// Apply applies a batch of updates to the tables and their indices in three
+// phases. It validates the batch first, before anything changes, and finds
+// the prefix it will apply: the updates ahead of the first one that names
+// an unknown op or table, has the wrong arity, deletes a tuple the table
+// does not hold (counting the batch's earlier updates), or carries a value
+// whose code does not fit a block of an index over the value's domain. Then
+// each index over a table the prefix touches nets the prefix and computes
+// its new root and projections (index.Index.Apply): one BDD per direction
+// per index and per projection. Last, the tables take the prefix's rows and
+// the indices their new roots, together. Apply returns how many updates it
+// applied and the error that stopped it. When the node budget aborts an
+// index's root, nothing is applied and Apply returns 0. The batch ends at a
+// safe point.
 func (c *Checker) Apply(ups []Update) (int, error) {
+	defer c.safePoint()
+	rows, err := c.validate(ups)
+	if len(rows) == 0 {
+		return 0, err
+	}
+	var changes []*index.Change
+	for _, t := range c.catalog.Tables() {
+		var plus, minus [][]int32
+		for _, r := range rows {
+			switch {
+			case r.t != t:
+			case r.del:
+				minus = append(minus, r.codes)
+			default:
+				plus = append(plus, r.codes)
+			}
+		}
+		if len(plus)+len(minus) == 0 {
+			continue
+		}
+		for _, name := range c.indexRegistry[t.Name()] {
+			ch, ierr := c.store.Index(name).Apply(plus, minus)
+			if ierr != nil {
+				return 0, fmt.Errorf("core: applying %d updates: %w", len(rows), ierr)
+			}
+			changes = append(changes, ch)
+		}
+	}
+	for i, r := range rows {
+		if r.del {
+			r.t.DeleteCodes(r.codes)
+		} else {
+			r.t.Insert(ups[i].Values...)
+		}
+	}
+	for _, ch := range changes {
+		ch.Commit()
+	}
+	return len(rows), err
+}
+
+// encoded is a validated update: its table and its tuple's codes, a new
+// value's code being the one its dictionary will give it.
+type encoded struct {
+	t     *relation.Table
+	codes []int32
+	del   bool
+}
+
+// validate encodes the longest valid prefix of a batch and returns the
+// error of the update that ends it, if one does. It changes nothing.
+func (c *Checker) validate(ups []Update) ([]encoded, error) {
+	v := validation{
+		fresh: make(map[*relation.Domain]map[string]int32),
+		moved: make(map[rowKey]int),
+	}
+	out := make([]encoded, 0, len(ups))
 	for i, u := range ups {
-		var err error
-		switch u.Op {
-		case UpdateInsert:
-			err = c.InsertTuple(u.Table, u.Values...)
-		case UpdateDelete:
-			err = c.DeleteTuple(u.Table, u.Values...)
-		default:
-			err = fmt.Errorf("core: unknown update op %q", u.Op)
-		}
+		e, err := c.validateOne(&v, u)
 		if err != nil {
-			return i, fmt.Errorf("core: update %d: %w", i, err)
+			return out, fmt.Errorf("core: update %d: %w", i, err)
 		}
+		out = append(out, e)
 	}
-	return len(ups), nil
+	return out, nil
 }
 
-// InsertTuple inserts into the table and updates every index over it.
-func (c *Checker) InsertTuple(table string, vals ...string) error {
-	defer c.safePoint()
-	t := c.catalog.Table(table)
-	if t == nil {
-		return fmt.Errorf("core: unknown table %q", table)
-	}
-	if len(vals) != t.NumCols() {
-		return fmt.Errorf("core: insert into %q with %d values, want %d", table, len(vals), t.NumCols())
-	}
-	row := t.Insert(vals...)
-	return c.updateIndices(t, func(ix *index.Index) error { return ix.Insert(row) })
+// validation is what validate knows of a batch's earlier updates: the codes
+// its new values take, and how far it moves each table's count of a row.
+type validation struct {
+	fresh  map[*relation.Domain]map[string]int32
+	moved  map[rowKey]int
+	blocks map[*relation.Domain]block // nil until an insert needs it
 }
 
-// DeleteTuple deletes from the table and updates every index over it,
-// respecting bag semantics (an index keeps the tuple while another row
-// carries it).
-func (c *Checker) DeleteTuple(table string, vals ...string) error {
-	defer c.safePoint()
-	t := c.catalog.Table(table)
+// rowKey names a row of a table by its codes' relation.AppendKey.
+type rowKey struct {
+	t   *relation.Table
+	key string
+}
+
+// block is the narrowest index block over a domain: the bound its codes
+// must stay below.
+type block struct {
+	index string
+	bits  int
+}
+
+func (c *Checker) validateOne(v *validation, u Update) (encoded, error) {
+	if u.Op != UpdateInsert && u.Op != UpdateDelete {
+		return encoded{}, fmt.Errorf("core: unknown update op %q", u.Op)
+	}
+	t := c.catalog.Table(u.Table)
 	if t == nil {
-		return fmt.Errorf("core: unknown table %q", table)
+		return encoded{}, fmt.Errorf("core: unknown table %q", u.Table)
 	}
-	if len(vals) != t.NumCols() {
-		return fmt.Errorf("core: delete from %q with %d values, want %d", table, len(vals), t.NumCols())
+	e := encoded{t: t, codes: make([]int32, len(u.Values)), del: u.Op == UpdateDelete}
+	if len(u.Values) != t.NumCols() {
+		verb := "insert into"
+		if e.del {
+			verb = "delete from"
+		}
+		return encoded{}, fmt.Errorf("core: %s %q with %d values, want %d", verb, u.Table, len(u.Values), t.NumCols())
 	}
-	row := make([]int32, len(vals))
-	for i, v := range vals {
-		code, ok := t.ColumnDomain(i).Code(v)
+	if v.blocks == nil && !e.del {
+		v.blocks = c.narrowestBlocks()
+	}
+	for i, val := range u.Values {
+		d := t.ColumnDomain(i)
+		code, ok := d.Code(val)
 		if !ok {
-			return fmt.Errorf("core: value %q not present in %s column %d", v, table, i)
+			code, ok = v.fresh[d][val]
 		}
-		row[i] = code
+		switch {
+		case !ok && e.del:
+			return encoded{}, fmt.Errorf("core: value %q not present in %s column %d", val, u.Table, i)
+		case !ok:
+			if v.fresh[d] == nil {
+				v.fresh[d] = make(map[string]int32)
+			}
+			code = int32(d.Size() + len(v.fresh[d]))
+			v.fresh[d][val] = code
+		}
+		if b, ok := v.blocks[d]; ok && !e.del && int(code) >= 1<<b.bits {
+			return encoded{}, fmt.Errorf("core: value %q (code %d) of %s column %d overflows the %d-bit block of index %q; rebuild the index",
+				val, code, u.Table, i, b.bits, b.index)
+		}
+		e.codes[i] = code
 	}
-	if !t.DeleteCodes(row) {
-		return fmt.Errorf("core: tuple not found in %s", table)
+	rk := rowKey{t, string(relation.AppendKey(nil, e.codes))}
+	if !e.del {
+		v.moved[rk]++
+		return e, nil
 	}
-	return c.updateIndices(t, func(ix *index.Index) error { return ix.Delete(row) })
+	if t.Count(e.codes)+v.moved[rk] <= 0 {
+		return encoded{}, fmt.Errorf("core: tuple not found in %s", u.Table)
+	}
+	v.moved[rk]--
+	return e, nil
 }
 
-func (c *Checker) updateIndices(t *relation.Table, update func(*index.Index) error) error {
-	for _, name := range c.indexNamesFor(t) {
-		if err := update(c.store.Index(name)); err != nil {
-			return err
+// narrowestBlocks maps each domain an index column draws on to the
+// narrowest block over it: a code at or past 2^bits fits no such index.
+func (c *Checker) narrowestBlocks() map[*relation.Domain]block {
+	out := make(map[*relation.Domain]block)
+	for _, name := range c.store.Names() {
+		ix := c.store.Index(name)
+		for j, col := range ix.Columns() {
+			d := ix.Table().ColumnDomain(col)
+			bits := ix.Domains()[j].Bits()
+			if b, ok := out[d]; !ok || bits < b.bits {
+				out[d] = block{index: name, bits: bits}
+			}
 		}
 	}
-	return nil
-}
-
-func (c *Checker) indexNamesFor(t *relation.Table) []string {
-	return c.indexRegistry[t.Name()]
+	return out
 }

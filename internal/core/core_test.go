@@ -124,7 +124,7 @@ func TestPaperExampleRepaired(t *testing.T) {
 	cat := buildCurriculum(t)
 	chk := newChecker(t, cat)
 	// Repair: s2 enrolls in the programming course.
-	if err := chk.InsertTuple("TAKES", "s2", "cs101"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "TAKES", Op: core.UpdateInsert, Values: []string{"s2", "cs101"}}}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := logic.Parse(curriculumConstraint)
@@ -139,7 +139,7 @@ func TestPaperExampleRepaired(t *testing.T) {
 		t.Fatal("constraint should hold after the repair")
 	}
 	// Breaking it again by removing the tuple.
-	if err := chk.DeleteTuple("TAKES", "s2", "cs101"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "TAKES", Op: core.UpdateDelete, Values: []string{"s2", "cs101"}}}); err != nil {
 		t.Fatal(err)
 	}
 	res = chk.CheckOne(logic.Constraint{Name: "cs_programming", F: f})
@@ -173,7 +173,7 @@ func TestMembershipConstraint(t *testing.T) {
 		t.Fatalf("constraint should hold: violated=%v err=%v", res.Violated, res.Err)
 	}
 	// Insert a violating tuple; the constraint flips.
-	if err := chk.InsertTuple("CUST", "Toronto", "212"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: []string{"Toronto", "212"}}}); err != nil {
 		t.Fatal(err)
 	}
 	res = chk.CheckOne(logic.Constraint{Name: "toronto_codes", F: f})
@@ -211,7 +211,7 @@ func TestFunctionalDependencyConstraint(t *testing.T) {
 	if res.Err != nil || res.Violated {
 		t.Fatalf("FD should hold: violated=%v err=%v", res.Violated, res.Err)
 	}
-	if err := chk.InsertTuple("PHONE", "416", "NY"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "PHONE", Op: core.UpdateInsert, Values: []string{"416", "NY"}}}); err != nil {
 		t.Fatal(err)
 	}
 	res = chk.CheckOne(ct)
@@ -293,7 +293,7 @@ func TestImplicationCityState(t *testing.T) {
 	if res := chk.CheckOne(ct); res.Err != nil || res.Violated {
 		t.Fatalf("should hold: %+v", res)
 	}
-	if err := chk.InsertTuple("CUST", "Toronto", "NJ"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: []string{"Toronto", "NJ"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if res := chk.CheckOne(ct); res.Err != nil || !res.Violated {

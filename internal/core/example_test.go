@@ -176,7 +176,7 @@ func Example_curriculum() {
 
 	// A new batch of CS students is enrolled without course assignments.
 	for _, id := range []string{"s90", "s91", "s92"} {
-		if err := chk.InsertTuple("STUDENT", id, "CS", "contact-"+id); err != nil {
+		if _, err := chk.Apply([]core.Update{{Table: "STUDENT", Op: core.UpdateInsert, Values: []string{id, "CS", "contact-" + id}}}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func Example_curriculum() {
 
 	// Two of them are repaired.
 	for _, id := range []string{"s90", "s91"} {
-		if err := chk.InsertTuple("TAKES", id, "cs101"); err != nil {
+		if _, err := chk.Apply([]core.Update{{Table: "TAKES", Op: core.UpdateInsert, Values: []string{id, "cs101"}}}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func Example_dataquality() {
 			if dirty && i == 23 {
 				region = regions[rng.Intn(len(regions))] // possibly the wrong region
 			}
-			if err := chk.InsertTuple("ORDERS", fmt.Sprintf("o%04d", orderSeq), custID, prodID, region); err != nil {
+			if _, err := chk.Apply([]core.Update{{Table: "ORDERS", Op: core.UpdateInsert, Values: []string{fmt.Sprintf("o%04d", orderSeq), custID, prodID, region}}}); err != nil {
 				log.Fatal(err)
 			}
 		}

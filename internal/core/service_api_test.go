@@ -77,6 +77,46 @@ func TestApplyBatchStopsAtFirstError(t *testing.T) {
 	}
 }
 
+// TestRefusedTupleLeavesNoTrace: an insert whose new value would overflow an
+// index block is refused before its dictionary or its table takes it. The
+// curriculum's three course ids have a 2-bit block: cs103 takes code 3, and
+// cs104 would take code 4, in COURSE as in TAKES, which shares the domain.
+// Every check over the two tables must still run on the indices.
+func TestRefusedTupleLeavesNoTrace(t *testing.T) {
+	cat := buildCurriculum(t)
+	chk := newChecker(t, cat)
+	f, err := logic.Parse(curriculumConstraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := logic.Constraint{Name: "cs_programming", F: f}
+	n, err := chk.Apply([]core.Update{
+		{Table: "COURSE", Op: core.UpdateInsert, Values: []string{"cs103", "Programming"}},
+		{Table: "COURSE", Op: core.UpdateInsert, Values: []string{"cs104", "Programming"}},
+	})
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "overflows the 2-bit block") {
+		t.Fatalf("Apply = (%d, %v), want (1, an overflow)", n, err)
+	}
+	n, err = chk.Apply([]core.Update{
+		{Table: "TAKES", Op: core.UpdateInsert, Values: []string{"s2", "cs105"}},
+	})
+	if n != 0 || err == nil {
+		t.Fatalf("Apply = (%d, %v), want (0, an overflow)", n, err)
+	}
+	if got := cat.Table("COURSE").Len(); got != 4 {
+		t.Fatalf("COURSE holds %d rows, want 4", got)
+	}
+	if got := cat.Table("TAKES").Len(); got != 3 {
+		t.Fatalf("TAKES holds %d rows, want 3", got)
+	}
+	if got := cat.Domain("course_id").Size(); got != 4 {
+		t.Fatalf("the course_id dictionary holds %d values, want 4", got)
+	}
+	if res := chk.CheckOne(ct); res.Err != nil || res.Method != core.MethodBDD || !res.Violated {
+		t.Fatalf("after the refusals: method=%s violated=%v err=%v, want bdd/true/nil", res.Method, res.Violated, res.Err)
+	}
+}
+
 func TestCheckOneOptsBudgetCapFallsBack(t *testing.T) {
 	cat := buildCurriculum(t)
 	chk := newChecker(t, cat)

@@ -175,7 +175,7 @@ func TestAdvanceIndices(t *testing.T) {
 	}
 
 	// s2 takes a Programming course: the violation goes away.
-	if err := primary.InsertTuple("TAKES", "s2", "cs101"); err != nil {
+	if _, err := primary.Apply([]core.Update{{Table: "TAKES", Op: core.UpdateInsert, Values: []string{"s2", "cs101"}}}); err != nil {
 		t.Fatal(err)
 	}
 	after := primary.Check(cts)

@@ -164,7 +164,7 @@ func TestWitnessesOfValuesInternedAfterTheBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three ids fill three of the id block's four slots; e3 takes the fourth.
-	if err := chk.InsertTuple("EMP", "e3", "d1"); err != nil {
+	if _, err := chk.Apply([]core.Update{{Table: "EMP", Op: core.UpdateInsert, Values: []string{"e3", "d1"}}}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := logic.Parse(`forall e, d: EMP(e, d) and d = "d1" => e = "e2"`)

@@ -356,9 +356,9 @@ func (g *caseGen) formula(depth int) logic.Formula {
 
 // genUpdates draws update batches that are applicable by construction: a
 // shadow copy of every table tracks the bag contents so deletes always name
-// a live tuple and inserts stay within the interned dictionaries (growing a
-// dictionary would invalidate the fixed-width index blocks — that failure
-// mode has its own unit tests in internal/index).
+// a live tuple and inserts stay within the interned dictionaries (a value
+// that would overflow a fixed-width index block is refused — that failure
+// mode has its own unit tests in internal/core and internal/index).
 func (g *caseGen) genUpdates() {
 	shadow := make(map[string][][]string, len(g.c.Tables))
 	for _, ts := range g.c.Tables {
@@ -387,6 +387,23 @@ func (g *caseGen) genUpdates() {
 			}
 			shadow[ts.Name] = append(shadow[ts.Name], row)
 			batch = append(batch, core.Update{Table: ts.Name, Op: core.UpdateInsert, Values: row})
+		}
+		// Some batches insert one tuple twice and insert, then delete,
+		// another: Apply nets a batch per tuple, so a count moves by two
+		// and one move cancels out.
+		if g.ch.Intn(3) == 0 {
+			ts := g.c.Tables[g.ch.Intn(len(g.c.Tables))]
+			twice, gone := make([]string, len(ts.Cols)), make([]string, len(ts.Cols))
+			for ci, c := range ts.Cols {
+				twice[ci] = g.knownValue(c.Domain)
+				gone[ci] = g.knownValue(c.Domain)
+			}
+			shadow[ts.Name] = append(shadow[ts.Name], twice, twice)
+			batch = append(batch,
+				core.Update{Table: ts.Name, Op: core.UpdateInsert, Values: twice},
+				core.Update{Table: ts.Name, Op: core.UpdateInsert, Values: gone},
+				core.Update{Table: ts.Name, Op: core.UpdateInsert, Values: twice},
+				core.Update{Table: ts.Name, Op: core.UpdateDelete, Values: gone})
 		}
 		g.c.Updates = append(g.c.Updates, batch)
 	}

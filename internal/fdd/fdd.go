@@ -306,8 +306,8 @@ func Tuple(doms []*Domain, vals []int) []bdd.Literal {
 // blocks doms in one bottom-up pass: rows are encoded as bit strings in
 // variable order, sorted, and the BDD is built by prefix splitting. The
 // construction performs O(total bits) makeNode calls, far cheaper than
-// OR-ing per-tuple minterms, and is what the index layer uses for bulk
-// loads. Incremental maintenance still uses per-tuple minterms.
+// OR-ing per-tuple minterms. The index layer builds its indices with it,
+// and each update batch's tuples in each direction (index.Index.Apply).
 func Relation(doms []*Domain, rows [][]int) (bdd.Ref, error) {
 	if len(doms) == 0 {
 		panic("fdd: Relation with no domains")

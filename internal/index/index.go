@@ -1,7 +1,9 @@
 // Package index builds and maintains the paper's logical indices: BDD
 // representations of (projections of) relational tables, constructed under a
 // configurable node budget and maintained incrementally as the base table
-// changes (§2.3, §5.2).
+// changes (§2.3, §5.2). A batch of changes moves an index once
+// (Index.Apply): the tuples the batch adds and removes are each built as one
+// BDD and joined to the root with one Or and one Diff.
 //
 // All indices of a Store share one BDD kernel, so common subfunctions are
 // physically shared ("shared node implementation", §2.2), and one node
@@ -45,7 +47,7 @@ type Store struct {
 	space   *fdd.Space
 	indices map[string]*Index
 	// maintainedReads counts the Projection calls answered by a projection
-	// that Insert or Delete had moved since it was computed, adoptedReads
+	// that Apply had moved since it was computed, adoptedReads
 	// those answered by a projection that Adopt or Rebind took in.
 	maintainedReads, adoptedReads int
 	// demand logs the projections Projection was asked for.
@@ -73,7 +75,7 @@ func (s *Store) Space() *fdd.Space { return s.space }
 func (s *Store) Index(name string) *Index { return s.indices[name] }
 
 // MaintainedReads counts the Projection calls, over every index of the store,
-// that a projection maintained by at least one Insert or Delete answered: the
+// that a projection maintained by at least one Apply answered: the
 // reads that maintenance saved a recomputation.
 func (s *Store) MaintainedReads() int { return s.maintainedReads }
 
@@ -179,9 +181,12 @@ type Index struct {
 	// projections are the maintained projections callers asked for, in the
 	// order they were first asked for, so maintenance is deterministic.
 	projections []*projection
-	// rows counts the table's rows by their indexed codes, so that Delete
+	// full is set when the index covers every column of its table, whose
+	// own multiset of rows then says how many rows carry a tuple.
+	full bool
+	// rows counts the table's rows by their indexed codes, so that Apply
 	// knows whether another row still holds a deleted row's tuple; counted
-	// on the first Delete.
+	// on the first batch that deletes, and never when full is set.
 	rows counts
 }
 
@@ -191,9 +196,9 @@ type projection struct {
 	doms    []*fdd.Domain // the blocks at keep
 	root    bdd.Ref       // pinned
 	rows    counts        // the table's rows by their codes at keep
-	moved   bool          // Insert or Delete has moved it since it was computed
+	moved   bool          // Apply has moved it since it was computed
 	adopted bool          // Adopt or Rebind took it in rather than computing it
-	idle    int           // rows Insert and Delete applied since the last read
+	idle    int           // rows Apply moved it by since the last read
 }
 
 // Projected is a maintained projection as it leaves or enters an index: the
@@ -228,44 +233,104 @@ func CheckKeeps(keeps [][]int, ncols int) error {
 
 // counts counts the rows of an index's table by their codes at some of the
 // table's columns: how many rows carry each combination of codes there. A
-// key is the codes' uvarints, so no two combinations share one.
+// key is the codes' uvarints (appendKey), so no two combinations share one.
 type counts struct {
 	cols []int            // table columns, in key order
-	n    map[string]int32 // nil until the first move
-	key  []byte           // scratch for the key of the row being moved
+	n    map[string]int32 // nil until a batch needs it
 }
 
-// move records that row entered (delta 1) or left (delta -1) ix's table,
-// which already holds the change, and returns how many of the table's rows
-// now carry row's codes. The first move counts the table's rows instead,
-// leaving out those whose codes overflow the index's blocks: the index never
-// took them (Insert refused them).
-func (c *counts) move(ix *Index, row []int32, delta int32) int32 {
-	if c.n == nil {
-		c.n = make(map[string]int32)
-		for _, r := range ix.table.Rows() {
-			if ix.overflow(r) < 0 {
-				c.n[string(c.keyOf(r))]++
-			}
+// build counts the table's rows, unless they are counted already.
+func (c *counts) build(t *relation.Table) {
+	if c.n != nil {
+		return
+	}
+	c.n = make(map[string]int32)
+	var key []byte
+	for _, r := range t.Rows() {
+		key = appendKey(key[:0], r, c.cols)
+		c.n[string(key)]++
+	}
+}
+
+// apply moves the counts by a batch's moves.
+func (c *counts) apply(moves []move) {
+	for _, m := range moves {
+		if n := c.n[m.key] + m.d; n == 0 {
+			delete(c.n, m.key)
+		} else {
+			c.n[m.key] = n
 		}
-		return c.n[string(c.keyOf(row))]
 	}
-	k := c.keyOf(row)
-	n := c.n[string(k)] + delta
-	if n == 0 {
-		delete(c.n, string(k))
-	} else {
-		c.n[string(k)] = n
-	}
-	return n
 }
 
-func (c *counts) keyOf(row []int32) []byte {
-	c.key = c.key[:0]
-	for _, col := range c.cols {
-		c.key = binary.AppendUvarint(c.key, uint64(row[col]))
+// appendKey appends the key of row's codes at cols to dst.
+func appendKey(dst []byte, row []int32, cols []int) []byte {
+	for _, col := range cols {
+		dst = binary.AppendUvarint(dst, uint64(row[col]))
 	}
-	return c.key
+	return dst
+}
+
+// move is how far a batch moves the count of one key: d, the rows with the
+// key it inserts less those it deletes. row is one of those rows.
+type move struct {
+	key string
+	row []int32
+	d   int32
+}
+
+// net nets a batch's rows by their codes at cols: one move per key, in the
+// order the keys first appear. A key whose inserts and deletes cancel keeps
+// its move, with d 0.
+func net(cols []int, plus, minus [][]int32) []move {
+	at := make(map[string]int)
+	var moves []move
+	var key []byte
+	add := func(row []int32, d int32) {
+		key = appendKey(key[:0], row, cols)
+		i, ok := at[string(key)]
+		if !ok {
+			i = len(moves)
+			at[string(key)] = i
+			moves = append(moves, move{key: string(key), row: row})
+		}
+		moves[i].d += d
+	}
+	for _, row := range plus {
+		add(row, 1)
+	}
+	for _, row := range minus {
+		add(row, -1)
+	}
+	return moves
+}
+
+// crossings picks the moves whose count crosses zero and returns their codes
+// at cols: Δ⁺, the tuples whose count leaves 0, and Δ⁻, those whose count
+// falls to 0. before gives a key's count ahead of the batch; nil means the
+// batch deletes nothing, so every tuple it moves is in Δ⁺ (a set union
+// with a tuple already there changes nothing).
+func crossings(moves []move, cols []int, before func(move) int32) (plus, minus [][]int) {
+	for _, m := range moves {
+		var from int32
+		if before != nil {
+			from = before(m)
+		}
+		to := from + m.d
+		if (from == 0) == (to == 0) {
+			continue
+		}
+		tuple := make([]int, len(cols))
+		for j, col := range cols {
+			tuple[j] = int(m.row[col])
+		}
+		if to > 0 {
+			plus = append(plus, tuple)
+		} else {
+			minus = append(minus, tuple)
+		}
+	}
+	return plus, minus
 }
 
 // Build constructs an index named name over the given columns of t. order
@@ -289,7 +354,7 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 	if len(order) != len(cols) {
 		return nil, fmt.Errorf("index: %q: order has %d entries for %d columns", name, len(order), len(cols))
 	}
-	ix := &Index{store: s, table: t, name: name, cols: cols, order: order, rows: counts{cols: cols}}
+	ix := &Index{store: s, table: t, name: name, cols: cols, order: order, full: coversAll(cols, t.NumCols()), rows: counts{cols: cols}}
 	// Allocate blocks in layout order; record them in schema order.
 	ix.doms = make([]*fdd.Domain, len(cols))
 	seen := make([]bool, len(cols))
@@ -324,6 +389,15 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 	return ix, nil
 }
 
+// coversAll reports whether cols names each of a table's ncols columns.
+func coversAll(cols []int, ncols int) bool {
+	seen := make([]bool, ncols)
+	for _, c := range cols {
+		seen[c] = true
+	}
+	return !slices.Contains(seen, false)
+}
+
 // Adopt registers an index whose BDD was built elsewhere: the replication
 // path imports a primary index root into a replica kernel with
 // bdd.Kernel.Import and adopts it here, together with blocks reproduced through
@@ -355,7 +429,8 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 	if root == bdd.Invalid {
 		return nil, fmt.Errorf("index: %q: adopting an Invalid root", name)
 	}
-	ix := &Index{store: s, table: t, name: name, cols: cols, doms: doms, order: order, root: root, rows: counts{cols: cols}}
+	ix := &Index{store: s, table: t, name: name, cols: cols, doms: doms, order: order, root: root,
+		full: coversAll(cols, t.NumCols()), rows: counts{cols: cols}}
 	s.kernel.Protect(root)
 	ix.adopt(projs)
 	s.indices[name] = ix
@@ -460,9 +535,8 @@ func (ix *Index) Domains() []*fdd.Domain { return ix.doms }
 func (ix *Index) NodeCount() int { return ix.store.kernel.NodeCount(ix.root) }
 
 func (ix *Index) project(row []int32) ([]int, error) {
-	if j := ix.overflow(row); j >= 0 {
-		return nil, fmt.Errorf("index: %q: value code %d overflows the %d-bit block of column %d; rebuild the index",
-			ix.name, row[ix.cols[j]], ix.doms[j].Bits(), ix.cols[j])
+	if err := ix.checkFits(row); err != nil {
+		return nil, err
 	}
 	proj := make([]int, len(ix.cols))
 	for j, c := range ix.cols {
@@ -471,137 +545,169 @@ func (ix *Index) project(row []int32) ([]int, error) {
 	return proj, nil
 }
 
-// overflow returns the first position into the index's columns whose code in
-// row does not fit its block, or -1 when every code fits.
-func (ix *Index) overflow(row []int32) int {
+// checkFits reports a code of row that does not fit its block: the column
+// dictionary grew past a power of two since the index was built.
+func (ix *Index) checkFits(row []int32) error {
 	for j, c := range ix.cols {
 		if int(row[c]) >= 1<<ix.doms[j].Bits() {
-			return j
+			return fmt.Errorf("index: %q: value code %d overflows the %d-bit block of column %d; rebuild the index",
+				ix.name, row[c], ix.doms[j].Bits(), c)
 		}
 	}
-	return -1
-}
-
-// Insert adds a row of the table to the index and to its projections; the
-// table must already hold it. Codes that no longer fit the blocks allocated
-// at build time (the column dictionary grew past a power of two) are
-// reported as an error; the caller must rebuild.
-func (ix *Index) Insert(row []int32) error { return ix.update(row, 1) }
-
-// Delete removes a row of the table from the index and from its
-// projections; the table must no longer hold it. The index has set semantics
-// while tables are bags, so the row's tuple leaves the index only when no
-// other row of the table carries it, which the index answers from its own
-// count of the table's rows by their indexed codes, built on the first
-// Delete.
-func (ix *Index) Delete(row []int32) error { return ix.update(row, -1) }
-
-// update applies a row that entered (delta 1) or left (delta -1) the table
-// to the root, then to every projection. On error the projections and the
-// row count are forgotten: they may no longer match the root and the table,
-// and their next use rebuilds them.
-func (ix *Index) update(row []int32, delta int32) error {
-	proj, err := ix.project(row)
-	if err == nil {
-		err = ix.updateRoot(row, proj, delta)
-	}
-	if err != nil {
-		ix.forget()
-		return err
-	}
-	ix.maintain(row, proj, delta)
 	return nil
 }
 
-func (ix *Index) updateRoot(row []int32, proj []int, delta int32) error {
-	k := ix.store.kernel
-	verb := "inserting into"
-	var next bdd.Ref
-	if delta > 0 {
-		if ix.rows.n != nil { // counted since the first Delete
-			ix.rows.move(ix, row, delta)
+// Change is a batch's change to an index, computed by Apply and installed by
+// Commit: the index's new root and each maintained projection's, with the
+// moves of their counts.
+type Change struct {
+	ix    *Index
+	root  bdd.Ref
+	rows  []move // moves of the index's row count; nil when it has none
+	n     int    // rows the batch inserts and deletes
+	projs []projectionChange
+}
+
+// projectionChange is a batch's change to one maintained projection. A root
+// of bdd.Invalid forgets the projection.
+type projectionChange struct {
+	root  bdd.Ref
+	moves []move
+}
+
+// Apply computes how a batch changes the index: plus are the rows the batch
+// inserts into the table, minus the rows it deletes, repeats included. It
+// nets them by their indexed codes and keeps the tuples whose count crosses
+// zero, Δ⁺ upward and Δ⁻ downward, so the new root is (root ∨ Δ⁺) ∧ ¬Δ⁻:
+// one fdd.Relation per direction, one Or and one Diff. The index has set
+// semantics while tables are bags, so a deleted tuple stays while another
+// row carries it; an index over every column reads that from the table
+// (relation.Table.Count), any other from its own count of the table's rows,
+// built on the first batch that deletes. Each maintained projection moves
+// the same way, over the crossings of its own count.
+//
+// Apply changes nothing; Commit installs the result. The table must not
+// have taken the batch yet: Apply reads the counts ahead of it. The caller
+// checks that the batch is valid (every deleted row is in the table). Codes
+// that do not fit the blocks allocated at build time (the column dictionary
+// grew past a power of two) are an error, and so is a root that exceeds the
+// node budget; the kernel's error is then cleared. A projection whose
+// upkeep exceeds the budget is forgotten instead, and so is one that no
+// read has used for more updates than the table will have rows: its upkeep
+// since then has cost more count moves than the recount that rebuilding it
+// takes, and an unread projection would otherwise stay pinned, and charge
+// every update, forever. Its next read computes it afresh.
+func (ix *Index) Apply(plus, minus [][]int32) (*Change, error) {
+	for _, rows := range [][][]int32{plus, minus} {
+		for _, row := range rows {
+			if err := ix.checkFits(row); err != nil {
+				return nil, err
+			}
 		}
-		next = k.Or(ix.root, ix.minterm(ix.doms, proj))
-	} else {
-		verb = "deleting from"
-		if ix.rows.move(ix, row, delta) > 0 {
-			return nil // another row of the table still carries the tuple
-		}
-		next = k.Diff(ix.root, ix.minterm(ix.doms, proj))
 	}
-	if next == bdd.Invalid {
+	k := ix.store.kernel
+	ch := &Change{ix: ix, n: len(plus) + len(minus)}
+	moves := net(ix.cols, plus, minus)
+	var before func(move) int32
+	switch {
+	case ix.full:
+		if len(minus) > 0 {
+			before = func(m move) int32 { return int32(ix.table.Count(m.row)) }
+		}
+	default:
+		if len(minus) > 0 {
+			ix.rows.build(ix.table)
+		}
+		if ix.rows.n != nil {
+			before = func(m move) int32 { return ix.rows.n[m.key] }
+			ch.rows = moves
+		}
+	}
+	ch.root = ix.delta(ix.root, ix.doms, moves, ix.cols, before)
+	if ch.root == bdd.Invalid {
 		err := k.Err()
 		k.ClearErr()
-		return fmt.Errorf("index: %s %q: %w", verb, ix.name, err)
+		return nil, fmt.Errorf("index: updating %q: %w", ix.name, err)
 	}
-	k.Protect(next)
-	k.Unprotect(ix.root)
-	ix.root = next
-	return nil
+	rows := ix.table.Len() + len(plus) - len(minus)
+	for _, p := range ix.projections {
+		pc := projectionChange{root: bdd.Invalid}
+		if p.idle+ch.n <= rows {
+			p.rows.build(ix.table)
+			pc.moves = net(p.rows.cols, plus, minus)
+			pc.root = ix.delta(p.root, p.doms, pc.moves, p.rows.cols,
+				func(m move) int32 { return p.rows.n[m.key] })
+			k.ClearErr()
+		}
+		ch.projs = append(ch.projs, pc)
+	}
+	return ch, nil
 }
 
-// maintain moves every projection by a row that entered (delta 1) or left
-// (delta -1) the table, proj being the row's indexed codes: only a count
-// that moves between zero and one adds or removes the row's projected tuple.
-// A projection whose update exceeds the node budget is forgotten and the
-// kernel's error cleared, so the update goes on; the next Projection call
-// computes that projection afresh. So is a projection that no read has used
-// for more updates than the table has rows: its upkeep since then has cost
-// more count moves than the recount that rebuilding it takes, and an unread
-// projection would otherwise stay pinned, and charge every update, forever.
-func (ix *Index) maintain(row []int32, proj []int, delta int32) {
+// delta moves f, a set of tuples over doms, by the moves that cross zero in
+// counts that before reads: (f ∨ Δ⁺) ∧ ¬Δ⁻, each direction built with one
+// fdd.Relation. Over no blocks the only tuple is the empty one, whose
+// relation is True. It returns bdd.Invalid, with the kernel's error set,
+// when the node budget runs out.
+func (ix *Index) delta(f bdd.Ref, doms []*fdd.Domain, moves []move, cols []int, before func(move) int32) bdd.Ref {
 	k := ix.store.kernel
-	kept := ix.projections[:0]
-	for _, p := range ix.projections {
-		if p.idle++; p.idle > ix.table.Len() {
-			k.Unprotect(p.root)
-			continue
+	rel := func(tuples [][]int) bdd.Ref {
+		if len(doms) == 0 {
+			return bdd.True
 		}
-		p.moved = true
-		next := p.root
-		switch n := p.rows.move(ix, row, delta); {
-		case delta > 0 && n == 1:
-			next = k.Or(p.root, ix.minterm(p.doms, p.codes(proj)))
-		case delta < 0 && n == 0:
-			next = k.Diff(p.root, ix.minterm(p.doms, p.codes(proj)))
-		}
-		if next == bdd.Invalid {
-			k.ClearErr()
-			k.Unprotect(p.root)
-			continue
-		}
+		r, _ := fdd.Relation(doms, tuples) // Invalid past the budget; Apply checked the codes
+		return r
+	}
+	plus, minus := crossings(moves, cols, before)
+	if len(plus) > 0 {
+		f = k.Or(f, rel(plus))
+	}
+	if len(minus) > 0 {
+		f = k.Diff(f, rel(minus))
+	}
+	return f
+}
+
+// Commit installs a change Apply computed: the index's new root, and each
+// maintained projection's unless Apply forgot it. Call it once, after the
+// table took the batch's rows, with no other change to the index in between.
+func (ch *Change) Commit() {
+	ix := ch.ix
+	k := ix.store.kernel
+	if next := ch.root; next != ix.root {
 		k.Protect(next)
+		k.Unprotect(ix.root)
+		ix.root = next
+	}
+	ix.rows.apply(ch.rows)
+	kept := ix.projections[:0]
+	for i, p := range ix.projections {
+		pc := ch.projs[i]
+		if pc.root == bdd.Invalid {
+			k.Unprotect(p.root)
+			continue
+		}
+		p.rows.apply(pc.moves)
+		p.idle += ch.n
+		p.moved = true
+		k.Protect(pc.root)
 		k.Unprotect(p.root)
-		p.root = next
+		p.root = pc.root
 		kept = append(kept, p)
 	}
 	ix.projections = kept
 }
 
-// codes picks the projection's codes out of an indexed row's.
-func (p *projection) codes(proj []int) []int {
-	vals := make([]int, len(p.keep))
-	for j, pos := range p.keep {
-		vals[j] = proj[pos]
-	}
-	return vals
-}
-
-// minterm is the BDD of the tuple vals over doms: True over no blocks.
-func (ix *Index) minterm(doms []*fdd.Domain, vals []int) bdd.Ref {
-	return ix.store.kernel.Minterm(fdd.Tuple(doms, vals))
-}
-
 // Projection returns the index existentially projected onto the columns at
 // the kept positions (positions into Columns(), ascending). The first call
 // for a column set computes it with fdd.Exists and pins it, unless Adopt or
-// Rebind took it in; Insert and Delete maintain it from then on, so later
-// calls do no kernel work until Rebind or Drop forgets it, or it goes unread
-// for more updates than the table has rows (see maintain). Every call is
-// logged for TakeDemand. Keeping every column returns Root(); keeping none
-// returns True or False, whether the table has a row. When the first
-// computation exceeds the node budget, Projection returns bdd.Invalid with
-// the kernel's error set, as the kernel's own operations do.
+// Rebind took it in; Apply maintains it from then on, so later calls do no
+// kernel work until Rebind or Drop forgets it, or it goes unread for more
+// updates than the table has rows (see Apply). Every call is logged for
+// TakeDemand. Keeping every column returns Root(); keeping none returns True
+// or False, whether the table has a row. When the first computation exceeds
+// the node budget, Projection returns bdd.Invalid with the kernel's error
+// set, as the kernel's own operations do.
 func (ix *Index) Projection(keep []int) bdd.Ref {
 	if len(keep) == len(ix.cols) {
 		return ix.root

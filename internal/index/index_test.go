@@ -13,6 +13,28 @@ import (
 	"repro/internal/relation"
 )
 
+// apply runs a batch through the index and its table as core.Apply does:
+// Index.Apply, then the table takes the rows, then Commit. The table takes
+// the inserts first, so every delete finds its row. An error leaves both as
+// they were.
+func apply(ix *index.Index, tbl *relation.Table, plus, minus [][]int32) error {
+	ch, err := ix.Apply(plus, minus)
+	if err != nil {
+		return err
+	}
+	for _, row := range plus {
+		tbl.InsertCodes(row)
+	}
+	for _, row := range minus {
+		tbl.DeleteCodes(row)
+	}
+	ch.Commit()
+	return nil
+}
+
+// one is a batch of one row.
+func one(row []int32) [][]int32 { return [][]int32{row} }
+
 func smallTable(t *testing.T) (*relation.Catalog, *relation.Table) {
 	t.Helper()
 	cat := relation.NewCatalog()
@@ -90,16 +112,15 @@ func TestInsertDeleteMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ix.Root()
-	// Values already interned, so the codes fit the blocks.
-	row := tbl.Insert("a2", "b2", "c1")
-	if err := ix.Insert(row); err != nil {
+	// (a2, b2, c1): values already interned, so the codes fit the blocks.
+	row := []int32{1, 1, 0}
+	if err := apply(ix, tbl, one(row), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !ix.Contains(row) {
 		t.Fatal("inserted row missing")
 	}
-	tbl.DeleteCodes(row)
-	if err := ix.Delete(row); err != nil {
+	if err := apply(ix, tbl, nil, one(row)); err != nil {
 		t.Fatal(err)
 	}
 	if ix.Contains(row) {
@@ -111,16 +132,25 @@ func TestInsertDeleteMaintenance(t *testing.T) {
 	}
 	// Bag semantics: deleting one of two equal rows keeps the tuple.
 	dup := append([]int32(nil), tbl.Row(0)...)
-	tbl.InsertCodes(dup)
-	if err := ix.Insert(dup); err != nil {
+	if err := apply(ix, tbl, one(dup), nil); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteCodes(dup)
-	if err := ix.Delete(dup); err != nil {
+	if err := apply(ix, tbl, nil, one(dup)); err != nil {
 		t.Fatal(err)
 	}
 	if !ix.Contains(dup) {
 		t.Fatal("deleting one of two equal rows removed the tuple")
+	}
+	// One batch inserting a row and deleting it nets to nothing, and so does
+	// one deleting a row it inserts twice.
+	if err := apply(ix, tbl, one(row), one(row)); err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(ix, tbl, [][]int32{row, row}, one(row)); err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Contains(row) {
+		t.Fatal("a row inserted twice and deleted once left the index")
 	}
 }
 
@@ -146,14 +176,12 @@ func TestInsertDeleteRandomizedAgainstRebuild(t *testing.T) {
 		a, b := int32(rng.Intn(16)), int32(rng.Intn(16))
 		row := []int32{a, b}
 		if present[[2]int32{a, b}] {
-			tbl.DeleteCodes(row)
-			if err := ix.Delete(row); err != nil {
+			if err := apply(ix, tbl, nil, one(row)); err != nil {
 				t.Fatal(err)
 			}
 			delete(present, [2]int32{a, b})
 		} else {
-			tbl.InsertCodes(row)
-			if err := ix.Insert(row); err != nil {
+			if err := apply(ix, tbl, one(row), nil); err != nil {
 				t.Fatal(err)
 			}
 			present[[2]int32{a, b}] = true
@@ -229,8 +257,7 @@ func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
 		// rows held two and three times.
 		if tbl.Len() > 0 && rng.Intn(2) == 0 {
 			row := append([]int32(nil), tbl.Row(rng.Intn(tbl.Len()))...)
-			tbl.DeleteCodes(row)
-			if err := ix.Delete(row); err != nil {
+			if err := apply(ix, tbl, nil, one(row)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -238,8 +265,7 @@ func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
 			for j := range row {
 				row[j] = vals[rng.Intn(2+j%2)]
 			}
-			tbl.InsertCodes(row)
-			if err := ix.Insert(row); err != nil {
+			if err := apply(ix, tbl, one(row), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -356,19 +382,21 @@ func TestValueOverflowReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Grow the dictionary past the 1-bit block capacity.
-	row := tbl.Insert("v3")
-	if err := ix.Insert(row); err == nil {
+	row := []int32{cat.Domain("a").Intern("v3")}
+	if err := apply(ix, tbl, one(row), nil); err == nil {
 		t.Fatal("overflowing code accepted; index now silently wrong")
+	}
+	if tbl.Len() != 2 {
+		t.Fatal("a refused batch reached the table")
 	}
 }
 
-// TestOverflowedRowIsNotCounted keeps serving after a refused Insert, as the
-// service does after a partial batch: the table holds a row whose code
-// overflows its block, and the index does not. Neither the index's count of
-// rows nor a projection's may count that row. Its codes (a0, b2) would pack
-// into the key of the real row (a1, b0), and it shares a0 with the real row
-// (a0, b1), so deleting either real row must take it out of the index and of
-// every projection.
+// TestOverflowedRowIsNotCounted: a batch holding a row whose code overflows
+// its block is refused whole, and none of its rows moves a count. The
+// refused batch deletes the real row (a1, b0), so it builds every count, and
+// inserts (a0, b2), which shares a0 with the real row (a0, b1): had either
+// moved a count, deleting the real rows afterwards would leave a tuple in
+// the index or in a projection.
 func TestOverflowedRowIsNotCounted(t *testing.T) {
 	cat := relation.NewCatalog()
 	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}})
@@ -399,14 +427,17 @@ func TestOverflowedRowIsNotCounted(t *testing.T) {
 		}
 	}
 	check("built")
-	over := tbl.Insert("a0", "b2") // codes (0, 2)
-	if err := ix.Insert(over); err == nil {
+	root := ix.Root()
+	over := []int32{0, cat.Domain("b").Intern("b2")} // codes (0, 2)
+	if err := apply(ix, tbl, one(over), one([]int32{1, 0})); err == nil {
 		t.Fatal("overflowing code accepted")
 	}
-	check("after the refused insert")
+	if ix.Root() != root || tbl.Len() != 2 {
+		t.Fatal("a refused batch moved the index or the table")
+	}
+	check("after the refused batch")
 	for _, row := range [][]int32{{1, 0}, {0, 1}} {
-		tbl.DeleteCodes(row)
-		if err := ix.Delete(row); err != nil {
+		if err := apply(ix, tbl, nil, one(row)); err != nil {
 			t.Fatal(err)
 		}
 		if ix.Contains(row) {
@@ -446,12 +477,10 @@ func TestUnreadProjectionIsForgotten(t *testing.T) {
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
 			row := append([]int32(nil), tbl.Row(0)...)
-			tbl.DeleteCodes(row)
-			if err := ix.Delete(row); err != nil {
+			if err := apply(ix, tbl, nil, one(row)); err != nil {
 				t.Fatal(err)
 			}
-			tbl.InsertCodes(row)
-			if err := ix.Insert(row); err != nil {
+			if err := apply(ix, tbl, one(row), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -480,11 +509,12 @@ func TestUnreadProjectionIsForgotten(t *testing.T) {
 	}
 }
 
-// TestProjectionBudgetAbortKeepsTheUpdate runs inserts under node budgets so
-// tight that some abort in the upkeep of a projection after the index itself
-// took the row: the Insert must succeed and leave the kernel's error clear,
-// and the projection must be forgotten, then computed afresh on its next
-// read. An Insert that aborts on the index's own root must report ErrBudget.
+// TestProjectionBudgetAbortKeepsTheUpdate runs one-row batches under node
+// budgets so tight that some abort in the upkeep of a projection after the
+// index itself took the row: the batch must succeed and leave the kernel's
+// error clear, and the projection must be forgotten, then computed afresh on
+// its next read. A batch that aborts on the index's own root must report
+// ErrBudget and change nothing.
 func TestProjectionBudgetAbortKeepsTheUpdate(t *testing.T) {
 	cat := relation.NewCatalog()
 	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}, {Name: "c"}})
@@ -508,9 +538,9 @@ func TestProjectionBudgetAbortKeepsTheUpdate(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		ix.Projection(keep) // computed afresh after an abort dropped it
 		row := []int32{int32(rng.Intn(16)), int32(rng.Intn(16)), int32(rng.Intn(16))}
-		tbl.InsertCodes(row)
+		root, rows := ix.Root(), tbl.Len()
 		k.SetBudget(k.Size() + 1 + rng.Intn(24))
-		err := ix.Insert(row)
+		err := apply(ix, tbl, one(row), nil)
 		k.SetBudget(0)
 		if k.Err() != nil {
 			t.Fatalf("insert %d left the kernel's error set: %v", i, k.Err())
@@ -519,11 +549,12 @@ func TestProjectionBudgetAbortKeepsTheUpdate(t *testing.T) {
 			if !errors.Is(err, bdd.ErrBudget) {
 				t.Fatalf("insert %d: %v", i, err)
 			}
+			if ix.Root() != root || tbl.Len() != rows {
+				t.Fatalf("insert %d aborted on the root but moved the index or the table", i)
+			}
 			rootAborts++
-			// The table holds the row and the index does not: insert it
-			// again, unbudgeted, as a caller that retries would.
-			tbl.InsertCodes(row)
-			if err := ix.Insert(row); err != nil {
+			// Insert it again, unbudgeted, as a caller that retries would.
+			if err := apply(ix, tbl, one(row), nil); err != nil {
 				t.Fatal(err)
 			}
 		} else if !ix.Contains(row) {

@@ -442,16 +442,19 @@ func TestPredCacheIsBounded(t *testing.T) {
 	// and in its index.
 	row := append([]int32(nil), tab.Row(0)...)
 	ix := fx.store.Index("CUST")
+	ch, err := ix.Apply(nil, [][]int32{row})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !tab.DeleteCodes(row) {
 		t.Fatal("fixture row not found")
 	}
-	if err := ix.Delete(row); err != nil {
+	ch.Commit()
+	if ch, err = ix.Apply([][]int32{row}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tab.InsertCodes(row)
-	if err := ix.Insert(row); err != nil {
-		t.Fatal(err)
-	}
+	ch.Commit()
 	check(cts[0])
 	if n := ev.PredCacheLen(); n != 1 {
 		t.Fatalf("%d cached bindings after the table moved, want the 1 just bound", n)

@@ -10,6 +10,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -93,8 +94,10 @@ func (c *Catalog) Domain(name string) *Domain {
 // every table gets a fresh schema and a fresh outer row slice. The encoded
 // row slices themselves are shared with the original — no mutator ever
 // writes through an existing row in place (Insert appends fresh rows,
-// DeleteCodes swaps whole-row pointers, Truncate shortens the outer slice),
-// so shared rows stay valid while the original keeps mutating. As long as
+// DeleteCodes moves whole-row pointers, Truncate shortens the outer slice),
+// so shared rows stay valid while the original keeps mutating. A table's
+// multiset of rows (see Count) is not copied: a clone builds its own on its
+// first delete or count, which a frozen version never asks for. As long as
 // the clone itself is never mutated it is an immutable snapshot, safe to
 // read from any number of goroutines; the replication layer freezes catalog
 // versions this way.
@@ -195,6 +198,14 @@ type Table struct {
 	cols    []columnInfo
 	rows    [][]int32
 	version uint64
+	// first and next hold the table as a multiset: first maps each distinct
+	// row, keyed by AppendKey, to the position of the first row equal to it,
+	// and next[i] is the position of the next row equal to row i, or -1.
+	// They are built on the first DeleteCodes or Count, so only a table that
+	// is mutated pays for them, and every mutator keeps them current.
+	first map[string]int32
+	next  []int32
+	key   []byte // scratch for the key of the row being looked up
 }
 
 // Version returns a counter that increases on every mutation of the table.
@@ -243,8 +254,7 @@ func (t *Table) Insert(vals ...string) []int32 {
 	for i, v := range vals {
 		row[i] = t.cols[i].domain.Intern(v)
 	}
-	t.rows = append(t.rows, row)
-	t.version++
+	t.appendRow(row)
 	return row
 }
 
@@ -254,7 +264,15 @@ func (t *Table) InsertCodes(row []int32) {
 	if len(row) != len(t.cols) {
 		panic(fmt.Sprintf("relation: insert into %q with %d codes, want %d", t.name, len(row), len(t.cols)))
 	}
-	t.rows = append(t.rows, append([]int32(nil), row...))
+	t.appendRow(append([]int32(nil), row...))
+}
+
+func (t *Table) appendRow(row []int32) {
+	if t.first != nil {
+		t.next = append(t.next, -1)
+		t.link(string(t.keyOf(row)), int32(len(t.rows)))
+	}
+	t.rows = append(t.rows, row)
 	t.version++
 }
 
@@ -275,30 +293,119 @@ func (t *Table) Delete(vals ...string) bool {
 	return t.DeleteCodes(row)
 }
 
-// DeleteCodes removes the first row equal to the encoded tuple.
+// DeleteCodes removes the first row equal to the encoded tuple and reports
+// whether one was found. The last row takes the removed row's place, so the
+// other rows keep their order. The table's multiset of rows finds the row,
+// so a delete costs O(1) in the table's size (O(copies) for a row the table
+// holds several times).
 func (t *Table) DeleteCodes(row []int32) bool {
-	for i, r := range t.rows {
-		if equalRows(r, row) {
-			last := len(t.rows) - 1
-			t.rows[i] = t.rows[last]
-			t.rows = t.rows[:last]
-			t.version++
-			return true
-		}
-	}
-	return false
-}
-
-func equalRows(a, b []int32) bool {
-	if len(a) != len(b) {
+	t.buildMultiset()
+	if len(row) != len(t.cols) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	at, ok := t.first[string(t.keyOf(row))]
+	if !ok {
+		return false
+	}
+	t.unlink(string(t.key), at)
+	last := int32(len(t.rows) - 1)
+	if at != last {
+		moved := t.rows[last]
+		k := string(t.keyOf(moved))
+		t.unlink(k, last)
+		t.rows[at] = moved
+		t.link(k, at)
+	}
+	t.rows = t.rows[:last]
+	t.next = t.next[:last]
+	t.version++
+	return true
+}
+
+// Count returns how many of the table's rows equal the encoded tuple.
+func (t *Table) Count(row []int32) int {
+	t.buildMultiset()
+	if len(row) != len(t.cols) {
+		return 0
+	}
+	n := 0
+	if at, ok := t.first[string(t.keyOf(row))]; ok {
+		for ; at >= 0; at = t.next[at] {
+			n++
 		}
 	}
-	return true
+	return n
+}
+
+// buildMultiset builds the table's multiset of rows unless it is built.
+// Walking the rows backwards links each chain in ascending order.
+func (t *Table) buildMultiset() {
+	if t.first != nil {
+		return
+	}
+	t.first = make(map[string]int32, len(t.rows))
+	t.next = make([]int32, len(t.rows))
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		k := t.keyOf(t.rows[i])
+		at, ok := t.first[string(k)]
+		if !ok {
+			at = -1
+		}
+		t.next[i] = at
+		t.first[string(k)] = int32(i)
+	}
+}
+
+// link puts position at into the chain of the rows keyed k, in ascending
+// order.
+func (t *Table) link(k string, at int32) {
+	head, ok := t.first[k]
+	if !ok || at < head {
+		if !ok {
+			head = -1
+		}
+		t.next[at] = head
+		t.first[k] = at
+		return
+	}
+	i := head
+	for t.next[i] >= 0 && t.next[i] < at {
+		i = t.next[i]
+	}
+	t.next[at] = t.next[i]
+	t.next[i] = at
+}
+
+// unlink takes position at out of the chain of the rows keyed k.
+func (t *Table) unlink(k string, at int32) {
+	if head := t.first[k]; head == at {
+		if t.next[at] < 0 {
+			delete(t.first, k)
+		} else {
+			t.first[k] = t.next[at]
+		}
+		return
+	}
+	i := t.first[k]
+	for t.next[i] != at {
+		i = t.next[i]
+	}
+	t.next[i] = t.next[at]
+}
+
+func (t *Table) keyOf(row []int32) []byte {
+	t.key = AppendKey(t.key[:0], row)
+	return t.key
+}
+
+// AppendKey appends the key of a row's codes to dst: their uvarints, so no
+// two rows share a key. A table's multiset of rows and a batch's validation
+// key rows this way.
+func AppendKey(dst []byte, row []int32) []byte {
+	for _, c := range row {
+		dst = binary.AppendUvarint(dst, uint64(c))
+	}
+	return dst
 }
 
 // Row returns the encoded row at index i. The slice must not be modified.
@@ -348,6 +455,7 @@ func (t *Table) Clone(newName string) (*Table, error) {
 // Truncate removes all rows but keeps the schema and domains.
 func (t *Table) Truncate() {
 	t.rows = t.rows[:0]
+	t.first, t.next = nil, nil
 	t.version++
 }
 

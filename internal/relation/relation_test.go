@@ -2,6 +2,7 @@ package relation_test
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -251,5 +252,51 @@ func TestTablesListing(t *testing.T) {
 	}
 	if cat.Table("missing") != nil {
 		t.Fatal("missing table should be nil")
+	}
+}
+
+// TestDeleteCodesKeepsScanOrder runs random inserts and deletes over a table
+// whose rows repeat often, against a scan: a delete removes the first equal
+// row and moves the last row into its place, so the rows stay in the order
+// the scan leaves them, and Count agrees with counting by scan.
+func TestDeleteCodesKeepsScanOrder(t *testing.T) {
+	cat := relation.NewCatalog()
+	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "a"}, {Name: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"0", "1", "2"} {
+		cat.Domain("a").Intern(v)
+		cat.Domain("b").Intern(v)
+	}
+	var want [][]int32
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 2000; step++ {
+		row := []int32{int32(rng.Intn(3)), int32(rng.Intn(3))}
+		if rng.Intn(2) == 0 || len(want) == 0 {
+			tbl.InsertCodes(row)
+			want = append(want, row)
+		} else {
+			at := slices.IndexFunc(want, func(r []int32) bool { return slices.Equal(r, row) })
+			if got := tbl.DeleteCodes(row); got != (at >= 0) {
+				t.Fatalf("step %d: DeleteCodes(%v) = %v", step, row, got)
+			}
+			if at >= 0 {
+				want[at] = want[len(want)-1]
+				want = want[:len(want)-1]
+			}
+		}
+		if !slices.EqualFunc(tbl.Rows(), want, slices.Equal[[]int32]) {
+			t.Fatalf("step %d: rows %v, the scan leaves %v", step, tbl.Rows(), want)
+		}
+		n := 0
+		for _, r := range want {
+			if slices.Equal(r, row) {
+				n++
+			}
+		}
+		if got := tbl.Count(row); got != n {
+			t.Fatalf("step %d: Count(%v) = %d, the scan counts %d", step, row, got, n)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func TestVersionIsFrozenAgainstPrimaryWrites(t *testing.T) {
 	defer pool.Close()
 
 	// Violate the constraint on the primary after freezing.
-	if err := primary.InsertTuple("CUST", "Newark", "416", "NJ"); err != nil {
+	if _, err := primary.Apply([]core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: []string{"Newark", "416", "NJ"}}}); err != nil {
 		t.Fatal(err)
 	}
 	var res core.Result
@@ -147,11 +147,11 @@ func TestConcurrentChecksThroughEpochHandoffs(t *testing.T) {
 	// it only Publishes, which is wait-free).
 	for epoch := uint64(2); epoch <= 9; epoch++ {
 		if violatedAt(epoch) {
-			if err := primary.InsertTuple("CUST", "Newark", "416", "NJ"); err != nil {
+			if _, err := primary.Apply([]core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: []string{"Newark", "416", "NJ"}}}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			if err := primary.DeleteTuple("CUST", "Newark", "416", "NJ"); err != nil {
+			if _, err := primary.Apply([]core.Update{{Table: "CUST", Op: core.UpdateDelete, Values: []string{"Newark", "416", "NJ"}}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package sentinelcmp flags direct comparisons against the repository's
 // sentinel errors.
 //
-// Sentinels like bdd.ErrBudget, bdd.ErrOrder, logic.ErrNoIndex,
+// Sentinels like bdd.ErrBudget, bdd.ErrCorrupt, logic.ErrNoIndex,
 // replica.ErrClosed and service.ErrBusy routinely arrive wrapped: budget
 // aborts cross package boundaries as fmt.Errorf("%w", ...) chains (the
 // service layer wraps ErrBusy with the context error, the evaluator wraps

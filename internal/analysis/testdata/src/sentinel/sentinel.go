@@ -19,7 +19,7 @@ func bad(k *bdd.Kernel, err error) bool {
 	if k.Err() == bdd.ErrBudget { // want `direct == comparison against sentinel bdd\.ErrBudget`
 		return true
 	}
-	if err != bdd.ErrOrder { // want `direct != comparison against sentinel bdd\.ErrOrder`
+	if err != bdd.ErrCorrupt { // want `direct != comparison against sentinel bdd\.ErrCorrupt`
 		return false
 	}
 	if err == logic.ErrNoIndex { // want `direct == comparison against sentinel logic\.ErrNoIndex`

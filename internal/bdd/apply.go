@@ -48,9 +48,9 @@ func (k *Kernel) Not(f Ref) Ref {
 // ITE returns the if-then-else combination (f ∧ g) ∨ (¬f ∧ h).
 func (k *Kernel) ITE(f, g, h Ref) Ref {
 	k.checkOperands(f, g, h)
-	// Evaluated via two applies; adequate for the workloads in this
-	// reproduction, which use ITE only in tests and to import bytes a
-	// sifting kernel wrote (image.go).
+	// Evaluated via three applies and a negation rather than a ternary
+	// recursion: it builds only the nodes a Replace or an Import moved out
+	// of order (Kernel.node), which the paper's workloads rarely reach.
 	a := k.apply(opAnd, f, g)
 	nf := k.negate(f)
 	b := k.apply(opAnd, nf, h)

@@ -1,7 +1,7 @@
 // Package bdd implements Reduced Ordered Binary Decision Diagrams (ROBDDs)
 // with a shared unique-node table, memoized boolean operations, variable
 // quantification, combined apply-quantify operations (the analogues of
-// BuDDy's bdd_appex and bdd_appall), ordered variable replacement, garbage
+// BuDDy's bdd_appex and bdd_appall), variable replacement, garbage
 // collection with external reference pinning, and a configurable node budget
 // that aborts operations whose intermediate results explode.
 //
@@ -74,10 +74,6 @@ const freedLevel = math.MaxUint32 - 1
 // strategy treats this as the signal to abandon BDD evaluation and fall back
 // to SQL processing.
 var ErrBudget = errors.New("bdd: node budget exceeded")
-
-// ErrOrder is reported when a Replace mapping does not preserve the relative
-// variable order, which the linear replace algorithm requires.
-var ErrOrder = errors.New("bdd: replacement does not preserve variable order")
 
 // Config controls the construction of a Kernel.
 type Config struct {
@@ -452,6 +448,21 @@ func (k *Kernel) makeNode(level uint32, low, high Ref) Ref {
 		k.growApplyCache()
 	}
 	return Ref(idx)
+}
+
+// node returns the function "if v then high else low". When v is above both
+// children that is the canonical node, interned by makeNode; otherwise — a
+// rename or an import that moved v below a child's variable — it is rebuilt
+// as ITE(Var(v), high, low), which restores the order. Replace and Import
+// build every node through it.
+func (k *Kernel) node(v uint32, low, high Ref) Ref {
+	if low == Invalid || high == Invalid {
+		return Invalid
+	}
+	if v < k.level[low] && v < k.level[high] {
+		return k.makeNode(v, low, high)
+	}
+	return k.ITE(k.Var(int(v)), high, low)
 }
 
 // growApplyCache doubles the apply cache. It may run in the middle of an

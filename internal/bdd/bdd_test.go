@@ -507,13 +507,55 @@ func TestReplaceShiftsBlocks(t *testing.T) {
 	}
 }
 
-func TestReplaceRejectsOrderViolations(t *testing.T) {
-	k := bdd.New(bdd.Config{Vars: 6})
-	// Swapping two variables is not monotone; rejected statically.
-	if _, err := k.NewReplaceMap([][2]int{{0, 3}, {3, 0}}); err == nil {
-		t.Fatal("swap accepted")
+// TestReplaceSubstitutesAnyMap checks Replace against truth tables on maps
+// that move variables out of order: the renamed nodes are rebuilt as ITEs,
+// and the result is the simultaneous substitution f(a∘σ).
+func TestReplaceSubstitutesAnyMap(t *testing.T) {
+	const nv = 6
+	rows := []struct {
+		name  string
+		pairs [][2]int
+		vars  []int // the variables the operands range over
+	}{
+		{"swap", [][2]int{{0, 3}, {3, 0}}, []int{0, 1, 2, 3}},
+		{"3-cycle", [][2]int{{0, 2}, {2, 4}, {4, 0}}, []int{0, 2, 4, 5}},
+		{"across an unrenamed variable", [][2]int{{0, 2}}, []int{0, 1, 3}},
+		{"reversal", [][2]int{{0, 5}, {1, 4}, {2, 3}, {3, 2}, {4, 1}, {5, 0}}, []int{0, 1, 2, 3, 4, 5}},
 	}
-	// Duplicate target and duplicate source.
+	rng := rand.New(rand.NewSource(45))
+	for _, row := range rows {
+		k := bdd.New(bdd.Config{Vars: nv, DebugChecks: true})
+		m, err := k.NewReplaceMap(row.pairs)
+		if err != nil {
+			t.Fatalf("%s: NewReplaceMap: %v", row.name, err)
+		}
+		sigma := make([]int, nv)
+		for v := range sigma {
+			sigma[v] = v
+		}
+		for _, p := range row.pairs {
+			sigma[p[0]] = p[1]
+		}
+		for trial := 0; trial < 40; trial++ {
+			e := randExpr(rng, len(row.vars), 2+rng.Intn(8))
+			remap(e, row.vars)
+			g := k.Replace(e.build(k), m)
+			if g == bdd.Invalid {
+				t.Fatalf("%s: Replace aborted: %v", row.name, k.Err())
+			}
+			pre := make([]bool, nv)
+			for _, a := range assignments(nv) {
+				for u := range pre {
+					pre[u] = a[sigma[u]]
+				}
+				if k.Eval(g, a) != e.eval(pre) {
+					t.Fatalf("%s, trial %d: Replace differs from the substitution at %v", row.name, trial, a)
+				}
+			}
+		}
+	}
+
+	k := bdd.New(bdd.Config{Vars: nv})
 	if _, err := k.NewReplaceMap([][2]int{{0, 4}, {1, 4}}); err == nil {
 		t.Fatal("duplicate target accepted")
 	}
@@ -522,30 +564,48 @@ func TestReplaceRejectsOrderViolations(t *testing.T) {
 	}
 }
 
-func TestReplaceRuntimeOrderCheck(t *testing.T) {
+// remap renames e's variables i to vars[i] in place.
+func remap(e *expr, vars []int) {
+	if e == nil {
+		return
+	}
+	if e.kind == 'v' || e.kind == 'E' || e.kind == 'A' {
+		e.varIdx = vars[e.varIdx]
+	}
+	remap(e.from, vars)
+	remap(e.to, vars)
+}
+
+// TestReplaceBudgetAbortInsideITE: a budget exhausted while an out-of-order
+// node is rebuilt aborts the Replace like any other operation — ErrBudget
+// stays set until ClearErr, and the kernel then answers correctly.
+func TestReplaceBudgetAbortInsideITE(t *testing.T) {
 	k := bdd.New(bdd.Config{Vars: 6})
-	// Renaming 0→2 is fine on functions not involving variable 1...
-	m, err := k.NewReplaceMap([][2]int{{0, 2}})
+	m, err := k.NewReplaceMap([][2]int{{0, 5}, {5, 0}})
 	if err != nil {
 		t.Fatalf("NewReplaceMap: %v", err)
 	}
-	f := k.And(k.Var(0), k.Var(3))
-	if got := k.Replace(f, m); got != k.And(k.Var(2), k.Var(3)) {
-		t.Fatal("valid rename across unused variable failed")
+	// x0 ∧ ¬x5 renames to x5 ∧ ¬x0. Its bottom node ¬x5 becomes ¬x0, built
+	// here in advance; the top node then tests x5 above x0 and is rebuilt as
+	// ITE(x5, ¬x0, false), whose conjunction is the first new node the
+	// Replace needs.
+	f := k.Protect(k.And(k.Var(0), k.NVar(5)))
+	k.NVar(0)
+	k.Var(5)
+	k.SetBudget(k.Size())
+	if g := k.Replace(f, m); g != bdd.Invalid {
+		t.Fatalf("Replace under an exhausted budget returned %v", g)
 	}
-	// ...but renaming 0→2 on a function using variable 1 would order the
-	// fixed variable across the renamed one; detected at runtime.
-	g := k.And(k.Var(0), k.Var(1))
-	if got := k.Replace(g, m); got != bdd.Invalid {
-		t.Fatal("order-violating rename not rejected")
+	if !errors.Is(k.Err(), bdd.ErrBudget) {
+		t.Fatalf("Err = %v, want ErrBudget", k.Err())
 	}
-	if !errors.Is(k.Err(), bdd.ErrOrder) {
-		t.Fatalf("Err = %v, want ErrOrder", k.Err())
+	k.SetBudget(0)
+	if g := k.Replace(f, m); g != bdd.Invalid || !errors.Is(k.Err(), bdd.ErrBudget) {
+		t.Fatal("ErrBudget did not stay set until ClearErr")
 	}
 	k.ClearErr()
-	// The kernel remains usable.
-	if k.Replace(f, m) != k.And(k.Var(2), k.Var(3)) {
-		t.Fatal("kernel unusable after ErrOrder")
+	if g := k.Replace(f, m); g != k.And(k.Var(5), k.NVar(0)) {
+		t.Fatal("Replace after ClearErr differs from direct construction")
 	}
 }
 

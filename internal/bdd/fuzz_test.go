@@ -43,7 +43,8 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzKernelOps: any sequence over the operation alphabet of gc_test.go —
-// connectives, quantifications, a replacement, explicit collections and cache
+// connectives, quantifications, a block shift, renames by any permutation of
+// the variables (out-of-order replacements), explicit collections and cache
 // flushes, with a safe point (a collection, under DebugChecks) after every
 // operation — keeps every pinned register equal to its truth table, and what
 // GC leaves in the operation caches recomputes to the same functions in a
@@ -51,6 +52,7 @@ func FuzzLoad(f *testing.F) {
 func FuzzKernelOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 3, 0, 2, 2, 0, 1, 7, 3, 2, 3, 12, 0, 0, 0, 2, 4, 0, 1, 11, 5, 2, 0, 12, 0, 0, 0})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 4, 0, 9, 0, 1, 4, 12, 0, 0, 0, 10, 1, 0, 2, 13, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 5, 0, 4, 2, 0, 1, 14, 3, 2, 211, 12, 0, 0, 0, 14, 24, 1, 77, 13, 0, 0, 0, 14, 25, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

@@ -9,7 +9,8 @@ import (
 
 // gc_test.go checks the collector: a model of 64-bit truth tables shadows a
 // register file of pinned BDDs through random operation sequences with
-// explicit collections and cache flushes mixed in, and after every GC the
+// explicit collections and cache flushes mixed in, renames by any
+// permutation of the variables among them, and after every GC the
 // surviving operation-cache entries are recomputed in a fresh kernel. The
 // kernels run under DebugChecks, so the safe point after every operation
 // collects too.
@@ -25,6 +26,7 @@ type opsMachine struct {
 	t     testing.TB
 	k     *bdd.Kernel
 	shift bdd.ReplaceMap // variables 0..2 → 3..5
+	perms map[int]bdd.ReplaceMap
 	reg   [opsRegs]bdd.Ref
 	model [opsRegs]uint64
 	kept  int // cache entries that survived a GC, summed
@@ -36,7 +38,7 @@ func newOpsMachine(t testing.TB) *opsMachine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &opsMachine{t: t, k: k, shift: shift}
+	return &opsMachine{t: t, k: k, shift: shift, perms: make(map[int]bdd.ReplaceMap)}
 }
 
 // quantified returns the truth table of Q x. f for the variable set vars.
@@ -63,6 +65,34 @@ func (m *opsMachine) set(i int, f bdd.Ref, table uint64) {
 	m.reg[i], m.model[i] = f, table
 }
 
+// permute returns the interned map of the n-th permutation of the variables
+// (n mod 6!, in Lehmer code) and the permutation itself.
+func (m *opsMachine) permute(n int) (bdd.ReplaceMap, [opsVars]int) {
+	n %= 720
+	var sigma [opsVars]int
+	free := []int{0, 1, 2, 3, 4, 5}
+	code := n
+	for u := range sigma {
+		j := code % len(free)
+		code /= len(free)
+		sigma[u] = free[j]
+		free = append(free[:j], free[j+1:]...)
+	}
+	rm, ok := m.perms[n]
+	if !ok {
+		pairs := make([][2]int, opsVars)
+		for u, v := range sigma {
+			pairs[u] = [2]int{u, v}
+		}
+		var err error
+		if rm, err = m.k.NewReplaceMap(pairs); err != nil {
+			m.t.Fatal(err)
+		}
+		m.perms[n] = rm
+	}
+	return rm, sigma
+}
+
 // step executes one operation: code picks it, a, b and c its registers or
 // variables.
 func (m *opsMachine) step(code, a, b, c byte) {
@@ -70,7 +100,7 @@ func (m *opsMachine) step(code, a, b, c byte) {
 	d, x, y := int(a)%opsRegs, int(b)%opsRegs, int(c)%opsRegs
 	v := int(b) % opsVars
 	cubeVars := []int{v, int(c) % opsVars}
-	switch code % 14 {
+	switch code % 15 {
 	case 0:
 		var table uint64
 		for i := 0; i < 1<<opsVars; i++ {
@@ -120,6 +150,20 @@ func (m *opsMachine) step(code, a, b, c byte) {
 		m.kept += n
 	case 13:
 		k.ClearCaches()
+	case 14:
+		// Rename every variable by a permutation, which moves nodes out
+		// of order.
+		src := int(a>>3) % opsRegs
+		rm, sigma := m.permute(int(b)<<8 | int(c))
+		var table uint64
+		for i := 0; i < 1<<opsVars; i++ {
+			pre := 0
+			for u, v := range sigma {
+				pre |= (i >> v & 1) << u
+			}
+			table |= (m.model[src] >> pre & 1) << i
+		}
+		m.set(d, k.Replace(m.reg[src], rm), table)
 	}
 	for i, f := range m.reg {
 		asn := make([]bool, opsVars)
@@ -128,7 +172,7 @@ func (m *opsMachine) step(code, a, b, c byte) {
 				asn[j] = a>>j&1 == 1
 			}
 			if k.Eval(f, asn) != (m.model[i]>>a&1 == 1) {
-				m.t.Fatalf("register %d disagrees with its truth table at assignment %06b after op %d", i, a, code%14)
+				m.t.Fatalf("register %d disagrees with its truth table at assignment %06b after op %d", i, a, code%15)
 			}
 		}
 	}

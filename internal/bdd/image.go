@@ -12,7 +12,7 @@ import (
 // another. BuDDy moves a BDD between kernels only as a node list
 // (bdd_save/bdd_load); an Image is that list held in memory. Export writes
 // it, Image.WriteTo and ReadImage carry it through bytes, and Import
-// re-interns it through makeNode, so imported BDDs share structure with
+// re-interns it node by node, so imported BDDs share structure with
 // everything already in the destination and importing the same roots twice
 // is a pure unique-table lookup.
 //
@@ -21,7 +21,8 @@ import (
 // (level, low id, high id), and the root ids. A kernel's variable is its
 // level, so Export writes the identity permutation; a file whose permutation
 // is not the identity was written by a kernel that still sifted its order,
-// and Import rebuilds it node by node. Version-1 files
+// and Import rebuilds its out-of-order nodes as ITEs, as Replace does
+// (Kernel.node). Version-1 files
 // (no permutation, always identity order) still read.
 
 // ErrCorrupt is reported (wrapped) by ReadImage for input that is not a
@@ -104,23 +105,12 @@ func (k *Kernel) Import(img *Image) ([]Ref, error) {
 	}
 	// Bytes written by a kernel that had sifted its variable order, which
 	// kernels no longer do, may have a node's children test variables above
-	// its own: such a node is rebuilt as ITE(Var(v), high, low) rather than
-	// interned. Otherwise every node is above its children: Export walks a
-	// kernel, and ReadImage checks it. No kernel operation collects, so
-	// nothing made on the way needs pinning.
-	sifted := false
-	for l, v := range img.order {
-		sifted = sifted || int(v) != l
-	}
+	// its own; node rebuilds such a node as an ITE. No kernel operation
+	// collects, so nothing made on the way needs pinning.
 	refs := make([]Ref, 2, 2+len(img.nodes))
 	refs[0], refs[1] = False, True
 	for _, n := range img.nodes {
-		var f Ref
-		if sifted {
-			f = k.ITE(k.Var(int(n.v)), refs[n.high], refs[n.low])
-		} else {
-			f = k.makeNode(n.v, refs[n.low], refs[n.high])
-		}
+		f := k.node(n.v, refs[n.low], refs[n.high])
 		if f == Invalid {
 			return nil, k.Err()
 		}

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// replace.go implements ordered variable replacement — the BDD analogue of
+// replace.go implements variable replacement — the BDD analogue of
 // attribute renaming, used by the paper's equi-join rewrite rule (§4.2) —
 // plus cofactor restriction.
 
@@ -17,15 +17,15 @@ type ReplaceMap struct {
 }
 
 // NewReplaceMap interns the substitution pairs[i][0] → pairs[i][1]. The
-// substitution must be injective (no duplicate sources or targets) and
-// monotone on its sources: if u < v and both are renamed then
-// target(u) < target(v).
-// Monotonicity is necessary but not sufficient for a single linear pass —
-// whether the rename is order-safe also depends on the support of the BDD
-// it is applied to (a variable that keeps its level must not end up ordered
-// across a renamed one). Replace therefore performs a runtime check and
-// aborts with ErrOrder when the input violates it; callers then rebuild the
-// BDD in the target variables instead (the fdd layer does exactly that).
+// substitution must be injective: no duplicate sources or targets. Any such
+// pairing is accepted, as BuDDy's bdd_replace accepts it: where a renamed
+// node would sit below one of its children, Replace rebuilds it as an ITE
+// (see Kernel.node).
+//
+// The map renames f when a target variable occurs in f only if it is itself
+// renamed. Otherwise Replace still returns the simultaneous substitution,
+// but that identifies the target with the source renamed onto it (the
+// diagonal f(x, x)) instead of moving the source onto a free variable.
 func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 	usedDst := make(map[int]bool, len(pairs))
 	usedSrc := make(map[int]bool, len(pairs))
@@ -48,15 +48,6 @@ func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 		rm.target[src] = uint32(dst)
 		rm.lastLevel = max(rm.lastLevel, uint32(src))
 	}
-	prev := int64(-1)
-	for v, t := range rm.target {
-		if usedSrc[v] {
-			if int64(t) <= prev {
-				return ReplaceMap{}, ErrOrder
-			}
-			prev = int64(t)
-		}
-	}
 	k.replaceMaps = append(k.replaceMaps, rm)
 	return ReplaceMap{id: int32(len(k.replaceMaps) - 1)}, nil
 }
@@ -64,7 +55,7 @@ func (k *Kernel) NewReplaceMap(pairs [][2]int) (ReplaceMap, error) {
 // Replace applies the interned substitution m to f: every variable u with a
 // mapping u→v is renamed to v. The operation is a single memoized pass over
 // f, which is why the paper's rename-based join rewrite beats conjunction
-// with equality BDDs.
+// with equality BDDs; a node the map moves out of order costs an ITE.
 func (k *Kernel) Replace(f Ref, m ReplaceMap) Ref {
 	k.checkOperands(f)
 	if int(m.id) >= len(k.replaceMaps) {
@@ -114,21 +105,8 @@ func (k *Kernel) replaceRec(f Ref, id int32) Ref {
 		newLevel = rm.target[level]
 	}
 	low := k.replaceRec(lowIn, id)
-	if low == Invalid {
-		return Invalid
-	}
 	high := k.replaceRec(highIn, id)
-	if high == Invalid {
-		return Invalid
-	}
-	// Runtime order check: the renamed node must still be above both
-	// (renamed) children, otherwise a single pass cannot express this
-	// substitution on this BDD.
-	if uint32(k.VarOf(low)) <= newLevel || uint32(k.VarOf(high)) <= newLevel {
-		k.err = ErrOrder
-		return Invalid
-	}
-	res := k.makeNode(newLevel, low, high)
+	res := k.node(newLevel, low, high)
 	if res == Invalid {
 		return Invalid
 	}

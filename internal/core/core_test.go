@@ -340,8 +340,8 @@ func TestIndexOverProjection(t *testing.T) {
 // differential harness (testdata seed 505 in internal/difftest): under a
 // data-driven ordering, the variable vb claims the index's own c2 block, so
 // evaluating the second occurrence of T1 needs the simultaneous substitution
-// {c0→c2, c2→scratch}. A per-block fallback that binds c0 to the c2 block
-// while c2 is still in the BDD's support computes the diagonal T1(x,·,x)
+// {c0→c2, c2→scratch}. Renaming block by block — c0 onto the c2 block while
+// c2 is still in the BDD's support — would compute the diagonal T1(x,·,x)
 // instead of the rename, yielding spurious violation witnesses.
 func TestChainedCanonicalBlockRename(t *testing.T) {
 	cat := relation.NewCatalog()

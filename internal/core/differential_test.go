@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -308,9 +309,9 @@ func domOfTerm(an *logic.Analysis, l, r logic.Term) *relation.Domain {
 
 func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	// One checker per ordering method: the index layout decides which
-	// binding (canonical block, rename, bridge, re-encoding) each predicate
-	// takes.
+	// One checker per ordering method: the index layout decides how each
+	// predicate binds — in place on the index's own blocks, or by one rename
+	// that is in order or rebuilds out-of-order nodes as ITEs.
 	methods := []core.OrderingMethod{core.OrderSchema, core.OrderProbConverge, core.OrderMaxInfGain, core.OrderRandom}
 	trials := 150
 	if testing.Short() {
@@ -376,6 +377,123 @@ func TestDifferentialBDDvsSQLvsBrute(t *testing.T) {
 				if res.Violated == want {
 					t.Fatalf("trial %d q%d %v: BDD says violated=%v, brute force says holds=%v\nformula: %s",
 						trial, q, methods[ci], res.Violated, want, f)
+				}
+			}
+		}
+	}
+}
+
+// TestSelfJoinBlockCycles: a self-join whose second occurrence permutes the
+// first's variables binds them with a rename that swaps or cycles the
+// index's own blocks, which moves nodes out of order. Under every ordering
+// method the BDD decides it with no fallback, and its verdict and its
+// violating bindings match brute force.
+func TestSelfJoinBlockCycles(t *testing.T) {
+	const size = 5
+	// A tuple is up to three codes; the unused positions stay 0.
+	type tuple = [3]int
+	rows := []struct {
+		name, text string
+		arity      int
+		// rotate returns the tuple the constraint requires beside tup.
+		rotate func(tup tuple) tuple
+	}{
+		{"swap", `forall x, y: P(x, y) => P(y, x)`, 2,
+			func(tup tuple) tuple { return tuple{tup[1], tup[0]} }},
+		{"3-cycle", `forall x, y, z: P(x, y, z) => P(y, z, x)`, 3,
+			func(tup tuple) tuple { return tuple{tup[1], tup[2], tup[0]} }},
+	}
+	methods := []core.OrderingMethod{core.OrderSchema, core.OrderProbConverge, core.OrderMaxInfGain, core.OrderRandom}
+	rng := rand.New(rand.NewSource(45))
+	for _, row := range rows {
+		f, err := logic.Parse(row.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := logic.Constraint{Name: row.name, F: f}
+		for trial := 0; trial < 20; trial++ {
+			cat := relation.NewCatalog()
+			cols := make([]relation.Column, row.arity)
+			for i := range cols {
+				cols[i] = relation.Column{Name: fmt.Sprintf("c%d", i), Domain: "D"}
+			}
+			tbl, err := cat.CreateTable("P", cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < size; v++ {
+				cat.Domain("D").Intern(fmt.Sprint(v))
+			}
+			// Every third trial closes the table under the rotation, so
+			// the constraint holds.
+			has := make(map[tuple]bool)
+			insert := func(tup tuple) {
+				if has[tup] {
+					return
+				}
+				has[tup] = true
+				vals := make([]string, row.arity)
+				for i := range vals {
+					vals[i] = fmt.Sprint(tup[i])
+				}
+				tbl.Insert(vals...)
+			}
+			for n := 0; n < 3*size; n++ {
+				var tup tuple
+				for i := 0; i < row.arity; i++ {
+					tup[i] = rng.Intn(size)
+				}
+				insert(tup)
+				for r := 1; trial%3 == 0 && r < row.arity; r++ {
+					tup = row.rotate(tup)
+					insert(tup)
+				}
+			}
+			// The violating bindings: the tuples whose rotation is missing.
+			want := make(map[tuple]bool)
+			for tup := range has {
+				if !has[row.rotate(tup)] {
+					want[tup] = true
+				}
+			}
+			an, err := logic.Analyze(f, logic.CatalogResolver{Catalog: cat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if holds := bruteCheck(an, cat); holds != (len(want) == 0) {
+				t.Fatalf("%s trial %d: brute force says holds=%v beside %d violating bindings", row.name, trial, holds, len(want))
+			}
+			for _, method := range methods {
+				chk := core.New(cat, core.Options{RandomSeed: int64(trial)})
+				if _, err := chk.BuildIndex("P", "P", nil, method); err != nil {
+					t.Fatal(err)
+				}
+				res := chk.CheckOne(ct)
+				if res.Err != nil || res.FellBack || res.Method != core.MethodBDD {
+					t.Fatalf("%s trial %d %v: method %s, fallback %v, err %v", row.name, trial, method, res.Method, res.FallbackReason, res.Err)
+				}
+				if res.Violated != (len(want) > 0) {
+					t.Fatalf("%s trial %d %v: BDD says violated=%v, brute force finds %d violating bindings", row.name, trial, method, res.Violated, len(want))
+				}
+				ws, err := chk.ViolationWitnesses(ct, len(has)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[tuple]bool, len(ws))
+				for _, w := range ws {
+					var tup tuple
+					for i, name := range w.Vars {
+						fmt.Sscan(w.Values[i], &tup[strings.Index("xyz", name)])
+					}
+					got[tup] = true
+				}
+				if len(ws) != len(want) || len(got) != len(want) {
+					t.Fatalf("%s trial %d %v: %d witnesses, brute force finds %d violating bindings", row.name, trial, method, len(ws), len(want))
+				}
+				for tup := range want {
+					if !got[tup] {
+						t.Fatalf("%s trial %d %v: violating binding %v missing from the witnesses", row.name, trial, method, tup[:row.arity])
+					}
 				}
 			}
 		}

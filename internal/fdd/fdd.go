@@ -265,9 +265,9 @@ func EqVar(d, e *Domain) bdd.Ref {
 }
 
 // ReplaceMap builds a kernel substitution renaming each from[i] block to the
-// to[i] block. Blocks must have matching widths. The substitution is only
-// valid when it preserves variable order (bdd.ErrOrder otherwise); callers
-// fall back to rebuilding in the target blocks when it does not.
+// to[i] block. Blocks must have matching widths; the blocks may sit in any
+// order (see Kernel.NewReplaceMap). It renames a relation when every target
+// block it shares with the relation's support is itself renamed.
 func ReplaceMap(from, to []*Domain) (bdd.ReplaceMap, error) {
 	if len(from) != len(to) {
 		return bdd.ReplaceMap{}, fmt.Errorf("fdd: ReplaceMap with %d sources and %d targets", len(from), len(to))

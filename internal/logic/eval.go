@@ -15,10 +15,9 @@ import (
 // constraint variable receives a scratch finite-domain block; predicate
 // occurrences are evaluated by restricting the index BDD with the constant
 // arguments and renaming the remaining canonical blocks onto the variable
-// blocks (the §4.2 rename strategy), falling back to on-the-fly encoding of
-// the filtered table when the rename is not order-safe. Conjunction then
-// performs joins, and quantifiers evaluate through AppEx/AppAll when they
-// sit directly above a binary connective (§4.3).
+// blocks (the §4.2 rename strategy). Conjunction then performs joins, and
+// quantifiers evaluate through AppEx/AppAll when they sit directly above a
+// binary connective (§4.3).
 
 // ErrNoIndex reports that a predicate has no usable logical index; the
 // caller is expected to validate the constraint with SQL instead.
@@ -37,7 +36,6 @@ type Evaluator struct {
 
 	scratch     map[scratchKey][]*fdd.Domain
 	replaceMaps map[string]bdd.ReplaceMap
-	eqCache     map[[2]*fdd.Domain]bdd.Ref
 	// predCache memoizes fully bound predicate BDDs across evaluations,
 	// invalidated by table version. Re-validating a constraint set after a
 	// batch of updates (the monitoring workload) then skips the
@@ -116,7 +114,6 @@ func NewEvaluator(store *index.Store, res Resolver) *Evaluator {
 		res:         res,
 		scratch:     make(map[scratchKey][]*fdd.Domain),
 		replaceMaps: make(map[string]bdd.ReplaceMap),
-		eqCache:     make(map[[2]*fdd.Domain]bdd.Ref),
 		predCache:   make(map[string]predCacheEntry),
 		predVersion: make(map[string]uint64),
 	}
@@ -399,8 +396,9 @@ func (ev *Evaluator) projects(env *evalEnv, v string, negated bool) bool {
 // newEnv walks the rewritten body, assigns a scratch block to every
 // variable, and gathers the occurrence/binder information the early
 // projection rule needs. Blocks for the variables of each predicate are
-// assigned in the canonical (index block) order of first use, which makes
-// the rename map monotone in the common case.
+// assigned in the canonical (index block) order of first use, which keeps
+// the rename in order in the common case: Replace then interns every node in
+// one pass and rebuilds none as an ITE.
 func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*evalEnv, error) {
 	env := &evalEnv{
 		an:          an,
@@ -489,7 +487,7 @@ func (ev *Evaluator) newEnv(an *Analysis, rw Rewritten, verdictOnly bool) (*eval
 		}
 	}
 	// The walk assigns blocks in canonical (index layout) order per
-	// predicate, which keeps rename maps monotone; stripped variables occur
+	// predicate, which keeps renames in order; stripped variables occur
 	// in the body and are assigned there. Any leftovers (defensive) get
 	// blocks afterwards.
 	walk(rw.Body)
@@ -1124,131 +1122,17 @@ func (ev *Evaluator) evalPredUncached(p Pred, ix *index.Index, binding PredBindi
 	if len(from) == 0 {
 		return f, indexOwned, nil
 	}
-	f, err = ev.bindBlocks(p, f, from, to, env, binding)
+	f, err = ev.renameBlocks(p, f, from, to)
 	return f, false, err
 }
 
-// bindBlocks binds the remaining canonical blocks of a predicate's BDD to its
-// variables' blocks, down the binding ladder: the §4.2 rename of all blocks
-// at once, per-block renames, per-block equality bridges, re-encoding.
-func (ev *Evaluator) bindBlocks(p Pred, f bdd.Ref, from, to []*fdd.Domain, env *evalEnv, binding PredBinding) (bdd.Ref, error) {
-	k := ev.store.Kernel()
-
-	// The pairs can be *chained*: a variable that claimed one of this
-	// index's own canonical blocks makes that block the target of one pair
-	// while another occurrence keeps it as the source of a second pair
-	// (c0→c2 alongside c2→scratch). The combined Replace substitutes
-	// simultaneously and stays correct, but per-block substitution — rename
-	// or equality bridge — is only equivalent while the pair's target block
-	// is absent from the BDD's support; run against a still-live target it
-	// computes the diagonal f(x,x) instead of the rename. Order the pairs so
-	// every target is vacated before it is reused; a cyclic arrangement (two
-	// blocks swapping) admits no such order and re-encodes the relation.
-	chained := false
-	{
-		srcs := make(map[*fdd.Domain]bool, len(from))
-		for _, d := range from {
-			srcs[d] = true
-		}
-		for _, d := range to {
-			if srcs[d] {
-				chained = true
-				break
-			}
-		}
-	}
-	if chained && !orderRenames(from, to) {
-		return ev.rebuildPred(p, env, binding)
-	}
-
-	g, err := ev.renameBlocks(p, f, from, to)
-	if err == nil {
-		return g, nil
-	}
-	if !errors.Is(err, bdd.ErrOrder) {
-		return bdd.Invalid, err
-	}
-	// The combined rename is not order-safe for this block arrangement.
-	// The blocks are disjoint, so simultaneous substitution equals
-	// sequential per-block substitution: rename each block on its own
-	// (individual maps are often order-safe where the combined one is
-	// not), bridging a block with an equality BDD only when even its
-	// single rename fails. Bridging per block keeps the equality states
-	// of different blocks from multiplying. A very wide failing block
-	// would make even its own equality BDD exponential; that degrades
-	// to re-encoding the filtered relation.
-	for i := range from {
-		g, err := ev.renameBlocks(p, f, from[i:i+1], to[i:i+1])
-		if err == nil {
-			f = g
-			continue
-		}
-		if !errors.Is(err, bdd.ErrOrder) {
-			return bdd.Invalid, err
-		}
-		if from[i].Bits() > maxBridgeBits {
-			return ev.rebuildPred(p, env, binding)
-		}
-		f = k.AppEx(f, ev.eqVarCached(from[i], to[i]), bdd.OpAnd, from[i].Cube())
-		if f == bdd.Invalid {
-			return bdd.Invalid, ev.kerr()
-		}
-	}
-	return f, nil
-}
-
-// maxBridgeBits bounds the block width the equality-bridge fallback will
-// accept: an equality BDD over two non-interleaved b-bit blocks has Θ(2^b)
-// nodes, so past this width re-encoding the relation is cheaper.
-const maxBridgeBits = 16
-
-// eqVarCached returns EqVar(a, b), caching (and pinning) the result: bridge
-// equalities over wide blocks are too expensive to rebuild on every
-// constraint check.
-func (ev *Evaluator) eqVarCached(a, b *fdd.Domain) bdd.Ref {
-	key := [2]*fdd.Domain{a, b}
-	if r, ok := ev.eqCache[key]; ok {
-		return r
-	}
-	r := fdd.EqVar(a, b)
-	if r == bdd.Invalid {
-		return r
-	}
-	ev.store.Kernel().Protect(r)
-	ev.eqCache[key] = r
-	return r
-}
-
-// orderRenames reorders the (from, to) pairs in place so that no pair's
-// target block is the source of a later pair, and reports whether such an
-// order exists. It fails only when the pairs contain a cycle of blocks
-// renaming onto each other, which no sequential execution can realize.
-func orderRenames(from, to []*fdd.Domain) bool {
-	pending := make(map[*fdd.Domain]bool, len(from))
-	for _, d := range from {
-		pending[d] = true
-	}
-	for i := 0; i < len(from); i++ {
-		j := -1
-		for m := i; m < len(from); m++ {
-			if !pending[to[m]] {
-				j = m
-				break
-			}
-		}
-		if j < 0 {
-			return false
-		}
-		from[i], from[j] = from[j], from[i]
-		to[i], to[j] = to[j], to[i]
-		delete(pending, from[i])
-	}
-	return true
-}
-
-// renameBlocks applies the §4.2 rename strategy with an interned map.
+// renameBlocks binds the remaining canonical blocks of a predicate's BDD to
+// its variables' blocks with one §4.2 rename through an interned map. The
+// pairs may swap or cycle blocks (a variable that claimed one of this
+// index's own blocks); Replace substitutes simultaneously, so that is still a
+// rename: after the restriction and projection f's support is the from
+// blocks plus blocks bound in place, and no pair targets the latter.
 func (ev *Evaluator) renameBlocks(p Pred, f bdd.Ref, from, to []*fdd.Domain) (bdd.Ref, error) {
-	k := ev.store.Kernel()
 	key := replaceKey(p.Table, from, to)
 	m, ok := ev.replaceMaps[key]
 	if !ok {
@@ -1259,98 +1143,8 @@ func (ev *Evaluator) renameBlocks(p Pred, f bdd.Ref, from, to []*fdd.Domain) (bd
 		}
 		ev.replaceMaps[key] = m
 	}
-	g := k.Replace(f, m)
-	if g == bdd.Invalid {
-		err := k.Err()
-		if errors.Is(err, bdd.ErrOrder) {
-			k.ClearErr()
-			return bdd.Invalid, bdd.ErrOrder
-		}
+	if f = ev.store.Kernel().Replace(f, m); f == bdd.Invalid {
 		return bdd.Invalid, ev.kerr()
-	}
-	return g, nil
-}
-
-// rebuildPred encodes the predicate's filtered, projected extension directly
-// over the target variable blocks — the paper's "encode the relation into a
-// BDD on the fly" fallback.
-func (ev *Evaluator) rebuildPred(p Pred, env *evalEnv, binding PredBinding) (bdd.Ref, error) {
-	t := binding.Table
-	// Plan: for each argument position, a constant filter, a duplicate
-	// check, a projection target, or a drop (early projection).
-	type colPlan struct {
-		col     int
-		code    int32
-		isConst bool
-		dupOf   int // argument position of first occurrence, or -1
-		keep    bool
-		block   *fdd.Domain
-	}
-	plans := make([]colPlan, len(p.Args))
-	firstPos := make(map[string]int)
-	for i, arg := range p.Args {
-		pl := colPlan{col: binding.Cols[i], dupOf: -1}
-		switch a := arg.(type) {
-		case Const:
-			code, ok := t.ColumnDomain(binding.Cols[i]).Code(a.Value)
-			if !ok {
-				return bdd.False, nil
-			}
-			pl.isConst = true
-			pl.code = code
-		case Var:
-			if j, seen := firstPos[a.Name]; seen {
-				pl.dupOf = j
-			} else {
-				firstPos[a.Name] = i
-				if block, ok := env.blocks[a.Name]; ok {
-					pl.keep = true
-					pl.block = block
-				}
-			}
-		}
-		plans[i] = pl
-	}
-	var doms []*fdd.Domain
-	for _, pl := range plans {
-		if pl.keep {
-			doms = append(doms, pl.block)
-		}
-	}
-	var rows [][]int
-	for r := 0; r < t.Len(); r++ {
-		row := t.Row(r)
-		match := true
-		for _, pl := range plans {
-			if pl.isConst && row[pl.col] != pl.code {
-				match = false
-				break
-			}
-			if pl.dupOf >= 0 && row[pl.col] != row[plans[pl.dupOf].col] {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		proj := make([]int, 0, len(doms))
-		for _, pl := range plans {
-			if pl.keep {
-				proj = append(proj, int(row[pl.col]))
-			}
-		}
-		rows = append(rows, proj)
-	}
-	if len(doms) == 0 {
-		if len(rows) > 0 {
-			return bdd.True, nil
-		}
-		return bdd.False, nil
-	}
-	f, err := fdd.Relation(doms, rows)
-	if err != nil {
-		return bdd.Invalid, err
 	}
 	return f, nil
 }

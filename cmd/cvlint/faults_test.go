@@ -113,10 +113,10 @@ var seededFaults = []seededFault{
 	},
 	{
 		name: "the replica oracle hands a primary Ref to the replica kernel", analyzer: "kernelmix",
-		pkg: "./internal/difftest", file: "internal/difftest/oracle.go",
+		pkg: "./internal/difftest", file: "internal/difftest/targets.go",
 		edits: [][2]string{{
-			"\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
-			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().Not(first)\n\trres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})\n",
+			"\tnext, err := v.Materialize(rep)\n",
+			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().Not(first)\n\tnext, err := v.Materialize(rep)\n",
 		}},
 	},
 }

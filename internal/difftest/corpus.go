@@ -15,8 +15,9 @@ import (
 // and are replayed by TestCorpus as regression seeds; the format is also
 // the handle for reproducing a failure by name (see README, "Testing &
 // fuzzing"). Identifiers (domain, table, column, constraint names and the
-// ordering method) are bare words; every data value and constraint source is
-// Go-quoted, so values may contain spaces or any byte.
+// ordering method) are written bare, so LoadCase refuses one that would not
+// read back as itself; every data value and constraint source is Go-quoted,
+// so values may contain spaces or any byte.
 //
 // Grammar, one directive per line ('#' starts a comment):
 //
@@ -30,6 +31,9 @@ import (
 //	insert <table> <value>...    # applies to the last batch
 //	delete <table> <value>...    # applies to the last batch
 //	constraint <name> <source>
+//	config <target>...           # follower, service, shards=<k>, debug
+//
+// A file without a config directive is replica-only.
 
 // SaveCase renders the case in corpus format.
 func SaveCase(c *Case) string {
@@ -60,7 +64,46 @@ func SaveCase(c *Case) string {
 	for _, ct := range c.Constraints {
 		fmt.Fprintf(&b, "constraint %s %s\n", ct.Name, strconv.Quote(ct.Source))
 	}
+	if words := c.Config.words(); len(words) > 0 {
+		fmt.Fprintf(&b, "config %s\n", strings.Join(words, " "))
+	}
 	return b.String()
+}
+
+// words renders the config directive's arguments, none for the zero Config.
+func (g Config) words() []string {
+	var out []string
+	for _, w := range []struct {
+		on   bool
+		word string
+	}{{g.Follower, "follower"}, {g.Service, "service"}, {g.Shards != 0, fmt.Sprintf("shards=%d", g.Shards)}, {g.DebugChecks, "debug"}} {
+		if w.on {
+			out = append(out, w.word)
+		}
+	}
+	return out
+}
+
+// parseConfig reads the config directive's arguments. It refuses an unknown
+// or repeated target and a shard count outside 2..maxShards.
+func parseConfig(words []string) (Config, error) {
+	var g Config
+	for _, w := range words {
+		n, err := strconv.Atoi(strings.TrimPrefix(w, "shards="))
+		switch {
+		case w == "follower" && !g.Follower:
+			g.Follower = true
+		case w == "service" && !g.Service:
+			g.Service = true
+		case w == "debug" && !g.DebugChecks:
+			g.DebugChecks = true
+		case strings.HasPrefix(w, "shards=") && g.Shards == 0 && err == nil && n >= 2 && n <= maxShards:
+			g.Shards = n
+		default:
+			return Config{}, fmt.Errorf("config: want follower, service, debug or shards=<2..%d>, each once; got %q", maxShards, w)
+		}
+	}
+	return g, nil
 }
 
 // SaveCaseFile writes the case to dir/name.case and returns the path.
@@ -80,6 +123,7 @@ func LoadCase(data []byte) (*Case, error) {
 	c := &Case{Ordering: "prob"}
 	var curTable *TableSpec
 	var curBatch int = -1
+	var haveConfig bool
 	for ln, line := range strings.Split(string(data), "\n") {
 		fields, err := splitFields(line)
 		if err != nil {
@@ -90,6 +134,13 @@ func LoadCase(data []byte) (*Case, error) {
 		}
 		bad := func(want string) error {
 			return fmt.Errorf("difftest: corpus line %d: %s directive wants %s", ln+1, fields[0], want)
+		}
+		for _, id := range fields[1:min(len(fields), 1+identFields[fields[0]])] {
+			// splitFields ends a bare word at a blank, and a leading quote
+			// or '#' would start a quoted field or a comment.
+			if id == "" || id[0] == '"' || id[0] == '#' || strings.ContainsAny(id, " \t\r\n") {
+				return nil, fmt.Errorf("difftest: corpus line %d: %s directive: identifier %q is not a bare word", ln+1, fields[0], id)
+			}
 		}
 		switch fields[0] {
 		case "ordering":
@@ -150,6 +201,14 @@ func LoadCase(data []byte) (*Case, error) {
 				return nil, bad("a name and a quoted source")
 			}
 			c.Constraints = append(c.Constraints, ConstraintSpec{Name: fields[1], Source: fields[2]})
+		case "config":
+			if haveConfig {
+				return nil, fmt.Errorf("difftest: corpus line %d: a second config directive", ln+1)
+			}
+			haveConfig = true
+			if c.Config, err = parseConfig(fields[1:]); err != nil {
+				return nil, fmt.Errorf("difftest: corpus line %d: %w", ln+1, err)
+			}
 		default:
 			return nil, fmt.Errorf("difftest: corpus line %d: unknown directive %q", ln+1, fields[0])
 		}
@@ -164,6 +223,13 @@ func LoadCaseFile(path string) (*Case, error) {
 		return nil, err
 	}
 	return LoadCase(data)
+}
+
+// identFields is how many of a directive's arguments, from the first, are
+// identifiers, which SaveCase writes bare: LoadCase refuses one that would
+// not read back as itself.
+var identFields = map[string]int{
+	"ordering": 1, "domain": 1, "table": 1, "col": 2, "insert": 1, "delete": 1, "constraint": 1,
 }
 
 func quoteAll(vals []string) string {

@@ -1,20 +1,20 @@
 // Package difftest is the correctness backstop of the repository: a seeded,
-// deterministic differential-testing harness that cross-checks the three
-// constraint-evaluation paths the system ships — the BDD evaluator on the
-// primary kernel, the sqlengine SQL baseline, and a read replica adopted via
-// replica.NewVersion/Version.Materialize — on randomly generated (constraint,
-// catalog) pairs, including random incremental-update batches between
+// deterministic differential-testing harness that holds every evaluation
+// path the system ships — the sqlengine SQL baseline, a read replica, and
+// the follower, shard coordinator and serving stack each case draws — to
+// the BDD evaluator on the primary kernel, on randomly generated
+// (constraint, catalog) pairs with random update batches between
 // re-checks. Any verdict or witness-set disagreement is a bug in one of the
-// engines; the harness shrinks the failing pair greedily and emits it as a
-// reproducible corpus file under testdata/.
+// engines; the harness shrinks the failing case greedily and emits it,
+// with the targets it drew, as a corpus file under testdata/.
 //
 // The same generator drives three entry points:
 //
 //   - TestDifferentialSoak: a seeded soak, `-seeds N` catalogs of 8
 //     constraints each, deterministic from the seed base.
 //   - FuzzDifferential: native Go fuzzing; the fuzz input bytes are decoded
-//     into generator choices, so coverage-guided mutation explores schema and
-//     formula space.
+//     into generator choices, targets included, so coverage-guided mutation
+//     explores decisions rather than opaque serialized catalogs.
 //   - TestCorpus: replays every testdata/*.case file; shrunken repros of
 //     fixed divergences are checked in here as regression seeds.
 //
@@ -112,13 +112,32 @@ type Case struct {
 	Ordering string
 	Domains  []DomainSpec
 	Tables   []TableSpec
-	// Constraints are checked against all three oracles after the initial
-	// load and again after every update batch.
+	// Constraints are checked against every oracle after the initial load
+	// and again after every update batch.
 	Constraints []ConstraintSpec
 	// Updates are applied to the primary through core.Checker.Apply — the
-	// incremental maintenance path — one batch at a time, with a full oracle
-	// re-check (and a fresh replica freeze) after each batch.
+	// incremental maintenance path — one batch at a time; every target
+	// follows each batch and the whole comparison repeats.
 	Updates [][]core.Update
+	// Config says which targets the case holds against the primary.
+	Config Config
+}
+
+// maxShards bounds a case's shard count: every shard is a kernel with its
+// own worker goroutines, so a corrupt corpus file must not ask for many.
+const maxShards = 4
+
+// Config says which targets RunCase holds against the primary besides the
+// SQL baseline and the replica, which every case checks (targets.go), and
+// whether the kernels the harness builds (not the coordinator's shard
+// kernels) run under DebugChecks, which makes every safe point collect, so a
+// Ref held unpinned across one fails at its next use. GenerateCase draws
+// it; a corpus file records it, so a shrunken repro replays with the
+// targets that caught it. The zero Config is replica-only.
+type Config struct {
+	Follower, Service, DebugChecks bool
+	// Shards is 0, or the coordinator's shard count, 2..maxShards.
+	Shards int
 }
 
 // Build materializes the case into a fresh catalog.
@@ -151,7 +170,7 @@ func (c *Case) Build() (*relation.Catalog, error) {
 
 // clone deep-copies the case, so the shrinker can mutate candidates freely.
 func (c *Case) clone() *Case {
-	nc := &Case{Seed: c.Seed, Ordering: c.Ordering}
+	nc := &Case{Seed: c.Seed, Ordering: c.Ordering, Config: c.Config}
 	for _, d := range c.Domains {
 		nc.Domains = append(nc.Domains, DomainSpec{Name: d.Name, Values: append([]string(nil), d.Values...)})
 	}

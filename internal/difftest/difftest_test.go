@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,52 +14,34 @@ import (
 )
 
 // soakSeeds is how many seeded cases TestDifferentialSoak generates; each
-// case carries constraintsPerCase constraints checked three ways at every
-// step, so the default runs 70×8 = 560 (constraint, catalog) pairs. Raise
-// it for a longer hunt: go test ./internal/difftest -run TestDifferentialSoak -seeds 2000
+// case carries constraintsPerCase constraints checked against every target
+// its seed draws at every step, so the default runs 70×8 = 560 (constraint,
+// catalog) pairs. Raise it for a longer hunt:
+// go test ./internal/difftest -run TestDifferentialSoak -seeds 2000
 var soakSeeds = flag.Int("seeds", 70, "number of seeded cases TestDifferentialSoak runs")
-
-// -debugchecks turns on bdd.Kernel runtime Ref validation for every kernel
-// the harness creates; a pin or cross-kernel bug then panics at the faulty
-// operation instead of surfacing as a downstream verdict mismatch.
-var debugChecks = flag.Bool("debugchecks", false, "enable kernel DebugChecks on every harness kernel")
-
-// -follower adds a fourth comparison target to every soak case: a checker
-// recovered from a snapshot + WAL store fed the same update batches — the
-// artifacts a cvserved follower replicates — must match the primary's
-// verdicts and witness sets at every step.
-var followerSoak = flag.Bool("follower", false, "cross-check a WAL-shipped follower checker at every soak step")
-
-// -shards adds the sharded scatter-gather coordinator as a comparison
-// target: every soak case is also partitioned across this many in-process
-// shard kernels, every update batch is routed through the coordinator, and
-// verdicts plus witness sets must match the primary at every step.
-var shardSoak = flag.Int("shards", 0, "cross-check an in-process sharded coordinator with this many shards at every soak step (0 = off)")
-
-// -service adds the serving stack as a comparison target: every soak case is
-// also served by a service.Server with two read replicas that is fed every
-// update batch, and two consecutive checks of its registry — the second out
-// of the verdict memo — must match the primary's verdicts at every step.
-var serviceSoak = flag.Bool("service", false, "cross-check a service.Server, and its verdict memo, at every soak step")
 
 // soakBase is the fixed seed base: case i derives from soakBase+i, so every
 // run (and every CI run) replays the identical case sequence.
 const soakBase = int64(0xD1FF)
 
 func TestDifferentialSoak(t *testing.T) {
-	DebugChecks = *debugChecks
-	FollowerSoak = *followerSoak
-	ShardSoak = *shardSoak
-	ServiceSoak = *serviceSoak
-	defer func() { FollowerSoak = false; ShardSoak = 0; ServiceSoak = false }()
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
 	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
 	ProjectionCoverage.Maintained, ProjectionCoverage.Adopted = 0, 0
 	GCCoverage = 0
+	drawn := map[string]int{"follower": 0, "service": 0, "shards=2": 0, "shards=3": 0, "debug": 0}
+	together := map[string]int{} // cases by pair of drawn targets
 	for i := 0; i < *soakSeeds; i++ {
 		rng := rand.New(rand.NewSource(soakBase + int64(i)))
 		c := GenerateCase(RNGChooser{Rand: rng})
+		words := c.Config.words()
+		for j, w := range words {
+			drawn[w]++
+			for _, w2 := range words[j+1:] {
+				together[w+"+"+w2]++
+			}
+		}
 		mm, err := RunCase(c)
 		if err != nil {
 			t.Fatalf("seed %d: hard error: %v\ncase:\n%s", i, err, SaveCase(c))
@@ -75,6 +58,18 @@ func TestDifferentialSoak(t *testing.T) {
 		pairs += len(c.Constraints)
 	}
 	t.Logf("soak: %d cases, %d (constraint, catalog) pairs, zero mismatches", *soakSeeds, pairs)
+	var dims []string
+	for w, n := range drawn {
+		dims = append(dims, fmt.Sprintf("%s %d", w, n))
+	}
+	sort.Strings(dims)
+	t.Logf("soak: cases by drawn target (every case checks the replica): %s", strings.Join(dims, ", "))
+	var twos []string
+	for w, n := range together {
+		twos = append(twos, fmt.Sprintf("%s %d", w, n))
+	}
+	sort.Strings(twos)
+	t.Logf("soak: cases by pair of drawn targets: %s", strings.Join(twos, ", "))
 	t.Logf("soak: universal early projection fired in %d of %d primary validity verdicts",
 		RuleCoverage.Projected, RuleCoverage.Validity)
 	var routes []string
@@ -86,23 +81,31 @@ func TestDifferentialSoak(t *testing.T) {
 		ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt)
 	t.Logf("soak: %d primary projection reads hit a projection maintained across an update batch", ProjectionCoverage.Maintained)
 	t.Logf("soak: %d replica projection reads hit a projection adopted from the primary's export", ProjectionCoverage.Adopted)
-	t.Logf("soak: the primary kernels ran %d collections", GCCoverage)
-	if *debugChecks && GCCoverage == 0 {
+	t.Logf("soak: the primary kernels of the debug cases ran %d collections", GCCoverage)
+	if drawn["debug"] > 0 && GCCoverage == 0 {
 		t.Fatal("the primary kernels never collected under DebugChecks: the soak checked no pin")
 	}
-	if *soakSeeds >= 63 && ProjectionCoverage.Maintained == 0 {
+	if *soakSeeds < 63 {
+		return // too few seeds for the coverage floors below
+	}
+	for _, w := range dims {
+		if strings.HasSuffix(w, " 0") {
+			t.Fatalf("no seed drew %s: the soak never checked that target", strings.TrimSuffix(w, " 0"))
+		}
+	}
+	if ProjectionCoverage.Maintained == 0 {
 		t.Fatal("no projection read hit a maintained projection: the soak cross-checked recomputed projections only")
 	}
-	if *soakSeeds >= 63 && ProjectionCoverage.Adopted == 0 {
+	if ProjectionCoverage.Adopted == 0 {
 		t.Fatal("no replica projection read hit an adopted projection: the soak cross-checked projections the replica computed itself only")
 	}
-	if *soakSeeds >= 63 && ReplicaCoverage.Advanced == 0 {
+	if ReplicaCoverage.Advanced == 0 {
 		t.Fatal("no replica ever advanced in place: the soak cross-checked rebuilt replicas only")
 	}
-	if *soakSeeds >= 63 && RuleCoverage.Routes[logic.RouteExpanded] == 0 {
+	if RuleCoverage.Routes[logic.RouteExpanded] == 0 {
 		t.Fatal("no witness call expanded a projected violation set: the soak cross-checked full evaluations only")
 	}
-	if *soakSeeds >= 63 && pairs < 500 {
+	if pairs < 500 {
 		t.Fatalf("soak covered only %d (constraint, catalog) pairs, want >= 500", pairs)
 	}
 }
@@ -146,6 +149,61 @@ func TestCorpusRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(c, back) {
 			t.Fatalf("seed %d: round-trip changed the case\nbefore:\n%s\nafter:\n%s", i, SaveCase(c), SaveCase(back))
+		}
+	}
+}
+
+// TestConfigRoundTrip: every Config survives the corpus format, and a
+// file without a config directive is replica-only.
+func TestConfigRoundTrip(t *testing.T) {
+	c := GenerateCase(RNGChooser{Rand: rand.New(rand.NewSource(5))})
+	for _, shards := range []int{0, 2, 3, maxShards} {
+		for bits := 0; bits < 8; bits++ {
+			c.Config = Config{Follower: bits&1 != 0, Service: bits&2 != 0, Shards: shards, DebugChecks: bits&4 != 0}
+			back, err := LoadCase([]byte(SaveCase(c)))
+			if err != nil {
+				t.Fatalf("%+v: %v\n%s", c.Config, err, SaveCase(c))
+			}
+			if back.Config != c.Config {
+				t.Fatalf("config %+v came back as %+v", c.Config, back.Config)
+			}
+		}
+	}
+	for file, want := range map[string]Config{
+		"fail-seed505.case":                     {},
+		"sqlengine-false-conjunct.case":         {},
+		"sqlengine-false-conjunct-targets.case": {Follower: true, Service: true, Shards: 3, DebugChecks: true},
+	} {
+		c, err := LoadCaseFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Config != want {
+			t.Errorf("%s: config %+v, want %+v", file, c.Config, want)
+		}
+	}
+}
+
+// TestLoadCaseRejects: LoadCase refuses what SaveCase could not write back
+// — an identifier that is not a bare word — and a config directive naming
+// an unknown target, a target twice, or a shard count out of range.
+func TestLoadCaseRejects(t *testing.T) {
+	for _, text := range []string{
+		`table "a b"`,
+		`table ""`,
+		`ordering "x y"`,
+		`constraint "c #1" "true"`,
+		"table T\ncol \"#c\" D",
+		"domain \"\\\"D\" \"v\"",
+		"config replica",
+		"config shards=1",
+		"config shards=5",
+		"config shards=two",
+		"config follower follower",
+		"config follower\nconfig service",
+	} {
+		if _, err := LoadCase([]byte(text)); err == nil {
+			t.Errorf("LoadCase accepted %q", text)
 		}
 	}
 }

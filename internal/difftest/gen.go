@@ -67,7 +67,23 @@ func GenerateCase(ch Chooser) *Case {
 		})
 	}
 	g.genUpdates()
+	g.genConfig()
 	return g.c
+}
+
+// genConfig draws the case's targets. It draws last: a seed's catalog,
+// constraints and batches must not depend on the draw, because corpus
+// files are named after the seeds that found them. A zero choice leaves a
+// target off, so an exhausted fuzz stream is replica-only and cheap. The
+// service is drawn most often: with DebugChecks it is the costliest pair
+// the soak must still cover.
+func (g *caseGen) genConfig() {
+	g.c.Config = Config{
+		Follower:    g.ch.Intn(4) == 3,
+		Service:     g.ch.Intn(2) == 1,
+		Shards:      []int{0, 0, 2, 3}[g.ch.Intn(4)],
+		DebugChecks: g.ch.Intn(4) == 3,
+	}
 }
 
 func (g *caseGen) genDomains() {
@@ -101,54 +117,42 @@ func (g *caseGen) genTables() {
 // exercise the bag-vs-set boundary between tables and indices, in particular
 // the still-present check on incremental deletes).
 func (g *caseGen) fillTable(ts *TableSpec) {
-	domVal := func(name string, code int) string {
-		for _, d := range g.c.Domains {
-			if d.Name == name {
-				return d.Values[code%len(d.Values)]
-			}
-		}
-		panic("difftest: unknown domain " + name)
-	}
 	randomRow := func(skewed bool) []string {
 		row := make([]string, len(ts.Cols))
 		for i, c := range ts.Cols {
-			size := g.domainSize(c.Domain)
-			code := g.ch.Intn(size)
+			vals := g.values(c.Domain)
+			code := g.ch.Intn(len(vals))
 			if skewed {
 				// Favor low codes: the minimum of two draws halves the mean,
 				// concentrating mass like the paper's skewed workloads.
-				if c2 := g.ch.Intn(size); c2 < code {
+				if c2 := g.ch.Intn(len(vals)); c2 < code {
 					code = c2
 				}
 			}
-			row[i] = domVal(c.Domain, code)
+			row[i] = vals[code]
 		}
 		return row
+	}
+	fill := func(n int, skewed bool) {
+		for i := 0; i < n; i++ {
+			ts.Rows = append(ts.Rows, randomRow(skewed))
+		}
 	}
 	switch g.ch.Intn(6) {
 	case 0: // empty
 	case 1: // singleton
-		ts.Rows = append(ts.Rows, randomRow(false))
+		fill(1, false)
 	case 2, 3: // random fill
-		n := 1 + g.ch.Intn(maxRowsPerTable)
-		for i := 0; i < n; i++ {
-			ts.Rows = append(ts.Rows, randomRow(false))
-		}
+		fill(1+g.ch.Intn(maxRowsPerTable), false)
 	case 4: // skewed fill (duplicates likely)
-		n := 5 + g.ch.Intn(maxRowsPerTable-5)
-		for i := 0; i < n; i++ {
-			ts.Rows = append(ts.Rows, randomRow(true))
-		}
+		fill(5+g.ch.Intn(maxRowsPerTable-5), true)
 	default: // dense: every tuple of the (small) domain product w.p. 1/2
 		total := 1
 		for _, c := range ts.Cols {
-			total *= g.domainSize(c.Domain)
+			total *= len(g.values(c.Domain))
 		}
 		if total > 4*maxRowsPerTable {
-			n := 1 + g.ch.Intn(maxRowsPerTable)
-			for i := 0; i < n; i++ {
-				ts.Rows = append(ts.Rows, randomRow(false))
-			}
+			fill(1+g.ch.Intn(maxRowsPerTable), false)
 			return
 		}
 		for t := 0; t < total; t++ {
@@ -158,19 +162,20 @@ func (g *caseGen) fillTable(ts *TableSpec) {
 			row := make([]string, len(ts.Cols))
 			rem := t
 			for i, c := range ts.Cols {
-				size := g.domainSize(c.Domain)
-				row[i] = domVal(c.Domain, rem%size)
-				rem /= size
+				vals := g.values(c.Domain)
+				row[i] = vals[rem%len(vals)]
+				rem /= len(vals)
 			}
 			ts.Rows = append(ts.Rows, row)
 		}
 	}
 }
 
-func (g *caseGen) domainSize(name string) int {
+// values returns the named domain's interned values.
+func (g *caseGen) values(name string) []string {
 	for _, d := range g.c.Domains {
 		if d.Name == name {
-			return len(d.Values)
+			return d.Values
 		}
 	}
 	panic("difftest: unknown domain " + name)
@@ -265,12 +270,8 @@ func (g *caseGen) varOf(dom string) string {
 // knownValue picks a value interned in the domain; unknownValue returns a
 // constant no dictionary has ever seen.
 func (g *caseGen) knownValue(dom string) string {
-	for _, d := range g.c.Domains {
-		if d.Name == dom {
-			return d.Values[g.ch.Intn(len(d.Values))]
-		}
-	}
-	panic("difftest: unknown domain " + dom)
+	vals := g.values(dom)
+	return vals[g.ch.Intn(len(vals))]
 }
 
 func (g *caseGen) unknownValue() string {

@@ -1,48 +1,36 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
+	"regexp"
+	"runtime/debug"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/logic"
-	"repro/internal/replica"
+	"repro/internal/relation"
+	"repro/internal/service"
 	"repro/internal/sqlengine"
 )
 
-// oracle.go runs one case through the three production evaluation paths and
-// compares them:
-//
-//   - primary: the BDD evaluator (plus FD fast path) on the kernel that owns
-//     the live indices, node budget unlimited so nothing degrades to SQL;
-//   - sql: the sqlengine.Compile violation query on the same catalog — the
-//     baseline the paper's indices claim to replace exactly;
-//   - replica: one long-lived checker that adopts the primary's indices
-//     through the production freeze (replica.NewVersion exports them as a
-//     bdd.Image, Version.Materialize imports it) and then follows the primary
-//     from batch to batch the way a pool worker follows publications — in
-//     place (core.AdvanceIndices plus the memo-keeping collection) when it
-//     can, rebuilt when it cannot — checked with the SQL fallback disabled
-//     so only the imported BDDs decide.
-//
-// Verdicts must agree three ways on every constraint; when the constraint is
-// a violated validity check, the witness sets must agree too (primary vs
-// replica exactly; primary vs sql after projecting onto the variables both
-// sides bind, since prenexing can fold deeper universals into the BDD's
-// leading block that the SQL compiler leaves quantified). Each update batch
-// is applied through the incremental maintenance path and the whole
-// comparison repeats once the replica has followed.
+// oracle.go runs one case. At every step — after the initial load, and
+// after each update batch, which the primary applies through the
+// incremental maintenance path and every target (targets.go) follows — it
+// computes the expectation once: the primary's verdict on every constraint
+// (BDD evaluator plus FD fast path, node budget unlimited so nothing
+// degrades to SQL), held against the sqlengine.Compile violation query, and
+// for a violated validity check its witness set, held against the SQL rows
+// after projecting both onto the variables both bind (prenexing can fold
+// deeper universals into the BDD's leading block that the SQL compiler
+// leaves quantified). Then one comparison, hold, holds every target to it:
+// the same verdicts, and the same witness sets wherever the primary's is
+// known.
 
 // witnessLimit bounds witness enumeration; a truncated enumeration is not
 // compared (the two engines may truncate different subsets).
 const witnessLimit = 10000
-
-// DebugChecks makes the harness enable bdd.Kernel runtime Ref validation
-// (Config.DebugChecks) on the primary and on every replica, so a soak
-// run doubles as a hunt for use-after-GC and cross-kernel handle bugs. The
-// difftest suite's -debugchecks flag sets it.
-var DebugChecks bool
 
 // RuleCoverage accumulates, across RunCase calls, the primary evaluator's
 // verdict counts: how many validity verdicts the cases asked for, how many
@@ -66,10 +54,11 @@ var ReplicaCoverage struct{ Advanced, Rebuilt int }
 // in which either is zero.
 var ProjectionCoverage struct{ Maintained, Adopted int }
 
-// GCCoverage accumulates, across RunCase calls, the collections the primary
-// kernel ran (bdd.Stats.GCRuns). Under DebugChecks every safe point collects,
-// so a Ref the checker failed to pin is caught at its next use;
-// TestDifferentialSoak logs how often, and fails a DebugChecks run with none.
+// GCCoverage accumulates, across the RunCase calls of cases drawn with
+// DebugChecks, the collections the primary kernel ran (bdd.Stats.GCRuns).
+// Under DebugChecks every safe point collects, so a Ref the checker failed
+// to pin is caught at its next use; TestDifferentialSoak logs how often, and
+// fails a run that drew DebugChecks but collected nothing.
 var GCCoverage int
 
 // Mismatch describes one oracle disagreement. It is a test failure in
@@ -81,11 +70,12 @@ type Mismatch struct {
 	Step int
 	// Constraint names the disagreeing constraint within the case.
 	Constraint string
-	// Kind classifies the disagreement: "verdict" and "witnesses" for
-	// value-level divergence, or "primary-error" / "sql-error" /
-	// "replica-error" / "witness-error" when one engine fails outright on a
-	// constraint that analyzes cleanly against the schema (the other
-	// engines' ability to answer makes the failure itself a divergence).
+	// Kind classifies the disagreement: "verdict" and "witnesses" against
+	// the SQL baseline or the replica, "<target>-verdict" and
+	// "<target>-witnesses" against another target; "primary-error",
+	// "sql-error", "<target>-error" or "witness-error" when one engine fails
+	// outright where the others answer; "service-memo"; "panic: " and the
+	// panic's first line, its numbers masked as N.
 	Kind string
 	// Detail is a human-readable account, including the brute-force
 	// referee's verdict on who is wrong.
@@ -96,13 +86,25 @@ func (m *Mismatch) String() string {
 	return fmt.Sprintf("step %d, constraint %s: %s mismatch: %s", m.Step, m.Constraint, m.Kind, m.Detail)
 }
 
-// RunCase builds the case and runs the full three-way comparison, including
-// the update path. It returns a non-nil *Mismatch if the oracles disagree,
-// and a non-nil error only for hard harness failures (unparseable
+// RunCase builds the case and its targets and runs the full comparison,
+// including the update path. It returns a non-nil *Mismatch if the oracles
+// disagree, and a non-nil error only for hard harness failures (unparseable
 // constraint, index build failure, evaluator error) — the distinction
 // matters to the shrinker, which must not mistake a candidate that broke
 // the harness for one that still reproduces a divergence.
-func RunCase(c *Case) (*Mismatch, error) {
+func RunCase(c *Case) (mm *Mismatch, err error) {
+	step := 0
+	defer func() {
+		// A kernel under DebugChecks panics at the first use of a Ref it no
+		// longer holds: that is a divergence to shrink, not the end of a soak.
+		// The kind keeps the panic's first line, numbers masked (they vary
+		// by candidate), so the shrinker cannot trade one panic for another.
+		if r := recover(); r != nil {
+			first, _, _ := strings.Cut(fmt.Sprint(r), "\n")
+			mm, err = &Mismatch{Step: step, Kind: "panic: " + regexp.MustCompile(`[0-9]+`).ReplaceAllString(first, "N"),
+				Detail: fmt.Sprintf("%v\n%s", r, debug.Stack())}, nil
+		}
+	}()
 	method, err := core.ParseOrderingMethod(c.Ordering)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: %w", err)
@@ -122,9 +124,9 @@ func RunCase(c *Case) (*Mismatch, error) {
 			}
 		}
 	}
-	primary := core.New(cat, core.Options{NodeBudget: -1, RandomSeed: c.Seed})
-	if DebugChecks {
-		primary.Store().Kernel().SetDebugChecks(true)
+	primary, err := buildChecker(c, cat, method)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
 		vs := primary.Evaluator().VerdictStats()
@@ -134,16 +136,10 @@ func RunCase(c *Case) (*Mismatch, error) {
 			RuleCoverage.Routes[r] += n
 		}
 		ProjectionCoverage.Maintained += primary.Store().MaintainedReads()
-		GCCoverage += primary.KernelStats().GCRuns
-	}()
-	for _, ts := range c.Tables {
-		// The index carries the table's name: the evaluator resolves a
-		// predicate to the index of the same name, and nil cols means the
-		// full column set.
-		if _, err := primary.BuildIndex(ts.Name, ts.Name, nil, method); err != nil {
-			return nil, fmt.Errorf("difftest: building index for %s: %w", ts.Name, err)
+		if c.Config.DebugChecks {
+			GCCoverage += primary.KernelStats().GCRuns
 		}
-	}
+	}()
 	cts := make([]logic.Constraint, len(c.Constraints))
 	for i, cs := range c.Constraints {
 		f, err := logic.Parse(cs.Source)
@@ -152,225 +148,200 @@ func RunCase(c *Case) (*Mismatch, error) {
 		}
 		cts[i] = logic.Constraint{Name: cs.Name, F: f}
 	}
-	rep, err := follow(nil, primary, 1)
+	targets, err := buildTargets(c, cts, primary, method)
+	defer func() {
+		for _, t := range targets {
+			t.close()
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
-	defer func() { ProjectionCoverage.Adopted += rep.Store().AdoptedReads() }()
-	if mm, err := checkAll(primary, rep, cts, 0); mm != nil || err != nil {
-		return mm, err
-	}
-	var fol *followerOracle
-	if FollowerSoak {
-		if fol, err = newFollowerOracle(primary, cts); err != nil {
-			return nil, err
-		}
-		defer fol.close()
-		if mm, err := fol.check(primary, cts, 0); mm != nil || err != nil {
+	for {
+		want, mm, err := expect(primary, cts, step)
+		if mm != nil || err != nil {
 			return mm, err
 		}
-	}
-	var shardO *shardOracle
-	if ShardSoak > 0 {
-		if shardO, err = newShardOracle(c, cts); err != nil {
-			return nil, err
+		for _, t := range targets {
+			if mm, err := t.check(want, step); mm != nil || err != nil {
+				return mm, err
+			}
 		}
-		defer shardO.close()
-		if mm, err := shardO.check(primary, 0); mm != nil || err != nil {
-			return mm, err
+		if step == len(c.Updates) {
+			return nil, nil
 		}
-	}
-	var svcO *serviceOracle
-	if ServiceSoak {
-		if svcO, err = newServiceOracle(c, cts, method); err != nil {
-			return nil, err
-		}
-		defer svcO.close()
-		if mm, err := svcO.check(primary, 0); mm != nil || err != nil {
-			return mm, err
-		}
-	}
-	for i, batch := range c.Updates {
+		batch := c.Updates[step]
+		step++
 		if _, err := primary.Apply(batch); err != nil {
-			return nil, fmt.Errorf("difftest: applying batch %d: %w", i+1, err)
+			return nil, fmt.Errorf("difftest: applying batch %d: %w", step, err)
 		}
-		if rep, err = follow(rep, primary, uint64(i)+2); err != nil {
-			return nil, err
-		}
-		if mm, err := checkAll(primary, rep, cts, i+1); mm != nil || err != nil {
-			return mm, err
-		}
-		if fol != nil {
-			// Ship the batch the way the leader's WAL would carry it (epoch
-			// 1 is the bootstrap snapshot; batch i+1 lands at epoch i+2) and
-			// re-prove the follower against the primary.
-			if err := fol.ship(uint64(i)+2, batch); err != nil {
-				return nil, fmt.Errorf("difftest: shipping batch %d: %w", i+1, err)
-			}
-			if mm, err := fol.check(primary, cts, i+1); mm != nil || err != nil {
-				return mm, err
-			}
-		}
-		if shardO != nil {
-			// Route the same batch through the coordinator's fan-out and
-			// re-prove the sharded answers against the primary.
-			if err := shardO.apply(batch); err != nil {
-				return nil, fmt.Errorf("difftest: shard coordinator applying batch %d: %w", i+1, err)
-			}
-			if mm, err := shardO.check(primary, i+1); mm != nil || err != nil {
-				return mm, err
-			}
-		}
-		if svcO != nil {
-			if err := svcO.apply(batch); err != nil {
-				return nil, fmt.Errorf("difftest: server applying batch %d: %w", i+1, err)
-			}
-			if mm, err := svcO.check(primary, i+1); mm != nil || err != nil {
-				return mm, err
+		for _, t := range targets {
+			// Epoch 1 is the initial load; batch i lands at epoch i+1. The
+			// primary took the batch, so a target that refuses it diverges.
+			if err := t.apply(uint64(step)+1, batch); errors.As(err, new(harnessError)) {
+				return nil, err
+			} else if err != nil {
+				return &Mismatch{Step: step, Kind: t.name() + "-error", Detail: fmt.Sprintf("applying the batch: %v", err)}, nil
 			}
 		}
 	}
-	return nil, nil
 }
 
-// follow brings rep — nil before the first step — to the primary's current
-// state through the production freeze, replica.NewVersion and
-// Version.Materialize, the way a replica.Pool worker adopts a publication:
-// in place, ending with the worker's collection, or into a fresh replica
-// when rep cannot advance.
-func follow(rep, primary *core.Checker, epoch uint64) (*core.Checker, error) {
-	v, err := replica.NewVersion(primary, epoch)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: %w", err)
-	}
-	next, err := v.Materialize(rep)
-	if err != nil {
-		return nil, fmt.Errorf("difftest: %w", err)
-	}
-	switch {
-	case rep == nil:
-	case next == rep:
-		next.Store().Kernel().GC()
-		ReplicaCoverage.Advanced++
-	default:
-		ReplicaCoverage.Rebuilt++
-		ProjectionCoverage.Adopted += rep.Store().AdoptedReads()
-	}
-	return next, nil
-}
-
-func checkAll(primary, rep *core.Checker, cts []logic.Constraint, step int) (*Mismatch, error) {
-	for _, ct := range cts {
-		if mm, err := checkConstraint(primary, rep, ct, step); mm != nil || err != nil {
-			return mm, err
+// buildChecker indexes every table of the case on a fresh checker over cat,
+// each index under its table's name (the evaluator resolves a predicate to
+// the index of the same name; nil cols means every column), with the node
+// budget unlimited so nothing degrades to SQL.
+func buildChecker(c *Case, cat *relation.Catalog, method core.OrderingMethod) (*core.Checker, error) {
+	chk := core.New(cat, core.Options{NodeBudget: -1, RandomSeed: c.Seed})
+	chk.Store().Kernel().SetDebugChecks(c.Config.DebugChecks)
+	for _, ts := range c.Tables {
+		if _, err := chk.BuildIndex(ts.Name, ts.Name, nil, method); err != nil {
+			return nil, fmt.Errorf("difftest: building index for %s: %w", ts.Name, err)
 		}
 	}
-	return nil, nil
+	return chk, nil
 }
 
-func checkConstraint(primary, rep *core.Checker, ct logic.Constraint, step int) (*Mismatch, error) {
-	// A constraint that does not analyze against the schema is a harness
-	// defect (or a shrink candidate that cut a referenced table), never an
-	// engine divergence: reject it as a hard error so the shrinker cannot
-	// "minimize" a real bug into a dangling reference.
-	an, err := logic.Analyze(ct.F, primary.Resolver())
-	if err != nil {
-		return nil, fmt.Errorf("difftest: analyzing %s: %w", ct.Name, err)
-	}
-	mm := func(kind, format string, args ...interface{}) *Mismatch {
-		return &Mismatch{Step: step, Constraint: ct.Name, Kind: kind, Detail: fmt.Sprintf(format, args...)}
-	}
-	pres := primary.CheckOne(ct)
-	if pres.Err != nil || pres.FellBack {
-		// Budget is unlimited and every table is indexed, so any failure —
-		// including a silent degrade to the SQL fallback, which would make
-		// this comparison SQL-vs-SQL — is an evaluator bug.
-		reason := pres.Err
-		if reason == nil {
-			reason = pres.FallbackReason
+// expectation is the primary's answer to one constraint at one step, held
+// against the SQL baseline: every target must give it too. witnesses is
+// set only for a violated validity check whose enumeration was not
+// truncated at witnessLimit: existence checks have no per-binding
+// witnesses, and truncated enumerations are not comparable.
+type expectation struct {
+	ct        logic.Constraint
+	an        *logic.Analysis // the brute-force referee's input
+	res       core.Result
+	witnesses map[string]bool
+}
+
+func expect(primary *core.Checker, cts []logic.Constraint, step int) ([]expectation, *Mismatch, error) {
+	want := make([]expectation, len(cts))
+	for i, ct := range cts {
+		// A constraint that does not analyze against the schema is a harness
+		// defect (or a shrink candidate that cut a referenced table), never an
+		// engine divergence: reject it as a hard error so the shrinker cannot
+		// "minimize" a real bug into a dangling reference.
+		an, err := logic.Analyze(ct.F, primary.Resolver())
+		if err != nil {
+			return nil, nil, fmt.Errorf("difftest: analyzing %s: %w", ct.Name, err)
 		}
-		return mm("primary-error", "primary BDD check failed: %v; brute referee: holds=%v", reason, bruteHolds(an)), nil
-	}
-	q, err := sqlengine.Compile(ct, primary.Resolver())
-	if err != nil {
-		return mm("sql-error", "SQL compile failed: %v; brute referee: holds=%v", err, bruteHolds(an)), nil
-	}
-	sqlViolated, sqlRows, err := q.Run()
-	if err != nil {
-		return mm("sql-error", "SQL run failed: %v; brute referee: holds=%v", err, bruteHolds(an)), nil
-	}
-	rres := rep.CheckOneOpts(ct, core.CheckOptions{NoSQLFallback: true})
-	if rres.Err != nil {
-		return mm("replica-error", "replica check failed: %v; brute referee: holds=%v", rres.Err, bruteHolds(an)), nil
-	}
-	if pres.Violated != sqlViolated || pres.Violated != rres.Violated {
-		return mm("verdict", "primary(%s)=%v sql=%v replica=%v; brute referee: holds=%v",
-			pres.Method, pres.Violated, sqlViolated, rres.Violated, bruteHolds(an)), nil
-	}
-	if !pres.Violated {
-		return nil, nil
-	}
-	// Witness comparison only applies to validity checks: existence checks
-	// (a leading ∃ after prenexing) have no per-binding witnesses.
-	if logic.Rewrite(an.F, logic.DefaultRewriteOptions()).Mode != logic.CheckValidity {
-		return nil, nil
-	}
-	pw, err := primary.ViolationWitnesses(ct, witnessLimit)
-	if err != nil {
-		return mm("witness-error", "primary witness enumeration failed: %v", err), nil
-	}
-	rw, err := rep.ViolationWitnesses(ct, witnessLimit)
-	if err != nil {
-		return mm("witness-error", "replica witness enumeration failed: %v", err), nil
-	}
-	if len(pw) >= witnessLimit || len(rw) >= witnessLimit {
-		return nil, nil // truncated enumerations are not comparable
-	}
-	// Primary vs replica: the adopted BDDs must yield the same set exactly.
-	ps, rs := witnessSet(pw), witnessSet(rw)
-	if diff := setDiff(ps, rs); diff != "" {
-		return mm("witnesses", "primary vs replica: %s (primary %d, replica %d)", diff, len(pw), len(rw)), nil
-	}
-	// Primary vs SQL: project both sides onto the variables they share.
-	// Ambiguous base names (two stripped variables recovering the same
-	// source name) make the projection ill-defined; skip those.
-	if len(pw) > 0 && sqlRows != nil {
+		mm := func(kind, format string, args ...interface{}) *Mismatch {
+			return &Mismatch{Step: step, Constraint: ct.Name, Kind: kind, Detail: fmt.Sprintf(format, args...)}
+		}
+		e := expectation{ct: ct, an: an, res: primary.CheckOne(ct)}
+		if e.res.Err != nil || e.res.FellBack {
+			// Budget is unlimited and every table is indexed, so any failure —
+			// including a silent degrade to the SQL fallback, which would make
+			// this comparison SQL-vs-SQL — is an evaluator bug.
+			reason := e.res.Err
+			if reason == nil {
+				reason = e.res.FallbackReason
+			}
+			return nil, mm("primary-error", "primary BDD check failed: %v; brute referee: holds=%v", reason, bruteHolds(an)), nil
+		}
+		q, err := sqlengine.Compile(ct, primary.Resolver())
+		if err != nil {
+			return nil, mm("sql-error", "SQL compile failed: %v; brute referee: holds=%v", err, bruteHolds(an)), nil
+		}
+		sqlViolated, sqlRows, err := q.Run()
+		if err != nil {
+			return nil, mm("sql-error", "SQL run failed: %v; brute referee: holds=%v", err, bruteHolds(an)), nil
+		}
+		if e.res.Violated != sqlViolated {
+			return nil, mm("verdict", "primary(%s)=%v sql=%v; brute referee: holds=%v",
+				e.res.Method, e.res.Violated, sqlViolated, bruteHolds(an)), nil
+		}
+		want[i] = e
+		if !e.res.Violated || logic.Rewrite(an.F, logic.DefaultRewriteOptions()).Mode != logic.CheckValidity {
+			continue
+		}
+		pw, err := primary.ViolationWitnesses(ct, witnessLimit)
+		if err != nil {
+			return nil, mm("witness-error", "primary witness enumeration failed: %v", err), nil
+		}
+		if len(pw) >= witnessLimit {
+			continue
+		}
+		want[i].witnesses = WitnessSet(pw)
+		// Project both sides onto the variables they share. Ambiguous base
+		// names (two stripped variables recovering the same source name) make
+		// the projection ill-defined; skip those.
+		if len(pw) == 0 || sqlRows == nil {
+			continue
+		}
 		bddVars := pw[0].Vars
 		sqlVars := make([]string, len(sqlRows.Vars))
 		for i, v := range sqlRows.Vars {
 			sqlVars[i] = logic.BaseName(v)
 		}
-		if !hasDup(bddVars) && !hasDup(sqlVars) {
-			common := intersect(bddVars, sqlVars)
-			bp := make(map[string]bool)
-			for _, w := range pw {
-				bp[projectWitness(common, w.Vars, w.Values)] = true
-			}
-			sp := make(map[string]bool)
-			for i := 0; i < sqlRows.Len(); i++ {
-				sp[projectWitness(common, sqlVars, sqlRows.Decode(i))] = true
-			}
-			if diff := setDiff(bp, sp); diff != "" {
-				return mm("witnesses", "primary vs sql on common vars %v: %s (primary %d, sql %d rows)",
-					common, diff, len(pw), sqlRows.Len()), nil
-			}
+		if hasDup(bddVars) || hasDup(sqlVars) {
+			continue
+		}
+		common := intersect(bddVars, sqlVars)
+		bp := make(map[string]bool)
+		for _, w := range pw {
+			bp[projectWitness(common, w.Vars, w.Values)] = true
+		}
+		sp := make(map[string]bool)
+		for i := 0; i < sqlRows.Len(); i++ {
+			sp[projectWitness(common, sqlVars, sqlRows.Decode(i))] = true
+		}
+		if diff := SetDiff(bp, sp); diff != "" {
+			return nil, mm("witnesses", "primary vs sql on common vars %v: %s (primary %d, sql %d rows)",
+				common, diff, len(pw), sqlRows.Len()), nil
 		}
 	}
-	return nil, nil
+	return want, nil, nil
+}
+
+// hold is the one comparison between a target and the primary: got is the
+// target's reply to the step's constraints, in order. It holds every verdict
+// to the primary's and, wherever the primary's witness set is known, the
+// target's witness set too; a nil witnesses skips that part.
+func hold(name string, want []expectation, got []service.CheckResult, witnesses func(logic.Constraint) ([]core.Witness, error), step int) *Mismatch {
+	for i, e := range want {
+		g := got[i]
+		mm := func(what, format string, args ...interface{}) *Mismatch {
+			kind := name + "-" + what
+			if name == "replica" && what != "error" {
+				kind = what // the three-way kinds the primary and the SQL baseline share
+			}
+			return &Mismatch{Step: step, Constraint: e.ct.Name, Kind: kind, Detail: fmt.Sprintf(format, args...)}
+		}
+		if g.Error != "" || g.FellBack {
+			reason := g.Error
+			if reason == "" {
+				reason = g.FallbackReason
+			}
+			return mm("error", "%s BDD check failed: %s; brute referee: holds=%v", name, reason, bruteHolds(e.an))
+		}
+		if g.Violated != e.res.Violated {
+			return mm("verdict", "primary(%s)=%v %s(%s)=%v; brute referee: holds=%v",
+				e.res.Method, e.res.Violated, name, g.Method, g.Violated, bruteHolds(e.an))
+		}
+		if e.witnesses == nil || witnesses == nil {
+			continue
+		}
+		ws, err := witnesses(e.ct)
+		if err != nil {
+			return &Mismatch{Step: step, Constraint: e.ct.Name, Kind: "witness-error",
+				Detail: fmt.Sprintf("%s witness enumeration failed: %v", name, err)}
+		}
+		if len(ws) >= witnessLimit {
+			continue // truncated enumerations are not comparable
+		}
+		if diff := SetDiff(e.witnesses, WitnessSet(ws)); diff != "" {
+			return mm("witnesses", "primary vs %s: %s (primary %d, %s %d)", name, diff, len(e.witnesses), name, len(ws))
+		}
+	}
+	return nil
 }
 
 // WitnessSet canonicalizes witnesses into a set of "var=val,…" keys,
 // order-independent on both the witness list and the variable order. Other
 // suites (the durability round-trip property test) reuse it to compare
 // witness sets across checkers.
-func WitnessSet(ws []core.Witness) map[string]bool { return witnessSet(ws) }
-
-// SetDiff describes the first few asymmetric elements of two WitnessSet
-// results, or "" when they are equal.
-func SetDiff(a, b map[string]bool) string { return setDiff(a, b) }
-
-// witnessSet canonicalizes witnesses into a set of "var=val,…" keys.
-func witnessSet(ws []core.Witness) map[string]bool {
+func WitnessSet(ws []core.Witness) map[string]bool {
 	out := make(map[string]bool, len(ws))
 	for _, w := range ws {
 		out[projectWitness(w.Vars, w.Vars, w.Values)] = true
@@ -394,8 +365,9 @@ func projectWitness(keep, vars, vals []string) string {
 	return strings.Join(parts, ",")
 }
 
-// setDiff describes the first few asymmetric elements, or "" when equal.
-func setDiff(a, b map[string]bool) string {
+// SetDiff describes the first few asymmetric elements of two WitnessSet
+// results, or "" when they are equal.
+func SetDiff(a, b map[string]bool) string {
 	var onlyA, onlyB []string
 	for k := range a {
 		if !b[k] {

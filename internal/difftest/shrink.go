@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"slices"
+
 	"repro/internal/logic"
 )
 
@@ -11,6 +13,7 @@ import (
 // the minimized repro is always a well-formed case. Passes repeat until a
 // fixed point or the run budget is exhausted:
 //
+//	0. drop every target, and DebugChecks, the mismatch does not need,
 //	1. keep only one constraint,
 //	2. drop update batches, then individual update operations,
 //	3. drop whole tables and whole domains,
@@ -45,6 +48,7 @@ func Shrink(c *Case) *Case {
 	s.kind = mm.Kind
 	for changed := true; changed && s.runs < shrinkBudget; {
 		changed = false
+		changed = s.shrinkConfig(&cur) || changed
 		changed = s.shrinkConstraints(&cur) || changed
 		changed = s.shrinkUpdates(&cur) || changed
 		changed = s.shrinkTables(&cur) || changed
@@ -73,6 +77,25 @@ func (s *shrinker) accept(cur **Case, cand *Case) bool {
 	return false
 }
 
+// shrinkConfig turns off each part of the case's Config in turn: the repro
+// then names only what it needs, and every later candidate runs faster.
+func (s *shrinker) shrinkConfig(cur **Case) bool {
+	changed := false
+	for _, off := range []func(*Config){
+		func(g *Config) { g.Follower = false },
+		func(g *Config) { g.Service = false },
+		func(g *Config) { g.Shards = 0 },
+		func(g *Config) { g.DebugChecks = false },
+	} {
+		cand := (*cur).clone()
+		off(&cand.Config)
+		if cand.Config != (*cur).Config && s.accept(cur, cand) {
+			changed = true
+		}
+	}
+	return changed
+}
+
 func (s *shrinker) shrinkConstraints(cur **Case) bool {
 	changed := false
 	if len((*cur).Constraints) > 1 {
@@ -88,52 +111,38 @@ func (s *shrinker) shrinkConstraints(cur **Case) bool {
 	return changed
 }
 
-func (s *shrinker) shrinkUpdates(cur **Case) bool {
+// dropEach tries deleting each element of a list of the case in turn —
+// n counts the list, drop deletes element i from a clone — and keeps every
+// deletion that still reproduces.
+func (s *shrinker) dropEach(cur **Case, n func(*Case) int, drop func(c *Case, i int)) bool {
 	changed := false
-	for i := 0; i < len((*cur).Updates); {
+	for i := 0; i < n(*cur); {
 		cand := (*cur).clone()
-		cand.Updates = append(cand.Updates[:i], cand.Updates[i+1:]...)
+		drop(cand, i)
 		if s.accept(cur, cand) {
 			changed = true
 		} else {
 			i++
 		}
 	}
+	return changed
+}
+
+func (s *shrinker) shrinkUpdates(cur **Case) bool {
+	changed := s.dropEach(cur, func(c *Case) int { return len(c.Updates) },
+		func(c *Case, i int) { c.Updates = slices.Delete(c.Updates, i, i+1) })
 	for bi := 0; bi < len((*cur).Updates); bi++ {
-		for i := 0; i < len((*cur).Updates[bi]); {
-			cand := (*cur).clone()
-			cand.Updates[bi] = append(cand.Updates[bi][:i], cand.Updates[bi][i+1:]...)
-			if s.accept(cur, cand) {
-				changed = true
-			} else {
-				i++
-			}
-		}
+		changed = s.dropEach(cur, func(c *Case) int { return len(c.Updates[bi]) },
+			func(c *Case, i int) { c.Updates[bi] = slices.Delete(c.Updates[bi], i, i+1) }) || changed
 	}
 	return changed
 }
 
 func (s *shrinker) shrinkTables(cur **Case) bool {
-	changed := false
-	for i := 0; i < len((*cur).Tables); {
-		cand := (*cur).clone()
-		cand.Tables = append(cand.Tables[:i], cand.Tables[i+1:]...)
-		if s.accept(cur, cand) {
-			changed = true
-		} else {
-			i++
-		}
-	}
-	for i := 0; i < len((*cur).Domains); {
-		cand := (*cur).clone()
-		cand.Domains = append(cand.Domains[:i], cand.Domains[i+1:]...)
-		if s.accept(cur, cand) {
-			changed = true
-		} else {
-			i++
-		}
-	}
-	return changed
+	changed := s.dropEach(cur, func(c *Case) int { return len(c.Tables) },
+		func(c *Case, i int) { c.Tables = slices.Delete(c.Tables, i, i+1) })
+	return s.dropEach(cur, func(c *Case) int { return len(c.Domains) },
+		func(c *Case, i int) { c.Domains = slices.Delete(c.Domains, i, i+1) }) || changed
 }
 
 // shrinkRows is ddmin per table: remove progressively smaller chunks of
@@ -198,16 +207,8 @@ func (s *shrinker) shrinkFormula(cur **Case) bool {
 func (s *shrinker) shrinkDomainValues(cur **Case) bool {
 	changed := false
 	for di := range (*cur).Domains {
-		for vi := 0; vi < len((*cur).Domains[di].Values); {
-			vals := (*cur).Domains[di].Values
-			cand := (*cur).clone()
-			cand.Domains[di].Values = append(append([]string(nil), vals[:vi]...), vals[vi+1:]...)
-			if s.accept(cur, cand) {
-				changed = true
-			} else {
-				vi++
-			}
-		}
+		changed = s.dropEach(cur, func(c *Case) int { return len(c.Domains[di].Values) },
+			func(c *Case, i int) { c.Domains[di].Values = slices.Delete(c.Domains[di].Values, i, i+1) }) || changed
 	}
 	return changed
 }

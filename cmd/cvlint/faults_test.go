@@ -8,11 +8,6 @@ package main
 // only if its analyzer reports in the edited file and no other analyzer
 // reports at all. A row whose anchor no longer matches exactly once fails by
 // name, so the table cannot rot silently when the code it mutates moves.
-//
-// Known miss, deliberately not a row: kernelmix tags neither the Refs
-// Kernel.Import returns (a slice) nor an index's Root (a field read), so a
-// mix of the two in core.AdvanceIndices carries no minting kernel
-// (DESIGN.md §8).
 
 import (
 	"io/fs"
@@ -50,22 +45,6 @@ var seededFaults = []seededFault{
 		edits: [][2]string{{
 			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n\t\tix.root = next\n",
 			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n",
-		}},
-	},
-	{
-		name: "applyBatch acks each job before its WAL append", analyzer: "ackorder",
-		pkg: "./internal/service", file: "internal/service/service.go",
-		edits: [][2]string{{
-			"\t\ts.nUpdateTuples.Add(uint64(applied))\n\t\tif s.st != nil && applied > 0 {\n",
-			"\t\ts.nUpdateTuples.Add(uint64(applied))\n\t\tu.reply <- updateReply{applied: applied, err: err}\n\t\tif s.st != nil && applied > 0 {\n",
-		}},
-	},
-	{
-		name: "applyBatch acks before publishing the epoch", analyzer: "ackorder",
-		pkg: "./internal/service", file: "internal/service/service.go",
-		edits: [][2]string{{
-			"\tbefore := k.Stats()\n\ts.publishVersion(epoch)\n",
-			"\tbefore := k.Stats()\n\tfor i, u := range batch {\n\t\tu.reply <- replies[i]\n\t}\n\ts.publishVersion(epoch)\n",
 		}},
 	},
 	{
@@ -109,14 +88,6 @@ var seededFaults = []seededFault{
 		}, {
 			"func (s *Server) dropHistoryEntry(epoch uint64) {\n",
 			"func (s *Server) dropHistoryEntry(epoch uint64) {\n\ts.memo.mu.Lock()\n\tdefer s.memo.mu.Unlock()\n",
-		}},
-	},
-	{
-		name: "the replica oracle hands a primary Ref to the replica kernel", analyzer: "kernelmix",
-		pkg: "./internal/difftest", file: "internal/difftest/targets.go",
-		edits: [][2]string{{
-			"\tnext, err := v.Materialize(rep)\n",
-			"\tfirst := primary.Store().Kernel().Var(0)\n\trep.Store().Kernel().Not(first)\n\tnext, err := v.Materialize(rep)\n",
 		}},
 	},
 }

@@ -5,13 +5,12 @@
 //
 //	sentinelcmp  errors.Is for wrapped sentinel errors, never == / !=
 //	protect      Protect balanced by Unprotect or a documented transfer
-//	kernelmix    no bdd.Ref crosses kernels; a bdd.Image carries none
 //	kernelowner  structural kernel/checker mutation stays on the owner goroutine
-//	ackorder     WAL append and epoch publish happen before the ack, never after
 //	lockorder    mutex acquisition order is globally acyclic
 //
 // Each analyzer must flag a fault seeded into a real function of this module
-// (faults_test.go), or it does not belong in the suite.
+// (faults_test.go), or it does not belong in the suite; a contract that a
+// runtime test catches deterministically is left to that test (DESIGN.md §8).
 //
 // cvlint is usable two ways:
 //
@@ -39,8 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/ackorder"
-	"repro/internal/analysis/kernelmix"
 	"repro/internal/analysis/kernelowner"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/protect"
@@ -52,9 +49,7 @@ import (
 var suite = []*analysis.Analyzer{
 	sentinelcmp.Analyzer,
 	protect.Analyzer,
-	kernelmix.Analyzer,
 	kernelowner.Analyzer,
-	ackorder.Analyzer,
 	lockorder.Analyzer,
 }
 

@@ -2,11 +2,11 @@ package analysis
 
 // Package-local call graph.
 //
-// The interprocedural analyzers (kernelowner, ackorder, lockorder, and the
-// summary pass of kernelmix) need to know which functions a
-// function calls. Within a package that is a syntactic question the AST
-// answers precisely for static calls; across packages the callee is only a
-// *types.Func, and its behavior arrives as a fact (see facts.go). Dynamic
+// The interprocedural analyzers (kernelowner and lockorder) need to know
+// which functions a function calls. Within a package that is a syntactic
+// question the AST answers precisely for static calls; across packages the
+// callee is only a *types.Func, and its behavior arrives as a fact (see
+// facts.go). Dynamic
 // calls — through function values, interface methods, or closures passed as
 // arguments — have no static callee and are deliberately not modeled: every
 // analyzer built on this graph treats an unresolved call as "unknown" and
@@ -137,26 +137,9 @@ func ownerOf(fd *ast.FuncDecl) string {
 	return ""
 }
 
-// CalleeParams returns the callee's receiver-unified parameter variables:
-// element 0 is the receiver for methods, then the ordinary parameters.
-func CalleeParams(fn *types.Func) []*types.Var {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	var out []*types.Var
-	if sig.Recv() != nil {
-		out = append(out, sig.Recv())
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		out = append(out, sig.Params().At(i))
-	}
-	return out
-}
-
 // CallArgs returns the receiver-unified argument expressions of a call to
 // callee: for a method invoked through a value receiver expression, element
-// 0 is that receiver expression, aligning indices with CalleeParams. For
+// 0 is that receiver expression, aligning indices with FuncParams. For
 // method expressions (T.M(recv, ...)) the call's own arguments are already
 // aligned.
 func CallArgs(info *types.Info, call *ast.CallExpr, callee *types.Func) []ast.Expr {
@@ -177,11 +160,20 @@ func CallArgs(info *types.Info, call *ast.CallExpr, callee *types.Func) []ast.Ex
 
 // FuncParams returns the receiver-unified parameter objects of a declared
 // function, resolved through the type checker so they compare equal to the
-// objects behind identifier uses in the body.
+// objects behind identifier uses in the body: element 0 is the receiver for
+// methods, then the ordinary parameters.
 func FuncParams(info *types.Info, fd *ast.FuncDecl) []*types.Var {
 	obj, ok := info.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return nil
 	}
-	return CalleeParams(obj)
+	sig := obj.Type().(*types.Signature)
+	var out []*types.Var
+	if sig.Recv() != nil {
+		out = append(out, sig.Recv())
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
+	}
+	return out
 }

@@ -30,8 +30,8 @@
 // (s.chk.Store().Kernel()) keep the identity of their root. Evaluation
 // methods (CheckOne, ViolationWitnesses, bdd.And, ...) allocate nodes but
 // are deliberately not in the mutating set: replicas and history entries
-// evaluate on private kernels from handler goroutines by design, and the
-// kernelmix analyzer polices which kernel a Ref may touch.
+// evaluate on private kernels from handler goroutines by design, and
+// Config.DebugChecks catches a Ref handed to a kernel that did not mint it.
 package kernelowner
 
 import (

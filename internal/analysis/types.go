@@ -20,9 +20,6 @@ func IsKernelPtr(t types.Type) bool {
 	return isNamed(ptr.Elem(), "bdd", "Kernel")
 }
 
-// IsRef reports whether t is bdd.Ref.
-func IsRef(t types.Type) bool { return isNamed(t, "bdd", "Ref") }
-
 func isNamed(t types.Type, pkgName, typeName string) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
@@ -39,24 +36,6 @@ func IsCheckerPtr(t types.Type) bool {
 		return false
 	}
 	return isNamed(ptr.Elem(), "core", "Checker")
-}
-
-// IsStorePtr reports whether t is *store.Store (the durability store).
-func IsStorePtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isNamed(ptr.Elem(), "store", "Store")
-}
-
-// IsPoolPtr reports whether t is *replica.Pool (the replicated read pool).
-func IsPoolPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isNamed(ptr.Elem(), "replica", "Pool")
 }
 
 // CheckerMethod returns (receiver expression, method name, true) when call is

@@ -109,9 +109,8 @@ func runUnit(cfgFile string, analyzers []*analysis.Analyzer) {
 	}
 	if cfg.Standard[cfg.ImportPath] || isStdUnit(cfg) {
 		// The suite's contracts only cover this module's declarations;
-		// skipping std units keeps dependency-mode runs instant and, more
-		// importantly, keeps std-internal code from exporting facts (net/http
-		// calling its own WriteHeader must not read as an acknowledgment).
+		// skipping std units keeps dependency-mode runs instant and keeps
+		// std-internal code from exporting facts no contract is about.
 		writeVetx(cfg, nil)
 		return
 	}

@@ -26,10 +26,11 @@
 // across goroutines must serialize access.
 //
 // Several usage contracts of this API are not expressible in Go's type
-// system — Refs must stay with the Kernel that minted them (kernelmix),
-// Protect and Unprotect must balance (protect), and the sentinel errors
-// below may arrive wrapped (sentinelcmp). cmd/cvlint checks all three
-// statically; Config.DebugChecks validates the first at run time. The sticky
+// system. Refs must stay with the Kernel that minted them:
+// Config.DebugChecks validates that at run time, and a bdd.Image, which
+// carries no Ref, is the only way to move a BDD between kernels. Protect and Unprotect
+// must balance (protect), and the sentinel errors below may arrive wrapped
+// (sentinelcmp); cmd/cvlint checks those two statically. The sticky
 // Err must be consulted at the end of an allocation chain; core's budget
 // sweep test checks that at run time. See DESIGN.md, section "Static
 // contracts".

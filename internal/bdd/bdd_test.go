@@ -786,7 +786,6 @@ func TestDebugChecksCatchesForeignRef(t *testing.T) {
 			t.Fatal("expected panic on a Ref from a different kernel")
 		}
 	}()
-	//lint:ignore kernelmix this test commits the cross-kernel mistake on purpose to prove DebugChecks catches it
 	k2.Not(f)
 }
 

@@ -6,10 +6,13 @@ package service_test
 // ?epoch=N serves point-in-time reads at retained epochs.
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/logic"
@@ -137,6 +140,79 @@ func TestRestartRecoversAcknowledgedUpdates(t *testing.T) {
 	}
 	if stats2.Durability == nil || stats2.Durability.ReplayedRecords != 2 {
 		t.Fatalf("recovery stats = %+v, want 2 replayed records", stats2.Durability)
+	}
+}
+
+// TestUnloggedUpdateIsNotAcknowledged pins log-before-ack: with the WAL
+// closed under the running server, an update applies but cannot be logged,
+// and neither Backend.Update nor POST /update may acknowledge it. An ack sent
+// before the append would carry no error.
+func TestUnloggedUpdateIsNotAcknowledged(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newDurableServer(t, st, service.Options{SnapshotEveryBatches: 1000})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	row := []string{"Toronto", "416", "NJ"}
+	ups := []core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: row}}
+	if applied, err := srv.Update(context.Background(), ups, nil); err == nil {
+		t.Fatalf("Backend.Update acknowledged %d tuples its WAL append lost", applied)
+	}
+	var ur service.UpdateResponse
+	status := post(t, ts.URL+"/update", service.UpdateRequest{Updates: []service.UpdateTuple{
+		{Table: "CUST", Op: "delete", Values: row},
+	}}, &ur)
+	if status/100 == 2 || ur.Error == "" {
+		t.Fatalf("POST /update acknowledged an unlogged batch: status %d, %+v", status, ur)
+	}
+}
+
+// TestFollowerStaysAtItsLastLoggedEpoch pins log-before-advance on a
+// follower: with its WAL closed, a tailed epoch applies but cannot be
+// logged, and the follower must stay at the epoch it last logged. The fake
+// leader serves one record and no snapshot, so no re-bootstrap resets the
+// epoch before the test reads it.
+func TestFollowerStaysAtItsLastLoggedEpoch(t *testing.T) {
+	ready := make(chan struct{})
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/wal" {
+			http.Error(w, "no snapshot", http.StatusServiceUnavailable)
+			return
+		}
+		select {
+		case <-ready:
+		case <-r.Context().Done():
+			return
+		}
+		json.NewEncoder(w).Encode(service.WALTailResponse{From: 1, Epoch: 2, Batches: []service.WALBatch{{
+			Epoch: 2, Updates: []service.UpdateTuple{{Table: "CUST", Op: "insert", Values: []string{"Toronto", "416", "NJ"}}},
+		}}})
+	}))
+	t.Cleanup(leader.Close)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fol, _ := newFixtureServer(t, testRules, service.Options{
+		Store:    st,
+		Follower: &service.FollowerOptions{URL: leader.URL, PollWait: 100 * time.Millisecond, Backoff: 10 * time.Millisecond},
+	})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(ready)
+	// A failed snapshot fetch comes after the failed tail it re-bootstraps from.
+	for deadline := time.Now().Add(10 * time.Second); fol.Stats().Follower.SnapshotFetchFailures == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never tried to re-bootstrap")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := fol.CurrentEpoch(); got != 1 {
+		t.Fatalf("follower advanced to epoch %d, whose record its WAL never took", got)
 	}
 }
 

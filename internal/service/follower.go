@@ -378,11 +378,10 @@ func (s *Server) applyRepl(j *replJob) {
 }
 
 // applyTailed applies tailed records the way the leader's applyBatch did:
-// all records of one leader epoch merge into one Apply and one local WAL
-// record (log-before-advance, so a follower crash leaves whole epochs only),
-// the frozen version publishes to the replica pool, and only then does the
-// epoch become visible. A failed apply or append stops at the last good
-// epoch and reports the error — the tail loop re-bootstraps.
+// all records of one leader epoch merge into one Apply and commit as one
+// local WAL record (log-before-advance, so a follower crash leaves whole
+// epochs only). A failed apply or append stops at the last good epoch and
+// reports the error — the tail loop re-bootstraps.
 func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult {
 	s.nBatches.Add(1)
 	cur := s.epoch.Load()
@@ -402,14 +401,16 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 			return replResult{epoch: cur, err: fmt.Errorf("service: replicating epoch %d: tuple %d/%d: %w", epoch, applied, len(merged), err)}
 		}
 		s.nUpdateTuples.Add(uint64(applied))
-		if err := s.st.AppendBatch(epoch, merged); err != nil {
-			s.nWALErrors.Add(1)
-			return replResult{epoch: cur, err: fmt.Errorf("service: logging replicated epoch %d: %w", epoch, err)}
+		err = s.commit(epoch, func() error {
+			if err := s.st.AppendBatch(epoch, merged); err != nil {
+				s.nWALErrors.Add(1)
+				return fmt.Errorf("service: logging replicated epoch %d: %w", epoch, err)
+			}
+			return nil
+		}, nil)
+		if err != nil {
+			return replResult{epoch: cur, err: err}
 		}
-		s.publishVersion(epoch)
-		s.epoch.Store(epoch)
-		s.epochSig.bump()
-		s.maybeSnapshot(epoch)
 		cur = epoch
 	}
 	if confirmed > cur {
@@ -417,11 +418,11 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 		// response vouches that nothing is missing up to its epoch, so adopt
 		// it — convergence stays observable through /statsz.
 		s.publishVersion(confirmed)
+		s.publish(true)
 		s.epoch.Store(confirmed)
 		s.epochSig.bump()
 		cur = confirmed
 	}
-	s.publish(true)
 	return replResult{epoch: cur}
 }
 

@@ -7,13 +7,17 @@ package service_test
 
 import (
 	"bufio"
+	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/relation"
 	"repro/internal/service"
 )
 
@@ -185,32 +189,35 @@ func TestReplicaReroutesBudgetFallbackToPrimary(t *testing.T) {
 }
 
 // TestReplicatedReadYourWrites pins the publish-before-ack guarantee on the
-// pool path: with two replicas, a check submitted after an update's 200 OK
+// pool path: with two replicas, a check submitted after an update's ack
 // must see the new epoch's data no matter which worker serves it — or, once
-// one has, the verdict memo in front of them.
+// one has, the verdict memo in front of them. The check goes through the
+// Backend the moment the ack arrives, with no HTTP hop, and the table is
+// large enough that a freeze takes milliseconds: an ack sent before the
+// epoch is published leaves the reader on the previous version.
 func TestReplicatedReadYourWrites(t *testing.T) {
-	_, ts := newTestServer(t, service.Options{Replicas: 2})
+	srv, _ := newCatalogServer(t, wideCatalog(t, 20000), testRules, service.Options{Replicas: 2})
+	cts, registered, err := srv.Resolve([]string{"toronto_ontario"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	toggle := []string{"Toronto", "416", "NJ"} // violates toronto_ontario
+	ctx := context.Background()
 	for i := 0; i < 6; i++ {
-		op, want := "insert", true
+		op, want := core.UpdateInsert, true
 		if i%2 == 1 {
-			op, want = "delete", false
+			op, want = core.UpdateDelete, false
 		}
-		var ur service.UpdateResponse
-		if st := post(t, ts.URL+"/update", service.UpdateRequest{Updates: []service.UpdateTuple{
-			{Table: "CUST", Op: op, Values: toggle},
-		}}, &ur); st != http.StatusOK || ur.Applied != 1 {
-			t.Fatalf("round %d %s: status %d, %+v", i, op, st, ur)
+		if applied, err := srv.Update(ctx, []core.Update{{Table: "CUST", Op: op, Values: toggle}}, nil); err != nil || applied != 1 {
+			t.Fatalf("round %d %s: applied %d, %v", i, op, applied, err)
 		}
 		// Every reader must observe the acked state, not just the first.
 		for rep := 0; rep < 4; rep++ {
-			var resp service.CheckResponse
-			if st := post(t, ts.URL+"/check", service.CheckRequest{
-				Constraints: []string{"toronto_ontario"},
-			}, &resp); st != http.StatusOK {
-				t.Fatalf("round %d check: status %d", i, st)
+			results, _, err := srv.Check(ctx, cts, registered, 0, 0, nil)
+			if err != nil {
+				t.Fatalf("round %d check: %v", i, err)
 			}
-			r := resultsByName(t, resp)["toronto_ontario"]
+			r := results[0]
 			if r.Violated != want {
 				t.Fatalf("round %d: acked %s invisible to check (violated=%v, want %v)",
 					i, op, r.Violated, want)
@@ -220,6 +227,31 @@ func TestReplicatedReadYourWrites(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wideCatalog is a CUST table of n rows that recombine 400 cities, 400 area
+// codes and 40 states, with every Toronto row in Ontario: under testRules,
+// nj_codes is violated and toronto_ontario holds.
+func wideCatalog(t *testing.T, n int) *relation.Catalog {
+	t.Helper()
+	cat := relation.NewCatalog()
+	cust, err := cat.CreateTable("CUST", []relation.Column{
+		{Name: "city"}, {Name: "areacode"}, {Name: "state"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cust.Insert("Toronto", "416", "Ontario")
+	cust.Insert("Newark", "416", "NJ")
+	rng := rand.New(rand.NewSource(1))
+	for cust.Len() < n {
+		city, state := fmt.Sprintf("city%d", rng.Intn(400)), fmt.Sprintf("state%d", rng.Intn(40))
+		if city == "city0" {
+			city, state = "Toronto", "Ontario"
+		}
+		cust.Insert(city, fmt.Sprint(200+rng.Intn(400)), state)
+	}
+	return cat
 }
 
 // TestConcurrentReplicatedChecksAndUpdates is the service half of the -race

@@ -463,19 +463,19 @@ func (s *Server) gatherUpdates(first *updateJob) []*updateJob {
 	return batch
 }
 
-// applyBatch applies each job of one coalesced round under a fresh epoch,
-// logs each job's applied prefix to the WAL (log-before-ack: a WAL append
-// failure is surfaced in that job's acknowledgment), publishes the
-// resulting index version to the replica pool, and only then acknowledges
-// the jobs: an acked update is both durable and visible to every
-// subsequently submitted check, whichever replica serves it. Jobs are
-// independent: one failing job does not hold back the others.
+// applyBatch applies each job of one coalesced round under a fresh epoch
+// and commits the round, logging each job's applied prefix (a WAL append
+// failure is surfaced in that job's acknowledgment), before it acknowledges
+// any job. Jobs are independent: one failing job does not hold back the
+// others.
 func (s *Server) applyBatch(batch []*updateJob) {
 	s.nBatches.Add(1)
 	k := s.chk.Store().Kernel()
 	epoch := s.epoch.Load() + 1
 	replies := make([]updateReply, len(batch))
+	traces := make([]*obs.Trace, len(batch))
 	for i, u := range batch {
+		traces[i] = u.trace
 		if err := u.ctx.Err(); err != nil {
 			s.nDeadlineRejects.Add(1)
 			replies[i] = updateReply{err: err}
@@ -494,7 +494,16 @@ func (s *Server) applyBatch(batch []*updateJob) {
 		delta := k.Stats().DeltaSince(before)
 		u.trace.Record("apply", applyStart, d, &delta)
 		s.nUpdateTuples.Add(uint64(applied))
-		if s.st != nil && applied > 0 {
+		replies[i] = updateReply{applied: applied, err: err}
+	}
+	// A failed append fails its own job, not the round, so appendWAL never
+	// stops the commit.
+	s.commit(epoch, func() error {
+		for i, u := range batch {
+			applied := replies[i].applied
+			if s.st == nil || applied == 0 {
+				continue
+			}
 			walStart := time.Now()
 			werr := s.st.AppendBatch(epoch, u.ups[:applied])
 			u.trace.Record("wal_append", walStart, time.Since(walStart), nil)
@@ -503,15 +512,32 @@ func (s *Server) applyBatch(batch []*updateJob) {
 				// not treat the batch as acknowledged.
 				s.nWALErrors.Add(1)
 				s.opts.SlowLog.Printf("wal append failed (epoch %d): %v", epoch, werr)
-				if err == nil {
-					err = fmt.Errorf("service: batch applied but not logged: %w", werr)
+				if replies[i].err == nil {
+					replies[i].err = fmt.Errorf("service: batch applied but not logged: %w", werr)
 				}
 			}
 		}
-		replies[i] = updateReply{applied: applied, err: err}
+		return nil
+	}, traces)
+	for i, u := range batch {
+		u.reply <- replies[i]
 	}
-	// One freeze covers the whole coalesced round; every job in the batch
-	// waited on it, so each trace carries the span.
+}
+
+// commit is the tail of every applied epoch, a leader's coalesced round and
+// a follower's tailed epoch alike, and the one place its order is written:
+// appendWAL logs the epoch's records, the frozen version publishes to the
+// replica pool, the epoch becomes visible, /wal long-polls wake, and the
+// round counts toward the next snapshot. A caller acknowledges only after
+// commit returns, so an acknowledged update is durable and every check
+// submitted after the ack sees it, whichever replica serves it. An error
+// from appendWAL stops the epoch before anything is published. The freeze
+// is recorded on each of traces, the jobs that waited on it.
+func (s *Server) commit(epoch uint64, appendWAL func() error, traces []*obs.Trace) error {
+	if err := appendWAL(); err != nil {
+		return err
+	}
+	k := s.chk.Store().Kernel()
 	freezeStart := time.Now()
 	before := k.Stats()
 	s.publishVersion(epoch)
@@ -519,15 +545,16 @@ func (s *Server) applyBatch(batch []*updateJob) {
 	fd := time.Since(freezeStart)
 	s.metrics.stFreeze.Observe(fd)
 	delta := k.Stats().DeltaSince(before)
-	// The epoch becomes visible only after its WAL records are on disk, so
-	// every epoch a /statsz or ?epoch reader can name is fully durable.
+	for _, tr := range traces {
+		tr.Record("freeze", freezeStart, fd, &delta)
+	}
+	// The epoch becomes visible only after appendWAL has run. A follower's
+	// failed append stopped above, so every epoch it names is durable; a
+	// leader's failed append fails its jobs but the round still publishes.
 	s.epoch.Store(epoch)
 	s.epochSig.bump() // wakes /wal long-polls waiting for this epoch
 	s.maybeSnapshot(epoch)
-	for i, u := range batch {
-		u.trace.Record("freeze", freezeStart, fd, &delta)
-		u.reply <- replies[i]
-	}
+	return nil
 }
 
 // publishVersion freezes the checker's current indices as the given epoch

@@ -33,12 +33,18 @@ func newTestServer(t *testing.T, opts service.Options) (*service.Server, *httpte
 	return newFixtureServer(t, testRules, opts)
 }
 
-// newFixtureServer serves the fixture table under the given registry. With
-// opts.Store set, the initial state is sealed as the epoch-1 snapshot the way
-// cvserved's cold boot does.
+// newFixtureServer serves the fixture table under the given registry.
 func newFixtureServer(t *testing.T, rules string, opts service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
-	chk := core.New(fixtureCatalog(t), core.Options{})
+	return newCatalogServer(t, fixtureCatalog(t), rules, opts)
+}
+
+// newCatalogServer indexes cat's CUST table and serves it under the given
+// registry. With opts.Store set, the initial state is sealed as the epoch-1
+// snapshot the way cvserved's cold boot does.
+func newCatalogServer(t *testing.T, cat *relation.Catalog, rules string, opts service.Options) (*service.Server, *httptest.Server) {
+	t.Helper()
+	chk := core.New(cat, core.Options{})
 	if _, err := chk.BuildIndex("CUST", "CUST", nil, core.OrderProbConverge); err != nil {
 		t.Fatal(err)
 	}

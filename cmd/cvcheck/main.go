@@ -122,20 +122,8 @@ func main() {
 }
 
 func printWitnesses(chk *core.Checker, ct logic.Constraint, limit int) {
-	ws, err := chk.ViolationWitnesses(ct, limit)
-	if err == nil && len(ws) > 0 {
-		for _, w := range ws {
-			fmt.Printf("  witness: %v = %v\n", w.Vars, w.Values)
-		}
-		return
-	}
-	// Existence-style constraint or BDD unavailable: use the SQL view.
-	rows, err := chk.ViolatingRows(ct)
-	if err != nil {
-		return
-	}
-	for i := 0; i < rows.Len() && i < limit; i++ {
-		fmt.Printf("  witness: %v = %v\n", rows.Vars, rows.Decode(i))
+	for _, w := range chk.Witnesses(ct, limit, core.CheckOptions{}).Witnesses {
+		fmt.Printf("  witness: %v = %v\n", w.Vars, w.Values)
 	}
 }
 

@@ -48,38 +48,6 @@ var seededFaults = []seededFault{
 		}},
 	},
 	{
-		name: "Server.Check applies updates", analyzer: "kernelowner",
-		pkg: "./internal/service", file: "internal/service/backend.go",
-		edits: [][2]string{{
-			"\ts.nChecks.Add(1)\n",
-			"\ts.nChecks.Add(1)\n\ts.chk.Apply(nil)\n",
-		}},
-	},
-	{
-		name: "Server.Witnesses collects the primary kernel", analyzer: "kernelowner",
-		pkg: "./internal/service", file: "internal/service/backend.go",
-		edits: [][2]string{{
-			"\ts.nWitnesses.Add(1)\n",
-			"\ts.nWitnesses.Add(1)\n\ts.chk.Store().Kernel().GC()\n",
-		}},
-	},
-	{
-		name: "publishVersion clears caches from a goroutine", analyzer: "kernelowner",
-		pkg: "./internal/service", file: "internal/service/service.go",
-		edits: [][2]string{{
-			"\ts.pool.Publish(v)\n\ts.replicaOK.Store(true)\n",
-			"\ts.pool.Publish(v)\n\tgo func() { s.chk.Store().Kernel().ClearCaches() }()\n\ts.replicaOK.Store(true)\n",
-		}},
-	},
-	{
-		name: "publishVersion replays the replicas' demand from a goroutine", analyzer: "kernelowner",
-		pkg: "./internal/service", file: "internal/service/service.go",
-		edits: [][2]string{{
-			"\ts.chk.ReadProjections(s.pool.TakeDemand())\n",
-			"\tgo func() { s.chk.ReadProjections(s.pool.TakeDemand()) }()\n",
-		}},
-	},
-	{
 		name: "history takes histMu and memo.mu in both orders", analyzer: "lockorder",
 		pkg: "./internal/service", file: "internal/service/history.go",
 		edits: [][2]string{{

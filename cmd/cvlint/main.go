@@ -5,12 +5,12 @@
 //
 //	sentinelcmp  errors.Is for wrapped sentinel errors, never == / !=
 //	protect      Protect balanced by Unprotect or a documented transfer
-//	kernelowner  structural kernel/checker mutation stays on the owner goroutine
 //	lockorder    mutex acquisition order is globally acyclic
 //
 // Each analyzer must flag a fault seeded into a real function of this module
-// (faults_test.go), or it does not belong in the suite; a contract that a
-// runtime test catches deterministically is left to that test (DESIGN.md §8).
+// (faults_test.go), or it does not belong in the suite; a contract that the
+// compiler or a runtime test catches is left to them: the single kernel
+// owner, for one, is a matter of scope (DESIGN.md §7, §8).
 //
 // cvlint is usable two ways:
 //
@@ -38,7 +38,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/kernelowner"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/protect"
 	"repro/internal/analysis/sentinelcmp"
@@ -49,7 +48,6 @@ import (
 var suite = []*analysis.Analyzer{
 	sentinelcmp.Analyzer,
 	protect.Analyzer,
-	kernelowner.Analyzer,
 	lockorder.Analyzer,
 }
 

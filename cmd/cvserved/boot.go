@@ -103,8 +103,6 @@ type bootResult struct {
 // boot assembles the checker and (optionally) the durability store. It never
 // falls back from a damaged data directory to CSV: store.Open and Recover
 // errors propagate, and main exits non-zero on them.
-//
-//cv:owner worker
 func boot(cfg bootConfig) (*bootResult, error) {
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
@@ -139,8 +137,6 @@ func boot(cfg bootConfig) (*bootResult, error) {
 // bootWarm restores the checker from the newest snapshot plus WAL replay.
 // Table flags are ignored (the data directory is the source of truth); a
 // -constraints flag overrides the snapshot's persisted constraint text.
-//
-//cv:owner worker
 func bootWarm(cfg bootConfig, st *store.Store) (*bootResult, error) {
 	if len(cfg.tables) > 0 {
 		cfg.logf("data directory has a snapshot; ignoring %d -table flag(s)", len(cfg.tables))
@@ -219,8 +215,6 @@ func loadCatalog(cfg bootConfig) (*relation.Catalog, []logic.Constraint, error) 
 // bootCold builds the checker from CSV files and the constraints file. With
 // a (fresh) store, it seals the loaded state as the epoch-1 snapshot so a
 // restart never needs the CSV files again.
-//
-//cv:owner worker
 func bootCold(cfg bootConfig, st *store.Store) (*bootResult, error) {
 	if len(cfg.tables) == 0 {
 		if st != nil {

@@ -73,6 +73,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -92,6 +93,25 @@ const (
 	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
 )
+
+// servingGCPercent is the Go collector's GOGC once the daemon serves. The
+// serving heap is mostly the kernels' node tables and op caches, which grow
+// in steps of several MB; at Go's default of 100 the heap goal is twice
+// whatever was live at the last cycle, so the peak moved by twice a table
+// step with whether that cycle ran before or after a replica's table grew
+// (106 or 118 MB, run to run, on the benchmark's adhoc_cold on a 2-CPU
+// host). At 50 the peak is about 1.5 times the settled live heap, which
+// repeats (88–93 MB there). Boot keeps the default: its garbage (CSV
+// parsing, the index build) is transient.
+const servingGCPercent = 50
+
+// tuneServingGC sets servingGCPercent unless the environment sets GOGC,
+// which wins.
+func tuneServingGC() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(servingGCPercent)
+	}
+}
 
 type tableFlag struct {
 	name, path string
@@ -120,6 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	tuneServingGC()
 	handler := service.NewHandler(backend, cfg.svc)
 	if sc.pprof {
 		// The service mux only routes its own endpoints, so pprof mounts on a

@@ -24,8 +24,6 @@ import (
 )
 
 // bootSharded builds the coordinator for either sharded form.
-//
-//cv:owner worker
 func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	if cfg.dataDir != "" || cfg.follow != "" {
 		return nil, errors.New("sharded modes boot cold from CSV: -data-dir and -follow belong on the shard workers, not the coordinator")

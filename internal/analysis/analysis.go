@@ -15,12 +15,6 @@
 // -vettool=...`, and internal/analysis/analysistest type-checks fixture
 // packages under testdata/src for the analyzers' own tests.
 //
-// Entry points of the concurrency contract are annotated in the source with
-// the //cv:owner directive (grammar documented at OwnerDirective in
-// callgraph.go): `//cv:owner worker` marks the kernel-owning write-worker
-// loop and the boot path, `//cv:owner any` marks code that may run on any
-// goroutine and must therefore stay read-only toward the primary kernel.
-//
 // See DESIGN.md, section "Static contracts", for the contracts each shipped
 // analyzer enforces and why the type system cannot.
 package analysis

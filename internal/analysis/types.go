@@ -11,15 +11,6 @@ import (
 // path, so the same analyzer binary works against both the real
 // repro/internal/bdd and any fixture package that re-exports it.
 
-// IsKernelPtr reports whether t is *bdd.Kernel.
-func IsKernelPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isNamed(ptr.Elem(), "bdd", "Kernel")
-}
-
 func isNamed(t types.Type, pkgName, typeName string) bool {
 	n, ok := t.(*types.Named)
 	if !ok {
@@ -27,29 +18,6 @@ func isNamed(t types.Type, pkgName, typeName string) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
-}
-
-// IsCheckerPtr reports whether t is *core.Checker.
-func IsCheckerPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return isNamed(ptr.Elem(), "core", "Checker")
-}
-
-// CheckerMethod returns (receiver expression, method name, true) when call is
-// a method call on a *core.Checker value.
-func CheckerMethod(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, "", false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || !IsCheckerPtr(tv.Type) {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
 }
 
 // KernelMethod returns (receiver expression, method name, true) when call is
@@ -60,7 +28,10 @@ func KernelMethod(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool)
 		return nil, "", false
 	}
 	tv, ok := info.Types[sel.X]
-	if !ok || !IsKernelPtr(tv.Type) {
+	if !ok {
+		return nil, "", false
+	}
+	if ptr, ok := tv.Type.(*types.Pointer); !ok || !isNamed(ptr.Elem(), "bdd", "Kernel") {
 		return nil, "", false
 	}
 	return sel.X, sel.Sel.Name, true

@@ -102,7 +102,7 @@ func TestReadConfigErrors(t *testing.T) {
 // VetxOutput comes back intact through readImportedFacts.
 func TestFactsRoundTripThroughVetx(t *testing.T) {
 	facts := analysis.PackageFacts{
-		"kernelowner": {"(*Server).run": []byte(`{"global":true}`)},
+		"lockorder": {"(*Server).run": []byte(`{"global":true}`)},
 	}
 	out := filepath.Join(t.TempDir(), "dep.vetx")
 	writeVetx(&Config{VetxOutput: out}, facts)
@@ -112,7 +112,7 @@ func TestFactsRoundTripThroughVetx(t *testing.T) {
 	if err != nil {
 		t.Fatalf("readImportedFacts: %v", err)
 	}
-	raw, ok := imported["repro/internal/dep"]["kernelowner"]["(*Server).run"]
+	raw, ok := imported["repro/internal/dep"]["lockorder"]["(*Server).run"]
 	if !ok || string(raw) != `{"global":true}` {
 		t.Fatalf("fact did not round-trip: %v", imported)
 	}

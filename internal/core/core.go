@@ -272,7 +272,7 @@ func (c *Checker) orderFor(t *relation.Table, cols []int, method OrderingMethod)
 	case OrderRandom:
 		return ordering.Random(c.rng, len(cols)), nil
 	case OrderProbConverge, OrderMaxInfGain:
-		proj, err := projectionTable(c.catalog, t, cols)
+		proj, err := projectionTable(t, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -285,9 +285,11 @@ func (c *Checker) orderFor(t *relation.Table, cols []int, method OrderingMethod)
 	}
 }
 
-// projectionTable materializes the projection of t onto cols as an
-// anonymous table for the statistics computations.
-func projectionTable(cat *relation.Catalog, t *relation.Table, cols []int) (*relation.Table, error) {
+// projectionTable materializes the projection of t onto cols for the
+// statistics computations, in a scratch catalog of its own: the checker's
+// catalog never sees it. The statistics read codes only, so the scratch
+// table carries t's codes without its value dictionaries.
+func projectionTable(t *relation.Table, cols []int) (*relation.Table, error) {
 	if len(cols) == t.NumCols() {
 		schema := true
 		for i, c := range cols {
@@ -305,7 +307,7 @@ func projectionTable(cat *relation.Catalog, t *relation.Table, cols []int) (*rel
 	for i, col := range cols {
 		specs[i] = relation.Column{Name: names[col], Domain: t.ColumnDomain(col).Name()}
 	}
-	proj, err := cat.CreateTable(fmt.Sprintf("%s$proj%d", t.Name(), len(cat.Tables())), specs)
+	proj, err := relation.NewCatalog().CreateTable(t.Name()+"$proj", specs)
 	if err != nil {
 		return nil, err
 	}
@@ -643,6 +645,51 @@ func (c *Checker) ViolatingRows(ct logic.Constraint) (*sqlengine.Rows, error) {
 	return rows, err
 }
 
+// WitnessResult reports one witness drill-down.
+type WitnessResult struct {
+	Witnesses []Witness
+	// Method says whether the violation BDD or the SQL violation query
+	// answered.
+	Method Method
+	// EnumDuration is the time the BDD enumeration took, Kernel its kernel
+	// counter movement.
+	EnumDuration time.Duration
+	Kernel       bdd.Delta
+	// SQLDuration is the time the SQL violation query took; zero when the
+	// BDD answered.
+	SQLDuration time.Duration
+	// Err is the BDD's error when the SQL query failed too.
+	Err error
+}
+
+// Witnesses extracts up to limit violating bindings in two steps: from the
+// violation BDD (ViolationWitnessesOpts), and, when the BDD path fails
+// (missing index, blown budget, an existence check), from the compiled SQL
+// violation query (ViolatingRows). No witnesses and no error is the BDD's
+// definite answer that the constraint holds.
+func (c *Checker) Witnesses(ct logic.Constraint, limit int, opts CheckOptions) WitnessResult {
+	k := c.store.Kernel()
+	enumStart := time.Now()
+	before := k.Stats()
+	ws, err := c.ViolationWitnessesOpts(ct, limit, opts)
+	res := WitnessResult{Witnesses: ws, Method: MethodBDD, EnumDuration: time.Since(enumStart), Kernel: k.Stats().DeltaSince(before)}
+	if err == nil {
+		return res
+	}
+	sqlStart := time.Now()
+	rows, rerr := c.ViolatingRows(ct)
+	res.SQLDuration = time.Since(sqlStart)
+	if rerr != nil {
+		res.Err = err
+		return res
+	}
+	res.Method = MethodSQL
+	for i := 0; i < rows.Len() && i < limit; i++ {
+		res.Witnesses = append(res.Witnesses, Witness{Vars: rows.Vars, Values: rows.Decode(i)})
+	}
+	return res
+}
+
 // SQLOf renders the violation query of a constraint in explanatory SQL.
 func (c *Checker) SQLOf(ct logic.Constraint) (string, error) {
 	q, err := sqlengine.Compile(ct, resolver{c})
@@ -685,6 +732,15 @@ type Update struct {
 // index's root, nothing is applied and Apply returns 0. The batch ends at a
 // safe point.
 func (c *Checker) Apply(ups []Update) (int, error) {
+	return c.ApplyLogged(ups, nil)
+}
+
+// ApplyLogged applies a batch like Apply, and runs log on the prefix it is
+// about to apply after every index has computed its change and before the
+// tables and indices take it: a durable caller writes its log record there.
+// A log error changes nothing: ApplyLogged returns 0 and that error. log is
+// not called when the prefix is empty, and a nil log logs nothing.
+func (c *Checker) ApplyLogged(ups []Update, log func(prefix []Update) error) (int, error) {
 	defer c.safePoint()
 	rows, err := c.validate(ups)
 	if len(rows) == 0 {
@@ -711,6 +767,11 @@ func (c *Checker) Apply(ups []Update) (int, error) {
 				return 0, fmt.Errorf("core: applying %d updates: %w", len(rows), ierr)
 			}
 			changes = append(changes, ch)
+		}
+	}
+	if log != nil {
+		if lerr := log(ups[:len(rows)]); lerr != nil {
+			return 0, lerr
 		}
 	}
 	for i, r := range rows {

@@ -119,8 +119,6 @@ func (r *Registry) Resolve(names []string, text string) (cts []logic.Constraint,
 // replica pool or the primary worker, and is labelled with the epoch of the
 // version that answered it; any other pin is answered from the durability
 // store (history.go), which also rejects pins it cannot serve.
-//
-//cv:owner any
 func (s *Server) Check(ctx context.Context, cts []logic.Constraint, registered, budget int, pin uint64, tr *obs.Trace) ([]CheckResult, uint64, error) {
 	s.nChecks.Add(1)
 	var results []core.Result
@@ -177,8 +175,6 @@ func ResultOf(res core.Result) CheckResult {
 }
 
 // Witnesses implements Backend.
-//
-//cv:owner any
 func (s *Server) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) ([]core.Witness, string, error) {
 	s.nWitnesses.Add(1)
 	if limit <= 0 {
@@ -196,8 +192,6 @@ func (s *Server) Witnesses(ctx context.Context, ct logic.Constraint, limit, budg
 
 // Update implements Backend: the batch is queued for the worker, which
 // acknowledges it only once it is logged and published.
-//
-//cv:owner any
 func (s *Server) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, error) {
 	s.nUpdateJobs.Add(1)
 	if s.follow != nil {

@@ -144,9 +144,11 @@ func TestRestartRecoversAcknowledgedUpdates(t *testing.T) {
 }
 
 // TestUnloggedUpdateIsNotAcknowledged pins log-before-ack: with the WAL
-// closed under the running server, an update applies but cannot be logged,
-// and neither Backend.Update nor POST /update may acknowledge it. An ack sent
-// before the append would carry no error.
+// closed under the running server, an update cannot be logged, and neither
+// Backend.Update nor POST /update may acknowledge it. An ack sent before the
+// append would carry no error. Nor may the refused batch take effect: the
+// epoch stays where it was and no check sees the row, so an epoch number
+// never names data that is not in the log.
 func TestUnloggedUpdateIsNotAcknowledged(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -156,6 +158,7 @@ func TestUnloggedUpdateIsNotAcknowledged(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	epoch := srv.CurrentEpoch()
 	row := []string{"Toronto", "416", "NJ"}
 	ups := []core.Update{{Table: "CUST", Op: core.UpdateInsert, Values: row}}
 	if applied, err := srv.Update(context.Background(), ups, nil); err == nil {
@@ -163,10 +166,16 @@ func TestUnloggedUpdateIsNotAcknowledged(t *testing.T) {
 	}
 	var ur service.UpdateResponse
 	status := post(t, ts.URL+"/update", service.UpdateRequest{Updates: []service.UpdateTuple{
-		{Table: "CUST", Op: "delete", Values: row},
+		{Table: "CUST", Op: "insert", Values: row},
 	}}, &ur)
 	if status/100 == 2 || ur.Error == "" {
 		t.Fatalf("POST /update acknowledged an unlogged batch: status %d, %+v", status, ur)
+	}
+	if got := srv.CurrentEpoch(); got != epoch {
+		t.Errorf("epoch moved from %d to %d on batches the WAL refused", epoch, got)
+	}
+	if checkVerdicts(t, ts.URL)["toronto_ontario"] {
+		t.Error("/check sees the unlogged Toronto/NJ row: toronto_ontario is violated")
 	}
 }
 

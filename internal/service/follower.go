@@ -125,12 +125,7 @@ type replJob struct {
 	reload bool
 	// batches are tailed WAL records to apply, in leader append order.
 	batches []store.Batch
-	// confirmedEpoch is the leader epoch the poll response covered: every
-	// record up to it was delivered, so after applying the batches the
-	// follower may adopt it even past the last record (leader rounds that
-	// applied zero tuples advance the epoch without writing a record).
-	confirmedEpoch uint64
-	reply          chan replResult
+	reply   chan replResult
 }
 
 type replResult struct {
@@ -215,8 +210,6 @@ func (s *Server) stalenessErr() error {
 // tailLoop drives the follower until shutdown: poll, apply, and on failure
 // back off or re-bootstrap. Started by New; Close cancels replCtx and waits
 // on tailDone.
-//
-//cv:owner any
 func (s *Server) tailLoop() {
 	defer close(s.tailDone)
 	backoff := s.follow.Backoff
@@ -289,8 +282,10 @@ func (s *Server) tailOnce() error {
 	}
 	s.leaderEpoch.Store(tr.Epoch)
 	s.replState.Store(int32(replStateTailing))
-	if len(tr.Batches) == 0 && tr.Epoch <= from {
-		return nil // quiet long-poll timeout: nothing new
+	if len(tr.Batches) == 0 {
+		// Quiet long-poll timeout: nothing new. Every leader epoch past a
+		// snapshot has a record, so no epoch is adopted without one.
+		return nil
 	}
 	batches := make([]store.Batch, len(tr.Batches))
 	var tuples uint64
@@ -298,13 +293,14 @@ func (s *Server) tailOnce() error {
 		batches[i] = store.Batch{Epoch: b.Epoch, Updates: fromWireUpdates(b.Updates)}
 		tuples += uint64(len(b.Updates))
 	}
-	res, err := s.submitRepl(&replJob{batches: batches, confirmedEpoch: tr.Epoch, reply: make(chan replResult, 1)})
+	res, err := s.submitRepl(&replJob{batches: batches, reply: make(chan replResult, 1)})
 	if err != nil {
 		return err
 	}
 	if res.err != nil {
-		// The checker may hold a partially applied epoch that never reached
-		// the log; rebuilding from a snapshot is the only safe continuation.
+		// The refused epoch changed nothing, but a retry would refuse it
+		// again (the local state or log is at fault); rebuilding from a
+		// snapshot is the only way forward.
 		return fmt.Errorf("%w: %v", errNeedBootstrap, res.err)
 	}
 	s.nTailRecords.Add(uint64(len(tr.Batches)))
@@ -369,22 +365,23 @@ func (s *Server) replSleep(d time.Duration) bool {
 // worker side (called from run(), which owns the checker)
 
 // applyRepl executes one handover on the worker.
-func (s *Server) applyRepl(j *replJob) {
+func (w *worker) applyRepl(j *replJob) {
 	if j.reload {
-		j.reply <- s.reloadFromStore()
+		j.reply <- w.reloadFromStore()
 		return
 	}
-	j.reply <- s.applyTailed(j.batches, j.confirmedEpoch)
+	j.reply <- w.applyTailed(j.batches)
 }
 
 // applyTailed applies tailed records the way the leader's applyBatch did:
-// all records of one leader epoch merge into one Apply and commit as one
-// local WAL record (log-before-advance, so a follower crash leaves whole
-// epochs only). A failed apply or append stops at the last good epoch and
-// reports the error — the tail loop re-bootstraps.
-func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult {
-	s.nBatches.Add(1)
-	cur := s.epoch.Load()
+// all records of one leader epoch merge into one apply whose log step
+// writes them as one local WAL record, and only a whole epoch is logged, so
+// a follower crash leaves whole epochs only. An epoch that does not apply
+// whole, or whose append fails, changes nothing: applyTailed stops at the
+// last good epoch and reports the error — the tail loop re-bootstraps.
+func (w *worker) applyTailed(batches []store.Batch) replResult {
+	w.nBatches.Add(1)
+	cur := w.epoch.Load()
 	for i := 0; i < len(batches); {
 		epoch := batches[i].Epoch
 		var merged []core.Update
@@ -395,33 +392,23 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 			continue // redelivered after a retry; already applied and logged
 		}
 		applyStart := time.Now()
-		applied, err := s.chk.Apply(merged)
-		s.metrics.stApply.Observe(time.Since(applyStart))
-		if err != nil {
-			return replResult{epoch: cur, err: fmt.Errorf("service: replicating epoch %d: tuple %d/%d: %w", epoch, applied, len(merged), err)}
-		}
-		s.nUpdateTuples.Add(uint64(applied))
-		err = s.commit(epoch, func() error {
-			if err := s.st.AppendBatch(epoch, merged); err != nil {
-				s.nWALErrors.Add(1)
-				return fmt.Errorf("service: logging replicated epoch %d: %w", epoch, err)
+		applied, err := w.chk.ApplyLogged(merged, func(prefix []core.Update) error {
+			if len(prefix) < len(merged) {
+				return fmt.Errorf("only %d of its %d tuples apply", len(prefix), len(merged))
+			}
+			if err := w.st.AppendBatch(epoch, merged); err != nil {
+				w.nWALErrors.Add(1)
+				return fmt.Errorf("logging it: %w", err)
 			}
 			return nil
-		}, nil)
+		})
+		w.metrics.stApply.Observe(time.Since(applyStart))
 		if err != nil {
-			return replResult{epoch: cur, err: err}
+			return replResult{epoch: cur, err: fmt.Errorf("service: replicating epoch %d: %w", epoch, err)}
 		}
+		w.nUpdateTuples.Add(uint64(applied))
+		w.commit(epoch, nil)
 		cur = epoch
-	}
-	if confirmed > cur {
-		// Leader rounds that applied zero tuples leave no record; the poll
-		// response vouches that nothing is missing up to its epoch, so adopt
-		// it — convergence stays observable through /statsz.
-		s.publishVersion(confirmed)
-		s.publish(true)
-		s.epoch.Store(confirmed)
-		s.epochSig.bump()
-		cur = confirmed
 	}
 	return replResult{epoch: cur}
 }
@@ -429,26 +416,26 @@ func (s *Server) applyTailed(batches []store.Batch, confirmed uint64) replResult
 // reloadFromStore rebuilds the worker's checker from the local store (fresh
 // snapshot plus any WAL tail) and swaps it in. The old kernel is abandoned
 // wholesale; in-flight replica reads finish on their frozen versions.
-func (s *Server) reloadFromStore() replResult {
-	chk, _, info, err := s.st.Recover(s.coreOpts)
+func (w *worker) reloadFromStore() replResult {
+	chk, _, info, err := w.st.Recover(w.coreOpts)
 	if err != nil {
 		return replResult{err: fmt.Errorf("service: rebuilding from installed snapshot: %w", err)}
 	}
 	// The recovered catalog's version counters start over, possibly at an
 	// epoch already served: no memoised verdict, and no check in flight on
 	// the old catalog, may meet the new one.
-	s.memo.suspend()
-	s.chk = chk
-	s.batchesSinceSnap = 0
+	w.memo.suspend()
+	w.chk = chk
+	w.batchesSinceSnap = 0
 	epoch := info.LastEpoch
 	if epoch == 0 {
 		epoch = 1
 	}
-	s.publishVersion(epoch)
-	s.memo.resume()
-	s.publish(true)
-	s.epoch.Store(epoch)
-	s.epochSig.bump()
+	w.publishVersion(epoch)
+	w.memo.resume()
+	w.publish(true)
+	w.epoch.Store(epoch)
+	w.epochSig.bump()
 	return replResult{epoch: epoch}
 }
 

@@ -55,8 +55,8 @@ func (s *Server) checkAtEpoch(ctx context.Context, epoch uint64, cts []logic.Con
 	e, fresh := s.historyEntry(epoch)
 	if fresh {
 		// First requester materializes; holders of e.mu below wait for it.
-		// coreOpts, not s.chk.Options(): this runs on handler goroutines,
-		// and the worker may be swapping s.chk under a follower re-bootstrap.
+		// coreOpts, captured at New: this runs on handler goroutines, which
+		// never reach the worker's checker.
 		chk, err := s.st.CheckerAt(epoch, s.coreOpts)
 		e.chk, e.err = chk, err
 		e.mu <- struct{}{} // release: entry is ready

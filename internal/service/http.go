@@ -372,7 +372,6 @@ func (h *edge) requestContext(r *http.Request, timeoutMS int) (context.Context, 
 	return context.WithTimeout(r.Context(), d)
 }
 
-//cv:owner any
 func (h *edge) handleCheck(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr, wantTrace := h.traceFor(r)
@@ -406,7 +405,6 @@ func (h *edge) handleCheck(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, http.StatusOK, CheckResponse{Results: results, Epoch: epoch, Trace: toWireTrace(tr, wantTrace)})
 }
 
-//cv:owner any
 func (h *edge) handleWitnesses(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr, wantTrace := h.traceFor(r)
@@ -451,7 +449,6 @@ func (h *edge) handleWitnesses(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, http.StatusOK, resp)
 }
 
-//cv:owner any
 func (h *edge) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr, wantTrace := h.traceFor(r)
@@ -480,12 +477,10 @@ func (h *edge) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-//cv:owner any
 func (h *edge) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", UptimeMS: time.Since(h.started).Milliseconds()})
 }
 
-//cv:owner any
 func (h *edge) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, http.StatusOK, h.b.Statsz())
 }
@@ -493,8 +488,6 @@ func (h *edge) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // handleMetricsz serves the Prometheus text exposition. Every gauge callback
 // a Backend registers reads atomically published state only; no live kernel
 // is touched from a scrape.
-//
-//cv:owner any
 func (h *edge) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	h.observeResponse(http.StatusOK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

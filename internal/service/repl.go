@@ -112,8 +112,6 @@ func (e *epochSignal) bump() {
 // opened under the store's read lock and streamed after release, so a
 // concurrent snapshot write that prunes the file cannot corrupt the
 // download (POSIX keeps the unlinked file readable through the handle).
-//
-//cv:owner any
 func (s *Server) handleSnapshotFetch(h *edge, w http.ResponseWriter, r *http.Request) {
 	s.nSnapshotServes.Add(1)
 	start := time.Now()
@@ -149,8 +147,6 @@ func (s *Server) handleSnapshotFetch(h *edge, w http.ResponseWriter, r *http.Req
 // together once the worker stores the epoch (records are appended before
 // the epoch advances, so a record past the published epoch may have
 // siblings still in flight).
-//
-//cv:owner any
 func (s *Server) handleWALTail(h *edge, w http.ResponseWriter, r *http.Request) {
 	s.nWALServes.Add(1)
 	start := time.Now()

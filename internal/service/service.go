@@ -143,10 +143,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server owns a checker and serializes all kernel work through one worker.
+// Server serves a checker and serializes all kernel work through one
+// worker. It holds only what handlers share; the checker lives in the
+// worker, which nothing here points to.
 type Server struct {
 	*Registry // the named constraints served; Resolve and Constraints
-	chk       *core.Checker
 	opts      Options
 	started   time.Time
 
@@ -157,9 +158,9 @@ type Server struct {
 	closing sync.Once
 
 	// coreOpts is the checker's runtime configuration, captured at New so
-	// goroutines that materialize historical or recovered checkers never
-	// touch s.chk (which only the worker owns — and which a follower
-	// re-bootstrap replaces outright).
+	// goroutines that materialize historical or recovered checkers need not
+	// reach the worker's checker (which a follower re-bootstrap replaces
+	// outright).
 	coreOpts core.Options
 
 	// epochSig is broadcast after every epoch advance; the leader's /wal
@@ -210,15 +211,13 @@ type Server struct {
 	memo *verdictMemo
 
 	// Durability. st is nil when no data directory is configured.
-	// constraintText is the rendered registry persisted in every snapshot;
-	// batchesSinceSnap is worker-owned trigger state. The history fields
-	// back the ?epoch=N read path (see history.go).
-	st               *store.Store
-	constraintText   string
-	batchesSinceSnap int
-	histMu           sync.Mutex
-	history          map[uint64]*historyEntry
-	histOrder        []uint64
+	// constraintText is the rendered registry persisted in every snapshot.
+	// The history fields back the ?epoch=N read path (see history.go).
+	st             *store.Store
+	constraintText string
+	histMu         sync.Mutex
+	history        map[uint64]*historyEntry
+	histOrder      []uint64
 
 	// metrics is the observability surface behind /metricsz: request and
 	// stage latency histograms, response counters, and gauge callbacks over
@@ -239,6 +238,16 @@ type Server struct {
 	nEpochChecks     atomic.Uint64
 	nWALErrors       atomic.Uint64
 	nSnapshotErrors  atomic.Uint64
+}
+
+// worker is the goroutine that owns the primary checker. New builds it and
+// starts its loop; nothing else holds it, so only the worker's methods can
+// reach the checker, its catalog, index store and kernel.
+type worker struct {
+	*Server
+	chk *core.Checker
+	// batchesSinceSnap counts coalesced rounds since the last snapshot.
+	batchesSinceSnap int
 }
 
 // snapshot is the worker-published view of checker and kernel state, read
@@ -274,8 +283,6 @@ type TableStats struct {
 // the given constraint registry, and starts its worker. The caller must not
 // touch the checker (or its catalog, store or kernel) afterwards: the worker
 // owns them. Close shuts the worker down.
-//
-//cv:owner worker
 func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Server, error) {
 	reg, err := NewRegistry(constraints)
 	if err != nil {
@@ -283,7 +290,6 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 	}
 	s := &Server{
 		Registry: reg,
-		chk:      chk,
 		opts:     opts.withDefaults(),
 		started:  time.Now(),
 		quit:     make(chan struct{}),
@@ -332,7 +338,8 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 	}
 	// The first snapshot goes out before the metrics exist: their callbacks
 	// read it unconditionally. Safe: the worker has not started yet.
-	s.publish(true)
+	w := &worker{Server: s, chk: chk}
+	w.publish(true)
 	s.metrics = newServerMetrics(s) // after pool setup: per-replica gauges
 	if s.pool != nil {
 		s.pool.SetMetrics(&replica.Metrics{
@@ -346,7 +353,7 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 		s.leaderEpoch.Store(initialEpoch)
 		go s.tailLoop()
 	}
-	go s.run()
+	go w.run()
 	return s, nil
 }
 
@@ -421,29 +428,27 @@ type updateReply struct {
 
 // run is the worker loop. It alternates between applying every queued
 // update batch and serving one check, so updates coalesce between checks.
-//
-//cv:owner worker
-func (s *Server) run() {
-	defer close(s.done)
+func (w *worker) run() {
+	defer close(w.done)
 	for {
 		// Coalesce: everything queued for update applies before the next
 		// check is taken.
 		select {
-		case u := <-s.updates:
-			s.applyBatch(s.gatherUpdates(u))
+		case u := <-w.updates:
+			w.applyBatch(w.gatherUpdates(u))
 			continue
 		default:
 		}
 		select {
-		case <-s.quit:
-			s.refuseQueued()
+		case <-w.quit:
+			w.refuseQueued()
 			return
-		case u := <-s.updates:
-			s.applyBatch(s.gatherUpdates(u))
-		case j := <-s.repl: // nil (never fires) on a leader
-			s.applyRepl(j)
-		case c := <-s.checks:
-			s.runCheck(c)
+		case u := <-w.updates:
+			w.applyBatch(w.gatherUpdates(u))
+		case j := <-w.repl: // nil (never fires) on a leader
+			w.applyRepl(j)
+		case c := <-w.checks:
+			w.runCheck(c)
 		}
 	}
 }
@@ -463,162 +468,158 @@ func (s *Server) gatherUpdates(first *updateJob) []*updateJob {
 	return batch
 }
 
-// applyBatch applies each job of one coalesced round under a fresh epoch
-// and commits the round, logging each job's applied prefix (a WAL append
-// failure is surfaced in that job's acknowledgment), before it acknowledges
-// any job. Jobs are independent: one failing job does not hold back the
-// others.
-func (s *Server) applyBatch(batch []*updateJob) {
-	s.nBatches.Add(1)
-	k := s.chk.Store().Kernel()
-	epoch := s.epoch.Load() + 1
+// applyBatch applies each job of one coalesced round under a fresh epoch,
+// each job logging its applied prefix before the checker takes it, and
+// commits the round before it acknowledges any job. A job whose append
+// fails changes nothing and is refused; jobs are independent, so it does
+// not hold back the others. A round that applied no tuple leaves the epoch
+// where it was.
+func (w *worker) applyBatch(batch []*updateJob) {
+	w.nBatches.Add(1)
+	k := w.chk.Store().Kernel()
+	epoch := w.epoch.Load() + 1
 	replies := make([]updateReply, len(batch))
 	traces := make([]*obs.Trace, len(batch))
+	total := 0
 	for i, u := range batch {
 		traces[i] = u.trace
 		if err := u.ctx.Err(); err != nil {
-			s.nDeadlineRejects.Add(1)
+			w.nDeadlineRejects.Add(1)
 			replies[i] = updateReply{err: err}
 			continue
 		}
 		applyStart := time.Now()
 		if !u.submitted.IsZero() {
 			wait := applyStart.Sub(u.submitted)
-			s.metrics.stQueueWait.Observe(wait)
+			w.metrics.stQueueWait.Observe(wait)
 			u.trace.Record("queue_wait", u.submitted, wait, nil)
 		}
 		before := k.Stats()
-		applied, err := s.chk.Apply(u.ups)
-		d := time.Since(applyStart)
-		s.metrics.stApply.Observe(d)
-		delta := k.Stats().DeltaSince(before)
-		u.trace.Record("apply", applyStart, d, &delta)
-		s.nUpdateTuples.Add(uint64(applied))
-		replies[i] = updateReply{applied: applied, err: err}
-	}
-	// A failed append fails its own job, not the round, so appendWAL never
-	// stops the commit.
-	s.commit(epoch, func() error {
-		for i, u := range batch {
-			applied := replies[i].applied
-			if s.st == nil || applied == 0 {
-				continue
+		var walD time.Duration
+		applied, err := w.chk.ApplyLogged(u.ups, func(prefix []core.Update) error {
+			if w.st == nil {
+				return nil
 			}
 			walStart := time.Now()
-			werr := s.st.AppendBatch(epoch, u.ups[:applied])
-			u.trace.Record("wal_append", walStart, time.Since(walStart), nil)
+			werr := w.st.AppendBatch(epoch, prefix)
+			walD = time.Since(walStart)
+			u.trace.Record("wal_append", walStart, walD, nil)
 			if werr != nil {
-				// The tuples are applied but not durable; the client must
-				// not treat the batch as acknowledged.
-				s.nWALErrors.Add(1)
-				s.opts.SlowLog.Printf("wal append failed (epoch %d): %v", epoch, werr)
-				if replies[i].err == nil {
-					replies[i].err = fmt.Errorf("service: batch applied but not logged: %w", werr)
-				}
+				// Unlogged, so unapplied: the client must not treat the
+				// batch as acknowledged.
+				w.nWALErrors.Add(1)
+				w.opts.SlowLog.Printf("wal append failed (epoch %d): %v", epoch, werr)
+				return fmt.Errorf("service: batch not logged, so not applied: %w", werr)
 			}
-		}
-		return nil
-	}, traces)
+			return nil
+		})
+		// The wal_append span lies inside the apply span; the apply stage's
+		// histogram leaves the append to cv_wal_append_seconds.
+		d := time.Since(applyStart)
+		w.metrics.stApply.Observe(d - walD)
+		delta := k.Stats().DeltaSince(before)
+		u.trace.Record("apply", applyStart, d, &delta)
+		w.nUpdateTuples.Add(uint64(applied))
+		total += applied
+		replies[i] = updateReply{applied: applied, err: err}
+	}
+	if total > 0 {
+		w.commit(epoch, traces)
+	}
 	for i, u := range batch {
 		u.reply <- replies[i]
 	}
 }
 
 // commit is the tail of every applied epoch, a leader's coalesced round and
-// a follower's tailed epoch alike, and the one place its order is written:
-// appendWAL logs the epoch's records, the frozen version publishes to the
+// a follower's tailed epoch alike, and the one place its order is written.
+// The epoch's records are already logged: the checker took each batch only
+// after its log step succeeded. Then the frozen version publishes to the
 // replica pool, the epoch becomes visible, /wal long-polls wake, and the
 // round counts toward the next snapshot. A caller acknowledges only after
 // commit returns, so an acknowledged update is durable and every check
-// submitted after the ack sees it, whichever replica serves it. An error
-// from appendWAL stops the epoch before anything is published. The freeze
+// submitted after the ack sees it, whichever replica serves it. The freeze
 // is recorded on each of traces, the jobs that waited on it.
-func (s *Server) commit(epoch uint64, appendWAL func() error, traces []*obs.Trace) error {
-	if err := appendWAL(); err != nil {
-		return err
-	}
-	k := s.chk.Store().Kernel()
+func (w *worker) commit(epoch uint64, traces []*obs.Trace) {
+	k := w.chk.Store().Kernel()
 	freezeStart := time.Now()
 	before := k.Stats()
-	s.publishVersion(epoch)
-	s.publish(true)
+	w.publishVersion(epoch)
+	w.publish(true)
 	fd := time.Since(freezeStart)
-	s.metrics.stFreeze.Observe(fd)
+	w.metrics.stFreeze.Observe(fd)
 	delta := k.Stats().DeltaSince(before)
 	for _, tr := range traces {
 		tr.Record("freeze", freezeStart, fd, &delta)
 	}
-	// The epoch becomes visible only after appendWAL has run. A follower's
-	// failed append stopped above, so every epoch it names is durable; a
-	// leader's failed append fails its jobs but the round still publishes.
-	s.epoch.Store(epoch)
-	s.epochSig.bump() // wakes /wal long-polls waiting for this epoch
-	s.maybeSnapshot(epoch)
-	return nil
+	w.epoch.Store(epoch)
+	w.epochSig.bump() // wakes /wal long-polls waiting for this epoch
+	w.maybeSnapshot(epoch)
 }
 
 // publishVersion freezes the checker's current indices as the given epoch
-// and hands them to the replica pool. Only the worker calls it. A failed
-// freeze routes reads back through the primary (replicaOK) rather than
-// serving stale data; the next successful freeze re-enables the pool.
-func (s *Server) publishVersion(epoch uint64) {
-	if s.pool == nil {
+// and hands them to the replica pool. A failed freeze routes reads back
+// through the primary (replicaOK) rather than serving stale data; the next
+// successful freeze re-enables the pool.
+func (w *worker) publishVersion(epoch uint64) {
+	if w.pool == nil {
 		return
 	}
 	// The replicas' projection reads, replayed here, ride the version.
-	s.chk.ReadProjections(s.pool.TakeDemand())
-	v, err := replica.NewVersion(s.chk, epoch)
+	w.chk.ReadProjections(w.pool.TakeDemand())
+	v, err := replica.NewVersion(w.chk, epoch)
 	if err != nil {
-		s.replicaOK.Store(false)
+		w.replicaOK.Store(false)
 		return
 	}
-	s.pool.Publish(v)
-	s.replicaOK.Store(true)
+	w.pool.Publish(v)
+	w.replicaOK.Store(true)
 }
 
 // maybeSnapshot writes a snapshot once enough coalesced rounds have passed
-// since the last one. Worker-only; a failed snapshot is logged and counted
-// but does not fail updates (the WAL still covers them).
-func (s *Server) maybeSnapshot(epoch uint64) {
-	if s.st == nil {
+// since the last one. A failed snapshot is logged and counted but does not
+// fail updates (the WAL still covers them).
+func (w *worker) maybeSnapshot(epoch uint64) {
+	if w.st == nil {
 		return
 	}
-	s.batchesSinceSnap++
-	if s.opts.SnapshotEveryBatches <= 0 || s.batchesSinceSnap < s.opts.SnapshotEveryBatches {
+	w.batchesSinceSnap++
+	if w.opts.SnapshotEveryBatches <= 0 || w.batchesSinceSnap < w.opts.SnapshotEveryBatches {
 		return
 	}
-	if err := s.st.WriteSnapshot(s.chk, s.constraintText, epoch); err != nil {
-		s.nSnapshotErrors.Add(1)
-		s.opts.SlowLog.Printf("snapshot at epoch %d failed: %v", epoch, err)
+	if err := w.st.WriteSnapshot(w.chk, w.constraintText, epoch); err != nil {
+		w.nSnapshotErrors.Add(1)
+		w.opts.SlowLog.Printf("snapshot at epoch %d failed: %v", epoch, err)
 		return
 	}
-	s.batchesSinceSnap = 0
+	w.batchesSinceSnap = 0
 }
 
-// runCheck serves one check or witness job under its node budget. The stats snapshot is refreshed before the reply goes out, so a
-// client that has its answer reads its own effects from /statsz.
-func (s *Server) runCheck(j *checkJob) {
+// runCheck serves one check or witness job under its node budget. The
+// stats snapshot is refreshed before the reply goes out, so a client that
+// has its answer reads its own effects from /statsz.
+func (w *worker) runCheck(j *checkJob) {
 	if !j.submitted.IsZero() {
 		wait := time.Since(j.submitted)
-		s.metrics.stQueueWait.Observe(wait)
+		w.metrics.stQueueWait.Observe(wait)
 		j.trace.Record("queue_wait", j.submitted, wait, nil)
 	}
 	if err := j.ctx.Err(); err != nil {
-		s.nDeadlineRejects.Add(1)
+		w.nDeadlineRejects.Add(1)
 		j.reply <- checkReply{err: err}
 		return
 	}
 	opts := core.CheckOptions{NodeBudget: j.budget}
 	var rep checkReply
 	if j.witnessLimit > 0 {
-		rep = s.runWitnesses(j.cts[0], j.witnessLimit, opts, j.trace)
+		rep = w.runWitnesses(j.cts[0], j.witnessLimit, opts, j.trace)
 	} else {
 		// The worker owns the live catalog and the epoch counter: both are
 		// the state this job reads, and no reload can run under it.
-		pass := memoPass{registered: j.registered, gen: s.memo.generation()}
-		rep = checkReply{results: s.evalAll(j.ctx, s.chk, j.cts, pass, opts, j.trace), epoch: s.epoch.Load()}
+		pass := memoPass{registered: j.registered, gen: w.memo.generation()}
+		rep = checkReply{results: w.evalAll(j.ctx, w.chk, j.cts, pass, opts, j.trace), epoch: w.epoch.Load()}
 	}
-	s.publish(false)
+	w.publish(false)
 	j.reply <- rep
 }
 
@@ -673,47 +674,31 @@ func (s *Server) observeResult(res core.Result, evalStart time.Time, tr *obs.Tra
 	}
 }
 
-// runWitnesses extracts violating bindings from the BDD evaluation, falling
-// back to the compiled SQL violation query when the BDD path fails (missing
-// index, budget, or an existence-mode constraint) — the same two-step
-// drill-down cvcheck performs. No witnesses and no error is the BDD's
-// definite answer that the constraint holds.
-func (s *Server) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOptions, tr *obs.Trace) checkReply {
-	k := s.chk.Store().Kernel()
-	enumStart := time.Now()
-	before := k.Stats()
-	ws, err := s.chk.ViolationWitnessesOpts(ct, limit, opts)
-	enumD := time.Since(enumStart)
-	s.metrics.stWitness.Observe(enumD)
-	delta := k.Stats().DeltaSince(before)
-	tr.Record("witness_enum", enumStart, enumD, &delta)
-	if err == nil {
-		return checkReply{witnesses: ws, witnessMethod: core.MethodBDD}
+// runWitnesses runs the checker's witness drill-down (core.Checker.Witnesses):
+// the violation BDD first, the compiled SQL violation query when the BDD
+// path fails. Each step is a span and a stage sample.
+func (w *worker) runWitnesses(ct logic.Constraint, limit int, opts core.CheckOptions, tr *obs.Trace) checkReply {
+	start := time.Now()
+	res := w.chk.Witnesses(ct, limit, opts)
+	w.metrics.stWitness.Observe(res.EnumDuration)
+	tr.Record("witness_enum", start, res.EnumDuration, &res.Kernel)
+	if res.Method == core.MethodSQL || res.Err != nil {
+		w.metrics.stSQL.Observe(res.SQLDuration)
+		tr.Record("sql:"+ct.Name, start.Add(res.EnumDuration), res.SQLDuration, nil)
 	}
-	sqlStart := time.Now()
-	rows, rerr := s.chk.ViolatingRows(ct)
-	sqlD := time.Since(sqlStart)
-	s.metrics.stSQL.Observe(sqlD)
-	tr.Record("sql:"+ct.Name, sqlStart, sqlD, nil)
-	if rerr != nil {
-		return checkReply{err: err}
-	}
-	for i := 0; i < rows.Len() && i < limit; i++ {
-		ws = append(ws, core.Witness{Vars: rows.Vars, Values: rows.Decode(i)})
-	}
-	return checkReply{witnesses: ws, witnessMethod: core.MethodSQL}
+	return checkReply{witnesses: res.Witnesses, witnessMethod: res.Method, err: res.Err}
 }
 
 // refuseQueued acknowledges every queued job with ErrShuttingDown so no
 // submitter is left waiting on a dead worker.
-func (s *Server) refuseQueued() {
+func (w *worker) refuseQueued() {
 	for {
 		select {
-		case u := <-s.updates:
+		case u := <-w.updates:
 			u.reply <- updateReply{err: ErrShuttingDown}
-		case c := <-s.checks:
+		case c := <-w.checks:
 			c.reply <- checkReply{err: ErrShuttingDown}
-		case j := <-s.repl: // nil (never fires) on a leader
+		case j := <-w.repl: // nil (never fires) on a leader
 			j.reply <- replResult{err: ErrShuttingDown}
 		default:
 			return
@@ -721,21 +706,21 @@ func (s *Server) refuseQueued() {
 	}
 }
 
-// publish refreshes the stats snapshot. Only the worker (or New, before the
-// worker starts) may call it. full recounts index nodes, which walks the
-// index BDDs; check jobs publish light snapshots and reuse the last counts.
-func (s *Server) publish(full bool) {
+// publish refreshes the stats snapshot. full recounts index nodes, which
+// walks the index BDDs; check jobs publish light snapshots and reuse the
+// last counts.
+func (w *worker) publish(full bool) {
 	snap := &snapshot{
-		kernel:  s.chk.KernelStats(),
-		checker: s.chk.Stats(),
+		kernel:  w.chk.KernelStats(),
+		checker: w.chk.Stats(),
 	}
-	for _, t := range s.chk.Catalog().Tables() {
+	for _, t := range w.chk.Catalog().Tables() {
 		snap.tables = append(snap.tables, TableStats{Name: t.Name(), Rows: t.Len(), Cols: t.NumCols()})
 	}
-	if prev := s.snap.Load(); !full && prev != nil {
+	if prev := w.snap.Load(); !full && prev != nil {
 		snap.indices = prev.indices
 	} else {
-		store := s.chk.Store()
+		store := w.chk.Store()
 		for _, name := range store.Names() {
 			ix := store.Index(name)
 			snap.indices = append(snap.indices, IndexStats{
@@ -747,7 +732,7 @@ func (s *Server) publish(full bool) {
 			})
 		}
 	}
-	s.snap.Store(snap)
+	w.snap.Store(snap)
 }
 
 // submission (called from handler goroutines)

@@ -179,6 +179,19 @@ func TestEdgeConformance(t *testing.T) {
 					t.Errorf("%s: %d witnesses by method %q, want none by the BDD", backend, len(ws), method)
 				}
 			}},
+		{name: "witnesses_of_an_existence_check", path: "/witnesses", body: `{"constraint":"nj_exists"}`,
+			status: 200, keys: "constraint,method,witnesses",
+			check: func(t *testing.T, backend string, r edgeReply) {
+				// An existence check has no per-binding witnesses in the BDD,
+				// so every form drills down through SQL, as cvcheck does.
+				var method string
+				if err := json.Unmarshal(r.doc["method"], &method); err != nil {
+					t.Fatal(err)
+				}
+				if backend == "server" && method != "sql" {
+					t.Errorf("%s: method %q, want sql", backend, method)
+				}
+			}},
 		{name: "traced_check", path: "/check?trace=1", body: `{"constraints":["state_fd"]}`,
 			status: 200, keys: "results,trace",
 			check: func(t *testing.T, backend string, r edgeReply) {

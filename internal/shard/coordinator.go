@@ -59,14 +59,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator owns the shard workers, the residual checker and the
-// constraint registry, and merges scatter-gather results.
+// Coordinator owns the shard workers and the constraint registry, and
+// merges scatter-gather results. The residual checker is its writer
+// goroutine's own (loop), which hands it to each job it runs.
 type Coordinator struct {
 	*service.Registry // the registered constraints; Resolve and Constraints
 	opts              Options
 	part              *Partitioner
 	workers           []Worker
-	residual          *core.Checker
 	resolver          logic.Resolver
 	plans             map[string]Plan // registered constraints, by name
 
@@ -101,8 +101,6 @@ type job struct {
 // in-process worker per shard, and assembles the coordinator around them.
 // The catalog becomes coordinator-owned: it backs the residual checker and
 // must not be mutated by the caller afterwards.
-//
-//cv:owner worker
 func NewInProcess(cat *relation.Catalog, cts []logic.Constraint, part *Partitioner, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	parts := part.Split(cat)
@@ -123,8 +121,6 @@ func NewInProcess(cat *relation.Catalog, cts []logic.Constraint, part *Partition
 // NewCoordinator assembles a coordinator over caller-supplied workers (the
 // multi-process path hands in HTTPWorkers). The catalog is the full,
 // unsharded state backing the residual checker.
-//
-//cv:owner worker
 func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partitioner, workers []Worker, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if len(workers) != part.Shards() {
@@ -139,13 +135,13 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 		opts:     opts,
 		part:     part,
 		workers:  workers,
-		residual: core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed}),
 		plans:    make(map[string]Plan, len(cts)),
 		jobs:     make(chan *job, queueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		start:    time.Now(),
 	}
+	residual := core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed})
 	c.resolver = logic.CatalogResolver{Catalog: cat}
 	c.epoch.Store(1)
 
@@ -167,7 +163,7 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 		}
 	}
 	for name := range residualTables {
-		if _, err := c.residual.BuildIndex(name, name, nil, opts.Method); err != nil {
+		if _, err := residual.BuildIndex(name, name, nil, opts.Method); err != nil {
 			opts.Logf("residual index %s: %v (falls back to SQL)", name, err)
 		}
 	}
@@ -176,22 +172,21 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 	}
 	c.metrics = c.buildMetrics()
 
-	go c.loop()
+	go c.loop(residual)
 	return c, nil
 }
 
 // loop is the coordinator's writer goroutine: updates and residual reads in
-// arrival order. It stays apart from the service worker's loop on purpose:
-// an update job here is route → scatter to the shards → mirror into the
-// residual, one serialised unit, not a coalescable batch.
-//
-//cv:owner worker
-func (c *Coordinator) loop() {
+// arrival order, each run on residual, which only this goroutine holds. It
+// stays apart from the service worker's loop on purpose: an update job here
+// is route → scatter to the shards → mirror into the residual, one
+// serialised unit, not a coalescable batch.
+func (c *Coordinator) loop(residual *core.Checker) {
 	defer close(c.done)
 	for {
 		select {
 		case j := <-c.jobs:
-			j.run(c.residual)
+			j.run(residual)
 			close(j.done)
 		case <-c.quit:
 			c.refuseQueued()
@@ -271,8 +266,6 @@ func (c *Coordinator) PlanFor(ct logic.Constraint) Plan {
 // single-shard ones to their owner, residual ones to the coordinator's own
 // checker; the merged outcomes land in input order. Any worker transport
 // failure fails the whole call.
-//
-//cv:owner any
 func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget int, tr *obs.Trace) ([]CheckOutcome, error) {
 	if err := c.closedErr(); err != nil {
 		return nil, err
@@ -408,10 +401,8 @@ func wrapWorkerErr(w Worker, err error) error {
 // Witnesses enumerates violating bindings. Local validity-mode constraints
 // union per-shard witness sets — exact, because guardedness confines every
 // violating binding to the shard owning its anchor value; everything else
-// (residual plans, existence mode) goes to the residual checker, which
-// reproduces the single-kernel server's behavior including its errors.
-//
-//cv:owner any
+// (residual plans, existence mode) goes to the residual checker's witness
+// drill-down, the single-kernel server's own, SQL step and errors included.
 func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) ([]core.Witness, string, error) {
 	if err := c.closedErr(); err != nil {
 		return nil, "", err
@@ -419,20 +410,17 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 	c.nWitnesses.Add(1)
 	plan := c.PlanFor(ct)
 	if plan.Mode != logic.CheckValidity || plan.Kind == PlanResidual {
-		var (
-			ws   []core.Witness
-			werr error
-		)
+		var res core.WitnessResult
 		t0 := tr.Begin()
 		err := c.submit(ctx, func(chk *core.Checker) {
-			ws, werr = chk.ViolationWitnessesOpts(ct, limit, core.CheckOptions{NodeBudget: budget})
+			res = chk.Witnesses(ct, limit, core.CheckOptions{NodeBudget: budget})
 		})
 		tr.Span("residual", t0)
 		if err != nil {
 			return nil, "", err
 		}
 		c.nResidualChecks.Add(1)
-		return ws, "residual", werr
+		return res.Witnesses, "residual", res.Err
 	}
 
 	targets := c.workers
@@ -495,8 +483,6 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 // epoch. The whole batch is pre-validated for routing before any shard sees
 // a tuple, so routing errors are atomic; a mid-batch apply error on a shard
 // is not (the error names the shard, and the epoch does not advance).
-//
-//cv:owner any
 func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, uint64, error) {
 	var (
 		applied int

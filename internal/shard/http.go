@@ -95,7 +95,6 @@ func (c *Coordinator) Handler() http.Handler {
 	return service.NewHandler(c.Backend(), service.Options{DefaultTimeout: c.opts.DefaultTimeout})
 }
 
-//cv:owner any
 func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, _, budget int, pin uint64, tr *obs.Trace) ([]service.CheckResult, uint64, error) {
 	if pin != 0 {
 		return nil, 0, fmt.Errorf("%w (the coordinator serves only the current epoch)", service.ErrNoHistory)
@@ -119,7 +118,6 @@ func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, _, budg
 	return results, b.Epoch(), nil
 }
 
-//cv:owner any
 func (b coordBackend) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, error) {
 	applied, _, err := b.Coordinator.Update(ctx, ups, tr)
 	return applied, err

@@ -138,7 +138,6 @@ func newServerWorker(shard int, cat *relation.Catalog, opts Options) (*serverWor
 
 func (w *serverWorker) Shard() int { return w.shard }
 
-//cv:owner any
 func (w *serverWorker) Check(ctx context.Context, cts []logic.Constraint, budget int) ([]CheckOutcome, error) {
 	// Constraints arrive with each call: none is the headless server's own.
 	results, _, err := w.srv.Check(ctx, cts, 0, budget, 0, nil)
@@ -150,7 +149,6 @@ func (w *serverWorker) Check(ctx context.Context, cts []logic.Constraint, budget
 	return outcomesOf(cts, results), nil
 }
 
-//cv:owner any
 func (w *serverWorker) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int) ([]core.Witness, error) {
 	ws, _, err := w.srv.Witnesses(ctx, ct, limit, budget, nil)
 	if err != nil {
@@ -161,7 +159,6 @@ func (w *serverWorker) Witnesses(ctx context.Context, ct logic.Constraint, limit
 	return ws, nil
 }
 
-//cv:owner any
 func (w *serverWorker) Update(ctx context.Context, ups []core.Update) (int, error) {
 	applied, err := w.srv.Update(ctx, ups, nil)
 	if err != nil {

@@ -258,10 +258,10 @@ func restoreSnapshotFile(f io.Reader, e SnapshotEntry, coreOpts core.Options) (*
 	return chk, constraints, epoch, nil
 }
 
-// AppendBatch logs one acknowledged batch: the updates that were applied for
-// epoch. Must be called by the write owner before the batch is acknowledged
-// (log-before-ack); an error means durability is not assured and the owner
-// must surface it in the acknowledgment.
+// AppendBatch logs one batch: the updates that epoch applies. Must be called
+// by the write owner before the batch is applied and acknowledged
+// (log-before-ack); an error means the record is not in the log, and the
+// owner must neither apply nor acknowledge the batch.
 func (s *Store) AppendBatch(epoch uint64, ups []core.Update) error {
 	start := time.Now()
 	n, synced, err := s.wal.append(epoch, ups)

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"time"
 
@@ -98,9 +97,9 @@ type walFile struct {
 	lastSync time.Time
 }
 
-// openWAL opens (creating if needed) the log at path and positions it for
-// appending at the end of the file. It does not validate record contents —
-// recovery scans and truncates the torn tail before the first append.
+// openWAL opens (creating if needed) the log at path; appends go at the end
+// of the file. It does not validate record contents — recovery scans and
+// truncates the torn tail before the first append.
 func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*walFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -124,10 +123,6 @@ func openWAL(path string, policy FsyncPolicy, interval time.Duration) (*walFile,
 			f.Close()
 			return nil, fmt.Errorf("store: %s is not a WAL file", path)
 		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seeking WAL: %w", err)
 	}
 	return w, nil
 }
@@ -159,10 +154,11 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// append writes one record and applies the fsync policy. It returns the
-// bytes appended and whether a sync ran. On a write error the log's size
-// accounting is left at the last known-good offset; the caller must treat
-// the log as suspect (the next recovery's tail scan cleans it up).
+// append writes one record at the end of the last good one and applies the
+// fsync policy. It returns the bytes appended and whether a sync ran. The
+// log's size moves past the record only once the write, and the sync when
+// one runs, succeeded; on an error the log is cut back to its last good
+// record, so the next append overwrites whatever part of this one landed.
 func (w *walFile) append(epoch uint64, ups []core.Update) (n int64, synced bool, err error) {
 	payload, err := encodeBatch(make([]byte, 0, 256), epoch, ups)
 	if err != nil {
@@ -175,10 +171,12 @@ func (w *walFile) append(epoch uint64, ups []core.Update) (n int64, synced bool,
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
 	copy(rec[walRecordHeader:], payload)
-	if _, err := w.f.Write(rec); err != nil {
+	if _, err := w.f.WriteAt(rec, w.size); err != nil {
+		// Best effort: the next record overwrites what landed anyway; the
+		// cut only keeps a live tailer from reading it meanwhile.
+		_ = w.f.Truncate(w.size)
 		return 0, false, fmt.Errorf("store: appending WAL record: %w", err)
 	}
-	w.size += int64(len(rec))
 	switch w.policy {
 	case FsyncBatch:
 		synced = true
@@ -187,10 +185,12 @@ func (w *walFile) append(epoch uint64, ups []core.Update) (n int64, synced bool,
 	}
 	if synced {
 		if err := w.f.Sync(); err != nil {
-			return int64(len(rec)), false, fmt.Errorf("store: syncing WAL: %w", err)
+			_ = w.f.Truncate(w.size) // best effort, as above
+			return 0, false, fmt.Errorf("store: syncing WAL: %w", err)
 		}
 		w.lastSync = time.Now()
 	}
+	w.size += int64(len(rec))
 	return int64(len(rec)), synced, nil
 }
 
@@ -199,9 +199,6 @@ func (w *walFile) append(epoch uint64, ups []core.Update) (n int64, synced bool,
 func (w *walFile) reset() error {
 	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
 		return fmt.Errorf("store: truncating WAL: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: seeking WAL: %w", err)
 	}
 	w.size = int64(len(walMagic))
 	if w.policy != FsyncOff {
@@ -214,13 +211,10 @@ func (w *walFile) reset() error {
 }
 
 // truncateTo cuts the log to validBytes (recovery drops a torn tail this
-// way) and repositions the append offset.
+// way) and moves the append offset there.
 func (w *walFile) truncateTo(validBytes int64) error {
 	if err := w.f.Truncate(validBytes); err != nil {
 		return fmt.Errorf("store: truncating WAL tail: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("store: seeking WAL: %w", err)
 	}
 	w.size = validBytes
 	return nil

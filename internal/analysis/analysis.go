@@ -1,19 +1,18 @@
 // Package analysis is a self-contained static-analysis framework for the
-// repository's domain-specific lint suite (cmd/cvlint). It mirrors the shape
-// of golang.org/x/tools/go/analysis — an Analyzer owns a Run function over a
+// repository's domain-specific lint suite. It mirrors the shape of
+// golang.org/x/tools/go/analysis — an Analyzer owns a Run function over a
 // type-checked Pass and emits Diagnostics — but is built entirely on the
 // standard library so the module stays dependency-free.
 //
-// The framework deliberately supports only what the cvlint analyzers need:
-// no analyzer-to-analyzer requirements, no per-analyzer flags. It is however
-// modestly interprocedural: a package-local call graph (callgraph.go) lets an
-// analyzer follow static calls within the package under analysis, and
-// function-summary facts (facts.go) carry what an analyzer learned about a
-// package's declarations to the analyses of its importers, through the vetx
-// files `go vet` threads along the build graph. Two drivers exist:
-// internal/analysis/unitchecker speaks the JSON protocol of `go vet
-// -vettool=...`, and internal/analysis/analysistest type-checks fixture
-// packages under testdata/src for the analyzers' own tests.
+// The framework supports only what the suite's analyzers need: no
+// analyzer-to-analyzer requirements, no per-analyzer flags. A Pass presents
+// the whole module at once: Load (load.go) lists every unit of the module
+// with one `go list` call and type-checks each from source, so an analyzer
+// that looks across packages (lockorder) sees every function body, and
+// callgraph.go lists each function's static calls. The suite runs in
+// process from this package's tests (module_test.go), and
+// internal/analysis/analysistest checks each analyzer against its fixture
+// packages under testdata/src.
 //
 // See DESIGN.md, section "Static contracts", for the contracts each shipped
 // analyzer enforces and why the type system cannot.
@@ -21,9 +20,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
@@ -36,7 +33,7 @@ type Analyzer struct {
 	// Doc is the help text: first sentence is the summary.
 	Doc string
 
-	// Run applies the analyzer to a package. It reports findings through
+	// Run applies the analyzer to the module. It reports findings through
 	// pass.Report/Reportf. The returned error aborts the whole run and is
 	// reserved for internal analyzer failures, not findings.
 	Run func(pass *Pass) error
@@ -44,28 +41,12 @@ type Analyzer struct {
 
 func (a *Analyzer) String() string { return a.Name }
 
-// A Pass presents one type-checked package to an Analyzer.
+// A Pass presents the type-checked module to one Analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	*Module
+	Analyzer *Analyzer
 
-	// IsStdPkg reports whether the package with the given path belongs to
-	// the Go standard library. Drivers that know (the unitchecker's config
-	// carries the set; analysistest asks `go list`) supply it; analyzers
-	// use it to scope rules to this module's own declarations. A nil value
-	// means "unknown" and is treated as not-standard.
-	IsStdPkg func(path string) bool
-
-	// ImportedFacts holds, per imported package path, the facts exported
-	// when that package was analyzed. Analyzers read it through ImportFact;
-	// a nil map simply yields no facts.
-	ImportedFacts map[string]PackageFacts
-
-	report   func(Diagnostic)
-	exported PackageFacts
+	report func(Diagnostic)
 }
 
 // A Diagnostic is one finding, anchored to a source position.
@@ -86,39 +67,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Stdlib reports whether path names a standard-library package according to
-// the driver; false when the driver does not know.
-func (p *Pass) Stdlib(path string) bool {
-	return p.IsStdPkg != nil && p.IsStdPkg(path)
-}
-
-// Run applies every analyzer to the package described by (fset, files, pkg,
-// info), drops the findings that //lint:ignore directives suppress, and
-// returns the rest sorted by position, with the PackageFacts the analyzers
-// exported for this package. imported carries the facts of the package's
-// dependencies (nil is fine). Suppression directives that are malformed (no
-// justification) are themselves returned as diagnostics, so a vet run
-// cannot go quiet on the back of an unexplained ignore.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, isStd func(string) bool, imported map[string]PackageFacts, analyzers []*Analyzer) ([]Diagnostic, PackageFacts, error) {
+// Run applies every analyzer to the module, drops the findings that
+// //lint:ignore directives suppress, and returns the rest sorted by
+// position. Suppression directives that are malformed (no justification)
+// are themselves returned as diagnostics, so a run cannot go quiet on the
+// back of an unexplained ignore.
+func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	exported := PackageFacts{}
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:      a,
-			Fset:          fset,
-			Files:         files,
-			Pkg:           pkg,
-			TypesInfo:     info,
-			IsStdPkg:      isStd,
-			ImportedFacts: imported,
-			report:        func(d Diagnostic) { diags = append(diags, d) },
-			exported:      exported,
+			Module:   m,
+			Analyzer: a,
+			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
 	}
-	diags = applySuppressions(fset, files, diags)
+	diags = applySuppressions(m.Fset, m.Files(), diags)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags, exported, nil
+	return diags, nil
 }

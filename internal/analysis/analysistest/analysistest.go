@@ -1,14 +1,12 @@
-// Package analysistest runs cvlint analyzers over fixture packages under a
-// testdata/src directory and checks their diagnostics against // want
+// Package analysistest runs an analyzer over fixture packages under a
+// testdata/src directory and checks its diagnostics against // want
 // comments, in the style of golang.org/x/tools/go/analysis/analysistest.
 //
 // Fixture packages are ordinary Go source that may import both standard
 // library packages and this module's packages (repro/internal/bdd, ...).
-// Type information for those imports comes from `go list -deps -export
-// -json`, which compiles them through the build cache and reports the
-// export-data file of every transitive dependency; the fixture itself is
-// then type-checked directly from source. This keeps the harness
-// stdlib-only while giving analyzers fully typed packages.
+// They are loaded by analysis.Load, the loader the suite runs the module
+// with: `go list` accepts a fixture's testdata/src/<pkg> directory and
+// compiles its imports through the build cache.
 //
 // Expectations are trailing comments of the form
 //
@@ -21,106 +19,42 @@
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 )
 
 // Run analyzes each named fixture package (a directory under root/src,
-// where root is a testdata directory relative to the test) with the
-// analyzer and checks // want expectations.
+// where root is a testdata directory relative to the test), together with
+// the packages in the directories below it, with the analyzer and checks
+// // want expectations.
 func Run(t *testing.T, root string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {
-		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
 			t.Helper()
-			runOne(t, a, filepath.Join(root, "src", pkg))
+			dir, err := filepath.Abs(filepath.Join(root, "src", pkg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := analysis.Load(".", dir+"/...")
+			if err != nil {
+				t.Fatalf("loading fixture %s: %v", dir, err)
+			}
+			// A fixture line carrying a justified //lint:ignore expects no
+			// diagnostic.
+			diags, err := analysis.Run(m, []*analysis.Analyzer{a})
+			if err != nil {
+				t.Fatalf("running %s: %v", a.Name, err)
+			}
+			checkWants(t, m.Fset, m.Files(), diags)
 		})
 	}
-}
-
-func runOne(t *testing.T, a *analysis.Analyzer, dir string) {
-	t.Helper()
-	fset := token.NewFileSet()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no fixture files in %s (%v)", dir, err)
-	}
-	sort.Strings(matches)
-	var files []*ast.File
-	for _, name := range matches {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-
-	// Resolve the fixture's imports (and their transitive closure) to
-	// export-data files via the go command.
-	var imports []string
-	for _, f := range files {
-		for _, im := range f.Imports {
-			imports = append(imports, strings.Trim(im.Path.Value, `"`))
-		}
-	}
-	exp, err := exportData(imports)
-	if err != nil {
-		t.Fatalf("resolving fixture imports: %v", err)
-	}
-
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exp.files[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	tconf := &types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	pkgPath := filepath.Base(dir)
-	pkg, err := tconf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", dir, err)
-	}
-
-	// Fixtures are single packages: interprocedural cases exercise the
-	// package-local call graph and in-package summaries, so no imported
-	// facts are supplied. A fixture line carrying a justified //lint:ignore
-	// expects no diagnostic.
-	diags, _, err := analysis.Run(fset, files, pkg, info, exp.isStd, nil, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	checkWants(t, fset, files, diags)
 }
 
 // want is one expectation parsed from a // want comment.
@@ -181,92 +115,4 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// exportInfo caches `go list` results per process: fixture packages share
-// imports, and the go command dominates the harness runtime.
-type exportInfo struct {
-	files map[string]string // package path -> export data file
-	std   map[string]bool
-}
-
-func (e *exportInfo) isStd(path string) bool { return e.std[path] }
-
-var (
-	exportMu    sync.Mutex
-	exportCache = map[string]*exportInfo{}
-)
-
-// exportData asks the go command for the export-data files and std-ness of
-// the transitive closure of the given import paths.
-func exportData(imports []string) (*exportInfo, error) {
-	sort.Strings(imports)
-	imports = dedup(imports)
-	key := strings.Join(imports, ",")
-	exportMu.Lock()
-	defer exportMu.Unlock()
-	if e, ok := exportCache[key]; ok {
-		return e, nil
-	}
-	root, err := moduleRoot()
-	if err != nil {
-		return nil, err
-	}
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export,Standard"}, imports...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list -export: %v\n%s", err, errb.String())
-	}
-	e := &exportInfo{files: map[string]string{}, std: map[string]bool{}}
-	dec := json.NewDecoder(&out)
-	for {
-		var p struct {
-			ImportPath string
-			Export     string
-			Standard   bool
-		}
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if p.Export != "" {
-			e.files[p.ImportPath] = p.Export
-		}
-		e.std[p.ImportPath] = p.Standard
-	}
-	exportCache[key] = e
-	return e, nil
-}
-
-// moduleRoot walks up from the working directory to the enclosing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-func dedup(ss []string) []string {
-	var out []string
-	for i, s := range ss {
-		if i == 0 || ss[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
 }

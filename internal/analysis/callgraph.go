@@ -1,88 +1,89 @@
 package analysis
 
-// Package-local call graph.
+// Static calls.
 //
 // The interprocedural analyzer (lockorder) needs to know which functions a
-// function calls. Within a package that is a syntactic question the AST
-// answers precisely for static calls; across packages the callee is only a
-// *types.Func, and its behavior arrives as a fact (see facts.go). Dynamic
-// calls — through function values, interface methods, or closures passed as
-// arguments — have no static callee and are deliberately not modeled: every
-// analyzer built on this graph treats an unresolved call as "unknown" and
-// stays silent rather than guessing.
+// function calls. That is a syntactic question the AST answers precisely
+// for static calls. Dynamic calls — through function values, interface
+// methods, or closures passed as arguments — have no declared callee and
+// are deliberately not modeled: every analyzer built on this treats an
+// unresolved call as "unknown" and stays silent rather than guessing.
 
 import (
 	"go/ast"
 	"go/types"
 )
 
-// A CallGraph indexes the function declarations of one package and the
-// static calls between them.
-type CallGraph struct {
-	// Funcs lists the package's function declarations in file order.
-	Funcs []*FuncNode
-	// ByObj maps a declared function's object to its node.
-	ByObj map[*types.Func]*FuncNode
-}
-
 // A FuncNode is one declared function or method.
 type FuncNode struct {
 	Decl *ast.FuncDecl
 	Obj  *types.Func
-	// Calls lists every static call syntactically inside Decl (including
-	// inside nested function literals) whose callee resolved to a named
-	// function or method.
-	Calls []CallSite
+	// Calls lists the callee of every static call syntactically inside
+	// Decl (including inside nested function literals) that resolved to a
+	// named function or method.
+	Calls []*types.Func
 }
 
-// A CallSite is one resolved static call.
-type CallSite struct {
-	Call   *ast.CallExpr
-	Callee *types.Func
-	// Local is the callee's node when it is declared in this package.
-	Local *FuncNode
-}
-
-// BuildCallGraph constructs the call graph of the package under analysis.
-func BuildCallGraph(pass *Pass) *CallGraph {
-	g := &CallGraph{ByObj: map[*types.Func]*FuncNode{}}
-	for _, f := range pass.Files {
+// Funcs returns the function declarations of p, in file order, with their
+// static calls.
+func Funcs(p *Package) []*FuncNode {
+	var fns []*FuncNode
+	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			obj, ok := p.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
 			n := &FuncNode{Decl: fd, Obj: obj}
-			g.Funcs = append(g.Funcs, n)
-			g.ByObj[obj] = n
+			ast.Inspect(fd.Body, func(node ast.Node) bool {
+				if call, ok := node.(*ast.CallExpr); ok {
+					if callee := StaticCallee(p.Info, call); callee != nil {
+						n.Calls = append(n.Calls, callee)
+					}
+				}
+				return true
+			})
+			fns = append(fns, n)
 		}
 	}
-	for _, n := range g.Funcs {
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := StaticCallee(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			n.Calls = append(n.Calls, CallSite{Call: call, Callee: callee, Local: g.ByObj[callee]})
-			return true
-		})
+	return fns
+}
+
+// FuncKey names a function or method module-wide: "path.F" for a
+// package-level function, "path.(T).M" or "path.(*T).M" for a method. Each
+// unit is checked on its own, so the unit that declares a function and a
+// unit that calls it hold different *types.Func values; the key is the
+// same in both.
+func FuncKey(fn *types.Func) string {
+	path := ""
+	if fn.Pkg() != nil {
+		path = fn.Pkg().Path() + "."
 	}
-	return g
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return path + fn.Name()
+	}
+	t := sig.Recv().Type()
+	star := ""
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t = ptr.Elem()
+		star = "*"
+	}
+	if named, isNamed := t.(*types.Named); isNamed {
+		return path + "(" + star + named.Obj().Name() + ")." + fn.Name()
+	}
+	return path + fn.Name()
 }
 
 // StaticCallee resolves a call expression to the named function or method it
 // statically invokes, or nil for dynamic calls, conversions and builtins.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
-	switch fun := Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -92,15 +93,4 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// Unparen strips any number of enclosing parentheses.
-func Unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

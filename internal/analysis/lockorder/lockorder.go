@@ -16,10 +16,9 @@
 // the end of the function (the dominant lock-then-defer idiom). Acquiring B
 // with A held records the edge A → B; calling a function whose summary says
 // it acquires B records the same edge. Summaries (the lock IDs a function
-// may acquire, transitively) propagate through the package-local call graph
-// and across packages via the vet fact protocol; each package also exports
-// its merged edge set under the "#edges" key, so importers test their local
-// edges against the order observed everywhere below them.
+// may acquire, transitively) are keyed by FuncKey and propagate through the
+// static calls of the whole module, so the edge set is built once and every
+// edge that closes a cycle is reported where it was first observed.
 //
 // Function literals run on their own goroutine or their own call chain
 // (pool.Do callbacks, go statements), so their bodies are scanned with an
@@ -28,7 +27,6 @@
 package lockorder
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -46,58 +44,70 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// Fact is a function's lock summary: the lock IDs it may acquire, directly
-// or transitively.
-type Fact struct {
-	Acquires []string `json:"acquires,omitempty"`
-}
-
-// edgesKey is the package-level fact key carrying the acquisition edges.
-// FuncKey never produces a "#" prefix, so the namespace cannot collide.
-const edgesKey = "#edges"
-
-// EdgesFact is the package-level edge set: each element is one observed
-// "held → acquired" pair.
-type EdgesFact struct {
-	Edges [][2]string `json:"edges,omitempty"`
-}
-
 func run(pass *analysis.Pass) error {
-	g := analysis.BuildCallGraph(pass)
-	info := pass.TypesInfo
+	edges := Edges(pass.Pkgs)
+	order := make([][2]string, 0, len(edges))
+	for e := range edges {
+		order = append(order, e)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if pi, pj := edges[order[i]], edges[order[j]]; pi != pj {
+			return pi < pj
+		}
+		return order[i][1] < order[j][1]
+	})
+	graph := map[string][]string{}
+	for _, e := range order {
+		graph[e[0]] = append(graph[e[0]], e[1])
+	}
+	for _, e := range order {
+		from, to := e[0], e[1]
+		if path := findPath(graph, to, from); path != nil {
+			pass.Reportf(edges[e],
+				"acquiring %s while holding %s creates a cycle in the global mutex order (%s)",
+				to, from, strings.Join(append(path, to), " → "))
+		}
+	}
+	return nil
+}
 
+// Edges returns every acquisition edge, held → acquired, observed in pkgs,
+// at the position of its first observation.
+func Edges(pkgs []*analysis.Package) map[[2]string]token.Pos {
 	// Pass 1: direct acquisitions, then the transitive closure over calls.
-	acquires := make(map[*analysis.FuncNode]map[string]bool, len(g.Funcs))
-	for _, n := range g.Funcs {
-		set := map[string]bool{}
-		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-			if call, ok := node.(*ast.CallExpr); ok {
-				if id, op := lockCall(pass, info, call); op == opAcquire && id != "" {
-					set[id] = true
-				}
+	type fn struct {
+		*analysis.FuncNode
+		info *types.Info
+		set  map[string]bool
+	}
+	var fns []fn
+	acquires := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		for _, n := range analysis.Funcs(p) {
+			key := analysis.FuncKey(n.Obj)
+			set := acquires[key]
+			if set == nil { // several init functions share a key
+				set = map[string]bool{}
+				acquires[key] = set
 			}
-			return true
-		})
-		acquires[n] = set
-	}
-	calleeAcquires := func(fn *types.Func) []string {
-		if local, ok := g.ByObj[fn]; ok {
-			return keys(acquires[local])
+			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+				if call, ok := node.(*ast.CallExpr); ok {
+					if id, op := lockCall(p.Info, call); op == opAcquire && id != "" {
+						set[id] = true
+					}
+				}
+				return true
+			})
+			fns = append(fns, fn{n, p.Info, set})
 		}
-		var imported Fact
-		if pass.ImportObjectFact(fn, &imported) {
-			return imported.Acquires
-		}
-		return nil
 	}
-	for changed, rounds := true, 0; changed && rounds <= len(g.Funcs)+1; rounds++ {
+	for changed, rounds := true, 0; changed && rounds <= len(fns)+1; rounds++ {
 		changed = false
-		for _, n := range g.Funcs {
-			set := acquires[n]
-			for _, cs := range n.Calls {
-				for _, id := range calleeAcquires(cs.Callee) {
-					if !set[id] {
-						set[id], changed = true, true
+		for _, f := range fns {
+			for _, callee := range f.Calls {
+				for id := range acquires[analysis.FuncKey(callee)] {
+					if !f.set[id] {
+						f.set[id], changed = true, true
 					}
 				}
 			}
@@ -105,87 +115,19 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// Pass 2: held-set walk collecting edges.
-	ec := &edgeCollector{
-		pass: pass, info: info,
-		calleeAcquires: calleeAcquires,
-		edges:          map[[2]string]token.Pos{},
+	ec := &edgeCollector{acquires: acquires, edges: map[[2]string]token.Pos{}}
+	for _, f := range fns {
+		ec.info = f.info
+		ec.scan(f.Decl.Body, nil)
 	}
-	for _, n := range g.Funcs {
-		ec.scan(n.Decl.Body, nil)
-	}
-
-	// Merge the edges observed in imported packages; re-exporting the union
-	// keeps the order visible transitively.
-	graph := map[string][]string{}
-	all := map[[2]string]bool{}
-	addEdge := func(from, to string) {
-		if !all[[2]string{from, to}] {
-			all[[2]string{from, to}] = true
-			graph[from] = append(graph[from], to)
-		}
-	}
-	for e := range ec.edges {
-		addEdge(e[0], e[1])
-	}
-	pass.EachImportedFact(func(_, key string, raw json.RawMessage) {
-		if key != edgesKey {
-			return
-		}
-		var ef EdgesFact
-		if json.Unmarshal(raw, &ef) == nil {
-			for _, e := range ef.Edges {
-				addEdge(e[0], e[1])
-			}
-		}
-	})
-
-	// Report each local edge whose reverse direction is already reachable.
-	local := make([][2]string, 0, len(ec.edges))
-	for e := range ec.edges {
-		local = append(local, e)
-	}
-	sort.Slice(local, func(i, j int) bool { return ec.edges[local[i]] < ec.edges[local[j]] })
-	for _, e := range local {
-		from, to := e[0], e[1]
-		if path := findPath(graph, to, from); path != nil {
-			pass.Reportf(ec.edges[e],
-				"acquiring %s while holding %s creates a cycle in the global mutex order (%s)",
-				to, from, strings.Join(append(path, to), " → "))
-		}
-	}
-
-	// Export facts: per-function summaries and the merged edge set.
-	for _, n := range g.Funcs {
-		if set := acquires[n]; len(set) > 0 {
-			if err := pass.ExportFact(analysis.FuncKey(n.Obj), &Fact{Acquires: keys(set)}); err != nil {
-				return err
-			}
-		}
-	}
-	if len(all) > 0 {
-		ef := &EdgesFact{}
-		for e := range all {
-			ef.Edges = append(ef.Edges, e)
-		}
-		sort.Slice(ef.Edges, func(i, j int) bool {
-			if ef.Edges[i][0] != ef.Edges[j][0] {
-				return ef.Edges[i][0] < ef.Edges[j][0]
-			}
-			return ef.Edges[i][1] < ef.Edges[j][1]
-		})
-		if err := pass.ExportFact(edgesKey, ef); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ec.edges
 }
 
 // edgeCollector walks bodies in syntactic order, maintaining the held list.
 type edgeCollector struct {
-	pass           *analysis.Pass
-	info           *types.Info
-	calleeAcquires func(*types.Func) []string
-	edges          map[[2]string]token.Pos // first observation wins
+	info     *types.Info
+	acquires map[string]map[string]bool // FuncKey -> lock IDs
+	edges    map[[2]string]token.Pos    // first observation wins
 }
 
 // scan walks one body with the given held prefix (nil for an entry body).
@@ -204,7 +146,7 @@ func (ec *edgeCollector) scan(body ast.Node, held []string) {
 			ec.scan(x.Call, nil)
 			return false
 		case *ast.CallExpr:
-			if id, op := lockCall(ec.pass, ec.info, x); id != "" {
+			if id, op := lockCall(ec.info, x); id != "" {
 				switch op {
 				case opAcquire:
 					for _, h := range held {
@@ -224,7 +166,7 @@ func (ec *edgeCollector) scan(body ast.Node, held []string) {
 				return true
 			}
 			if callee := analysis.StaticCallee(ec.info, x); callee != nil {
-				for _, a := range ec.calleeAcquires(callee) {
+				for a := range ec.acquires[analysis.FuncKey(callee)] {
 					for _, h := range held {
 						if h != a {
 							ec.edge(h, a, x.Pos())
@@ -252,8 +194,8 @@ const (
 
 // lockCall classifies a call as a mutex acquire/release and resolves the
 // lock's identity; id is "" for local or unresolvable mutexes.
-func lockCall(pass *analysis.Pass, info *types.Info, call *ast.CallExpr) (id string, op int) {
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
+func lockCall(info *types.Info, call *ast.CallExpr) (id string, op int) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) != 0 {
 		return "", opNone
 	}
@@ -292,7 +234,7 @@ func isSyncMutex(t types.Type) bool {
 // lockID names a mutex by its declaration site: "pkg.Type.field" for a
 // field, "pkg.var" for a package-level mutex, "" otherwise.
 func lockID(info *types.Info, e ast.Expr) string {
-	switch e := analysis.Unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		t := info.Types[e.X].Type
 		if t == nil {
@@ -338,13 +280,4 @@ func findPath(graph map[string][]string, from, to string) []string {
 		}
 	}
 	return nil
-}
-
-func keys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

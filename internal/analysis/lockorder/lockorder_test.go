@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "../testdata", lockorder.Analyzer, "lockorders")
+	analysistest.Run(t, "../testdata", lockorder.Analyzer, "lockorders", "lockcross")
 }

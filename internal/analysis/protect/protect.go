@@ -29,26 +29,29 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			}
-			if body != nil {
-				(&funcCheck{pass: pass, body: body, file: f}).checkProtect()
-			}
-			return true // also descend into nested function literals
-		})
+	for _, p := range pass.Pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					body = n.Body
+				case *ast.FuncLit:
+					body = n.Body
+				}
+				if body != nil {
+					(&funcCheck{pass: pass, info: p.Info, body: body, file: f}).checkProtect()
+				}
+				return true // also descend into nested function literals
+			})
+		}
 	}
 	return nil
 }
 
 type funcCheck struct {
 	pass *analysis.Pass
+	info *types.Info
 	body *ast.BlockStmt
 	file *ast.File
 }
@@ -61,7 +64,7 @@ type funcCheck struct {
 // balancing Unprotect), or when an "ownership:" comment on the Protect line
 // documents a deliberate transfer.
 func (fc *funcCheck) checkProtect() {
-	info := fc.pass.TypesInfo
+	info := fc.info
 
 	// Collect Unprotect targets (by object for identifiers, by expression
 	// text otherwise) and objects that escape the function.

@@ -14,6 +14,7 @@ package sentinelcmp
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 
 	"repro/internal/analysis"
 )
@@ -27,50 +28,52 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				if n.Op != token.EQL && n.Op != token.NEQ {
-					return true
-				}
-				for _, side := range [...]ast.Expr{n.X, n.Y} {
-					if name, ok := sentinelName(pass, side); ok {
-						pass.Reportf(n.Pos(), "direct %s comparison against sentinel %s; it may arrive wrapped, use errors.Is", n.Op, name)
-						break
+	for _, p := range pass.Pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if n.Op != token.EQL && n.Op != token.NEQ {
+						return true
 					}
-				}
-			case *ast.SwitchStmt:
-				// switch err { case bdd.ErrBudget: ... } compares the tag
-				// with == against every case expression.
-				if n.Tag == nil {
-					return true
-				}
-				if tv, ok := pass.TypesInfo.Types[n.Tag]; !ok || !analysis.IsErrorType(tv.Type) {
-					return true
-				}
-				for _, s := range n.Body.List {
-					cc, ok := s.(*ast.CaseClause)
-					if !ok {
-						continue
+					for _, side := range [...]ast.Expr{n.X, n.Y} {
+						if name, ok := sentinelName(pass, p.Info, side); ok {
+							pass.Reportf(n.Pos(), "direct %s comparison against sentinel %s; it may arrive wrapped, use errors.Is", n.Op, name)
+							break
+						}
 					}
-					for _, e := range cc.List {
-						if name, ok := sentinelName(pass, e); ok {
-							pass.Reportf(e.Pos(), "switch case compares against sentinel %s with ==; it may arrive wrapped, use errors.Is", name)
+				case *ast.SwitchStmt:
+					// switch err { case bdd.ErrBudget: ... } compares the tag
+					// with == against every case expression.
+					if n.Tag == nil {
+						return true
+					}
+					if tv, ok := p.Info.Types[n.Tag]; !ok || !analysis.IsErrorType(tv.Type) {
+						return true
+					}
+					for _, s := range n.Body.List {
+						cc, ok := s.(*ast.CaseClause)
+						if !ok {
+							continue
+						}
+						for _, e := range cc.List {
+							if name, ok := sentinelName(pass, p.Info, e); ok {
+								pass.Reportf(e.Pos(), "switch case compares against sentinel %s with ==; it may arrive wrapped, use errors.Is", name)
+							}
 						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
 
 // sentinelName reports whether e denotes a module sentinel error variable,
 // and its display name.
-func sentinelName(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	obj := analysis.ObjectOf(pass.TypesInfo, e)
+func sentinelName(pass *analysis.Pass, info *types.Info, e ast.Expr) (string, bool) {
+	obj := analysis.ObjectOf(info, e)
 	if obj == nil || !analysis.SentinelError(pass, obj) {
 		return "", false
 	}

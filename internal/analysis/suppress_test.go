@@ -14,13 +14,15 @@ var testAnalyzer = &Analyzer{
 	Name: "testcheck",
 	Doc:  "reports every integer literal",
 	Run: func(pass *Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.INT {
-					pass.Reportf(lit.Pos(), "integer literal %s", lit.Value)
-				}
-				return true
-			})
+		for _, p := range pass.Pkgs {
+			for _, f := range p.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.INT {
+						pass.Reportf(lit.Pos(), "integer literal %s", lit.Value)
+					}
+					return true
+				})
+			}
 		}
 		return nil
 	},
@@ -45,7 +47,7 @@ func TestSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	diags, _, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{testAnalyzer})
+	diags, err := Run(fileModule(fset, f), []*Analyzer{testAnalyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -116,7 +118,7 @@ func f() {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	diags, _, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{testAnalyzer, secondAnalyzer})
+	diags, err := Run(fileModule(fset, f), []*Analyzer{testAnalyzer, secondAnalyzer})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -145,38 +147,7 @@ func f() {
 	}
 }
 
-// TestRunDropsSuppressedKeepsFacts: a suppressed finding is gone from Run's
-// result, while the facts the reporting analyzer exported survive.
-func TestRunDropsSuppressedKeepsFacts(t *testing.T) {
-	const src = `package p
-
-func f() {
-	_ = 1 //lint:ignore factcheck the fact matters here, not the finding
-}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	factAnalyzer := &Analyzer{
-		Name: "factcheck",
-		Doc:  "reports every integer literal and exports a fact for f",
-		Run: func(pass *Pass) error {
-			if err := testAnalyzer.Run(pass); err != nil {
-				return err
-			}
-			return pass.ExportFact("f", true)
-		},
-	}
-	diags, facts, err := Run(fset, []*ast.File{f}, nil, nil, nil, nil, []*Analyzer{factAnalyzer})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("want no diagnostics, got %+v", diags)
-	}
-	if got := string(facts["factcheck"]["f"]); got != "true" {
-		t.Fatalf("exported fact: got %q, want %q", got, "true")
-	}
+// fileModule presents one parsed file as a module of one package.
+func fileModule(fset *token.FileSet, f *ast.File) *Module {
+	return &Module{Fset: fset, Pkgs: []*Package{{Files: []*ast.File{f}}}}
 }

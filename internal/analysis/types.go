@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// Shared type predicates for the cvlint analyzers. The analyzers match the
+// Shared type predicates for the suite's analyzers. The analyzers match the
 // bdd package by package name and declaration shape rather than by import
-// path, so the same analyzer binary works against both the real
+// path, so the same analyzers work against both the real
 // repro/internal/bdd and any fixture package that re-exports it.
 
 func isNamed(t types.Type, pkgName, typeName string) bool {

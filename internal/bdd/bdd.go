@@ -30,10 +30,10 @@
 // Config.DebugChecks validates that at run time, and a bdd.Image, which
 // carries no Ref, is the only way to move a BDD between kernels. Protect and Unprotect
 // must balance (protect), and the sentinel errors below may arrive wrapped
-// (sentinelcmp); cmd/cvlint checks those two statically. The sticky
-// Err must be consulted at the end of an allocation chain; core's budget
-// sweep test checks that at run time. See DESIGN.md, section "Static
-// contracts".
+// (sentinelcmp); the lint suite in internal/analysis checks those two
+// statically. The sticky Err must be consulted at the end of an allocation
+// chain; core's budget sweep test checks that at run time. See DESIGN.md,
+// section "Static contracts".
 package bdd
 
 import (
@@ -360,8 +360,9 @@ func (k *Kernel) checkVar(i int) {
 // Protect pins f (and, transitively, everything reachable from it) against
 // garbage collection. Each Protect must be balanced by an Unprotect. A Ref
 // held across a safe point (SafePoint, GC) must be protected; between safe
-// points nothing needs pinning. cmd/cvlint's protect analyzer flags pins
-// that are neither unprotected locally nor handed to a longer-lived owner.
+// points nothing needs pinning. The protect analyzer (internal/analysis)
+// flags pins that are neither unprotected locally nor handed to a
+// longer-lived owner.
 func (k *Kernel) Protect(f Ref) Ref {
 	if f > True { // terminals and Invalid need no pinning
 		if k.debugChecks {

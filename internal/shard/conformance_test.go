@@ -183,12 +183,13 @@ func TestEdgeConformance(t *testing.T) {
 			status: 200, keys: "constraint,method,witnesses",
 			check: func(t *testing.T, backend string, r edgeReply) {
 				// An existence check has no per-binding witnesses in the BDD,
-				// so every form drills down through SQL, as cvcheck does.
+				// so every form drills down through SQL, as cvcheck does, and
+				// says so.
 				var method string
 				if err := json.Unmarshal(r.doc["method"], &method); err != nil {
 					t.Fatal(err)
 				}
-				if backend == "server" && method != "sql" {
+				if method != "sql" {
 					t.Errorf("%s: method %q, want sql", backend, method)
 				}
 			}},

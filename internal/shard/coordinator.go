@@ -420,7 +420,7 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 			return nil, "", err
 		}
 		c.nResidualChecks.Add(1)
-		return res.Witnesses, "residual", res.Err
+		return res.Witnesses, string(res.Method), res.Err
 	}
 
 	targets := c.workers

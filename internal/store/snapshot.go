@@ -9,7 +9,7 @@ package store
 //
 // Layout after an 8-byte magic:
 //
-//	uvarint format version (currently 2; 1 is still read)
+//	uvarint format version (2)
 //	uvarint epoch
 //	uvarint kernel variable count
 //	domains:  uvarint n, then per domain (sorted by name)
@@ -20,13 +20,12 @@ package store
 //	indices:  uvarint n, then per index (sorted by name)
 //	          str name, str table, uvarint-counted cols and order lists,
 //	          uvarint nblocks, per block (str name, uvarint size,
-//	          uvarint-counted vars list), then (format 2) uvarint nproj,
-//	          per maintained projection a uvarint-counted list of the
-//	          index column positions it keeps
+//	          uvarint-counted vars list), then uvarint nproj, per
+//	          maintained projection a uvarint-counted list of the index
+//	          column positions it keeps
 //	bdd:      uvarint byte length, then a bdd.Image (Image.WriteTo) of
 //	          all index roots in the indices-section order, then every
-//	          index's projection roots in the same order (format 1 has
-//	          no projections)
+//	          index's projection roots in the same order
 //	constraints: str (the rendered constraint text, "" when none)
 //
 // str = uvarint length + bytes. Domains serialize their dictionaries in
@@ -53,7 +52,7 @@ import (
 const (
 	snapMagic = "\x00CVSNAP1"
 	// snapFormatVersion is bumped on any incompatible layout change; a
-	// reader refuses files from a newer version. Version 2 added the
+	// reader refuses files of any other version. Version 2 added the
 	// projection lists.
 	snapFormatVersion = 2
 	// maxSnapString caps any single string or value in a snapshot.
@@ -334,8 +333,8 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 	if p.err == nil && format > snapFormatVersion {
 		return nil, "", 0, fmt.Errorf("store: snapshot format version %d is newer than supported %d: %w", format, snapFormatVersion, ErrNewerFormat)
 	}
-	if p.err == nil && format == 0 {
-		p.fail("format version 0")
+	if p.err == nil && format < snapFormatVersion {
+		p.fail("snapshot format version %d is no longer read", format)
 	}
 	epoch := p.num()
 	numVars := p.num()
@@ -422,11 +421,9 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 			}
 			s.Blocks = append(s.Blocks, b)
 		}
-		if format >= 2 {
-			nProj := p.count("projection")
-			for j := 0; j < nProj && p.err == nil; j++ {
-				s.Projections = append(s.Projections, p.list("projection position"))
-			}
+		nProj := p.count("projection")
+		for j := 0; j < nProj && p.err == nil; j++ {
+			s.Projections = append(s.Projections, p.list("projection position"))
 		}
 		snaps = append(snaps, s)
 	}

@@ -79,8 +79,6 @@ func TestParseArgs(t *testing.T) {
 		}},
 		{flag: "shards", args: []string{"-shards", "3"}, want: func(p parsed) bool { return p.cfg.shards == 3 }},
 		{flag: "shard-key", args: []string{"-shard-key", "CUST.city"}, want: func(p parsed) bool { return p.cfg.shardKey == "CUST.city" }},
-		{flag: "shard-mode", args: []string{"-shard-mode", "range"}, want: func(p parsed) bool { return p.cfg.shardMode == "range" }},
-		{flag: "shard-bounds", args: []string{"-shard-bounds", "M,T"}, want: func(p parsed) bool { return p.cfg.shardBounds == "M,T" }},
 		{flag: "coordinator", args: []string{"-coordinator"}, want: func(p parsed) bool { return p.cfg.coordinator }},
 		{flag: "worker-urls", args: []string{"-worker-urls", "http://a,http://b"}, want: func(p parsed) bool {
 			return p.cfg.workerURLs == "http://a,http://b"
@@ -91,13 +89,13 @@ func TestParseArgs(t *testing.T) {
 		{want: func(p parsed) bool {
 			return p.sc.addr == ":8080" && !p.sc.pprof && p.cfg.method == core.OrderProbConverge &&
 				p.cfg.budget == core.DefaultNodeBudget && p.cfg.storeOpts == store.Options{Fsync: store.FsyncBatch} &&
-				reflect.DeepEqual(p.cfg.svc, service.Options{DefaultTimeout: 30 * time.Second, WriteTimeout: writeTimeout}) &&
-				p.cfg.shardMode == "hash"
+				reflect.DeepEqual(p.cfg.svc, service.Options{DefaultTimeout: 30 * time.Second, WriteTimeout: writeTimeout})
 		}},
 	}
 	// Settings that are constants, not flags: each is an unknown flag.
 	for _, gone := range []string{"nodes-per-sec", "max-batch", "snapshot-bytes", "queue", "fsync-interval",
-		"reorder", "reorder-growth", "reorder-min-nodes", "read-header-timeout", "read-timeout", "write-timeout", "idle-timeout"} {
+		"reorder", "reorder-growth", "reorder-min-nodes", "read-header-timeout", "read-timeout", "write-timeout", "idle-timeout",
+		"shard-mode", "shard-bounds"} {
 		rows = append(rows, argsRow{args: []string{"-" + gone, "1"}, err: "flag provided but not defined: -" + gone})
 	}
 

@@ -42,8 +42,6 @@ type bootConfig struct {
 	// The sharded slice of the command line (see shardboot.go).
 	shards      int
 	shardKey    string
-	shardMode   string
-	shardBounds string
 	coordinator bool
 	workerURLs  string
 

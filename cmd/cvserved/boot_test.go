@@ -6,7 +6,9 @@ package main
 // directory refuses to start instead of silently rebuilding from CSV.
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +150,46 @@ func TestBootRefusesDamagedDataDir(t *testing.T) {
 			t.Errorf("error does not name the directory: %v", err)
 		}
 	})
+
+	// Snapshots this build does not read: the directory is refused as
+	// corrupt, although the CSV flags would rebuild a working state, and is
+	// left as it was.
+	for _, fx := range []struct {
+		name, file string
+		epoch      uint64
+	}{
+		{"format-1 snapshot", "format1.snap", 3},
+		{"sifted snapshot", "sifted.snap", 5},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", "internal", "store", "testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.InstallSnapshot(bytes.NewReader(data), fx.epoch, int64(len(data)), crc32.ChecksumIEEE(data)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			cfg := base
+			cfg.dataDir = dir
+			if _, err := boot(cfg); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("boot err = %v, want ErrCorrupt", err)
+			}
+			st, err = store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got := st.Status(); got.Snapshots != 1 || got.LastSnapshotEpoch != fx.epoch {
+				t.Fatalf("after the refusal the directory holds %d snapshots, the last at epoch %d; want only the fixture's", got.Snapshots, got.LastSnapshotEpoch)
+			}
+		})
+	}
 
 	t.Run("content without manifest", func(t *testing.T) {
 		dir := t.TempDir()

@@ -229,8 +229,6 @@ func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, 
 	fs.DurationVar(&follower.PollWait, "poll-wait", 0, "leader /wal long-poll duration (0 = default 10s)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the catalog across this many in-process shard kernels behind a scatter-gather coordinator (requires -shard-key)")
 	fs.StringVar(&cfg.shardKey, "shard-key", "", "TABLE.COLUMN whose values partition the catalog; tables sharing the column's domain co-partition, others broadcast")
-	fs.StringVar(&cfg.shardMode, "shard-mode", "hash", "partitioning function: hash|range")
-	fs.StringVar(&cfg.shardBounds, "shard-bounds", "", "comma-separated sorted split points for -shard-mode range (N-1 bounds for N shards)")
 	fs.BoolVar(&cfg.coordinator, "coordinator", false, "serve as a scatter-gather coordinator over external shard workers (requires -worker-urls)")
 	fs.StringVar(&cfg.workerURLs, "worker-urls", "", "comma-separated shard worker base URLs in shard order, e.g. http://s0:8080,http://s1:8080")
 

@@ -41,16 +41,6 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := shard.ParseMode(cfg.shardMode)
-	if err != nil {
-		return nil, err
-	}
-	var bounds []string
-	if cfg.shardBounds != "" {
-		for _, b := range strings.Split(cfg.shardBounds, ",") {
-			bounds = append(bounds, strings.TrimSpace(b))
-		}
-	}
 
 	var urls []string
 	n := cfg.shards
@@ -76,7 +66,7 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	part, err := shard.NewPartitioner(cat, key, n, mode, bounds)
+	part, err := shard.NewPartitioner(cat, key, n, shard.HashMode, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,9 +81,9 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 		for i, u := range urls {
 			workers[i] = shard.NewHTTPWorker(i, u, nil)
 		}
-		cfg.logf("coordinator over %d HTTP shard workers, key %s (%s)", n, cfg.shardKey, cfg.shardMode)
+		cfg.logf("coordinator over %d HTTP shard workers, key %s", n, cfg.shardKey)
 		return shard.NewCoordinator(cat, constraints, part, workers, opts)
 	}
-	cfg.logf("coordinator over %d in-process shards, key %s (%s)", n, cfg.shardKey, cfg.shardMode)
+	cfg.logf("coordinator over %d in-process shards, key %s", n, cfg.shardKey)
 	return shard.NewInProcess(cat, constraints, part, opts)
 }

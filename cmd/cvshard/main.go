@@ -7,14 +7,13 @@
 //
 //	cvshard -shards 4 -key CUST.city \
 //	        -table CUST=cust.csv -table SUPP=supp.csv \
-//	        -share city,state \
-//	        [-mode hash|range] [-bounds M,T] -out ./shards
+//	        -share city,state -out ./shards
 //
 // Partitioning follows the same rules as the cvserved coordinator: rows of
 // the key table and of every table with a column over the key's domain go
-// to the owning shard (FNV-1a hash of the value, or the range cut given by
-// -bounds); tables without such a column are broadcast in full to every
-// shard. The output layout is out/shard<i>/<TABLE>.csv.
+// to the owning shard (FNV-1a hash of the value, mod the shard count);
+// tables without such a column are broadcast in full to every shard. The
+// output layout is out/shard<i>/<TABLE>.csv.
 package main
 
 import (
@@ -39,8 +38,6 @@ func main() {
 	})
 	shards := flag.Int("shards", 0, "number of partitions (required)")
 	keyFlag := flag.String("key", "", "TABLE.COLUMN partitioning key (required)")
-	modeFlag := flag.String("mode", "hash", "partitioning function: hash|range")
-	boundsFlag := flag.String("bounds", "", "comma-separated sorted split points for -mode range (N-1 bounds for N shards)")
 	share := flag.String("share", "", "comma-separated column names shared across tables")
 	out := flag.String("out", "", "output directory (required); writes out/shard<i>/<TABLE>.csv")
 	flag.Parse()
@@ -52,16 +49,6 @@ func main() {
 	key, err := shard.ParseKey(*keyFlag)
 	if err != nil {
 		fatal(err)
-	}
-	mode, err := shard.ParseMode(*modeFlag)
-	if err != nil {
-		fatal(err)
-	}
-	var bounds []string
-	if *boundsFlag != "" {
-		for _, b := range strings.Split(*boundsFlag, ",") {
-			bounds = append(bounds, strings.TrimSpace(b))
-		}
 	}
 	shared := map[string]string{}
 	if *share != "" {
@@ -79,7 +66,7 @@ func main() {
 		}
 		fmt.Printf("loaded %s: %d rows\n", t.Name(), t.Len())
 	}
-	part, err := shard.NewPartitioner(cat, key, *shards, mode, bounds)
+	part, err := shard.NewPartitioner(cat, key, *shards, shard.HashMode, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -49,8 +49,8 @@ func (k *Kernel) Not(f Ref) Ref {
 func (k *Kernel) ITE(f, g, h Ref) Ref {
 	k.checkOperands(f, g, h)
 	// Evaluated via three applies and a negation rather than a ternary
-	// recursion: it builds only the nodes a Replace or an Import moved out
-	// of order (Kernel.node), which the paper's workloads rarely reach.
+	// recursion: it builds only the nodes a Replace moved out of order
+	// (Kernel.node), which the paper's workloads rarely reach.
 	a := k.apply(opAnd, f, g)
 	nf := k.negate(f)
 	b := k.apply(opAnd, nf, h)

@@ -454,9 +454,9 @@ func (k *Kernel) makeNode(level uint32, low, high Ref) Ref {
 
 // node returns the function "if v then high else low". When v is above both
 // children that is the canonical node, interned by makeNode; otherwise — a
-// rename or an import that moved v below a child's variable — it is rebuilt
-// as ITE(Var(v), high, low), which restores the order. Replace and Import
-// build every node through it.
+// rename that moved v below a child's variable — it is rebuilt as
+// ITE(Var(v), high, low), which restores the order. Replace builds every
+// node through it.
 func (k *Kernel) node(v uint32, low, high Ref) Ref {
 	if low == Invalid || high == Invalid {
 		return Invalid

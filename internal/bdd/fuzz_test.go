@@ -16,8 +16,8 @@ func FuzzLoad(f *testing.F) {
 	k := bdd.New(bdd.Config{Vars: 8})
 	f.Add(save(f, k, k.Or(k.And(k.Var(0), k.Var(3)), k.NVar(7))))
 	f.Add([]byte{})
-	f.Add([]byte("\x00BDD1"))
-	f.Add([]byte("\x00BDD1\x08\x01\x00\x00\x01\x01\x00"))
+	f.Add([]byte("\x00BDD2"))
+	f.Add([]byte("\x00BDD2\x08\x00\x01\x02\x03\x04\x05\x06\x07\x01\x00\x00\x01\x01\x02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := bdd.ReadImage(bytes.NewReader(data))
 		if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"math/rand"
-	"slices"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bdd"
@@ -72,33 +74,16 @@ func goldenFunctions(k *bdd.Kernel) (f, g bdd.Ref) {
 	return f, g
 }
 
-// TestReadsSiftedBytes: the functions of TestWriteToMatchesTheFormat as a
-// kernel that had sifted its order to (5, 3, 1, 0, 2, 4) wrote them. Kernels
-// no longer sift, but data directories hold such bytes: imported into a
-// kernel whose variables are its levels, fresh or already holding the
-// functions, they are the same functions.
-func TestReadsSiftedBytes(t *testing.T) {
+// TestRefusesSiftedBytes: the functions of TestWriteToMatchesTheFormat as a
+// kernel that had sifted its order to (5, 3, 1, 0, 2, 4) wrote them. A
+// variable is its level in every kernel, so an order other than the identity
+// is refused as corrupt, never read as some other function.
+func TestRefusesSiftedBytes(t *testing.T) {
 	const sifted = "0042444432060503010002040902000103000102030101020401000300050605000105010004080904070a0701"
 	data, _ := hex.DecodeString(sifted)
-	held := bdd.New(bdd.Config{Vars: 6})
-	f, g := goldenFunctions(held)
-	want := []bdd.Ref{f, g, f, bdd.True}
-	fresh := bdd.New(bdd.Config{Vars: 6})
-	roots, err := load(fresh, data)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := bdd.ReadImage(bytes.NewReader(data)); !errors.Is(err, bdd.ErrCorrupt) || !strings.Contains(err.Error(), "not the identity") {
+		t.Fatalf("sifted bytes: %v, want ErrCorrupt for the order", err)
 	}
-	for i, r := range roots {
-		for _, a := range assignments(6) {
-			if fresh.Eval(r, a) != held.Eval(want[i], a) {
-				t.Fatalf("root %d differs from the function written at %v", i, a)
-			}
-		}
-	}
-	if roots, err = load(held, data); err != nil || !slices.Equal(roots, want) {
-		t.Fatalf("into a kernel holding the functions: imported %v (%v), want the held refs %v", roots, err, want)
-	}
-	reencodes(t, sifted)
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -149,20 +134,34 @@ func TestLoadSharesWithExistingNodes(t *testing.T) {
 	}
 }
 
+// identity4 is a BDD2 header for four variables: the count and the identity
+// order.
+const identity4 = "\x04\x00\x01\x02\x03"
+
+// TestLoadRejectsCorruptInput: each input is refused by the check its row
+// names. Past the magic, each is well-formed up to its one fault, and the
+// BDD2 body of the BDD1 row loads.
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	k := bdd.New(bdd.Config{Vars: 4})
-	cases := []string{
-		"",
-		"junk",
-		"\x00BDD1",                 // truncated after magic
-		"\x00BDD2\x04\x00\x00",     // wrong magic version
-		"\x00BDD1\x04\x01\xff\xff", // corrupt node fields
-		"\x00BDD1\x04\x02\x01\x00\x01\x01\x00\x02\x01\x03", // node not above its child
+	cases := []struct{ src, want string }{
+		{"", "reading magic"},
+		{"junk", "reading magic"},
+		{"\x00BDD2", "reading variable count"},
+		{"\x00BDD1" + identity4 + "\x00\x00", "bad magic"},
+		{"\x00BDD2\x04\x00\x01\x03\x02\x00\x00", "order is not the identity"},
+		{"\x00BDD2\x04\x00\x01", "order truncated at level 2"},
+		{"\x00BDD2" + identity4 + "\x01\xff\xff", "node 0 truncated"},
+		{"\x00BDD2" + identity4 + "\x01\x00\x02\x01\x00", "node 0 out of range"},
+		{"\x00BDD2" + identity4 + "\x02\x01\x00\x01\x01\x00\x02\x01\x03", "node 1 is not above its children"},
+		{"\x00BDD2" + identity4 + "\x00\x01\x02", "root 0 out of range"},
 	}
-	for _, src := range cases {
-		if _, err := load(k, []byte(src)); err == nil {
-			t.Errorf("load(%q) succeeded, want error", src)
+	for _, c := range cases {
+		k := bdd.New(bdd.Config{Vars: 4})
+		if _, err := load(k, []byte(c.src)); !errors.Is(err, bdd.ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("load(%q) = %v, want ErrCorrupt for %q", c.src, err, c.want)
 		}
+	}
+	if _, err := load(bdd.New(bdd.Config{Vars: 4}), []byte("\x00BDD2"+identity4+"\x00\x00")); err != nil {
+		t.Fatalf("the BDD1 row's body under the BDD2 magic: %v", err)
 	}
 }
 
@@ -216,29 +215,56 @@ func TestLoadSurvivesEveryByteCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadBoundsAllocation feeds headers that declare huge node and root
-// counts with no data behind them: ReadImage must fail on the missing bytes
-// without allocating for the declared counts. The implausible-count guards
-// reject anything past 2^31 outright.
+// TestLoadBoundsAllocation feeds headers that declare huge counts with no
+// data behind them: ReadImage must refuse them with ErrCorrupt, and no call
+// may allocate more than the reader's buffer plus a constant multiple of the
+// input's size, so declared counts drive no allocation ahead of the bytes
+// behind them. A well-formed image is held to the same bound.
 func TestLoadBoundsAllocation(t *testing.T) {
+	const header8 = "\x00BDD2\x08\x00\x01\x02\x03\x04\x05\x06\x07"
+	k := bdd.New(bdd.Config{Vars: 16})
+	rng := rand.New(rand.NewSource(5))
+	var roots []bdd.Ref
+	for i := 0; i < 8; i++ {
+		roots = append(roots, randExpr(rng, 16, 40).build(k))
+	}
 	cases := []struct {
 		name string
 		data []byte
+		ok   bool
 	}{
-		{"huge node count, no nodes", append([]byte("\x00BDD1\x08"),
-			0xff, 0xff, 0xff, 0x07)}, // count uvarint ≈ 2^30, then EOF
-		{"over-limit node count", append([]byte("\x00BDD1\x08"),
-			0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)}, // count > 2^31
-		{"huge var count", append([]byte("\x00BDD1"),
-			0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)}, // vars > 2^31
-		{"huge root count", append([]byte("\x00BDD1\x08\x00"),
-			0xff, 0xff, 0xff, 0x07)}, // 0 nodes, root count ≈ 2^30, then EOF
-		{"version-1 var count", append([]byte("\x00BDD1"),
-			0x80, 0x80, 0x80, 0x01)}, // 2^21 identity levels no byte backs
+		{"huge node count, no nodes", append([]byte(header8),
+			0xff, 0xff, 0xff, 0x07), false}, // node count 2^24-1, then EOF
+		{"over-limit node count", append([]byte(header8),
+			0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), false}, // node count > 2^31
+		{"over-limit var count", append([]byte("\x00BDD2"),
+			0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), false}, // vars > 2^31
+		{"huge var count, no order", append([]byte("\x00BDD2"),
+			0x80, 0x80, 0x80, 0x01), false}, // 2^21 levels no byte backs
+		{"huge root count", append([]byte(header8+"\x00"),
+			0xff, 0xff, 0xff, 0x07), false}, // 0 nodes, root count 2^24-1, then EOF
+		{"well-formed", save(t, k, roots...), true},
 	}
 	for _, tc := range cases {
-		if _, err := bdd.ReadImage(bytes.NewReader(tc.data)); !errors.Is(err, bdd.ErrCorrupt) {
-			t.Errorf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
+		// The least of a few calls: the runtime or another goroutine may
+		// allocate during any one of them.
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := bdd.ReadImage(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if tc.ok && err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !tc.ok && !errors.Is(err, bdd.ErrCorrupt) {
+				t.Fatalf("%s: error %v does not wrap ErrCorrupt", tc.name, err)
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if bound := uint64(8<<10 + 64*len(tc.data)); got > bound {
+			t.Errorf("%s: reading %d bytes allocated %d bytes, bound %d", tc.name, len(tc.data), got, bound)
 		}
 	}
 }

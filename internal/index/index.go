@@ -351,18 +351,13 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 			order[i] = i
 		}
 	}
-	if len(order) != len(cols) {
-		return nil, fmt.Errorf("index: %q: order has %d entries for %d columns", name, len(order), len(cols))
+	if err := checkLayout(name, t, cols, order); err != nil {
+		return nil, err
 	}
 	ix := &Index{store: s, table: t, name: name, cols: cols, order: order, full: coversAll(cols, t.NumCols()), rows: counts{cols: cols}}
 	// Allocate blocks in layout order; record them in schema order.
 	ix.doms = make([]*fdd.Domain, len(cols))
-	seen := make([]bool, len(cols))
 	for _, pos := range order {
-		if pos < 0 || pos >= len(cols) || seen[pos] {
-			return nil, fmt.Errorf("index: %q: order is not a permutation", name)
-		}
-		seen[pos] = true
 		col := cols[pos]
 		dom := t.ColumnDomain(col)
 		ix.doms[pos] = s.space.NewDomain(
@@ -387,6 +382,28 @@ func (s *Store) Build(name string, t *relation.Table, cols []int, order []int) (
 	s.kernel.Protect(root)
 	s.indices[name] = ix
 	return ix, nil
+}
+
+// checkLayout refuses an index layout whose columns are not t's, or whose
+// order is not a permutation of the column positions: Adopt's layouts come
+// from a snapshot's bytes.
+func checkLayout(name string, t *relation.Table, cols, order []int) error {
+	if len(order) != len(cols) {
+		return fmt.Errorf("index: %q: order has %d entries for %d columns", name, len(order), len(cols))
+	}
+	for _, c := range cols {
+		if c < 0 || c >= t.NumCols() {
+			return fmt.Errorf("index: %q: column %d is not one of %s's %d", name, c, t.Name(), t.NumCols())
+		}
+	}
+	seen := make([]bool, len(cols))
+	for _, pos := range order {
+		if pos < 0 || pos >= len(cols) || seen[pos] {
+			return fmt.Errorf("index: %q: order is not a permutation", name)
+		}
+		seen[pos] = true
+	}
+	return nil
 }
 
 // coversAll reports whether cols names each of a table's ncols columns.
@@ -423,8 +440,8 @@ func (s *Store) Adopt(name string, t *relation.Table, cols []int, order []int, d
 			order[i] = i
 		}
 	}
-	if len(order) != len(cols) {
-		return nil, fmt.Errorf("index: %q: order has %d entries for %d columns", name, len(order), len(cols))
+	if err := checkLayout(name, t, cols, order); err != nil {
+		return nil, err
 	}
 	if root == bdd.Invalid {
 		return nil, fmt.Errorf("index: %q: adopting an Invalid root", name)

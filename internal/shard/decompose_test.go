@@ -213,25 +213,12 @@ func TestPartitionerSplit(t *testing.T) {
 		t.Fatalf("partition row totals %d/%d, want %d/%d",
 			custTotal, suppTotal, cat.Table("CUST").Len(), cat.Table("SUPP").Len())
 	}
-}
-
-func TestPartitionerRangeMode(t *testing.T) {
-	cat := fixtureCat(t)
-	key, _ := shard.ParseKey("CUST.city")
-	p, err := shard.NewPartitioner(cat, key, 3, shard.RangeMode, []string{"M", "T"})
-	if err != nil {
-		t.Fatal(err)
+	// The hash is the one partition function: no other mode, and no bounds.
+	if _, err := shard.NewPartitioner(cat, p.Key(), 3, shard.HashMode+1, nil); err == nil {
+		t.Fatal("a second partition mode accepted")
 	}
-	for v, want := range map[string]int{"Albany": 0, "Buffalo": 0, "M": 1, "Newark": 1, "T": 2, "Toronto": 2} {
-		if got := p.ShardOf(v); got != want {
-			t.Errorf("ShardOf(%q) = %d, want %d", v, got, want)
-		}
-	}
-	if _, err := shard.NewPartitioner(cat, key, 3, shard.RangeMode, []string{"T"}); err == nil {
-		t.Fatal("wrong bound count accepted")
-	}
-	if _, err := shard.NewPartitioner(cat, key, 3, shard.RangeMode, []string{"T", "M"}); err == nil {
-		t.Fatal("unsorted bounds accepted")
+	if _, err := shard.NewPartitioner(cat, p.Key(), 3, shard.HashMode, []string{"M", "T"}); err == nil {
+		t.Fatal("range bounds accepted")
 	}
 }
 

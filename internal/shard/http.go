@@ -26,7 +26,6 @@ type CoordStatsz struct {
 	// Sharding describes the partition layout.
 	ShardKey string `json:"shard_key"`
 	Shards   int    `json:"shards"`
-	Mode     string `json:"mode"`
 
 	// Workers is one status block per shard.
 	Workers []WorkerStatus `json:"workers"`
@@ -58,7 +57,6 @@ func (c *Coordinator) Statsz() any {
 		Epoch:    c.Epoch(),
 		ShardKey: c.part.Key().String(),
 		Shards:   c.part.Shards(),
-		Mode:     c.part.Mode().String(),
 		Workers:  make([]WorkerStatus, len(c.workers)),
 		Plans:    make(map[string]string, len(c.plans)),
 		Requests: CoordRequestStats{

@@ -1,5 +1,5 @@
-// Package shard partitions a catalog by hash or range of a designated key
-// column into N per-shard kernels, decomposes constraints into per-shard
+// Package shard partitions a catalog by the hash of a designated key column
+// into N per-shard kernels, decomposes constraints into per-shard
 // conjuncts plus a cross-shard residual, and coordinates scatter-gather
 // evaluation across shard workers.
 //
@@ -12,47 +12,20 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/relation"
 )
 
-// Mode selects the partitioning function.
+// Mode selects the partitioning function. HashMode is the only one.
 type Mode int
 
-const (
-	// HashMode assigns a key value to shard FNV1a(value) mod N. The hash is
-	// computed over the value string, never a dictionary code, so placement
-	// is stable across processes and restarts.
-	HashMode Mode = iota
-	// RangeMode assigns by lexicographic range: shard 0 holds values below
-	// the first bound, shard i holds bounds[i-1] <= value < bounds[i], and
-	// the last shard holds everything from the final bound up.
-	RangeMode
-)
-
-func (m Mode) String() string {
-	if m == RangeMode {
-		return "range"
-	}
-	return "hash"
-}
-
-// ParseMode parses "hash" or "range".
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "hash", "":
-		return HashMode, nil
-	case "range":
-		return RangeMode, nil
-	default:
-		return HashMode, fmt.Errorf("shard: unknown mode %q (want hash or range)", s)
-	}
-}
+// HashMode assigns a key value to shard FNV1a(value) mod N. The hash is
+// computed over the value string, never a dictionary code, so placement is
+// stable across processes and restarts.
+const HashMode Mode = 0
 
 // Key designates the partition column as TABLE.COL.
 type Key struct {
@@ -74,18 +47,16 @@ func ParseKey(s string) (Key, error) {
 // Partitioner maps key values to shards and splits catalogs accordingly.
 // It is immutable after construction and safe for concurrent use.
 type Partitioner struct {
-	key    Key
-	n      int
-	mode   Mode
-	bounds []string // RangeMode: n-1 strictly increasing lower bounds
+	key Key
+	n   int
 	// domain is the name of the key column's value domain; a table
 	// co-partitions iff exactly one of its columns shares this domain.
 	domain string
 }
 
 // NewPartitioner validates the key against the catalog and builds the
-// partition function. bounds is required (length n-1, strictly increasing)
-// in RangeMode and must be empty in HashMode.
+// partition function. mode must be HashMode and bounds empty: the hash is
+// the one partition function.
 func NewPartitioner(cat *relation.Catalog, key Key, n int, mode Mode, bounds []string) (*Partitioner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: shard count %d: want at least 1", n)
@@ -98,31 +69,10 @@ func NewPartitioner(cat *relation.Catalog, key Key, n int, mode Mode, bounds []s
 	if c < 0 {
 		return nil, fmt.Errorf("shard: table %s has no column %q", key.Table, key.Column)
 	}
-	switch mode {
-	case HashMode:
-		if len(bounds) > 0 {
-			return nil, errors.New("shard: bounds are only meaningful with range mode")
-		}
-	case RangeMode:
-		if len(bounds) != n-1 {
-			return nil, fmt.Errorf("shard: range mode with %d shards needs %d bounds, got %d", n, n-1, len(bounds))
-		}
-		if !sort.StringsAreSorted(bounds) {
-			return nil, errors.New("shard: range bounds must be sorted ascending")
-		}
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] == bounds[i-1] {
-				return nil, fmt.Errorf("shard: duplicate range bound %q", bounds[i])
-			}
-		}
+	if mode != HashMode || len(bounds) > 0 {
+		return nil, fmt.Errorf("shard: partition mode %d with %d bounds: hash is the only mode, and takes none", mode, len(bounds))
 	}
-	return &Partitioner{
-		key:    key,
-		n:      n,
-		mode:   mode,
-		bounds: bounds,
-		domain: t.ColumnDomain(c).Name(),
-	}, nil
+	return &Partitioner{key: key, n: n, domain: t.ColumnDomain(c).Name()}, nil
 }
 
 // Shards returns the shard count N.
@@ -131,16 +81,9 @@ func (p *Partitioner) Shards() int { return p.n }
 // Key returns the designated partition key.
 func (p *Partitioner) Key() Key { return p.key }
 
-// Mode returns the partitioning function kind.
-func (p *Partitioner) Mode() Mode { return p.mode }
-
-// ShardOf maps one key value to its owning shard.
+// ShardOf maps one key value to its owning shard: FNV-1a over the value
+// bytes, mod N.
 func (p *Partitioner) ShardOf(value string) int {
-	if p.mode == RangeMode {
-		// Number of bounds <= value: shard i starts at bounds[i-1].
-		return sort.Search(len(p.bounds), func(i int) bool { return p.bounds[i] > value })
-	}
-	// FNV-1a over the value bytes.
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(value); i++ {
 		h ^= uint64(value[i])

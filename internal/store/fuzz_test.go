@@ -41,6 +41,8 @@ func FuzzReadSnapshot(f *testing.F) {
 		return buf.Bytes()
 	}
 	f.Add(seed())
+	// A snapshot whose BDD image orders its variables other than by their
+	// levels, which the image reader refuses.
 	sifted, err := os.ReadFile("testdata/sifted.snap")
 	if err != nil {
 		f.Fatal(err)

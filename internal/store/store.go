@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -181,29 +182,16 @@ func (s *Store) Recover(coreOpts core.Options) (*core.Checker, string, RecoveryI
 	if latest == nil {
 		return nil, "", info, ErrNoSnapshot
 	}
-	chk, constraints, epoch, err := s.restoreEntry(latest, coreOpts)
+	chk, constraints, epoch, err := restoreFile(s.dir, *latest, coreOpts)
 	if err != nil {
 		return nil, "", info, err
 	}
-	info.SnapshotEpoch = epoch
-	info.LastEpoch = epoch
-
 	scan, err := scanWAL(filepath.Join(s.dir, s.man.WAL))
 	if err != nil {
 		return nil, "", info, err
 	}
-	for _, b := range scan.Batches {
-		if b.Epoch <= epoch {
-			info.SkippedRecords++
-			continue
-		}
-		if applied, err := chk.Apply(b.Updates); err != nil || applied != len(b.Updates) {
-			return nil, "", info, fmt.Errorf("%w: replaying WAL record for epoch %d: applied %d/%d: %v",
-				ErrCorrupt, b.Epoch, applied, len(b.Updates), err)
-		}
-		info.ReplayedRecords++
-		info.ReplayedTuples += len(b.Updates)
-		info.LastEpoch = b.Epoch
+	if info, err = replay(chk, scan.Batches, epoch, math.MaxUint64); err != nil {
+		return nil, "", info, err
 	}
 	if scan.DroppedBytes > 0 {
 		info.DroppedTailBytes = scan.DroppedBytes
@@ -219,19 +207,21 @@ func (s *Store) Recover(coreOpts core.Options) (*core.Checker, string, RecoveryI
 	return chk, constraints, info, nil
 }
 
-// restoreEntry restores one snapshot file, verifying its length and CRC
-// against the manifest entry. Callers hold mu (read or write).
-func (s *Store) restoreEntry(e *SnapshotEntry, coreOpts core.Options) (*core.Checker, string, uint64, error) {
-	f, err := os.Open(filepath.Join(s.dir, e.File))
+// restoreFile restores the snapshot file e names in dir (see
+// restoreSnapshotFile). A Store's callers hold mu (read or write).
+func restoreFile(dir string, e SnapshotEntry, coreOpts core.Options) (*core.Checker, string, uint64, error) {
+	f, err := os.Open(filepath.Join(dir, e.File))
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("store: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	return restoreSnapshotFile(f, *e, coreOpts)
+	return restoreSnapshotFile(f, e, coreOpts)
 }
 
 // restoreSnapshotFile materializes a checker from an already-opened snapshot
-// stream, verifying length, CRC, and epoch against the manifest entry. It
+// stream, verifying length, CRC, and epoch against the manifest entry: it is
+// the one check of a snapshot against the manifest, for Recover, CheckerAt
+// and Verify alike. It
 // holds no store locks: the caller opened the handle under the lock, and on
 // POSIX an open descriptor keeps reading correctly even if a concurrent
 // prune unlinks the file — so the expensive BDD reconstruction runs without
@@ -507,17 +497,36 @@ func (s *Store) CheckerAt(epoch uint64, coreOpts core.Options) (*core.Checker, e
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range scan.Batches {
-			if b.Epoch <= snapEpoch || b.Epoch > epoch {
-				continue
-			}
-			if applied, err := chk.Apply(b.Updates); err != nil || applied != len(b.Updates) {
-				return nil, fmt.Errorf("%w: replaying WAL record for epoch %d: applied %d/%d: %v",
-					ErrCorrupt, b.Epoch, applied, len(b.Updates), err)
-			}
+		if _, err := replay(chk, scan.Batches, snapEpoch, epoch); err != nil {
+			return nil, err
 		}
 	}
 	return chk, nil
+}
+
+// replay applies to chk, in log order, the WAL batches of the epochs after
+// snapEpoch (the restored snapshot's, which covers every earlier one) up to
+// upTo, and counts them as RecoveryInfo does. A batch the checker does not
+// take whole is corrupt: the log holds only batches that applied.
+func replay(chk *core.Checker, batches []Batch, snapEpoch, upTo uint64) (RecoveryInfo, error) {
+	info := RecoveryInfo{SnapshotEpoch: snapEpoch, LastEpoch: snapEpoch}
+	for _, b := range batches {
+		if b.Epoch <= snapEpoch {
+			info.SkippedRecords++
+			continue
+		}
+		if b.Epoch > upTo {
+			continue
+		}
+		if applied, err := chk.Apply(b.Updates); err != nil || applied != len(b.Updates) {
+			return info, fmt.Errorf("%w: replaying WAL record for epoch %d: applied %d/%d: %v",
+				ErrCorrupt, b.Epoch, applied, len(b.Updates), err)
+		}
+		info.ReplayedRecords++
+		info.ReplayedTuples += len(b.Updates)
+		info.LastEpoch = b.Epoch
+	}
+	return info, nil
 }
 
 // Status is a point-in-time summary for /statsz.

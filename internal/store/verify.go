@@ -8,6 +8,7 @@ package store
 // state.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -50,8 +51,8 @@ func Info(dir string, w io.Writer) error {
 // snapshot restores to a working checker with matching length and CRC, the
 // constraint text re-parses, and the WAL scans cleanly. It reports each
 // finding to w and returns an error describing the first class of damage
-// found (a torn WAL tail alone is not damage — it is what recovery is for —
-// but it is reported).
+// found, wrapping the first failure's error (a torn WAL tail alone is not
+// damage — it is what recovery is for — but it is reported).
 func Verify(dir string, w io.Writer) error {
 	man, err := readManifest(dir)
 	if err != nil {
@@ -59,11 +60,12 @@ func Verify(dir string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "manifest: ok (format v%d, %d snapshots)\n", man.Version, len(man.Snapshots))
 	var failures []string
-	for i := range man.Snapshots {
-		e := &man.Snapshots[i]
+	var first error
+	for _, e := range man.Snapshots {
 		if err := verifySnapshot(dir, e); err != nil {
 			fmt.Fprintf(w, "snapshot epoch %d (%s): FAIL: %v\n", e.Epoch, e.File, err)
 			failures = append(failures, fmt.Sprintf("snapshot %s", e.File))
+			first = cmp.Or(first, err)
 			continue
 		}
 		fmt.Fprintf(w, "snapshot epoch %d (%s): ok\n", e.Epoch, e.File)
@@ -72,6 +74,7 @@ func Verify(dir string, w io.Writer) error {
 	if err != nil {
 		fmt.Fprintf(w, "wal %s: FAIL: %v\n", man.WAL, err)
 		failures = append(failures, "wal")
+		first = cmp.Or(first, err)
 	} else {
 		fmt.Fprintf(w, "wal %s: %d records ok", man.WAL, scan.Records)
 		if scan.DroppedBytes > 0 {
@@ -80,33 +83,18 @@ func Verify(dir string, w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("store: verification failed for %s", strings.Join(failures, ", "))
+		return fmt.Errorf("store: verification failed for %s: %w", strings.Join(failures, ", "), first)
 	}
 	return nil
 }
 
-// verifySnapshot restores one snapshot with the default runtime options and
-// exercises the restored checker far enough to prove the image is coherent.
-func verifySnapshot(dir string, e *SnapshotEntry) error {
-	f, err := os.Open(filepath.Join(dir, e.File))
+// verifySnapshot restores one snapshot with the default runtime options, as
+// recovery would, and exercises the restored checker far enough to prove the
+// image is coherent.
+func verifySnapshot(dir string, e SnapshotEntry) error {
+	chk, _, _, err := restoreFile(dir, e, core.Options{})
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	cr := &crcReader{r: f}
-	chk, _, epoch, err := readSnapshot(cr, core.Options{})
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return err
-	}
-	if cr.n != e.Bytes || cr.crc != e.CRC32 {
-		return fmt.Errorf("%w: file is %d bytes crc %08x, manifest says %d bytes crc %08x",
-			ErrCorrupt, cr.n, cr.crc, e.Bytes, e.CRC32)
-	}
-	if epoch != e.Epoch {
-		return fmt.Errorf("%w: file carries epoch %d, manifest says %d", ErrCorrupt, epoch, e.Epoch)
 	}
 	// Touch every index root so a dangling ref would surface here, not at
 	// first use after a recovery.

@@ -308,13 +308,6 @@ func (k *Kernel) ClearErr() { k.err = nil }
 // two terminals.
 func (k *Kernel) Size() int { return k.live }
 
-// GCCount returns how many garbage collections have run.
-func (k *Kernel) GCCount() int { return k.gcCount }
-
-// OpCount returns the number of recursive apply steps executed. It is a
-// cheap proxy for work performed, used by benchmarks.
-func (k *Kernel) OpCount() uint64 { return k.appliedCount }
-
 // CacheHits returns the number of operation-cache hits across all three
 // caches.
 func (k *Kernel) CacheHits() uint64 { return k.applyHits + k.quantHits + k.replaceHits }

@@ -139,11 +139,11 @@ func TestGCTriggerFollowsLiveSet(t *testing.T) {
 	gcs := base.GCRuns
 	for k.Stats().Allocs-base.Allocs < 500_000 {
 		randomMinterms(k, rng, nv, 300)
-		if k.GCCount() != gcs {
+		if k.Stats().GCRuns != gcs {
 			t.Fatal("an operation collected: only safe points may")
 		}
 		k.SafePoint()
-		gcs = k.GCCount()
+		gcs = k.Stats().GCRuns
 	}
 	if err := k.Err(); err != nil {
 		t.Fatal(err)
@@ -202,14 +202,14 @@ func TestNoOperationCollects(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		randomMinterms(k, rng, nv, 4)
 	}
-	if k.GCCount() != 0 {
-		t.Fatalf("%d collections inside operations", k.GCCount())
+	if gcs := k.Stats().GCRuns; gcs != 0 {
+		t.Fatalf("%d collections inside operations", gcs)
 	}
 	if k.Not(k.Not(held)) != held || k.NodeCount(held) != n {
 		t.Fatal("the unpinned Ref changed across the operations")
 	}
 	k.SafePoint()
-	if k.GCCount() != 1 {
-		t.Fatalf("a DebugChecks safe point ran %d collections, want 1", k.GCCount())
+	if gcs := k.Stats().GCRuns; gcs != 1 {
+		t.Fatalf("a DebugChecks safe point ran %d collections, want 1", gcs)
 	}
 }

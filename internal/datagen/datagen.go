@@ -28,11 +28,6 @@ type ProdSpec struct {
 	DomSize int
 }
 
-// DefaultProdSpec returns the §5.1 configuration for a given k.
-func DefaultProdSpec(k int) ProdSpec {
-	return ProdSpec{Products: k, Attrs: 5, Tuples: 400000, DomSize: 100}
-}
-
 // KProd generates one relation of the k-PROD family into the catalog: a
 // union of Products Cartesian products of smaller random relations over
 // randomly partitioned, non-overlapping attribute sets. Products = 0

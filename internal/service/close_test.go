@@ -2,14 +2,17 @@ package service_test
 
 // close_test.go checks that every owner loop stops on Close: the service
 // worker (run) on a leader, the follower's tail loop (tailLoop), and the
-// shard coordinator's writer (loop). The file sorts first so these run
-// before any other test's Close can wedge on a loop that ignores shutdown.
+// shard coordinator's residual server's worker (run again). The file sorts
+// first so these run before any other test's Close can wedge on a loop that
+// ignores shutdown.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -70,7 +73,7 @@ func TestCloseStopsFollowerTailLoop(t *testing.T) {
 	closeWithin(t, "(*Server).tailLoop", fol.Close)
 }
 
-func TestCloseStopsCoordinatorLoop(t *testing.T) {
+func TestCloseStopsCoordinator(t *testing.T) {
 	cat := fixtureCatalog(t)
 	cts, err := logic.ParseConstraints(testRules)
 	if err != nil {
@@ -84,5 +87,12 @@ func TestCloseStopsCoordinatorLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closeWithin(t, "(*Coordinator).loop", coord.Close)
+	// One update through the writer slot and into the residual server's
+	// worker, so Close lands after both have been used.
+	if _, _, err := coord.Update(context.Background(), []core.Update{
+		{Table: "CUST", Op: core.UpdateInsert, Values: []string{"Oshawa", "905", "Ontario"}},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	closeWithin(t, "the residual server's (*Server).run", coord.Close)
 }

@@ -1,20 +1,24 @@
 // coordinator.go fans /check, /update and /witnesses out to shard workers
 // and merges the results according to each constraint's Plan. The
-// coordinator additionally owns a residual checker over the full catalog —
+// coordinator additionally serves a residual checker over the full catalog —
 // the correctness backstop for constraints the decomposer cannot prove
-// shard-local — and a single writer goroutine that serializes updates and
-// residual evaluation, mirroring the single-kernel service's worker.
+// shard-local — as one more headless service.Server, the same worker the
+// in-process shards run. The coordinator itself owns no goroutine: a
+// one-slot writer channel serializes updates against each other.
 //
-// Consistency contract: each shard serializes its own operations, and the
-// coordinator serializes updates against each other and against residual
-// reads. Concurrent checks against in-flight updates may observe different
-// shards at different epochs (per-shard serializability, not cross-shard
-// snapshot isolation). A worker transport failure degrades the request to a
-// partial-result error naming the shard; it never merges an incomplete
-// verdict. A failed fan-out can leave shards and residual at diverged
-// epochs — the coordinator reports the error and does not advance its
-// epoch, and recovery is the operator's restart path (workers re-bootstrap
-// from their own stores or the partition pipeline).
+// Consistency contract: each shard serializes its own operations, the
+// residual server serializes residual reads against its mirror of the
+// updates, and the coordinator serializes updates against each other.
+// Concurrent checks against in-flight updates may observe different shards
+// (and the residual) at different epochs: a residual read can run between
+// an unacknowledged update's scatter and its mirror. That is per-shard
+// serializability, not cross-shard snapshot isolation; every check sent
+// after an update's acknowledgement sees it everywhere. A worker transport
+// failure degrades the request to a partial-result error naming the shard;
+// it never merges an incomplete verdict. A failed fan-out can leave shards
+// and residual at diverged epochs — the coordinator reports the error and
+// does not advance its epoch, and recovery is the operator's restart path
+// (workers re-bootstrap from their own stores or the partition pipeline).
 package shard
 
 import (
@@ -48,10 +52,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// queueDepth bounds the writer goroutine's queue of updates and residual
-// reads; each in-process worker's own queues keep service's default.
-const queueDepth = 64
-
 func (o Options) withDefaults() Options {
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -59,23 +59,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Coordinator owns the shard workers and the constraint registry, and
-// merges scatter-gather results. The residual checker is its writer
-// goroutine's own (loop), which hands it to each job it runs.
+// Coordinator owns the shard workers, the residual server and the
+// constraint registry, and merges scatter-gather results. The residual
+// checker is the residual server's worker's own; nothing here reaches it.
 type Coordinator struct {
 	*service.Registry // the registered constraints; Resolve and Constraints
 	opts              Options
 	part              *Partitioner
 	workers           []Worker
-	resolver          logic.Resolver
-	plans             map[string]Plan // registered constraints, by name
+	residual          *service.Server
+	// resolver reads the full catalog's schema — table names, arity and
+	// column domains, which no update writes — for planning and routing.
+	resolver logic.CatalogResolver
+	plans    map[string]Plan // registered constraints, by name
 
-	jobs  chan *job // serializes updates + residual reads
-	quit  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-	epoch atomic.Uint64
-	start time.Time
+	writer chan struct{} // one slot: route → scatter → mirror, one update at a time
+	quit   chan struct{}
+	once   sync.Once
+	epoch  atomic.Uint64
+	start  time.Time
 
 	// Request counters, read by metrics callbacks.
 	nChecks         atomic.Uint64
@@ -88,13 +90,6 @@ type Coordinator struct {
 	nWorkerFailures atomic.Uint64
 
 	metrics *obs.Registry
-}
-
-// job is one unit of work for the writer goroutine.
-type job struct {
-	run  func(chk *core.Checker)
-	err  error // set by the loop when the job is rejected, not run
-	done chan struct{}
 }
 
 // NewInProcess splits the catalog into part.Shards() partitions, builds one
@@ -136,9 +131,8 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 		part:     part,
 		workers:  workers,
 		plans:    make(map[string]Plan, len(cts)),
-		jobs:     make(chan *job, queueDepth),
+		writer:   make(chan struct{}, 1),
 		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
 		start:    time.Now(),
 	}
 	residual := core.New(cat, core.Options{NodeBudget: opts.NodeBudget, RandomSeed: opts.RandomSeed})
@@ -170,70 +164,13 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 	for _, ct := range cts {
 		opts.Logf("plan %s: %s", ct.Name, c.plans[ct.Name])
 	}
+	// Like a shard: no registry (constraints arrive with each call) and no
+	// read replicas.
+	if c.residual, err = service.New(residual, nil, service.Options{Replicas: -1}); err != nil {
+		return nil, fmt.Errorf("shard: residual: %w", err)
+	}
 	c.metrics = c.buildMetrics()
-
-	go c.loop(residual)
 	return c, nil
-}
-
-// loop is the coordinator's writer goroutine: updates and residual reads in
-// arrival order, each run on residual, which only this goroutine holds. It
-// stays apart from the service worker's loop on purpose: an update job here
-// is route → scatter to the shards → mirror into the residual, one
-// serialised unit, not a coalescable batch.
-func (c *Coordinator) loop(residual *core.Checker) {
-	defer close(c.done)
-	for {
-		select {
-		case j := <-c.jobs:
-			j.run(residual)
-			close(j.done)
-		case <-c.quit:
-			c.refuseQueued()
-			return
-		}
-	}
-}
-
-// refuseQueued acknowledges every queued job with ErrShuttingDown so no
-// submitter is left waiting on a dead writer.
-func (c *Coordinator) refuseQueued() {
-	for {
-		select {
-		case j := <-c.jobs:
-			j.err = service.ErrShuttingDown
-			close(j.done)
-		default:
-			return
-		}
-	}
-}
-
-// submit queues one job for the writer goroutine and waits for it, with the
-// service's backpressure contract: a full queue blocks until the caller's
-// deadline, then fails with service.ErrBusy.
-func (c *Coordinator) submit(ctx context.Context, run func(chk *core.Checker)) error {
-	j := &job{run: run, done: make(chan struct{})}
-	select {
-	case c.jobs <- j:
-	case <-ctx.Done():
-		return fmt.Errorf("%w (%v)", service.ErrBusy, ctx.Err())
-	case <-c.quit:
-		return service.ErrShuttingDown
-	}
-	select {
-	case <-j.done:
-	case <-c.done:
-		// The writer has exited. A job it ran or refused has done closed by
-		// now; one that slipped into the queue behind its last drain never
-		// will.
-		select {
-		case <-j.done:
-		default:
-			return service.ErrShuttingDown
-		}
-	}
-	return j.err
 }
 
 // closedErr refuses requests after Close. HTTP workers outlive the
@@ -263,9 +200,9 @@ func (c *Coordinator) PlanFor(ct logic.Constraint) Plan {
 }
 
 // Check evaluates the batch: local constraints fan out to every worker,
-// single-shard ones to their owner, residual ones to the coordinator's own
-// checker; the merged outcomes land in input order. Any worker transport
-// failure fails the whole call.
+// single-shard ones to their owner, residual ones to the residual server,
+// all in one scatter; the merged outcomes land in input order. Any worker
+// transport failure fails the whole call.
 func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget int, tr *obs.Trace) ([]CheckOutcome, error) {
 	if err := c.closedErr(); err != nil {
 		return nil, err
@@ -325,17 +262,16 @@ func (c *Coordinator) Check(ctx context.Context, cts []logic.Constraint, budget 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := tr.Begin()
-			errs[len(c.workers)] = c.submit(ctx, func(chk *core.Checker) {
-				sub := make([]logic.Constraint, len(residualIdx))
-				results := make([]service.CheckResult, len(residualIdx))
-				for k, i := range residualIdx {
-					sub[k] = cts[i]
-					results[k] = service.ResultOf(chk.CheckOneOpts(cts[i], core.CheckOptions{NodeBudget: budget}))
-				}
-				residualOut = outcomesOf(sub, results)
-			})
-			tr.Span("residual", t0)
+			sub := make([]logic.Constraint, len(residualIdx))
+			for k, i := range residualIdx {
+				sub[k] = cts[i]
+			}
+			results, _, err := c.residual.Check(ctx, sub, 0, budget, 0, tr)
+			if err != nil {
+				errs[len(c.workers)] = err
+				return
+			}
+			residualOut = outcomesOf(sub, results)
 		}()
 	}
 	wg.Wait()
@@ -401,7 +337,7 @@ func wrapWorkerErr(w Worker, err error) error {
 // Witnesses enumerates violating bindings. Local validity-mode constraints
 // union per-shard witness sets — exact, because guardedness confines every
 // violating binding to the shard owning its anchor value; everything else
-// (residual plans, existence mode) goes to the residual checker's witness
+// (residual plans, existence mode) goes to the residual server's witness
 // drill-down, the single-kernel server's own, SQL step and errors included.
 func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) ([]core.Witness, string, error) {
 	if err := c.closedErr(); err != nil {
@@ -410,17 +346,8 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 	c.nWitnesses.Add(1)
 	plan := c.PlanFor(ct)
 	if plan.Mode != logic.CheckValidity || plan.Kind == PlanResidual {
-		var res core.WitnessResult
-		t0 := tr.Begin()
-		err := c.submit(ctx, func(chk *core.Checker) {
-			res = chk.Witnesses(ct, limit, core.CheckOptions{NodeBudget: budget})
-		})
-		tr.Span("residual", t0)
-		if err != nil {
-			return nil, "", err
-		}
 		c.nResidualChecks.Add(1)
-		return res.Witnesses, string(res.Method), res.Err
+		return c.residual.Witnesses(ctx, ct, limit, budget, tr)
 	}
 
 	targets := c.workers
@@ -479,96 +406,96 @@ func (c *Coordinator) Witnesses(ctx context.Context, ct logic.Constraint, limit,
 }
 
 // Update routes the batch to owning shards (broadcast tables to all),
-// applies it, then mirrors it into the residual checker and advances the
+// applies it, then mirrors it into the residual server and advances the
 // epoch. The whole batch is pre-validated for routing before any shard sees
 // a tuple, so routing errors are atomic; a mid-batch apply error on a shard
 // is not (the error names the shard, and the epoch does not advance).
+// Updates hold the writer slot from routing to mirror, so they apply in one
+// order everywhere; one that cannot take it by its deadline fails with
+// service.ErrBusy.
 func (c *Coordinator) Update(ctx context.Context, ups []core.Update, tr *obs.Trace) (int, uint64, error) {
-	var (
-		applied int
-		epoch   uint64
-		uerr    error
-	)
-	err := c.submit(ctx, func(chk *core.Checker) {
-		t0 := tr.Begin()
-		// Route first: a bad tuple (unknown table, wrong arity, bad op)
-		// fails the batch before any shard mutates.
-		perShard := make([][]core.Update, len(c.workers))
-		for _, u := range ups {
-			s, broadcast, rerr := c.part.RouteUpdate(chk.Catalog(), u)
-			if rerr != nil {
-				uerr = rerr
-				return
-			}
-			if broadcast {
-				for i := range perShard {
-					perShard[i] = append(perShard[i], u)
-				}
-			} else {
-				perShard[s] = append(perShard[s], u)
-			}
-		}
-		tr.Span("route", t0)
-
-		// Scatter to the owning shards in parallel.
-		t0 = tr.Begin()
-		errs := make([]error, len(c.workers))
-		var wg sync.WaitGroup
-		for s, batch := range perShard {
-			if len(batch) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int, batch []core.Update) {
-				defer wg.Done()
-				if _, err := c.workers[s].Update(ctx, batch); err != nil {
-					c.nWorkerFailures.Add(1)
-					errs[s] = wrapWorkerErr(c.workers[s], err)
-				}
-			}(s, batch)
-		}
-		wg.Wait()
-		tr.Span("scatter", t0)
-		for _, err := range errs {
-			if err != nil {
-				uerr = err
-				return
-			}
-		}
-
-		// Mirror into the residual checker. Shards accepted the batch, so a
-		// failure here means coordinator state diverged — surfaced loudly.
-		t0 = tr.Begin()
-		if n, err := chk.Apply(ups); err != nil {
-			uerr = fmt.Errorf("shard: residual apply diverged after %d/%d tuples: %w", n, len(ups), err)
-			return
-		}
-		tr.Span("residual_apply", t0)
-		applied = len(ups)
-		epoch = c.epoch.Add(1)
-		c.nUpdateBatches.Add(1)
-		c.nUpdateTuples.Add(uint64(len(ups)))
-	})
-	if err != nil {
+	select {
+	case c.writer <- struct{}{}:
+	case <-ctx.Done():
+		return 0, c.epoch.Load(), fmt.Errorf("%w (%v)", service.ErrBusy, ctx.Err())
+	case <-c.quit:
+		return 0, c.epoch.Load(), service.ErrShuttingDown
+	}
+	defer func() { <-c.writer }()
+	if err := c.closedErr(); err != nil {
 		return 0, c.epoch.Load(), err
 	}
-	if uerr != nil {
-		return 0, c.epoch.Load(), uerr
-	}
-	return applied, epoch, nil
-}
 
-// Close stops the coordinator loop and every worker.
-func (c *Coordinator) Close() {
-	c.once.Do(func() { close(c.quit) })
-	<-c.done
+	// Route first: a bad tuple (unknown table, wrong arity, bad op) fails
+	// the batch before any shard mutates.
+	t0 := tr.Begin()
+	perShard := make([][]core.Update, len(c.workers))
+	for _, u := range ups {
+		s, broadcast, err := c.part.RouteUpdate(c.resolver.Catalog, u)
+		if err != nil {
+			return 0, c.epoch.Load(), err
+		}
+		if broadcast {
+			for i := range perShard {
+				perShard[i] = append(perShard[i], u)
+			}
+		} else {
+			perShard[s] = append(perShard[s], u)
+		}
+	}
+	tr.Span("route", t0)
+
+	// Scatter to the owning shards in parallel.
+	t0 = tr.Begin()
+	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
-	for _, w := range c.workers {
+	for s, batch := range perShard {
+		if len(batch) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func(w Worker) {
+		go func(s int, batch []core.Update) {
 			defer wg.Done()
-			w.Close()
-		}(w)
+			if _, err := c.workers[s].Update(ctx, batch); err != nil {
+				c.nWorkerFailures.Add(1)
+				errs[s] = wrapWorkerErr(c.workers[s], err)
+			}
+		}(s, batch)
 	}
 	wg.Wait()
+	tr.Span("scatter", t0)
+	for _, err := range errs {
+		if err != nil {
+			return 0, c.epoch.Load(), err
+		}
+	}
+
+	// Mirror into the residual server. The shards accepted the batch, so a
+	// deadline must not refuse the mirror, and a failure here means
+	// coordinator state diverged — surfaced loudly.
+	if n, err := c.residual.Update(context.WithoutCancel(ctx), ups, tr); err != nil {
+		return 0, c.epoch.Load(), fmt.Errorf("shard: residual apply diverged after %d/%d tuples: %w", n, len(ups), err)
+	}
+	c.nUpdateBatches.Add(1)
+	c.nUpdateTuples.Add(uint64(len(ups)))
+	return len(ups), c.epoch.Add(1), nil
+}
+
+// Close refuses new work, waits for the update in flight, then stops every
+// worker and the residual server. It is idempotent.
+func (c *Coordinator) Close() {
+	c.once.Do(func() {
+		close(c.quit)
+		c.writer <- struct{}{} // held for good: no update runs after this
+		var wg sync.WaitGroup
+		for _, w := range c.workers {
+			wg.Add(1)
+			go func(w Worker) {
+				defer wg.Done()
+				w.Close()
+			}(w)
+		}
+		c.residual.Close()
+		wg.Wait()
+	})
 }

@@ -7,11 +7,15 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/relation"
+	"repro/internal/service"
 	"repro/internal/shard"
 )
 
@@ -291,5 +295,168 @@ func TestCoordinatorBadUpdateRejectedAtomically(t *testing.T) {
 	}
 	if beforeOuts[0].Violated != afterOuts[0].Violated {
 		t.Fatal("rejected batch leaked its first tuple into a shard")
+	}
+}
+
+// absentTuples returns n CUST tuples in state NY, built from values the
+// fixture's dictionaries already hold, that cat does not contain.
+func absentTuples(cat *relation.Catalog, n int) [][]string {
+	held := map[string]bool{}
+	tb := cat.Table("CUST")
+	for r := 0; r < tb.Len(); r++ {
+		held[tb.Value(r, 0)+"|"+tb.Value(r, 1)+"|"+tb.Value(r, 2)] = true
+	}
+	var out [][]string
+	for _, c := range cities {
+		for _, a := range codes[:6] {
+			if len(out) < n && !held[c+"|"+a+"|NY"] {
+				out = append(out, []string{c, a, "NY"})
+			}
+		}
+	}
+	return out
+}
+
+// TestCoordinatorUpdatesSerialise sends single-tuple batches that insert and
+// delete the same few tuples from several goroutines at once. A delete of a
+// tuple the table does not hold is refused, so the order in which batches
+// apply decides which are refused; the shards and the residual must see one
+// order. Afterwards a local-planned and a residual-planned constraint over
+// the same condition agree on verdict and witnesses, and no batch reports a
+// divergence of the residual from the shards.
+func TestCoordinatorUpdatesSerialise(t *testing.T) {
+	cts := mustParse(t, `
+		constraint ny_local:
+		    forall c, a: CUST(c, a, "NY") => a in {"716", "518"}.
+		constraint ny_residual:
+		    forall c, a: CUST(c, a, "NY") =>
+		        a in {"716", "518"} or (CUST("Toronto", a, "NY") and not CUST("Toronto", a, "NY")).
+	`)
+	cat := fixtureCat(t)
+	populate(cat, rand.New(rand.NewSource(8)), 200)
+	tuples := absentTuples(cat, 3)
+	if len(tuples) < 3 {
+		t.Fatalf("fixture leaves only %d absent NY tuples", len(tuples))
+	}
+	coord, err := shard.NewInProcess(cat, cts, newPartitioner(t, cat, 2), shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if local, res := coord.PlanFor(cts[0]).Kind, coord.PlanFor(cts[1]).Kind; local != shard.PlanLocal || res != shard.PlanResidual {
+		t.Fatalf("plans %v and %v, want local and residual", local, res)
+	}
+
+	const goroutines, batches = 4, 100
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*batches)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				op := core.UpdateInsert
+				if rng.Intn(2) == 0 {
+					op = core.UpdateDelete
+				}
+				up := core.Update{Table: "CUST", Op: op, Values: tuples[rng.Intn(len(tuples))]}
+				if _, _, err := coord.Update(context.Background(), []core.Update{up}, nil); err != nil {
+					errs <- err
+				}
+			}
+		}(rand.New(rand.NewSource(int64(g))))
+	}
+	wg.Wait()
+	close(errs)
+	refused := 0
+	for err := range errs {
+		if strings.Contains(err.Error(), "diverged") {
+			t.Errorf("an update diverged the residual from the shards: %v", err)
+		}
+		refused++
+	}
+	t.Logf("%d of %d batches refused", refused, goroutines*batches)
+
+	outs, err := coord.Check(context.Background(), cts, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err != "" || outs[1].Err != "" || outs[0].Violated != outs[1].Violated {
+		t.Fatalf("local %+v and residual %+v disagree", outs[0], outs[1])
+	}
+	var sets [2]map[string]bool
+	for i, ct := range cts {
+		ws, _, err := coord.Witnesses(context.Background(), ct, 10000, 0, nil)
+		if err != nil {
+			t.Fatalf("%s witnesses: %v", ct.Name, err)
+		}
+		sets[i] = witnessSet(ws)
+	}
+	if len(sets[0]) != len(sets[1]) {
+		t.Fatalf("local has %d witnesses, residual %d", len(sets[0]), len(sets[1]))
+	}
+	for w := range sets[0] {
+		if !sets[1][w] {
+			t.Fatalf("local witness %s is missing from the residual's", w)
+		}
+	}
+}
+
+// TestCoordinatorUpdatesRaceClose closes the coordinator while several
+// goroutines send broadcast updates, in a few rounds. Each update either
+// applies on every shard and the residual or is refused as a whole
+// (ErrShuttingDown or ErrBusy): none may reach a closed shard or a closed
+// residual.
+func TestCoordinatorUpdatesRaceClose(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		updatesRaceClose(t, int64(round))
+	}
+}
+
+func updatesRaceClose(t *testing.T, seed int64) {
+	cat := fixtureCat(t)
+	populate(cat, rand.New(rand.NewSource(seed)), 100)
+	coord, err := shard.NewInProcess(cat, mustParse(t, fixtureRules), newPartitioner(t, cat, 2), shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close() // on a failed wait; Close is idempotent
+	const goroutines = 4
+	var acked atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			up := []core.Update{{Table: "AREA", Op: core.UpdateInsert, Values: []string{codes[0]}}}
+			for {
+				_, _, err := coord.Update(context.Background(), up, nil)
+				if err == nil {
+					acked.Add(1)
+					continue
+				}
+				var we *shard.WorkerError
+				if errors.As(err, &we) || strings.Contains(err.Error(), "diverged") ||
+					!(errors.Is(err, service.ErrShuttingDown) || errors.Is(err, service.ErrBusy)) {
+					t.Errorf("seed %d: update during Close: %v", seed, err)
+				}
+				return
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); coord.Epoch() < 5; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no update was acknowledged")
+		}
+	}
+	coord.Close()
+	wg.Wait()
+	if want := coord.Epoch() - 1; acked.Load() != want {
+		t.Errorf("seed %d: %d updates acknowledged, epoch says %d", seed, acked.Load(), want)
+	}
+	for _, w := range coord.Workers() {
+		if got := w.Status().Updates; got != acked.Load() {
+			t.Errorf("seed %d: shard %d applied %d tuples, %d were acknowledged", seed, w.Shard(), got, acked.Load())
+		}
 	}
 }

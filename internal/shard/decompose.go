@@ -18,7 +18,7 @@
 //     every shard); one shard's verdict is the global verdict.
 //
 //   - PlanResidual: anything else. The coordinator evaluates the constraint
-//     against its own full-catalog checker; constraints the residual checker
+//     against its residual server's full-catalog checker; constraints it
 //     has no index for fall through core's usual sqlengine fallback.
 //
 // Guardedness is what makes the merge sound. Consider T partitioned on a

@@ -265,3 +265,44 @@ func TestCoordinatorWorkerKilled(t *testing.T) {
 		t.Errorf("cv_shard_up did not drop to 0:\n%s", buf.String())
 	}
 }
+
+// TestCoordinatorResidualTraceCarriesKernelDelta checks that a traced /check
+// of a residual-planned constraint through the coordinator's edge carries
+// the residual server's own eval span, with the kernel work it did.
+func TestCoordinatorResidualTraceCarriesKernelDelta(t *testing.T) {
+	cat := fixtureCat(t)
+	populate(cat, rand.New(rand.NewSource(6)), 200)
+	cts := mustParse(t, fixtureRules)
+	coord, err := shard.NewInProcess(cat, cts, newPartitioner(t, cat, 2), shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	hs := httptest.NewServer(coord.Handler())
+	t.Cleanup(hs.Close)
+	const name = "area_covered"
+	if kind := coord.PlanFor(cts[5]).Kind; cts[5].Name != name || kind != shard.PlanResidual {
+		t.Fatalf("%s plans %v, want residual", cts[5].Name, kind)
+	}
+
+	resp, body := postJSON(t, hs.URL+"/check?trace=1", service.CheckRequest{Constraints: []string{name}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check %s: %s", resp.Status, body)
+	}
+	var cr service.CheckResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Trace == nil {
+		t.Fatal("?trace=1 returned no trace")
+	}
+	for _, sp := range cr.Trace.Spans {
+		if sp.Name == "eval:"+name {
+			if sp.Kernel == nil || sp.Kernel.Ops == 0 {
+				t.Fatalf("eval:%s span carries no kernel work: %+v", name, sp)
+			}
+			return
+		}
+	}
+	t.Fatalf("no eval:%s span in %+v", name, cr.Trace.Spans)
+}

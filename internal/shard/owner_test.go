@@ -11,8 +11,8 @@ import (
 )
 
 // TestCoordinatorHoldsNoKernelState pins ownership by scope: the residual
-// checker is the writer goroutine's parameter, and Coordinator, which every
-// request holds, has no field through which to reach it or its kernel.
+// checker belongs to the residual server's worker, and Coordinator, which
+// every request holds, has no field through which to reach it or its kernel.
 func TestCoordinatorHoldsNoKernelState(t *testing.T) {
 	forbidden := []reflect.Type{
 		reflect.TypeOf((*core.Checker)(nil)),

@@ -37,38 +37,3 @@ func CheckFD(t *relation.Table, lhs, rhs []int) bool {
 	}
 	return false
 }
-
-// FDViolators returns the distinct lhs groups violating lhs → rhs, as
-// encoded key rows over the lhs columns.
-func FDViolators(t *relation.Table, lhs, rhs []int) [][]int32 {
-	firstRHS := make(map[string]string, 1024)
-	firstRow := make(map[string][]int32, 1024)
-	reported := make(map[string]bool)
-	var out [][]int32
-	var lkey, rkey []byte
-	for _, row := range t.Rows() {
-		lkey = lkey[:0]
-		for _, c := range lhs {
-			lkey = binary.AppendVarint(lkey, int64(row[c]))
-		}
-		rkey = rkey[:0]
-		for _, c := range rhs {
-			rkey = binary.AppendVarint(rkey, int64(row[c]))
-		}
-		l, r := string(lkey), string(rkey)
-		prev, ok := firstRHS[l]
-		switch {
-		case !ok:
-			firstRHS[l] = r
-			proj := make([]int32, len(lhs))
-			for i, c := range lhs {
-				proj[i] = row[c]
-			}
-			firstRow[l] = proj
-		case prev != r && !reported[l]:
-			reported[l] = true
-			out = append(out, firstRow[l])
-		}
-	}
-	return out
-}

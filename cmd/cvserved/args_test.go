@@ -79,7 +79,6 @@ func TestParseArgs(t *testing.T) {
 		}},
 		{flag: "shards", args: []string{"-shards", "3"}, want: func(p parsed) bool { return p.cfg.shards == 3 }},
 		{flag: "shard-key", args: []string{"-shard-key", "CUST.city"}, want: func(p parsed) bool { return p.cfg.shardKey == "CUST.city" }},
-		{flag: "coordinator", args: []string{"-coordinator"}, want: func(p parsed) bool { return p.cfg.coordinator }},
 		{flag: "worker-urls", args: []string{"-worker-urls", "http://a,http://b"}, want: func(p parsed) bool {
 			return p.cfg.workerURLs == "http://a,http://b"
 		}},
@@ -95,7 +94,7 @@ func TestParseArgs(t *testing.T) {
 	// Settings that are constants, not flags: each is an unknown flag.
 	for _, gone := range []string{"nodes-per-sec", "max-batch", "snapshot-bytes", "queue", "fsync-interval",
 		"reorder", "reorder-growth", "reorder-min-nodes", "read-header-timeout", "read-timeout", "write-timeout", "idle-timeout",
-		"shard-mode", "shard-bounds"} {
+		"shard-mode", "shard-bounds", "coordinator"} {
 		rows = append(rows, argsRow{args: []string{"-" + gone, "1"}, err: "flag provided but not defined: -" + gone})
 	}
 

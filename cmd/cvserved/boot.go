@@ -40,10 +40,9 @@ type bootConfig struct {
 	follow string
 
 	// The sharded slice of the command line (see shardboot.go).
-	shards      int
-	shardKey    string
-	coordinator bool
-	workerURLs  string
+	shards     int
+	shardKey   string
+	workerURLs string
 
 	// svc carries the service-level flags. The HTTP edge reads its share in
 	// every mode; the rest configures the single-kernel server only.
@@ -55,7 +54,7 @@ type bootConfig struct {
 // bootBackend assembles whichever daemon form the flags select and returns
 // it as the Backend the HTTP edge serves, plus its shutdown hook.
 func bootBackend(cfg bootConfig) (service.Backend, func(), error) {
-	if cfg.shards > 0 || cfg.coordinator || cfg.workerURLs != "" {
+	if cfg.shards > 0 || cfg.workerURLs != "" {
 		coord, err := bootSharded(cfg)
 		if err != nil {
 			return nil, nil, err

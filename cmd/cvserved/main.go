@@ -24,7 +24,7 @@
 // the key column's values across N in-process shard kernels behind a
 // scatter-gather coordinator: shard-local constraints fan out and merge,
 // the rest run on a residual kernel over the full catalog. With
-// -coordinator -worker-urls u0,u1,... the same coordinator runs over
+// -worker-urls u0,u1,... -shard-key TABLE.COL the same coordinator runs over
 // external single-kernel cvserved workers, each serving one partition (cut
 // offline with cvshard). Both forms boot cold from CSV and refuse
 // -data-dir/-follow; /statsz gains a per-shard block and /metricsz rolls up
@@ -229,8 +229,7 @@ func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, 
 	fs.DurationVar(&follower.PollWait, "poll-wait", 0, "leader /wal long-poll duration (0 = default 10s)")
 	fs.IntVar(&cfg.shards, "shards", 0, "partition the catalog across this many in-process shard kernels behind a scatter-gather coordinator (requires -shard-key)")
 	fs.StringVar(&cfg.shardKey, "shard-key", "", "TABLE.COLUMN whose values partition the catalog; tables sharing the column's domain co-partition, others broadcast")
-	fs.BoolVar(&cfg.coordinator, "coordinator", false, "serve as a scatter-gather coordinator over external shard workers (requires -worker-urls)")
-	fs.StringVar(&cfg.workerURLs, "worker-urls", "", "comma-separated shard worker base URLs in shard order, e.g. http://s0:8080,http://s1:8080")
+	fs.StringVar(&cfg.workerURLs, "worker-urls", "", "serve as a scatter-gather coordinator over these external shard workers: comma-separated base URLs in shard order, e.g. http://s0:8080,http://s1:8080 (requires -shard-key)")
 
 	finish = func() (bootConfig, serveConfig, error) {
 		fail := func(err error) (bootConfig, serveConfig, error) { return bootConfig{}, serveConfig{}, err }

@@ -5,7 +5,7 @@ package main
 //	-shards N -shard-key TABLE.COL          N in-process shard kernels behind
 //	                                        one scatter-gather coordinator in
 //	                                        this process.
-//	-coordinator -worker-urls u1,u2,...     coordinator only; each URL is an
+//	-worker-urls u1,u2,... -shard-key T.C   coordinator only; each URL is an
 //	                                        ordinary single-kernel cvserved
 //	                                        serving that shard's partition
 //	                                        (cut offline with cvshard).
@@ -28,12 +28,6 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 	if cfg.dataDir != "" || cfg.follow != "" {
 		return nil, errors.New("sharded modes boot cold from CSV: -data-dir and -follow belong on the shard workers, not the coordinator")
 	}
-	if cfg.coordinator && cfg.workerURLs == "" {
-		return nil, errors.New("-coordinator requires -worker-urls (comma-separated shard worker base URLs, in shard order)")
-	}
-	if !cfg.coordinator && cfg.workerURLs != "" {
-		return nil, errors.New("-worker-urls requires -coordinator")
-	}
 	if cfg.shardKey == "" {
 		return nil, errors.New("sharded modes require -shard-key TABLE.COLUMN")
 	}
@@ -44,7 +38,7 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 
 	var urls []string
 	n := cfg.shards
-	if cfg.coordinator {
+	if cfg.workerURLs != "" {
 		for _, u := range strings.Split(cfg.workerURLs, ",") {
 			if u = strings.TrimSpace(u); u != "" {
 				urls = append(urls, u)
@@ -76,7 +70,7 @@ func bootSharded(cfg bootConfig) (*shard.Coordinator, error) {
 		Logf:       cfg.logf,
 	}
 
-	if cfg.coordinator {
+	if len(urls) > 0 {
 		workers := make([]shard.Worker, n)
 		for i, u := range urls {
 			workers[i] = shard.NewHTTPWorker(i, u, nil)

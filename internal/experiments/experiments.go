@@ -67,8 +67,9 @@ type Config struct {
 	Full bool
 	// Seed is the base random seed.
 	Seed int64
-	// Record, when non-nil, receives a BenchRow for every timed measurement
-	// of the instrumented experiments (fig4, table1, threshold).
+	// Record, when non-nil, receives a BenchRow for every timed measurement:
+	// each cell an experiment prints as a time, and the best and worst
+	// orderings of Fig 2(a).
 	Record func(BenchRow)
 }
 
@@ -158,14 +159,27 @@ func Fig2a(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		sizes, _, err := allOrderingSizes(t)
+		sizes, perms, err := allOrderingSizes(t)
 		if err != nil {
 			return err
 		}
-		sorted := append([]int(nil), sizes...)
-		sort.Ints(sorted)
-		best, worst := sorted[0], sorted[len(sorted)-1]
-		fmt.Fprintf(w, "%-8s %12d %12d %10.2f\n", fam.name, best, worst, float64(worst)/float64(best))
+		best, worst := slices.Index(sizes, slices.Min(sizes)), slices.Index(sizes, slices.Max(sizes))
+		fmt.Fprintf(w, "%-8s %12d %12d %10.2f\n", fam.name, sizes[best], sizes[worst], float64(sizes[worst])/float64(sizes[best]))
+		// One timed rebuild under each end of the curve.
+		for _, end := range []struct {
+			name string
+			i    int
+		}{{"best", best}, {"worst", worst}} {
+			start := time.Now()
+			if _, err := bddSizeFor(t, perms[end.i]); err != nil {
+				return err
+			}
+			cfg.record(BenchRow{
+				Experiment: "fig2a", Name: end.name,
+				Params:  map[string]any{"family": fam.name, "tuples": cfg.orderingTuples(), "ordering": perms[end.i]},
+				NsPerOp: time.Since(start).Nanoseconds(), Nodes: sizes[end.i],
+			})
+		}
 	}
 	fmt.Fprintln(w, "paper ratios: 1-PROD 71.29, 4-PROD 6.29, 8-PROD 2.26, RAND 1.02")
 	return nil

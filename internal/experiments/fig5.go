@@ -64,6 +64,13 @@ func Fig5a(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		for _, v := range []struct {
+			pairs string
+			r     fig5Result
+		}{{"city-areacode", ca}, {"city-state", cs}} {
+			cfg.record(BenchRow{Experiment: "fig5a", Name: "check", Params: map[string]any{"pairs": v.pairs, "approach": "sql", "tuples": n}, NsPerOp: v.r.sql.Nanoseconds()})
+			cfg.record(BenchRow{Experiment: "fig5a", Name: "check", Params: map[string]any{"pairs": v.pairs, "approach": "bdd", "tuples": n}, NsPerOp: v.r.bdd.Nanoseconds()})
+		}
 		fmt.Fprintf(w, "%-9d | %14v %14v %8.1f | %14v %14v %8.1f\n",
 			n, ca.sql.Round(time.Microsecond), ca.bdd.Round(time.Microsecond), ca.gain(),
 			cs.sql.Round(time.Microsecond), cs.bdd.Round(time.Microsecond), cs.gain())
@@ -209,6 +216,12 @@ func Fig5b(cfg Config) error {
 		if rFast.Violated != sqlViolated || rGen.Violated != sqlViolated || gbViolated != sqlViolated {
 			return fmt.Errorf("fig5b: strategies disagree at %d tuples", n)
 		}
+		for _, cell := range []struct {
+			approach string
+			d        time.Duration
+		}{{"sql-selfjoin", sqlJoin}, {"sql-groupby", sqlGroup}, {"bdd-project", rFast.Duration}, {"bdd-selfjoin", rGen.Duration}} {
+			cfg.record(BenchRow{Experiment: "fig5b", Name: "check", Params: map[string]any{"approach": cell.approach, "tuples": n}, NsPerOp: cell.d.Nanoseconds()})
+		}
 		fmt.Fprintf(w, "%-9d | %14v %14v | %14v %14v | %8.1f\n",
 			n, sqlJoin.Round(time.Microsecond), sqlGroup.Round(time.Microsecond),
 			rFast.Duration.Round(time.Microsecond), rGen.Duration.Round(time.Microsecond),
@@ -217,25 +230,4 @@ func Fig5b(cfg Config) error {
 	fmt.Fprintln(w, "gain* = sql selfjoin / bdd project. paper: BDD outperforms SQL by a factor of 6-8;")
 	fmt.Fprintln(w, "our in-memory hash group-by is a far stronger baseline than the paper's RDBMS")
 	return nil
-}
-
-// binding pairs a table with predicate column positions.
-type binding struct {
-	t    *relation.Table
-	cols []int
-}
-
-// fixedResolver resolves predicate names from a fixed map.
-type fixedResolver map[string]binding
-
-// ResolvePred implements logic.Resolver.
-func (r fixedResolver) ResolvePred(name string, arity int) (*relation.Table, []int, error) {
-	b, ok := r[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown predicate %q", name)
-	}
-	if arity != len(b.cols) {
-		return nil, nil, fmt.Errorf("%s wants %d args, got %d", name, len(b.cols), arity)
-	}
-	return b.t, b.cols, nil
 }

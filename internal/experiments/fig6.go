@@ -160,6 +160,9 @@ func Fig6a(cfg Config) error {
 			k.Unprotect(renameRes)
 			k.Unprotect(r1)
 			k.Unprotect(r2)
+			for si, strategy := range []string{"naive", "rename"} {
+				cfg.record(BenchRow{Experiment: "fig6a", Name: "join", Params: map[string]any{"r1_nodes": target, "attrs": attrs, "strategy": strategy}, NsPerOp: cells[ai][si].Nanoseconds()})
+			}
 		}
 		fmt.Fprintf(w, "%-12d | %12v %12v %8.1f | %12v %12v %8.1f\n",
 			target,
@@ -243,6 +246,8 @@ func Fig6b(cfg Config) error {
 		if sep != comb {
 			return fmt.Errorf("fig6b: strategies disagree at %d nodes", target)
 		}
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": target, "strategy": "ex-or-ex"}, NsPerOp: tSep.Nanoseconds()})
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": target, "strategy": "appex"}, NsPerOp: tComb.Nanoseconds()})
 		fmt.Fprintf(w, "%-12d | %14v %14v %8.1f\n",
 			target, tSep.Round(time.Microsecond), tComb.Round(time.Microsecond),
 			float64(tSep)/float64(tComb))
@@ -280,6 +285,8 @@ func Fig6c(cfg Config) error {
 			return fmt.Errorf("fig6c: strategies disagree at %d nodes", target)
 		}
 		k.Unprotect(comb)
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": target, "strategy": "appall"}, NsPerOp: tComb.Nanoseconds()})
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": target, "strategy": "fa-and-fa"}, NsPerOp: tPush.Nanoseconds()})
 		fmt.Fprintf(w, "%-12d | %14v %14v %8.1f\n",
 			target, tComb.Round(time.Microsecond), tPush.Round(time.Microsecond),
 			float64(tComb)/float64(tPush))

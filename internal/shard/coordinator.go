@@ -43,9 +43,6 @@ type Options struct {
 	NodeBudget int
 	// Method picks the variable-ordering heuristic for shard indices.
 	Method core.OrderingMethod
-	// DefaultTimeout bounds requests with no explicit deadline when the
-	// coordinator is served through Handler (the edge's default when zero).
-	DefaultTimeout time.Duration
 	// RandomSeed seeds randomized ordering heuristics.
 	RandomSeed int64
 	// Logf receives progress lines; nil discards them.
@@ -64,7 +61,6 @@ func (o Options) withDefaults() Options {
 // checker is the residual server's worker's own; nothing here reaches it.
 type Coordinator struct {
 	*service.Registry // the registered constraints; Resolve and Constraints
-	opts              Options
 	part              *Partitioner
 	workers           []Worker
 	residual          *service.Server
@@ -127,7 +123,6 @@ func NewCoordinator(cat *relation.Catalog, cts []logic.Constraint, part *Partiti
 	}
 	c := &Coordinator{
 		Registry: reg,
-		opts:     opts,
 		part:     part,
 		workers:  workers,
 		plans:    make(map[string]Plan, len(cts)),

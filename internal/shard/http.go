@@ -9,7 +9,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -35,6 +34,10 @@ type CoordStatsz struct {
 
 	// Requests are coordinator-side counters.
 	Requests CoordRequestStats `json:"requests"`
+
+	// Residual is the residual server's own /statsz document: its queue,
+	// requests and kernel, as a single-kernel daemon reports them.
+	Residual service.StatszResponse `json:"residual"`
 }
 
 // CoordRequestStats counts coordinator requests by disposition.
@@ -69,6 +72,7 @@ func (c *Coordinator) Statsz() any {
 			ResidualChecks: c.nResidualChecks.Load(),
 			WorkerFailures: c.nWorkerFailures.Load(),
 		},
+		Residual: c.residual.Stats(),
 	}
 	for i, worker := range c.workers {
 		stats.Workers[i] = worker.Status()
@@ -86,12 +90,6 @@ type coordBackend struct{ *Coordinator }
 
 // Backend returns the coordinator as the shared edge sees it.
 func (c *Coordinator) Backend() service.Backend { return coordBackend{c} }
-
-// Handler returns the coordinator's HTTP routes: the shared edge over
-// Backend, with the coordinator's default request timeout.
-func (c *Coordinator) Handler() http.Handler {
-	return service.NewHandler(c.Backend(), service.Options{DefaultTimeout: c.opts.DefaultTimeout})
-}
 
 func (b coordBackend) Check(ctx context.Context, cts []logic.Constraint, _, budget int, pin uint64, tr *obs.Trace) ([]service.CheckResult, uint64, error) {
 	if pin != 0 {

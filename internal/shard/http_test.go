@@ -53,7 +53,7 @@ func newHTTPCoordinator(t *testing.T, seed int64, nShards int) (*shard.Coordinat
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	hs := httptest.NewServer(coord.Handler())
+	hs := httptest.NewServer(service.NewHandler(coord.Backend(), service.Options{}))
 	t.Cleanup(hs.Close)
 	return coord, hs
 }
@@ -235,7 +235,7 @@ func TestCoordinatorWorkerKilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	hs := httptest.NewServer(coord.Handler())
+	hs := httptest.NewServer(service.NewHandler(coord.Backend(), service.Options{}))
 	t.Cleanup(hs.Close)
 
 	daemons[1].Close() // worker 1 dies
@@ -266,10 +266,13 @@ func TestCoordinatorWorkerKilled(t *testing.T) {
 	}
 }
 
-// TestCoordinatorResidualTraceCarriesKernelDelta checks that a traced /check
-// of a residual-planned constraint through the coordinator's edge carries
-// the residual server's own eval span, with the kernel work it did.
-func TestCoordinatorResidualTraceCarriesKernelDelta(t *testing.T) {
+// residualName is the fixture constraint the decomposer plans residual.
+const residualName = "area_covered"
+
+// newInProcessEdge serves a two-shard in-process coordinator over the
+// fixture through the shared edge.
+func newInProcessEdge(t *testing.T) *httptest.Server {
+	t.Helper()
 	cat := fixtureCat(t)
 	populate(cat, rand.New(rand.NewSource(6)), 200)
 	cts := mustParse(t, fixtureRules)
@@ -278,13 +281,20 @@ func TestCoordinatorResidualTraceCarriesKernelDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	hs := httptest.NewServer(coord.Handler())
+	hs := httptest.NewServer(service.NewHandler(coord.Backend(), service.Options{}))
 	t.Cleanup(hs.Close)
-	const name = "area_covered"
-	if kind := coord.PlanFor(cts[5]).Kind; cts[5].Name != name || kind != shard.PlanResidual {
+	if kind := coord.PlanFor(cts[5]).Kind; cts[5].Name != residualName || kind != shard.PlanResidual {
 		t.Fatalf("%s plans %v, want residual", cts[5].Name, kind)
 	}
+	return hs
+}
 
+// TestCoordinatorResidualTraceCarriesKernelDelta checks that a traced /check
+// of a residual-planned constraint through the coordinator's edge carries
+// the residual server's own eval span, with the kernel work it did.
+func TestCoordinatorResidualTraceCarriesKernelDelta(t *testing.T) {
+	hs := newInProcessEdge(t)
+	const name = residualName
 	resp, body := postJSON(t, hs.URL+"/check?trace=1", service.CheckRequest{Constraints: []string{name}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check %s: %s", resp.Status, body)
@@ -305,4 +315,35 @@ func TestCoordinatorResidualTraceCarriesKernelDelta(t *testing.T) {
 		}
 	}
 	t.Fatalf("no eval:%s span in %+v", name, cr.Trace.Spans)
+}
+
+// TestCoordinatorStatszShowsResidual checks that the coordinator's /statsz
+// carries the residual server's own document: after a residual-planned
+// /check, its kernel has done work and it has counted the check.
+func TestCoordinatorStatszShowsResidual(t *testing.T) {
+	hs := newInProcessEdge(t)
+	if resp, body := postJSON(t, hs.URL+"/check", service.CheckRequest{Constraints: []string{residualName}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/check %s: %s", resp.Status, body)
+	}
+	resp, err := http.Get(hs.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Residual struct {
+			PrimaryKernel struct {
+				Ops uint64 `json:"ops"`
+			} `json:"primary_kernel"`
+			Requests struct {
+				Checks uint64 `json:"checks"`
+			} `json:"requests"`
+		} `json:"residual"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Residual.PrimaryKernel.Ops == 0 || st.Residual.Requests.Checks < 1 {
+		t.Fatalf("/statsz residual = %+v, want kernel ops and a counted check", st.Residual)
+	}
 }

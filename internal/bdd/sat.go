@@ -173,8 +173,8 @@ func (k *Kernel) NodeCount(f Ref) int { return k.SharedNodeCount(f) }
 // of indices under the shared-node implementation the paper highlights.
 func (k *Kernel) SharedNodeCount(roots ...Ref) int {
 	// The visited set is a bitset over the node table, not a map: a server
-	// recounts its indices after every update round, and a map the size of a
-	// 10⁵-node index is megabytes of garbage each time.
+	// counts its indices at boot and at every snapshot it writes, and a map
+	// the size of a 10⁵-node index is megabytes of garbage each time.
 	seen := make([]uint64, len(k.low)/64+1)
 	firstVisit := func(g Ref) bool {
 		if g == Invalid || k.isTerminal(g) || seen[g>>6]&(1<<(g&63)) != 0 {

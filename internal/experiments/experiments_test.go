@@ -32,6 +32,16 @@ func runExperiment(t *testing.T, name string, f func(experiments.Config) error, 
 		if r.Experiment != name || r.NsPerOp <= 0 {
 			t.Fatalf("%s recorded %+v", name, r)
 		}
+		// Fig 6 records the size it built, which reaches the size it asked for.
+		if strings.HasPrefix(name, "fig6") {
+			built, ok := r.Params["p_nodes"].(int)
+			if name == "fig6a" {
+				built, ok = r.Params["r1_nodes"].(int)
+			}
+			if target, _ := r.Params["target_nodes"].(int); !ok || target <= 0 || built < target {
+				t.Fatalf("%s row %+v: want a built node count at or past target_nodes", name, r.Params)
+			}
+		}
 	}
 }
 

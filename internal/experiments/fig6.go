@@ -75,10 +75,11 @@ func (c Config) fig6aSizes() []int {
 func Fig6a(cfg Config) error {
 	w := cfg.out()
 	fmt.Fprintln(w, "=== Figure 6(a): equi-join rewrite, naive vs rename (|BDD(R2)| ≈ 50k) ===")
-	fmt.Fprintf(w, "%-12s | %12s %12s %8s | %12s %12s %8s\n",
-		"R1 nodes", "naive 1a", "rename 1a", "gain", "naive 2a", "rename 2a", "gain")
+	fmt.Fprintf(w, "%-12s | %9s %12s %12s %8s | %9s %12s %12s %8s\n",
+		"target nodes", "R1 1a", "naive 1a", "rename 1a", "gain", "R1 2a", "naive 2a", "rename 2a", "gain")
 	for _, target := range cfg.fig6aSizes() {
 		var cells [2][2]time.Duration // [attrs-1][naive|rename]
+		var built [2]int              // |BDD(R1)| as built, per attrs-1
 		for ai, attrs := range []int{1, 2} {
 			k := bdd.New(bdd.Config{Vars: 0, CacheSize: 1 << 18})
 			space := fdd.NewSpace(k)
@@ -115,6 +116,7 @@ func Fig6a(cfg Config) error {
 				return err
 			}
 			k.Protect(r1)
+			built[ai] = k.NodeCount(r1)
 			r2, err := randomRelationBDD(k, r2Doms, 50000, rng)
 			if err != nil {
 				return err
@@ -161,14 +163,14 @@ func Fig6a(cfg Config) error {
 			k.Unprotect(r1)
 			k.Unprotect(r2)
 			for si, strategy := range []string{"naive", "rename"} {
-				cfg.record(BenchRow{Experiment: "fig6a", Name: "join", Params: map[string]any{"r1_nodes": target, "attrs": attrs, "strategy": strategy}, NsPerOp: cells[ai][si].Nanoseconds()})
+				cfg.record(BenchRow{Experiment: "fig6a", Name: "join", Params: map[string]any{"r1_nodes": built[ai], "target_nodes": target, "attrs": attrs, "strategy": strategy}, NsPerOp: cells[ai][si].Nanoseconds()})
 			}
 		}
-		fmt.Fprintf(w, "%-12d | %12v %12v %8.1f | %12v %12v %8.1f\n",
+		fmt.Fprintf(w, "%-12d | %9d %12v %12v %8.1f | %9d %12v %12v %8.1f\n",
 			target,
-			cells[0][0].Round(time.Microsecond), cells[0][1].Round(time.Microsecond),
+			built[0], cells[0][0].Round(time.Microsecond), cells[0][1].Round(time.Microsecond),
 			float64(cells[0][0])/float64(cells[0][1]),
-			cells[1][0].Round(time.Microsecond), cells[1][1].Round(time.Microsecond),
+			built[1], cells[1][0].Round(time.Microsecond), cells[1][1].Round(time.Microsecond),
 			float64(cells[1][0])/float64(cells[1][1]))
 	}
 	fmt.Fprintln(w, "paper: the rename strategy is 2-3x faster than the equality-clause strategy")
@@ -224,12 +226,13 @@ func fig6Setup(cfg Config, target int, seedOff int64, bottom bool) (*bdd.Kernel,
 func Fig6b(cfg Config) error {
 	w := cfg.out()
 	fmt.Fprintln(w, "=== Figure 6(b): existential pull-up, Ex(P) OR Ex(Q) vs AppEx(P OR Q) ===")
-	fmt.Fprintf(w, "%-12s | %14s %14s %8s\n", "P nodes", "Ex∨Ex", "AppEx(∨)", "gain")
+	fmt.Fprintf(w, "%-12s | %9s %14s %14s %8s\n", "target nodes", "P nodes", "Ex∨Ex", "AppEx(∨)", "gain")
 	for _, target := range cfg.fig6bcSizes() {
 		k, p, q, cube, err := fig6Setup(cfg, target, 63, true)
 		if err != nil {
 			return err
 		}
+		built := k.NodeCount(p)
 		k.ClearCaches()
 		k.GC()
 		start := time.Now()
@@ -246,10 +249,10 @@ func Fig6b(cfg Config) error {
 		if sep != comb {
 			return fmt.Errorf("fig6b: strategies disagree at %d nodes", target)
 		}
-		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": target, "strategy": "ex-or-ex"}, NsPerOp: tSep.Nanoseconds()})
-		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": target, "strategy": "appex"}, NsPerOp: tComb.Nanoseconds()})
-		fmt.Fprintf(w, "%-12d | %14v %14v %8.1f\n",
-			target, tSep.Round(time.Microsecond), tComb.Round(time.Microsecond),
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "ex-or-ex"}, NsPerOp: tSep.Nanoseconds()})
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appex"}, NsPerOp: tComb.Nanoseconds()})
+		fmt.Fprintf(w, "%-12d | %9d %14v %14v %8.1f\n",
+			target, built, tSep.Round(time.Microsecond), tComb.Round(time.Microsecond),
 			float64(tSep)/float64(tComb))
 	}
 	fmt.Fprintln(w, "paper: the combined bdd_appex evaluation is faster; pull ∃ up across ∨")
@@ -263,12 +266,13 @@ func Fig6b(cfg Config) error {
 func Fig6c(cfg Config) error {
 	w := cfg.out()
 	fmt.Fprintln(w, "=== Figure 6(c): universal push-down, AppAll(P AND Q) vs FA(P) AND FA(Q) ===")
-	fmt.Fprintf(w, "%-12s | %14s %14s %8s\n", "P nodes", "AppAll(∧)", "FA∧FA", "gain")
+	fmt.Fprintf(w, "%-12s | %9s %14s %14s %8s\n", "target nodes", "P nodes", "AppAll(∧)", "FA∧FA", "gain")
 	for _, target := range cfg.fig6bcSizes() {
 		k, p, q, cube, err := fig6Setup(cfg, target, 87, false)
 		if err != nil {
 			return err
 		}
+		built := k.NodeCount(p)
 		k.ClearCaches()
 		k.GC()
 		start := time.Now()
@@ -285,10 +289,10 @@ func Fig6c(cfg Config) error {
 			return fmt.Errorf("fig6c: strategies disagree at %d nodes", target)
 		}
 		k.Unprotect(comb)
-		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": target, "strategy": "appall"}, NsPerOp: tComb.Nanoseconds()})
-		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": target, "strategy": "fa-and-fa"}, NsPerOp: tPush.Nanoseconds()})
-		fmt.Fprintf(w, "%-12d | %14v %14v %8.1f\n",
-			target, tComb.Round(time.Microsecond), tPush.Round(time.Microsecond),
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appall"}, NsPerOp: tComb.Nanoseconds()})
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "fa-and-fa"}, NsPerOp: tPush.Nanoseconds()})
+		fmt.Fprintf(w, "%-12d | %9d %14v %14v %8.1f\n",
+			target, built, tComb.Round(time.Microsecond), tPush.Round(time.Microsecond),
 			float64(tComb)/float64(tPush))
 	}
 	fmt.Fprintln(w, "paper: pushing ∀ down across ∧ beats the combined evaluation of the conjunction")

@@ -47,7 +47,10 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Spaces and multi-byte identifiers and literals keep constraint text
+	// above two bytes a token, so one slice of half a token per byte rarely
+	// grows.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/2+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -60,19 +63,32 @@ func lex(src string) ([]token, error) {
 		case c == '"':
 			start := l.pos
 			l.pos++
+			// A literal without escapes is a slice of src; the builder
+			// copies only one that holds a backslash.
+			escaped := false
 			var sb strings.Builder
 			for l.pos < len(l.src) && l.src[l.pos] != '"' {
 				if l.src[l.pos] == '\\' && l.pos+1 < len(l.src) {
+					if !escaped {
+						escaped = true
+						sb.WriteString(l.src[start+1 : l.pos])
+					}
 					l.pos++
 				}
-				sb.WriteByte(l.src[l.pos])
+				if escaped {
+					sb.WriteByte(l.src[l.pos])
+				}
 				l.pos++
 			}
 			if l.pos >= len(l.src) {
 				return nil, fmt.Errorf("logic: unterminated string at offset %d", start)
 			}
+			text := l.src[start+1 : l.pos]
+			if escaped {
+				text = sb.String()
+			}
 			l.pos++
-			l.toks = append(l.toks, token{tokString, sb.String(), start})
+			l.toks = append(l.toks, token{tokString, text, start})
 		case isIdentStart(c) ||
 			c == '_' && l.pos+1 < len(l.src) && isIdentPart(l.src[l.pos+1]):
 			start := l.pos
@@ -91,7 +107,7 @@ func lex(src string) ([]token, error) {
 				l.toks = append(l.toks, token{tokPunct, two, start})
 				l.pos += 2
 			case strings.ContainsRune("(){},:=_.", rune(c)):
-				l.toks = append(l.toks, token{tokPunct, string(c), start})
+				l.toks = append(l.toks, token{tokPunct, l.src[start : start+1], start})
 				l.pos++
 			default:
 				return nil, fmt.Errorf("logic: unexpected character %q at offset %d", c, l.pos)

@@ -290,12 +290,13 @@ func (s *Server) Stats() StatszResponse {
 			MemoHits:     s.memo.hits.Load(),
 			MemoMisses:   s.memo.misses.Load(),
 		},
-		Kernel:        agg,
-		PrimaryKernel: primary,
-		Replication:   repl,
-		Indices:       snap.indices,
-		Tables:        snap.tables,
-		Constraints:   s.Constraints(),
+		Kernel:          agg,
+		PrimaryKernel:   primary,
+		Replication:     repl,
+		Indices:         snap.indices,
+		IndexNodesEpoch: snap.nodesEpoch,
+		Tables:          snap.tables,
+		Constraints:     s.Constraints(),
 	}
 	if s.st != nil {
 		resp.Epoch = s.epoch.Load()

@@ -346,3 +346,43 @@ func TestSnapshotTriggerByBatchCount(t *testing.T) {
 		t.Errorf("pruned epoch status = %d, want 410", status)
 	}
 }
+
+// TestStatszNodeCountsAreTakenAtSnapshots pins where /statsz's index node
+// counts come from: the boot count, held across a round that writes no
+// snapshot, and recounted when a snapshot seals an epoch, where they equal
+// the counts of the checker that snapshot restores.
+func TestStatszNodeCountsAreTakenAtSnapshots(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newDurableServer(t, st, service.Options{SnapshotEveryBatches: 2})
+	boot := statsOf(t, ts.URL)
+	if boot.IndexNodesEpoch != boot.Epoch || len(boot.Indices) != 1 || boot.Indices[0].Nodes <= 0 {
+		t.Fatalf("boot: epoch %d, index_nodes_epoch %d, indices %+v", boot.Epoch, boot.IndexNodesEpoch, boot.Indices)
+	}
+	if st, ur := update(t, ts.URL, service.UpdateTuple{Table: "CUST", Op: "insert", Values: []string{"Oshawa", "416", "Ontario"}}); st != http.StatusOK {
+		t.Fatalf("/update status %d: %s", st, ur.Error)
+	}
+	held := statsOf(t, ts.URL)
+	if held.Epoch != boot.Epoch+1 || held.IndexNodesEpoch != boot.Epoch || held.Indices[0].Nodes != boot.Indices[0].Nodes {
+		t.Fatalf("after a round without a snapshot: epoch %d, index_nodes_epoch %d, nodes %d; want %d, %d, %d",
+			held.Epoch, held.IndexNodesEpoch, held.Indices[0].Nodes, boot.Epoch+1, boot.Epoch, boot.Indices[0].Nodes)
+	}
+	if st, ur := update(t, ts.URL, service.UpdateTuple{Table: "CUST", Op: "insert", Values: []string{"Newark", "905", "Ontario"}}); st != http.StatusOK {
+		t.Fatalf("/update status %d: %s", st, ur.Error)
+	}
+	sealed := statsOf(t, ts.URL)
+	e := sealed.Durability.LastSnapshotEpoch
+	if e != boot.Epoch+2 || sealed.IndexNodesEpoch != e {
+		t.Fatalf("after the snapshot round: last snapshot %d, index_nodes_epoch %d; want both %d", e, sealed.IndexNodesEpoch, boot.Epoch+2)
+	}
+	chk, err := st.CheckerAt(e, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := chk.Store().Index("CUST").NodeCount()
+	if sealed.Indices[0].Nodes != want || want == boot.Indices[0].Nodes {
+		t.Fatalf("nodes at epoch %d = %d, the restored index has %d (boot %d)", e, sealed.Indices[0].Nodes, want, boot.Indices[0].Nodes)
+	}
+}

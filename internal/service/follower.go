@@ -125,12 +125,7 @@ type replJob struct {
 	reload bool
 	// batches are tailed WAL records to apply, in leader append order.
 	batches []store.Batch
-	reply   chan replResult
-}
-
-type replResult struct {
-	epoch uint64
-	err   error
+	reply   chan error
 }
 
 // FollowerStats is the follower block of /statsz.
@@ -293,15 +288,8 @@ func (s *Server) tailOnce() error {
 		batches[i] = store.Batch{Epoch: b.Epoch, Updates: fromWireUpdates(b.Updates)}
 		tuples += uint64(len(b.Updates))
 	}
-	res, err := s.submitRepl(&replJob{batches: batches, reply: make(chan replResult, 1)})
-	if err != nil {
+	if err := s.submitRepl(&replJob{batches: batches, reply: make(chan error, 1)}); err != nil {
 		return err
-	}
-	if res.err != nil {
-		// The refused epoch changed nothing, but a retry would refuse it
-		// again (the local state or log is at fault); rebuilding from a
-		// snapshot is the only way forward.
-		return fmt.Errorf("%w: %v", errNeedBootstrap, res.err)
 	}
 	s.nTailRecords.Add(uint64(len(tr.Batches)))
 	s.nTailTuples.Add(tuples)
@@ -319,32 +307,31 @@ func (s *Server) bootstrapOnce() error {
 		s.nSnapFetchFailures.Add(1)
 		return err
 	}
-	res, err := s.submitRepl(&replJob{reload: true, reply: make(chan replResult, 1)})
-	if err != nil {
-		return err
-	}
-	if res.err != nil {
-		return res.err
-	}
-	return nil
+	return s.submitRepl(&replJob{reload: true, reply: make(chan error, 1)})
 }
 
-// submitRepl hands one job to the worker and waits for the result.
-func (s *Server) submitRepl(j *replJob) (replResult, error) {
+// submitRepl hands one job to the worker and waits for it. A job the worker
+// refused changed nothing, but a retry would refuse it again (the local
+// state or log is at fault): rebuilding from a snapshot is the only way
+// forward, so its error is an errNeedBootstrap.
+func (s *Server) submitRepl(j *replJob) error {
 	select {
 	case s.repl <- j:
 	case <-s.replCtx.Done():
-		return replResult{}, ErrShuttingDown
+		return ErrShuttingDown
 	case <-s.quit:
-		return replResult{}, ErrShuttingDown
+		return ErrShuttingDown
 	}
 	select {
-	case res := <-j.reply:
-		return res, nil
+	case err := <-j.reply:
+		if err != nil {
+			return fmt.Errorf("%w: %w", errNeedBootstrap, err)
+		}
+		return nil
 	case <-s.quit:
 		// The worker still finishes the job (the reply channel is buffered);
 		// we just stop waiting for it.
-		return replResult{}, ErrShuttingDown
+		return ErrShuttingDown
 	}
 }
 
@@ -379,7 +366,7 @@ func (w *worker) applyRepl(j *replJob) {
 // a follower crash leaves whole epochs only. An epoch that does not apply
 // whole, or whose append fails, changes nothing: applyTailed stops at the
 // last good epoch and reports the error — the tail loop re-bootstraps.
-func (w *worker) applyTailed(batches []store.Batch) replResult {
+func (w *worker) applyTailed(batches []store.Batch) error {
 	w.nBatches.Add(1)
 	cur := w.epoch.Load()
 	for i := 0; i < len(batches); {
@@ -404,39 +391,37 @@ func (w *worker) applyTailed(batches []store.Batch) replResult {
 		})
 		w.metrics.stApply.Observe(time.Since(applyStart))
 		if err != nil {
-			return replResult{epoch: cur, err: fmt.Errorf("service: replicating epoch %d: %w", epoch, err)}
+			return fmt.Errorf("service: replicating epoch %d: %w", epoch, err)
 		}
 		w.nUpdateTuples.Add(uint64(applied))
 		w.commit(epoch, nil)
 		cur = epoch
 	}
-	return replResult{epoch: cur}
+	return nil
 }
 
 // reloadFromStore rebuilds the worker's checker from the local store (fresh
-// snapshot plus any WAL tail) and swaps it in. The old kernel is abandoned
-// wholesale; in-flight replica reads finish on their frozen versions.
-func (w *worker) reloadFromStore() replResult {
+// snapshot plus any WAL tail), swaps it in and commits its epoch like any
+// other. The old kernel is abandoned wholesale; in-flight replica reads
+// finish on their frozen versions.
+func (w *worker) reloadFromStore() error {
 	chk, _, info, err := w.st.Recover(w.coreOpts)
 	if err != nil {
-		return replResult{err: fmt.Errorf("service: rebuilding from installed snapshot: %w", err)}
+		return fmt.Errorf("service: rebuilding from installed snapshot: %w", err)
 	}
+	epoch := max(info.LastEpoch, 1)
 	// The recovered catalog's version counters start over, possibly at an
 	// epoch already served: no memoised verdict, and no check in flight on
 	// the old catalog, may meet the new one.
 	w.memo.suspend()
 	w.chk = chk
-	w.batchesSinceSnap = 0
-	epoch := info.LastEpoch
-	if epoch == 0 {
-		epoch = 1
-	}
-	w.publishVersion(epoch)
+	w.countNodes(epoch)
+	// The installed snapshot is the newest: commit's round count starts
+	// from it at zero and writes none.
+	w.batchesSinceSnap = -1
+	w.commit(epoch, nil)
 	w.memo.resume()
-	w.publish(true)
-	w.epoch.Store(epoch)
-	w.epochSig.bump()
-	return replResult{epoch: epoch}
+	return nil
 }
 
 // bootstrap fetch, shared with cmd boot

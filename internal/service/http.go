@@ -156,8 +156,11 @@ type StatszResponse struct {
 	PrimaryKernel KernelStats      `json:"primary_kernel"`
 	Replication   ReplicationStats `json:"replication"`
 	Indices       []IndexStats     `json:"indices"`
-	Tables        []TableStats     `json:"tables"`
-	Constraints   []string         `json:"constraints"`
+	// IndexNodesEpoch is the epoch at which Indices' node counts were taken:
+	// at boot, at the newest snapshot this process wrote, or at a reload.
+	IndexNodesEpoch uint64       `json:"index_nodes_epoch"`
+	Tables          []TableStats `json:"tables"`
+	Constraints     []string     `json:"constraints"`
 	// Epoch is the last durably acknowledged update round; it survives
 	// restarts when a data directory is configured. Zero without one.
 	Epoch uint64 `json:"epoch,omitempty"`

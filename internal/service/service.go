@@ -248,16 +248,19 @@ type worker struct {
 	chk *core.Checker
 	// batchesSinceSnap counts coalesced rounds since the last snapshot.
 	batchesSinceSnap int
+	nodes            map[string]int // per index, as countNodes took them at nodesEpoch
+	nodesEpoch       uint64
 }
 
 // snapshot is the worker-published view of checker and kernel state, read
-// lock-free by /statsz. Indices are recounted only when updates run (node
-// counting walks the index BDDs).
+// lock-free by /statsz. Its index node counts are the worker's last
+// (countNodes), taken at nodesEpoch.
 type snapshot struct {
-	kernel  bdd.Stats // plain data: safe to hand to any goroutine
-	checker core.Stats
-	indices []IndexStats
-	tables  []TableStats
+	kernel     bdd.Stats // plain data: safe to hand to any goroutine
+	checker    core.Stats
+	indices    []IndexStats
+	tables     []TableStats
+	nodesEpoch uint64
 }
 
 // IndexStats describes one logical index for /statsz.
@@ -319,10 +322,7 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 		s.replCtx, s.replCancel = context.WithCancel(context.Background())
 		s.replState.Store(int32(replStateStarting))
 	}
-	initialEpoch := uint64(1)
-	if s.opts.InitialEpoch > initialEpoch {
-		initialEpoch = s.opts.InitialEpoch
-	}
+	initialEpoch := max(s.opts.InitialEpoch, 1)
 	s.epoch.Store(initialEpoch)
 	if s.opts.Replicas > 0 {
 		// Freeze the bootstrap version while we still own the checker (the
@@ -339,7 +339,8 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 	// The first snapshot goes out before the metrics exist: their callbacks
 	// read it unconditionally. Safe: the worker has not started yet.
 	w := &worker{Server: s, chk: chk}
-	w.publish(true)
+	w.countNodes(initialEpoch)
+	w.publish()
 	s.metrics = newServerMetrics(s) // after pool setup: per-replica gauges
 	if s.pool != nil {
 		s.pool.SetMetrics(&replica.Metrics{
@@ -536,16 +537,15 @@ func (w *worker) applyBatch(batch []*updateJob) {
 // The epoch's records are already logged: the checker took each batch only
 // after its log step succeeded. Then the frozen version publishes to the
 // replica pool, the epoch becomes visible, /wal long-polls wake, and the
-// round counts toward the next snapshot. A caller acknowledges only after
-// commit returns, so an acknowledged update is durable and every check
-// submitted after the ack sees it, whichever replica serves it. The freeze
-// is recorded on each of traces, the jobs that waited on it.
+// round counts toward the next snapshot; last, /statsz is refreshed. A caller
+// acknowledges only after commit returns, so an acknowledged update is
+// durable and every check submitted after the ack sees it, whichever replica
+// serves it. The freeze is recorded on each of traces, the jobs waiting on it.
 func (w *worker) commit(epoch uint64, traces []*obs.Trace) {
 	k := w.chk.Store().Kernel()
 	freezeStart := time.Now()
 	before := k.Stats()
 	w.publishVersion(epoch)
-	w.publish(true)
 	fd := time.Since(freezeStart)
 	w.metrics.stFreeze.Observe(fd)
 	delta := k.Stats().DeltaSince(before)
@@ -555,6 +555,7 @@ func (w *worker) commit(epoch uint64, traces []*obs.Trace) {
 	w.epoch.Store(epoch)
 	w.epochSig.bump() // wakes /wal long-polls waiting for this epoch
 	w.maybeSnapshot(epoch)
+	w.publish()
 }
 
 // publishVersion freezes the checker's current indices as the given epoch
@@ -577,8 +578,9 @@ func (w *worker) publishVersion(epoch uint64) {
 }
 
 // maybeSnapshot writes a snapshot once enough coalesced rounds have passed
-// since the last one. A failed snapshot is logged and counted but does not
-// fail updates (the WAL still covers them).
+// since the last one, then counts the index nodes its export has just
+// visited. A failed snapshot is logged and counted but does not fail
+// updates (the WAL still covers them).
 func (w *worker) maybeSnapshot(epoch uint64) {
 	if w.st == nil {
 		return
@@ -593,6 +595,7 @@ func (w *worker) maybeSnapshot(epoch uint64) {
 		return
 	}
 	w.batchesSinceSnap = 0
+	w.countNodes(epoch)
 }
 
 // runCheck serves one check or witness job under its node budget. The
@@ -619,7 +622,7 @@ func (w *worker) runCheck(j *checkJob) {
 		pass := memoPass{registered: j.registered, gen: w.memo.generation()}
 		rep = checkReply{results: w.evalAll(j.ctx, w.chk, j.cts, pass, opts, j.trace), epoch: w.epoch.Load()}
 	}
-	w.publish(false)
+	w.publish()
 	j.reply <- rep
 }
 
@@ -699,40 +702,47 @@ func (w *worker) refuseQueued() {
 		case c := <-w.checks:
 			c.reply <- checkReply{err: ErrShuttingDown}
 		case j := <-w.repl: // nil (never fires) on a leader
-			j.reply <- replResult{err: ErrShuttingDown}
+			j.reply <- ErrShuttingDown
 		default:
 			return
 		}
 	}
 }
 
-// publish refreshes the stats snapshot. full recounts index nodes, which
-// walks the index BDDs; check jobs publish light snapshots and reuse the
-// last counts.
-func (w *worker) publish(full bool) {
+// publish refreshes the stats snapshot. It walks no BDD: node counts are
+// the last countNodes took.
+func (w *worker) publish() {
 	snap := &snapshot{
-		kernel:  w.chk.KernelStats(),
-		checker: w.chk.Stats(),
+		kernel:     w.chk.KernelStats(),
+		checker:    w.chk.Stats(),
+		nodesEpoch: w.nodesEpoch,
 	}
 	for _, t := range w.chk.Catalog().Tables() {
 		snap.tables = append(snap.tables, TableStats{Name: t.Name(), Rows: t.Len(), Cols: t.NumCols()})
 	}
-	if prev := w.snap.Load(); !full && prev != nil {
-		snap.indices = prev.indices
-	} else {
-		store := w.chk.Store()
-		for _, name := range store.Names() {
-			ix := store.Index(name)
-			snap.indices = append(snap.indices, IndexStats{
-				Name:        name,
-				Table:       ix.Table().Name(),
-				Cols:        len(ix.Columns()),
-				Nodes:       ix.NodeCount(),
-				Projections: len(ix.Projections()),
-			})
-		}
+	store := w.chk.Store()
+	for _, name := range store.Names() {
+		ix := store.Index(name)
+		snap.indices = append(snap.indices, IndexStats{
+			Name:        name,
+			Table:       ix.Table().Name(),
+			Cols:        len(ix.Columns()),
+			Nodes:       w.nodes[name],
+			Projections: len(ix.Projections()),
+		})
 	}
 	w.snap.Store(snap)
+}
+
+// countNodes counts every index's nodes as of epoch for /statsz. It walks
+// each index BDD, so it runs only where the worker has just built or sealed
+// them all: at boot, after a snapshot and after a reload.
+func (w *worker) countNodes(epoch uint64) {
+	store := w.chk.Store()
+	w.nodes, w.nodesEpoch = make(map[string]int), epoch
+	for _, name := range store.Names() {
+		w.nodes[name] = store.Index(name).NodeCount()
+	}
 }
 
 // submission (called from handler goroutines)

@@ -533,6 +533,14 @@ func TestVerifyAndCompact(t *testing.T) {
 	if err := store.Verify(dir, &buf); err != nil {
 		t.Fatalf("Verify: %v\n%s", err, buf.String())
 	}
+	// The snapshot's line carries each index's node count, the live one's:
+	// reduced ordered BDDs are canonical.
+	for _, name := range chk.Store().Names() {
+		want := fmt.Sprintf("index %s %d nodes", name, chk.Store().Index(name).NodeCount())
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("Verify output lacks %q:\n%s", want, buf.String())
+		}
+	}
 	if err := store.Info(dir, io.Discard); err != nil {
 		t.Fatalf("Info: %v", err)
 	}

@@ -26,8 +26,8 @@ import (
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 
 	// Doc is the help text: first sentence is the summary.
@@ -67,11 +67,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Run applies every analyzer to the module, drops the findings that
-// //lint:ignore directives suppress, and returns the rest sorted by
-// position. Suppression directives that are malformed (no justification)
-// are themselves returned as diagnostics, so a run cannot go quiet on the
-// back of an unexplained ignore.
+// Run applies every analyzer to the module and returns the findings sorted
+// by position.
 func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -84,7 +81,6 @@ func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
 	}
-	diags = applySuppressions(m.Fset, m.Files(), diags)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }

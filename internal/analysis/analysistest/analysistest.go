@@ -10,7 +10,7 @@
 //
 // Expectations are trailing comments of the form
 //
-//	k.Protect(r) // want `regexp`
+//	if err == bdd.ErrBudget { // want `regexp`
 //
 // where the backquoted (or double-quoted) argument is a regular expression
 // matched against analyzer diagnostics reported on that line. Multiple
@@ -46,8 +46,6 @@ func Run(t *testing.T, root string, a *analysis.Analyzer, pkgs ...string) {
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", dir, err)
 			}
-			// A fixture line carrying a justified //lint:ignore expects no
-			// diagnostic.
 			diags, err := analysis.Run(m, []*analysis.Analyzer{a})
 			if err != nil {
 				t.Fatalf("running %s: %v", a.Name, err)

@@ -22,14 +22,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/protect"
 	"repro/internal/analysis/sentinelcmp"
 )
 
 // suite is the full analyzer set, in reporting order.
 var suite = []*analysis.Analyzer{
 	sentinelcmp.Analyzer,
-	protect.Analyzer,
 	lockorder.Analyzer,
 }
 
@@ -49,14 +47,6 @@ var seededFaults = []seededFault{
 		edits: [][2]string{{
 			"if !errors.Is(err, logic.ErrNoIndex) && !errors.Is(err, bdd.ErrBudget) {",
 			"if err != logic.ErrNoIndex && !errors.Is(err, bdd.ErrBudget) {",
-		}},
-	},
-	{
-		name: "an index update pins its new root but never stores it", analyzer: "protect",
-		file: "internal/index/index.go",
-		edits: [][2]string{{
-			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n\t\tix.root = next\n",
-			"\t\tk.Protect(next)\n\t\tk.Unprotect(ix.root)\n",
 		}},
 	},
 	{

@@ -52,8 +52,3 @@ func good(k *bdd.Kernel, err error) bool {
 	}
 	return err == nil
 }
-
-func suppressed(err error) bool {
-	//lint:ignore sentinelcmp this test asserts on identity of the unwrapped value on purpose
-	return err == bdd.ErrBudget
-}

@@ -6,36 +6,7 @@ import (
 	"strings"
 )
 
-// Shared type predicates for the suite's analyzers. The analyzers match the
-// bdd package by package name and declaration shape rather than by import
-// path, so the same analyzers work against both the real
-// repro/internal/bdd and any fixture package that re-exports it.
-
-func isNamed(t types.Type, pkgName, typeName string) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
-}
-
-// KernelMethod returns (receiver expression, method name, true) when call is
-// a method call on a *bdd.Kernel value.
-func KernelMethod(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil, "", false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return nil, "", false
-	}
-	if ptr, ok := tv.Type.(*types.Pointer); !ok || !isNamed(ptr.Elem(), "bdd", "Kernel") {
-		return nil, "", false
-	}
-	return sel.X, sel.Sel.Name, true
-}
+// Shared type predicates for the suite's analyzers.
 
 // IsErrorType reports whether t is the built-in error interface (the type of
 // every errors.New sentinel).

@@ -28,12 +28,13 @@
 // Several usage contracts of this API are not expressible in Go's type
 // system. Refs must stay with the Kernel that minted them:
 // Config.DebugChecks validates that at run time, and a bdd.Image, which
-// carries no Ref, is the only way to move a BDD between kernels. Protect and Unprotect
-// must balance (protect), and the sentinel errors below may arrive wrapped
-// (sentinelcmp); the lint suite in internal/analysis checks those two
-// statically. The sticky Err must be consulted at the end of an allocation
-// chain; core's budget sweep test checks that at run time. See DESIGN.md,
-// section "Static contracts".
+// carries no Ref, is the only way to move a BDD between kernels. Every pin
+// must have an owner: under DebugChecks a core.Checker compares the kernel's
+// pins with its owners' Refs at each safe point (CheckPins). The sentinel
+// errors below may arrive wrapped (sentinelcmp); the lint suite in
+// internal/analysis checks that statically. The sticky Err must be consulted
+// at the end of an allocation chain; core's budget sweep test checks that at
+// run time. See DESIGN.md, section "Static contracts".
 package bdd
 
 import (
@@ -353,9 +354,7 @@ func (k *Kernel) checkVar(i int) {
 // Protect pins f (and, transitively, everything reachable from it) against
 // garbage collection. Each Protect must be balanced by an Unprotect. A Ref
 // held across a safe point (SafePoint, GC) must be protected; between safe
-// points nothing needs pinning. The protect analyzer (internal/analysis)
-// flags pins that are neither unprotected locally nor handed to a
-// longer-lived owner.
+// points nothing needs pinning.
 func (k *Kernel) Protect(f Ref) Ref {
 	if f > True { // terminals and Invalid need no pinning
 		if k.debugChecks {
@@ -437,7 +436,7 @@ func (k *Kernel) makeNode(level uint32, low, high Ref) Ref {
 		k.peak = k.live
 	}
 	if k.live > len(k.buckets)*3/4 {
-		k.growBuckets()
+		k.growBuckets(2 * len(k.buckets))
 	}
 	if !k.fixedCache && k.live > len(k.applyCache) && len(k.applyCache) < k.maxCache {
 		k.growApplyCache()
@@ -478,8 +477,32 @@ func nodeHash(level uint32, low, high Ref) uint32 {
 	return h
 }
 
-func (k *Kernel) growBuckets() {
-	nb := make([]int32, len(k.buckets)*2)
+// reserve makes room for n nodes in one step each: node-table slots, and
+// unique-table buckets for n live nodes under ¾ load. A bulk load that knows
+// its size calls it instead of growing both tables by doubling on the way.
+func (k *Kernel) reserve(n int) {
+	if n > cap(k.level) {
+		k.level = withCap(k.level, n)
+		k.low = withCap(k.low, n)
+		k.high = withCap(k.high, n)
+		k.next = withCap(k.next, n)
+		k.refs = withCap(k.refs, n)
+	}
+	size := len(k.buckets)
+	for n > size*3/4 {
+		size *= 2
+	}
+	if size > len(k.buckets) {
+		k.growBuckets(size)
+	}
+}
+
+// withCap returns a copy of s with capacity n, in one allocation.
+func withCap[T any](s []T, n int) []T { return append(make([]T, 0, n), s...) }
+
+// growBuckets rebuilds the unique table with size buckets, a power of two.
+func (k *Kernel) growBuckets(size int) {
+	nb := make([]int32, size)
 	for i := range nb {
 		nb[i] = -1
 	}

@@ -19,6 +19,27 @@ func (k *Kernel) SafePoint() {
 	}
 }
 
+// CheckPins reports whether the kernel's pins are exactly owned: every live
+// node must be pinned as many times as it occurs in owned, the Refs its
+// owners hold. Terminals and Invalid are skipped, as Protect skips them. The
+// error names the first node, in table order, whose pin count differs: a
+// pinned node nothing owns is a leak, an owned node not pinned (or already
+// freed) a Ref the next collection may free under its owner.
+func (k *Kernel) CheckPins(owned []Ref) error {
+	want := make([]int32, len(k.refs))
+	for _, f := range owned {
+		if f > True {
+			want[f]++
+		}
+	}
+	for i := 2; i < len(want); i++ {
+		if k.refs[i] != want[i] {
+			return fmt.Errorf("bdd: node %d is pinned %d times and owned %d times", i, k.refs[i], want[i])
+		}
+	}
+	return nil
+}
+
 // GC runs a mark-and-sweep garbage collection at a safe point. Pinned nodes
 // (Protect) survive, and so does every operation-cache entry whose operands
 // do: it keeps its result (and a quantification's cube, which the next caller

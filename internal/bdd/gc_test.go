@@ -210,7 +210,7 @@ func TestGCIsAnEphemeronTable(t *testing.T) {
 		return f, g
 	}
 	f, g := build()
-	k.Protect(f) // ownership: pin lives until the test kernel is dropped
+	k.Protect(f) // the pin lives until the test kernel is dropped
 	k.Protect(g)
 	r := k.And(f, g)               // unpinned: only the cache knows it
 	q := k.Exists(r, k.Cube(3, 4)) // an entry whose operand only an entry keeps alive
@@ -240,5 +240,34 @@ func TestGCIsAnEphemeronTable(t *testing.T) {
 	k.And(f, g)
 	if d := k.Stats().DeltaSince(before); d.NodesAllocated == 0 {
 		t.Fatalf("f ∧ g was answered from the cache after g died: %+v", d)
+	}
+}
+
+// CheckPins compares the pins with the owners' Refs as multisets.
+func TestCheckPins(t *testing.T) {
+	k := bdd.New(bdd.Config{Vars: 4})
+	f := k.Protect(k.And(k.Var(0), k.Var(1)))
+	g := k.Protect(k.Or(k.Var(2), k.Var(3)))
+	k.Protect(g)
+	for _, tc := range []struct {
+		name    string
+		owned   []bdd.Ref
+		wantErr bool
+	}{
+		{"balanced", []bdd.Ref{g, f, g}, false},
+		{"leak: a pin nothing owns", []bdd.Ref{g, g}, true},
+		{"missing pin: an owned Ref nothing pins", []bdd.Ref{f, g, g, k.Var(3)}, true},
+		{"owned twice, pinned once", []bdd.Ref{f, f, g, g}, true},
+		{"terminals and Invalid are ignored", []bdd.Ref{bdd.True, f, bdd.False, g, g, bdd.Invalid}, false},
+	} {
+		if err := k.CheckPins(tc.owned); (err != nil) != tc.wantErr {
+			t.Errorf("%s: CheckPins = %v, want an error: %v", tc.name, err, tc.wantErr)
+		}
+	}
+	k.Unprotect(g)
+	k.Unprotect(g)
+	k.GC() // g's nodes are freed: owning g is now owning a free slot
+	if err := k.CheckPins([]bdd.Ref{f, g}); err == nil {
+		t.Error("CheckPins accepts an owned Ref the collector freed")
 	}
 }

@@ -95,6 +95,13 @@ func (k *Kernel) Import(img *Image) ([]Ref, error) {
 			return nil, fmt.Errorf("bdd: Import needs variable %d, kernel has %d", n.v, k.numVars)
 		}
 	}
+	// With no free slot to reuse, the tables would grow by doubling on the
+	// way; they are sized once instead. The image's own size caps the
+	// reservation, so a kernel that already holds most of it (an advance to
+	// a newer export) reserves nothing.
+	if k.free < 0 {
+		k.reserve(2 + len(img.nodes))
+	}
 	// Every node is above its children (ReadImage refuses any other), so
 	// each one interns as it stands. No kernel operation collects, so
 	// nothing made on the way needs pinning.

@@ -272,3 +272,43 @@ func TestImportNarrowerPristineKernel(t *testing.T) {
 		t.Fatal("a root on a scratch variable imported into a kernel without it")
 	}
 }
+
+// Importing a large image into a fresh kernel sizes its tables once: the
+// five node slices and the buckets are allocated one time each, beside
+// Import's own two Ref slices, where growing by doubling took dozens.
+func TestImportSizesAFreshKernelOnce(t *testing.T) {
+	const vars = 40
+	src := bdd.New(bdd.Config{Vars: vars})
+	rng := rand.New(rand.NewSource(5))
+	f := bdd.False
+	for n := 0; n%512 != 0 || src.NodeCount(f) < 100_000; n++ {
+		cube := bdd.True
+		for v := vars - 1; v >= 0; v-- {
+			if rng.Intn(2) == 0 {
+				cube = src.And(src.NVar(v), cube)
+			} else {
+				cube = src.And(src.Var(v), cube)
+			}
+		}
+		f = src.Or(f, cube)
+	}
+	img, err := src.Export(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	kernels := make([]*bdd.Kernel, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range kernels {
+		kernels[i] = bdd.New(bdd.Config{Vars: vars, CacheSize: 1 << 10}) // caches that do not grow
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := kernels[i].Import(img); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 8 {
+		t.Errorf("importing %d nodes into a fresh kernel made %.0f allocations, want at most 8", src.NodeCount(f), allocs)
+	}
+}

@@ -449,7 +449,7 @@ func perTuple(t *testing.T, chk *core.Checker, before *state, idle map[string]in
 	}
 	// Pin the outcome, which later Applies' safe points would collect.
 	for name, root := range s.roots {
-		k.Protect(root) // ownership: state.release unpins it
+		k.Protect(root) // state.release unpins it
 		for _, p := range s.projs[name] {
 			k.Protect(p.Root)
 		}

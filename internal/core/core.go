@@ -203,8 +203,27 @@ func (c *Checker) Evaluator() *logic.Evaluator { return c.ev }
 
 // safePoint ends every exported operation that runs kernel work: between
 // operations the checker holds no Ref it has not pinned, so its kernel may
-// collect there (bdd.Kernel.SafePoint), and nowhere else.
-func (c *Checker) safePoint() { c.store.Kernel().SafePoint() }
+// collect there (bdd.Kernel.SafePoint), and nowhere else. Under DebugChecks
+// it first proves that every pin has an owner and every owned Ref a pin: the
+// index store's roots and maintained projections and the evaluator's cached
+// bindings are the kernel's only pins (bdd.Kernel.CheckPins).
+func (c *Checker) safePoint() {
+	k := c.store.Kernel()
+	if k.DebugChecks() {
+		owned := c.ev.CachedRefs()
+		for _, name := range c.store.Names() {
+			ix := c.store.Index(name)
+			owned = append(owned, ix.Root())
+			for _, p := range ix.Projections() {
+				owned = append(owned, p.Root)
+			}
+		}
+		if err := k.CheckPins(owned); err != nil {
+			panic(fmt.Errorf("core: at a safe point: %w", err))
+		}
+	}
+	k.SafePoint()
+}
 
 // Resolver returns the checker's predicate resolver (index names first,
 // then table names), for use with logic.Analyze or sqlengine.Compile.

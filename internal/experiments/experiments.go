@@ -17,6 +17,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/ordering"
@@ -40,6 +41,17 @@ type BenchRow struct {
 	P50NS int64 `json:"p50_ns,omitempty"`
 	P95NS int64 `json:"p95_ns,omitempty"`
 	P99NS int64 `json:"p99_ns,omitempty"`
+	// Ops and NodesAllocated are the kernel work of the timed cell: its
+	// recursive steps and the nodes it allocated (bdd.Stats.DeltaSince).
+	// Both are zero for a cell that runs no kernel work, such as SQL's.
+	Ops            uint64 `json:"ops,omitempty"`
+	NodesAllocated uint64 `json:"nodes_allocated,omitempty"`
+}
+
+// withWork fills the row's kernel counts from the timed cell's delta.
+func (r BenchRow) withWork(d bdd.Delta) BenchRow {
+	r.Ops, r.NodesAllocated = d.Ops, d.NodesAllocated
+	return r
 }
 
 // percentile returns the pct-th percentile (1..100) of a non-empty ascending
@@ -119,18 +131,19 @@ func buildFamily(products, tuples int, rng *rand.Rand) (*relation.Table, error) 
 }
 
 // bddSizeFor builds a throwaway index under the ordering and returns its
-// node count.
-func bddSizeFor(t *relation.Table, order []int) (int, error) {
+// node count and the kernel work of the build.
+func bddSizeFor(t *relation.Table, order []int) (int, bdd.Delta, error) {
 	store := index.NewStore(index.Options{})
 	cols := make([]int, t.NumCols())
 	for i := range cols {
 		cols[i] = i
 	}
+	before := store.Kernel().Stats()
 	ix, err := store.Build("X", t, cols, order)
 	if err != nil {
-		return 0, err
+		return 0, bdd.Delta{}, err
 	}
-	return ix.NodeCount(), nil
+	return ix.NodeCount(), store.Kernel().Stats().DeltaSince(before), nil
 }
 
 // allOrderingSizes measures the BDD size of every attribute permutation.
@@ -138,7 +151,7 @@ func allOrderingSizes(t *relation.Table) ([]int, [][]int, error) {
 	perms := ordering.Permutations(t.NumCols())
 	sizes := make([]int, len(perms))
 	for i, p := range perms {
-		s, err := bddSizeFor(t, p)
+		s, _, err := bddSizeFor(t, p)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -171,14 +184,15 @@ func Fig2a(cfg Config) error {
 			i    int
 		}{{"best", best}, {"worst", worst}} {
 			start := time.Now()
-			if _, err := bddSizeFor(t, perms[end.i]); err != nil {
+			_, work, err := bddSizeFor(t, perms[end.i])
+			if err != nil {
 				return err
 			}
 			cfg.record(BenchRow{
 				Experiment: "fig2a", Name: end.name,
 				Params:  map[string]any{"family": fam.name, "tuples": cfg.orderingTuples(), "ordering": perms[end.i]},
 				NsPerOp: time.Since(start).Nanoseconds(), Nodes: sizes[end.i],
-			})
+			}.withWork(work))
 		}
 	}
 	fmt.Fprintln(w, "paper ratios: 1-PROD 71.29, 4-PROD 6.29, 8-PROD 2.26, RAND 1.02")
@@ -296,11 +310,11 @@ func Fig3(cfg Config) error {
 					best = s
 				}
 			}
-			mig, err := bddSizeFor(t, ordering.MaxInfGain(t))
+			mig, _, err := bddSizeFor(t, ordering.MaxInfGain(t))
 			if err != nil {
 				return err
 			}
-			pc, err := bddSizeFor(t, ordering.ProbConverge(t, nil))
+			pc, _, err := bddSizeFor(t, ordering.ProbConverge(t, nil))
 			if err != nil {
 				return err
 			}
@@ -363,12 +377,15 @@ func Fig4(cfg Config) error {
 		var nodes [2]int
 		for i, spec := range indices {
 			store := index.NewStore(index.Options{})
+			k := store.Kernel()
+			before := k.Stats()
 			start := time.Now()
 			ix, err := store.Build(spec.name, data.Table, spec.cols, nil)
 			if err != nil {
 				return err
 			}
 			build[i] = time.Since(start)
+			buildWork := k.Stats().DeltaSince(before)
 			nodes[i] = ix.NodeCount()
 			// Average insert+delete cost over a sample of existing rows
 			// (delete + reinsert keeps the index unchanged at the end), each
@@ -380,6 +397,9 @@ func Fig4(cfg Config) error {
 			samples := make([]time.Duration, 0, updates)
 			var total time.Duration
 			for u := -1; u < updates; u++ {
+				if u == 0 {
+					before = k.Stats()
+				}
 				t := data.Table
 				row := t.Row(rng.Intn(t.Len()))
 				pairStart := time.Now()
@@ -408,12 +428,12 @@ func Fig4(cfg Config) error {
 				Experiment: "fig4", Name: "build",
 				Params:  map[string]any{"index": spec.name, "tuples": n},
 				NsPerOp: build[i].Nanoseconds(), Nodes: nodes[i],
-			})
+			}.withWork(buildWork))
 			cfg.record(BenchRow{
 				Experiment: "fig4", Name: "update",
 				Params:  map[string]any{"index": spec.name, "tuples": n},
 				NsPerOp: update[i].Nanoseconds(), Nodes: nodes[i],
-			}.withPercentiles(samples))
+			}.withPercentiles(samples).withWork(k.Stats().DeltaSince(before)))
 		}
 		fmt.Fprintf(w, "%-9d | %12v %12v | %12v %12v | %10d %10d\n",
 			n, build[0].Round(time.Millisecond), build[1].Round(time.Millisecond),

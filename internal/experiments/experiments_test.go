@@ -2,6 +2,10 @@ package experiments_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +17,23 @@ import (
 // record its timed cells as rows under its own name, and complete without
 // strategy disagreements (the experiments cross-check BDD and SQL results
 // internally and fail on mismatch).
+//
+// Each row's counted kernel work answers to testdata/counts.json, which holds
+// the ops of every row at this scale whose count repeats to the digit: a row
+// more than 1 % off its golden value fails, and so does a golden row no
+// longer recorded. A change that moves a count on purpose rewrites its line.
+
+// rowKey names a row in counts.json: experiment/name, then the params in
+// key order.
+func rowKey(r experiments.BenchRow) string {
+	key := r.Experiment + "/" + r.Name
+	params := make([]string, 0, len(r.Params))
+	for k, v := range r.Params {
+		params = append(params, fmt.Sprintf("%s=%v", k, v))
+	}
+	slices.Sort(params)
+	return strings.Join(append([]string{key}, params...), " ")
+}
 
 func runExperiment(t *testing.T, name string, f func(experiments.Config) error, wantHeader string) {
 	t.Helper()
@@ -41,6 +62,35 @@ func runExperiment(t *testing.T, name string, f func(experiments.Config) error, 
 			if target, _ := r.Params["target_nodes"].(int); !ok || target <= 0 || built < target {
 				t.Fatalf("%s row %+v: want a built node count at or past target_nodes", name, r.Params)
 			}
+		}
+	}
+
+	src, err := os.ReadFile("testdata/counts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]uint64
+	if err := json.Unmarshal(src, &golden); err != nil {
+		t.Fatalf("testdata/counts.json: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, r := range rows {
+		key := rowKey(r)
+		seen[key] = true
+		want, ok := golden[key]
+		line := fmt.Sprintf("%q: %d,", key, r.Ops)
+		switch {
+		case !ok:
+			if r.Ops > 0 {
+				t.Logf("not gated: %s", line)
+			}
+		case float64(max(r.Ops, want)-min(r.Ops, want)) > 0.01*float64(want):
+			t.Errorf("%s counted %d kernel ops, %d in testdata/counts.json; a move on purpose rewrites its line as\n%s", key, r.Ops, want, line)
+		}
+	}
+	for key := range golden {
+		if strings.HasPrefix(key, name+"/") && !seen[key] {
+			t.Errorf("testdata/counts.json gates %s, which %s no longer records", key, name)
 		}
 	}
 }

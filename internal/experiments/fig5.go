@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -69,7 +70,7 @@ func Fig5a(cfg Config) error {
 			r     fig5Result
 		}{{"city-areacode", ca}, {"city-state", cs}} {
 			cfg.record(BenchRow{Experiment: "fig5a", Name: "check", Params: map[string]any{"pairs": v.pairs, "approach": "sql", "tuples": n}, NsPerOp: v.r.sql.Nanoseconds()})
-			cfg.record(BenchRow{Experiment: "fig5a", Name: "check", Params: map[string]any{"pairs": v.pairs, "approach": "bdd", "tuples": n}, NsPerOp: v.r.bdd.Nanoseconds()})
+			cfg.record(BenchRow{Experiment: "fig5a", Name: "check", Params: map[string]any{"pairs": v.pairs, "approach": "bdd", "tuples": n}, NsPerOp: v.r.bdd.Nanoseconds()}.withWork(v.r.work))
 		}
 		fmt.Fprintf(w, "%-9d | %14v %14v %8.1f | %14v %14v %8.1f\n",
 			n, ca.sql.Round(time.Microsecond), ca.bdd.Round(time.Microsecond), ca.gain(),
@@ -81,6 +82,7 @@ func Fig5a(cfg Config) error {
 
 type fig5Result struct {
 	sql, bdd time.Duration
+	work     bdd.Delta // the kernel work of the BDD side
 }
 
 func (r fig5Result) gain() float64 { return float64(r.sql) / float64(r.bdd) }
@@ -103,6 +105,7 @@ func runFig5aVariant(base *relation.Table, pairCols []int, cons *relation.Table)
 	ct := logic.Constraint{Name: "membership", F: f}
 	res := fig5Resolver{base: base, pairCols: pairCols, cons: cons}
 
+	before := store.Kernel().Stats()
 	start := time.Now()
 	if _, err := store.Build("CONS", cons, []int{0, 1}, nil); err != nil {
 		return out, err
@@ -112,6 +115,7 @@ func runFig5aVariant(base *relation.Table, pairCols []int, cons *relation.Table)
 		return out, err
 	}
 	out.bdd = time.Since(start)
+	out.work = store.Kernel().Stats().DeltaSince(before)
 	store.Drop("CONS")
 
 	// SQL side: the compiled join / anti-join plan over the base table.
@@ -219,8 +223,9 @@ func Fig5b(cfg Config) error {
 		for _, cell := range []struct {
 			approach string
 			d        time.Duration
-		}{{"sql-selfjoin", sqlJoin}, {"sql-groupby", sqlGroup}, {"bdd-project", rFast.Duration}, {"bdd-selfjoin", rGen.Duration}} {
-			cfg.record(BenchRow{Experiment: "fig5b", Name: "check", Params: map[string]any{"approach": cell.approach, "tuples": n}, NsPerOp: cell.d.Nanoseconds()})
+			work     bdd.Delta
+		}{{"sql-selfjoin", sqlJoin, bdd.Delta{}}, {"sql-groupby", sqlGroup, bdd.Delta{}}, {"bdd-project", rFast.Duration, rFast.Kernel}, {"bdd-selfjoin", rGen.Duration, rGen.Kernel}} {
+			cfg.record(BenchRow{Experiment: "fig5b", Name: "check", Params: map[string]any{"approach": cell.approach, "tuples": n}, NsPerOp: cell.d.Nanoseconds()}.withWork(cell.work))
 		}
 		fmt.Fprintf(w, "%-9d | %14v %14v | %14v %14v | %8.1f\n",
 			n, sqlJoin.Round(time.Microsecond), sqlGroup.Round(time.Microsecond),

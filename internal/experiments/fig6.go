@@ -79,6 +79,7 @@ func Fig6a(cfg Config) error {
 		"target nodes", "R1 1a", "naive 1a", "rename 1a", "gain", "R1 2a", "naive 2a", "rename 2a", "gain")
 	for _, target := range cfg.fig6aSizes() {
 		var cells [2][2]time.Duration // [attrs-1][naive|rename]
+		var work [2][2]bdd.Delta      // the kernel work of each cell
 		var built [2]int              // |BDD(R1)| as built, per attrs-1
 		for ai, attrs := range []int{1, 2} {
 			k := bdd.New(bdd.Config{Vars: 0, CacheSize: 1 << 18})
@@ -127,6 +128,7 @@ func Fig6a(cfg Config) error {
 			// two strategies start cold.
 			k.ClearCaches()
 			k.GC()
+			before := k.Stats()
 			start := time.Now()
 			eq := bdd.True
 			for i := range joinL {
@@ -135,6 +137,7 @@ func Fig6a(cfg Config) error {
 			step := k.And(k.And(r1, r2), eq)
 			naiveRes := fdd.Exists(step, joinR...)
 			cells[ai][0] = time.Since(start)
+			work[ai][0] = k.Stats().DeltaSince(before)
 			if naiveRes == bdd.Invalid {
 				return k.Err()
 			}
@@ -143,6 +146,7 @@ func Fig6a(cfg Config) error {
 			// Optimized: rename R2's join block onto R1's, then ∧.
 			k.ClearCaches()
 			k.GC()
+			before = k.Stats()
 			start = time.Now()
 			m, err := fdd.ReplaceMap(joinR, joinL)
 			if err != nil {
@@ -150,6 +154,7 @@ func Fig6a(cfg Config) error {
 			}
 			renameRes := k.And(r1, k.Replace(r2, m))
 			cells[ai][1] = time.Since(start)
+			work[ai][1] = k.Stats().DeltaSince(before)
 			if renameRes == bdd.Invalid {
 				return k.Err()
 			}
@@ -163,7 +168,7 @@ func Fig6a(cfg Config) error {
 			k.Unprotect(r1)
 			k.Unprotect(r2)
 			for si, strategy := range []string{"naive", "rename"} {
-				cfg.record(BenchRow{Experiment: "fig6a", Name: "join", Params: map[string]any{"r1_nodes": built[ai], "target_nodes": target, "attrs": attrs, "strategy": strategy}, NsPerOp: cells[ai][si].Nanoseconds()})
+				cfg.record(BenchRow{Experiment: "fig6a", Name: "join", Params: map[string]any{"r1_nodes": built[ai], "target_nodes": target, "attrs": attrs, "strategy": strategy}, NsPerOp: cells[ai][si].Nanoseconds()}.withWork(work[ai][si]))
 			}
 		}
 		fmt.Fprintf(w, "%-12d | %9d %12v %12v %8.1f | %9d %12v %12v %8.1f\n",
@@ -235,22 +240,26 @@ func Fig6b(cfg Config) error {
 		built := k.NodeCount(p)
 		k.ClearCaches()
 		k.GC()
+		before := k.Stats()
 		start := time.Now()
 		sep := k.Or(k.Exists(p, cube), k.Exists(q, cube))
 		tSep := time.Since(start)
-		//lint:ignore protect the kernel is discarded at the end of this loop iteration, so the pin only needs to outlive the AppEx below
+		wSep := k.Stats().DeltaSince(before)
 		k.Protect(sep)
 
 		k.ClearCaches()
 		k.GC()
+		before = k.Stats()
 		start = time.Now()
 		comb := k.AppEx(p, q, bdd.OpOr, cube)
 		tComb := time.Since(start)
+		wComb := k.Stats().DeltaSince(before)
 		if sep != comb {
 			return fmt.Errorf("fig6b: strategies disagree at %d nodes", target)
 		}
-		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "ex-or-ex"}, NsPerOp: tSep.Nanoseconds()})
-		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appex"}, NsPerOp: tComb.Nanoseconds()})
+		k.Unprotect(sep)
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "ex-or-ex"}, NsPerOp: tSep.Nanoseconds()}.withWork(wSep))
+		cfg.record(BenchRow{Experiment: "fig6b", Name: "exists", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appex"}, NsPerOp: tComb.Nanoseconds()}.withWork(wComb))
 		fmt.Fprintf(w, "%-12d | %9d %14v %14v %8.1f\n",
 			target, built, tSep.Round(time.Microsecond), tComb.Round(time.Microsecond),
 			float64(tSep)/float64(tComb))
@@ -275,22 +284,26 @@ func Fig6c(cfg Config) error {
 		built := k.NodeCount(p)
 		k.ClearCaches()
 		k.GC()
+		before := k.Stats()
 		start := time.Now()
 		comb := k.AppAll(p, q, bdd.OpAnd, cube)
 		tComb := time.Since(start)
+		wComb := k.Stats().DeltaSince(before)
 		k.Protect(comb)
 
 		k.ClearCaches()
 		k.GC()
+		before = k.Stats()
 		start = time.Now()
 		push := k.And(k.Forall(p, cube), k.Forall(q, cube))
 		tPush := time.Since(start)
+		wPush := k.Stats().DeltaSince(before)
 		if push != comb {
 			return fmt.Errorf("fig6c: strategies disagree at %d nodes", target)
 		}
 		k.Unprotect(comb)
-		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appall"}, NsPerOp: tComb.Nanoseconds()})
-		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "fa-and-fa"}, NsPerOp: tPush.Nanoseconds()})
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "appall"}, NsPerOp: tComb.Nanoseconds()}.withWork(wComb))
+		cfg.record(BenchRow{Experiment: "fig6c", Name: "forall", Params: map[string]any{"p_nodes": built, "target_nodes": target, "strategy": "fa-and-fa"}, NsPerOp: tPush.Nanoseconds()}.withWork(wPush))
 		fmt.Fprintf(w, "%-12d | %9d %14v %14v %8.1f\n",
 			target, built, tComb.Round(time.Microsecond), tPush.Round(time.Microsecond),
 			float64(tComb)/float64(tPush))

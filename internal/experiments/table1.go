@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/logic"
@@ -56,34 +57,36 @@ func Table1(cfg Config) error {
 	}
 
 	// BDD with random and with Prob-Converge orderings.
-	run := func(method core.OrderingMethod) ([]time.Duration, error) {
+	// Each run returns the check times, and the kernel work of each check.
+	run := func(method core.OrderingMethod) ([]time.Duration, []bdd.Delta, error) {
 		chk := core.New(workload.Catalog, core.Options{RandomSeed: cfg.Seed + int64(method)})
 		for _, tbl := range []string{"REL", "REF"} {
 			if _, err := chk.BuildIndex(tbl, tbl, nil, method); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		times := make([]time.Duration, len(workload.Constraints))
+		work := make([]bdd.Delta, len(workload.Constraints))
 		for i, ct := range workload.Constraints {
 			r := chk.CheckOne(ct)
 			if r.Err != nil {
-				return nil, fmt.Errorf("%s: %w", names[i], r.Err)
+				return nil, nil, fmt.Errorf("%s: %w", names[i], r.Err)
 			}
 			if r.FellBack {
-				return nil, fmt.Errorf("%s: unexpected fallback: %v", names[i], r.FallbackReason)
+				return nil, nil, fmt.Errorf("%s: unexpected fallback: %v", names[i], r.FallbackReason)
 			}
 			if r.Violated != sqlViolated[i] {
-				return nil, fmt.Errorf("%s: BDD (%v) and SQL (%v) disagree", names[i], r.Violated, sqlViolated[i])
+				return nil, nil, fmt.Errorf("%s: BDD (%v) and SQL (%v) disagree", names[i], r.Violated, sqlViolated[i])
 			}
-			times[i] = r.Duration
+			times[i], work[i] = r.Duration, r.Kernel
 		}
-		return times, nil
+		return times, work, nil
 	}
-	randTimes, err := run(core.OrderRandom)
+	randTimes, randWork, err := run(core.OrderRandom)
 	if err != nil {
 		return err
 	}
-	optTimes, err := run(core.OrderProbConverge)
+	optTimes, optWork, err := run(core.OrderProbConverge)
 	if err != nil {
 		return err
 	}
@@ -107,12 +110,13 @@ func Table1(cfg Config) error {
 		for _, m := range []struct {
 			approach string
 			times    []time.Duration
-		}{{"sql", sqlTimes}, {"bdd-random", randTimes}, {"bdd-optimized", optTimes}} {
+			work     []bdd.Delta
+		}{{"sql", sqlTimes, make([]bdd.Delta, len(names))}, {"bdd-random", randTimes, randWork}, {"bdd-optimized", optTimes, optWork}} {
 			cfg.record(BenchRow{
 				Experiment: "table1", Name: "check",
 				Params:  map[string]any{"query": n, "approach": m.approach, "tuples": spec.MainTuples},
 				NsPerOp: m.times[i].Nanoseconds(),
-			})
+			}.withWork(m.work[i]))
 		}
 	}
 	fmt.Fprintf(w, "%-16s", "opt gain vs SQL")

@@ -17,10 +17,12 @@ import (
 // relative to the 100-250 second SQL queries it falls back to.
 
 // fillBudget builds random 3-CNF-style constraints over nVars variables
-// until the kernel's node budget aborts, returning the time taken.
-func fillBudget(budget int, rng *rand.Rand) (time.Duration, error) {
+// until the kernel's node budget aborts, returning the time taken and the
+// kernel work done.
+func fillBudget(budget int, rng *rand.Rand) (time.Duration, bdd.Delta, error) {
 	const nVars = 96
 	k := bdd.New(bdd.Config{Vars: nVars, NodeBudget: budget, CacheSize: 1 << 18})
+	before := k.Stats()
 	start := time.Now()
 	f := bdd.True
 	for i := 0; ; i++ {
@@ -33,16 +35,16 @@ func fillBudget(budget int, rng *rand.Rand) (time.Duration, error) {
 			// Errors surfacing from the kernel may wrap ErrBudget, so an
 			// identity comparison would misclassify them as fatal.
 			if errors.Is(k.Err(), bdd.ErrBudget) {
-				return time.Since(start), nil
+				return time.Since(start), k.Stats().DeltaSince(before), nil
 			}
-			return 0, k.Err()
+			return 0, bdd.Delta{}, k.Err()
 		}
 		// Only the newest conjunction is pinned across the safe point.
 		k.Unprotect(f)
 		f = k.Protect(next)
 		k.SafePoint()
 		if i > 1<<20 {
-			return 0, fmt.Errorf("threshold: budget %d never reached", budget)
+			return 0, bdd.Delta{}, fmt.Errorf("threshold: budget %d never reached", budget)
 		}
 	}
 }
@@ -57,7 +59,7 @@ func Threshold(cfg Config) error {
 	}
 	fmt.Fprintf(w, "%-14s %14s\n", "threshold", "fill time")
 	for _, b := range budgets {
-		d, err := fillBudget(b, cfg.rng(int64(b)))
+		d, work, err := fillBudget(b, cfg.rng(int64(b)))
 		if err != nil {
 			return err
 		}
@@ -66,7 +68,7 @@ func Threshold(cfg Config) error {
 			Experiment: "threshold", Name: "fill",
 			Params:  map[string]any{"budget": b},
 			NsPerOp: d.Nanoseconds(), Nodes: b,
-		})
+		}.withWork(work))
 	}
 	fmt.Fprintln(w, "paper: 10^3→2.0s, 10^5→2.2s, 10^6→3.5s, 10^7→17s (2007 hardware);")
 	fmt.Fprintln(w, "the chosen 10^6 threshold bounds the BDD overhead to a small constant")

@@ -983,6 +983,16 @@ func (ev *Evaluator) ForgetPred(pred string) {
 	delete(ev.predVersion, pred)
 }
 
+// CachedRefs lists the bound predicate BDDs the evaluator caches, one per
+// entry: each holds one pin of the store's kernel.
+func (ev *Evaluator) CachedRefs() []bdd.Ref {
+	out := make([]bdd.Ref, 0, len(ev.predCache))
+	for _, e := range ev.predCache {
+		out = append(out, e.ref)
+	}
+	return out
+}
+
 // dropPreds unpins and forgets every cached binding of the named predicate.
 func (ev *Evaluator) dropPreds(pred string) {
 	k := ev.store.Kernel()

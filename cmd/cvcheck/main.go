@@ -10,8 +10,9 @@
 //	        [-witnesses 5] [-explain]
 //
 // Each CSV file needs a header row. Columns with the same header name are
-// joinable across tables when listed in -share; otherwise every column gets
-// a private value domain. The constraints file holds declarations of the
+// joinable across tables when listed in -share, and an entry col=domain puts
+// column col in the named domain, so it joins a column of another name;
+// otherwise every column gets a private value domain. The constraints file holds declarations of the
 // form:
 //
 //	constraint nj_codes:
@@ -43,7 +44,8 @@ func main() {
 		tables = append(tables, tableFlag{name, path})
 		return nil
 	})
-	share := flag.String("share", "", "comma-separated column names shared across tables")
+	var shared map[string]string
+	flag.Func("share", relation.ShareUsage, func(s string) (err error) { shared, err = relation.ParseShare(s); return err })
 	constraintsPath := flag.String("constraints", "", "constraints file (required)")
 	orderFlag := flag.String("order", "prob", "variable ordering: prob|maxinf|random|schema")
 	budget := flag.Int("budget", core.DefaultNodeBudget, "BDD node budget (negative = unlimited)")
@@ -58,13 +60,6 @@ func main() {
 	method, err := core.ParseOrderingMethod(*orderFlag)
 	if err != nil {
 		fatal(err)
-	}
-
-	shared := map[string]string{}
-	if *share != "" {
-		for _, col := range strings.Split(*share, ",") {
-			shared[strings.TrimSpace(col)] = strings.TrimSpace(col)
-		}
 	}
 
 	cat := relation.NewCatalog()

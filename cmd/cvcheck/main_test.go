@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -114,5 +115,46 @@ func TestEndToEndBadFlags(t *testing.T) {
 	cmd = exec.Command(bin, "-table", "bad-spec", "-constraints", "x")
 	if err := cmd.Run(); err == nil {
 		t.Fatal("expected failure with malformed -table")
+	}
+}
+
+// TestForeignKeyAcrossNames checks the foreign keys of dolt's
+// verify-constraints schema, which reference columns of another name: -share
+// puts child1's parent1_v1 and parent2_v1 in the domain of the parents' v1.
+// parent1 lacks v1 = 1, so only child1_parent1 is violated, by child1's first
+// row.
+func TestForeignKeyAcrossNames(t *testing.T) {
+	bin, err := buildOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	parent1 := writeFile(t, dir, "parent1.csv", "pk,v1\n2,2\n3,3\n")
+	parent2 := writeFile(t, dir, "parent2.csv", "pk,v1\n1,1\n2,2\n3,3\n")
+	child1 := writeFile(t, dir, "child1.csv", "pk,parent1_v1,parent2_v1\n1,1,1\n2,2,2\n")
+	rules := writeFile(t, dir, "rules.txt", `
+		constraint child1_parent1:
+		    forall p, a, b: child1(p, a, b) => exists k: parent1(k, a).
+		constraint child1_parent2:
+		    forall p, a, b: child1(p, a, b) => exists k: parent2(k, b).
+	`)
+	cmd := exec.Command(bin, "-table", "parent1="+parent1, "-table", "parent2="+parent2, "-table", "child1="+child1,
+		"-share", "v1,parent1_v1=v1,parent2_v1=v1", "-constraints", rules)
+	out, err := cmd.CombinedOutput()
+	text := string(out)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("expected exit code 1, got %v\n%s", err, text)
+	}
+	for _, re := range []string{
+		`(?m)^child1_parent1 +VIOLATED \(method=bdd`,
+		`(?m)^  witness: \[p a b\] = \[1 1 1\]$`,
+		`(?m)^child1_parent2 +ok +\(method=bdd`,
+	} {
+		if !regexp.MustCompile(re).MatchString(text) {
+			t.Errorf("output does not match %s:\n%s", re, text)
+		}
+	}
+	if strings.Count(text, "witness:") != 1 {
+		t.Errorf("want exactly one witness:\n%s", text)
 	}
 }

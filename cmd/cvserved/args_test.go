@@ -44,6 +44,12 @@ func TestParseArgs(t *testing.T) {
 		{flag: "share", args: []string{"-share", "city, state"}, want: func(p parsed) bool {
 			return reflect.DeepEqual(p.cfg.shared, map[string]string{"city": "city", "state": "state"})
 		}},
+		{flag: "share", args: []string{"-share", "v1, parent1_v1=v1"}, want: func(p parsed) bool {
+			return reflect.DeepEqual(p.cfg.shared, map[string]string{"v1": "v1", "parent1_v1": "v1"})
+		}},
+		{flag: "share", args: []string{"-share", "=v1"}, err: `-share entry "=v1": want col or col=domain`},
+		{flag: "share", args: []string{"-share", "v1,c="}, err: `-share entry "c="`},
+		{flag: "share", args: []string{"-share", "a=b=c"}, err: `-share entry "a=b=c"`},
 		{flag: "order", args: []string{"-order", "maxinf"}, want: func(p parsed) bool { return p.cfg.method == core.OrderMaxInfGain }},
 		{flag: "order", args: []string{"-order", "alphabetical"}, err: "unknown ordering"},
 		{flag: "budget", args: []string{"-budget", "-1"}, want: func(p parsed) bool { return p.cfg.budget == -1 }},

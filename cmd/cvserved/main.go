@@ -79,6 +79,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -211,7 +212,7 @@ func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, 
 		return nil
 	})
 	fs.StringVar(&sc.addr, "addr", ":8080", "listen address")
-	share := fs.String("share", "", "comma-separated column names shared across tables")
+	fs.Func("share", relation.ShareUsage, func(s string) (err error) { cfg.shared, err = relation.ParseShare(s); return err })
 	fs.StringVar(&cfg.constraintsPath, "constraints", "", "constraints file (required)")
 	order := fs.String("order", "prob", "variable ordering: prob|maxinf|random|schema")
 	fs.IntVar(&cfg.budget, "budget", core.DefaultNodeBudget, "BDD node budget (negative = unlimited)")
@@ -255,12 +256,6 @@ func newFlagSet(stderr io.Writer) (fs *flag.FlagSet, finish func() (bootConfig, 
 		}
 		if cfg.storeOpts.Fsync, err = store.ParseFsyncPolicy(*fsync); err != nil {
 			return fail(err)
-		}
-		cfg.shared = map[string]string{}
-		if *share != "" {
-			for _, col := range strings.Split(*share, ",") {
-				cfg.shared[strings.TrimSpace(col)] = strings.TrimSpace(col)
-			}
 		}
 		cfg.svc.WriteTimeout = writeTimeout
 		if cfg.follow != "" {

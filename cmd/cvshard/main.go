@@ -38,7 +38,8 @@ func main() {
 	})
 	shards := flag.Int("shards", 0, "number of partitions (required)")
 	keyFlag := flag.String("key", "", "TABLE.COLUMN partitioning key (required)")
-	share := flag.String("share", "", "comma-separated column names shared across tables")
+	var shared map[string]string
+	flag.Func("share", relation.ShareUsage, func(s string) (err error) { shared, err = relation.ParseShare(s); return err })
 	out := flag.String("out", "", "output directory (required); writes out/shard<i>/<TABLE>.csv")
 	flag.Parse()
 
@@ -49,12 +50,6 @@ func main() {
 	key, err := shard.ParseKey(*keyFlag)
 	if err != nil {
 		fatal(err)
-	}
-	shared := map[string]string{}
-	if *share != "" {
-		for _, col := range strings.Split(*share, ",") {
-			shared[strings.TrimSpace(col)] = strings.TrimSpace(col)
-		}
 	}
 
 	cat := relation.NewCatalog()

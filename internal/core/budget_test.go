@@ -53,7 +53,7 @@ func TestBudgetSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k := chk.Store().Kernel()
+	k := chk.Kernel()
 
 	checkAborts, applyAborts := 0, 0
 	sweepChecks := func(round int) {
@@ -160,7 +160,7 @@ func TestGarbageIsNotChargedToARequestBudget(t *testing.T) {
 			}
 		}
 	}
-	k, tk := chk.Store().Kernel(), twin.Store().Kernel()
+	k, tk := chk.Kernel(), twin.Kernel()
 	tk.GC()
 	collected := tk.Size()
 	need := twin.CheckOne(cts[0]).Kernel.NodesAllocated

@@ -145,10 +145,7 @@ type Checker struct {
 	ev      *logic.Evaluator
 	opts    Options
 	rng     *rand.Rand
-	// indexRegistry maps table name → names of indices built over it, for
-	// incremental maintenance.
-	indexRegistry map[string][]string
-	stats         Stats
+	stats   Stats
 }
 
 // Stats counts how the checker decided constraints since creation.
@@ -167,10 +164,6 @@ type Stats struct {
 // Stats returns the checker's decision counters.
 func (c *Checker) Stats() Stats { return c.stats }
 
-// KernelStats snapshots the shared BDD kernel's counters (node counts, GC
-// runs, cache hits), for monitoring endpoints.
-func (c *Checker) KernelStats() bdd.Stats { return c.store.Kernel().Stats() }
-
 // New creates a Checker over the catalog.
 func New(catalog *relation.Catalog, opts Options) *Checker {
 	budget := opts.NodeBudget
@@ -182,11 +175,10 @@ func New(catalog *relation.Catalog, opts Options) *Checker {
 	}
 	store := index.NewStore(index.Options{NodeBudget: budget})
 	c := &Checker{
-		catalog:       catalog,
-		store:         store,
-		opts:          opts,
-		rng:           rand.New(rand.NewSource(opts.RandomSeed + 1)),
-		indexRegistry: make(map[string][]string),
+		catalog: catalog,
+		store:   store,
+		opts:    opts,
+		rng:     rand.New(rand.NewSource(opts.RandomSeed + 1)),
 	}
 	c.ev = logic.NewEvaluator(store, resolver{c})
 	return c
@@ -195,11 +187,33 @@ func New(catalog *relation.Catalog, opts Options) *Checker {
 // Catalog returns the underlying catalog.
 func (c *Checker) Catalog() *relation.Catalog { return c.catalog }
 
-// Store returns the underlying index store.
+// Store returns the underlying index store. Its one caller outside this
+// package is bench/inproc.go, for the kernel; it goes once that calls Kernel,
+// and the checker is then the only door to its indices.
 func (c *Checker) Store() *index.Store { return c.store }
 
-// Evaluator returns the BDD constraint evaluator.
-func (c *Checker) Evaluator() *logic.Evaluator { return c.ev }
+// Kernel returns the BDD kernel the checker's indices and evaluator share.
+func (c *Checker) Kernel() *bdd.Kernel { return c.store.Kernel() }
+
+// NodeCounts counts each index's BDD nodes, by index name. It walks every
+// index, so a caller counts where it has just built or restored them.
+func (c *Checker) NodeCounts() map[string]int {
+	out := make(map[string]int)
+	for _, name := range c.store.Names() {
+		out[name] = c.store.Index(name).NodeCount()
+	}
+	return out
+}
+
+// ProjectionReads counts the projection reads a maintained or an adopted
+// projection answered.
+func (c *Checker) ProjectionReads() index.Reads { return c.store.Reads() }
+
+// TakeDemand returns the projections read since the last TakeDemand, once each.
+func (c *Checker) TakeDemand() []index.Demand { return c.store.TakeDemand() }
+
+// VerdictStats counts the evaluator's Holds and Violations calls.
+func (c *Checker) VerdictStats() logic.VerdictStats { return c.ev.VerdictStats() }
 
 // safePoint ends every exported operation that runs kernel work: between
 // operations the checker holds no Ref it has not pinned, so its kernel may
@@ -210,15 +224,7 @@ func (c *Checker) Evaluator() *logic.Evaluator { return c.ev }
 func (c *Checker) safePoint() {
 	k := c.store.Kernel()
 	if k.DebugChecks() {
-		owned := c.ev.CachedRefs()
-		for _, name := range c.store.Names() {
-			ix := c.store.Index(name)
-			owned = append(owned, ix.Root())
-			for _, p := range ix.Projections() {
-				owned = append(owned, p.Root)
-			}
-		}
-		if err := k.CheckPins(owned); err != nil {
+		if err := k.CheckPins(append(c.ev.CachedRefs(), c.indexRefs()...)); err != nil {
 			panic(fmt.Errorf("core: at a safe point: %w", err))
 		}
 	}
@@ -274,12 +280,7 @@ func (c *Checker) BuildIndex(name, table string, cols []string, method OrderingM
 	if err != nil {
 		return nil, err
 	}
-	ix, err := c.store.Build(name, t, colIdx, order)
-	if err != nil {
-		return nil, err
-	}
-	c.indexRegistry[table] = append(c.indexRegistry[table], name)
-	return ix, nil
+	return c.store.Build(name, t, colIdx, order)
 }
 
 // orderFor computes a variable ordering (a permutation of positions into
@@ -345,10 +346,7 @@ func projectionTable(t *relation.Table, cols []int) (*relation.Table, error) {
 // through the projection-and-counting fast path of Figure 5(b), everything
 // else through generic BDD evaluation, with SQL fallback on missing index
 // or exceeded node budget.
-func (c *Checker) CheckOne(ct logic.Constraint) Result {
-	defer c.safePoint()
-	return c.checkOne(ct, CheckOptions{})
-}
+func (c *Checker) CheckOne(ct logic.Constraint) Result { return c.CheckOneOpts(ct, CheckOptions{}) }
 
 func (c *Checker) checkOne(ct logic.Constraint, opts CheckOptions) (res Result) {
 	k := c.store.Kernel()
@@ -418,11 +416,11 @@ type CheckOptions struct {
 	// evaluation abort immediately and the call degrade to the SQL fallback.
 	// A long-lived service passes each request's node_budget here.
 	NodeBudget int
-	// NoSQLFallback, when set, stops a check that needs the SQL fallback
-	// (missing index or exceeded budget) before the table scan: the Result
-	// comes back with FellBack set and Err carrying the reason, and no SQL
-	// runs. Read-only replicas use this to bounce fallback work to the
-	// primary, which sees the live tables.
+	// NoSQLFallback, when set, stops a check or a Witnesses call that needs
+	// the SQL fallback (missing index or exceeded budget) before the table
+	// scan: the result comes back with Err carrying the reason (a Result with
+	// FellBack set too), and no SQL runs. Read-only replicas use this to
+	// bounce fallback work to the primary, which sees the live tables.
 	NoSQLFallback bool
 }
 
@@ -536,8 +534,7 @@ type Witness struct {
 // witnesses means the constraint holds. It returns ErrNoIndex/ErrBudget like
 // Eval; callers then use ViolatingRows.
 func (c *Checker) ViolationWitnesses(ct logic.Constraint, limit int) ([]Witness, error) {
-	defer c.safePoint()
-	return c.violationWitnesses(ct, limit)
+	return c.ViolationWitnessesOpts(ct, limit, CheckOptions{})
 }
 
 func (c *Checker) violationWitnesses(ct logic.Constraint, limit int) ([]Witness, error) {
@@ -684,7 +681,8 @@ type WitnessResult struct {
 // Witnesses extracts up to limit violating bindings in two steps: from the
 // violation BDD (ViolationWitnessesOpts), and, when the BDD path fails
 // (missing index, blown budget, an existence check), from the compiled SQL
-// violation query (ViolatingRows). No witnesses and no error is the BDD's
+// violation query (ViolatingRows), unless opts.NoSQLFallback stops it there
+// with the BDD's error in Err. No witnesses and no error is the BDD's
 // definite answer that the constraint holds.
 func (c *Checker) Witnesses(ct logic.Constraint, limit int, opts CheckOptions) WitnessResult {
 	k := c.store.Kernel()
@@ -692,7 +690,8 @@ func (c *Checker) Witnesses(ct logic.Constraint, limit int, opts CheckOptions) W
 	before := k.Stats()
 	ws, err := c.ViolationWitnessesOpts(ct, limit, opts)
 	res := WitnessResult{Witnesses: ws, Method: MethodBDD, EnumDuration: time.Since(enumStart), Kernel: k.Stats().DeltaSince(before)}
-	if err == nil {
+	if err == nil || opts.NoSQLFallback {
+		res.Err = err
 		return res
 	}
 	sqlStart := time.Now()
@@ -780,12 +779,14 @@ func (c *Checker) ApplyLogged(ups []Update, log func(prefix []Update) error) (in
 		if len(plus)+len(minus) == 0 {
 			continue
 		}
-		for _, name := range c.indexRegistry[t.Name()] {
-			ch, ierr := c.store.Index(name).Apply(plus, minus)
-			if ierr != nil {
-				return 0, fmt.Errorf("core: applying %d updates: %w", len(rows), ierr)
+		for _, name := range c.store.Names() {
+			if ix := c.store.Index(name); ix.Table().Name() == t.Name() {
+				ch, ierr := ix.Apply(plus, minus)
+				if ierr != nil {
+					return 0, fmt.Errorf("core: applying %d updates: %w", len(rows), ierr)
+				}
+				changes = append(changes, ch)
 			}
-			changes = append(changes, ch)
 		}
 	}
 	if log != nil {

@@ -26,7 +26,7 @@ func TestPinsAreOwned(t *testing.T) {
 		tbl.Insert(fmt.Sprintf("k%d", i%4), fmt.Sprintf("p%d", i%3), fmt.Sprintf("v%d", i%4))
 	}
 	chk := core.New(cat, core.Options{})
-	chk.Store().Kernel().SetDebugChecks(true)
+	chk.Kernel().SetDebugChecks(true)
 	for _, ix := range []struct {
 		name string
 		cols []string
@@ -71,9 +71,9 @@ func TestPinsAreOwned(t *testing.T) {
 	unrow.Op = core.UpdateDelete
 
 	check(chk)
-	if projections(chk) == 0 || len(chk.Evaluator().CachedRefs()) == 0 {
+	if projections(chk) == 0 || len(core.EvaluatorOf(chk).CachedRefs()) == 0 {
 		t.Fatalf("the checks left %d projections and %d cached bindings, want some of each",
-			projections(chk), len(chk.Evaluator().CachedRefs()))
+			projections(chk), len(core.EvaluatorOf(chk).CachedRefs()))
 	}
 	apply(row)
 	if projections(chk) == 0 {
@@ -88,7 +88,7 @@ func TestPinsAreOwned(t *testing.T) {
 		t.Fatal("a batch larger than the table kept its unread projections")
 	}
 	check(chk)
-	chk.Evaluator().ForgetPred("R")
+	core.EvaluatorOf(chk).ForgetPred("R")
 	check(chk)
 
 	img, snaps, err := chk.ExportIndices()
@@ -96,7 +96,7 @@ func TestPinsAreOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	replica := core.New(cat.Clone(), chk.Options())
-	replica.Store().Kernel().SetDebugChecks(true)
+	replica.Kernel().SetDebugChecks(true)
 	if err := replica.AdoptIndices(img, snaps); err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,60 @@ func TestPinsAreOwned(t *testing.T) {
 	}
 	check(replica)
 
-	// The store drops an index behind the checker, which then must not
-	// apply another update.
+	// The store drops an index behind the checker.
 	if r := chk.CheckOne(keys); r.Err != nil || r.Violated || len(chk.Store().Index("Rkv").Projections()) == 0 {
 		t.Fatalf("%s: %+v, and no projection of Rkv", keys.Name, r)
 	}
 	chk.Store().Drop("Rkv")
 	check(chk)
+	apply(row)
+	check(chk)
+}
+
+// TestDropBehindTheChecker drops one of two indices over a table through the
+// store: the checker keeps no list of its own, so the next batch moves the
+// survivor only, a constraint over the dropped index falls back to SQL, and
+// one over the survivor is still decided by BDD.
+func TestDropBehindTheChecker(t *testing.T) {
+	cat := relation.NewCatalog()
+	tbl, err := cat.CreateTable("R", []relation.Column{{Name: "k", Domain: "k"}, {Name: "v", Domain: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		tbl.Insert(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i%2))
+	}
+	chk := core.New(cat, core.Options{})
+	chk.Kernel().SetDebugChecks(true)
+	for _, name := range []string{"R", "Rkv"} {
+		if _, err := chk.BuildIndex(name, "R", nil, core.OrderSchema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chk.Store().Drop("R")
+	batch := []core.Update{
+		{Table: "R", Op: core.UpdateInsert, Values: []string{"k1", "v0"}},
+		{Table: "R", Op: core.UpdateDelete, Values: []string{"k2", "v0"}},
+	}
+	if n, err := chk.Apply(batch); n != len(batch) || err != nil {
+		t.Fatalf("Apply = %d, %v; want %d, nil", n, err, len(batch))
+	}
+	for _, c := range []struct {
+		pred   string
+		method core.Method
+	}{{"R", core.MethodSQL}, {"Rkv", core.MethodBDD}} {
+		f, err := logic.Parse(fmt.Sprintf(`forall k, v1, v2: %s(k, v1) and %[1]s(k, v2) => v1 = v2`, c.pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := logic.Constraint{Name: c.pred + "_fd", F: f}
+		r := chk.CheckOne(ct)
+		if r.Err != nil || r.Method != c.method || r.FellBack != (c.method == core.MethodSQL) || !r.Violated {
+			t.Fatalf("%s: %+v, want a violation found by %s", ct.Name, r, c.method)
+		}
+		rows, err := chk.ViolatingRows(ct)
+		if err != nil || rows.Len() == 0 {
+			t.Fatalf("%s: the SQL violation query found %v rows (%v), want some", ct.Name, rows, err)
+		}
+	}
 }

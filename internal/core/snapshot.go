@@ -79,18 +79,23 @@ func (c *Checker) SnapshotIndices() []IndexSnapshot {
 // structure shared between indices and projections is exported once. The
 // image belongs to no kernel; later changes to this checker cannot reach it.
 func (c *Checker) ExportIndices() (*bdd.Image, []IndexSnapshot, error) {
-	snaps := c.SnapshotIndices()
-	roots := make([]bdd.Ref, len(snaps))
-	var projs []bdd.Ref
-	for i, s := range snaps {
-		ix := c.store.Index(s.Name)
-		roots[i] = ix.Root()
+	img, err := c.store.Kernel().Export(c.indexRefs()...)
+	return img, c.SnapshotIndices(), err
+}
+
+// indexRefs returns the index roots in name order, then their projections'
+// roots in the same order: ExportIndices's image roots, the store's pins.
+func (c *Checker) indexRefs() []bdd.Ref {
+	names := c.store.Names()
+	refs := make([]bdd.Ref, len(names))
+	for i, name := range names {
+		ix := c.store.Index(name)
+		refs[i] = ix.Root()
 		for _, p := range ix.Projections() {
-			projs = append(projs, p.Root)
+			refs = append(refs, p.Root)
 		}
 	}
-	img, err := c.store.Kernel().Export(append(roots, projs...)...)
-	return img, snaps, err
+	return refs
 }
 
 // ReadProjections reads the demanded projections of the checker's indices on
@@ -106,10 +111,9 @@ func (c *Checker) ReadProjections(ds []index.Demand) {
 // the kernel's variable count to cover every block, imports the image (one
 // walk, so structure shared between indices stays shared), re-registers the
 // blocks at their original positions, and registers each index, with the
-// projections it maintained, for incremental maintenance. The checker must
-// be fresh — no indices built yet — and its catalog must contain the
-// snapshotted tables. img is only read, so many replicas can adopt from one
-// image concurrently.
+// projections it maintained. The checker must be fresh — no indices built
+// yet — and its catalog must contain the snapshotted tables. img is only
+// read, so many replicas can adopt from one image concurrently.
 func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 	defer c.safePoint()
 	k := c.store.Kernel()
@@ -141,7 +145,6 @@ func (c *Checker) AdoptIndices(img *bdd.Image, snaps []IndexSnapshot) error {
 			append([]int(nil), s.Cols...), append([]int(nil), s.Order...), doms, roots[i], projs[i]); err != nil {
 			return fmt.Errorf("core: adopting index %q: %w", s.Name, err)
 		}
-		c.indexRegistry[s.Table] = append(c.indexRegistry[s.Table], s.Name)
 	}
 	return nil
 }

@@ -156,7 +156,7 @@ func TestAdvanceIndices(t *testing.T) {
 	if err := replica.AdoptIndices(img, snaps); err != nil {
 		t.Fatal(err)
 	}
-	kernel := replica.Store().Kernel()
+	kernel := replica.Kernel()
 	agree := func(t *testing.T, want []core.Result) {
 		t.Helper()
 		for i, res := range replica.Check(cts) {
@@ -243,7 +243,7 @@ func TestAdvanceIndices(t *testing.T) {
 		if err := replica.AdvanceIndices(frozen, img, snaps); err != nil {
 			t.Fatal(err)
 		}
-		if replica.Store().Kernel() != kernel || replica.Catalog() != frozen {
+		if replica.Kernel() != kernel || replica.Catalog() != frozen {
 			t.Fatal("the advance did not keep the kernel and take the new catalog")
 		}
 		for _, s := range snaps {

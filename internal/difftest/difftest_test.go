@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/logic"
 )
 
@@ -28,7 +29,7 @@ func TestDifferentialSoak(t *testing.T) {
 	pairs := 0
 	RuleCoverage = logic.VerdictStats{}
 	ReplicaCoverage.Advanced, ReplicaCoverage.Rebuilt = 0, 0
-	ProjectionCoverage.Maintained, ProjectionCoverage.Adopted = 0, 0
+	ProjectionCoverage = index.Reads{}
 	GCCoverage = 0
 	drawn := map[string]int{"follower": 0, "service": 0, "shards=2": 0, "shards=3": 0, "debug": 0}
 	together := map[string]int{} // cases by pair of drawn targets

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/logic"
 	"repro/internal/relation"
 	"repro/internal/service"
@@ -47,12 +48,11 @@ var ReplicaCoverage struct{ Advanced, Rebuilt int }
 
 // ProjectionCoverage accumulates, across RunCase calls, how many of the
 // primary's projection reads a projection answered that index maintenance
-// had carried across at least one update batch (Maintained,
-// index.Store.MaintainedReads), and how many of the replica's a projection
-// answered that it had adopted from the primary's export (Adopted,
-// index.Store.AdoptedReads). TestDifferentialSoak logs both and fails a run
-// in which either is zero.
-var ProjectionCoverage struct{ Maintained, Adopted int }
+// had carried across at least one update batch (Maintained), and how many of
+// the replica's a projection answered that it had adopted from the primary's
+// export (Adopted). TestDifferentialSoak logs both and fails a run in which
+// either is zero.
+var ProjectionCoverage index.Reads
 
 // GCCoverage accumulates, across the RunCase calls of cases drawn with
 // DebugChecks, the collections the primary kernel ran (bdd.Stats.GCRuns).
@@ -129,15 +129,15 @@ func RunCase(c *Case) (mm *Mismatch, err error) {
 		return nil, err
 	}
 	defer func() {
-		vs := primary.Evaluator().VerdictStats()
+		vs := primary.VerdictStats()
 		RuleCoverage.Validity += vs.Validity
 		RuleCoverage.Projected += vs.Projected
 		for r, n := range vs.Routes {
 			RuleCoverage.Routes[r] += n
 		}
-		ProjectionCoverage.Maintained += primary.Store().MaintainedReads()
+		ProjectionCoverage.Maintained += primary.ProjectionReads().Maintained
 		if c.Config.DebugChecks {
-			GCCoverage += primary.KernelStats().GCRuns
+			GCCoverage += primary.Kernel().Stats().GCRuns
 		}
 	}()
 	cts := make([]logic.Constraint, len(c.Constraints))
@@ -193,7 +193,7 @@ func RunCase(c *Case) (mm *Mismatch, err error) {
 // budget unlimited so nothing degrades to SQL.
 func buildChecker(c *Case, cat *relation.Catalog, method core.OrderingMethod) (*core.Checker, error) {
 	chk := core.New(cat, core.Options{NodeBudget: -1, RandomSeed: c.Seed})
-	chk.Store().Kernel().SetDebugChecks(c.Config.DebugChecks)
+	chk.Kernel().SetDebugChecks(c.Config.DebugChecks)
 	for _, ts := range c.Tables {
 		if _, err := chk.BuildIndex(ts.Name, ts.Name, nil, method); err != nil {
 			return nil, fmt.Errorf("difftest: building index for %s: %w", ts.Name, err)

@@ -99,7 +99,7 @@ func (t *replicaTarget) apply(epoch uint64, _ []core.Update) error {
 	return nil
 }
 
-func (t *replicaTarget) close() { ProjectionCoverage.Adopted += t.chk.Store().AdoptedReads() }
+func (t *replicaTarget) close() { ProjectionCoverage.Adopted += t.chk.ProjectionReads().Adopted }
 
 // follow brings rep — nil before the first step — to the primary's current
 // state through the production freeze, replica.NewVersion and
@@ -118,11 +118,11 @@ func follow(rep, primary *core.Checker, epoch uint64) (*core.Checker, error) {
 	switch {
 	case rep == nil:
 	case next == rep:
-		next.Store().Kernel().GC()
+		next.Kernel().GC()
 		ReplicaCoverage.Advanced++
 	default:
 		ReplicaCoverage.Rebuilt++
-		ProjectionCoverage.Adopted += rep.Store().AdoptedReads()
+		ProjectionCoverage.Adopted += rep.ProjectionReads().Adopted
 	}
 	return next, nil
 }
@@ -164,7 +164,7 @@ func (t *followerTarget) recover() error {
 	if err != nil {
 		return err
 	}
-	chk.Store().Kernel().SetDebugChecks(t.primary.Store().Kernel().DebugChecks())
+	chk.Kernel().SetDebugChecks(t.primary.Kernel().DebugChecks())
 	t.chk = chk
 	return nil
 }

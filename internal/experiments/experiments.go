@@ -163,12 +163,15 @@ func allOrderingSizes(t *relation.Table) ([]int, [][]int, error) {
 // Fig2a reproduces Figure 2(a): the BDD node count of every variable
 // ordering, best to worst, per relation family, and the best:worst ratio
 // table (paper: 71.29 / 6.29 / 2.26 / 1.02 at 400k tuples).
-func Fig2a(cfg Config) error {
+func Fig2a(cfg Config) error { return fig2a(cfg, cfg.orderingTuples()) }
+
+// fig2a runs Fig2a over relations of the given size.
+func fig2a(cfg Config, tuples int) error {
 	w := cfg.out()
-	fmt.Fprintf(w, "=== Figure 2(a): effect of variable ordering (%d tuples, 5 attrs) ===\n", cfg.orderingTuples())
+	fmt.Fprintf(w, "=== Figure 2(a): effect of variable ordering (%d tuples, 5 attrs) ===\n", tuples)
 	fmt.Fprintf(w, "%-8s %12s %12s %10s\n", "family", "best nodes", "worst nodes", "ratio")
 	for fi, fam := range families {
-		t, err := buildFamily(fam.products, cfg.orderingTuples(), cfg.rng(int64(fi)))
+		t, err := buildFamily(fam.products, tuples, cfg.rng(int64(fi)))
 		if err != nil {
 			return err
 		}
@@ -190,7 +193,7 @@ func Fig2a(cfg Config) error {
 			}
 			cfg.record(BenchRow{
 				Experiment: "fig2a", Name: end.name,
-				Params:  map[string]any{"family": fam.name, "tuples": cfg.orderingTuples(), "ordering": perms[end.i]},
+				Params:  map[string]any{"family": fam.name, "tuples": tuples, "ordering": perms[end.i]},
 				NsPerOp: time.Since(start).Nanoseconds(), Nodes: sizes[end.i],
 			}.withWork(work))
 		}

@@ -22,6 +22,9 @@ import (
 // the ops of every row at this scale whose count repeats to the digit: a row
 // more than 1 % off its golden value fails, and so does a golden row no
 // longer recorded. A change that moves a count on purpose rewrites its line.
+// An index build interns its nodes without a counted step, so a build row
+// (fig4's build, fig2a's rebuilds) is gated by its nodes_allocated instead,
+// exactly, under its key followed by " nodes_allocated".
 
 // rowKey names a row in counts.json: experiment/name, then the params in
 // key order.
@@ -77,6 +80,13 @@ func runExperiment(t *testing.T, name string, f func(experiments.Config) error, 
 	for _, r := range rows {
 		key := rowKey(r)
 		seen[key] = true
+		if want, ok := golden[key+" nodes_allocated"]; ok {
+			seen[key+" nodes_allocated"] = true
+			if r.NodesAllocated != want {
+				t.Errorf("%s allocated %d nodes, %d in testdata/counts.json; a move on purpose rewrites its line as\n%q: %d,",
+					key, r.NodesAllocated, want, key+" nodes_allocated", r.NodesAllocated)
+			}
+		}
 		want, ok := golden[key]
 		line := fmt.Sprintf("%q: %d,", key, r.Ops)
 		switch {
@@ -97,6 +107,13 @@ func runExperiment(t *testing.T, name string, f func(experiments.Config) error, 
 
 func TestThresholdExperiment(t *testing.T) {
 	runExperiment(t, "threshold", experiments.Threshold, "threshold")
+}
+
+func TestFig2aExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment")
+	}
+	runExperiment(t, "fig2a", experiments.Fig2aAt(2000), "Figure 2(a)")
 }
 
 func TestFig4Experiment(t *testing.T) {

@@ -46,10 +46,7 @@ type Store struct {
 	kernel  *bdd.Kernel
 	space   *fdd.Space
 	indices map[string]*Index
-	// maintainedReads counts the Projection calls answered by a projection
-	// that Apply had moved since it was computed, adoptedReads
-	// those answered by a projection that Adopt or Rebind took in.
-	maintainedReads, adoptedReads int
+	reads   Reads
 	// demand logs the projections Projection was asked for.
 	demand DemandSet
 }
@@ -74,15 +71,14 @@ func (s *Store) Space() *fdd.Space { return s.space }
 // Index returns the index named name, or nil.
 func (s *Store) Index(name string) *Index { return s.indices[name] }
 
-// MaintainedReads counts the Projection calls, over every index of the store,
-// that a projection maintained by at least one Apply answered: the
-// reads that maintenance saved a recomputation.
-func (s *Store) MaintainedReads() int { return s.maintainedReads }
+// Reads counts the Projection calls, over every index of a store, that a
+// projection answered without a recomputation: Maintained those that one
+// maintained by at least one Apply answered, Adopted those that one taken in
+// by Adopt or Rebind answered.
+type Reads struct{ Maintained, Adopted int }
 
-// AdoptedReads counts the Projection calls, over every index of the store,
-// that a projection taken in by Adopt or Rebind answered: the reads that
-// shipping the projections with the index saved a recomputation.
-func (s *Store) AdoptedReads() int { return s.adoptedReads }
+// Reads returns the store's projection read counts.
+func (s *Store) Reads() Reads { return s.reads }
 
 // TakeDemand returns the projections that Projection has been asked for
 // since the last TakeDemand, each once, and clears the log.
@@ -735,10 +731,10 @@ func (ix *Index) Projection(keep []int) bdd.Ref {
 		return ix.compute(keep)
 	}
 	if p.moved {
-		ix.store.maintainedReads++
+		ix.store.reads.Maintained++
 	}
 	if p.adopted {
-		ix.store.adoptedReads++
+		ix.store.reads.Adopted++
 	}
 	p.idle = 0
 	return p.root

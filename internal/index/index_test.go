@@ -272,7 +272,7 @@ func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
 		k.GC() // only the pins keep the projections alive
 		check(step)
 	}
-	if store.MaintainedReads() == 0 {
+	if store.Reads().Maintained == 0 {
 		t.Fatal("no Projection call read a maintained projection")
 	}
 
@@ -283,13 +283,13 @@ func testProjectionMaintained(t *testing.T, ncols, dictSize int, vals []int32) {
 		empty.DeleteCodes(empty.Row(0))
 	}
 	ix.Rebind(empty, bdd.False, nil)
-	reads := store.MaintainedReads()
+	reads := store.Reads().Maintained
 	for _, keep := range subsets {
 		if got := ix.Projection(keep); got != bdd.False {
 			t.Fatalf("after Rebind to an empty table, the projection onto %v is %d, want False", keep, got)
 		}
 	}
-	if store.MaintainedReads() != reads {
+	if store.Reads().Maintained != reads {
 		t.Fatal("a projection maintained before Rebind answered after it")
 	}
 }
@@ -486,11 +486,11 @@ func TestUnreadProjectionIsForgotten(t *testing.T) {
 		}
 	}
 	ix.Projection(keep)
-	reads := store.MaintainedReads()
+	reads := store.Reads().Maintained
 	for i := 1; i <= 2; i++ {
 		churn(3) // 6 updates since the last read: not more than the 6 rows
 		ix.Projection(keep)
-		if store.MaintainedReads() != reads+i {
+		if store.Reads().Maintained != reads+i {
 			t.Fatalf("read %d: a projection read after as many updates as rows was not kept", i)
 		}
 	}
@@ -504,7 +504,7 @@ func TestUnreadProjectionIsForgotten(t *testing.T) {
 		t.Fatalf("%d live nodes after the projection went unread, %d before: it is still pinned", k.Size(), withProjection)
 	}
 	ix.Projection(keep)
-	if store.MaintainedReads() != reads+2 {
+	if store.Reads().Maintained != reads+2 {
 		t.Fatal("a projection unread for more updates than rows was kept")
 	}
 }
@@ -560,9 +560,9 @@ func TestProjectionBudgetAbortKeepsTheUpdate(t *testing.T) {
 		} else if !ix.Contains(row) {
 			t.Fatalf("insert %d succeeded without reaching the index", i)
 		}
-		reads := store.MaintainedReads()
+		reads := store.Reads().Maintained
 		got := ix.Projection(keep)
-		if err == nil && store.MaintainedReads() == reads {
+		if err == nil && store.Reads().Maintained == reads {
 			projectionAborts++ // the row reached the index, the projection was dropped
 		}
 		if want := fdd.Exists(ix.Root(), ix.Domains()[1]); got != want {

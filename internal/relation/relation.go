@@ -493,6 +493,28 @@ func writeRecord(cw *csv.Writer, w io.Writer, rec []string) error {
 	return err
 }
 
+// ShareUsage is the help text of the -share flag that ParseShare reads.
+const ShareUsage = "comma-separated shared columns: col shares a domain with every column of that name, col=domain puts col in the named domain"
+
+// ParseShare reads a -share list into ReadCSV's column → domain map. An
+// entry col puts every column named col in the domain col; col=domain puts
+// it in the named domain, so it joins a column of another name.
+func ParseShare(s string) (map[string]string, error) {
+	out := make(map[string]string)
+	for _, entry := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' }) {
+		col, dom, named := strings.Cut(entry, "=")
+		col, dom = strings.TrimSpace(col), strings.TrimSpace(dom)
+		if !named {
+			dom = col
+		}
+		if col == "" || dom == "" || strings.Contains(dom, "=") {
+			return nil, fmt.Errorf("relation: -share entry %q: want col or col=domain", entry)
+		}
+		out[col] = dom
+	}
+	return out, nil
+}
+
 // ReadCSV creates a table named name from CSV data with a header row. Each
 // column's domain defaults to its header name prefixed with the table name
 // unless a name→domain override is given in domains. The table is

@@ -162,13 +162,24 @@ func (o *orders) imageOf(chk *core.Checker, opts core.CheckOptions) (image, erro
 		im.violated = append(im.violated, res.Violated)
 	}
 	im.fdFast = chk.Stats().FDFastPath - fast
-	for _, s := range chk.SnapshotIndices() {
+	// The indices are counted in a kernel of their own, which their export
+	// reaches without a way into the checker's.
+	img, snaps, err := chk.ExportIndices()
+	if err != nil {
+		return im, err
+	}
+	k := bdd.New(bdd.Config{Vars: img.Vars()})
+	roots, err := k.Import(img)
+	if err != nil {
+		return im, err
+	}
+	for i, s := range snaps {
 		var vars []int
 		for _, b := range s.Blocks {
 			vars = append(vars, b.Vars...)
 		}
 		slices.Sort(vars)
-		im.counts = append(im.counts, chk.Store().Kernel().SatCountWithin(chk.Store().Index(s.Name).Root(), vars))
+		im.counts = append(im.counts, k.SatCountWithin(roots[i], vars))
 	}
 	return im, nil
 }
@@ -225,7 +236,7 @@ func (o *orders) serve(t *testing.T, pool *replica.Pool, epoch uint64) served {
 		if at != epoch {
 			return fmt.Errorf("served at epoch %d, want %d", at, epoch)
 		}
-		out.kernel = chk.Store().Kernel()
+		out.kernel = chk.Kernel()
 		if err := out.kernel.Err(); err != nil {
 			return fmt.Errorf("the replica's kernel was handed over with %w", err)
 		}
@@ -348,7 +359,7 @@ func TestWorkerRebuildsWhenItCannotAdvance(t *testing.T) {
 
 	t.Run("node budget", func(t *testing.T) {
 		probe := newOrders(t, core.Options{}, core.OrderProbConverge)
-		nodes := probe.chk.KernelStats().Live
+		nodes := probe.chk.Kernel().Stats().Live
 		// Room for the indices and for half as much again: a version that
 		// shares little with the one before it does not fit beside it.
 		o := newOrders(t, core.Options{NodeBudget: nodes + nodes/2}, core.OrderProbConverge)
@@ -356,7 +367,7 @@ func TestWorkerRebuildsWhenItCannotAdvance(t *testing.T) {
 		pool, kernel := start(t, o)
 		for i := 0; i < 450; i++ {
 			o.batch(t, 2)
-			o.chk.Store().Kernel().GC() // the primary must not trip over its own garbage
+			o.chk.Kernel().GC() // the primary must not trip over its own garbage
 		}
 		rebuilt(t, o, pool, o.chk, kernel)
 	})
@@ -437,7 +448,7 @@ func TestPerEpochCountersAddUpUnderTheMetersRule(t *testing.T) {
 	}
 	var truth uint64
 	check := func(chk *core.Checker, _ uint64) error {
-		k := chk.Store().Kernel()
+		k := chk.Kernel()
 		before := k.Stats().Ops
 		_, err := o.imageOf(chk, core.CheckOptions{NoSQLFallback: true})
 		truth += k.Stats().Ops - before

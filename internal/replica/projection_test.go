@@ -31,7 +31,7 @@ func (o *orders) fdConstraint(t *testing.T) logic.Constraint {
 func checkAdoptedFD(t *testing.T, o *orders, rep *core.Checker) {
 	t.Helper()
 	fd := o.fdConstraint(t)
-	fast, adopted := rep.Stats().FDFastPath, rep.Store().AdoptedReads()
+	fast, adopted := rep.Stats().FDFastPath, rep.ProjectionReads().Adopted
 	got := rep.CheckOneOpts(fd, core.CheckOptions{NoSQLFallback: true})
 	want := o.chk.CheckOne(fd)
 	if got.Err != nil || want.Err != nil {
@@ -46,8 +46,8 @@ func checkAdoptedFD(t *testing.T, o *orders, rep *core.Checker) {
 	if got.Kernel.Ops != 0 {
 		t.Fatalf("the replica's first FD check took %d kernel steps, want 0", got.Kernel.Ops)
 	}
-	if rep.Store().AdoptedReads() != adopted+2 {
-		t.Fatalf("%d reads answered by adopted projections, want the pairs and the groups", rep.Store().AdoptedReads()-adopted)
+	if rep.ProjectionReads().Adopted != adopted+2 {
+		t.Fatalf("%d reads answered by adopted projections, want the pairs and the groups", rep.ProjectionReads().Adopted-adopted)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestAdvancedReplicaAdoptsTheFDProjections(t *testing.T) {
 		if next != rep {
 			t.Fatalf("epoch %d: the replica was rebuilt, not advanced", epoch)
 		}
-		rep.Store().Kernel().GC()
+		rep.Kernel().GC()
 		checkAdoptedFD(t, o, rep)
 	}
 }
@@ -104,7 +104,14 @@ func TestPrimaryKeepsWhatReplicasRead(t *testing.T) {
 	o := newOrders(t, core.Options{}, core.OrderProbConverge)
 	fd := o.fdConstraint(t)
 	o.chk.CheckOne(fd)
-	held := func() int { return len(o.chk.Store().Index("ORD").Projections()) }
+	held := func() (n int) {
+		for _, s := range o.chk.SnapshotIndices() {
+			if s.Name == "ORD" {
+				n = len(s.Projections)
+			}
+		}
+		return n
+	}
 	if held() != 2 {
 		t.Fatalf("the primary holds %d projections of ORD after the FD check, want 2", held())
 	}

@@ -96,7 +96,7 @@ func NewVersion(primary *core.Checker, epoch uint64) (*Version, error) {
 	}
 	return &Version{
 		epoch: epoch, catalog: primary.Catalog().Clone(), img: img, snaps: snaps,
-		opts: primary.Options(), debug: primary.Store().Kernel().DebugChecks(),
+		opts: primary.Options(), debug: primary.Kernel().DebugChecks(),
 	}, nil
 }
 
@@ -121,7 +121,7 @@ func (v *Version) Materialize(chk *core.Checker) (*core.Checker, error) {
 	// owns its kernel, caches and evaluator, populated by one Import.
 	chk = core.New(v.catalog, v.opts)
 	// A primary run under DebugChecks (the soaks) has its replicas checked too.
-	chk.Store().Kernel().SetDebugChecks(v.debug)
+	chk.Kernel().SetDebugChecks(v.debug)
 	if err := chk.AdoptIndices(v.img, v.snaps); err != nil {
 		return nil, fmt.Errorf("replica: materializing epoch %d: %w", v.epoch, err)
 	}
@@ -375,7 +375,7 @@ func (p *Pool) worker(i int) {
 			adoptStart := jb.trace.Begin()
 			var before bdd.Stats // a rebuild's kernel starts from zero
 			if chk != nil {
-				before = chk.KernelStats()
+				before = chk.Kernel().Stats()
 			}
 			next, err := pub.v.Materialize(chk)
 			if err != nil && chk == nil {
@@ -396,12 +396,12 @@ func (p *Pool) worker(i int) {
 					// version replaced: collect, keeping what the caches
 					// hold about the paths it did not.
 					collectStart := jb.trace.Begin()
-					next.Store().Kernel().GC()
+					next.Kernel().GC()
 					jb.trace.Span("collect", collectStart)
 				}
 				serving, epoch, chk, base = pub.seq, pub.v.epoch, next, before
 				p.swaps.Add(1)
-				jb.trace.SpanKernel("adopt", adoptStart, chk.KernelStats().DeltaSince(before))
+				jb.trace.SpanKernel("adopt", adoptStart, chk.Kernel().Stats().DeltaSince(before))
 			}
 			// On error with a previous version in hand, keep serving it;
 			// the next publish retries the swap.
@@ -409,7 +409,7 @@ func (p *Pool) worker(i int) {
 		jb.fn(chk, epoch)
 		// The demand is in the pool before the job is reported done, so an
 		// update its caller sends next replays it.
-		if ds := chk.Store().TakeDemand(); len(ds) > 0 {
+		if ds := chk.TakeDemand(); len(ds) > 0 {
 			p.demandMu.Lock()
 			for _, d := range ds {
 				p.demand.Add(d.Index, d.Keep)
@@ -422,7 +422,7 @@ func (p *Pool) worker(i int) {
 		jobs++
 		p.stats[i].Store(&Stats{
 			Worker: i, Epoch: epoch, Jobs: jobs,
-			Kernel: chk.KernelStats().Since(base), Checker: addStats(retired, chk.Stats()),
+			Kernel: chk.Kernel().Stats().Since(base), Checker: addStats(retired, chk.Stats()),
 		})
 		p.idle <- i
 		jb.err <- nil

@@ -381,7 +381,7 @@ func TestStatszNodeCountsAreTakenAtSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := chk.Store().Index("CUST").NodeCount()
+	want := chk.NodeCounts()["CUST"]
 	if sealed.Indices[0].Nodes != want || want == boot.Indices[0].Nodes {
 		t.Fatalf("nodes at epoch %d = %d, the restored index has %d (boot %d)", e, sealed.Indices[0].Nodes, want, boot.Indices[0].Nodes)
 	}

@@ -415,7 +415,7 @@ func (w *worker) reloadFromStore() error {
 	// the old catalog, may meet the new one.
 	w.memo.suspend()
 	w.chk = chk
-	w.countNodes(epoch)
+	w.nodes, w.nodesEpoch = w.chk.NodeCounts(), epoch
 	// The installed snapshot is the newest: commit's round count starts
 	// from it at zero and writes none.
 	w.batchesSinceSnap = -1

@@ -248,13 +248,16 @@ type worker struct {
 	chk *core.Checker
 	// batchesSinceSnap counts coalesced rounds since the last snapshot.
 	batchesSinceSnap int
-	nodes            map[string]int // per index, as countNodes took them at nodesEpoch
-	nodesEpoch       uint64
+	// nodes counts each index's nodes as of nodesEpoch. Counting walks every
+	// index BDD, so the worker counts only where it has just built or sealed
+	// them all: at boot, after a snapshot and after a reload.
+	nodes      map[string]int
+	nodesEpoch uint64
 }
 
 // snapshot is the worker-published view of checker and kernel state, read
-// lock-free by /statsz. Its index node counts are the worker's last
-// (countNodes), taken at nodesEpoch.
+// lock-free by /statsz. Its index node counts are the worker's last,
+// taken at nodesEpoch.
 type snapshot struct {
 	kernel     bdd.Stats // plain data: safe to hand to any goroutine
 	checker    core.Stats
@@ -338,8 +341,7 @@ func New(chk *core.Checker, constraints []logic.Constraint, opts Options) (*Serv
 	}
 	// The first snapshot goes out before the metrics exist: their callbacks
 	// read it unconditionally. Safe: the worker has not started yet.
-	w := &worker{Server: s, chk: chk}
-	w.countNodes(initialEpoch)
+	w := &worker{Server: s, chk: chk, nodes: chk.NodeCounts(), nodesEpoch: initialEpoch}
 	w.publish()
 	s.metrics = newServerMetrics(s) // after pool setup: per-replica gauges
 	if s.pool != nil {
@@ -477,7 +479,7 @@ func (s *Server) gatherUpdates(first *updateJob) []*updateJob {
 // where it was.
 func (w *worker) applyBatch(batch []*updateJob) {
 	w.nBatches.Add(1)
-	k := w.chk.Store().Kernel()
+	k := w.chk.Kernel()
 	epoch := w.epoch.Load() + 1
 	replies := make([]updateReply, len(batch))
 	traces := make([]*obs.Trace, len(batch))
@@ -542,7 +544,7 @@ func (w *worker) applyBatch(batch []*updateJob) {
 // durable and every check submitted after the ack sees it, whichever replica
 // serves it. The freeze is recorded on each of traces, the jobs waiting on it.
 func (w *worker) commit(epoch uint64, traces []*obs.Trace) {
-	k := w.chk.Store().Kernel()
+	k := w.chk.Kernel()
 	freezeStart := time.Now()
 	before := k.Stats()
 	w.publishVersion(epoch)
@@ -595,7 +597,7 @@ func (w *worker) maybeSnapshot(epoch uint64) {
 		return
 	}
 	w.batchesSinceSnap = 0
-	w.countNodes(epoch)
+	w.nodes, w.nodesEpoch = w.chk.NodeCounts(), epoch
 }
 
 // runCheck serves one check or witness job under its node budget. The
@@ -710,39 +712,26 @@ func (w *worker) refuseQueued() {
 }
 
 // publish refreshes the stats snapshot. It walks no BDD: node counts are
-// the last countNodes took.
+// the worker's last.
 func (w *worker) publish() {
 	snap := &snapshot{
-		kernel:     w.chk.KernelStats(),
+		kernel:     w.chk.Kernel().Stats(),
 		checker:    w.chk.Stats(),
 		nodesEpoch: w.nodesEpoch,
 	}
 	for _, t := range w.chk.Catalog().Tables() {
 		snap.tables = append(snap.tables, TableStats{Name: t.Name(), Rows: t.Len(), Cols: t.NumCols()})
 	}
-	store := w.chk.Store()
-	for _, name := range store.Names() {
-		ix := store.Index(name)
+	for _, ix := range w.chk.SnapshotIndices() {
 		snap.indices = append(snap.indices, IndexStats{
-			Name:        name,
-			Table:       ix.Table().Name(),
-			Cols:        len(ix.Columns()),
-			Nodes:       w.nodes[name],
-			Projections: len(ix.Projections()),
+			Name:        ix.Name,
+			Table:       ix.Table,
+			Cols:        len(ix.Cols),
+			Nodes:       w.nodes[ix.Name],
+			Projections: len(ix.Projections),
 		})
 	}
 	w.snap.Store(snap)
-}
-
-// countNodes counts every index's nodes as of epoch for /statsz. It walks
-// each index BDD, so it runs only where the worker has just built or sealed
-// them all: at boot, after a snapshot and after a reload.
-func (w *worker) countNodes(epoch uint64) {
-	store := w.chk.Store()
-	w.nodes, w.nodesEpoch = make(map[string]int), epoch
-	for _, name := range store.Names() {
-		w.nodes[name] = store.Index(name).NodeCount()
-	}
 }
 
 // submission (called from handler goroutines)
@@ -863,25 +852,19 @@ func (s *Server) replicaCheck(ctx context.Context, spec checkSpec, tr *obs.Trace
 // replica; a BDD error (budget blown, missing index, existence mode) routes
 // to the primary, which alone can run the SQL fallback on the live tables.
 func (s *Server) replicaWitnesses(ctx context.Context, ct logic.Constraint, limit, budget int, tr *obs.Trace) (checkReply, bool) {
-	var ws []core.Witness
-	var werr error
-	opts := core.CheckOptions{NodeBudget: budget}
+	var res core.WitnessResult
 	submitted := tr.Begin()
 	err := s.pool.DoTraced(ctx, tr, func(chk *core.Checker, _ uint64) {
 		tr.Span("queue_wait", submitted)
-		k := chk.Store().Kernel()
-		enumStart := time.Now()
-		before := k.Stats()
-		ws, werr = chk.ViolationWitnessesOpts(ct, limit, opts)
-		enumD := time.Since(enumStart)
-		s.metrics.stWitness.Observe(enumD)
-		delta := k.Stats().DeltaSince(before)
-		tr.Record("witness_enum", enumStart, enumD, &delta)
+		start := time.Now()
+		res = chk.Witnesses(ct, limit, core.CheckOptions{NodeBudget: budget, NoSQLFallback: true})
+		s.metrics.stWitness.Observe(res.EnumDuration)
+		tr.Record("witness_enum", start, res.EnumDuration, &res.Kernel)
 	})
-	if err != nil || werr != nil {
+	if err != nil || res.Err != nil {
 		return checkReply{}, false
 	}
-	return checkReply{witnesses: ws, witnessMethod: core.MethodBDD}, true
+	return checkReply{witnesses: res.Witnesses, witnessMethod: core.MethodBDD}, true
 }
 
 // submitPrimaryCheck queues a check (or witness) job on the primary worker

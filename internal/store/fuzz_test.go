@@ -72,9 +72,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			return
 		}
-		for _, s := range chk.SnapshotIndices() {
-			chk.Store().Index(s.Name).NodeCount()
-		}
+		chk.NodeCounts()
 	})
 }
 

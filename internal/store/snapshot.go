@@ -116,7 +116,7 @@ func writeSnapshot(w io.Writer, chk *core.Checker, constraints string, epoch uin
 	if err := num(epoch); err != nil {
 		return err
 	}
-	if err := num(uint64(chk.Store().Kernel().NumVars())); err != nil {
+	if err := num(uint64(chk.Kernel().NumVars())); err != nil {
 		return err
 	}
 
@@ -451,7 +451,7 @@ func readSnapshot(r io.Reader, opts core.Options) (*core.Checker, string, uint64
 		return nil, "", 0, fmt.Errorf("%w: the BDD section orders %d variables, the header declares %d", ErrCorrupt, n, numVars)
 	}
 	chk := core.New(cat, opts)
-	k := chk.Store().Kernel()
+	k := chk.Kernel()
 	if int(numVars) > k.NumVars() {
 		k.AddVars(int(numVars) - k.NumVars())
 	}

@@ -535,8 +535,8 @@ func TestVerifyAndCompact(t *testing.T) {
 	}
 	// The snapshot's line carries each index's node count, the live one's:
 	// reduced ordered BDDs are canonical.
-	for _, name := range chk.Store().Names() {
-		want := fmt.Sprintf("index %s %d nodes", name, chk.Store().Index(name).NodeCount())
+	for name, nodes := range chk.NodeCounts() {
+		want := fmt.Sprintf("index %s %d nodes", name, nodes)
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Verify output lacks %q:\n%s", want, buf.String())
 		}

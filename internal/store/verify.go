@@ -100,8 +100,9 @@ func verifySnapshot(dir string, e SnapshotEntry) (counts string, err error) {
 	}
 	// Counting walks every node of every index, so a dangling ref surfaces
 	// here, not at first use after a recovery.
+	nodes := chk.NodeCounts()
 	for _, snap := range chk.SnapshotIndices() {
-		counts += fmt.Sprintf(", index %s %d nodes", snap.Name, chk.Store().Index(snap.Name).NodeCount())
+		counts += fmt.Sprintf(", index %s %d nodes", snap.Name, nodes[snap.Name])
 	}
 	return counts, nil
 }

@@ -10,12 +10,25 @@ import (
 	"testing"
 )
 
+// binDir is the temporary directory buildOnce builds into, if it has run.
+var binDir string
+
+// TestMain removes binDir once the tests are done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
 // buildOnce compiles the cvcheck binary once per test run.
 var buildOnce = sync.OnceValues(func() (string, error) {
 	dir, err := os.MkdirTemp("", "cvcheck")
 	if err != nil {
 		return "", err
 	}
+	binDir = dir
 	bin := filepath.Join(dir, "cvcheck")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	out, err := cmd.CombinedOutput()

@@ -291,55 +291,13 @@ func (c *Checker) orderFor(t *relation.Table, cols []int, method OrderingMethod)
 		return nil, nil
 	case OrderRandom:
 		return ordering.Random(c.rng, len(cols)), nil
-	case OrderProbConverge, OrderMaxInfGain:
-		proj, err := projectionTable(t, cols)
-		if err != nil {
-			return nil, err
-		}
-		if method == OrderProbConverge {
-			return ordering.ProbConverge(proj, nil), nil
-		}
-		return ordering.MaxInfGain(proj), nil
+	case OrderProbConverge:
+		return ordering.ProbConverge(t, cols), nil
+	case OrderMaxInfGain:
+		return ordering.MaxInfGain(t, cols), nil
 	default:
 		return nil, fmt.Errorf("core: unknown ordering method %v", method)
 	}
-}
-
-// projectionTable materializes the projection of t onto cols for the
-// statistics computations, in a scratch catalog of its own: the checker's
-// catalog never sees it. The statistics read codes only, so the scratch
-// table carries t's codes without its value dictionaries.
-func projectionTable(t *relation.Table, cols []int) (*relation.Table, error) {
-	if len(cols) == t.NumCols() {
-		schema := true
-		for i, c := range cols {
-			if c != i {
-				schema = false
-				break
-			}
-		}
-		if schema {
-			return t, nil
-		}
-	}
-	specs := make([]relation.Column, len(cols))
-	names := t.ColumnNames()
-	for i, col := range cols {
-		specs[i] = relation.Column{Name: names[col], Domain: t.ColumnDomain(col).Name()}
-	}
-	proj, err := relation.NewCatalog().CreateTable(t.Name()+"$proj", specs)
-	if err != nil {
-		return nil, err
-	}
-	for r := 0; r < t.Len(); r++ {
-		row := t.Row(r)
-		enc := make([]int32, len(cols))
-		for i, col := range cols {
-			enc[i] = row[col]
-		}
-		proj.InsertCodes(enc)
-	}
-	return proj, nil
 }
 
 // CheckOne validates a single constraint: functional dependencies go
@@ -895,7 +853,7 @@ func (c *Checker) validateOne(v *validation, u Update) (encoded, error) {
 		}
 		e.codes[i] = code
 	}
-	rk := rowKey{t, string(relation.AppendKey(nil, e.codes))}
+	rk := rowKey{t, string(relation.AppendKey(nil, e.codes, ordering.Identity(len(e.codes))))}
 	if !e.del {
 		v.moved[rk]++
 		return e, nil

@@ -322,8 +322,8 @@ func TestIndexOverProjection(t *testing.T) {
 	if _, err := chk.BuildIndex("NCS", "CUST", []string{"areacode", "city", "state"}, core.OrderProbConverge); err != nil {
 		t.Fatal(err)
 	}
-	// The ordering's statistics table is scratch: the catalog the checker
-	// applies, snapshots and clones keeps only CUST.
+	// The ordering's statistics read the table's codes and register nothing:
+	// the catalog the checker applies, snapshots and clones keeps only CUST.
 	if n := len(chk.Catalog().Tables()); n != 1 {
 		t.Errorf("catalog holds %d tables after the index build, want 1", n)
 	}

@@ -10,6 +10,15 @@ import (
 	"repro/internal/relation"
 )
 
+// activeDomain counts the distinct codes in column c of t.
+func activeDomain(t *relation.Table, c int) int {
+	seen := map[int32]bool{}
+	for _, row := range t.Rows() {
+		seen[row[c]] = true
+	}
+	return len(seen)
+}
+
 func TestKProdShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, k := range []int{0, 1, 4, 8} {
@@ -28,7 +37,7 @@ func TestKProdShape(t *testing.T) {
 			t.Errorf("k=%d: cardinality %d too far from target 20000", k, n)
 		}
 		for c := 0; c < 5; c++ {
-			if ad := tbl.ActiveDomainSize(c); ad > 50 {
+			if ad := activeDomain(tbl, c); ad > 50 {
 				t.Errorf("k=%d col %d: active domain %d exceeds cap", k, c, ad)
 			}
 			// The dictionary is fully interned regardless of the sample.
@@ -60,7 +69,7 @@ func TestKProdStructureIsDetectable(t *testing.T) {
 				row := prod.Row(r)
 				pairs[[2]int32{row[i], row[j]}] = true
 			}
-			if len(pairs) == prod.ActiveDomainSize(i)*prod.ActiveDomainSize(j) {
+			if len(pairs) == activeDomain(prod, i)*activeDomain(prod, j) {
 				foundIndependent = true
 				break
 			}

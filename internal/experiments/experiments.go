@@ -205,14 +205,14 @@ func fig2a(cfg Config, tuples int) error {
 // orderingScore ranks a full ordering under one of the greedy measures: the
 // cumulative greedy objective along the ordering's prefixes (lower is
 // better for both measures).
-func orderingScore(t *relation.Table, order []int, domSizes []int, useInfoGain bool) float64 {
+func orderingScore(m *stats.Matrix, order []int, useInfoGain bool) float64 {
 	score := 0.0
 	for i := 1; i <= len(order); i++ {
 		prefix := order[:i]
 		if useInfoGain {
-			score += stats.CondEntropy(t, prefix[:i-1], prefix[i-1])
+			score += m.CondEntropy(prefix[:i-1], prefix[i-1])
 		} else {
-			score += stats.Phi(t, prefix, domSizes)
+			score += m.Phi(prefix)
 		}
 	}
 	return score
@@ -221,9 +221,15 @@ func orderingScore(t *relation.Table, order []int, domSizes []int, useInfoGain b
 // Fig2bc reproduces Figures 2(b) and 2(c): the 120 orderings of a 1-PROD
 // relation ranked by each heuristic's measure, with the true BDD size at
 // each rank. A well-correlated heuristic shows sizes increasing with rank.
-func Fig2bc(cfg Config) error {
+func Fig2bc(cfg Config) error { return fig2bc(cfg, cfg.orderingTuples()) }
+
+// fig2bc runs Fig2bc over a relation of the given size. Each printed rank
+// is a row carrying the three sizes, timed by a rebuild under the ordering
+// of that true rank; each heuristic is a row timing its statistics: scoring
+// and ranking every ordering.
+func fig2bc(cfg Config, tuples int) error {
 	w := cfg.out()
-	t, err := buildFamily(1, cfg.orderingTuples(), cfg.rng(40))
+	t, err := buildFamily(1, tuples, cfg.rng(40))
 	if err != nil {
 		return err
 	}
@@ -231,29 +237,48 @@ func Fig2bc(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	domSizes := ordering.ActiveDomainSizes(t)
-	rank := func(useInfoGain bool) []int {
+	// byRank lists the orderings' indices by ascending score (by size for
+	// the true ranking); ties keep permutation order.
+	byRank := func(scores []float64) []int {
 		idx := make([]int, len(perms))
 		for i := range idx {
 			idx[i] = i
 		}
-		scores := make([]float64, len(perms))
-		for i, p := range perms {
-			scores[i] = orderingScore(t, p, domSizes, useInfoGain)
-		}
 		sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
+		return idx
+	}
+	rankSizes := func(idx []int) []int {
 		out := make([]int, len(idx))
 		for r, i := range idx {
 			out[r] = sizes[i]
 		}
 		return out
 	}
-	trueRank := append([]int(nil), sizes...)
-	sort.Ints(trueRank)
-	migRank := rank(true)
-	pcRank := rank(false)
+	heuristic := func(name string, useInfoGain bool) []int {
+		start := time.Now()
+		m := stats.NewMatrix(t, nil)
+		scores := make([]float64, len(perms))
+		for i, p := range perms {
+			scores[i] = orderingScore(m, p, useInfoGain)
+		}
+		idx := byRank(scores)
+		cfg.record(BenchRow{
+			Experiment: "fig2bc", Name: "score",
+			Params:  map[string]any{"heuristic": name, "tuples": tuples, "orders": len(perms)},
+			NsPerOp: time.Since(start).Nanoseconds(),
+		})
+		return rankSizes(idx)
+	}
+	trueScores := make([]float64, len(sizes))
+	for i, s := range sizes {
+		trueScores[i] = float64(s)
+	}
+	trueIdx := byRank(trueScores)
+	trueRank := rankSizes(trueIdx)
+	migRank := heuristic("MaxInf-Gain", true)
+	pcRank := heuristic("Prob-Converge", false)
 
-	fmt.Fprintf(w, "=== Figures 2(b,c): heuristic ranking vs true ranking (1-PROD) ===\n")
+	fmt.Fprintf(w, "=== Figures 2(b,c): heuristic ranking vs true ranking (1-PROD, %d tuples) ===\n", tuples)
 	fmt.Fprintf(w, "%-6s %12s %14s %14s\n", "rank", "true size", "MaxInf-Gain", "Prob-Converge")
 	step := len(sizes) / 12
 	if step == 0 {
@@ -261,6 +286,20 @@ func Fig2bc(cfg Config) error {
 	}
 	for r := 0; r < len(sizes); r += step {
 		fmt.Fprintf(w, "%-6d %12d %14d %14d\n", r+1, trueRank[r], migRank[r], pcRank[r])
+		order := perms[trueIdx[r]]
+		start := time.Now()
+		_, work, err := bddSizeFor(t, order)
+		if err != nil {
+			return err
+		}
+		cfg.record(BenchRow{
+			Experiment: "fig2bc", Name: "rank",
+			Params: map[string]any{
+				"rank": r + 1, "tuples": tuples, "ordering": order,
+				"maxinf_nodes": migRank[r], "probconv_nodes": pcRank[r],
+			},
+			NsPerOp: time.Since(start).Nanoseconds(), Nodes: trueRank[r],
+		}.withWork(work))
 	}
 	fmt.Fprintf(w, "top-10 agreement with true ranking: MaxInf-Gain %d/10, Prob-Converge %d/10\n",
 		topAgreement(trueRank, migRank, 10), topAgreement(trueRank, pcRank, 10))
@@ -313,7 +352,7 @@ func Fig3(cfg Config) error {
 					best = s
 				}
 			}
-			mig, _, err := bddSizeFor(t, ordering.MaxInfGain(t))
+			mig, _, err := bddSizeFor(t, ordering.MaxInfGain(t, nil))
 			if err != nil {
 				return err
 			}

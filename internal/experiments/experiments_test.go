@@ -24,7 +24,8 @@ import (
 // longer recorded. A change that moves a count on purpose rewrites its line.
 // An index build interns its nodes without a counted step, so a build row
 // (fig4's build, fig2a's rebuilds) is gated by its nodes_allocated instead,
-// exactly, under its key followed by " nodes_allocated".
+// exactly, under its key followed by " nodes_allocated"; so is each rank row
+// of fig2bc, a rebuild under the ordering of that rank.
 
 // rowKey names a row in counts.json: experiment/name, then the params in
 // key order.
@@ -114,6 +115,13 @@ func TestFig2aExperiment(t *testing.T) {
 		t.Skip("heavy experiment")
 	}
 	runExperiment(t, "fig2a", experiments.Fig2aAt(2000), "Figure 2(a)")
+}
+
+func TestFig2bcExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment")
+	}
+	runExperiment(t, "fig2bc", experiments.Fig2bcAt(2000), "Figures 2(b,c)")
 }
 
 func TestFig4Experiment(t *testing.T) {

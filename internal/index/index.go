@@ -229,7 +229,7 @@ func CheckKeeps(keeps [][]int, ncols int) error {
 
 // counts counts the rows of an index's table by their codes at some of the
 // table's columns: how many rows carry each combination of codes there. A
-// key is the codes' uvarints (appendKey), so no two combinations share one.
+// key is the codes' relation.AppendKey, so no two combinations share one.
 type counts struct {
 	cols []int            // table columns, in key order
 	n    map[string]int32 // nil until a batch needs it
@@ -243,7 +243,7 @@ func (c *counts) build(t *relation.Table) {
 	c.n = make(map[string]int32)
 	var key []byte
 	for _, r := range t.Rows() {
-		key = appendKey(key[:0], r, c.cols)
+		key = relation.AppendKey(key[:0], r, c.cols)
 		c.n[string(key)]++
 	}
 }
@@ -257,14 +257,6 @@ func (c *counts) apply(moves []move) {
 			c.n[m.key] = n
 		}
 	}
-}
-
-// appendKey appends the key of row's codes at cols to dst.
-func appendKey(dst []byte, row []int32, cols []int) []byte {
-	for _, col := range cols {
-		dst = binary.AppendUvarint(dst, uint64(row[col]))
-	}
-	return dst
 }
 
 // move is how far a batch moves the count of one key: d, the rows with the
@@ -283,7 +275,7 @@ func net(cols []int, plus, minus [][]int32) []move {
 	var moves []move
 	var key []byte
 	add := func(row []int32, d int32) {
-		key = appendKey(key[:0], row, cols)
+		key = relation.AppendKey(key[:0], row, cols)
 		i, ok := at[string(key)]
 		if !ok {
 			i = len(moves)

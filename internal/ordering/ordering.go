@@ -15,73 +15,41 @@ import (
 	"repro/internal/stats"
 )
 
-// ActiveDomainSizes returns the per-column active-domain sizes of t, the
-// default domain sizes for the Φ measure.
-func ActiveDomainSizes(t *relation.Table) []int {
-	out := make([]int, t.NumCols())
-	for i := range out {
-		out[i] = t.ActiveDomainSize(i)
-	}
-	return out
-}
-
-// MaxInfGain returns the ordering produced by the information-gain greedy of
-// §3.1 (Figure 1): the first attribute minimizes the entropy H(v); each
-// following attribute maximizes the information gain against the chosen
+// MaxInfGain returns the ordering of t's columns cols (nil meaning all)
+// produced by the information-gain greedy of §3.1 (Figure 1), as positions
+// into cols: each attribute maximizes the information gain against the chosen
 // prefix, which for a fixed prefix is the attribute minimizing the
-// conditional entropy H(v | prefix).
-func MaxInfGain(t *relation.Table) []int {
-	n := t.NumCols()
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	// First attribute: minimal entropy.
-	best, bestH := -1, 0.0
-	for v := 0; v < n; v++ {
-		h := stats.Entropy(t, []int{v})
-		if best == -1 || h < bestH {
-			best, bestH = v, h
-		}
-	}
-	order = append(order, best)
-	used[best] = true
-	for len(order) < n {
-		best, bestH = -1, 0.0
-		for v := 0; v < n; v++ {
-			if used[v] {
-				continue
-			}
-			h := stats.CondEntropy(t, order, v)
-			if best == -1 || h < bestH {
-				best, bestH = v, h
-			}
-		}
-		order = append(order, best)
-		used[best] = true
-	}
-	return order
+// conditional entropy H(v | prefix). The first is the one of minimal entropy
+// H(v), which is H(v | ∅).
+func MaxInfGain(t *relation.Table, cols []int) []int {
+	m := stats.NewMatrix(t, cols)
+	return greedy(m, m.CondEntropy)
 }
 
-// ProbConverge returns the ordering produced by the probability-convergence
-// greedy of §3.2: each step appends the attribute whose extended prefix has
-// the smallest Φ measure, driving Φ to 0 (membership decided) as early as
-// possible. domSizes may be nil, in which case the active-domain sizes of t
-// are used.
-func ProbConverge(t *relation.Table, domSizes []int) []int {
-	if domSizes == nil {
-		domSizes = ActiveDomainSizes(t)
-	}
-	n := t.NumCols()
+// ProbConverge returns the ordering of t's columns cols (nil meaning all)
+// produced by the probability-convergence greedy of §3.2, as positions into
+// cols: each step appends the attribute whose extended prefix has the
+// smallest Φ measure, driving Φ to 0 (membership decided) as early as
+// possible.
+func ProbConverge(t *relation.Table, cols []int) []int {
+	m := stats.NewMatrix(t, cols)
+	return greedy(m, func(prefix []int, v int) float64 { return m.Phi(append(prefix, v)) })
+}
+
+// greedy orders m's attributes by appending, at each step, the unused
+// attribute v of lowest score(order, v); the first lowest wins a tie.
+func greedy(m *stats.Matrix, score func(prefix []int, v int) float64) []int {
+	n := m.NumAttrs()
 	order := make([]int, 0, n)
 	used := make([]bool, n)
 	for len(order) < n {
-		best, bestPhi := -1, 0.0
-		for v := 0; v < n; v++ {
+		best, bestScore := -1, 0.0
+		for v := range n {
 			if used[v] {
 				continue
 			}
-			phi := stats.Phi(t, append(order, v), domSizes)
-			if best == -1 || phi < bestPhi {
-				best, bestPhi = v, phi
+			if s := score(order, v); best == -1 || s < bestScore {
+				best, bestScore = v, s
 			}
 		}
 		order = append(order, best)

@@ -3,6 +3,7 @@ package ordering_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -64,7 +65,7 @@ func TestHeuristicsReturnPermutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, order := range map[string][]int{
-		"MaxInfGain":   ordering.MaxInfGain(tbl),
+		"MaxInfGain":   ordering.MaxInfGain(tbl, nil),
 		"ProbConverge": ordering.ProbConverge(tbl, nil),
 	} {
 		if len(order) != 4 {
@@ -76,6 +77,31 @@ func TestHeuristicsReturnPermutations(t *testing.T) {
 				t.Fatalf("%s: not a permutation: %v", name, order)
 			}
 			used[v] = true
+		}
+	}
+}
+
+// TestHeuristicsKeepTheirOrders pins both greedies' orders on the customer
+// relation (noise 0.001, seed 1), the order Prob-Converge gives at 5 000,
+// 20 000, 100 000 and 400 000 tuples alike, and the positions they return
+// over a column subset.
+func TestHeuristicsKeepTheirOrders(t *testing.T) {
+	data, err := datagen.Customers(relation.NewCatalog(), "CUST", datagen.CustomerSpec{Tuples: 20000, NoiseRate: 0.001}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  []int
+		want []int
+	}{
+		{"ProbConverge", ordering.ProbConverge(data.Table, nil), []int{3, 0, 1, 2, 4}},
+		{"MaxInfGain", ordering.MaxInfGain(data.Table, nil), []int{3, 0, 2, 4, 1}},
+		{"ProbConverge over (city, state, zipcode)", ordering.ProbConverge(data.Table, []int{2, 3, 4}), []int{1, 0, 2}},
+		{"MaxInfGain over (city, state, zipcode)", ordering.MaxInfGain(data.Table, []int{2, 3, 4}), []int{1, 0, 2}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
 }

@@ -206,6 +206,7 @@ type Table struct {
 	first map[string]int32
 	next  []int32
 	key   []byte // scratch for the key of the row being looked up
+	all   []int  // every column, the columns of a row's key; nil until needed
 }
 
 // Version returns a counter that increases on every mutation of the table.
@@ -394,16 +395,23 @@ func (t *Table) unlink(k string, at int32) {
 }
 
 func (t *Table) keyOf(row []int32) []byte {
-	t.key = AppendKey(t.key[:0], row)
+	if t.all == nil {
+		t.all = make([]int, len(t.cols))
+		for i := range t.all {
+			t.all[i] = i
+		}
+	}
+	t.key = AppendKey(t.key[:0], row, t.all)
 	return t.key
 }
 
-// AppendKey appends the key of a row's codes to dst: their uvarints, so no
-// two rows share a key. A table's multiset of rows and a batch's validation
-// key rows this way.
-func AppendKey(dst []byte, row []int32) []byte {
-	for _, c := range row {
-		dst = binary.AppendUvarint(dst, uint64(c))
+// AppendKey appends the key of row's codes at cols to dst: their uvarints,
+// so no two rows share a key over the same columns. A table's multiset of
+// rows, a batch's validation, an index's counts and the SQL engine's hash
+// tables key rows this way.
+func AppendKey(dst []byte, row []int32, cols []int) []byte {
+	for _, c := range cols {
+		dst = binary.AppendUvarint(dst, uint64(row[c]))
 	}
 	return dst
 }
@@ -416,24 +424,6 @@ func (t *Table) Rows() [][]int32 { return t.rows }
 
 // Value decodes column c of row r.
 func (t *Table) Value(r, c int) string { return t.cols[c].domain.Value(t.rows[r][c]) }
-
-// DistinctCodes returns the sorted distinct codes appearing in column c.
-func (t *Table) DistinctCodes(c int) []int32 {
-	seen := make(map[int32]bool, 64)
-	for _, row := range t.rows {
-		seen[row[c]] = true
-	}
-	out := make([]int32, 0, len(seen))
-	for code := range seen {
-		out = append(out, code)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ActiveDomainSize returns the number of distinct values in column c of this
-// table. It can be smaller than the column's shared Domain size.
-func (t *Table) ActiveDomainSize(c int) int { return len(t.DistinctCodes(c)) }
 
 // Clone returns a deep copy of the table registered under newName.
 func (t *Table) Clone(newName string) (*Table, error) {

@@ -107,24 +107,6 @@ func TestInsertDelete(t *testing.T) {
 	}
 }
 
-func TestDistinctAndActiveDomain(t *testing.T) {
-	cat := relation.NewCatalog()
-	tbl, _ := cat.CreateTable("T", []relation.Column{{Name: "a"}, {Name: "b"}})
-	tbl.Insert("x", "1")
-	tbl.Insert("y", "1")
-	tbl.Insert("x", "2")
-	if got := tbl.ActiveDomainSize(0); got != 2 {
-		t.Fatalf("ActiveDomainSize(0) = %d", got)
-	}
-	if got := tbl.ActiveDomainSize(1); got != 2 {
-		t.Fatalf("ActiveDomainSize(1) = %d", got)
-	}
-	codes := tbl.DistinctCodes(0)
-	if len(codes) != 2 || codes[0] > codes[1] {
-		t.Fatalf("DistinctCodes = %v", codes)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	cat := relation.NewCatalog()
 	tbl, _ := cat.CreateTable("T", []relation.Column{{Name: "a"}, {Name: "b"}})

@@ -10,7 +10,6 @@
 package sqlengine
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,11 +68,7 @@ const MaxRows = 20_000_000
 var ErrTooLarge = errors.New("sqlengine: intermediate result exceeds the row cap")
 
 func rowKey(row []int32, cols []int) string {
-	var buf []byte
-	for _, c := range cols {
-		buf = binary.AppendVarint(buf, int64(row[c]))
-	}
-	return string(buf)
+	return string(relation.AppendKey(nil, row, cols))
 }
 
 func allCols(n int) []int {

@@ -1,10 +1,6 @@
 package sqlengine
 
-import (
-	"encoding/binary"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // groupby.go provides the grouping-based plans a relational engine uses for
 // dependency-style constraints — the paper's SQL side of Figure 5(b)
@@ -18,14 +14,8 @@ func CheckFD(t *relation.Table, lhs, rhs []int) bool {
 	firstRHS := make(map[string]string, 1024)
 	var lkey, rkey []byte
 	for _, row := range t.Rows() {
-		lkey = lkey[:0]
-		for _, c := range lhs {
-			lkey = binary.AppendVarint(lkey, int64(row[c]))
-		}
-		rkey = rkey[:0]
-		for _, c := range rhs {
-			rkey = binary.AppendVarint(rkey, int64(row[c]))
-		}
+		lkey = relation.AppendKey(lkey[:0], row, lhs)
+		rkey = relation.AppendKey(rkey[:0], row, rhs)
 		l, r := string(lkey), string(rkey)
 		if prev, ok := firstRHS[l]; ok {
 			if prev != r {

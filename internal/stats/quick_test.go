@@ -16,8 +16,33 @@ import (
 // on random tables.
 
 type qTable struct {
-	t    *relation.Table
-	doms []int
+	t *relation.Table
+}
+
+// randomTable returns a table of 2 to 4 columns over 2 to 7 values each and
+// 1 to 60 rows, duplicates likely.
+func randomTable(rng *rand.Rand, name string) *relation.Table {
+	cat := relation.NewCatalog()
+	cols := 2 + rng.Intn(3)
+	specs := make([]relation.Column, cols)
+	doms := make([]int, cols)
+	for c := range specs {
+		specs[c] = relation.Column{Name: fmt.Sprintf("a%d", c)}
+		doms[c] = 2 + rng.Intn(6)
+	}
+	t, err := cat.CreateTable(name, specs)
+	if err != nil {
+		panic(err)
+	}
+	n := 1 + rng.Intn(60)
+	for j := 0; j < n; j++ {
+		row := make([]string, cols)
+		for c := range row {
+			row[c] = fmt.Sprintf("v%d", rng.Intn(doms[c]))
+		}
+		t.Insert(row...)
+	}
+	return t
 }
 
 func tableConfig(seed int64) *quick.Config {
@@ -28,27 +53,7 @@ func tableConfig(seed int64) *quick.Config {
 		Values: func(args []reflect.Value, r *rand.Rand) {
 			for i := range args {
 				counter++
-				cat := relation.NewCatalog()
-				cols := 2 + rng.Intn(3)
-				specs := make([]relation.Column, cols)
-				doms := make([]int, cols)
-				for c := range specs {
-					specs[c] = relation.Column{Name: fmt.Sprintf("a%d", c)}
-					doms[c] = 2 + rng.Intn(6)
-				}
-				t, err := cat.CreateTable(fmt.Sprintf("T%d", counter), specs)
-				if err != nil {
-					panic(err)
-				}
-				n := 1 + rng.Intn(60)
-				for j := 0; j < n; j++ {
-					row := make([]string, cols)
-					for c := range row {
-						row[c] = fmt.Sprintf("v%d", rng.Intn(doms[c]))
-					}
-					t.Insert(row...)
-				}
-				args[i] = reflect.ValueOf(qTable{t: t, doms: doms})
+				args[i] = reflect.ValueOf(qTable{t: randomTable(rng, fmt.Sprintf("T%d", counter))})
 			}
 		},
 	}
@@ -58,12 +63,13 @@ const eps = 1e-9
 
 func TestQuickEntropyBounds(t *testing.T) {
 	property := func(q qTable) bool {
-		for c := 0; c < q.t.NumCols(); c++ {
-			h := stats.Entropy(q.t, []int{c})
+		m := stats.NewMatrix(q.t, nil)
+		for c := 0; c < m.NumAttrs(); c++ {
+			h := m.Entropy([]int{c})
 			if h < -eps {
 				return false
 			}
-			if h > math.Log2(float64(q.t.ActiveDomainSize(c)))+eps {
+			if h > math.Log2(float64(m.DomainSize(c)))+eps {
 				return false
 			}
 		}
@@ -80,7 +86,8 @@ func TestQuickEntropyMonotoneInPrefix(t *testing.T) {
 		if q.t.NumCols() < 2 {
 			return true
 		}
-		return stats.Entropy(q.t, []int{0, 1})+eps >= stats.Entropy(q.t, []int{0})
+		m := stats.NewMatrix(q.t, nil)
+		return m.Entropy([]int{0, 1})+eps >= m.Entropy([]int{0})
 	}
 	if err := quick.Check(property, tableConfig(37)); err != nil {
 		t.Fatal(err)
@@ -92,7 +99,7 @@ func TestQuickCondEntropyNonNegative(t *testing.T) {
 		if q.t.NumCols() < 2 {
 			return true
 		}
-		return stats.CondEntropy(q.t, []int{0}, 1) >= -eps
+		return stats.NewMatrix(q.t, nil).CondEntropy([]int{0}, 1) >= -eps
 	}
 	if err := quick.Check(property, tableConfig(41)); err != nil {
 		t.Fatal(err)
@@ -101,21 +108,17 @@ func TestQuickCondEntropyNonNegative(t *testing.T) {
 
 func TestQuickPhiNonNegativeAndZeroOnFullPrefix(t *testing.T) {
 	property := func(q qTable) bool {
-		all := make([]int, q.t.NumCols())
-		sizes := make([]int, q.t.NumCols())
+		m := stats.NewMatrix(q.t, nil)
+		all := make([]int, m.NumAttrs())
 		for i := range all {
 			all[i] = i
-			sizes[i] = q.t.ActiveDomainSize(i)
-			if sizes[i] == 0 {
-				sizes[i] = 1
-			}
 		}
 		for i := range all {
-			if stats.Phi(q.t, all[:i], sizes) < -eps {
+			if m.Phi(all[:i]) < -eps {
 				return false
 			}
 		}
-		return math.Abs(stats.Phi(q.t, all, sizes)) < eps
+		return math.Abs(m.Phi(all)) < eps
 	}
 	if err := quick.Check(property, tableConfig(43)); err != nil {
 		t.Fatal(err)
